@@ -35,7 +35,7 @@ from .errors import (
     StepFailure,
     UnsupportedSignature,
 )
-from .jets import Jet, compose, jet_space, jinv, seed_jets
+from .jets import Jet, compose, jeinsum, jet_space, jinv, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -208,18 +208,27 @@ def ricci_jets(ginv, riem):
     return ric
 
 
-def _cov_deriv_tensor(t, gamma, d):
-    """Covariant derivative of a fully covariant tensor given as nested object array."""
-    rank = t.ndim
-    out = np.empty((d,) + t.shape, dtype=object)
-    for a in range(d):
-        for idx in np.ndindex(*t.shape):
-            acc = t[idx].partial(a)
-            for slot in range(rank):
-                for s in range(d):
-                    rep = idx[:slot] + (s,) + idx[slot + 1 :]
-                    acc = acc - gamma[s, a, idx[slot]] * t[rep]
-            out[(a,) + idx] = acc
+def _stack(obj_arr, order):
+    """Coefficient array (n_mono, *tensor, *batch) of an object array of jets,
+    truncated to `order`."""
+    out = np.stack([e.truncate(order).coeffs for e in obj_arr.ravel()], axis=1)
+    return out.reshape(out.shape[:1] + obj_arr.shape + out.shape[2:])
+
+
+def _grad(c, space):
+    """∂_a of a coefficient array at `space`, as a new first tensor axis, one order down."""
+    bcast = (-1,) + (1,) * (c.ndim - 1)
+    return np.stack([c[src] * fac.reshape(bcast) for src, fac in space._diff_maps], axis=1)
+
+
+def _cov_deriv(c, gamma, space, rank):
+    """(∇T)_{a i…} = ∂_a T_{i…} − Σ_slot Γ^s_{a i_slot} T_{…s…}, one order down,
+    for a covariant rank-`rank` tensor T given as a coefficient array at `space`."""
+    lower = jet_space(space.nvars, space.order - 1)
+    out = _grad(c, space)
+    idx = "bcdefghijk"[:rank]
+    for slot, i in enumerate(idx):
+        out -= jeinsum(lower, f"sa{i}...,{idx[:slot]}s{idx[slot + 1:]}...->a{idx}...", gamma, c)
     return out
 
 
@@ -288,12 +297,13 @@ def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
     ginv = jinv(g)
     gamma = christoffel_jets(g)
     riem = riemann_lower_jets(g, gamma)
-    ric = ricci_jets(ginv, riem)
-    scal = None
-    for j in range(d):
-        for l in range(d):
-            term = ginv[j, l] * ric[j, l]
-            scal = term if scal is None else scal + term
+    # Γ, R̄ and Ric̄ once as coefficient arrays (n_mono, *tensor, *batch); the
+    # covariant derivatives are Cauchy products contracted by einsum.
+    space = jet_space(d, order)
+    gam = _stack(gamma, order + 1)
+    r = _stack(riem, order)
+    ric = _stack(ricci_jets(ginv, riem), order)
+    scal = jeinsum(space, "jl...,jl...->...", _stack(ginv, order), ric)
     jet = CurvatureJet(
         point=x,
         dim=d,
@@ -301,34 +311,22 @@ def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
         order=order,
         metric=gval,
         metric_inv=_values(ginv),
-        gamma=_values(gamma),
-        riem=_values(riem),
-        ricci=_values(ric),
-        scalar=np.asarray(scal.value),
+        gamma=gam[0],
+        riem=r[0],
+        ricci=ric[0],
+        scalar=np.asarray(scal[0]),
     )
     if order >= 1:
-        nabla_r = _cov_deriv_tensor(riem, gamma, d)
-        nabla_ric = _cov_deriv_tensor(ric, gamma, d)
-        jet.nabla_riem = _values(nabla_r)
-        jet.nabla_ricci = _values(nabla_ric)
-        jet.grad_scalar = np.stack([np.asarray(scal.partial(i).value) for i in range(d)])
+        nabla_r = _cov_deriv(r, gam, space, 4)
+        nabla_ric = _cov_deriv(ric, gam, space, 2)
+        grad_s = _grad(scal, space)
+        jet.nabla_riem, jet.nabla_ricci, jet.grad_scalar = nabla_r[0], nabla_ric[0], grad_s[0]
     if order >= 2:
-        nabla2_r = _cov_deriv_tensor(nabla_r, gamma, d)
-        nabla2_ric = _cov_deriv_tensor(nabla_ric, gamma, d)
-        jet.nabla2_riem = _values(nabla2_r)
-        jet.nabla2_ricci = _values(nabla2_ric)
-        hess = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                acc = scal.partial(i).partial(j)
-                for s in range(d):
-                    acc = acc - gamma[s, i, j] * scal.partial(s)
-                hess[i, j] = acc
-        jet.hess_scalar = _values(hess)
-        ginv_val = jet.metric_inv
-        jet.lap_ricci = np.einsum("ab,ab...->...", ginv_val, jet.nabla2_ricci) if x.ndim == 1 else np.einsum(
-            "ab...,ab...->...", ginv_val, jet.nabla2_ricci
-        )
+        lower = jet_space(d, order - 1)
+        jet.nabla2_riem = _cov_deriv(nabla_r, gam, lower, 5)[0]
+        jet.nabla2_ricci = _cov_deriv(nabla_ric, gam, lower, 3)[0]
+        jet.hess_scalar = _cov_deriv(grad_s, gam, lower, 1)[0]
+        jet.lap_ricci = np.einsum("ab...,ab...->...", jet.metric_inv, jet.nabla2_ricci)
     return jet
 
 

@@ -82,28 +82,32 @@ class Context:
             self.cache[key] = variation.grid_for_immersion(self.get_immersion(idx), shape)
         return self.cache[key]
 
-    def get_geo(self, idx=0):
+    def _masked_geo(self, idx=0):
+        """II-geometry on the grid with invalid points masked, computed once."""
         key = ("geo", idx)
         if key not in self.cache:
-            geo = iigeom.ii_geometry(
+            self.cache[key] = iigeom.ii_geometry(
                 self.get_immersion(idx), self.get_grid(idx).nodes, on_error="mask"
             )
-            if not np.all(geo.valid) and not self.subject().get("allow_invalid", False):
-                reason = str(np.asarray(geo.invalid_reason)[~geo.valid][0])
-                exc = {
-                    "singular_shape": SingularShapeOperator,
-                    "degenerate_ii": DegenerateII,
-                    "degenerate_frame": DegenerateII,
-                }.get(reason, GeometryError)
-                raise exc(f"{int(np.sum(~geo.valid))} grid point(s) invalid: {reason}")
-            self.cache[key] = geo
         return self.cache[key]
+
+    def get_geo(self, idx=0):
+        geo = self._masked_geo(idx)
+        if not np.all(geo.valid) and not self.subject().get("allow_invalid", False):
+            reason = str(np.asarray(geo.invalid_reason)[~geo.valid][0])
+            exc = {
+                "singular_shape": SingularShapeOperator,
+                "degenerate_ii": DegenerateII,
+                "degenerate_frame": DegenerateII,
+            }.get(reason, GeometryError)
+            raise exc(f"{int(np.sum(~geo.valid))} grid point(s) invalid: {reason}")
+        return geo
 
     def get_report(self, idx=0):
         key = ("report", idx)
         if key not in self.cache:
             self.cache[key] = iigeom.sphere_inequality_report(
-                self.get_immersion(idx), self.get_grid(idx).nodes
+                self.get_immersion(idx), self.get_grid(idx).nodes, geo=self._masked_geo(idx)
             )
         return self.cache[key]
 
@@ -147,8 +151,12 @@ class Context:
         if key not in self.cache:
             if amplitude not in AMPLITUDES:
                 raise ScenarioError(f"unknown amplitude {amplitude!r}")
+            # an invalid point must raise as ii_geometry's default does, so a
+            # masked geometry is passed on only when every point is valid
+            geo = self._masked_geo()
             self.cache[key] = variation.first_variation_check(
-                self.get_immersion(), AMPLITUDES[amplitude], self.get_grid()
+                self.get_immersion(), AMPLITUDES[amplitude], self.get_grid(),
+                geo=geo if np.all(geo.valid) else None,
             )
         return self.cache[key]
 

@@ -58,10 +58,6 @@ class DegenerateII(GeometryError):
     """Second fundamental form fails to be a semi-Riemannian metric."""
 
 
-class NonDiagonalizableA(GeometryError):
-    """Shape operator has no real eigenbasis at the requested tolerance."""
-
-
 class ConjugatePoint(GeometryError):
     """Exponential map is not a diffeomorphism at the requested radius."""
 

@@ -618,10 +618,15 @@ class SphereInequalityReport:
     summary: dict
 
 
-def sphere_inequality_report(imm: Immersion, grid_u) -> SphereInequalityReport:
-    """Evaluate the space-form / Einstein / surface inequality quantities."""
+def sphere_inequality_report(imm: Immersion, grid_u, geo=None) -> SphereInequalityReport:
+    """Evaluate the space-form / Einstein / surface inequality quantities.
+
+    `geo`, when given, must be ``ii_geometry(imm, grid_u, on_error="mask")``,
+    already computed by the caller.
+    """
     u = np.atleast_2d(np.asarray(grid_u, dtype=float))
-    geo = ii_geometry(imm, u, on_error="mask")
+    if geo is None:
+        geo = ii_geometry(imm, u, on_error="mask")
     data = geo.base
     m = imm.param_dim
     alpha = data.alpha

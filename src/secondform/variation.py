@@ -318,11 +318,17 @@ def first_variation_check(
     grid: QuadratureGrid,
     s_ladder=DEFAULT_S_LADDER,
     mode: str = "chart_linear",
+    geo=None,
 ) -> FirstVariationResult:
     """Compare finite-difference dArea/ds and dArea_II/ds with the H/H_II
-    integrals for the deformation with normal amplitude f."""
+    integrals for the deformation with normal amplitude f.
+
+    `geo`, when given, must be ``ii_geometry(imm, grid.nodes)`` with every
+    point valid, already computed by the caller.
+    """
     m = imm.param_dim
-    geo = ii_geometry(imm, grid.nodes)
+    if geo is None:
+        geo = ii_geometry(imm, grid.nodes)
     data = geo.base
     alpha = float(np.asarray(data.alpha).ravel()[0])
     fvals = _f_values(f, grid.nodes, m)

@@ -60,6 +60,47 @@ def space_form_riem_oracle(cbar, g):
     return cbar * (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
 
 
+def cov_deriv_oracle(t, gamma, d):
+    """Covariant derivative of a covariant tensor given as an object array of jets."""
+    rank = t.ndim
+    out = np.empty((d,) + t.shape, dtype=object)
+    for a in range(d):
+        for idx in np.ndindex(*t.shape):
+            acc = t[idx].partial(a)
+            for slot in range(rank):
+                for s in range(d):
+                    rep = idx[:slot] + (s,) + idx[slot + 1 :]
+                    acc = acc - gamma[s, a, idx[slot]] * t[rep]
+            out[(a,) + idx] = acc
+    return out
+
+
+def object_route_derivatives(chart, x):
+    """∇R̄, ∇²R̄, ∇Ric̄, ∇²Ric̄ and Hess S̄ at order 2, entry by entry over jets."""
+    from secondform.ambient import _values, christoffel_jets, metric_jets, ricci_jets, riemann_lower_jets
+    from secondform.jets import jinv, seed_jets
+
+    d = chart.dim
+    g = metric_jets(chart, seed_jets(x, d, 4))
+    ginv = jinv(g)
+    gamma = christoffel_jets(g)
+    riem = riemann_lower_jets(g, gamma)
+    ric = ricci_jets(ginv, riem)
+    scal = sum(ginv[j, l] * ric[j, l] for j in range(d) for l in range(d))
+    grad_s = np.empty(d, dtype=object)
+    for i in range(d):
+        grad_s[i] = scal.partial(i)
+    nabla_r = cov_deriv_oracle(riem, gamma, d)
+    nabla_ric = cov_deriv_oracle(ric, gamma, d)
+    return {
+        "nabla_riem": _values(nabla_r),
+        "nabla2_riem": _values(cov_deriv_oracle(nabla_r, gamma, d)),
+        "nabla_ricci": _values(nabla_ric),
+        "nabla2_ricci": _values(cov_deriv_oracle(nabla_ric, gamma, d)),
+        "hess_scalar": _values(cov_deriv_oracle(grad_s, gamma, d)),
+    }
+
+
 class TestChristoffel:
     def test_euclidean_vanishes(self):
         chart = flat_chart(3)
@@ -172,6 +213,48 @@ class TestCurvatureJet:
         # contracted second Bianchi: 2 div Ric = ∇S
         div_ric = 2.0 * np.einsum("ab,abj->j", jet.metric_inv, jet.nabla_ricci)
         assert_allclose(div_ric, jet.grad_scalar, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "chart, x",
+        [
+            (registry_chart("bumpy_e3"), np.array([0.3, -0.2, 0.5])),
+            (product_chart(space_form(2, 1.0), space_form(2, 1.0)), np.array([0.1, 0.05, -0.1, 0.2])),
+        ],
+        ids=["bumpy_e3", "s2xs2"],
+    )
+    def test_covariant_derivatives_match_object_route(self, chart, x):
+        jet = curvature_jet(chart, x, order=2)
+        for name, expect in object_route_derivatives(chart, x).items():
+            assert_allclose(getattr(jet, name), expect, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_batched_points_match_pointwise(self):
+        chart = registry_chart("bumpy_e3")
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-0.5, 0.5, size=(2, 3, 3))
+        batched = curvature_jet(chart, x, order=2)
+        fields = [k for k, v in vars(batched).items() if isinstance(v, np.ndarray) and k != "point"]
+        for i, j in np.ndindex(2, 3):
+            single = curvature_jet(chart, x[i, j], order=2)
+            for name in fields:
+                assert_allclose(getattr(batched, name)[..., i, j], getattr(single, name),
+                                rtol=1e-12, atol=1e-13, err_msg=name)
+
+    def test_s4_order2_jet_multiply_count(self, monkeypatch):
+        # a deterministic guard on the tensor-form route: the entry-by-entry
+        # covariant derivatives made 103,924 jet multiplies here
+        from secondform.jets import Jet
+
+        calls = [0]
+        original = Jet.__mul__
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Jet, "__mul__", counting)
+        monkeypatch.setattr(Jet, "__rmul__", counting)
+        curvature_jet(space_form(4, 1.0), np.array([0.1, -0.2, 0.05, 0.3]), order=2)
+        assert 0 < calls[0] < 5000
 
     def test_taylor_matches_nested_central_differences(self):
         # second metric derivative of the bumpy chart vs nested differences

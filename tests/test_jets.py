@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from secondform.jets import Jet, compose, jdet, jet_space, jinv, jmatmul, seed_jets
+from secondform import jets
+from secondform.jets import Jet, compose, jdet, jeinsum, jet_space, jinv, jmatmul, seed_jets
 
 
 def central_diff(f, x, i, h=1e-5):
@@ -151,3 +152,56 @@ def test_deriv_out_of_order_raises():
     (x,) = seed_jets(np.array([0.0]), 1, 2)
     with pytest.raises(ValueError):
         x.deriv((3,))
+
+
+def naive_product(a, b):
+    """Cauchy product by exponent addition over all monomial pairs."""
+    space = a.space if a.space.order <= b.space.order else b.space
+    ac, bc = a.coeffs[: space.n], b.coeffs[: space.n]
+    out = np.zeros((space.n,) + np.broadcast_shapes(ac.shape[1:], bc.shape[1:]))
+    for i, mi in enumerate(space.monomials):
+        for j, mj in enumerate(space.monomials):
+            mk = tuple(x + y for x, y in zip(mi, mj))
+            if sum(mk) <= space.order:
+                out[space.index[mk]] += ac[i] * bc[j]
+    return out
+
+
+@pytest.mark.parametrize(
+    "nvars, orders, batch_a, batch_b",
+    [
+        (2, (4, 4), (), ()),
+        (3, (4, 4), (1,), (1,)),
+        (2, (4, 4), (256,), (256,)),
+        (2, (4, 4), (257,), (257,)),
+        (3, (3, 3), (3, 1), (1, 4)),
+        (2, (4, 4), (), (5,)),
+        (4, (4, 2), (7,), (7,)),
+        (2, (1, 3), (2, 3), (3,)),
+    ],
+)
+@pytest.mark.parametrize("cutoff", [0, 10**9, None], ids=["row_loop", "one_call", "default"])
+def test_product_paths_match_naive(monkeypatch, nvars, orders, batch_a, batch_b, cutoff):
+    if cutoff is not None:
+        monkeypatch.setattr(jets, "ONE_CALL_MAX_POINTS", cutoff)
+    rng = np.random.default_rng(sum(orders) + len(batch_a))
+    # positive coefficients: no cancellation, so a relative bound is meaningful
+    a = Jet(jet_space(nvars, orders[0]), rng.uniform(0.5, 1.5, (jet_space(nvars, orders[0]).n,) + batch_a))
+    b = Jet(jet_space(nvars, orders[1]), rng.uniform(0.5, 1.5, (jet_space(nvars, orders[1]).n,) + batch_b))
+    expect = naive_product(a, b)
+    for prod in (a * b, b * a):
+        assert prod.space.order == min(orders)
+        assert_allclose(prod.coeffs, expect, rtol=1e-14, atol=0)
+
+
+def test_jeinsum_matches_jet_products():
+    space = jet_space(3, 2)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(jet_space(3, 4).n, 3, 2, 5))  # higher order: truncated to `space`
+    b = rng.normal(size=(space.n, 2, 4, 5))
+    out = jeinsum(space, "ij...,jk...->ik...", a, b)
+    assert out.shape == (space.n, 3, 4, 5)
+    for i in range(3):
+        for k in range(4):
+            acc = sum(Jet(space, a[: space.n, i, j]) * Jet(space, b[:, j, k]) for j in range(2))
+            assert_allclose(out[:, i, k], acc.coeffs, rtol=1e-13, atol=1e-14)
