@@ -20,6 +20,7 @@ and gives space forms R_{ijkl} = C̄(ḡ_ik ḡ_jl − ḡ_il ḡ_jk).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -35,7 +36,7 @@ from .errors import (
     StepFailure,
     UnsupportedSignature,
 )
-from .jets import Jet, compose, jeinsum, jet_space, jinv, seed_jets
+from .jets import Jet, _cauchy, _lead, compose, jeinsum, jet_space, jinv, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -65,6 +66,11 @@ class MetricChart:
     (dim, dim) object array whose entries are jets or plain floats.  The
     optional closed-form fields accelerate geodesic integration; when absent,
     the generic metric-derived path is used.
+
+    `christoffel_jets_fn(x_jets)` returns Γ^k_ab as a (dim, dim, dim) object
+    array of jets.  `geodesic_rhs(space, x, v)` works on coefficient arrays:
+    `x` and `v` have shape (space.n, dim, *batch) at the jet space `space`,
+    and it returns the acceleration −Γ^k_ab(x) v^a v^b in the same shape.
     """
 
     dim: int
@@ -142,10 +148,13 @@ def metric_jets(chart: MetricChart, x_jets):
     return lift_matrix(np.asarray(chart.metric_fn(x_jets), dtype=object), x_jets[0])
 
 
-def christoffel_jets(g):
-    """Levi-Civita coefficients Γ^k_{ij} as jets, one order below the metric."""
+def christoffel_jets(g, ginv=None):
+    """Levi-Civita coefficients Γ^k_{ij} as jets, one order below the metric.
+
+    `ginv`, when given, must be ``jinv(g)``, already computed by the caller."""
     d = g.shape[0]
-    ginv = jinv(g)
+    if ginv is None:
+        ginv = jinv(g)
     dg = [[[g[i, j].partial(k) for j in range(d)] for i in range(d)] for k in range(d)]
     gamma = np.empty((d, d, d), dtype=object)
     for k in range(d):
@@ -210,9 +219,36 @@ def ricci_jets(ginv, riem):
 
 def _stack(obj_arr, order):
     """Coefficient array (n_mono, *tensor, *batch) of an object array of jets,
-    truncated to `order`."""
-    out = np.stack([e.truncate(order).coeffs for e in obj_arr.ravel()], axis=1)
-    return out.reshape(out.shape[:1] + obj_arr.shape + out.shape[2:])
+    truncated to `order`, with the entries' batch shapes broadcast."""
+    coeffs = [e.truncate(order).coeffs for e in obj_arr.ravel()]
+    batch = np.broadcast_shapes(*(c.shape[1:] for c in coeffs))
+    coeffs = [np.broadcast_to(_lead(c, len(batch)), c.shape[:1] + batch) for c in coeffs]
+    out = np.stack(coeffs, axis=1)
+    return out.reshape(out.shape[:1] + obj_arr.shape + batch)
+
+
+def _stack_list(jets):
+    """(space, coefficient array (space.n, len(jets), *batch)) of a list of
+    jets, at their lowest order as jet arithmetic would combine them."""
+    if len({j.space.nvars for j in jets}) > 1:
+        raise ValueError("cannot mix jets over different variable sets")
+    order = min(j.space.order for j in jets)
+    obj = np.empty(len(jets), dtype=object)
+    obj[:] = jets
+    return jet_space(jets[0].space.nvars, order), _stack(obj, order)
+
+
+def _tsum(c):
+    """Σ over the tensor axis 1 of a coefficient array, in index order."""
+    acc = c[:, 0]
+    for a in range(1, c.shape[1]):
+        acc = acc + c[:, a]
+    return acc
+
+
+def _col(vec, c):
+    """A per-component factor shaped to broadcast along the tensor axis 1 of `c`."""
+    return vec.reshape((-1,) + (1,) * (c.ndim - 2))
 
 
 def _grad(c, space):
@@ -295,7 +331,7 @@ def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
     gval = _values(g)
     _check_nondegenerate(gval)
     ginv = jinv(g)
-    gamma = christoffel_jets(g)
+    gamma = christoffel_jets(g, ginv)
     riem = riemann_lower_jets(g, gamma)
     # Γ, R̄ and Ric̄ once as coefficient arrays (n_mono, *tensor, *batch); the
     # covariant derivatives are Cauchy products contracted by einsum.
@@ -347,24 +383,25 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
     """
     eps = _signs(dim, index)
 
-    def sigma_and_grad(x):
-        # returns (F or None, sigma, [σ_1..σ_d]); F kept for the metric fast path
-        q = None
-        for a in range(dim):
-            term = x[a] * x[a] * eps[a]
-            q = term if q is None else q + term
-        denom = 1.0 + q * (cbar / 4.0)
-        f = denom.reciprocal()
-        grads = [x[a] * (-0.5 * cbar * eps[a]) * f for a in range(dim)]
-        if bump is not None:
-            s_extra, grads_extra = bump(x)
-            grads = [grads[a] + grads_extra[a] for a in range(dim)]
-            return f, s_extra, grads
-        return f, None, grads
+    def sigma_and_grad(space, x):
+        # x: coordinates (space.n, dim, *batch).  Returns the coefficient
+        # arrays (F, σ_bump or None, [σ_1..σ_d] on axis 1), where
+        # F = 1/(1 + C̄⟨x,x⟩_ε/4) is kept for the metric fast path.
+        e = _col(eps, x)
+        denom = _tsum(_cauchy(space, x, x) * e) * (cbar / 4.0)
+        denom[0] += 1.0
+        f = Jet(space, denom).reciprocal().coeffs
+        grads = _cauchy(space, x * (e * (-0.5 * cbar)), f[:, None])
+        if bump is None:
+            return f, None, grads
+        s_extra, grads_extra = bump(space, x)
+        return f, s_extra, grads + grads_extra
 
     def metric_fn(x):
-        f, s_extra, _ = sigma_and_grad(x)
-        conf = f * f if s_extra is None else (f * (s_extra).exp()) ** 2
+        space, xc = _stack_list(x)
+        f, s_extra, _ = sigma_and_grad(space, xc)
+        f = Jet(space, f)
+        conf = f * f if s_extra is None else (f * Jet(space, s_extra).exp()) ** 2
         out = np.empty((dim, dim), dtype=object)
         zero = conf * 0.0
         for i in range(dim):
@@ -373,7 +410,9 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         return out
 
     def christoffel_fn(x):
-        _, _, sg = sigma_and_grad(x)
+        space, xc = _stack_list(x)
+        sgc = sigma_and_grad(space, xc)[2]
+        sg = [Jet(space, sgc[:, a]) for a in range(dim)]
         zero = sg[0] * 0.0
         gamma = np.empty((dim, dim, dim), dtype=object)
         for k in range(dim):
@@ -390,16 +429,13 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
                     gamma[k, b, a] = acc
         return gamma
 
-    def rhs(x, v):
-        _, _, sg = sigma_and_grad(x)
-        sv = None
-        vv = None
-        for a in range(dim):
-            t1 = sg[a] * v[a]
-            t2 = v[a] * v[a] * eps[a]
-            sv = t1 if sv is None else sv + t1
-            vv = t2 if vv is None else vv + t2
-        return [v[k] * sv * (-2.0) + sg[k] * vv * eps[k] for k in range(dim)]
+    def rhs(space, x, v):
+        # −2 v^k (σ·v) + ε_k σ_k ⟨v,v⟩_ε
+        sg = sigma_and_grad(space, x)[2]
+        e = _col(eps, v)
+        sv = _tsum(_cauchy(space, sg, v))
+        vv = _tsum(_cauchy(space, v, v) * e)
+        return _cauchy(space, v, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e
 
     flat = cbar == 0.0 and bump is None
 
@@ -496,13 +532,10 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
             gamma[sl, sl, sl] = chart.christoffel_jets_fn(x[sl])
         return gamma
 
-    def rhs(x, v):
-        out = [None] * dim
-        for chart, sl in factors:
-            block = chart.geodesic_rhs(x[sl], v[sl])
-            for i, k in enumerate(range(sl.start, sl.stop)):
-                out[k] = block[i]
-        return out
+    def rhs(space, x, v):
+        return np.concatenate(
+            [chart.geodesic_rhs(space, x[:, sl], v[:, sl]) for chart, sl in factors], axis=1
+        )
 
     ok_gamma = all(c.christoffel_jets_fn is not None for c, _ in factors)
     ok_rhs = all(c.geodesic_rhs is not None for c, _ in factors)
@@ -537,14 +570,10 @@ def _bumpy_e3() -> MetricChart:
     non-symmetric test metric: curvature and its derivatives all nonzero)."""
     amp = 0.05
 
-    def bump(x):
-        q = None
-        for a in range(3):
-            t = x[a] * x[a]
-            q = t if q is None else q + t
-        s = (q * -1.0).exp() * amp
-        grads = [x[a] * (-2.0) * s for a in range(3)]
-        return s, grads
+    def bump(space, x):
+        # σ_bump = amp·exp(−|x|²) and its gradient, on coefficient arrays
+        s = Jet(space, _tsum(_cauchy(space, x, x)) * -1.0).exp().coeffs * amp
+        return s, _cauchy(space, x * -2.0, s[:, None])
 
     chart = _conformal_chart(3, 0, 0.0, "bumpy_e3", {"kind": "custom", "name": "bumpy_e3"}, bump=bump)
     return chart
@@ -608,52 +637,42 @@ def christoffel_on_jets(chart: MetricChart, x_jets):
     return out
 
 
-def _geodesic_rhs(chart: MetricChart, x_jets, v_jets):
-    if chart.geodesic_rhs is not None:
-        return chart.geodesic_rhs(x_jets, v_jets)
-    gamma = christoffel_on_jets(chart, x_jets)
-    d = chart.dim
-    acc = []
-    for k in range(d):
-        total = None
-        for a in range(d):
-            for b in range(a, d):
-                term = gamma[k, a, b] * v_jets[a] * v_jets[b]
-                if a != b:
-                    term = term * 2.0
-                total = term if total is None else total + term
-        acc.append(-total)
-    return acc
+def _christoffel_rhs(chart: MetricChart, space, x, v):
+    """−Γ^k_ab v^a v^b on coefficient arrays, for a chart without a
+    closed-form `geodesic_rhs`."""
+    gamma = christoffel_on_jets(chart, [Jet(space, x[:, a]) for a in range(chart.dim)])
+    vv = jeinsum(space, "a...,b...->ab...", v, v)
+    return -jeinsum(space, "kab...,ab...->k...", _stack(gamma, space.order), vv)
 
 
 def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, domain_checks: bool = True):
     """Endpoint of the geodesic with initial position x0 and velocity w at t=1.
 
     Works on jets (so parameter derivatives of sphere charts flow through the
-    integrator) or on order-0 jets for plain points.  Classical RK4.
+    integrator) or on order-0 jets for plain points.  Classical RK4 on one
+    coefficient array of shape (n_mono, dim, *batch) each for position and
+    velocity, at the lowest order of the inputs (as jet arithmetic combines
+    them) and their broadcast batch; returns two lists of jets.
     """
     d = chart.dim
-    x = list(x0_jets)
-    v = list(w_jets)
+    space, xv = _stack_list(list(x0_jets) + list(w_jets))
+    x, v = xv[:, :d], xv[:, d:]
+    rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
     h = 1.0 / n_steps
     for step in range(n_steps):
-        k1x, k1v = v, _geodesic_rhs(chart, x, v)
-        x2 = [x[i] + k1x[i] * (h / 2) for i in range(d)]
-        v2 = [v[i] + k1v[i] * (h / 2) for i in range(d)]
-        k2x, k2v = v2, _geodesic_rhs(chart, x2, v2)
-        x3 = [x[i] + k2x[i] * (h / 2) for i in range(d)]
-        v3 = [v[i] + k2v[i] * (h / 2) for i in range(d)]
-        k3x, k3v = v3, _geodesic_rhs(chart, x3, v3)
-        x4 = [x[i] + k3x[i] * h for i in range(d)]
-        v4 = [v[i] + k3v[i] * h for i in range(d)]
-        k4x, k4v = v4, _geodesic_rhs(chart, x4, v4)
-        x = [x[i] + (k1x[i] + (k2x[i] + k3x[i]) * 2.0 + k4x[i]) * (h / 6) for i in range(d)]
-        v = [v[i] + (k1v[i] + (k2v[i] + k3v[i]) * 2.0 + k4v[i]) * (h / 6) for i in range(d)]
+        k1 = rhs(space, x, v)
+        x2, v2 = x + v * (h / 2), v + k1 * (h / 2)
+        k2 = rhs(space, x2, v2)
+        x3, v3 = x + v2 * (h / 2), v + k2 * (h / 2)
+        k3 = rhs(space, x3, v3)
+        x4, v4 = x + v3 * h, v + k3 * h
+        k4 = rhs(space, x4, v4)
+        x = x + (v + (v2 + v3) * 2.0 + v4) * (h / 6)
+        v = v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
         if domain_checks and (step % 32 == 31 or step == n_steps - 1):
-            pts = np.stack([np.asarray(j.value, dtype=float) for j in x], axis=-1)
-            if not np.all(chart.contains(pts)):
+            if not np.all(chart.contains(np.moveaxis(x[0], 0, -1))):
                 raise LeftDomain(f"geodesic left the domain of {chart.name}")
-    return x, v
+    return [Jet(space, x[:, a]) for a in range(d)], [Jet(space, v[:, a]) for a in range(d)]
 
 
 def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024, check: bool = True):

@@ -25,6 +25,15 @@ paths, chosen by the number of points in the broadcast batch:
   (table rows × batch) temporary, which is slower than the loop from about
   512 points on (table and measurements at ``ONE_CALL_MAX_POINTS``).
 
+The product lives in one module function, ``_cauchy(space, a, b)``, on
+coefficient arrays; ``Jet.__mul__`` wraps it.  Likewise the analytic
+functions (reciprocal, sqrt, exp, ...) share one lift,
+``_lift(space, c, scaled_derivs)`` = Σ_k d_k·e^k over the nilpotent part e
+of ``c`` (at order 0, d_0 alone).  Code that keeps a stack of jets as one
+array, such as the geodesic integrator with its ``(n_mono, dim, *batch)``
+state, calls these two directly: the tensor axes after the monomial axis
+broadcast like batch axes and count as points for the path choice.
+
 :func:`jeinsum` is the same gathered Cauchy product for coefficient arrays
 with tensor axes, contracted by ``np.einsum``; tensor-valued jets (such as
 the ambient curvature tensors) use it instead of object arrays of jets.
@@ -178,6 +187,41 @@ def jeinsum(space: JetSpace, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndar
     return np.add.reduceat(prods, space._mul_starts, axis=0)
 
 
+def _cauchy(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two coefficient arrays, truncated to `space`.
+
+    Batch (and tensor) axes after the monomial axis broadcast from the
+    right; the path is chosen by the number of broadcast points (see the
+    module docstring).  Either array may come from a higher order than
+    `space`.
+    """
+    sa, sb = a.shape[1:], b.shape[1:]
+    out_shape = sa if sa == sb else np.broadcast_shapes(sa, sb)  # ~3 µs saved per product
+    if math.prod(out_shape) <= ONE_CALL_MAX_POINTS:
+        nb = len(out_shape)
+        ac, bc = _lead(a, nb), _lead(b, nb)
+        return np.add.reduceat(ac[space._mul_i] * bc[space._mul_j], space._mul_starts, axis=0)
+    out = np.zeros((space.n,) + out_shape)
+    for i, j, k in space._mult_triples:
+        out[k] += a[i] * b[j]
+    return out
+
+
+def _lift(space: JetSpace, c: np.ndarray, scaled_derivs) -> np.ndarray:
+    """Σ_k d_k · e^k for the coefficient array `c` at `space`, with e its
+    nilpotent part and d_k = f^(k)(c[0])/k! broadcastable to c[0]; at order 0
+    this is d_0 alone."""
+    e = c.copy()
+    e[0] = 0.0
+    out = np.zeros(e.shape)
+    out[0] = scaled_derivs[0]
+    power = None
+    for k in range(1, space.order + 1):
+        power = e if power is None else _cauchy(space, power, e)
+        out = out + power * scaled_derivs[k]
+    return out
+
+
 class Jet:
     """Truncated Taylor polynomial with (optionally batched) coefficients."""
 
@@ -285,19 +329,7 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
-        space = a.space
-        sa, sb = a.batch_shape, b.batch_shape
-        out_shape = sa if sa == sb else np.broadcast_shapes(sa, sb)  # ~3 µs saved per product
-        if math.prod(out_shape) <= ONE_CALL_MAX_POINTS:
-            nb = len(out_shape)
-            ac, bc = _lead(a.coeffs, nb), _lead(b.coeffs, nb)
-            out = np.add.reduceat(ac[space._mul_i] * bc[space._mul_j], space._mul_starts, axis=0)
-            return Jet(space, out)
-        out = np.zeros((space.n,) + out_shape)
-        ac, bc = a.coeffs, b.coeffs
-        for i, j, k in space._mult_triples:
-            out[k] += ac[i] * bc[j]
-        return Jet(space, out)
+        return Jet(a.space, _cauchy(a.space, a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -330,15 +362,7 @@ class Jet:
     # -- analytic functions --------------------------------------------------
 
     def _lift(self, scaled_derivs) -> "Jet":
-        """Σ_k d_k · e^k with e the nilpotent part; d_k = f^(k)(a0)/k!."""
-        e = Jet(self.space, self.coeffs.copy())
-        e.coeffs[0] = np.zeros(self.batch_shape)
-        out = Jet.constant(self.space, np.broadcast_to(scaled_derivs[0], self.batch_shape).copy())
-        power = None
-        for k in range(1, self.space.order + 1):
-            power = e if power is None else power * e
-            out = out + power * scaled_derivs[k]
-        return out
+        return Jet(self.space, _lift(self.space, self.coeffs, scaled_derivs))
 
     def reciprocal(self) -> "Jet":
         a0 = self.coeffs[0]

@@ -38,7 +38,7 @@ from .errors import (
 from .hypersurface import Immersion, _sphere_param_box, _unit_sphere_map, surface_point
 from .iigeom import ii_geometry
 from .jets import Jet
-from .variation import area, grid_for_immersion
+from .variation import area, areas, grid_for_immersion
 
 __all__ = [
     "FramedJet",
@@ -238,8 +238,12 @@ def _need(inv, *keys):
 
 def series_coefficients(f: FramedJet, quantity: str) -> SeriesCoefficients:
     """Truncated series of one sphere quantity from framed centre data."""
+    return _series_coefficients(f, quantity, _invariants(f))
+
+
+def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoefficients:
+    """``series_coefficients`` with the invariants ``_invariants(f)`` given."""
     m = f.dim - 1
-    inv = _invariants(f)
     s, ric00 = inv["scal"], inv["ric00"]
 
     if quantity == "H":
@@ -466,7 +470,8 @@ def h_ii_recombination_error(f: FramedJet) -> float:
                    + div_II Z ).
     """
     m = f.dim - 1
-    blocks = {q: series_coefficients(f, q).coeffs for q in SCALAR_SERIES_QUANTITIES}
+    inv = _invariants(f)
+    blocks = {q: _series_coefficients(f, q, inv).coeffs for q in SCALAR_SERIES_QUANTITIES}
     recombined = _combine(
         [
             (-0.5, blocks["tr_ii_ricbar"]),
@@ -632,8 +637,7 @@ def numeric_sphere_quantities(
     if want_area:
         sphere = geodesic_sphere(chart, n, r, n_steps=n_steps)
         grid = grid_for_immersion(sphere, grid_shape or default_sphere_grid_shape(chart.dim - 1))
-        out["Area_II"] = area(sphere, grid, "second_form")
-        out["Area"] = area(sphere, grid, "first_form")
+        out["Area"], out["Area_II"] = areas(sphere, grid)
     return out
 
 

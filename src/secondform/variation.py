@@ -38,6 +38,7 @@ __all__ = [
     "tensor_gauss_legendre",
     "lat_long_sphere",
     "area",
+    "areas",
     "area_with_refinement",
     "normal_deform",
     "first_variation_check",
@@ -109,22 +110,33 @@ def refine(grid: QuadratureGrid) -> QuadratureGrid:
     return grid._refine()
 
 
-def _densities(imm: Immersion, grid: QuadratureGrid, which: str):
-    data = surface_point(imm, grid.nodes, order=2)
+def _check_shape_nonsingular(data):
+    if np.min(np.abs(np.linalg.eigvals(data.shape))) < 1e-8:
+        raise SingularShapeOperator("shape operator singular on a quadrature node")
+
+
+def _area_pair(data, grid: QuadratureGrid):
+    """(Area, Area_II) from one surface pass over the grid nodes."""
     dens = np.sqrt(np.abs(np.linalg.det(data.first)))
-    if which == "second_form":
-        lam_mod = np.abs(np.linalg.eigvals(data.shape))
-        if np.min(lam_mod) < 1e-8:
-            raise SingularShapeOperator("shape operator singular on a quadrature node")
-        dens = dens * np.sqrt(np.abs(data.detA))
-    elif which != "first_form":
-        raise BadParameters(f"unknown area functional {which!r}")
-    return dens
+    return float(grid.weights @ dens), float(grid.weights @ (dens * np.sqrt(np.abs(data.detA))))
 
 
 def area(imm: Immersion, grid: QuadratureGrid, which: str = "first_form") -> float:
     """∫ dΩ or ∫ √|det A| dΩ over the grid."""
-    return float(grid.weights @ _densities(imm, grid, which))
+    data = surface_point(imm, grid.nodes, order=2)
+    if which == "second_form":
+        _check_shape_nonsingular(data)
+    elif which != "first_form":
+        raise BadParameters(f"unknown area functional {which!r}")
+    return _area_pair(data, grid)[which == "second_form"]
+
+
+def areas(imm: Immersion, grid: QuadratureGrid):
+    """(Area, Area_II) from one surface pass; the same values, and the same
+    SingularShapeOperator check, as ``area`` with each functional."""
+    data = surface_point(imm, grid.nodes, order=2)
+    _check_shape_nonsingular(data)
+    return _area_pair(data, grid)
 
 
 def area_with_refinement(imm: Immersion, grid: QuadratureGrid, which: str = "first_form"):
@@ -163,48 +175,9 @@ def normal_deform(d: Deformation, check_grid: Optional[QuadratureGrid] = None) -
     `check_grid` is given, membership in the nondegenerate-II class is
     checked on its nodes (raises LeftEpsilonClass).
     """
-    if d.mode not in ("chart_linear", "ambient_exponential"):
-        raise BadParameters(f"unknown deformation mode {d.mode!r}")
-    base, s = d.base, float(d.s)
-    dim = base.ambient.dim
-    # Pin the base's realized orientation: re-running the auto rule on the
-    # deformed surface could flip the normal between +s and −s and destroy
-    # the continuity of the family.
-    orientation = resolved_orientation(base)
-
-    def map_fn(u_jets):
-        order = u_jets[0].space.order
-        u0 = np.stack([np.asarray(j.value, float) for j in u_jets], axis=-1)
-        jets = seed_jets(u0, base.param_dim, order + 1)
-        b = frame_jets(base, jets, check_two_routes=False)
-        amp = d.f(jets) * s
-        if d.mode == "chart_linear":
-            out = [b.x[a] + amp * b.U[a] for a in range(dim)]
-        else:
-            w = [amp * b.U[a] for a in range(dim)]
-            out, _ = exp_map(base.ambient, b.x, w, n_steps=64)
-        return [o.truncate(order) for o in out]
-
-    imm = Immersion(
-        ambient=base.ambient,
-        param_dim=base.param_dim,
-        map_fn=map_fn,
-        param_lo=base.param_lo,
-        param_hi=base.param_hi,
-        orientation=orientation,
-        descriptor=None,
-        grid_hint=base.grid_hint,
-    )
+    imm = _deformed_family(d.base, d.f, d.mode)(float(d.s))
     if check_grid is not None:
-        try:
-            data = surface_point(imm, check_grid.nodes, order=2)
-        except GeometryError as exc:
-            raise LeftEpsilonClass(f"deformed immersion degenerate: {exc}") from exc
-        lam_mod = np.abs(np.linalg.eigvals(data.shape))
-        if np.min(lam_mod) <= EPSILON_CLASS_FLOOR:
-            raise LeftEpsilonClass(
-                f"deformation left the nondegenerate-II class (min |λ| = {np.min(lam_mod):.2e})"
-            )
+        _class_checked_point(imm, check_grid)
     return imm
 
 
@@ -262,6 +235,11 @@ def _deformed_family(base: Immersion, f: Callable, mode: str):
     All members of the s-ladder are evaluated at the same grid seeds, so the
     base frame jets and the amplitude are computed once and reused (guarded
     by comparing the seed points)."""
+    if mode not in ("chart_linear", "ambient_exponential"):
+        raise BadParameters(f"unknown deformation mode {mode!r}")
+    # Pin the base's realized orientation: re-running the auto rule on the
+    # deformed surface could flip the normal between +s and −s and destroy
+    # the continuity of the family.
     orientation = resolved_orientation(base)
     dim = base.ambient.dim
     cache: dict = {}
@@ -281,6 +259,7 @@ def _deformed_family(base: Immersion, f: Callable, mode: str):
             if mode == "chart_linear":
                 out = [b.x[a] + scaled * b.U[a] for a in range(dim)]
             else:
+                # x at order k+1, w = s·f·U at order k (the normal costs one)
                 w = [scaled * b.U[a] for a in range(dim)]
                 out, _ = exp_map(base.ambient, b.x, w, n_steps=64)
             return [o.truncate(order) for o in out]
@@ -294,11 +273,11 @@ def _deformed_family(base: Immersion, f: Callable, mode: str):
     return make
 
 
-def _areas_with_class_check(imm_s: Immersion, grid: QuadratureGrid):
-    """(Area, Area_II) in one surface pass, raising LeftEpsilonClass on exit
+def _class_checked_point(imm: Immersion, grid: QuadratureGrid):
+    """``surface_point`` on the grid nodes, raising LeftEpsilonClass on exit
     from the nondegenerate-II class."""
     try:
-        data = surface_point(imm_s, grid.nodes, order=2)
+        data = surface_point(imm, grid.nodes, order=2)
     except GeometryError as exc:
         raise LeftEpsilonClass(f"deformed immersion degenerate: {exc}") from exc
     lam_mod = np.abs(np.linalg.eigvals(data.shape))
@@ -306,10 +285,13 @@ def _areas_with_class_check(imm_s: Immersion, grid: QuadratureGrid):
         raise LeftEpsilonClass(
             f"deformation left the nondegenerate-II class (min |λ| = {np.min(lam_mod):.2e})"
         )
-    dens = np.sqrt(np.abs(np.linalg.det(data.first)))
-    a = float(grid.weights @ dens)
-    aii = float(grid.weights @ (dens * np.sqrt(np.abs(data.detA))))
-    return a, aii
+    return data
+
+
+def _areas_with_class_check(imm_s: Immersion, grid: QuadratureGrid):
+    """(Area, Area_II) in one surface pass, raising LeftEpsilonClass on exit
+    from the nondegenerate-II class."""
+    return _area_pair(_class_checked_point(imm_s, grid), grid)
 
 
 def first_variation_check(

@@ -445,3 +445,157 @@ def test_geodesic_default_arguments_with_halving_check():
     v = np.array([0.6, -0.8, 0.0])  # unit at the origin
     end = geodesic(chart, np.zeros(3), v, 0.5)  # default 1024 steps + halving
     assert_allclose(end, 2 * math.tan(0.25) * v, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# exp_map on one coefficient array against the list-of-jets RK4
+# ---------------------------------------------------------------------------
+
+
+def list_rk4_oracle(chart, x0_jets, w_jets, n_steps):
+    """The RK4 exp_map ran before it moved to coefficient arrays: lists of d
+    separate jets, with the acceleration −Γ^k_ab v^a v^b summed over a ≤ b
+    entry by entry from christoffel_on_jets."""
+    from secondform.ambient import christoffel_on_jets
+
+    d = chart.dim
+
+    def rhs(x, v):
+        gamma = christoffel_on_jets(chart, x)
+        acc = []
+        for k in range(d):
+            total = None
+            for a in range(d):
+                for b in range(a, d):
+                    term = gamma[k, a, b] * v[a] * v[b]
+                    if a != b:
+                        term = term * 2.0
+                    total = term if total is None else total + term
+            acc.append(-total)
+        return acc
+
+    x, v = list(x0_jets), list(w_jets)
+    h = 1.0 / n_steps
+    for _ in range(n_steps):
+        k1x, k1v = v, rhs(x, v)
+        x2 = [x[i] + k1x[i] * (h / 2) for i in range(d)]
+        v2 = [v[i] + k1v[i] * (h / 2) for i in range(d)]
+        k2x, k2v = v2, rhs(x2, v2)
+        x3 = [x[i] + k2x[i] * (h / 2) for i in range(d)]
+        v3 = [v[i] + k2v[i] * (h / 2) for i in range(d)]
+        k3x, k3v = v3, rhs(x3, v3)
+        x4 = [x[i] + k3x[i] * h for i in range(d)]
+        v4 = [v[i] + k3v[i] * h for i in range(d)]
+        k4x, k4v = v4, rhs(x4, v4)
+        x = [x[i] + (k1x[i] + (k2x[i] + k3x[i]) * 2.0 + k4x[i]) * (h / 6) for i in range(d)]
+        v = [v[i] + (k1v[i] + (k2v[i] + k3v[i]) * 2.0 + k4v[i]) * (h / 6) for i in range(d)]
+    return x, v
+
+
+def _exp_inputs(dim, order, batch, x0_batched=True, w_order=None):
+    """Position and velocity jets over two parameters, as a sphere map makes them."""
+    from secondform.jets import Jet, jet_space, seed_jets
+
+    rng = np.random.default_rng(11)
+    u = seed_jets(rng.uniform(-0.3, 0.3, size=batch + (2,)), 2, order)
+    base = rng.uniform(-0.15, 0.15, size=dim)
+    direction = rng.normal(size=dim)
+    direction *= 0.4 / np.linalg.norm(direction)
+    if x0_batched:
+        x0 = [u[a % 2] * (0.05 * (a + 1)) + base[a] for a in range(dim)]
+    else:
+        x0 = [Jet.constant(jet_space(2, order), base[a]) for a in range(dim)]
+    w = [(u[0] * u[1] * 0.1 + u[a % 2] * 0.2 + 1.0) * direction[a] for a in range(dim)]
+    if w_order is not None:
+        w = [j.truncate(w_order) for j in w]
+    return x0, w
+
+
+def _no_rhs(chart, closed_gamma=True):
+    import dataclasses
+
+    if closed_gamma:
+        return dataclasses.replace(chart, geodesic_rhs=None)
+    return dataclasses.replace(chart, geodesic_rhs=None, christoffel_jets_fn=None)
+
+
+EXP_CHARTS = {
+    "s3": lambda: space_form(3, 1.0),
+    "h3": lambda: space_form(3, -1.0),
+    "de_sitter": lambda: space_form(3, 0.5, index=1),
+    "bumpy_e3": lambda: registry_chart("bumpy_e3"),
+    "s2xs2": lambda: product_chart(space_form(2, 1.0), space_form(2, 1.0)),
+    "no_rhs": lambda: _no_rhs(space_form(4, 1.0)),
+}
+
+
+def _assert_exp_matches_oracle(chart, x0, w, n_steps, rel=1e-13):
+    from secondform.ambient import exp_map
+
+    xs, vs = exp_map(chart, x0, w, n_steps=n_steps)
+    ox, ov = list_rk4_oracle(chart, x0, w, n_steps)
+    for got, want in ((xs, ox), (vs, ov)):
+        for g_jet, o_jet in zip(got, want):
+            assert g_jet.space is o_jet.space
+            o = np.broadcast_to(o_jet.coeffs, g_jet.coeffs.shape)
+            scale = np.max(np.abs(o))
+            assert np.max(np.abs(g_jet.coeffs - o)) <= rel * scale
+
+
+class TestExpMapArrays:
+    @pytest.mark.parametrize("name", sorted(EXP_CHARTS))
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    @pytest.mark.parametrize("batch", [(), (72,)])
+    def test_matches_list_oracle(self, name, order, batch):
+        chart = EXP_CHARTS[name]()
+        x0, w = _exp_inputs(chart.dim, order, batch)
+        _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
+
+    @pytest.mark.parametrize("name", ["s3", "bumpy_e3", "s2xs2"])
+    def test_unbatched_start_against_batched_velocity(self, name):
+        chart = EXP_CHARTS[name]()
+        x0, w = _exp_inputs(chart.dim, 4, (72,), x0_batched=False)
+        assert x0[0].batch_shape == () and w[0].batch_shape == (72,)
+        _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
+
+    def test_mixed_input_orders_combine_at_the_lower(self):
+        # as in normal_deform: x at order k+1, w at order k
+        chart = registry_chart("bumpy_e3")
+        x0, w = _exp_inputs(3, 4, (5,), w_order=3)
+        from secondform.ambient import exp_map
+
+        xs, vs = exp_map(chart, x0, w, n_steps=8)
+        assert all(j.space.order == 3 for j in xs + vs)
+        _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
+
+    def test_metric_derived_christoffel_path(self):
+        chart = _no_rhs(registry_chart("bumpy_e3"), closed_gamma=False)
+        x0, w = _exp_inputs(3, 2, (4,))
+        _assert_exp_matches_oracle(chart, x0, w, n_steps=4)
+
+    def test_left_domain_on_batched_jets(self):
+        from secondform.ambient import exp_map
+
+        chart = space_form(3, -1.0)
+        x0, w = _exp_inputs(3, 2, (6,))
+        with pytest.raises(LeftDomain):
+            exp_map(chart, x0, [j * 10.0 for j in w], n_steps=32)
+
+    def test_batch_72_makes_few_jet_multiplies(self, monkeypatch):
+        # the list-of-jets RK4 made about 40 jet products per stage, 4 stages per step
+        from secondform.ambient import exp_map
+        from secondform.jets import Jet
+
+        chart = space_form(4, 1.0)
+        x0, w = _exp_inputs(4, 4, (72,), x0_batched=False)
+        calls = [0]
+        original = Jet.__mul__
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Jet, "__mul__", counting)
+        monkeypatch.setattr(Jet, "__rmul__", counting)
+        exp_map(chart, x0, w, n_steps=32)
+        assert calls[0] < 100

@@ -139,8 +139,45 @@ class TestRecombination:
             f = FramedJet.from_curvature_jet(jet, e0)
             assert h_ii_recombination_error(f) < 1e-12
 
+    def test_invariants_computed_once_per_jet(self, monkeypatch):
+        from secondform import spheres
+
+        calls = [0]
+        original = spheres._invariants
+
+        def counting(f):
+            calls[0] += 1
+            return original(f)
+
+        monkeypatch.setattr(spheres, "_invariants", counting)
+        h_ii_recombination_error(synthetic_framed_jet(4, np.random.default_rng(3)))
+        assert calls[0] == 1
+
 
 class TestNumericVsSeries:
+    def test_areas_share_one_sphere_integration(self, monkeypatch):
+        # one exp_map call for the patch, one for the whole sphere (both areas)
+        from secondform import spheres
+        from secondform.variation import area, grid_for_immersion
+
+        calls = [0]
+        original = spheres.exp_map
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        chart, r = space_form(4, 1.0), 0.3
+        e0 = np.array([1.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(spheres, "exp_map", counting)
+        vals = numeric_sphere_quantities(chart, np.zeros(4), e0, r, n_steps=16, grid_shape=(3, 4, 6))
+        assert calls[0] == 2
+        monkeypatch.setattr(spheres, "exp_map", original)
+        sphere = geodesic_sphere(chart, np.zeros(4), r, n_steps=16)
+        grid = grid_for_immersion(sphere, (3, 4, 6))
+        assert vals["Area"] == area(sphere, grid, "first_form")
+        assert vals["Area_II"] == area(sphere, grid, "second_form")
+
     def test_flat_pipeline_exact(self):
         vals = numeric_sphere_quantities(flat_chart(3), np.zeros(3), E0_3, 0.25)
         assert abs(vals["H_II"] - 2 / (2 * 0.25)) < 1e-10
