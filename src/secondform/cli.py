@@ -425,6 +425,18 @@ def _fmt(x):
     return format(x, ".17g")
 
 
+def _fmt_col(col, n: int) -> list:
+    """`_fmt` over a numeric column of n entries; None is an empty column."""
+    if col is None:
+        return [""] * n
+    return ["" if v != v else format(v, ".17g") for v in np.asarray(col, dtype=float).tolist()]
+
+
+def _member_rows(member: int, n: int, cols) -> list:
+    """Rows [member, *cols] of n points, each column formatted at once."""
+    return [[str(member), *vals] for vals in zip(*(_fmt_col(c, n) for c in cols))]
+
+
 def _csv_rows(ctx) -> tuple:
     sub = ctx.subject()
     kind = sub["type"]
@@ -441,12 +453,8 @@ def _csv_rows(ctx) -> tuple:
                     ["member"] + [f"u{k}" for k in range(m)] + [f"x{k}" for k in range(d)]
                     + ["H", "detA"] + [f"lambda{k}" for k in range(m)]
                 )
-            for row in range(len(data.u)):
-                rows.append(
-                    [str(i)] + [_fmt(v) for v in data.u[row]] + [_fmt(v) for v in data.x[row]]
-                    + [_fmt(data.mean[row]), _fmt(data.detA[row])]
-                    + [_fmt(v) for v in data.lam[row]]
-                )
+            cols = [*data.u.T, *data.x.T, data.mean, data.detA, *data.lam.T]
+            rows.extend(_member_rows(i, len(data.u), cols))
         return header, rows
     if kind in ("immersion", "ensemble"):
         header = None
@@ -461,24 +469,12 @@ def _csv_rows(ctx) -> tuple:
                     + ["H", "detA", "H_II_var", "H_II_gauss", "S_II",
                        "lemma51", "thm52", "thm61", "thm71", "cor7", "status"]
                 )
-            for row in range(rep.u.shape[0]):
-                rows.append(
-                    [str(i)]
-                    + [_fmt(v) for v in rep.u[row]]
-                    + [
-                        _fmt(geo.base.mean[row]),
-                        _fmt(geo.base.detA[row]),
-                        _fmt(geo.h_ii["variational"][row]),
-                        _fmt(geo.h_ii["gauss"][row]),
-                        _fmt(geo.s_ii[row]),
-                        _fmt(rep.lemma51[row] if rep.lemma51 is not None else None),
-                        _fmt(rep.thm52[row] if rep.thm52 is not None else None),
-                        _fmt(rep.thm61[row] if rep.thm61 is not None else None),
-                        _fmt(rep.thm71[row] if rep.thm71 is not None else None),
-                        _fmt(rep.cor7[row] if rep.cor7 is not None else None),
-                        rep.status[row],
-                    ]
-                )
+            cols = [
+                *rep.u.T, geo.base.mean, geo.base.detA, geo.h_ii["variational"], geo.h_ii["gauss"],
+                geo.s_ii, rep.lemma51, rep.thm52, rep.thm61, rep.thm71, rep.cor7,
+            ]
+            member_rows = _member_rows(i, rep.u.shape[0], cols)
+            rows.extend(row + [status] for row, status in zip(member_rows, rep.status))
         return header, rows
     if kind == "curve":
         curve = ctx.get_curve()

@@ -9,9 +9,20 @@ out exact to roundoff.  Conventions:
     III(V,W) = g(A V, A W),
     H = (α/m) tr A.
 
+The frame (:func:`frame_jets`) runs on coefficient arrays of shape
+(n_mono, *tensor, *batch), one array per tensor, contracted with
+``jets.jeinsum``: the tangents t = ∂x, the metric g = tᵀḡt, the normal
+covector n_a = ε_{a b₁…b_m} t₁^{b₁}⋯t_m^{b_m}, U = ḡ⁻¹n/√|n·ḡ⁻¹n|,
+II = α(∂t + Γ̄tt)·U♭ and A = α g⁻¹II, with inverses by the Neumann series
+and det A by ε-contraction.  With the parameter jets at order k, each
+quantity is carried at the order its readers use: t, ḡ and U at k − 1 (a
+normal deformation reads U to first order below x), II, A, g⁻¹, det A, H
+and Γ̄ at k − 2, g at max(k − 2, min(k − 1, 2)) (intrinsic curvature reads
+two derivatives of g), ḡ⁻¹ as values only.
+
 The second fundamental form is computed both ways (through ∇̄U and through
-∇̄∂∂); their agreement is asserted at 1e−9 on every call, which catches sign
-and index errors in one stroke.
+∇̄∂∂); their values agree to 1e−9 on every call, which catches sign and
+index errors in one stroke.
 
 The default normal orientation picks U so that tr A > 0 where that is
 decidable (on ovaloids and geodesic spheres this selects the inward normal);
@@ -38,7 +49,7 @@ from .errors import (
     NullNormal,
     OutOfDomain,
 )
-from .jets import Jet, compose, jdet, jdot, jinv, jmatvec, seed_jets
+from .jets import Jet, _cauchy, _inv, _wedge, compose, jeinsum, jet_space, jinv, seed_jets
 
 __all__ = [
     "Immersion",
@@ -108,7 +119,12 @@ class SurfacePointData:
 
 @dataclass
 class _SurfaceJets:
-    """Jet-level intermediates shared by the II-geometry layer."""
+    """Jet-level intermediates shared by the II-geometry layer.
+
+    `coeffs` holds the frame's coefficient arrays (monomial axis first,
+    then tensor axes, then batch) under the names "x", "t", "g", "U", "II"
+    and "A"; the object-array fields are Jet views of the same arrays.
+    """
 
     imm: Immersion
     order: int
@@ -120,13 +136,13 @@ class _SurfaceJets:
     gbar_inv: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
-    ddx: np.ndarray  # (m, m, dim) object: ∇̄_{∂_i}∂_j
     U: np.ndarray  # (dim,) object
     alpha: np.ndarray
     II: np.ndarray
     A: np.ndarray
     detA: Jet
     H: Jet
+    coeffs: dict
 
 
 def _vals(obj_arr, batched):
@@ -136,176 +152,116 @@ def _vals(obj_arr, batched):
     return vals
 
 
+def _cvals(c, batched):
+    """Values of a coefficient array, batch axis first like `_vals`."""
+    return np.moveaxis(c[0], -1, 0) if batched else c[0]
+
+
+def _views(space, c, ntensor):
+    """Object array of Jet views over the first `ntensor` tensor axes of `c`."""
+    tshape = c.shape[1 : 1 + ntensor]
+    out = np.empty(tshape, dtype=object)
+    for idx in np.ndindex(*tshape):
+        out[idx] = Jet(space, c[(slice(None),) + idx])
+    return out
+
+
 def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _SurfaceJets:
-    """Run the fundamental-form pipeline on caller-supplied parameter jets."""
+    """Run the fundamental-form pipeline on caller-supplied parameter jets
+    (at order ≥ 2; see the module docstring for the order of each field)."""
     m, d = imm.param_dim, imm.ambient.dim
     x = list(imm.map_fn(u_jets))
-    space = u_jets[0].space
-    x = [xi if isinstance(xi, Jet) else Jet.constant(space, xi) for xi in x]
-    batched = len(x[0].batch_shape) > 0
-
-    t = np.empty((m, d), dtype=object)
-    for i in range(m):
-        for a in range(d):
-            t[i, a] = x[a].partial(i)
-
-    # the metric and ambient Christoffels only ever multiply derivatives of x,
-    # so evaluating them at reduced jet order loses nothing and saves a lot
+    x = [xi if isinstance(xi, Jet) else Jet.constant(u_jets[0].space, xi) for xi in x]
+    space, xc = amb._stack_list(x)
     order = space.order
-    x_metric = [xa.truncate(max(order - 1, 0)) for xa in x]
-    x_gamma = [xa.truncate(max(order - 2, 0)) for xa in x]
-    gbar = metric_jets(imm.ambient, x_metric)
-    gbar_inv = jinv(gbar)
+    batched = xc.ndim > 2
+    sp1, sp2 = jet_space(m, order - 1), jet_space(m, order - 2)
+    sp_g = jet_space(m, max(order - 2, min(order - 1, 2)))
 
-    g = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(i, m):
-            g[i, j] = jdot(gbar, t[i], t[j])
-            g[j, i] = g[i, j]
+    t = amb._grad(xc, space)  # t[:, i, a] = ∂_i x^a
+    gbar = metric_jets(imm.ambient, [Jet(sp1, xc[: sp1.n, a]) for a in range(d)])
+    gb = amb._stack(gbar, order - 1)
+    g = jeinsum(sp_g, "ib...,jb...->ij...", jeinsum(sp_g, "ia...,ab...->ib...", t, gb), t)
 
-    gval = _vals(g, batched)
+    gval = _cvals(g, batched)
     g_scale = np.maximum(np.max(np.abs(gval), axis=(-2, -1)), 1e-300)
     if np.any(np.abs(np.linalg.det(gval)) <= 1e-12 * g_scale**m):
         raise DegenerateInducedMetric("induced metric degenerate at a sampled point")
-    tval = _vals(t, batched)
-    sv = np.linalg.svd(np.swapaxes(tval, -1, -2), compute_uv=False)
+    sv = np.linalg.svd(np.swapaxes(_cvals(t, batched), -1, -2), compute_uv=False)
     if np.any(sv[..., -1] <= RANK_FLOOR):
         raise DegenerateImmersion("immersion Jacobian lost rank")
-    ginv = jinv(g)
+    if m != d - 1:
+        raise DegenerateImmersion("hypersurface requires param_dim = ambient dim − 1")
+    ginv = _inv(sp2, g)
 
-    # covariant normal via the generalized cross product (metric-free), raised
-    n_cov = _generalized_cross(t, d)
-    N = jmatvec(gbar_inv, n_cov)
-    nn = jdot(gbar, N, N)
-    nn_val = np.asarray(nn.value)
-    scale = sum(np.asarray((N[a] * N[a]).value) for a in range(d))
-    if np.any(np.abs(nn_val) <= 1e-12 * np.maximum(scale, 1e-300)):
+    # covariant normal n(v) = det[v; t_1; …; t_m], raised, and its length
+    n_cov = _wedge(sp1, [t[:, i] for i in range(m)])
+    N = _inv(sp1, gb, n_cov)
+    nn = jeinsum(sp1, "a...,a...->...", n_cov, N)
+    scale = np.sum(N[0] ** 2, axis=0)
+    if np.any(np.abs(nn[0]) <= 1e-12 * np.maximum(scale, 1e-300)):
         raise NullNormal("normal direction is null for the ambient metric")
-    alpha = np.sign(nn_val)
-    U = np.empty(d, dtype=object)
-    inv_len = nn.sqrt_abs().reciprocal()
-    for a in range(d):
-        U[a] = N[a] * inv_len
+    alpha = np.sign(nn[0])
+    inv_len = Jet(sp1, nn * alpha).sqrt().reciprocal().coeffs[:, None]
+    U = _cauchy(sp1, N, inv_len)
+    u_flat = _cauchy(sp2, n_cov, inv_len)  # ḡ(U, ·)
 
-    gamma_bar = amb.christoffel_on_jets(imm.ambient, x_gamma)
-    ddx = np.empty((m, m, d), dtype=object)
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(d):
-                acc = t[j, k].partial(i)
-                for a in range(d):
-                    for b in range(d):
-                        acc = acc + gamma_bar[k, a, b] * t[i, a] * t[j, b]
-                ddx[i, j, k] = acc
-                ddx[j, i, k] = acc
+    # II_ij = α ḡ(∂_i t_j + Γ̄(t_i, t_j), U)
+    gamma_bar = amb._stack(
+        amb.christoffel_on_jets(imm.ambient, [Jet(sp2, xc[: sp2.n, a]) for a in range(d)]),
+        order - 2,
+    )
+    gam_u = jeinsum(sp2, "kab...,k...->ab...", gamma_bar, u_flat)
+    II = jeinsum(sp2, "ib...,jb...->ij...", jeinsum(sp2, "ab...,ia...->ib...", gam_u, t), t)
+    II = (II + jeinsum(sp2, "ijk...,k...->ij...", amb._grad(t, sp1), u_flat)) * alpha
+    A = jeinsum(sp2, "ik...,kj...->ij...", ginv, II) * alpha
 
-    II = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(i, m):
-            II[i, j] = jdot(gbar, ddx[i, j], U) * alpha
-            II[j, i] = II[i, j]
-
-    # orientation: flip U (and II) if tr A would be negative where decidable
-    A = _shape_from_ii(ginv, II, alpha, m)
-    trA = None
-    for i in range(m):
-        trA = A[i, i] if trA is None else trA + A[i, i]
+    # orientation: flip U (and II, A) if tr A would be negative where decidable
+    tr_a = np.einsum("Zii...->Z...", A)
     if imm.orientation == 0:
-        flip = np.asarray(trA.value) < -ORIENTATION_TIE
+        flip = tr_a[0] < -ORIENTATION_TIE
     else:
-        flip = np.broadcast_to(imm.orientation < 0, np.shape(np.asarray(trA.value)))
+        flip = np.broadcast_to(imm.orientation < 0, tr_a[0].shape)
     if np.any(flip):
         sgn = np.where(flip, -1.0, 1.0)
-        for a in range(d):
-            U[a] = U[a] * sgn
-        for i in range(m):
-            for j in range(m):
-                II[i, j] = II[i, j] * sgn
-        A = _shape_from_ii(ginv, II, alpha, m)
-        trA = None
-        for i in range(m):
-            trA = A[i, i] if trA is None else trA + A[i, i]
+        U, II, A, tr_a = U * sgn, II * sgn, A * sgn, tr_a * sgn
 
-    detA = jdet(A)
-    H = trA * (alpha / m)
-
-    bundle = _SurfaceJets(
+    if check_two_routes:
+        sp_u = jet_space(m, 1)
+        du = amb._grad(U[: sp_u.n], sp_u)[0]
+        _check_shape_operator_two_routes(A[0], t[0], U[0], du, gamma_bar[0])
+    return _SurfaceJets(
         imm=imm,
-        order=space.order,
+        order=order,
         batched=batched,
         u_jets=u_jets,
         x=x,
-        t=t,
+        t=_views(sp1, t, 2),
         gbar=gbar,
-        gbar_inv=gbar_inv,
-        g=g,
-        ginv=ginv,
-        ddx=ddx,
-        U=U,
+        gbar_inv=_views(jet_space(m, 0), _inv(jet_space(m, 0), gb), 2),
+        g=_views(sp_g, g, 2),
+        ginv=_views(sp2, ginv, 2),
+        U=_views(sp1, U, 1),
         alpha=alpha,
-        II=II,
-        A=A,
-        detA=detA,
-        H=H,
+        II=_views(sp2, II, 2),
+        A=_views(sp2, A, 2),
+        detA=Jet(sp2, _wedge(sp2, [A[:, :, j] for j in range(m)])),
+        H=Jet(sp2, tr_a * (alpha / m)),
+        coeffs={"x": xc, "t": t, "g": g, "U": U, "II": II, "A": A},
     )
-    if check_two_routes:
-        _check_shape_operator_two_routes(bundle, gamma_bar)
-    return bundle
 
 
-def _generalized_cross(t, d):
-    """Covector n with n(v) = det[v; t_1; …; t_m], via cofactor expansion."""
-    m = t.shape[0]
-    if m != d - 1:
-        raise DegenerateImmersion("hypersurface requires param_dim = ambient dim − 1")
-    n = np.empty(d, dtype=object)
-    cols = list(range(d))
-    for a in range(d):
-        rest = [c for c in cols if c != a]
-        minor = np.empty((m, m), dtype=object)
-        for i in range(m):
-            for j, c in enumerate(rest):
-                minor[i, j] = t[i, c]
-        det = jdet(minor) if m >= 1 else 1.0
-        n[a] = det if a % 2 == 0 else -det
-    return n
+def _check_shape_operator_two_routes(a, t, u, du, gamma_bar):
+    """II via ∇̄∂∂ against A = −∇̄U at the base points, asserted to 1e−9.
 
-
-def _shape_from_ii(ginv, II, alpha, m):
-    A = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            acc = None
-            for k in range(m):
-                term = ginv[i, k] * II[k, j]
-                acc = term if acc is None else acc + term
-            A[i, j] = acc * alpha
-    return A
-
-
-def _check_shape_operator_two_routes(b: _SurfaceJets, gamma_bar):
-    """II via ∇̄∂∂ against A = −∇̄U, asserted to 1e−9."""
-    m, d = b.imm.param_dim, b.imm.ambient.dim
-    av_direct = np.empty((m, d), dtype=object)  # ambient components of A(∂_i)
-    for i in range(m):
-        for k in range(d):
-            acc = -b.U[k].partial(i)
-            for a in range(d):
-                for bb in range(d):
-                    acc = acc - gamma_bar[k, a, bb] * b.t[i, a] * b.U[bb]
-            av_direct[i, k] = acc
-    # A(∂_i) from the primary route, pushed to ambient components
-    resid = 0.0
-    for i in range(m):
-        for k in range(d):
-            acc = None
-            for j in range(m):
-                term = b.A[j, i] * b.t[j, k]
-                acc = term if acc is None else acc + term
-            resid = np.maximum(resid, np.max(np.abs(np.asarray((acc - av_direct[i, k]).value))))
-    scale = 1.0 + np.max(np.abs(_vals(b.A, b.batched)))
-    if np.max(resid) > 1e-9 * scale:
-        raise GeometryError(f"shape-operator routes disagree by {np.max(resid):.3e}")
+    Values with the batch axes last: a = A (m, m), t (m, d), u = U (d,),
+    du[i] = ∂_i U (m, d) and gamma_bar = Γ̄ (d, d, d).
+    """
+    direct = -du - np.einsum("kab...,ia...,b...->ik...", gamma_bar, t, u)
+    primary = np.einsum("ji...,jk...->ik...", a, t)  # A(∂_i) in ambient components
+    resid = np.max(np.abs(primary - direct))
+    if resid > 1e-9 * (1.0 + np.max(np.abs(a))):
+        raise GeometryError(f"shape-operator routes disagree by {resid:.3e}")
 
 
 def principal_curvatures(first, second, alpha):
@@ -353,19 +309,19 @@ def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:
         raise OutOfDomain("parameter point outside the immersion domain")
     u_jets = seed_jets(u, imm.param_dim, order)
     b = frame_jets(imm, u_jets)
-    batched = b.batched
-    first = _vals(b.g, batched)
-    second = _vals(b.II, batched)
-    shape_a = _vals(b.A, batched)
+    c, batched = b.coeffs, b.batched
+    first = _cvals(c["g"], batched)
+    second = _cvals(c["II"], batched)
+    shape_a = _cvals(c["A"], batched)
     third = np.einsum("...si,...tj,...st->...ij", shape_a, shape_a, first)
     alpha = np.asarray(b.alpha, dtype=float)
     lam = principal_curvatures(first, second, alpha)
     eps = np.sign(np.linalg.eigvalsh(first))
     return SurfacePointData(
         u=u,
-        x=_vals(np.asarray(b.x, dtype=object), batched),
-        tangent=_vals(b.t, batched),
-        normal=_vals(b.U, batched),
+        x=_cvals(c["x"], batched),
+        tangent=_cvals(c["t"], batched),
+        normal=_cvals(c["U"], batched),
         alpha=alpha,
         first=first,
         second=second,
@@ -384,9 +340,9 @@ def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:
 # ---------------------------------------------------------------------------
 
 
-def ambient_curvature_on_jets(chart: MetricChart, x_jets, gbar=None, order: int = 2):
+def ambient_curvature_on_jets(chart: MetricChart, x_jets, gbar=None, order: int = 1):
     """R̄_{abcd}, Ric̄_{ab}, S̄ along jet-valued coordinates, to jet order
-    `order` (2 is enough for every consumer here: the Z field needs one
+    `order` (1 is enough for every consumer here: the Z field needs one
     parameter derivative, everything else point values).
 
     Constant-curvature and product-of-space-form charts use their closed
@@ -489,9 +445,10 @@ def _generic_curvature_along(chart: MetricChart, x_jets):
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_curvature_jets(metric_obj):
-    """(Γ, R_lower) of a metric given as an object matrix of jets."""
-    gamma = christoffel_jets(metric_obj)
+def intrinsic_curvature_jets(metric_obj, inv=None):
+    """(Γ, R_lower) of a metric given as an object matrix of jets; `inv`, when
+    given, is its inverse (any order from one below the metric's up)."""
+    gamma = christoffel_jets(metric_obj, inv)
     return gamma, riemann_lower_jets(metric_obj, gamma)
 
 
@@ -503,7 +460,7 @@ def gauss_codazzi_residual(imm: Immersion, u):
     m, d = imm.param_dim, imm.ambient.dim
     batched = b.batched
 
-    gamma_g, r_g = intrinsic_curvature_jets(b.g)
+    gamma_g, r_g = intrinsic_curvature_jets(b.g, b.ginv)
     r_val = _vals(r_g, batched)
     riem_bar, _, _ = ambient_curvature_on_jets(imm.ambient, b.x, b.gbar)
     rb = _vals(riem_bar, batched)

@@ -41,13 +41,15 @@ from .hypersurface import (
     Immersion,
     SurfacePointData,
     _SurfaceJets,
+    _cvals,
     _vals,
+    _views,
     ambient_curvature_on_jets,
     frame_jets,
     intrinsic_curvature_jets,
     surface_point,
 )
-from .jets import jdet, jinv, seed_jets
+from .jets import Jet, _cauchy, _inv, _wedge, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "IIGeometryPoint",
@@ -91,6 +93,8 @@ class IIGeometryPoint:
     div_ii_z: np.ndarray
     tr_ii_ricbar: np.ndarray
     tr_ii_ric: np.ndarray
+    scal_g: np.ndarray  # scalar curvature of g (2K on surfaces)
+    sbar: np.ndarray  # ambient scalar curvature S̄ along the patch
     metricity_residual: np.ndarray
     principal_valid: np.ndarray
     valid: np.ndarray
@@ -205,23 +209,23 @@ def _principal_directions(first, second, alpha, lam_hint=None):
     return lam, E, eps, valid
 
 
-def _divergence_form(W_jet, comps, m):
-    """(1/W)·Σ_i ∂_i(W·comps_i) at the base point.  comps are jets."""
-    inv_w = np.asarray(W_jet.value) ** -1.0
-    acc = 0.0
-    for i in range(m):
-        acc = acc + np.asarray((W_jet * comps[i]).partial(i).value)
-    return acc * inv_w
+def _divergence_form(w, comps):
+    """(1/W)·Σ_i ∂_i(W·comps^i) at the base point, for coefficient arrays
+    w (n_mono, *batch) at order 1 and comps (n_mono, m, *batch)."""
+    space = jet_space(comps.shape[1], 1)
+    flux = amb._grad(_cauchy(space, comps, w[:, None]), space)[0]
+    return np.einsum("ii...->...", flux) / w[0]
 
 
 def _ii_machine(b: _SurfaceJets):
-    """Jet-level II-metric quantities shared by the public operations."""
+    """(space, II⁻¹, W = √|det II|) as coefficient arrays at jet order ≤ 1:
+    the divergence form reads one derivative, Γ_II one order below II."""
     m = b.imm.param_dim
-    ii_inv = jinv(b.II)
-    det_ii = jdet(b.II)
-    w = det_ii.sqrt_abs()
-    gamma_ii = amb.christoffel_jets(b.II)
-    return ii_inv, det_ii, w, gamma_ii
+    space = jet_space(m, min(b.order - 2, 1))
+    ii = b.coeffs["II"][: space.n]
+    det_ii = _wedge(space, [ii[:, :, j] for j in range(m)])
+    w = Jet(space, det_ii * np.sign(det_ii[0])).sqrt().coeffs
+    return space, _inv(space, ii), w
 
 
 def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
@@ -234,14 +238,11 @@ def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
     """
     data = surface_point(imm, u, order=4)
     b = data._bundle
-    m, d = imm.param_dim, imm.ambient.dim
-    batched = b.batched
-
     with np.errstate(all="ignore"):
-        return _ii_geometry_from(data, b, m, d, batched, on_error)
+        return _ii_geometry_from(data, b, imm.param_dim, b.batched, on_error)
 
 
-def _ii_geometry_from(data, b, m, d, batched, on_error):
+def _ii_geometry_from(data, b, m, batched, on_error):
     lam_mod = np.abs(np.linalg.eigvals(np.asarray(data.shape, dtype=float)))
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR
     ii_val = data.second
@@ -258,8 +259,9 @@ def _ii_geometry_from(data, b, m, d, batched, on_error):
         if np.any(degenerate):
             raise DegenerateII(f"|det II| < {II_DET_FLOOR} at {int(np.sum(degenerate))} point(s)")
 
-    ii_inv, det_ii, w, gamma_ii = _ii_machine(b)
-    gamma_g, r_g = intrinsic_curvature_jets(b.g)
+    sp1, ii_inv, w = _ii_machine(b)
+    gamma_ii = amb.christoffel_jets(b.II, _views(sp1, ii_inv, 2))
+    gamma_g, r_g = intrinsic_curvature_jets(b.g, b.ginv)
 
     gamma_ii_val = _vals(gamma_ii, batched)
     gamma_g_val = _vals(gamma_g, batched)
@@ -272,11 +274,7 @@ def _ii_geometry_from(data, b, m, d, batched, on_error):
         raise DegenerateII("II-orthonormal frame construction failed")
 
     # metricity of ∇^II (a plumbing check: holds to roundoff by construction)
-    dii = np.empty(ii_val.shape[:-2] + (m, m, m))
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                dii[..., k, i, j] = np.asarray(b.II[i, j].partial(k).value)
+    dii = _cvals(amb._grad(b.coeffs["II"][: sp1.n], sp1), batched)  # [..., k, i, j] = ∂_k II_ij
     nab_ii = (
         dii
         - np.einsum("...ski,...sj->...kij", gamma_ii_val, ii_val)
@@ -287,34 +285,28 @@ def _ii_geometry_from(data, b, m, d, batched, on_error):
     # tr_II L as a vector
     tr_l = np.einsum("...i,...ia,...ib,...kab->...k", kappa, V, V, L)
 
-    # ambient curvature along the patch
-    riem_bar, ric_bar, _ = ambient_curvature_on_jets(b.imm.ambient, b.x, b.gbar)
-
-    # Z = A^{←} of the II-trace of (X,Y) ↦ [R̄(X,U)Y]^T, assembled in jets
-    a_inv = jinv(b.A)
-    z_param = _z_field_jets(b, riem_bar, ii_inv, a_inv, m, d)
-    z_val = np.stack([np.asarray(z_param[k].value) for k in range(m)], axis=-1)
+    # ambient curvature along the patch, at the order the Z field reads
+    riem_bar, ric_bar, sbar = ambient_curvature_on_jets(b.imm.ambient, b.x, b.gbar)
+    riem_c = amb._stack(riem_bar, 1)
+    z = _z_field(b, riem_c, ii_inv)
+    z_val = _cvals(z, batched)
 
     # Δ_II log|det A| and div_II Z via the divergence form
     f_log = b.detA.log_abs()
-    grad_terms = []
-    for i in range(m):
-        acc = None
-        for j in range(m):
-            term = ii_inv[i, j] * f_log.partial(j)
-            acc = term if acc is None else acc + term
-        grad_terms.append(acc)
-    lap_log_det_a = _divergence_form(w, grad_terms, m)
-    div_z = _divergence_form(w, z_param, m)
+    grad_log = jeinsum(sp1, "ij...,j...->i...", ii_inv, amb._grad(f_log.coeffs, f_log.space))
+    lap_log_det_a = _divergence_form(w, grad_log)
+    div_z = _divergence_form(w, z)
 
     alpha = data.alpha
     h = data.mean
     tail = 0.25 * alpha * lap_log_det_a - 0.5 * alpha * div_z
 
     # variational head: tr_II of B(X,Y) = ḡ(R̄(X,U)Y,U)
-    rb = _vals(riem_bar, batched)
+    rb = _cvals(riem_c, batched)
     tv, uv = data.tangent, data.normal
-    B = np.einsum("...abcf,...ia,...b,...jc,...f->...ij", rb, tv, uv, tv, uv)
+    # R̄(·,U,·,U) first; pairwise contractions, no path search per call
+    r_uu = np.einsum("...abc,...b->...ac", np.einsum("...abcf,...f->...abc", rb, uv), uv)
+    B = np.einsum("...ic,...jc->...ij", np.einsum("...ac,...ia->...ic", r_uu, tv), tv)
     h_var = 0.5 * (m * h - _tr_ii_bilinear(V, kappa, B)) + tail
 
     # principal head: Σ K̄(E_i,U)/λ_i with eigenvalue clusters merged
@@ -322,7 +314,7 @@ def _ii_geometry_from(data, b, m, d, batched, on_error):
     scale = 1.0 + np.max(np.abs(lam), axis=-1, keepdims=True)
     lam_grouped = _group_eigenvalues(lam, PRINCIPAL_GAP * scale)
     e_amb = np.einsum("...ik,...ka->...ia", E, tv)
-    kbar_num = np.einsum("...abcf,...ia,...b,...ic,...f->...i", rb, e_amb, uv, e_amb, uv)
+    kbar_num = np.einsum("...ic,...ic->...i", np.einsum("...ac,...ia->...ic", r_uu, e_amb), e_amb)
     kbar = kbar_num / (eps_dir * alpha[..., None] if batched else eps_dir * alpha)
     with np.errstate(all="ignore"):
         h_prin = 0.5 * (m * h - np.sum(kbar / lam_grouped, axis=-1)) + tail
@@ -334,10 +326,11 @@ def _ii_geometry_from(data, b, m, d, batched, on_error):
     ginv_val = _guarded_inv(data.first, ~valid)
     ric_g = np.einsum("...ik,...ijkl->...jl", ginv_val, _vals(r_g, batched))
     tr_ii_ric = _tr_ii_bilinear(V, kappa, ric_g)
+    scal_g = np.einsum("...jl,...jl->...", ginv_val, ric_g)
     h_gauss = -0.5 * alpha * (tr_ii_ricbar - tr_ii_ric + alpha * (m * m - 2 * m) * h) + tail
 
     # intrinsic scalar curvature of (M, II)
-    _, r_ii = intrinsic_curvature_jets(b.II)
+    r_ii = amb.riemann_lower_jets(b.II, gamma_ii)
     ric_ii = np.einsum("...ik,...ijkl->...jl", _guarded_inv(ii_val, ~valid), _vals(r_ii, batched))
     s_ii = _tr_ii_bilinear(V, kappa, ric_ii)
 
@@ -366,6 +359,8 @@ def _ii_geometry_from(data, b, m, d, batched, on_error):
         div_ii_z=_mask(div_z, nanify),
         tr_ii_ricbar=_mask(tr_ii_ricbar, nanify),
         tr_ii_ric=_mask(tr_ii_ric, nanify),
+        scal_g=_mask(scal_g, nanify),
+        sbar=np.asarray(sbar.value),
         metricity_residual=metricity,
         principal_valid=prin_ok & valid,
         valid=valid,
@@ -408,78 +403,21 @@ def _group_eigenvalues(lam, tol):
     return out
 
 
-def _z_field_jets(b: _SurfaceJets, riem_bar, ii_inv, a_inv, m, d):
-    """Z in parameter components as jets (order >= 1, enough for div_II).
+def _z_field(b: _SurfaceJets, riem_bar, ii_inv):
+    """Z in parameter components, a coefficient array (n_mono, m, *batch) at
+    jet order 1 (div_II Z reads one derivative).
 
-    The II-trace of (X,Y) ↦ R̄(X,U)Y is assembled covariantly as
-    T_f = II^{ij} t_i^a U^b t_j^c R̄_{abcf}; precontracting the tangents keeps
-    the jet-multiplication count at O(d³) instead of O(d³ m²).
+    With W the II-trace of (X,Y) ↦ R̄(X,U)Y, Z = A⁻¹g⁻¹ḡ(W, ∂_·) =
+    α II⁻¹ḡ(W, ∂_·), because gA = α II; and ḡ(W, ∂_l) = R̄_{abcf} P^{ac} U^b
+    t_l^f with P^{ac} = II^{ij} t_i^a t_j^c, so the normal part of W and ḡ⁻¹
+    drop out.  `riem_bar` and `ii_inv` are coefficient arrays.
     """
-    # P_ac = II^{ij} t_i^a t_j^c (symmetric in a, c)
-    p = np.empty((d, d), dtype=object)
-    for a_ in range(d):
-        for c in range(a_, d):
-            acc = None
-            for i in range(m):
-                for j in range(m):
-                    term = ii_inv[i, j] * b.t[i, a_] * b.t[j, c]
-                    acc = term if acc is None else acc + term
-            p[a_, c] = acc
-            p[c, a_] = acc
-    t_f = []
-    for f in range(d):
-        acc = None
-        for a_ in range(d):
-            for bb in range(d):
-                for c in range(d):
-                    term = riem_bar[a_, bb, c, f] * p[a_, c] * b.U[bb]
-                    acc = term if acc is None else acc + term
-        t_f.append(acc)
-    return _finish_z(b, t_f, a_inv, m, d)
-
-
-def _finish_z(b, t_f, a_inv, m, d):
-    # raise the last index, project tangentially, convert to parameters, apply A^{←}
-    w_up = [None] * d
-    for e in range(d):
-        acc = None
-        for f in range(d):
-            term = b.gbar_inv[e, f] * t_f[f]
-            acc = term if acc is None else acc + term
-        w_up[e] = acc
-    # tangential projection: W − α ḡ(W,U) U
-    gwu = None
-    for a_ in range(d):
-        for bb in range(d):
-            term = b.gbar[a_, bb] * w_up[a_] * b.U[bb]
-            gwu = term if gwu is None else gwu + term
-    alpha = b.alpha
-    w_tan = [w_up[e] - b.U[e] * gwu * alpha for e in range(d)]
-    # parameter components: solve g c = ḡ(W, t_k)
-    rhs = []
-    for k in range(m):
-        acc = None
-        for a_ in range(d):
-            for bb in range(d):
-                term = b.gbar[a_, bb] * w_tan[a_] * b.t[k, bb]
-                acc = term if acc is None else acc + term
-        rhs.append(acc)
-    c = [None] * m
-    for k in range(m):
-        acc = None
-        for l in range(m):
-            term = b.ginv[k, l] * rhs[l]
-            acc = term if acc is None else acc + term
-        c[k] = acc
-    # apply A^{←}
-    z = [None] * m
-    for k in range(m):
-        acc = None
-        for l in range(m):
-            term = a_inv[k, l] * c[l]
-            acc = term if acc is None else acc + term
-        z[k] = acc
-    return z
+    space = jet_space(b.imm.param_dim, 1)
+    t, u = b.coeffs["t"], b.coeffs["U"]
+    p = jeinsum(space, "ja...,jc...->ac...", jeinsum(space, "ij...,ia...->ja...", ii_inv, t), t)
+    r_u = jeinsum(space, "abcf...,b...->acf...", riem_bar, u)
+    w_t = jeinsum(space, "f...,lf...->l...", jeinsum(space, "acf...,ac...->f...", r_u, p), t)
+    return jeinsum(space, "kl...,l...->k...", ii_inv, w_t) * b.alpha
 
 
 def z_field(imm: Immersion, u) -> np.ndarray:
@@ -511,17 +449,10 @@ def laplacian_ii(imm: Immersion, f: Callable, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     u_jets = seed_jets(u, imm.param_dim, 4)
     b = frame_jets(imm, u_jets, check_two_routes=False)
-    ii_inv, _, w, _ = _ii_machine(b)
+    space, ii_inv, w = _ii_machine(b)
     fj = f(u_jets)
-    m = imm.param_dim
-    comps = []
-    for i in range(m):
-        acc = None
-        for j in range(m):
-            term = ii_inv[i, j] * fj.partial(j)
-            acc = term if acc is None else acc + term
-        comps.append(acc)
-    return _divergence_form(w, comps, m)
+    grad = jeinsum(space, "ij...,j...->i...", ii_inv, amb._grad(fj.coeffs, fj.space))
+    return _divergence_form(w, grad)
 
 
 def div_ii(imm: Immersion, X: Callable, u) -> np.ndarray:
@@ -529,9 +460,9 @@ def div_ii(imm: Immersion, X: Callable, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     u_jets = seed_jets(u, imm.param_dim, 3)
     b = frame_jets(imm, u_jets, check_two_routes=False)
-    _, _, w, _ = _ii_machine(b)
-    comps = X(u_jets)
-    return _divergence_form(w, comps, imm.param_dim)
+    _, _, w = _ii_machine(b)
+    _, comps = amb._stack_list(list(X(u_jets)))
+    return _divergence_form(w, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +573,7 @@ def sphere_inequality_report(imm: Immersion, grid_u, geo=None) -> SphereInequali
             thm52 = lemma51
         thm61 = thm71 = cor7 = None
         if m >= 3:
-            _, _, sbar = ambient_curvature_on_jets(imm.ambient, data._bundle.x, data._bundle.gbar)
-            sbar_val = np.asarray(sbar.value)
+            sbar_val = geo.sbar
             beta = np.sqrt(np.maximum(((m - 2) / (m + 1)) * sbar_val, 0.0))
             thm61 = h_ii + m * beta - 0.5 * geo.tr_ii_ric
             bad = sbar_val <= 0
@@ -654,7 +584,7 @@ def sphere_inequality_report(imm: Immersion, grid_u, geo=None) -> SphereInequali
             k_ii = 0.5 * geo.s_ii
             thm71 = k_ii - alpha * h_ii - 0.5 * geo.tr_ii_ricbar
             if cbar is not None:
-                k_gauss = _tr_ii_bilinear_intrinsic(geo)
+                k_gauss = 0.5 * geo.scal_g  # Ric = K g on surfaces
                 denom = k_gauss - cbar
                 cor7 = h_ii - alpha * k_ii + 2.0 * cbar * data.mean / denom
                 near = np.abs(denom) < 1e-10
@@ -683,16 +613,6 @@ def sphere_inequality_report(imm: Immersion, grid_u, geo=None) -> SphereInequali
         u=u, geo=geo, lemma51=lemma51, thm52=thm52, thm61=thm61, thm71=thm71, cor7=cor7,
         status=list(status), summary=summary,
     )
-
-
-def _tr_ii_bilinear_intrinsic(geo: IIGeometryPoint):
-    """Intrinsic Gauss curvature (m = 2) recovered from tr_II Ric: since
-    Ric = K g for surfaces, tr_II Ric = K tr_II g; solve for K."""
-    data = geo.base
-    tr_ii_g = np.einsum(
-        "...i,...ia,...ib,...ab->...", geo.kappa, geo.ii_frame, geo.ii_frame, data.first
-    )
-    return geo.tr_ii_ric / tr_ii_g
 
 
 def brioschi_gauss_curvature(imm: Immersion, u, which: str = "second") -> np.ndarray:

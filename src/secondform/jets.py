@@ -15,15 +15,17 @@ Products
 --------
 A jet product is a Cauchy product over the space's multiplication table
 (all monomial pairs whose sum stays within the order).  It takes one of two
-paths, chosen by the number of points in the broadcast batch:
+paths, chosen by the number of points it broadcasts over (one rule, shared
+by ``_cauchy`` and :func:`jeinsum`):
 
 * up to ``ONE_CALL_MAX_POINTS`` (256) points, one gathered multiply over the
   whole table followed by ``np.add.reduceat`` per output monomial; at one
-  point this is 5 µs against 159 µs for the row loop (4 variables, order 4);
+  point this is 12 µs against 1.4 ms for the row loop (4 variables, order 4);
 * above that, a Python loop over the table rows, ``out[k] += a[i] * b[j]``,
   whose temporaries stay one batch wide.  The gathered path builds a
-  (table rows × batch) temporary, which is slower than the loop from about
-  512 points on (table and measurements at ``ONE_CALL_MAX_POINTS``).
+  (table rows × batch) temporary, which is slower than the loop from a few
+  hundred points on, whatever the table size (measurements at
+  ``ONE_CALL_MAX_POINTS``).
 
 The product lives in one module function, ``_cauchy(space, a, b)``, on
 coefficient arrays; ``Jet.__mul__`` wraps it.  Likewise the analytic
@@ -34,9 +36,14 @@ array, such as the geodesic integrator with its ``(n_mono, dim, *batch)``
 state, calls these two directly: the tensor axes after the monomial axis
 broadcast like batch axes and count as points for the path choice.
 
-:func:`jeinsum` is the same gathered Cauchy product for coefficient arrays
-with tensor axes, contracted by ``np.einsum``; tensor-valued jets (such as
-the ambient curvature tensors) use it instead of object arrays of jets.
+:func:`jeinsum` is the Cauchy product for coefficient arrays with tensor
+axes, contracted by ``np.einsum``; tensor-valued jets (the ambient curvature
+tensors, the fundamental-form frame) use it instead of object arrays of
+jets.  Its tensor axes are contracted inside each einsum call, so only its
+batch axes count as points.  On such arrays ``_inv`` inverts a matrix by the
+finite Neumann series on its nilpotent part and ``_wedge`` contracts vectors
+into the Levi-Civita symbol (normal covectors, determinants), both
+branch-free.
 
 Conventions
 -----------
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -70,16 +77,21 @@ __all__ = [
     "jeinsum",
 ]
 
-# Largest broadcast batch (points) that takes the gathered product (see the
-# module docstring).  The gather's T x B temporaries (T table rows, B points)
-# stop paying above about 1e5 elements.  Row-loop / gathered µs per product,
-# median of 7 (2-core Intel Xeon VM, Python 3.11, numpy 2.4):
+# Largest broadcast batch (points) that takes the gathered product, in
+# ``_cauchy`` and ``jeinsum`` alike (see the module docstring).  The
+# crossover sits at a few hundred points for every table size T: the gather
+# costs a few ns per (row, point) element, the loop a few µs per row, so T
+# cancels.  Row-loop / gathered µs per product, best of 5 (2-core Intel
+# Xeon VM, Python 3.11, numpy 2.4):
 #
-#   T (vars, order)   B=1     16      64      256      512       1024      8192
-#   5   (2, 1)        4/3     14/9    15/11   17/22    20/34     22/62     68/776
-#   70  (2, 4)        35/4    178/18  190/37  221/104  239/188   274/1127  1004/14602
-#   210 (3, 4)        114/5   546/37  548/81  631/287  752/715   900/1574  3317/44621
-#   495 (4, 4)        159/5   677/36  678/113 776/491  900/1636  1304/4889 7026/87621
+#   T (vars, order)   B=1     64       256       512       1024      8192
+#   5   (2, 1)        16/8    12/12    14/23     15/33     16/62     51/358
+#   70  (2, 4)        109/5   78/21    84/59     104/113   120/215   445/6491
+#   210 (3, 4)        603/10  430/61   486/217   555/446   681/1098  1975/26481
+#   495 (4, 4)        1426/12 1018/131 1128/499  1285/1653 1492/3589 4666/73392
+#
+# jeinsum, T = 15 (2 vars, order 2), 3-dim ambient: "ia...,ab...->ib..."
+# 64/11 at B=1, 68/51 at 64, 95/105 at 153, 108/245 at 256, 2243/12088 at 8192.
 ONE_CALL_MAX_POINTS = 256
 
 
@@ -172,38 +184,113 @@ def _lead(c: np.ndarray, nbatch: int) -> np.ndarray:
     return c.reshape(c.shape[:1] + (1,) * (nbatch + 1 - c.ndim) + c.shape[1:])
 
 
+def _gathers(points: int) -> bool:
+    """The path rule shared by every product: gather the whole table at
+    most ``ONE_CALL_MAX_POINTS`` points, loop over its rows above that."""
+    return points <= ONE_CALL_MAX_POINTS
+
+
 def jeinsum(space: JetSpace, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product of two coefficient arrays, contracted by einsum.
 
     `a` and `b` carry the monomial axis first; `spec` is an einsum spec over
-    the remaining (tensor and batch) axes in lowercase letters, e.g.
-    ``"sai...,ijk...->sajk..."`` (``Z`` labels the monomial axis).
+    the remaining axes, tensor axes in lowercase letters and the batch axes
+    as a trailing ``...``, e.g. ``"sai...,ijk...->sajk..."``.
     Either array may come from a higher order than `space`: the lower-order
     monomials are a prefix, so the product is truncated to `space`.
     """
     ins, out = spec.split("->")
-    full = ",".join("Z" + s for s in ins.split(",")) + "->Z" + out
-    prods = np.einsum(full, a[space._mul_i], b[space._mul_j])
-    return np.add.reduceat(prods, space._mul_starts, axis=0)
+    sa, sb = ins.split(",")
+    batch = np.broadcast_shapes(a.shape[len(sa) - 2 :], b.shape[len(sb) - 2 :])
+    if _gathers(math.prod(batch)):
+        full = f"Z{sa},Z{sb}->Z{out}"  # Z labels the monomial axis
+        prods = np.einsum(full, a[space._mul_i], b[space._mul_j])
+        return np.add.reduceat(prods, space._mul_starts, axis=0)
+    acc = None
+    for i, j, k in space._mult_triples:  # starts with (0, 0, 0)
+        term = np.einsum(spec, a[i], b[j])
+        if acc is None:
+            acc = np.zeros((space.n,) + term.shape)
+        acc[k] += term
+    return acc
 
 
 def _cauchy(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product of two coefficient arrays, truncated to `space`.
 
     Batch (and tensor) axes after the monomial axis broadcast from the
-    right; the path is chosen by the number of broadcast points (see the
-    module docstring).  Either array may come from a higher order than
-    `space`.
+    right, and all of them count as points for the path rule.  Either array
+    may come from a higher order than `space`.
     """
     sa, sb = a.shape[1:], b.shape[1:]
     out_shape = sa if sa == sb else np.broadcast_shapes(sa, sb)  # ~3 µs saved per product
-    if math.prod(out_shape) <= ONE_CALL_MAX_POINTS:
+    if _gathers(math.prod(out_shape)):
         nb = len(out_shape)
         ac, bc = _lead(a, nb), _lead(b, nb)
         return np.add.reduceat(ac[space._mul_i] * bc[space._mul_j], space._mul_starts, axis=0)
     out = np.zeros((space.n,) + out_shape)
     for i, j, k in space._mult_triples:
         out[k] += a[i] * b[j]
+    return out
+
+
+def _inv(space: JetSpace, c: np.ndarray, v=None) -> np.ndarray:
+    """Inverse of a matrix-valued coefficient array M (n_mono, p, p, *batch),
+    or M⁻¹v for a vector-valued v (n_mono, p, *batch).
+
+    With M = M₀ + E (E the nilpotent part), M⁻¹ = Σ_{k ≤ order} (−M₀⁻¹E)^k M₀⁻¹,
+    a finite series.  Points where M₀ is exactly singular come back NaN
+    instead of raising, like the adjugate formula's division by zero.
+    """
+    c = c[: space.n]
+    m0 = np.moveaxis(c[0], (0, 1), (-2, -1))
+    bad = ~(np.linalg.det(m0) != 0.0)  # NaN counts as singular
+    if np.any(bad):
+        m0 = np.where(bad[..., None, None], np.eye(m0.shape[-1]), m0)
+    # contiguous: einsum keeps its operands' memory order, and strided
+    # operands slow every later product several times over
+    inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(m0), (-2, -1), (0, 1)))
+    if np.any(bad):
+        inv0 = np.where(bad, np.nan, inv0)
+    step = -np.einsum("ik...,Zkj...->Zij...", inv0, c)
+    step[0] = 0.0
+    if v is None:
+        spec = "ik...,kj...->ij..."
+        term = np.zeros(step.shape)
+        term[0] = inv0
+    else:
+        spec = "ik...,k...->i..."
+        term = np.einsum("ik...,Zk...->Zi...", inv0, v[: space.n])
+    out = term.copy()
+    for _ in range(space.order):
+        term = jeinsum(space, spec, step, term)
+        out += term
+    return out
+
+
+@lru_cache(maxsize=None)
+def _levi_civita(d: int) -> np.ndarray:
+    eps = np.zeros((d,) * d)
+    for perm in permutations(range(d)):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+        eps[perm] = (-1.0) ** inversions
+    return eps
+
+
+def _wedge(space: JetSpace, vecs) -> np.ndarray:
+    """ε_{a… b₁…b_k} v₁^{b₁}⋯v_k^{b_k} for coefficient arrays v_i of shape
+    (n_mono, d, *batch) and the d-index Levi-Civita symbol ε; the d − k free
+    indices a… come first.  With k = d this is the determinant of the matrix
+    whose columns are the v_i; with k = d − 1 it is the normal covector
+    n(w) = det[w, v₁, …, v_k].
+    """
+    d, k = vecs[0].shape[1], len(vecs)
+    free = d - k
+    idx = "abcdefgh"[:d]
+    out = np.einsum(f"{idx},Z{idx[-1]}...->Z{idx[:-1]}...", _levi_civita(d), vecs[-1][: space.n])
+    for s in range(k - 2, -1, -1):
+        lead = idx[: free + s]
+        out = jeinsum(space, f"{lead}{idx[free + s]}...,{idx[free + s]}...->{lead}...", out, vecs[s])
     return out
 
 

@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from secondform.cli import SCENARIO_DIR, bundled_scenarios, main, run_scenario
+import numpy as np
+
+from secondform.cli import SCENARIO_DIR, _fmt, _fmt_col, bundled_scenarios, main, run_scenario
 
 
 def run_cli(args):
@@ -166,3 +168,9 @@ def test_masked_rows_nan_free_with_status(tmp_path):
     text = (tmp_path / "masked_rows.csv").read_text()
     assert "nan" not in text.lower()
     assert "degenerate" in text  # status codes mark the masked rows
+
+
+def test_column_formatting_matches_fmt():
+    col = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-300, 2.0 / 3.0, -12.566370614358569])
+    assert _fmt_col(col, len(col)) == [_fmt(v) for v in col]
+    assert _fmt_col(None, 3) == ["", "", ""]

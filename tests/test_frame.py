@@ -1,0 +1,269 @@
+"""The stacked fundamental-form frame against the object-array frame it replaced.
+
+`frame_oracle` is the former `hypersurface.frame_jets`, one `Jet` per tensor
+entry, with inverses by the adjugate and determinants by Laplace expansion;
+the stacked frame must reproduce it on the common jet orders.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from secondform import ambient as amb
+from secondform import jets
+from secondform.errors import GeometryError
+from secondform.hypersurface import Immersion, frame_jets, standard_immersion
+from secondform.iigeom import ii_geometry, sphere_inequality_report
+from secondform.jets import Jet, jdet, jdot, jinv, jmatvec, seed_jets
+
+
+def _generalized_cross(t, d):
+    m = t.shape[0]
+    n = np.empty(d, dtype=object)
+    for a in range(d):
+        rest = [c for c in range(d) if c != a]
+        minor = np.empty((m, m), dtype=object)
+        for i in range(m):
+            for j, c in enumerate(rest):
+                minor[i, j] = t[i, c]
+        det = jdet(minor)
+        n[a] = det if a % 2 == 0 else -det
+    return n
+
+
+def _shape_from_ii(ginv, ii, alpha, m):
+    a = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            acc = None
+            for k in range(m):
+                term = ginv[i, k] * ii[k, j]
+                acc = term if acc is None else acc + term
+            a[i, j] = acc * alpha
+    return a
+
+
+def frame_oracle(imm, u_jets):
+    """dict of the frame's jets, entry by entry, at the former orders."""
+    m, d = imm.param_dim, imm.ambient.dim
+    space = u_jets[0].space
+    x = [xi if isinstance(xi, Jet) else Jet.constant(space, xi) for xi in imm.map_fn(u_jets)]
+    t = np.empty((m, d), dtype=object)
+    for i in range(m):
+        for a in range(d):
+            t[i, a] = x[a].partial(i)
+    order = space.order
+    gbar = amb.metric_jets(imm.ambient, [xa.truncate(order - 1) for xa in x])
+    gbar_inv = jinv(gbar)
+    g = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            g[i, j] = jdot(gbar, t[i], t[j])
+    ginv = jinv(g)
+    n_cov = _generalized_cross(t, d)
+    N = jmatvec(gbar_inv, n_cov)
+    nn = jdot(gbar, N, N)
+    alpha = np.sign(np.asarray(nn.value))
+    inv_len = nn.sqrt_abs().reciprocal()
+    U = np.array([N[a] * inv_len for a in range(d)], dtype=object)
+    gamma_bar = amb.christoffel_on_jets(imm.ambient, [xa.truncate(order - 2) for xa in x])
+    ii = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            ddx = []
+            for k in range(d):
+                acc = t[j, k].partial(i)
+                for a in range(d):
+                    for b in range(d):
+                        acc = acc + gamma_bar[k, a, b] * t[i, a] * t[j, b]
+                ddx.append(acc)
+            ii[i, j] = jdot(gbar, ddx, U) * alpha
+    A = _shape_from_ii(ginv, ii, alpha, m)
+    tr_a = sum((A[i, i] for i in range(1, m)), A[0, 0])
+    if imm.orientation == 0:
+        flip = np.asarray(tr_a.value) < -1e-9
+    else:
+        flip = np.broadcast_to(imm.orientation < 0, np.shape(np.asarray(tr_a.value)))
+    sgn = np.where(flip, -1.0, 1.0)
+    U = np.array([ua * sgn for ua in U], dtype=object)
+    ii = np.array([[e * sgn for e in row] for row in ii], dtype=object)
+    A = _shape_from_ii(ginv, ii, alpha, m)
+    tr_a = sum((A[i, i] for i in range(1, m)), A[0, 0])
+    return {
+        "t": t, "gbar_inv": gbar_inv, "g": g, "ginv": ginv, "U": U, "II": ii, "A": A,
+        "detA": jdet(A), "H": tr_a * (alpha / m), "alpha": alpha,
+    }
+
+
+def _bumpy_without_gamma():
+    # no closed-form Christoffel symbols: Γ̄ along the patch by `compose`
+    return replace(amb.registry_chart("bumpy_e3"), christoffel_jets_fn=None)
+
+
+def _s2xs2_graph():
+    chart = amb.chart_from_descriptor(
+        {"kind": "product", "factors": [{"kind": "space_form", "dim": 2, "Cbar": 1.0}] * 2}
+    )
+
+    def map_fn(u):
+        a, b, c = u
+        return [a, b * 0.9 + a * 0.1, c, (a * a) * 0.3 + (b * c) * 0.2 + a * 0.1 + 0.2]
+
+    return Immersion(chart, 3, map_fn, -0.6 * np.ones(3), 0.6 * np.ones(3))
+
+
+CASES = {
+    "ovaloid_e3": lambda: standard_immersion("perturbed_ovaloid", seed=3, amplitude=0.05),
+    "perturbed_s4": lambda: standard_immersion("perturbed_sphere_in_space_form", Cbar=1.0, m=3, seed=1),
+    "perturbed_h4": lambda: standard_immersion(
+        "perturbed_sphere_in_space_form", Cbar=-1.0, m=3, base_radius=0.5, seed=2
+    ),
+    "bumpy_e3": lambda: replace(standard_immersion("round_sphere", radius=0.6), ambient=_bumpy_without_gamma()),
+    "s2xs2": _s2xs2_graph,
+}
+
+
+def _points(imm, n, seed):
+    # well-conditioned: away from the poles and the box edges
+    rng = np.random.default_rng(seed)
+    lo, hi = imm.param_lo, imm.param_hi
+    frac = rng.uniform(0.15, 0.85, (max(n, 1), imm.param_dim))
+    u = lo + frac * (hi - lo)
+    return u[0] if n == 0 else u
+
+
+def _coeffs(obj):
+    arr = np.asarray(obj, dtype=object)
+    flat = [e.coeffs for e in arr.ravel()]
+    batch = np.broadcast_shapes(*(c.shape[1:] for c in flat))
+    flat = [np.broadcast_to(c.reshape(c.shape[:1] + (1,) * (len(batch) + 1 - c.ndim) + c.shape[1:]),
+                            c.shape[:1] + batch) for c in flat]
+    return np.stack(flat, axis=1).reshape((flat[0].shape[0],) + arr.shape + batch)
+
+
+# batch () is one point; 153 points take the gathered products, 600 the row
+# loop; one order-4 wide-batch case keeps the suite short
+ORACLE_RUNS = [
+    (case, order, n)
+    for case in sorted(CASES)
+    for order in (2, 3, 4)
+    for n in (0, 153, 600)
+    if not (n == 600 and order == 4 and case != "ovaloid_e3")
+]
+
+
+@pytest.mark.parametrize("case, order, n_points", ORACLE_RUNS)
+def test_stacked_frame_matches_object_oracle(case, order, n_points):
+    imm = CASES[case]()
+    u_jets = seed_jets(_points(imm, n_points, seed=order), imm.param_dim, order)
+    new = frame_jets(imm, u_jets)
+    old = frame_oracle(imm, u_jets)
+    assert_allclose(new.alpha, old["alpha"], rtol=0, atol=0)
+    for name in ("t", "gbar_inv", "g", "ginv", "U", "II", "A", "detA", "H"):
+        got = _coeffs(getattr(new, name))
+        want = _coeffs(old[name])[: got.shape[0]]  # the stacked frame may keep fewer orders
+        scale = np.max(np.abs(want))
+        assert_allclose(got, want, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
+def test_frame_orders_follow_their_readers():
+    imm = CASES["ovaloid_e3"]()
+    b = frame_jets(imm, seed_jets(_points(imm, 5, 0), 2, 4))
+    assert b.t[0, 0].space.order == 3 and b.U[0].space.order == 3
+    assert b.g[0, 0].space.order == 2 and b.ginv[0, 0].space.order == 2
+    assert b.II[0, 0].space.order == 2 and b.detA.space.order == 2
+    assert b.gbar_inv[0, 0].space.order == 0  # read as values only
+    # at order 3 (Gauss–Codazzi) g keeps the two derivatives its curvature reads
+    assert frame_jets(imm, seed_jets(_points(imm, 5, 0), 2, 3)).g[0, 0].space.order == 2
+
+
+def count_jet_multiplies(monkeypatch):
+    calls = {"n": 0}
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls["n"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    return calls
+
+
+def test_ovaloid_ii_geometry_makes_few_jet_multiplies(monkeypatch):
+    imm = standard_immersion("perturbed_ovaloid", seed=1, amplitude=0.03)
+    th, ph = np.meshgrid(np.linspace(0.3, np.pi - 0.3, 9), np.linspace(0.0, 2 * np.pi, 17), indexing="ij")
+    u = np.stack([th.ravel(), ph.ravel()], axis=-1)
+    calls = count_jet_multiplies(monkeypatch)
+    geo = ii_geometry(imm, u, on_error="mask")
+    assert np.all(geo.valid)
+    assert calls["n"] <= 400
+
+
+def test_masked_singular_shape_operator_point_does_not_raise():
+    # z = x²/2 + y³/6: II = diag(1, y)/√(1 + |∇z|²), exactly singular on y = 0
+    def map_fn(u):
+        x, y = u
+        return [x, y, x * x * 0.5 + y * y * y * (1.0 / 6.0)]
+
+    imm = Immersion(amb.flat_chart(3), 2, map_fn, -np.ones(2), np.ones(2))
+    u = np.array([[0.2, -0.5], [0.2, 0.0], [-0.3, 0.0], [0.1, 0.4]])
+    geo = ii_geometry(imm, u, on_error="mask")
+    assert geo.valid.tolist() == [True, False, False, True]
+    assert list(geo.invalid_reason[1:3]) == ["singular_shape"] * 2
+    for key in ("variational", "principal", "gauss"):
+        assert np.all(np.isnan(geo.h_ii[key][1:3]))
+    # the valid points are what they are without the singular ones
+    alone = ii_geometry(imm, u[[0, 3]])
+    for key in ("variational", "gauss"):
+        assert_allclose(geo.h_ii[key][[0, 3]], alone.h_ii[key], rtol=1e-12)
+    rep = sphere_inequality_report(imm, u, geo=geo)
+    assert rep.status == ["ok", "degenerate", "degenerate", "ok"]
+
+
+def test_shape_operator_routes_still_guard():
+    # a Γ̄ that is not the metric's connection breaks A = −∇̄U against II via ∇̄∂∂
+    chart = amb.space_form(3, 1.0)
+
+    def gamma(x):
+        out = chart.christoffel_jets_fn(x)
+        out[0, 1, 1] = out[0, 1, 1] + 0.1
+        return out
+
+    imm = replace(standard_immersion("small_sphere_in_sphere", geodesic_radius=0.7),
+                  ambient=replace(chart, christoffel_jets_fn=gamma))
+    with pytest.raises(GeometryError, match="shape-operator routes disagree"):
+        frame_jets(imm, seed_jets(np.array([1.0, 2.0]), 2, 2))
+
+
+def test_stacked_inverse_and_determinant_match_object_forms():
+    rng = np.random.default_rng(7)
+    for p, batch, order in [(1, (3,), 2), (2, (), 4), (3, (300,), 2), (4, (5,), 3)]:
+        space = jets.jet_space(2, order)
+        c = rng.normal(size=(space.n, p, p) + batch)
+        c[0] += 3 * np.eye(p).reshape((p, p) + (1,) * len(batch))
+        obj = np.empty((p, p), dtype=object)
+        for i in range(p):
+            for j in range(p):
+                obj[i, j] = Jet(space, c[:, i, j])
+        inv = jets._inv(space, c)
+        want = _coeffs(jinv(obj))
+        assert_allclose(inv, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        v = rng.normal(size=(space.n, p) + batch)
+        assert_allclose(
+            jets._inv(space, c, v), jets.jeinsum(space, "ik...,k...->i...", inv, v), rtol=0, atol=1e-12 * np.max(np.abs(want))
+        )
+        det = jets._wedge(space, [c[:, :, j] for j in range(p)])
+        want_det = _coeffs(np.array([jdet(obj)], dtype=object))[:, 0] if p > 1 else c[:, 0, 0]
+        assert_allclose(det, want_det, rtol=0, atol=1e-13 * np.max(np.abs(want_det)))
+
+
+def test_stacked_inverse_masks_exactly_singular_points():
+    space = jets.jet_space(2, 2)
+    c = np.random.default_rng(3).normal(size=(space.n, 2, 2, 3))
+    c[0, :, :, 1] = [[1.0, 2.0], [2.0, 4.0]]
+    inv = jets._inv(space, c)
+    assert np.all(np.isnan(inv[..., 1]))
+    assert np.all(np.isfinite(inv[..., [0, 2]]))

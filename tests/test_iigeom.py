@@ -257,6 +257,14 @@ class TestScalarCurvatureII:
         assert_allclose(geo.s_ii, expect, atol=1e-8)
 
 
+    def test_intrinsic_gauss_curvature_matches_brioschi(self):
+        imm = standard_immersion("perturbed_sphere_in_space_form", Cbar=1.0, m=2, seed=4)
+        pts = sphere_grid(3, 5)
+        geo = ii_geometry(imm, pts)
+        k_first = brioschi_gauss_curvature(imm, pts, which="first")
+        assert_allclose(0.5 * geo.scal_g, k_first, atol=1e-8 * (1 + np.max(np.abs(k_first))))
+
+
 class TestSingularGuards:
     def test_flat_graph_raises_singular(self):
         imm = standard_immersion("graph", quadratic=np.zeros((2, 2)))
@@ -291,6 +299,33 @@ class TestInequalityReport:
         geo = rep.geo
         assert_allclose(geo.h_ii["variational"], math.sqrt(3.0), atol=1e-8)
         assert np.max(np.abs(rep.thm61)) < 1e-8
+
+    def test_clifford_cor7_finite_everywhere(self):
+        # flat torus: K = 0 from ½ g^{jl} Ric_jl, not tr_II Ric / tr_II g = 0/0
+        th = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        ph = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
+        tt, pp = np.meshgrid(th, ph, indexing="ij")
+        rep = sphere_inequality_report(
+            standard_immersion("clifford"), np.stack([tt.ravel(), pp.ravel()], axis=-1)
+        )
+        assert set(rep.status) == {"ok"}
+        assert np.all(np.isfinite(rep.cor7))
+        assert np.max(np.abs(rep.cor7)) < 1e-12
+
+    def test_reuses_ambient_scalar_curvature(self, monkeypatch):
+        from secondform import iigeom
+
+        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=math.pi / 6, m=3)
+        pts = np.array([[1.0, 1.2, 2.0], [0.8, 1.9, 0.5]])
+        geo = ii_geometry(imm, pts, on_error="mask")
+        assert_allclose(geo.sbar, 12.0, rtol=1e-12)  # unit S⁴: S̄ = d(d−1)
+        calls = []
+        real = iigeom.ambient_curvature_on_jets
+        monkeypatch.setattr(
+            iigeom, "ambient_curvature_on_jets", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        rep = sphere_inequality_report(imm, pts, geo=geo)
+        assert calls == [] and np.all(np.isfinite(rep.thm61))
 
     def test_cor7_sign_constant_on_sphere(self):
         imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.5, m=2)

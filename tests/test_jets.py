@@ -205,3 +205,18 @@ def test_jeinsum_matches_jet_products():
         for k in range(4):
             acc = sum(Jet(space, a[: space.n, i, j]) * Jet(space, b[:, j, k]) for j in range(2))
             assert_allclose(out[:, i, k], acc.coeffs, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("cutoff", [0, 10**9], ids=["row_loop", "one_call"])
+def test_jeinsum_paths_match(monkeypatch, cutoff):
+    space = jet_space(2, 3)
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(jet_space(2, 4).n, 3, 3, 7))  # batch broadcast against ()
+    b = rng.normal(size=(space.n, 3))
+    expect = jeinsum(space, "ab...,b...->a...", a, b)  # 7 points: one call by default
+    monkeypatch.setattr(jets, "ONE_CALL_MAX_POINTS", cutoff)
+    assert_allclose(jeinsum(space, "ab...,b...->a...", a, b), expect, rtol=1e-14, atol=1e-14)
+    seen = []
+    monkeypatch.setattr(jets, "_gathers", lambda points: seen.append(points) or True)
+    jeinsum(space, "ab...,b...->a...", a, b)
+    assert seen == [7]  # the batch axes count as points, the 3x3 tensor axes do not
