@@ -1,13 +1,25 @@
 """Ambient semi-Riemannian charts and their curvature data.
 
-A chart packages a metric-component function that is evaluable in jet
-arithmetic, together with optional closed-form Christoffel data used by the
-geodesic integrator.  All model spaces (the six constant-curvature spaces and
-products of Riemannian factors) are conformally flat in the chart used here,
+A chart packages a metric-component function evaluated on jet coefficient
+arrays, together with optional closed-form Christoffel data used by the
+geodesic integrator and the frame (see :class:`MetricChart`).  All model
+spaces (the six constant-curvature spaces and products of Riemannian
+factors) are conformally flat in the chart used here,
 
     ḡ_ab = ε_a δ_ab / (1 + C̄⟨x,x⟩_ε/4)²,
 
 so one construction covers them all.
+
+Every tensor of jets is one coefficient array (n_mono, *tensor, *batch),
+contracted with ``jets.jeinsum``.  One chain, ``_curvature_chain``, takes
+any metric given that way (the ambient ḡ, and in ``hypersurface`` and
+``iigeom`` the induced metric g and II itself) through
+
+    Γ^k_ij = ½g^{kl}(∂_i g_lj + ∂_j g_li − ∂_l g_ij),
+    R^l_ijk = ∂_j Γ^l_ik − ∂_i Γ^l_jk + Γ^l_js Γ^s_ik − Γ^l_is Γ^s_jk,
+
+then R_ijkl = R^s_ijk g_sl, Ric_jl = g^{ik}R_ijkl and S = g^{jl}Ric_jl; Γ
+is one jet order below the metric, the curvature two.
 
 Curvature convention (fixed once, asserted against space forms in the tests):
 
@@ -23,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,7 +48,7 @@ from .errors import (
     StepFailure,
     UnsupportedSignature,
 )
-from .jets import Jet, _cauchy, _lead, compose, jeinsum, jet_space, jinv, seed_jets
+from .jets import Jet, _cauchy, _inv, _lead, compose, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -62,15 +74,18 @@ DEGENERACY_FLOOR = 1e-12
 class MetricChart:
     """One coordinate chart of an ambient semi-Riemannian manifold.
 
-    `metric_fn` receives the coordinates as a list of jets and must return a
-    (dim, dim) object array whose entries are jets or plain floats.  The
-    optional closed-form fields accelerate geodesic integration; when absent,
-    the generic metric-derived path is used.
+    The chart functions work on coefficient arrays at a jet space `space`
+    (monomial axis first, then tensor axes, then batch axes); the
+    coordinates `x` have shape (space.n, dim, *batch).
 
-    `christoffel_jets_fn(x_jets)` returns Γ^k_ab as a (dim, dim, dim) object
-    array of jets.  `geodesic_rhs(space, x, v)` works on coefficient arrays:
-    `x` and `v` have shape (space.n, dim, *batch) at the jet space `space`,
-    and it returns the acceleration −Γ^k_ab(x) v^a v^b in the same shape.
+    * `metric_fn(space, x)` returns ḡ_ab, shape (space.n, dim, dim, *batch).
+    * `christoffel_jets_fn(space, x)` (optional) returns the closed-form
+      Γ^k_ab, k first, shape (space.n, dim, dim, dim, *batch).
+    * `geodesic_rhs(space, x, v)` (optional) returns the acceleration
+      −Γ^k_ab(x) v^a v^b for a velocity `v` shaped like `x`.
+
+    The optional closed-form fields accelerate geodesic integration and the
+    frame; when absent, the generic metric-derived path is used.
     """
 
     dim: int
@@ -133,109 +148,15 @@ class CurvatureJet:
 # ---------------------------------------------------------------------------
 
 
-def lift_matrix(entries, like: Jet):
-    d0, d1 = entries.shape
-    out = np.empty((d0, d1), dtype=object)
-    for i in range(d0):
-        for j in range(d1):
-            e = entries[i, j]
-            out[i, j] = e if isinstance(e, Jet) else Jet.constant(like.space, np.broadcast_to(np.asarray(e, dtype=float), like.batch_shape).copy())
-    return out
-
-
-def metric_jets(chart: MetricChart, x_jets):
-    """Evaluate the metric on jet coordinates, entries lifted to jets."""
-    return lift_matrix(np.asarray(chart.metric_fn(x_jets), dtype=object), x_jets[0])
-
-
-def christoffel_jets(g, ginv=None):
-    """Levi-Civita coefficients Γ^k_{ij} as jets, one order below the metric.
-
-    `ginv`, when given, must be ``jinv(g)``, already computed by the caller."""
-    d = g.shape[0]
-    if ginv is None:
-        ginv = jinv(g)
-    dg = [[[g[i, j].partial(k) for j in range(d)] for i in range(d)] for k in range(d)]
-    gamma = np.empty((d, d, d), dtype=object)
-    for k in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                acc = None
-                for l in range(d):
-                    term = ginv[k, l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                gamma[k, i, j] = acc * 0.5
-                gamma[k, j, i] = gamma[k, i, j]
-    return gamma
-
-
-def riemann_lower_jets(g, gamma):
-    """R_{ijkl} jets in the fixed sign convention (see module docstring)."""
-    d = g.shape[0]
-    dgamma = [
-        [[[gamma[l, j, k].partial(i) for k in range(d)] for j in range(d)] for l in range(d)]
-        for i in range(d)
-    ]
-    r_up = np.empty((d, d, d, d), dtype=object)  # R^l_{ijk}
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(d):
-                    acc = dgamma[j][l][i][k] - dgamma[i][l][j][k]
-                    for s in range(d):
-                        acc = acc - gamma[l, i, s] * gamma[s, j, k] + gamma[l, j, s] * gamma[s, i, k]
-                    r_up[i, j, k, l] = acc
-    lower = np.empty((d, d, d, d), dtype=object)
-    zero = Jet.constant(g[0, 0].space, np.zeros(g[0, 0].batch_shape))
-    for i in range(d):
-        lower[i, i, :, :] = zero
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(d):
-                    acc = None
-                    for s in range(d):
-                        term = r_up[i, j, k, s] * g[s, l]
-                        acc = term if acc is None else acc + term
-                    lower[i, j, k, l] = acc
-                    lower[j, i, k, l] = -acc
-    return lower
-
-
-def ricci_jets(ginv, riem):
-    d = riem.shape[0]
-    ric = np.empty((d, d), dtype=object)
-    for j in range(d):
-        for l in range(j, d):
-            acc = None
-            for i in range(d):
-                for k in range(d):
-                    term = ginv[i, k] * riem[i, j, k, l]
-                    acc = term if acc is None else acc + term
-            ric[j, l] = acc
-            ric[l, j] = acc
-    return ric
-
-
-def _stack(obj_arr, order):
-    """Coefficient array (n_mono, *tensor, *batch) of an object array of jets,
-    truncated to `order`, with the entries' batch shapes broadcast."""
-    coeffs = [e.truncate(order).coeffs for e in obj_arr.ravel()]
-    batch = np.broadcast_shapes(*(c.shape[1:] for c in coeffs))
-    coeffs = [np.broadcast_to(_lead(c, len(batch)), c.shape[:1] + batch) for c in coeffs]
-    out = np.stack(coeffs, axis=1)
-    return out.reshape(out.shape[:1] + obj_arr.shape + batch)
-
-
 def _stack_list(jets):
     """(space, coefficient array (space.n, len(jets), *batch)) of a list of
     jets, at their lowest order as jet arithmetic would combine them."""
     if len({j.space.nvars for j in jets}) > 1:
         raise ValueError("cannot mix jets over different variable sets")
-    order = min(j.space.order for j in jets)
-    obj = np.empty(len(jets), dtype=object)
-    obj[:] = jets
-    return jet_space(jets[0].space.nvars, order), _stack(obj, order)
+    space = jet_space(jets[0].space.nvars, min(j.space.order for j in jets))
+    coeffs = [j.coeffs[: space.n] for j in jets]
+    batch = np.broadcast_shapes(*(c.shape[1:] for c in coeffs))
+    return space, np.stack([np.broadcast_to(_lead(c, len(batch)), c.shape[:1] + batch) for c in coeffs], axis=1)
 
 
 def _tsum(c):
@@ -268,14 +189,51 @@ def _cov_deriv(c, gamma, space, rank):
     return out
 
 
-def _values(obj_arr):
-    """Extract value parts of an object array of jets into a float array."""
-    flat = obj_arr.ravel()
-    first = np.asarray(flat[0].value)
-    out = np.empty(obj_arr.shape + first.shape)
-    for idx in np.ndindex(*obj_arr.shape):
-        out[idx] = obj_arr[idx].value
-    return out
+class _Curvature(NamedTuple):
+    """The curvature chain of one metric g given at jet order p, as coefficient
+    arrays (n_mono, *tensor, *batch): g⁻¹ and Γ^k_ij (k first) at order p − 1,
+    R_ijkl, Ric_jl and S at order p − 2 (None when p < 2)."""
+
+    ginv: np.ndarray
+    gamma: np.ndarray
+    riem: Optional[np.ndarray] = None
+    ric: Optional[np.ndarray] = None
+    scal: Optional[np.ndarray] = None
+
+
+def _levi_civita(space, g, ginv=None):
+    """(g⁻¹, Γ^k_ij = ½g^{kl}(∂_i g_lj + ∂_j g_li − ∂_l g_ij)) of a metric
+    coefficient array g (n_mono, d, d, *batch) at `space`, one order down.
+    `ginv`, when given, is g⁻¹ at that order or above."""
+    lower = jet_space(space.nvars, space.order - 1)
+    if ginv is None:
+        ginv = _inv(lower, g)
+    dg = _grad(g, space)  # dg[:, c, a, b] = ∂_c g_ab
+    di = np.swapaxes(dg, 1, 2)  # [:, l, i, j] = ∂_i g_lj
+    return ginv, jeinsum(lower, "kl...,lij...->kij...", ginv, (di + np.swapaxes(di, 2, 3) - dg) * 0.5)
+
+
+def _curvature_chain(space, g, ginv=None) -> _Curvature:
+    """metric → Γ → R → Ric → S for a metric coefficient array g at `space`,
+    in the sign convention of the module docstring; `ginv` as in
+    `_levi_civita`."""
+    ginv, gamma = _levi_civita(space, g, ginv)
+    if space.order < 2:
+        return _Curvature(ginv, gamma)
+    sp1, sp2 = jet_space(space.nvars, space.order - 1), jet_space(space.nvars, space.order - 2)
+    # R^l_ijk = ∂_j Γ^l_ik + Γ^l_js Γ^s_ik − (i ↔ j), stored [i, j, k, l]
+    half = np.einsum("Zjlik...->Zijkl...", _grad(gamma, sp1)) + jeinsum(
+        sp2, "ljs...,sik...->ijkl...", gamma, gamma
+    )
+    riem = jeinsum(sp2, "ijks...,sl...->ijkl...", half - np.swapaxes(half, 1, 2), g)
+    ric = jeinsum(sp2, "ik...,ijkl...->jl...", ginv, riem)
+    return _Curvature(ginv, gamma, riem, ric, jeinsum(sp2, "jl...,jl...->...", ginv, ric))
+
+
+def _seeded(chart: MetricChart, x, order):
+    """(space, ḡ) at the chart's coordinate jets of `order` at point(s) x (..., dim)."""
+    space, xc = _stack_list(seed_jets(x, chart.dim, order))
+    return space, chart.metric_fn(space, xc)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +243,7 @@ def _values(obj_arr):
 
 def metric_value(chart: MetricChart, x) -> np.ndarray:
     """Metric components at point(s) x; batched input gives shape (..., d, d)."""
-    x = np.asarray(x, dtype=float)
-    jets = seed_jets(x, chart.dim, 0)
-    vals = _values(metric_jets(chart, jets))
-    if x.ndim > 1:
-        vals = np.moveaxis(np.moveaxis(vals, 0, -1), 0, -1)
-    return vals
+    return np.moveaxis(_seeded(chart, np.asarray(x, dtype=float), 0)[1][0], (0, 1), (-2, -1))
 
 
 def _check_domain(chart: MetricChart, x):
@@ -298,21 +251,20 @@ def _check_domain(chart: MetricChart, x):
         raise OutOfDomain(f"point outside the domain of {chart.name}")
 
 
-def _check_nondegenerate(gval, batched_ok=True):
-    det = np.linalg.det(np.moveaxis(np.moveaxis(gval, 0, -1), 0, -1)) if gval.ndim > 2 else np.linalg.det(gval)
+def _check_nondegenerate(gval):
+    det = np.linalg.det(np.moveaxis(gval, (0, 1), (-2, -1)))
     if np.any(np.abs(det) <= DEGENERACY_FLOOR):
         raise DegenerateMetric(f"|det g| <= {DEGENERACY_FLOOR}")
     return det
 
 
 def christoffel(chart: MetricChart, x) -> np.ndarray:
-    """Levi-Civita coefficients Γ^k_{ij} at x (k first index)."""
+    """Levi-Civita coefficients Γ^k_{ij} at x (k first index, batch axes last)."""
     x = np.asarray(x, dtype=float)
     _check_domain(chart, x)
-    jets = seed_jets(x, chart.dim, 1)
-    g = metric_jets(chart, jets)
-    _check_nondegenerate(_values(g))
-    return _values(christoffel_jets(g))
+    space, g = _seeded(chart, x, 1)
+    _check_nondegenerate(g[0])
+    return _levi_civita(space, g)[1][0]
 
 
 def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
@@ -326,27 +278,18 @@ def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
     x = np.asarray(x, dtype=float)
     _check_domain(chart, x)
     d = chart.dim
-    jets = seed_jets(x, d, 2 + order)
-    g = metric_jets(chart, jets)
-    gval = _values(g)
-    _check_nondegenerate(gval)
-    ginv = jinv(g)
-    gamma = christoffel_jets(g, ginv)
-    riem = riemann_lower_jets(g, gamma)
-    # Γ, R̄ and Ric̄ once as coefficient arrays (n_mono, *tensor, *batch); the
-    # covariant derivatives are Cauchy products contracted by einsum.
+    top, g = _seeded(chart, x, 2 + order)
+    _check_nondegenerate(g[0])
+    curv = _curvature_chain(top, g)
+    gam, r, ric, scal = curv.gamma, curv.riem, curv.ric, curv.scal
     space = jet_space(d, order)
-    gam = _stack(gamma, order + 1)
-    r = _stack(riem, order)
-    ric = _stack(ricci_jets(ginv, riem), order)
-    scal = jeinsum(space, "jl...,jl...->...", _stack(ginv, order), ric)
     jet = CurvatureJet(
         point=x,
         dim=d,
         index=chart.index,
         order=order,
-        metric=gval,
-        metric_inv=_values(ginv),
+        metric=g[0],
+        metric_inv=curv.ginv[0],
         gamma=gam[0],
         riem=r[0],
         ricci=ric[0],
@@ -397,37 +340,20 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         s_extra, grads_extra = bump(space, x)
         return f, s_extra, grads + grads_extra
 
-    def metric_fn(x):
-        space, xc = _stack_list(x)
-        f, s_extra, _ = sigma_and_grad(space, xc)
+    def metric_fn(space, x):
+        f, s_extra, _ = sigma_and_grad(space, x)
         f = Jet(space, f)
         conf = f * f if s_extra is None else (f * Jet(space, s_extra).exp()) ** 2
-        out = np.empty((dim, dim), dtype=object)
-        zero = conf * 0.0
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = conf * eps[i] if i == j else zero
-        return out
+        return np.einsum("ab,Z...->Zab...", np.diag(eps), conf.coeffs)
 
-    def christoffel_fn(x):
-        space, xc = _stack_list(x)
-        sgc = sigma_and_grad(space, xc)[2]
-        sg = [Jet(space, sgc[:, a]) for a in range(dim)]
-        zero = sg[0] * 0.0
-        gamma = np.empty((dim, dim, dim), dtype=object)
-        for k in range(dim):
-            for a in range(dim):
-                for b in range(a, dim):
-                    acc = zero
-                    if k == a:
-                        acc = acc + sg[b]
-                    if k == b:
-                        acc = acc + sg[a]
-                    if a == b:
-                        acc = acc - sg[k] * (eps[a] * eps[k])
-                    gamma[k, a, b] = acc
-                    gamma[k, b, a] = acc
-        return gamma
+    def christoffel_fn(space, x):
+        sg = sigma_and_grad(space, x)[2]
+        delta = np.eye(dim)
+        return (
+            np.einsum("ka,Zb...->Zkab...", delta, sg)
+            + np.einsum("kb,Za...->Zkab...", delta, sg)
+            - np.einsum("ab,k,Zk...->Zkab...", np.diag(eps), eps, sg)
+        )
 
     def rhs(space, x, v):
         # −2 v^k (σ·v) + ε_k σ_k ⟨v,v⟩_ε
@@ -515,22 +441,17 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
             factors.append((chart, sl))
     factors = tuple(factors)
 
-    def metric_fn(x):
-        out = np.empty((dim, dim), dtype=object)
-        zero = (x[0] * 0.0) if isinstance(x[0], Jet) else 0.0
-        out[:, :] = zero
+    def metric_fn(space, x):
+        out = np.zeros((space.n, dim, dim) + x.shape[2:])
         for chart, sl in factors:
-            block = np.asarray(chart.metric_fn(x[sl]), dtype=object)
-            out[sl, sl] = block
+            out[:, sl, sl] = chart.metric_fn(space, x[:, sl])
         return out
 
-    def christoffel_fn(x):
-        gamma = np.empty((dim, dim, dim), dtype=object)
-        zero = x[0] * 0.0
-        gamma[:, :, :] = zero
+    def christoffel_fn(space, x):
+        out = np.zeros((space.n, dim, dim, dim) + x.shape[2:])
         for chart, sl in factors:
-            gamma[sl, sl, sl] = chart.christoffel_jets_fn(x[sl])
-        return gamma
+            out[:, sl, sl, sl] = chart.christoffel_jets_fn(space, x[:, sl])
+        return out
 
     def rhs(space, x, v):
         return np.concatenate(
@@ -614,35 +535,35 @@ def chart_from_descriptor(desc: dict) -> MetricChart:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_on_jets(chart: MetricChart, x_jets):
-    """Γ^k_{ab} evaluated at jet-valued coordinates.
+def christoffel_on_jets(chart: MetricChart, space, x):
+    """Γ^k_{ab} (n_mono, dim, dim, dim, *batch) at coordinates given as a
+    coefficient array x (n_mono, dim, *batch) at `space`.
 
     Falls back to composing the ambient Taylor expansion of Γ with the
     displacement when the chart has no closed form.
     """
     if chart.christoffel_jets_fn is not None:
-        return chart.christoffel_jets_fn(x_jets)
-    order = x_jets[0].space.order
-    x0 = np.stack([np.asarray(j.value, dtype=float) for j in x_jets], axis=-1)
-    amb = seed_jets(x0, chart.dim, order + 1)
-    gamma_amb = christoffel_jets(metric_jets(chart, amb))
-    disp = [x_jets[k] - x0[..., k] for k in range(chart.dim)]
-    d = chart.dim
-    out = np.empty((d, d, d), dtype=object)
-    for k in range(d):
-        for a in range(d):
-            for b in range(a, d):
-                out[k, a, b] = compose(gamma_amb[k, a, b].truncate(order), disp)
-                out[k, b, a] = out[k, a, b]
-    return out
+        return chart.christoffel_jets_fn(space, x[: space.n])
+    return _compose_along(chart, space, x, 1, lambda amb_space, g: _levi_civita(amb_space, g)[1])
+
+
+def _compose_along(chart: MetricChart, space, x, extra: int, field):
+    """A field of the ambient metric along coordinates x (n_mono, dim, *batch)
+    at `space` (or above).  `field(amb_space, ḡ)` maps the metric's Taylor
+    expansion at the base points x[0], `extra` orders above `space`, to a
+    coefficient array (n_mono, *tensor, *batch) at `space`'s order or above;
+    that expansion is composed with the displacement x − x[0]."""
+    amb_space, g = _seeded(chart, np.moveaxis(x[0], 0, -1), space.order + extra)
+    disp = x[: space.n].copy()
+    disp[0] = 0.0
+    return compose(space, field(amb_space, g), disp)
 
 
 def _christoffel_rhs(chart: MetricChart, space, x, v):
     """−Γ^k_ab v^a v^b on coefficient arrays, for a chart without a
     closed-form `geodesic_rhs`."""
-    gamma = christoffel_on_jets(chart, [Jet(space, x[:, a]) for a in range(chart.dim)])
     vv = jeinsum(space, "a...,b...->ab...", v, v)
-    return -jeinsum(space, "kab...,ab...->k...", _stack(gamma, space.order), vv)
+    return -jeinsum(space, "kab...,ab...->k...", christoffel_on_jets(chart, space, x), vv)
 
 
 def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, domain_checks: bool = True):

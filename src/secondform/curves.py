@@ -24,7 +24,7 @@ import numpy as np
 from . import ambient as amb
 from .ambient import MetricChart
 from .errors import BadParameters, BlowUp, NotFrenet, NotUnitSpeed
-from .jets import seed_jets
+from .jets import Jet, _cauchy, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "FrenetCurve",
@@ -74,62 +74,46 @@ def _curve_jets(curve: FrenetCurve, s, order=4):
 
 
 def _frenet_core(curve: FrenetCurve, s):
-    """Shared jets: returns (s, x, T, accel, q, κ-jet, α, β)."""
+    """Shared jets as coefficient arrays over s: returns (s, x, T, Γ̄, accel,
+    q = ḡ(accel, accel), κ-jet, α, β), with x at order 4, T at 3 and the
+    rest at 2."""
     s, x = _curve_jets(curve, s)
-    T = [xi.partial(0) for xi in x]
-    gbar = amb.metric_jets(curve.surface, x)
-    tt = None
-    for a in range(2):
-        for b in range(2):
-            term = gbar[a, b] * T[a] * T[b]
-            tt = term if tt is None else tt + term
-    tt_val = np.asarray(tt.value)
-    if np.max(np.abs(np.abs(tt_val) - 1.0)) > 1e-9:
+    space, xc = amb._stack_list(x)
+    sp3, sp2 = jet_space(1, 3), jet_space(1, 2)
+    T = amb._grad(xc, space)[:, 0]
+    gbar = curve.surface.metric_fn(sp3, xc[: sp3.n])
+    tt = jeinsum(sp3, "a...,a...->...", T, jeinsum(sp3, "ab...,b...->a...", gbar, T))
+    if np.max(np.abs(np.abs(tt[0]) - 1.0)) > 1e-9:
         raise NotUnitSpeed("curve is not parametrized by arclength")
-    beta = float(np.sign(tt_val).ravel()[0])
-    gamma = amb.christoffel_on_jets(curve.surface, x)
-    accel = []
-    for k in range(2):
-        acc = T[k].partial(0)
-        for a in range(2):
-            for b in range(2):
-                acc = acc + gamma[k, a, b] * T[a] * T[b]
-        accel.append(acc)
-    q = None
-    for a in range(2):
-        for b in range(2):
-            term = gbar[a, b] * accel[a] * accel[b]
-            q = term if q is None else q + term
-    q_val = np.asarray(q.value)
-    if np.min(np.abs(q_val)) < FRENET_FLOOR:
+    beta = float(np.sign(tt[0]).ravel()[0])
+    gamma = amb.christoffel_on_jets(curve.surface, sp2, xc)
+    accel = amb._grad(T, sp3)[:, 0] + jeinsum(
+        sp2, "kab...,ab...->k...", gamma, jeinsum(sp2, "a...,b...->ab...", T, T)
+    )
+    q = jeinsum(sp2, "a...,a...->...", accel, jeinsum(sp2, "ab...,b...->a...", gbar, accel))
+    if np.min(np.abs(q[0])) < FRENET_FLOOR:
         raise NotFrenet("curve acceleration is null or zero")
-    alpha = float(np.sign(q_val).ravel()[0])
-    kappa_jet = q.sqrt_abs() * beta
-    return s, x, T, gbar, gamma, accel, q, kappa_jet, alpha, beta
+    alpha = float(np.sign(q[0]).ravel()[0])
+    kappa_jet = Jet(sp2, q).sqrt_abs() * beta
+    return s, xc, T, gamma, accel, q, kappa_jet, alpha, beta
 
 
 def frenet(curve: FrenetCurve, s) -> FrenetData:
     """Frenet frame, geodesic curvature and Frenet-Serret residuals at s."""
-    s, x, T, gbar, gamma, accel, q, kappa_jet, alpha, beta = _frenet_core(curve, s)
-    inv_norm = q.sqrt_abs().reciprocal()
-    U = [a * inv_norm for a in accel]
+    s, x, T, gamma, accel, q, kappa_jet, alpha, beta = _frenet_core(curve, s)
+    sp2 = kappa_jet.space
+    U = _cauchy(sp2, accel, Jet(sp2, q).sqrt_abs().reciprocal().coeffs[:, None])
+    kappa = kappa_jet.value
     # residuals: ∇̄_T T − βκU and ∇̄_T U + ακT
-    res1 = 0.0
-    for k in range(2):
-        res1 = np.maximum(res1, np.abs(np.asarray((accel[k] - kappa_jet * U[k] * beta).value)))
-    res2 = 0.0
-    for k in range(2):
-        du = U[k].partial(0)
-        for a in range(2):
-            for b in range(2):
-                du = du + gamma[k, a, b] * T[a] * U[b]
-        res2 = np.maximum(res2, np.abs(np.asarray((du + kappa_jet * T[k] * alpha).value)))
+    res1 = np.max(np.abs(accel[0] - kappa * U[0] * beta), axis=0)
+    du = amb._grad(U, sp2)[0, 0] + np.einsum("kab...,a...,b...->k...", gamma[0], T[0], U[0])
+    res2 = np.max(np.abs(du + kappa * T[0] * alpha), axis=0)
     return FrenetData(
         s=s,
-        x=np.stack([np.asarray(xi.value) for xi in x], axis=-1),
-        T=np.stack([np.asarray(t.value) for t in T], axis=-1),
-        U=np.stack([np.asarray(u.value) for u in U], axis=-1),
-        kappa=np.asarray(kappa_jet.value),
+        x=np.moveaxis(x[0], 0, -1),
+        T=np.moveaxis(T[0], 0, -1),
+        U=np.moveaxis(U[0], 0, -1),
+        kappa=kappa,
         alpha=alpha,
         beta=beta,
         frenet_residual=np.maximum(res1, res2),
@@ -138,18 +122,14 @@ def frenet(curve: FrenetCurve, s) -> FrenetData:
 
 def h_ii_curve(curve: FrenetCurve, s) -> np.ndarray:
     """The closed formula for H_II along the curve."""
-    s, x, T, gbar, gamma, accel, q, kappa_jet, alpha, beta = _frenet_core(curve, s)
-    kappa = np.asarray(kappa_jet.value)
-    kp = np.asarray(kappa_jet.partial(0).value)
-    kpp = np.asarray(kappa_jet.partial(0).partial(0).value)
-    x_val = np.stack([np.asarray(xi.value) for xi in x], axis=-1)
+    s, x, T, gamma, accel, q, kappa_jet, alpha, beta = _frenet_core(curve, s)
+    kappa = kappa_jet.value
+    kp = kappa_jet.deriv((1,))
+    kpp = kappa_jet.deriv((2,))
+    x_val = np.moveaxis(x[0], 0, -1)
     jet = amb.curvature_jet(curve.surface, x_val, order=0)
     gv = jet.metric
-    if x_val.ndim > 1:
-        det = gv[0, 0] * gv[1, 1] - gv[0, 1] ** 2
-        kbar = jet.riem[0, 1, 0, 1] / det
-    else:
-        kbar = jet.riem[0, 1, 0, 1] / (gv[0, 0] * gv[1, 1] - gv[0, 1] ** 2)
+    kbar = jet.riem[0, 1, 0, 1] / (gv[0, 0] * gv[1, 1] - gv[0, 1] ** 2)
     return 0.5 * (
         -alpha * kbar / kappa
         + kappa

@@ -18,7 +18,11 @@ and det A by ε-contraction.  With the parameter jets at order k, each
 quantity is carried at the order its readers use: t, ḡ and U at k − 1 (a
 normal deformation reads U to first order below x), II, A, g⁻¹, det A, H
 and Γ̄ at k − 2, g at max(k − 2, min(k − 1, 2)) (intrinsic curvature reads
-two derivatives of g), ḡ⁻¹ as values only.
+two derivatives of g), ḡ⁻¹ as values only.  The frame bundle
+(``_SurfaceJets``) carries these coefficient arrays and nothing else; the
+connection and curvature of g (and, in ``iigeom``, of II) come from the
+one curvature chain in ``ambient``, and R̄, Ric̄, S̄ along the patch from
+:func:`ambient_curvature_on_jets` on the same arrays.
 
 The second fundamental form is computed both ways (through ∇̄U and through
 ∇̄∂∂); their values agree to 1e−9 on every call, which catches sign and
@@ -34,13 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import ambient as amb
-from .ambient import MetricChart, christoffel_jets, metric_jets, riemann_lower_jets
+from .ambient import MetricChart
 from .errors import (
     BadParameters,
     DegenerateImmersion,
@@ -49,7 +53,8 @@ from .errors import (
     NullNormal,
     OutOfDomain,
 )
-from .jets import Jet, _cauchy, _inv, _wedge, compose, jeinsum, jet_space, jinv, seed_jets
+from .jets import Jet, _cauchy, _inv, _wedge, jeinsum, jet_space, seed_jets
+from .jets import jinv  # noqa: F401  (perfbench/tests check that its tracer rebinds this name)
 
 __all__ = [
     "Immersion",
@@ -119,59 +124,46 @@ class SurfacePointData:
 
 @dataclass
 class _SurfaceJets:
-    """Jet-level intermediates shared by the II-geometry layer.
+    """The frame's coefficient arrays, shared by the II-geometry layer.
 
-    `coeffs` holds the frame's coefficient arrays (monomial axis first,
-    then tensor axes, then batch) under the names "x", "t", "g", "U", "II"
-    and "A"; the object-array fields are Jet views of the same arrays.
+    Each array has the monomial axis first, then tensor axes, then batch
+    axes, at the order its readers use (see the module docstring): with the
+    parameter jets at order k, x at k; t, ḡ and U at k − 1; g at
+    max(k − 2, min(k − 1, 2)); g⁻¹, II, A, det A and H at k − 2; ḡ⁻¹ at 0.
     """
 
     imm: Immersion
     order: int
     batched: bool
-    u_jets: list
-    x: list
-    t: np.ndarray  # (m, dim) object
-    gbar: np.ndarray
-    gbar_inv: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    U: np.ndarray  # (dim,) object
     alpha: np.ndarray
+    x: np.ndarray  # (n_mono, dim, *batch)
+    t: np.ndarray  # (n_mono, m, dim, *batch): t[:, i, a] = ∂_i x^a
+    gbar: np.ndarray  # (n_mono, dim, dim, *batch)
+    gbar_inv: np.ndarray
+    g: np.ndarray  # (n_mono, m, m, *batch)
+    ginv: np.ndarray
+    U: np.ndarray  # (n_mono, dim, *batch)
     II: np.ndarray
-    A: np.ndarray
-    detA: Jet
-    H: Jet
-    coeffs: dict
+    A: np.ndarray  # A[:, i, j] = A^i_j
+    detA: np.ndarray  # (n_mono, *batch)
+    H: np.ndarray
 
-
-def _vals(obj_arr, batched):
-    vals = amb._values(np.asarray(obj_arr, dtype=object))
-    if batched:
-        vals = np.moveaxis(vals, -1, 0)
-    return vals
+    def space(self, c):
+        """The jet space, over the m parameters, of one of these arrays."""
+        m = self.imm.param_dim
+        return next(jet_space(m, k) for k in range(self.order + 1) if jet_space(m, k).n == c.shape[0])
 
 
 def _cvals(c, batched):
-    """Values of a coefficient array, batch axis first like `_vals`."""
+    """Values of a coefficient array, with the batch axis first when batched."""
     return np.moveaxis(c[0], -1, 0) if batched else c[0]
-
-
-def _views(space, c, ntensor):
-    """Object array of Jet views over the first `ntensor` tensor axes of `c`."""
-    tshape = c.shape[1 : 1 + ntensor]
-    out = np.empty(tshape, dtype=object)
-    for idx in np.ndindex(*tshape):
-        out[idx] = Jet(space, c[(slice(None),) + idx])
-    return out
 
 
 def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _SurfaceJets:
     """Run the fundamental-form pipeline on caller-supplied parameter jets
     (at order ≥ 2; see the module docstring for the order of each field)."""
     m, d = imm.param_dim, imm.ambient.dim
-    x = list(imm.map_fn(u_jets))
-    x = [xi if isinstance(xi, Jet) else Jet.constant(u_jets[0].space, xi) for xi in x]
+    x = [xi if isinstance(xi, Jet) else Jet.constant(u_jets[0].space, xi) for xi in imm.map_fn(u_jets)]
     space, xc = amb._stack_list(x)
     order = space.order
     batched = xc.ndim > 2
@@ -179,8 +171,7 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _Surfac
     sp_g = jet_space(m, max(order - 2, min(order - 1, 2)))
 
     t = amb._grad(xc, space)  # t[:, i, a] = ∂_i x^a
-    gbar = metric_jets(imm.ambient, [Jet(sp1, xc[: sp1.n, a]) for a in range(d)])
-    gb = amb._stack(gbar, order - 1)
+    gb = imm.ambient.metric_fn(sp1, xc[: sp1.n])
     g = jeinsum(sp_g, "ib...,jb...->ij...", jeinsum(sp_g, "ia...,ab...->ib...", t, gb), t)
 
     gval = _cvals(g, batched)
@@ -207,10 +198,7 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _Surfac
     u_flat = _cauchy(sp2, n_cov, inv_len)  # ḡ(U, ·)
 
     # II_ij = α ḡ(∂_i t_j + Γ̄(t_i, t_j), U)
-    gamma_bar = amb._stack(
-        amb.christoffel_on_jets(imm.ambient, [Jet(sp2, xc[: sp2.n, a]) for a in range(d)]),
-        order - 2,
-    )
+    gamma_bar = amb.christoffel_on_jets(imm.ambient, sp2, xc)
     gam_u = jeinsum(sp2, "kab...,k...->ab...", gamma_bar, u_flat)
     II = jeinsum(sp2, "ib...,jb...->ij...", jeinsum(sp2, "ab...,ia...->ib...", gam_u, t), t)
     II = (II + jeinsum(sp2, "ijk...,k...->ij...", amb._grad(t, sp1), u_flat)) * alpha
@@ -234,20 +222,18 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _Surfac
         imm=imm,
         order=order,
         batched=batched,
-        u_jets=u_jets,
-        x=x,
-        t=_views(sp1, t, 2),
-        gbar=gbar,
-        gbar_inv=_views(jet_space(m, 0), _inv(jet_space(m, 0), gb), 2),
-        g=_views(sp_g, g, 2),
-        ginv=_views(sp2, ginv, 2),
-        U=_views(sp1, U, 1),
         alpha=alpha,
-        II=_views(sp2, II, 2),
-        A=_views(sp2, A, 2),
-        detA=Jet(sp2, _wedge(sp2, [A[:, :, j] for j in range(m)])),
-        H=Jet(sp2, tr_a * (alpha / m)),
-        coeffs={"x": xc, "t": t, "g": g, "U": U, "II": II, "A": A},
+        x=xc,
+        t=t,
+        gbar=gb,
+        gbar_inv=_inv(jet_space(m, 0), gb),
+        g=g,
+        ginv=ginv,
+        U=U,
+        II=II,
+        A=A,
+        detA=_wedge(sp2, [A[:, :, j] for j in range(m)]),
+        H=tr_a * (alpha / m),
     )
 
 
@@ -265,37 +251,58 @@ def _check_shape_operator_two_routes(a, t, u, du, gamma_bar):
 
 
 def principal_curvatures(first, second, alpha):
-    """Eigenvalues of A from II v = μ g v with λ = α μ, ascending.
+    """Principal curvatures and g-orthonormal principal directions of A,
+    from II v = μ g v with λ = α μ.
 
-    Positive/negative definite g uses the symmetric reduction; indefinite g
-    falls back to the non-symmetric spectrum of A with a 1e−10 pairing
-    tolerance on imaginary parts (complex pairs come back as NaN).
+    Returns (lam, E, eps, valid): lam ascending, E[..., i, :] the direction
+    for lam[..., i] and eps the signs g(E_i, E_i).  Positive/negative
+    definite g uses the symmetric reduction; indefinite g falls back to the
+    non-symmetric spectrum of A with a 1e−10 pairing tolerance on imaginary
+    parts.  Complex pairs come back as NaN (sorted last), and points with
+    complex or null-direction spectra are marked not valid.
     """
     g = np.asarray(first, dtype=float)
     ii = np.asarray(second, dtype=float)
-    batched = g.ndim == 3
-    if not batched:
+    single = g.ndim == 2
+    if single:
         g, ii, alpha = g[None], ii[None], np.atleast_1d(alpha)
+    n, m, _ = g.shape
+    lam = np.full((n, m), np.nan)
+    E = np.full((n, m, m), np.nan)
+    eps = np.ones((n, m))
+    valid = np.zeros(n, dtype=bool)
     evg = np.linalg.eigvalsh(g)
-    lam = np.empty(g.shape[:2])
     pos = evg[:, 0] > 0
     neg = evg[:, -1] < 0
     for mask, sign in ((pos, 1.0), (neg, -1.0)):
-        if np.any(mask):
-            L = np.linalg.cholesky(sign * g[mask])
-            linv_ii = np.linalg.solve(L, ii[mask])
-            M = np.linalg.solve(L, np.swapaxes(linv_ii, -1, -2))
-            mu = np.linalg.eigvalsh(M) * sign
-            lam[mask] = np.sort(alpha[mask, None] * mu, axis=-1)
+        if not np.any(mask):
+            continue
+        L = np.linalg.cholesky(sign * g[mask])
+        Mred = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, ii[mask]), -1, -2))
+        mu, y = np.linalg.eigh(Mred)
+        E[mask] = np.swapaxes(np.linalg.solve(np.swapaxes(L, -1, -2), y), -1, -2)
+        lam[mask] = alpha[mask, None] * mu * sign
+        eps[mask] = sign
+        valid[mask] = True
     indef = ~(pos | neg)
     if np.any(indef):
         a_mat = alpha[indef, None, None] * np.linalg.solve(g[indef], ii[indef])
-        ev = np.linalg.eigvals(a_mat)
+        ev, vec = np.linalg.eig(a_mat)
         scale = 1.0 + np.max(np.abs(ev.real), axis=-1, keepdims=True)
-        bad = np.abs(ev.imag) > 1e-10 * scale
-        vals = np.where(bad, np.nan, ev.real)
-        lam[indef] = np.sort(vals, axis=-1)
-    return lam if batched else lam[0]
+        cplx = np.abs(ev.imag) > 1e-10 * scale
+        vec = np.real(np.swapaxes(vec, -1, -2))
+        gvv = np.einsum("nia,nab,nib->ni", vec, g[indef], vec)
+        lam[indef] = np.where(cplx, np.nan, ev.real)
+        E[indef] = vec / np.sqrt(np.abs(np.where(np.abs(gvv) > 1e-300, gvv, 1.0)))[:, :, None]
+        eps[indef] = np.sign(gvv)
+        valid[indef] = ~np.any(cplx, axis=-1) & (np.min(np.abs(gvv), axis=-1) > 1e-10)
+    order = np.argsort(lam, axis=-1)
+    lam = np.take_along_axis(lam, order, axis=-1)
+    E = np.take_along_axis(E, order[:, :, None], axis=1)
+    eps = np.take_along_axis(eps, order, axis=-1)
+    if single:
+        return lam[0], E[0], eps[0], valid[0]
+    return lam, E, eps, valid
 
 
 def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:
@@ -309,26 +316,26 @@ def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:
         raise OutOfDomain("parameter point outside the immersion domain")
     u_jets = seed_jets(u, imm.param_dim, order)
     b = frame_jets(imm, u_jets)
-    c, batched = b.coeffs, b.batched
-    first = _cvals(c["g"], batched)
-    second = _cvals(c["II"], batched)
-    shape_a = _cvals(c["A"], batched)
+    batched = b.batched
+    first = _cvals(b.g, batched)
+    second = _cvals(b.II, batched)
+    shape_a = _cvals(b.A, batched)
     third = np.einsum("...si,...tj,...st->...ij", shape_a, shape_a, first)
     alpha = np.asarray(b.alpha, dtype=float)
-    lam = principal_curvatures(first, second, alpha)
+    lam = principal_curvatures(first, second, alpha)[0]
     eps = np.sign(np.linalg.eigvalsh(first))
     return SurfacePointData(
         u=u,
-        x=_cvals(c["x"], batched),
-        tangent=_cvals(c["t"], batched),
-        normal=_cvals(c["U"], batched),
+        x=_cvals(b.x, batched),
+        tangent=_cvals(b.t, batched),
+        normal=_cvals(b.U, batched),
         alpha=alpha,
         first=first,
         second=second,
         third=third,
         shape=shape_a,
-        mean=np.asarray(b.H.value),
-        detA=np.asarray(b.detA.value),
+        mean=b.H[0],
+        detA=b.detA[0],
         lam=lam,
         epsilon=eps,
         _bundle=b,
@@ -340,104 +347,65 @@ def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:
 # ---------------------------------------------------------------------------
 
 
-def ambient_curvature_on_jets(chart: MetricChart, x_jets, gbar=None, order: int = 1):
-    """R̄_{abcd}, Ric̄_{ab}, S̄ along jet-valued coordinates, to jet order
-    `order` (1 is enough for every consumer here: the Z field needs one
-    parameter derivative, everything else point values).
+def ambient_curvature_on_jets(chart: MetricChart, space, x, gbar=None):
+    """R̄_{abcd}, Ric̄_{ab}, S̄ as coefficient arrays at `space` along the
+    coordinates x (n_mono, dim, *batch); `x` and `gbar` (ḡ along x, when
+    given) may come from a higher order than `space`.  Jet order 1 is
+    enough for every consumer here: the Z field needs one parameter
+    derivative, everything else point values.
 
-    Constant-curvature and product-of-space-form charts use their closed
-    forms; anything else composes the ambient Taylor expansion of the
-    curvature with the displacement jets.
+    Constant-curvature charts and products of them use the closed form
+    R̄ = C̄(ḡ ∧ ḡ) block by block; anything else composes the ambient Taylor
+    expansion of the curvature with the displacement.
     """
     d = chart.dim
-    x_jets = [xj.truncate(order) for xj in x_jets]
-    if gbar is None:
-        gbar = metric_jets(chart, x_jets)
-    else:
-        trunc = np.empty(gbar.shape, dtype=object)
-        for i in range(d):
-            for j in range(d):
-                trunc[i, j] = gbar[i, j].truncate(order)
-        gbar = trunc
+    x = x[: space.n]
     if chart.curvature_const is not None:
-        return _space_form_curvature(gbar, chart.curvature_const, d)
-    if chart.product_factors is not None and all(
+        blocks = ((chart, slice(0, d)),)
+    elif chart.product_factors is not None and all(
         c.curvature_const is not None for c, _ in chart.product_factors
     ):
-        zero = x_jets[0] * 0.0
-        riem = np.empty((d, d, d, d), dtype=object)
-        riem[...] = zero
-        ric = np.empty((d, d), dtype=object)
-        ric[...] = zero
-        scal = zero
-        for sub, sl in chart.product_factors:
-            nb = sub.dim
-            block_g = gbar[sl, sl]
-            br, bric, bs = _space_form_curvature(block_g, sub.curvature_const, nb)
-            riem[sl, sl, sl, sl] = br
-            ric[sl, sl] = bric
-            scal = scal + bs
-        return riem, ric, scal
-    return _generic_curvature_along(chart, x_jets)
-
-
-def _space_form_curvature(g, cbar, d):
-    zero = g[0, 0] * 0.0
-    riem = np.empty((d, d, d, d), dtype=object)
-    riem[...] = zero
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(d):
-                    val = (g[i, k] * g[j, l] - g[i, l] * g[j, k]) * cbar
-                    riem[i, j, k, l] = val
-                    riem[j, i, k, l] = -val
-    ric = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            ric[i, j] = g[i, j] * (cbar * (d - 1))
-            ric[j, i] = ric[i, j]
-    scal = zero + cbar * d * (d - 1)
+        blocks = chart.product_factors
+    else:
+        return _generic_curvature_along(chart, space, x)
+    gbar = chart.metric_fn(space, x) if gbar is None else gbar[: space.n]
+    batch = gbar.shape[3:]
+    riem = np.zeros((space.n,) + (d,) * 4 + batch)
+    ric = np.zeros((space.n, d, d) + batch)
+    scal = np.zeros((space.n,) + batch)
+    for sub, sl in blocks:
+        cbar, k = sub.curvature_const, sub.dim
+        g = gbar[:, sl, sl]
+        block = riem[:, sl, sl, sl, sl]
+        # R_ijab = C̄(g_ia g_jb − g_ib g_ja) for a < b: no d⁴-sized temporaries
+        for a, b in combinations(range(k), 2):
+            prod = jeinsum(space, "i...,j...->ij...", g[:, :, a], g[:, :, b])
+            block[:, :, :, a, b] = (prod - np.swapaxes(prod, 1, 2)) * cbar
+            block[:, :, :, b, a] = -block[:, :, :, a, b]
+        ric[:, sl, sl] = g * (cbar * (k - 1))
+        scal[0] += cbar * k * (k - 1)
     return riem, ric, scal
 
 
-def _generic_curvature_along(chart: MetricChart, x_jets):
+def _generic_curvature_along(chart: MetricChart, space, x):
     d = chart.dim
-    order = min(x_jets[0].space.order, 2)
-    x0 = np.stack([np.asarray(j.value, dtype=float) for j in x_jets], axis=-1)
-    amb_jets = seed_jets(x0, d, order + 2)
-    g = metric_jets(chart, amb_jets)
-    gamma = christoffel_jets(g)
-    riem_amb = riemann_lower_jets(g, gamma)
-    ginv = jinv(g)
-    ric_amb = amb.ricci_jets(ginv, riem_amb)
-    scal_amb = None
-    for j in range(d):
-        for l in range(d):
-            term = ginv[j, l] * ric_amb[j, l]
-            scal_amb = term if scal_amb is None else scal_amb + term
-    disp = [x_jets[k] - x0[..., k] for k in range(d)]
+    batch = x.shape[2:]
 
-    def comp(jet):
-        return compose(jet.truncate(order), disp)
+    def stacked(amb_space, g):
+        # R̄, Ric̄ and S̄ side by side on one tensor axis, for one compose
+        curv = amb._curvature_chain(amb_space, g)
+        n = curv.riem.shape[0]
+        return np.concatenate(
+            [curv.riem.reshape((n, d**4) + batch), curv.ric.reshape((n, d * d) + batch), curv.scal[:, None]],
+            axis=1,
+        )
 
-    riem = np.empty((d, d, d, d), dtype=object)
-    zero = x_jets[0] * 0.0
-    for i in range(d):
-        riem[i, i, :, :] = zero
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(d):
-                    val = comp(riem_amb[i, j, k, l])
-                    riem[i, j, k, l] = val
-                    riem[j, i, k, l] = -val
-    ric = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            ric[i, j] = comp(ric_amb[i, j])
-            ric[j, i] = ric[i, j]
-    return riem, ric, comp(scal_amb)
+    out = amb._compose_along(chart, space, x, 2, stacked)
+    return (
+        out[:, : d**4].reshape((space.n,) + (d,) * 4 + batch),
+        out[:, d**4 : -1].reshape((space.n, d, d) + batch),
+        out[:, -1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,56 +413,43 @@ def _generic_curvature_along(chart: MetricChart, x_jets):
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_curvature_jets(metric_obj, inv=None):
-    """(Γ, R_lower) of a metric given as an object matrix of jets; `inv`, when
-    given, is its inverse (any order from one below the metric's up)."""
-    gamma = christoffel_jets(metric_obj, inv)
-    return gamma, riemann_lower_jets(metric_obj, gamma)
+def intrinsic_curvature_jets(b: _SurfaceJets):
+    """The curvature chain (g⁻¹, Γ, R, Ric, S) of the induced metric g of a
+    frame, as coefficient arrays."""
+    return amb._curvature_chain(b.space(b.g), b.g, b.ginv)
 
 
 def gauss_codazzi_residual(imm: Immersion, u):
     """Max-norm residuals of the Gauss and Codazzi equations at u."""
     u = np.asarray(u, dtype=float)
-    u_jets = seed_jets(u, imm.param_dim, 3)
-    b = frame_jets(imm, u_jets)
-    m, d = imm.param_dim, imm.ambient.dim
+    b = frame_jets(imm, seed_jets(u, imm.param_dim, 3))
     batched = b.batched
 
-    gamma_g, r_g = intrinsic_curvature_jets(b.g, b.ginv)
-    r_val = _vals(r_g, batched)
-    riem_bar, _, _ = ambient_curvature_on_jets(imm.ambient, b.x, b.gbar)
-    rb = _vals(riem_bar, batched)
-    tv = _vals(b.t, batched)
-    iiv = _vals(b.II, batched)
+    def vals(c):
+        return _cvals(c, batched)
+
+    curv = intrinsic_curvature_jets(b)
+    rb = vals(ambient_curvature_on_jets(imm.ambient, jet_space(imm.param_dim, 0), b.x, b.gbar)[0])
+    tv, iiv = vals(b.t), vals(b.II)
     alpha = np.asarray(b.alpha, dtype=float)
     rbar_tangent = np.einsum("...abcd,...ia,...jb,...kc,...ld->...ijkl", rb, tv, tv, tv, tv)
-    gauss = r_val - rbar_tangent - (alpha[..., None, None, None, None] if batched else alpha) * (
+    gauss = vals(curv.riem) - rbar_tangent - (alpha[..., None, None, None, None] if batched else alpha) * (
         np.einsum("...ik,...jl->...ijkl", iiv, iiv) - np.einsum("...il,...jk->...ijkl", iiv, iiv)
     )
     gauss_res = np.max(np.abs(gauss))
 
     # Codazzi: (∇_i A)_j − (∇_j A)_i = R̄(∂_i, ∂_j)U, compared in parameter components
-    gam_val = _vals(gamma_g, batched)
-    a_val = _vals(b.A, batched)
-    dAkji = np.empty(a_val.shape[:-2] + (m, m, m))  # [..., i, k, j] = ∂_i A^k_j
-    for i in range(m):
-        for k in range(m):
-            for j in range(m):
-                dAkji[..., i, k, j] = np.asarray(b.A[k, j].partial(i).value)
+    gam_val, a_val = vals(curv.gamma), vals(b.A)
     nabla_a = (
-        dAkji
+        vals(amb._grad(b.A, b.space(b.A)))  # [..., i, k, j] = ∂_i A^k_j
         + np.einsum("...kis,...sj->...ikj", gam_val, a_val)
         - np.einsum("...sij,...ks->...ikj", gam_val, a_val)
     )
     # antisymmetrize in (i, j); nabla_a axes are [..., i, k, j]
     lhs = nabla_a - np.moveaxis(nabla_a, [-3, -1], [-1, -3])
-    gbar_inv_v = _vals(b.gbar_inv, batched)
-    uv = _vals(np.asarray(b.U, dtype=object).reshape(1, d), batched)[..., 0, :]
-    rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, uv, gbar_inv_v)
-    gbar_v = _vals(b.gbar, batched)
-    g_val = _vals(b.g, batched)
-    rhs_cov = np.einsum("...ije,...ef,...kf->...ijk", rhs_amb, gbar_v, tv)
-    rhs_param = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(g_val), rhs_cov)
+    rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, vals(b.U), vals(b.gbar_inv))
+    rhs_cov = np.einsum("...ije,...ef,...kf->...ijk", rhs_amb, vals(b.gbar), tv)
+    rhs_param = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(vals(b.g)), rhs_cov)
     # lhs[..., i, k, j] has k the component; rhs_param[..., i, j, k]
     codazzi = lhs - np.moveaxis(rhs_param, -1, -2)
     codazzi_res = np.max(np.abs(codazzi))

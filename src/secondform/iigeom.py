@@ -42,11 +42,10 @@ from .hypersurface import (
     SurfacePointData,
     _SurfaceJets,
     _cvals,
-    _vals,
-    _views,
     ambient_curvature_on_jets,
     frame_jets,
     intrinsic_curvature_jets,
+    principal_curvatures,
     surface_point,
 )
 from .jets import Jet, _cauchy, _inv, _wedge, jeinsum, jet_space, seed_jets
@@ -151,64 +150,6 @@ def _tr_ii_bilinear(V, kappa, B):
     return np.einsum("...i,...ia,...ib,...ab->...", kappa, V, V, B)
 
 
-def _principal_directions(first, second, alpha, lam_hint=None):
-    """Principal curvatures and g-orthonormal eigenvectors of A.
-
-    Returns (lam, E, eps, valid) with E[..., i, :] the direction for lam[..., i]
-    and eps the signs g(E_i, E_i).  The non-symmetric fallback (indefinite g)
-    marks points with complex or null-direction spectra invalid.
-    """
-    g = np.asarray(first, dtype=float)
-    ii = np.asarray(second, dtype=float)
-    single = g.ndim == 2
-    if single:
-        g, ii, alpha = g[None], ii[None], np.atleast_1d(alpha)
-    n, m, _ = g.shape
-    lam = np.full((n, m), np.nan)
-    E = np.full((n, m, m), np.nan)
-    eps = np.ones((n, m))
-    valid = np.zeros(n, dtype=bool)
-    evg = np.linalg.eigvalsh(g)
-    pos = evg[:, 0] > 0
-    neg = evg[:, -1] < 0
-    for mask, sign in ((pos, 1.0), (neg, -1.0)):
-        if not np.any(mask):
-            continue
-        L = np.linalg.cholesky(sign * g[mask])
-        Mred = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, ii[mask]), -1, -2))
-        mu, y = np.linalg.eigh(Mred)
-        vecs = np.swapaxes(np.linalg.solve(np.swapaxes(L, -1, -2), y), -1, -2)
-        lam[mask] = alpha[mask, None] * mu * sign
-        E[mask] = vecs
-        eps[mask] = sign
-        valid[mask] = True
-    indef = ~(pos | neg)
-    if np.any(indef):
-        a_mat = alpha[indef, None, None] * np.einsum(
-            "nij,njk->nik", np.linalg.inv(g[indef]), ii[indef]
-        )
-        ev, vec = np.linalg.eig(a_mat)
-        scale = 1.0 + np.max(np.abs(ev.real), axis=-1)
-        real = np.max(np.abs(ev.imag), axis=-1) <= 1e-10 * scale
-        lam_i = ev.real
-        vec = np.real(np.swapaxes(vec, -1, -2))
-        gvv = np.einsum("nia,nab,nib->ni", vec, g[indef], vec)
-        nonnull = np.min(np.abs(gvv), axis=-1) > 1e-10
-        okm = real & nonnull
-        norm = np.sqrt(np.abs(np.where(np.abs(gvv) > 1e-300, gvv, 1.0)))
-        lam[indef] = lam_i
-        E[indef] = vec / norm[:, :, None]
-        eps[indef] = np.sign(gvv)
-        valid[indef] = okm
-    order = np.argsort(lam, axis=-1)
-    lam = np.take_along_axis(lam, order, axis=-1)
-    E = np.take_along_axis(E, order[:, :, None], axis=1)
-    eps = np.take_along_axis(eps, order, axis=-1)
-    if single:
-        return lam[0], E[0], eps[0], valid[0]
-    return lam, E, eps, valid
-
-
 def _divergence_form(w, comps):
     """(1/W)·Σ_i ∂_i(W·comps^i) at the base point, for coefficient arrays
     w (n_mono, *batch) at order 1 and comps (n_mono, m, *batch)."""
@@ -222,7 +163,7 @@ def _ii_machine(b: _SurfaceJets):
     the divergence form reads one derivative, Γ_II one order below II."""
     m = b.imm.param_dim
     space = jet_space(m, min(b.order - 2, 1))
-    ii = b.coeffs["II"][: space.n]
+    ii = b.II[: space.n]
     det_ii = _wedge(space, [ii[:, :, j] for j in range(m)])
     w = Jet(space, det_ii * np.sign(det_ii[0])).sqrt().coeffs
     return space, _inv(space, ii), w
@@ -260,12 +201,11 @@ def _ii_geometry_from(data, b, m, batched, on_error):
             raise DegenerateII(f"|det II| < {II_DET_FLOOR} at {int(np.sum(degenerate))} point(s)")
 
     sp1, ii_inv, w = _ii_machine(b)
-    gamma_ii = amb.christoffel_jets(b.II, _views(sp1, ii_inv, 2))
-    gamma_g, r_g = intrinsic_curvature_jets(b.g, b.ginv)
+    curv_ii = amb._curvature_chain(b.space(b.II), b.II, ii_inv)
+    curv_g = intrinsic_curvature_jets(b)
 
-    gamma_ii_val = _vals(gamma_ii, batched)
-    gamma_g_val = _vals(gamma_g, batched)
-    L = gamma_ii_val - gamma_g_val
+    gamma_ii_val = _cvals(curv_ii.gamma, batched)
+    L = gamma_ii_val - _cvals(curv_g.gamma, batched)
 
     V, kappa, frame_ok = _ii_orthonormal_frame(ii_val, np.max(np.abs(ii_val), axis=(-1, -2)))
     valid &= frame_ok
@@ -274,7 +214,7 @@ def _ii_geometry_from(data, b, m, batched, on_error):
         raise DegenerateII("II-orthonormal frame construction failed")
 
     # metricity of ∇^II (a plumbing check: holds to roundoff by construction)
-    dii = _cvals(amb._grad(b.coeffs["II"][: sp1.n], sp1), batched)  # [..., k, i, j] = ∂_k II_ij
+    dii = _cvals(amb._grad(b.II[: sp1.n], sp1), batched)  # [..., k, i, j] = ∂_k II_ij
     nab_ii = (
         dii
         - np.einsum("...ski,...sj->...kij", gamma_ii_val, ii_val)
@@ -286,13 +226,12 @@ def _ii_geometry_from(data, b, m, batched, on_error):
     tr_l = np.einsum("...i,...ia,...ib,...kab->...k", kappa, V, V, L)
 
     # ambient curvature along the patch, at the order the Z field reads
-    riem_bar, ric_bar, sbar = ambient_curvature_on_jets(b.imm.ambient, b.x, b.gbar)
-    riem_c = amb._stack(riem_bar, 1)
-    z = _z_field(b, riem_c, ii_inv)
+    riem_bar, ric_bar, sbar = ambient_curvature_on_jets(b.imm.ambient, sp1, b.x, b.gbar)
+    z = _z_field(b, riem_bar, ii_inv)
     z_val = _cvals(z, batched)
 
     # Δ_II log|det A| and div_II Z via the divergence form
-    f_log = b.detA.log_abs()
+    f_log = Jet(b.space(b.detA), b.detA).log_abs()
     grad_log = jeinsum(sp1, "ij...,j...->i...", ii_inv, amb._grad(f_log.coeffs, f_log.space))
     lap_log_det_a = _divergence_form(w, grad_log)
     div_z = _divergence_form(w, z)
@@ -302,7 +241,7 @@ def _ii_geometry_from(data, b, m, batched, on_error):
     tail = 0.25 * alpha * lap_log_det_a - 0.5 * alpha * div_z
 
     # variational head: tr_II of B(X,Y) = ḡ(R̄(X,U)Y,U)
-    rb = _cvals(riem_c, batched)
+    rb = _cvals(riem_bar, batched)
     tv, uv = data.tangent, data.normal
     # R̄(·,U,·,U) first; pairwise contractions, no path search per call
     r_uu = np.einsum("...abc,...b->...ac", np.einsum("...abcf,...f->...abc", rb, uv), uv)
@@ -310,7 +249,7 @@ def _ii_geometry_from(data, b, m, batched, on_error):
     h_var = 0.5 * (m * h - _tr_ii_bilinear(V, kappa, B)) + tail
 
     # principal head: Σ K̄(E_i,U)/λ_i with eigenvalue clusters merged
-    lam, E, eps_dir, prin_ok = _principal_directions(data.first, ii_val, alpha)
+    lam, E, eps_dir, prin_ok = principal_curvatures(data.first, ii_val, alpha)
     scale = 1.0 + np.max(np.abs(lam), axis=-1, keepdims=True)
     lam_grouped = _group_eigenvalues(lam, PRINCIPAL_GAP * scale)
     e_amb = np.einsum("...ik,...ka->...ia", E, tv)
@@ -320,19 +259,15 @@ def _ii_geometry_from(data, b, m, batched, on_error):
         h_prin = 0.5 * (m * h - np.sum(kbar / lam_grouped, axis=-1)) + tail
 
     # contracted-Gauss head: needs tr_II of ambient and intrinsic Ricci
-    ric_bar_val = _vals(ric_bar, batched)
+    ric_bar_val = _cvals(ric_bar, batched)
     t_ric_b = np.einsum("...ab,...ia,...jb->...ij", ric_bar_val, tv, tv)
     tr_ii_ricbar = _tr_ii_bilinear(V, kappa, t_ric_b)
-    ginv_val = _guarded_inv(data.first, ~valid)
-    ric_g = np.einsum("...ik,...ijkl->...jl", ginv_val, _vals(r_g, batched))
-    tr_ii_ric = _tr_ii_bilinear(V, kappa, ric_g)
-    scal_g = np.einsum("...jl,...jl->...", ginv_val, ric_g)
+    tr_ii_ric = _tr_ii_bilinear(V, kappa, _cvals(curv_g.ric, batched))
+    scal_g = _cvals(curv_g.scal, batched)
     h_gauss = -0.5 * alpha * (tr_ii_ricbar - tr_ii_ric + alpha * (m * m - 2 * m) * h) + tail
 
     # intrinsic scalar curvature of (M, II)
-    r_ii = amb.riemann_lower_jets(b.II, gamma_ii)
-    ric_ii = np.einsum("...ik,...ijkl->...jl", _guarded_inv(ii_val, ~valid), _vals(r_ii, batched))
-    s_ii = _tr_ii_bilinear(V, kappa, ric_ii)
+    s_ii = _tr_ii_bilinear(V, kappa, _cvals(curv_ii.ric, batched))
 
     # II(L,L) = Σ (II(L(V_i,V_j),V_k))²
     lvv = np.einsum("...kab,...ia,...jb->...ijk", L, V, V)
@@ -360,7 +295,7 @@ def _ii_geometry_from(data, b, m, batched, on_error):
         tr_ii_ricbar=_mask(tr_ii_ricbar, nanify),
         tr_ii_ric=_mask(tr_ii_ric, nanify),
         scal_g=_mask(scal_g, nanify),
-        sbar=np.asarray(sbar.value),
+        sbar=sbar[0],
         metricity_residual=metricity,
         principal_valid=prin_ok & valid,
         valid=valid,
@@ -413,7 +348,7 @@ def _z_field(b: _SurfaceJets, riem_bar, ii_inv):
     drop out.  `riem_bar` and `ii_inv` are coefficient arrays.
     """
     space = jet_space(b.imm.param_dim, 1)
-    t, u = b.coeffs["t"], b.coeffs["U"]
+    t, u = b.t, b.U
     p = jeinsum(space, "ja...,jc...->ac...", jeinsum(space, "ij...,ia...->ja...", ii_inv, t), t)
     r_u = jeinsum(space, "abcf...,b...->acf...", riem_bar, u)
     w_t = jeinsum(space, "f...,lf...->l...", jeinsum(space, "acf...,ac...->f...", r_u, p), t)
@@ -432,8 +367,8 @@ def z_field_surface_alt(imm: Immersion, u) -> np.ndarray:
         raise GeometryError("alternate Z formula needs a surface in a 3-dim ambient")
     data = surface_point(imm, u, order=2)
     b = data._bundle
-    _, ric_bar, _ = ambient_curvature_on_jets(imm.ambient, b.x, b.gbar)
-    ric_val = _vals(ric_bar, b.batched)
+    _, ric_bar, _ = ambient_curvature_on_jets(imm.ambient, jet_space(2, 0), b.x, b.gbar)
+    ric_val = _cvals(ric_bar, b.batched)
     rhs = np.einsum("...ab,...a,...ib->...i", ric_val, data.normal, data.tangent)
     z0 = np.linalg.solve(data.second, rhs[..., None])[..., 0]
     az0 = np.einsum("...kj,...j->...k", data.shape, z0)
@@ -472,11 +407,10 @@ def div_ii(imm: Immersion, X: Callable, u) -> np.ndarray:
 
 def _connections_on_path(imm: Immersion, pts):
     """(Γ_g, Γ_II) values at a batch of parameter points."""
-    u_jets = seed_jets(pts, imm.param_dim, 3)
-    b = frame_jets(imm, u_jets, check_two_routes=False)
-    gamma_g = amb.christoffel_jets(b.g)
-    gamma_ii = amb.christoffel_jets(b.II)
-    return _vals(gamma_g, True), _vals(gamma_ii, True)
+    b = frame_jets(imm, seed_jets(pts, imm.param_dim, 3), check_two_routes=False)
+    gamma_g = amb._curvature_chain(b.space(b.g), b.g, b.ginv).gamma
+    gamma_ii = amb._curvature_chain(b.space(b.II), b.II).gamma
+    return _cvals(gamma_g, True), _cvals(gamma_ii, True)
 
 
 def transport_holonomy_probe(imm: Immersion, curve: Callable, v, eps: float, n_steps: int = 32):
@@ -624,7 +558,7 @@ def brioschi_gauss_curvature(imm: Immersion, u, which: str = "second") -> np.nda
     u_jets = seed_jets(u, 2, 4)
     b = frame_jets(imm, u_jets, check_two_routes=False)
     form = b.II if which == "second" else b.g
-    E, F, G = form[0, 0], form[0, 1], form[1, 1]
+    E, F, G = (Jet(b.space(form), form[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
 
     def d(jet, *vs):
         for v_ in vs:

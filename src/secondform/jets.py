@@ -37,13 +37,17 @@ state, calls these two directly: the tensor axes after the monomial axis
 broadcast like batch axes and count as points for the path choice.
 
 :func:`jeinsum` is the Cauchy product for coefficient arrays with tensor
-axes, contracted by ``np.einsum``; tensor-valued jets (the ambient curvature
-tensors, the fundamental-form frame) use it instead of object arrays of
-jets.  Its tensor axes are contracted inside each einsum call, so only its
-batch axes count as points.  On such arrays ``_inv`` inverts a matrix by the
-finite Neumann series on its nilpotent part and ``_wedge`` contracts vectors
-into the Levi-Civita symbol (normal covectors, determinants), both
-branch-free.
+axes, contracted by ``np.einsum``; every tensor-valued jet in the package
+(chart metrics and Christoffel symbols, the curvature chain, the
+fundamental-form frame) is such an array.  Its tensor axes are contracted
+inside each einsum call, so only its batch axes count as points.  On such
+arrays ``_inv`` inverts a matrix by the finite Neumann series on its
+nilpotent part, ``_wedge`` contracts vectors into the Levi-Civita symbol
+(normal covectors, determinants), both branch-free, and :func:`compose`
+evaluates a Taylor expansion with tensor axes on jet-valued displacements.
+:func:`jinv` and :func:`jdet`, on object arrays of jets, are the adjugate
+and Laplace-expansion reference forms the tests hold ``_inv`` and
+``_wedge`` to.
 
 Conventions
 -----------
@@ -68,12 +72,8 @@ __all__ = [
     "seed_jets",
     "as_jet",
     "compose",
-    "jdot",
-    "jmatvec",
-    "jmatmul",
     "jdet",
     "jinv",
-    "jtrace",
     "jeinsum",
 ]
 
@@ -542,83 +542,42 @@ def as_jet(value, like: Jet) -> Jet:
     return Jet.constant(like.space, np.broadcast_to(np.asarray(value, dtype=float), like.batch_shape))
 
 
-def compose(outer: Jet, displacements) -> Jet:
-    """Evaluate `outer` (a Taylor polynomial) on jet-valued displacements.
+def compose(space: JetSpace, outer: np.ndarray, disp: np.ndarray) -> np.ndarray:
+    """Evaluate Taylor polynomials on jet-valued displacements.
 
-    `displacements` must have zero constant term; the result is the jet of
-    the composed function, exact up to the common truncation order.
+    `outer` holds the monomial coefficients of polynomials in
+    ``disp.shape[1]`` variables, shape (n_outer, *tensor, *batch), at any
+    order; `disp` is a coefficient array (space.n, nvars, *batch) with zero
+    constant term, whose batch axes `outer` shares.  Returns the composed
+    jets (space.n, *tensor, *batch), exact to the order of `space`.  The
+    displacement power products are built once, one gathered product per
+    degree, and shared by every tensor entry.
     """
-    space = outer.space
-    if len(displacements) != space.nvars:
-        raise ValueError("wrong number of displacement jets")
-    target = displacements[0].space
-    prods = {0: None}  # monomial index -> jet of the power product (None = 1)
-    out = Jet.constant(target, 0.0)
-    for k, mono in enumerate(space.monomials):
-        if k == 0:
-            prod = None
-        else:
-            v = next(i for i, a in enumerate(mono) if a > 0)
-            parent = tuple(a - (1 if i == v else 0) for i, a in enumerate(mono))
-            pprod = prods[space.index[parent]]
-            prod = displacements[v] if pprod is None else pprod * displacements[v]
-            prods[k] = prod
-        c = outer.coeffs[k]
-        if np.all(c == 0.0):
+    nvars = disp.shape[1]
+    monos = jet_space(nvars, space.order).monomials[: outer.shape[0]]
+    index = {mono: k for k, mono in enumerate(monos)}
+    disp = disp[: space.n]
+    batch = disp.shape[2:]
+    powers = np.zeros((space.n, len(monos)) + batch)  # powers[:, k] = disp^monos[k]
+    powers[0, 0] = 1.0
+    for deg in range(1, space.order + 1):
+        ks = [k for k, mono in enumerate(monos) if sum(mono) == deg]
+        if not ks:
+            break
+        vs = [next(i for i, a in enumerate(monos[k]) if a > 0) for k in ks]
+        if deg == 1:
+            powers[:, ks] = disp[:, vs]
             continue
-        out = out + c if prod is None else out + prod * c
-    return out
+        parents = [index[tuple(a - (i == v) for i, a in enumerate(monos[k]))] for k, v in zip(ks, vs)]
+        powers[:, ks] = _cauchy(space, powers[:, parents], disp[:, vs])
+    outer = outer[: len(monos)]
+    tensor = outer.shape[1 : outer.ndim - len(batch)]
+    flat = outer.reshape((len(monos), math.prod(tensor)) + outer.shape[outer.ndim - len(batch) :])
+    out = np.einsum("Zk...,kt...->Zt...", powers, flat)
+    return out.reshape((space.n,) + tensor + out.shape[2:])
 
 
-# -- small linear algebra over object arrays of jets ------------------------
-
-
-def _obj(shape):
-    return np.empty(shape, dtype=object)
-
-
-def jdot(g, v, w):
-    """Σ g[a][b] v[a] w[b] for an object matrix g and jet vectors v, w."""
-    d = len(v)
-    total = None
-    for a in range(d):
-        for b in range(d):
-            term = g[a, b] * v[a] * w[b]
-            total = term if total is None else total + term
-    return total
-
-
-def jmatvec(mat, v):
-    d0, d1 = mat.shape
-    out = _obj(d0)
-    for i in range(d0):
-        acc = None
-        for j in range(d1):
-            term = mat[i, j] * v[j]
-            acc = term if acc is None else acc + term
-        out[i] = acc
-    return out
-
-
-def jmatmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = _obj((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = None
-            for s in range(k):
-                term = a[i, s] * b[s, j]
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
-
-
-def jtrace(a):
-    acc = None
-    for i in range(a.shape[0]):
-        acc = a[i, i] if acc is None else acc + a[i, i]
-    return acc
+# -- reference forms on object arrays of jets --------------------------------
 
 
 def jdet(a):
@@ -644,7 +603,7 @@ def jinv(a):
     n = a.shape[0]
     det = jdet(a)
     inv_det = det.reciprocal() if isinstance(det, Jet) else 1.0 / det
-    out = _obj((n, n))
+    out = np.empty((n, n), dtype=object)
     if n == 1:
         out[0, 0] = inv_det
         return out

@@ -188,8 +188,6 @@ class SeriesCoefficients:
     m: int
     bracket_prefactor: bool = False
     log_coeff: float = 0.0
-    center: Optional[np.ndarray] = None
-    direction: Optional[np.ndarray] = None
 
     def evaluate(self, r: float):
         r = float(r)

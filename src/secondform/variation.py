@@ -27,9 +27,17 @@ from .errors import (
     LeftEpsilonClass,
     SingularShapeOperator,
 )
-from .hypersurface import Immersion, frame_jets, resolved_orientation, surface_point
+from .hypersurface import (
+    Immersion,
+    _cvals,
+    ambient_curvature_on_jets,
+    frame_jets,
+    intrinsic_curvature_jets,
+    resolved_orientation,
+    surface_point,
+)
 from .iigeom import ii_geometry
-from .jets import seed_jets
+from .jets import Jet, jet_space, seed_jets
 
 __all__ = [
     "QuadratureGrid",
@@ -256,12 +264,13 @@ def _deformed_family(base: Immersion, f: Callable, mode: str):
                 cache[order] = entry
             _, b, amp = entry
             scaled = amp * s
+            x = [Jet(b.space(b.x), b.x[:, a]) for a in range(dim)]
+            w = [scaled * Jet(b.space(b.U), b.U[:, a]) for a in range(dim)]
             if mode == "chart_linear":
-                out = [b.x[a] + scaled * b.U[a] for a in range(dim)]
+                out = [x[a] + w[a] for a in range(dim)]
             else:
                 # x at order k+1, w = s·f·U at order k (the normal costs one)
-                w = [scaled * b.U[a] for a in range(dim)]
-                out, _ = exp_map(base.ambient, b.x, w, n_steps=64)
+                out, _ = exp_map(base.ambient, x, w, n_steps=64)
             return [o.truncate(order) for o in out]
 
         return Immersion(
@@ -356,21 +365,18 @@ def second_form_variation_check(
     imm: Immersion, f: Callable, u, i: int, j: int, s_ladder=(1e-3, 5e-4)
 ):
     """d/ds II(μ_s)(∂_i,∂_j) vs α f (ḡ(R̄(U,∂_i)U,∂_j) − III(∂_i,∂_j)) + Hess_f(∂_i,∂_j)."""
-    from .hypersurface import ambient_curvature_on_jets, intrinsic_curvature_jets, _vals
-
     u = np.asarray(u, dtype=float)
     data = surface_point(imm, u, order=3)
     b = data._bundle
     m = imm.param_dim
 
-    riem_bar, _, _ = ambient_curvature_on_jets(imm.ambient, b.x, b.gbar)
-    rb = _vals(riem_bar, b.batched)
+    riem_bar, _, _ = ambient_curvature_on_jets(imm.ambient, jet_space(m, 0), b.x, b.gbar)
+    rb = _cvals(riem_bar, b.batched)
     curv_term = np.einsum(
         "...abcf,...a,...b,...c,...f->...",
         rb, data.normal, data.tangent[..., i, :], data.normal, data.tangent[..., j, :],
     )
-    gamma_g, _ = intrinsic_curvature_jets(b.g)
-    gam = _vals(gamma_g, b.batched)
+    gam = _cvals(intrinsic_curvature_jets(b).gamma, b.batched)
     u_jets = seed_jets(u, m, 2)
     fj = f(u_jets)
     hess = np.asarray(fj.partial(i).partial(j).value) - sum(

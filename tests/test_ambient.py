@@ -77,27 +77,23 @@ def cov_deriv_oracle(t, gamma, d):
 
 def object_route_derivatives(chart, x):
     """∇R̄, ∇²R̄, ∇Ric̄, ∇²Ric̄ and Hess S̄ at order 2, entry by entry over jets."""
-    from secondform.ambient import _values, christoffel_jets, metric_jets, ricci_jets, riemann_lower_jets
-    from secondform.jets import jinv, seed_jets
+    from jet_oracles import chain_oracle, metric_obj, values
+
+    from secondform.jets import seed_jets
 
     d = chart.dim
-    g = metric_jets(chart, seed_jets(x, d, 4))
-    ginv = jinv(g)
-    gamma = christoffel_jets(g)
-    riem = riemann_lower_jets(g, gamma)
-    ric = ricci_jets(ginv, riem)
-    scal = sum(ginv[j, l] * ric[j, l] for j in range(d) for l in range(d))
+    _, gamma, riem, ric, scal = chain_oracle(metric_obj(chart, seed_jets(x, d, 4)))
     grad_s = np.empty(d, dtype=object)
     for i in range(d):
         grad_s[i] = scal.partial(i)
     nabla_r = cov_deriv_oracle(riem, gamma, d)
     nabla_ric = cov_deriv_oracle(ric, gamma, d)
     return {
-        "nabla_riem": _values(nabla_r),
-        "nabla2_riem": _values(cov_deriv_oracle(nabla_r, gamma, d)),
-        "nabla_ricci": _values(nabla_ric),
-        "nabla2_ricci": _values(cov_deriv_oracle(nabla_ric, gamma, d)),
-        "hess_scalar": _values(cov_deriv_oracle(grad_s, gamma, d)),
+        "nabla_riem": values(nabla_r),
+        "nabla2_riem": values(cov_deriv_oracle(nabla_r, gamma, d)),
+        "nabla_ricci": values(nabla_ric),
+        "nabla2_ricci": values(cov_deriv_oracle(nabla_ric, gamma, d)),
+        "hess_scalar": values(cov_deriv_oracle(grad_s, gamma, d)),
     }
 
 
@@ -121,13 +117,13 @@ class TestChristoffel:
         assert_allclose(christoffel(chart, x), christoffel_fd_oracle(chart, x), atol=1e-7)
 
     def test_closed_form_gamma_agrees_with_metric_derived(self):
+        from secondform.ambient import _stack_list
         from secondform.jets import seed_jets
-        from secondform.ambient import _values
 
         for chart in (space_form(3, 1.0), space_form(3, -1.0), registry_chart("bumpy_e3")):
             x = np.array([0.2, -0.1, 0.3])
-            jets = seed_jets(x, chart.dim, 0)
-            closed = _values(np.asarray(chart.christoffel_jets_fn(jets), dtype=object))
+            space, xc = _stack_list(seed_jets(x, chart.dim, 0))
+            closed = chart.christoffel_jets_fn(space, xc)[0]
             assert_allclose(closed, christoffel(chart, x), atol=1e-11)
 
     def test_out_of_domain(self):
@@ -258,13 +254,14 @@ class TestCurvatureJet:
 
     def test_taylor_matches_nested_central_differences(self):
         # second metric derivative of the bumpy chart vs nested differences
+        from jet_oracles import metric_obj
+
         from secondform.jets import seed_jets
-        from secondform.ambient import metric_jets
 
         chart = registry_chart("bumpy_e3")
         x = np.array([0.25, -0.15, 0.05])
         jets = seed_jets(x, 3, 4)
-        g = metric_jets(chart, jets)
+        g = metric_obj(chart, jets)
         h = 1e-3
 
         def g00(pt):
@@ -391,7 +388,8 @@ def test_insufficient_smoothness_guard():
 def test_taylor_derivatives_match_fd_on_all_model_charts():
     # first and second metric derivatives vs central differences, 5 random
     # points per model chart
-    from secondform.ambient import metric_jets
+    from jet_oracles import metric_obj
+
     from secondform.jets import seed_jets
 
     rng = np.random.default_rng(123)
@@ -406,7 +404,7 @@ def test_taylor_derivatives_match_fd_on_all_model_charts():
         for _ in range(5):
             x = rng.uniform(-0.25, 0.25, size=chart.dim)
             jets = seed_jets(x, chart.dim, 2)
-            g = metric_jets(chart, jets)
+            g = metric_obj(chart, jets)
             h = 1e-4
             for i in range(chart.dim):
                 xp, xm = x.copy(), x.copy()
@@ -455,13 +453,13 @@ def test_geodesic_default_arguments_with_halving_check():
 def list_rk4_oracle(chart, x0_jets, w_jets, n_steps):
     """The RK4 exp_map ran before it moved to coefficient arrays: lists of d
     separate jets, with the acceleration −Γ^k_ab v^a v^b summed over a ≤ b
-    entry by entry from christoffel_on_jets."""
-    from secondform.ambient import christoffel_on_jets
+    entry by entry from the Christoffel symbols at the jet positions."""
+    from jet_oracles import christoffel_on_jets_oracle
 
     d = chart.dim
 
     def rhs(x, v):
-        gamma = christoffel_on_jets(chart, x)
+        gamma = christoffel_on_jets_oracle(chart, x)
         acc = []
         for k in range(d):
             total = None

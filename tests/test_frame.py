@@ -16,7 +16,9 @@ from secondform import jets
 from secondform.errors import GeometryError
 from secondform.hypersurface import Immersion, frame_jets, standard_immersion
 from secondform.iigeom import ii_geometry, sphere_inequality_report
-from secondform.jets import Jet, jdet, jdot, jinv, jmatvec, seed_jets
+from secondform.jets import Jet, jdet, jinv, seed_jets
+
+from jet_oracles import christoffel_on_jets_oracle, coeffs, jdot, jmatvec, metric_obj
 
 
 def _generalized_cross(t, d):
@@ -55,7 +57,7 @@ def frame_oracle(imm, u_jets):
         for a in range(d):
             t[i, a] = x[a].partial(i)
     order = space.order
-    gbar = amb.metric_jets(imm.ambient, [xa.truncate(order - 1) for xa in x])
+    gbar = metric_obj(imm.ambient, [xa.truncate(order - 1) for xa in x])
     gbar_inv = jinv(gbar)
     g = np.empty((m, m), dtype=object)
     for i in range(m):
@@ -68,7 +70,7 @@ def frame_oracle(imm, u_jets):
     alpha = np.sign(np.asarray(nn.value))
     inv_len = nn.sqrt_abs().reciprocal()
     U = np.array([N[a] * inv_len for a in range(d)], dtype=object)
-    gamma_bar = amb.christoffel_on_jets(imm.ambient, [xa.truncate(order - 2) for xa in x])
+    gamma_bar = christoffel_on_jets_oracle(imm.ambient, [xa.truncate(order - 2) for xa in x])
     ii = np.empty((m, m), dtype=object)
     for i in range(m):
         for j in range(m):
@@ -134,15 +136,6 @@ def _points(imm, n, seed):
     return u[0] if n == 0 else u
 
 
-def _coeffs(obj):
-    arr = np.asarray(obj, dtype=object)
-    flat = [e.coeffs for e in arr.ravel()]
-    batch = np.broadcast_shapes(*(c.shape[1:] for c in flat))
-    flat = [np.broadcast_to(c.reshape(c.shape[:1] + (1,) * (len(batch) + 1 - c.ndim) + c.shape[1:]),
-                            c.shape[:1] + batch) for c in flat]
-    return np.stack(flat, axis=1).reshape((flat[0].shape[0],) + arr.shape + batch)
-
-
 # batch () is one point; 153 points take the gathered products, 600 the row
 # loop; one order-4 wide-batch case keeps the suite short
 ORACLE_RUNS = [
@@ -162,8 +155,8 @@ def test_stacked_frame_matches_object_oracle(case, order, n_points):
     old = frame_oracle(imm, u_jets)
     assert_allclose(new.alpha, old["alpha"], rtol=0, atol=0)
     for name in ("t", "gbar_inv", "g", "ginv", "U", "II", "A", "detA", "H"):
-        got = _coeffs(getattr(new, name))
-        want = _coeffs(old[name])[: got.shape[0]]  # the stacked frame may keep fewer orders
+        got = getattr(new, name)
+        want = coeffs(old[name])[: got.shape[0]]  # the stacked frame may keep fewer orders
         scale = np.max(np.abs(want))
         assert_allclose(got, want, rtol=0, atol=1e-12 * scale, err_msg=name)
 
@@ -171,12 +164,13 @@ def test_stacked_frame_matches_object_oracle(case, order, n_points):
 def test_frame_orders_follow_their_readers():
     imm = CASES["ovaloid_e3"]()
     b = frame_jets(imm, seed_jets(_points(imm, 5, 0), 2, 4))
-    assert b.t[0, 0].space.order == 3 and b.U[0].space.order == 3
-    assert b.g[0, 0].space.order == 2 and b.ginv[0, 0].space.order == 2
-    assert b.II[0, 0].space.order == 2 and b.detA.space.order == 2
-    assert b.gbar_inv[0, 0].space.order == 0  # read as values only
+    assert b.space(b.t).order == 3 and b.space(b.U).order == 3
+    assert b.space(b.g).order == 2 and b.space(b.ginv).order == 2
+    assert b.space(b.II).order == 2 and b.space(b.detA).order == 2
+    assert b.space(b.gbar_inv).order == 0  # read as values only
     # at order 3 (Gauss–Codazzi) g keeps the two derivatives its curvature reads
-    assert frame_jets(imm, seed_jets(_points(imm, 5, 0), 2, 3)).g[0, 0].space.order == 2
+    b3 = frame_jets(imm, seed_jets(_points(imm, 5, 0), 2, 3))
+    assert b3.space(b3.g).order == 2
 
 
 def count_jet_multiplies(monkeypatch):
@@ -227,9 +221,9 @@ def test_shape_operator_routes_still_guard():
     # a Γ̄ that is not the metric's connection breaks A = −∇̄U against II via ∇̄∂∂
     chart = amb.space_form(3, 1.0)
 
-    def gamma(x):
-        out = chart.christoffel_jets_fn(x)
-        out[0, 1, 1] = out[0, 1, 1] + 0.1
+    def gamma(space, x):
+        out = chart.christoffel_jets_fn(space, x)
+        out[0, 0, 1, 1] += 0.1
         return out
 
     imm = replace(standard_immersion("small_sphere_in_sphere", geodesic_radius=0.7),
@@ -249,14 +243,14 @@ def test_stacked_inverse_and_determinant_match_object_forms():
             for j in range(p):
                 obj[i, j] = Jet(space, c[:, i, j])
         inv = jets._inv(space, c)
-        want = _coeffs(jinv(obj))
+        want = coeffs(jinv(obj))
         assert_allclose(inv, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
         v = rng.normal(size=(space.n, p) + batch)
         assert_allclose(
             jets._inv(space, c, v), jets.jeinsum(space, "ik...,k...->i...", inv, v), rtol=0, atol=1e-12 * np.max(np.abs(want))
         )
         det = jets._wedge(space, [c[:, :, j] for j in range(p)])
-        want_det = _coeffs(np.array([jdet(obj)], dtype=object))[:, 0] if p > 1 else c[:, 0, 0]
+        want_det = coeffs(np.array([jdet(obj)], dtype=object))[:, 0] if p > 1 else c[:, 0, 0]
         assert_allclose(det, want_det, rtol=0, atol=1e-13 * np.max(np.abs(want_det)))
 
 

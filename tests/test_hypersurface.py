@@ -275,3 +275,32 @@ class TestPropertyBased:
         assert_allclose(b.mean, a.mean, atol=1e-9)
         assert_allclose(b.detA, a.detA, atol=1e-9)
         assert_allclose(np.sort(b.lam), np.sort(a.lam), atol=1e-9)
+
+
+def test_timelike_surface_principal_curvatures_nan_exactly_at_complex_pairs():
+    # z = h(t, y) in Minkowski 3-space: g ≈ diag(−1, 1) and II ≈ Hess h, so
+    # h = c·t·y gives A ≈ [[0, −c], [c, 0]] (a complex pair) and h = a·t² + b·y²
+    # a real spectrum
+    from secondform.ambient import flat_chart
+    from secondform.hypersurface import Immersion, principal_curvatures
+
+    chart = flat_chart(3, index=1)
+    box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    u = np.array([[0.1, 0.2], [-0.2, 0.05]])
+    twisted = Immersion(chart, 2, lambda v: [v[0], v[1], v[0] * v[1] * 0.5], *box)
+    data = surface_point(twisted, u, order=2)
+    ev = np.linalg.eigvalsh(data.first)
+    assert np.all(ev[:, 0] < 0) and np.all(ev[:, 1] > 0)  # indefinite g
+    assert np.all(np.isnan(data.lam))
+    lam, _, _, valid = principal_curvatures(data.first, data.second, data.alpha)
+    assert not np.any(valid) and np.all(np.isnan(lam))
+
+    bowl = Immersion(chart, 2, lambda v: [v[0], v[1], v[0] * v[0] * 0.3 + v[1] * v[1] * 0.2], *box)
+    data = surface_point(bowl, u, order=2)
+    assert np.all(np.isfinite(data.lam))
+    lam, E, eps, valid = principal_curvatures(data.first, data.second, data.alpha)
+    assert np.all(valid)
+    assert_allclose(lam, data.lam, rtol=0, atol=0)
+    # g-orthonormal eigenvectors of A with g(E_i, E_i) = eps_i
+    assert_allclose(np.einsum("nia,nab,njb->nij", E, data.first, E), eps[:, :, None] * np.eye(2)[None], atol=1e-12)
+    assert_allclose(np.einsum("nab,nib->nia", data.shape, E), lam[:, :, None] * E, atol=1e-12)

@@ -163,12 +163,14 @@ class TestIIOperators:
             return uj[0].sin() * uj[1].cos()
 
         # hand-build the II-gradient field and push through div_ii
+        from jet_oracles import views
+
         from secondform.hypersurface import frame_jets
         from secondform.jets import jinv
 
         def grad_f(uj):
             b = frame_jets(imm, uj, check_two_routes=False)
-            ii_inv = jinv(b.II)
+            ii_inv = jinv(views(b.space(b.II), b.II, 2))
             fj = f(uj)
             return [
                 sum_jets([ii_inv[i, j] * fj.partial(j) for j in range(2)]) for i in range(2)
