@@ -566,7 +566,10 @@ def _christoffel_rhs(chart: MetricChart, space, x, v):
     return -jeinsum(space, "kab...,ab...->k...", christoffel_on_jets(chart, space, x), vv)
 
 
-def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, domain_checks: bool = True):
+def exp_map(
+    chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, domain_checks: bool = True,
+    stops=None,
+):
     """Endpoint of the geodesic with initial position x0 and velocity w at t=1.
 
     Works on jets (so parameter derivatives of sphere charts flow through the
@@ -574,13 +577,23 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, domain_chec
     coefficient array of shape (n_mono, dim, *batch) each for position and
     velocity, at the lowest order of the inputs (as jet arithmetic combines
     them) and their broadcast batch; returns two lists of jets.
+
+    With `stops`, sorted fractions in (0, 1], the same path yields γ(t) at
+    every t in `stops`: it returns one (x, v) pair of lists per stop.  The
+    path keeps its fixed step 1/n_steps whatever the stops; a stop inside a
+    step is reached by one shorter RK4 step taken off the path, so
+    ``stops=(1.0,)`` gives ``[exp_map(...)]`` bit for bit.  The domain check
+    runs at every stop too.
     """
+    ts = (1.0,) if stops is None else tuple(float(t) for t in stops)
+    if not ts or ts[0] <= 0.0 or ts[-1] > 1.0 or any(a > b for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"stops must be sorted fractions in (0, 1], got {stops!r}")
     d = chart.dim
     space, xv = _stack_list(list(x0_jets) + list(w_jets))
     x, v = xv[:, :d], xv[:, d:]
     rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
-    h = 1.0 / n_steps
-    for step in range(n_steps):
+
+    def rk4(x, v, h):
         k1 = rhs(space, x, v)
         x2, v2 = x + v * (h / 2), v + k1 * (h / 2)
         k2 = rhs(space, x2, v2)
@@ -588,12 +601,25 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, domain_chec
         k3 = rhs(space, x3, v3)
         x4, v4 = x + v3 * h, v + k3 * h
         k4 = rhs(space, x4, v4)
-        x = x + (v + (v2 + v3) * 2.0 + v4) * (h / 6)
-        v = v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
-        if domain_checks and (step % 32 == 31 or step == n_steps - 1):
-            if not np.all(chart.contains(np.moveaxis(x[0], 0, -1))):
-                raise LeftDomain(f"geodesic left the domain of {chart.name}")
-    return [Jet(space, x[:, a]) for a in range(d)], [Jet(space, v[:, a]) for a in range(d)]
+        return x + (v + (v2 + v3) * 2.0 + v4) * (h / 6), v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
+
+    def check(x):
+        if domain_checks and not np.all(chart.contains(np.moveaxis(x[0], 0, -1))):
+            raise LeftDomain(f"geodesic left the domain of {chart.name}")
+
+    h = 1.0 / n_steps
+    done, ends = 0, []
+    for t in ts:
+        nodes = math.floor(t * n_steps)  # main-path steps before t
+        while done < nodes:
+            x, v = rk4(x, v, h)
+            done += 1
+            if done % 32 == 0:
+                check(x)
+        xt, vt = (x, v) if nodes == t * n_steps else rk4(x, v, t - nodes * h)
+        check(xt)
+        ends.append(tuple([Jet(space, c[:, a]) for a in range(d)] for c in (xt, vt)))
+    return ends[0] if stops is None else ends
 
 
 def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024, check: bool = True):

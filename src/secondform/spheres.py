@@ -19,6 +19,7 @@ honest metrics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -496,31 +497,115 @@ def _radial_frame(chart: MetricChart, n, e0=None):
     return orthonormal_frame(g, e0)
 
 
-def _check_radius(chart: MetricChart, r: float):
-    if r <= 0:
-        raise BadDirection("geodesic sphere needs r > 0")
-    if r >= chart.conjugate_radius - 1e-12:
-        raise ConjugatePoint(
-            f"radius {r} reaches the conjugate radius {chart.conjugate_radius:.6g}"
-        )
+def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps, kind):
+    """One immersion u ↦ exp_n(r·ξ(u)) per radius r in `radii`, for the
+    direction field given as ``direction_fn(u_jets, r)`` = r·ξ(u).
 
-
-def _exp_immersion(chart, n, direction_fn, m, lo, hi, hint, n_steps, descriptor):
+    The radii share one integration: w = r_max·ξ with stops r/r_max, so the
+    step is r_max/n_steps.  That integration is memoised per node set (batch
+    shape and seed values) at the highest jet order requested so far; a
+    lower order is its prefix slice on the monomial axis, served only when
+    the incoming u-jets equal the cached seeds' prefix.  Cached arrays are
+    read-only.
+    """
     n = np.asarray(n, dtype=float)
+    r_max = max(radii)
+    stops = sorted({r / r_max for r in radii})
+    memo: dict = {}
 
-    def map_fn(u_jets):
-        xi = direction_fn(u_jets)
-        space = u_jets[0].space
-        x0 = [Jet.constant(space, np.broadcast_to(n[a], u_jets[0].batch_shape).copy())
-              for a in range(chart.dim)]
+    def start(u_jets):
+        batch = u_jets[0].batch_shape
+        return [Jet.constant(u_jets[0].space, np.broadcast_to(n[a], batch).copy())
+                for a in range(chart.dim)]
+
+    def integrate(u_jets, r):
         if chart.is_flat:
+            x0, xi = start(u_jets), direction_fn(u_jets, r)
             return [x0[a] + xi[a] for a in range(chart.dim)]
-        out, _ = exp_map(chart, x0, xi, n_steps=n_steps)
+        space, seeds = amb._stack_list(u_jets)
+        key = (seeds.shape[2:], seeds[0].tobytes())
+        hit = memo.get(key)
+        if hit is None or len(hit[0]) < space.n or not np.array_equal(hit[0][: space.n], seeds):
+            xi = direction_fn(u_jets, r_max)
+            ends = exp_map(chart, start(u_jets), xi, n_steps=n_steps, stops=stops)
+            hit = (seeds, [[_read_only(j.coeffs) for j in x] for x, _ in ends])
+            if key not in memo or len(memo[key][0]) <= space.n:
+                memo[key] = hit
+        return [Jet(space, c[: space.n]) for c in hit[1][stops.index(r / r_max)]]
+
+    return [
+        Immersion(
+            ambient=chart, param_dim=m, map_fn=functools.partial(integrate, r=r),
+            param_lo=lo, param_hi=hi, grid_hint=hint,
+            descriptor={"kind": kind, "center": list(n), "r": r},
+        )
+        for r in radii
+    ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _check_radii(chart: MetricChart, radii):
+    if chart.index != 0:
+        raise UnsupportedSignature("geodesic spheres are built in Riemannian charts")
+    for r in radii:
+        if r <= 0:
+            raise BadDirection("geodesic sphere needs r > 0")
+        if r >= chart.conjugate_radius - 1e-12:
+            raise ConjugatePoint(
+                f"radius {r} reaches the conjugate radius {chart.conjugate_radius:.6g}"
+            )
+
+
+def _geodesic_spheres(chart: MetricChart, n, radii, n_steps: int):
+    """Whole geodesic spheres 𝒢_n(r) for each r in `radii`, one integration."""
+    _check_radii(chart, radii)
+    m = chart.dim - 1
+    frame = _radial_frame(chart, n)
+    lo, hi, hint = _sphere_param_box(m)
+
+    def direction_fn(u_jets, r):
+        omega = _unit_sphere_map(m, u_jets)
+        return [
+            sum_jets([omega[a] * (r * frame[a, i]) for a in range(m + 1)])
+            for i in range(chart.dim)
+        ]
+
+    return _exp_immersions(
+        chart, n, direction_fn, radii, m, lo, hi, hint, n_steps, "geodesic_sphere"
+    )
+
+
+def _geodesic_sphere_patches(
+    chart: MetricChart, n, radii, e0, n_steps: int, half_width: float = 0.4
+):
+    """Patches of 𝒢_n(r) around γ(r) = exp_n(r e₀) for each r in `radii`,
+    one integration."""
+    _check_radii(chart, radii)
+    m = chart.dim - 1
+    frame = _radial_frame(chart, n, np.asarray(e0, dtype=float))
+
+    def direction_fn(u_jets, r):
+        norm2 = None
+        for i in range(m):
+            t = u_jets[i] * u_jets[i]
+            norm2 = t if norm2 is None else norm2 + t
+        inv = (norm2 + 1.0).sqrt().reciprocal() * r
+        out = []
+        for a in range(chart.dim):
+            acc = Jet.constant(u_jets[0].space, frame[0, a])
+            for i in range(m):
+                acc = acc + u_jets[i] * frame[i + 1, a]
+            out.append(acc * inv)
         return out
 
-    return Immersion(
-        ambient=chart, param_dim=m, map_fn=map_fn, param_lo=lo, param_hi=hi,
-        descriptor=descriptor, grid_hint=hint,
+    lo = -half_width * np.ones(m)
+    hi = half_width * np.ones(m)
+    return _exp_immersions(
+        chart, n, direction_fn, radii, m, lo, hi, ("gl",) * m, n_steps, "geodesic_sphere_patch"
     )
 
 
@@ -531,29 +616,15 @@ def geodesic_sphere(
     parameter box, with the inward normal selected by the orientation rule.
 
     The map integrates the geodesic equation in jet arithmetic (RK4, fixed
-    step r/n_steps); for r ≲ 1 and the default step count, the endpoint error
-    sits around 1e−12, far below every tolerance used downstream.  When a
-    quadrature grid is supplied, the Jacobian rank is monitored on its nodes
-    and rank loss reports ConjugatePoint.
+    step r/n_steps; r_max/n_steps within a family of radii up to r_max on
+    one path, as `area_derivative_check` and `sphere_remainder_studies`
+    build them); for r ≲ 1 and the default step count, the endpoint error
+    sits around 1e−12, far below every tolerance used downstream.  Repeated evaluations on one node set reuse one integration
+    (see ``_exp_immersions``).  When a quadrature grid is supplied, the
+    Jacobian rank is monitored on its nodes and rank loss reports
+    ConjugatePoint.
     """
-    if chart.index != 0:
-        raise UnsupportedSignature("geodesic spheres are built in Riemannian charts")
-    _check_radius(chart, r)
-    m = chart.dim - 1
-    frame = _radial_frame(chart, n)
-    lo, hi, hint = _sphere_param_box(m)
-
-    def direction_fn(u_jets):
-        omega = _unit_sphere_map(m, u_jets)
-        return [
-            sum_jets([omega[a] * (r * frame[a, i]) for a in range(m + 1)])
-            for i in range(chart.dim)
-        ]
-
-    imm = _exp_immersion(
-        chart, n, direction_fn, m, lo, hi, hint, n_steps,
-        {"kind": "geodesic_sphere", "center": list(np.asarray(n, float)), "r": r},
-    )
+    imm = _geodesic_spheres(chart, n, [r], n_steps)[0]
     if grid is not None:
         from .errors import DegenerateImmersion
 
@@ -573,32 +644,7 @@ def geodesic_sphere_patch(
     frame {e₀, E_1, …, E_m}; ideal for point evaluations of sphere quantities
     at γ(r) itself.
     """
-    if chart.index != 0:
-        raise UnsupportedSignature("geodesic spheres are built in Riemannian charts")
-    _check_radius(chart, r)
-    m = chart.dim - 1
-    frame = _radial_frame(chart, n, np.asarray(e0, dtype=float))
-
-    def direction_fn(u_jets):
-        norm2 = None
-        for i in range(m):
-            t = u_jets[i] * u_jets[i]
-            norm2 = t if norm2 is None else norm2 + t
-        inv = (norm2 + 1.0).sqrt().reciprocal() * r
-        out = []
-        for a in range(chart.dim):
-            acc = Jet.constant(u_jets[0].space, frame[0, a])
-            for i in range(m):
-                acc = acc + u_jets[i] * frame[i + 1, a]
-            out.append(acc * inv)
-        return out
-
-    lo = -half_width * np.ones(m)
-    hi = half_width * np.ones(m)
-    return _exp_immersion(
-        chart, n, direction_fn, m, lo, hi, ("gl",) * m, n_steps,
-        {"kind": "geodesic_sphere_patch", "center": list(np.asarray(n, float)), "r": r},
-    )
+    return _geodesic_sphere_patches(chart, n, [r], e0, n_steps, half_width)[0]
 
 
 def sum_jets(jets):
@@ -619,7 +665,14 @@ def numeric_sphere_quantities(
     """All sphere scalars at γ(r) through the full numeric pipeline, plus
     Area_II by quadrature over the whole sphere when requested."""
     patch = geodesic_sphere_patch(chart, n, r, e0, n_steps=n_steps)
-    u0 = np.zeros((1, chart.dim - 1))
+    sphere = geodesic_sphere(chart, n, r, n_steps=n_steps) if want_area else None
+    return _sphere_quantities(patch, sphere, grid_shape)
+
+
+def _sphere_quantities(patch: Immersion, sphere: Optional[Immersion], grid_shape) -> dict:
+    """``numeric_sphere_quantities`` on a built patch and, when not None, a
+    built whole sphere."""
+    u0 = np.zeros((1, patch.param_dim))
     geo = ii_geometry(patch, u0)
     data = geo.base
     out = {
@@ -632,9 +685,8 @@ def numeric_sphere_quantities(
         "H_II": float(geo.h_ii["variational"][0]),
         "H_II_routes": {k: float(v[0]) for k, v in geo.h_ii.items()},
     }
-    if want_area:
-        sphere = geodesic_sphere(chart, n, r, n_steps=n_steps)
-        grid = grid_for_immersion(sphere, grid_shape or default_sphere_grid_shape(chart.dim - 1))
+    if sphere is not None:
+        grid = grid_for_immersion(sphere, grid_shape or default_sphere_grid_shape(sphere.param_dim))
         out["Area"], out["Area_II"] = areas(sphere, grid)
     return out
 
@@ -661,17 +713,18 @@ def sphere_remainder_studies(
     chart: MetricChart, n, e0, quantities, radii, n_steps: int = 128, grid_shape=None
 ) -> dict:
     """Remainder studies for several quantities sharing one numeric pass per
-    radius (the patch pipeline yields every scalar at once)."""
+    radius (the patch pipeline yields every scalar at once).  The patches of
+    all radii ride on one integration, and so do the whole spheres when
+    Area_II is wanted (step max(radii)/n_steps)."""
     jet = curvature_jet(chart, np.asarray(n, dtype=float), order=2)
     framed = FramedJet.from_curvature_jet(jet, e0)
     m = chart.dim - 1
-    want_area = "Area_II" in quantities
-    per_radius = [
-        numeric_sphere_quantities(
-            chart, n, e0, r, want_area=want_area, n_steps=n_steps, grid_shape=grid_shape
-        )
-        for r in radii
-    ]
+    patches = _geodesic_sphere_patches(chart, n, radii, e0, n_steps)
+    if "Area_II" in quantities:
+        spheres = _geodesic_spheres(chart, n, radii, n_steps)
+    else:
+        spheres = [None] * len(radii)
+    per_radius = [_sphere_quantities(p, s, grid_shape) for p, s in zip(patches, spheres)]
     out = {}
     for quantity in quantities:
         numeric = np.asarray([vals[quantity] for vals in per_radius])
@@ -763,25 +816,23 @@ def area_derivative_check(
 
     The radial derivative uses a central difference with one halving
     Richardson step; the integral runs the full II-geometry pipeline over the
-    quadrature grid.
+    quadrature grid.  The five spheres at r, r ± dr/2 and r ± dr are one
+    family on one integration (step (r + dr)/n_steps), and every radius is
+    validated before it runs.
     """
     m = chart.dim - 1
     shape = grid_shape or default_sphere_grid_shape(m)
-
-    def area_at(rr):
-        sphere = geodesic_sphere(chart, n, rr, n_steps=n_steps)
-        return area(sphere, grid_for_immersion(sphere, shape), "second_form")
-
-    def central(step):
-        return (area_at(r + step) - area_at(r - step)) / (2 * step)
-
-    coarse, fine = central(dr), central(dr / 2)
-    d_area = (4 * fine - coarse) / 3.0
-
-    sphere = geodesic_sphere(chart, n, r, n_steps=n_steps)
-    grid = grid_for_immersion(sphere, shape)
-    geo = ii_geometry(sphere, grid.nodes)
+    radii = (r - dr, r - dr / 2, r, r + dr / 2, r + dr)
+    family = _geodesic_spheres(chart, n, radii, n_steps)
+    grid = grid_for_immersion(family[2], shape)
+    # the order-4 pass first, so that the areas' order-2 maps are its prefix
+    geo = ii_geometry(family[2], grid.nodes)
     dens = np.sqrt(np.abs(np.linalg.det(geo.base.first) * geo.base.detA))
     integral = float(np.sum(grid.weights * geo.h_ii["variational"] * dens))
+
+    a = {k: area(family[k], grid, "second_form") for k in (0, 1, 3, 4)}
+    coarse = (a[4] - a[0]) / (2 * dr)
+    fine = (a[3] - a[1]) / dr
+    d_area = (4 * fine - coarse) / 3.0
     gap = abs(d_area - integral) / (1.0 + abs(integral))
     return {"d_area_ii_dr": d_area, "h_ii_integral": integral, "relative_gap": gap}

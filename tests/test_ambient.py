@@ -597,3 +597,110 @@ class TestExpMapArrays:
         monkeypatch.setattr(Jet, "__rmul__", counting)
         exp_map(chart, x0, w, n_steps=32)
         assert calls[0] < 100
+
+
+# ---------------------------------------------------------------------------
+# exp_map stops: one path read off at several fractions of t
+# ---------------------------------------------------------------------------
+
+
+def fixed_step_rk4_oracle(chart, x0_jets, w_jets, n_steps):
+    """exp_map as it was before it took stops: the fixed-step RK4 loop on
+    stacked coefficient arrays, endpoint only."""
+    import functools
+
+    from secondform.ambient import _christoffel_rhs, _stack_list
+    from secondform.jets import Jet
+
+    d = chart.dim
+    space, xv = _stack_list(list(x0_jets) + list(w_jets))
+    x, v = xv[:, :d], xv[:, d:]
+    rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
+    h = 1.0 / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(space, x, v)
+        x2, v2 = x + v * (h / 2), v + k1 * (h / 2)
+        k2 = rhs(space, x2, v2)
+        x3, v3 = x + v2 * (h / 2), v + k2 * (h / 2)
+        k3 = rhs(space, x3, v3)
+        x4, v4 = x + v3 * h, v + k3 * h
+        k4 = rhs(space, x4, v4)
+        x = x + (v + (v2 + v3) * 2.0 + v4) * (h / 6)
+        v = v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
+    return [Jet(space, x[:, a]) for a in range(d)], [Jet(space, v[:, a]) for a in range(d)]
+
+
+STOP_CHARTS = ("s3", "bumpy_e3", "no_rhs")
+
+
+def _coeffs(jets):
+    return np.stack([j.coeffs for j in jets])
+
+
+class TestExpMapStops:
+    @pytest.mark.parametrize("name", STOP_CHARTS)
+    @pytest.mark.parametrize("batch", [(), (72,)])
+    def test_endpoint_stop_is_the_fixed_step_endpoint(self, name, batch):
+        from secondform.ambient import exp_map
+
+        chart = EXP_CHARTS[name]()
+        x0, w = _exp_inputs(chart.dim, 4, batch)
+        ox, ov = fixed_step_rk4_oracle(chart, x0, w, 40)
+        [(sx, sv)] = exp_map(chart, x0, w, n_steps=40, stops=(1.0,))
+        dx, dv = exp_map(chart, x0, w, n_steps=40)
+        for got in ((sx, sv), (dx, dv)):
+            assert np.array_equal(_coeffs(got[0]), _coeffs(ox))
+            assert np.array_equal(_coeffs(got[1]), _coeffs(ov))
+
+    @pytest.mark.parametrize("name", STOP_CHARTS)
+    def test_stops_agree_with_separate_integrations(self, name):
+        # stops at 0.3 and 0.55 fall inside steps of 1/8, 0.75 on a node; each
+        # agrees with exp_map(x0, t·w) to within the two halving estimates,
+        # and those estimates are at RK4's level (a stop reached by a wrong
+        # step converges to the wrong point, with a large estimate)
+        from secondform.ambient import exp_map
+
+        chart = EXP_CHARTS[name]()
+        x0, w = _exp_inputs(chart.dim, 2, (5,))
+        stops = (0.3, 0.55, 0.75, 1.0)
+        coarse = exp_map(chart, x0, w, n_steps=8, stops=stops)
+        fine = exp_map(chart, x0, w, n_steps=16, stops=stops)
+        # the path does not depend on the stops
+        for (x, v), (x3, v3) in zip(coarse, exp_map(chart, x0, w, n_steps=8, stops=stops[:3])):
+            assert np.array_equal(_coeffs(x), _coeffs(x3))
+            assert np.array_equal(_coeffs(v), _coeffs(v3))
+        for t, stop, stop2 in zip(stops, coarse, fine):
+            # exp(t·w) ends with velocity t·γ'(t), so its velocity is divided by t
+            alone = [(_coeffs(x), _coeffs(v) / t) for x, v in
+                     (exp_map(chart, x0, [j * t for j in w], n_steps=k) for k in (8, 16))]
+            for i in (0, 1):
+                got, got2 = _coeffs(stop[i]), _coeffs(stop2[i])
+                est = np.abs(got - got2) + np.abs(alone[0][i] - alone[1][i])
+                gap = np.abs(got - alone[0][i])
+                assert np.all(gap <= 2.0 * est + 1e-14 * np.max(np.abs(got)))
+                assert np.max(est) <= 1e-6 * np.max(np.abs(got))
+                assert np.max(gap) > 0.0 or t == 1.0  # the paths differ before the end
+
+    def test_stop_outside_the_domain_raises(self):
+        # along e0 from the origin of S³ the chart coordinate is 2 tan(t·0.2):
+        # 0.30 at the last node before t = 0.9 and 0.36 at the stop
+        import dataclasses
+
+        from secondform.ambient import exp_map
+        from secondform.jets import Jet, jet_space
+
+        chart = dataclasses.replace(space_form(3, 1.0), domain_hi=np.array([0.33, 5.0, 5.0]))
+        sp = jet_space(1, 0)
+        x0 = [Jet.constant(sp, 0.0) for _ in range(3)]
+        w = [Jet.constant(sp, c) for c in (0.4, 0.0, 0.0)]
+        exp_map(chart, x0, w, n_steps=4, stops=(0.5, 0.75))
+        with pytest.raises(LeftDomain):
+            exp_map(chart, x0, w, n_steps=4, stops=(0.5, 0.9))
+
+    @pytest.mark.parametrize("stops", [(), (0.0, 1.0), (0.5, 1.2), (0.8, 0.4)])
+    def test_stops_must_be_sorted_fractions(self, stops):
+        from secondform.ambient import exp_map
+
+        x0, w = _exp_inputs(3, 0, ())
+        with pytest.raises(ValueError):
+            exp_map(space_form(3, 1.0), x0, w, n_steps=4, stops=stops)

@@ -174,3 +174,21 @@ def test_column_formatting_matches_fmt():
     col = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-300, 2.0 / 3.0, -12.566370614358569])
     assert _fmt_col(col, len(col)) == [_fmt(v) for v in col]
     assert _fmt_col(None, 3) == ["", "", ""]
+
+
+def test_first_variation_scenario_integrates_its_grid_once(tmp_path, monkeypatch):
+    # every amplitude's check reuses the sphere's one order-4 grid integration
+    from secondform import spheres
+
+    batches = []
+    original = spheres.exp_map
+
+    def counting(chart, x0_jets, *args, **kwargs):
+        batches.append(x0_jets[0].batch_shape)
+        return original(chart, x0_jets, *args, **kwargs)
+
+    monkeypatch.setattr(spheres, "exp_map", counting)
+    path = SCENARIO_DIR / "first_variation_geodesic_sphere_s3.json"
+    assert len(json.loads(path.read_text())["subject"]["amplitudes"]) >= 2
+    assert run_scenario(path, out_dir=tmp_path) == 0
+    assert sorted(batches) == [(), (16 * 32,)]

@@ -287,3 +287,122 @@ def test_all_scalar_series_blocks_on_generic_metric():
         assert studies[q].slope >= 3.5, f"{q}: slope {studies[q].slope}"
     # the Z field is genuinely nonzero here, so div_II Z is a live check
     assert abs(studies["div_ii_Z"].numeric[-1]) > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# sphere families: one integration per family of radii and per node set
+# ---------------------------------------------------------------------------
+
+
+def _count_exp_map(monkeypatch):
+    """Batch shapes of the x0 jets of every exp_map call made through spheres."""
+    from secondform import spheres
+
+    batches = []
+    original = spheres.exp_map
+
+    def counting(chart, x0_jets, *args, **kwargs):
+        batches.append(x0_jets[0].batch_shape)
+        return original(chart, x0_jets, *args, **kwargs)
+
+    monkeypatch.setattr(spheres, "exp_map", counting)
+    return batches
+
+
+def _map_coeffs(imm, u_jets):
+    return np.stack([j.coeffs for j in imm.map_fn(u_jets)])
+
+
+class TestSphereFamilies:
+    # (6, 12) is 72 nodes, whose products take the gathered path; (20, 40)
+    # is 800 nodes, which take the row loop
+    @pytest.mark.parametrize("shape", [(6, 12), (20, 40)])
+    def test_truncated_map_equals_a_fresh_lower_order(self, shape, monkeypatch):
+        from secondform.jets import seed_jets
+        from secondform.variation import grid_for_immersion
+
+        chart = space_form(3, 1.0)
+        sphere = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
+        nodes = grid_for_immersion(sphere, shape).nodes
+        batches = _count_exp_map(monkeypatch)
+        _map_coeffs(sphere, seed_jets(nodes, 2, 4))
+        served = {k: _map_coeffs(sphere, seed_jets(nodes, 2, k)) for k in (3, 2)}
+        assert len(batches) == 1
+        for k, got in served.items():
+            fresh = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
+            assert np.array_equal(got, _map_coeffs(fresh, seed_jets(nodes, 2, k)))
+        assert len(batches) == 3
+
+    def test_other_jets_are_integrated_afresh(self, monkeypatch):
+        from secondform.jets import seed_jets
+        from secondform.variation import grid_for_immersion
+
+        chart = space_form(3, 1.0)
+        sphere = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
+        nodes = grid_for_immersion(sphere, (4, 8)).nodes
+        batches = _count_exp_map(monkeypatch)
+        u = seed_jets(nodes, 2, 4)
+        _map_coeffs(sphere, u)
+        doubled = [j * 2.0 for j in u]  # other nodes
+        steeper = [j * 2.0 - nodes[:, i] for i, j in enumerate(u)]  # same nodes, other slopes
+        for jets in ([j.truncate(2) for j in steeper], doubled, steeper):
+            got = _map_coeffs(sphere, jets)
+            fresh = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
+            assert np.array_equal(got, _map_coeffs(fresh, jets))
+        assert len(batches) == 1 + 2 * 3
+
+    def test_cached_arrays_are_read_only(self):
+        from secondform.jets import seed_jets
+
+        sphere = geodesic_sphere(space_form(3, 1.0), np.zeros(3), 0.3, n_steps=8)
+        u = np.array([[1.0, 2.0], [0.5, 1.0]])
+        for order in (4, 2):
+            x = sphere.map_fn(seed_jets(u, 2, order))
+            with pytest.raises(ValueError):
+                x[0].coeffs[0, 0] = 1.0
+
+    def test_area_derivative_check_integrates_once(self, monkeypatch):
+        batches = _count_exp_map(monkeypatch)
+        res = area_derivative_check(space_form(3, 1.0), np.zeros(3), 0.3, n_steps=32,
+                                    grid_shape=(6, 12))
+        assert batches == [(72,)]
+        assert res["relative_gap"] < 1e-6
+
+    def test_area_derivative_check_validates_every_radius_first(self, monkeypatch):
+        from secondform.errors import BadDirection
+
+        batches = _count_exp_map(monkeypatch)
+        chart = space_form(3, 1.0)
+        with pytest.raises(BadDirection):
+            area_derivative_check(chart, np.zeros(3), 0.004, dr=0.005, n_steps=8)
+        with pytest.raises(ConjugatePoint):
+            area_derivative_check(chart, np.zeros(3), math.pi - 0.003, dr=0.005, n_steps=8)
+        assert batches == []
+
+    def test_first_variation_integrates_the_grid_once(self, monkeypatch):
+        from secondform.variation import first_variation_check, grid_for_immersion
+
+        sphere = geodesic_sphere(space_form(3, 1.0), np.zeros(3), 0.45, n_steps=32)
+        grid = grid_for_immersion(sphere, (6, 12))
+        batches = _count_exp_map(monkeypatch)
+        for f in (lambda u: u[0] * 0.0 + 1.0, lambda u: u[0].cos() + 1.3):
+            res = first_variation_check(sphere, f, grid)
+            assert max(res.gaps.values()) < 1e-3
+        # the grid at order 4 (ii_geometry, then the deformed family's order-3
+        # base by truncation) and the midpoint for the orientation, once each
+        assert sorted(batches) == [(), (72,)]
+
+    def test_remainder_studies_integrate_once_per_family(self, monkeypatch):
+        chart, radii = space_form(3, 1.0), (0.1, 0.15, 0.2)
+        batches = _count_exp_map(monkeypatch)
+        studies = sphere_remainder_studies(chart, np.zeros(3), E0_3, ["H", "Area_II"], radii,
+                                           n_steps=16, grid_shape=(4, 8))
+        assert len(batches) == 2
+        # the largest radius is the family's endpoint: the one-radius result, bit for bit
+        alone = numeric_sphere_quantities(chart, np.zeros(3), E0_3, 0.2, n_steps=16,
+                                          grid_shape=(4, 8))
+        assert studies["H"].numeric[-1] == alone["H"]
+        assert studies["Area_II"].numeric[-1] == alone["Area_II"]
+        del batches[:]
+        sphere_remainder_studies(chart, np.zeros(3), E0_3, ["H"], radii, n_steps=16)
+        assert len(batches) == 1
