@@ -551,7 +551,11 @@ def _validate(scenario: dict):
     for chk in scenario["checks"]:
         if chk.get("check") not in CHECKS:
             raise ScenarioError(f"unknown check {chk.get('check')!r}")
-        if "tolerance" not in chk or not (float(chk["tolerance"]) > 0):
+        try:
+            tol = float(chk.get("tolerance"))
+        except (TypeError, ValueError):
+            tol = math.nan
+        if not tol > 0:
             raise ScenarioError(f"check {chk.get('check')!r} needs a positive tolerance")
 
 

@@ -70,7 +70,6 @@ __all__ = [
     "Jet",
     "jet_space",
     "seed_jets",
-    "as_jet",
     "compose",
     "jdet",
     "jinv",
@@ -502,23 +501,6 @@ class Jet:
         derivs = [(c0 if k % 2 == 0 else s0) / math.factorial(k) for k in range(self.space.order + 1)]
         return self._lift(derivs)
 
-    def arctan(self) -> "Jet":
-        # derivatives of arctan via the recurrence on 1/(1+x^2)
-        a0 = self.coeffs[0]
-        derivs = [np.arctan(a0)]
-        if self.space.order >= 1:
-            w = 1.0 / (1.0 + a0**2)
-            derivs.append(w)
-        if self.space.order >= 2:
-            derivs.append(-a0 * w**2)
-        if self.space.order >= 3:
-            derivs.append((3 * a0**2 - 1) * w**3 / 3.0)
-        if self.space.order >= 4:
-            derivs.append((a0 - a0**3) * w**4)
-        if self.space.order >= 5:
-            raise NotImplementedError("arctan jets implemented to order 4")
-        return self._lift(derivs)
-
     def __repr__(self):
         return f"Jet(order={self.space.order}, nvars={self.space.nvars}, value={self.value!r})"
 
@@ -533,13 +515,6 @@ def seed_jets(x, nvars: int, order: int):
         raise ValueError(f"expected trailing dimension {nvars}, got {x.shape}")
     space = jet_space(nvars, order)
     return [Jet.variable(space, i, x[..., i]) for i in range(nvars)]
-
-
-def as_jet(value, like: Jet) -> Jet:
-    """Lift a scalar/array to a constant jet in the same space as `like`."""
-    if isinstance(value, Jet):
-        return value
-    return Jet.constant(like.space, np.broadcast_to(np.asarray(value, dtype=float), like.batch_shape))
 
 
 def compose(space: JetSpace, outer: np.ndarray, disp: np.ndarray) -> np.ndarray:

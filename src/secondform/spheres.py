@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import ambient as amb
-from .ambient import CurvatureJet, MetricChart, curvature_jet, exp_map, orthonormal_frame
+from .ambient import CurvatureJet, MetricChart, curvature_jet, orthonormal_frame
+from .ambient import exp_map  # noqa: F401  (perfbench/tests check that its tracer rebinds this name)
 from .errors import (
     BadDirection,
     ConjugatePoint,
@@ -39,7 +40,7 @@ from .errors import (
 from .hypersurface import Immersion, _sphere_param_box, _unit_sphere_map, surface_point
 from .iigeom import ii_geometry
 from .jets import Jet
-from .variation import area, areas, grid_for_immersion
+from .variation import _exp_family, area, areas, grid_for_immersion
 
 __all__ = [
     "FramedJet",
@@ -499,53 +500,26 @@ def _radial_frame(chart: MetricChart, n, e0=None):
 
 def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps, kind):
     """One immersion u ↦ exp_n(r·ξ(u)) per radius r in `radii`, for the
-    direction field given as ``direction_fn(u_jets, r)`` = r·ξ(u).
-
-    The radii share one integration: w = r_max·ξ with stops r/r_max, so the
-    step is r_max/n_steps.  That integration is memoised per node set (batch
-    shape and seed values) at the highest jet order requested so far; a
-    lower order is its prefix slice on the monomial axis, served only when
-    the incoming u-jets equal the cached seeds' prefix.  Cached arrays are
-    read-only.
-    """
+    direction field given as ``direction_fn(u_jets, r)`` = r·ξ(u): one
+    ``variation._exp_family``, so the radii share one integration with step
+    r_max/n_steps, memoised per node set."""
     n = np.asarray(n, dtype=float)
-    r_max = max(radii)
-    stops = sorted({r / r_max for r in radii})
-    memo: dict = {}
 
-    def start(u_jets):
+    def rays(u_jets):
         batch = u_jets[0].batch_shape
-        return [Jet.constant(u_jets[0].space, np.broadcast_to(n[a], batch).copy())
-                for a in range(chart.dim)]
+        x = [Jet.constant(u_jets[0].space, np.broadcast_to(n[a], batch).copy())
+             for a in range(chart.dim)]
+        return x, functools.partial(direction_fn, u_jets)
 
-    def integrate(u_jets, r):
-        if chart.is_flat:
-            x0, xi = start(u_jets), direction_fn(u_jets, r)
-            return [x0[a] + xi[a] for a in range(chart.dim)]
-        space, seeds = amb._stack_list(u_jets)
-        key = (seeds.shape[2:], seeds[0].tobytes())
-        hit = memo.get(key)
-        if hit is None or len(hit[0]) < space.n or not np.array_equal(hit[0][: space.n], seeds):
-            xi = direction_fn(u_jets, r_max)
-            ends = exp_map(chart, start(u_jets), xi, n_steps=n_steps, stops=stops)
-            hit = (seeds, [[_read_only(j.coeffs) for j in x] for x, _ in ends])
-            if key not in memo or len(memo[key][0]) <= space.n:
-                memo[key] = hit
-        return [Jet(space, c[: space.n]) for c in hit[1][stops.index(r / r_max)]]
-
+    maps = _exp_family(chart, rays, radii, n_steps, chart.is_flat)
     return [
         Immersion(
-            ambient=chart, param_dim=m, map_fn=functools.partial(integrate, r=r),
+            ambient=chart, param_dim=m, map_fn=map_fn,
             param_lo=lo, param_hi=hi, grid_hint=hint,
             descriptor={"kind": kind, "center": list(n), "r": r},
         )
-        for r in radii
+        for map_fn, r in zip(maps, radii)
     ]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _check_radii(chart: MetricChart, radii):
@@ -619,10 +593,10 @@ def geodesic_sphere(
     step r/n_steps; r_max/n_steps within a family of radii up to r_max on
     one path, as `area_derivative_check` and `sphere_remainder_studies`
     build them); for r ≲ 1 and the default step count, the endpoint error
-    sits around 1e−12, far below every tolerance used downstream.  Repeated evaluations on one node set reuse one integration
-    (see ``_exp_immersions``).  When a quadrature grid is supplied, the
-    Jacobian rank is monitored on its nodes and rank loss reports
-    ConjugatePoint.
+    sits around 1e−12, far below every tolerance used downstream.  It is a
+    one-member ``variation._exp_family``, as the normal deformations are:
+    evaluations on one node set share one integration.  With a quadrature
+    grid, rank loss of the Jacobian on its nodes reports ConjugatePoint.
     """
     imm = _geodesic_spheres(chart, n, [r], n_steps)[0]
     if grid is not None:

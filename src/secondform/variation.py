@@ -14,13 +14,14 @@ error dominates the measured gaps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import exp_map
+from .ambient import _stack_list, exp_map
 from .errors import (
     BadParameters,
     GeometryError,
@@ -163,9 +164,9 @@ def area_with_refinement(imm: Immersion, grid: QuadratureGrid, which: str = "fir
 class Deformation:
     """Normal deformation of amplitude f at parameter s.
 
-    chart_linear moves chart coordinates along s·f·U; ambient_exponential
-    follows ambient geodesics for arclength s·f.  Both have variational
-    vector field f·U at s = 0.
+    chart_linear moves chart coordinates along (f·s)·U; ambient_exponential
+    is μ_s(u) = exp_{x(u)}((f·s)·U), RK4 in jets with step |s|/64.  Both have
+    variational vector field f·U at s = 0.
     """
 
     base: Immersion
@@ -175,7 +176,7 @@ class Deformation:
 
 
 def normal_deform(d: Deformation, check_grid: Optional[QuadratureGrid] = None) -> Immersion:
-    """The deformed immersion μ_s.
+    """The deformed immersion μ_s, a one-member ``_exp_family``.
 
     The returned map re-seeds its input one Taylor order higher (the unit
     normal costs one derivative), so it must be evaluated at plain coordinate
@@ -183,7 +184,7 @@ def normal_deform(d: Deformation, check_grid: Optional[QuadratureGrid] = None) -
     `check_grid` is given, membership in the nondegenerate-II class is
     checked on its nodes (raises LeftEpsilonClass).
     """
-    imm = _deformed_family(d.base, d.f, d.mode)(float(d.s))
+    imm = _deformed_family(d.base, d.f, d.mode, [d.s])[0]
     if check_grid is not None:
         _class_checked_point(imm, check_grid)
     return imm
@@ -237,12 +238,58 @@ def _fit_slope(s_values, errors, floor=1e-11):
     return float(np.polyfit(np.log(s_values[good]), np.log(errors[good]), 1)[0])
 
 
-def _deformed_family(base: Immersion, f: Callable, mode: str):
-    """Deformed immersions sharing one evaluation of the base pipeline.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    All members of the s-ladder are evaluated at the same grid seeds, so the
-    base frame jets and the amplitude are computed once and reused (guarded
-    by comparing the seed points)."""
+
+def _exp_family(chart, rays, scales, n_steps: int, linear: bool):
+    """Map functions u ↦ exp_{x(u)}(w_s(u)), one per s in `scales`, for
+    ``rays(u_jets)`` = (x, s ↦ w_s) on the parameter jets.
+
+    With `linear` every member is the chart line x + w_s.  Otherwise the
+    scales of one sign ride one path: w = w_e for the scale e of largest |s|
+    among them, with stops s/e, so the step is |e|/n_steps (s = 0 is the
+    chart line, exact there).  All members are evaluated together, once per
+    node set (batch shape and seed values), at the highest jet order asked
+    for so far; a lower order is their prefix slice on the monomial axis,
+    served only when the incoming u-jets equal the cached seeds' prefix.
+    Cached arrays are read-only.
+    """
+    memo: dict = {}
+
+    def evaluate(u_jets):
+        x, velocity = rays(u_jets)
+        out = {}
+        for sign in () if linear else (1.0, -1.0):
+            same = [s for s in scales if s * sign > 0]
+            if same:
+                end = sign * max(s * sign for s in same)
+                stops = sorted({s / end for s in same})
+                ends = exp_map(chart, x, velocity(end), n_steps=n_steps, stops=stops)
+                out.update((s, ends[stops.index(s / end)][0]) for s in same)
+        for s in scales:
+            if s not in out:
+                out[s] = [xa + wa for xa, wa in zip(x, velocity(s))]
+        return [[_read_only(j.coeffs) for j in out[s]] for s in scales]
+
+    def member(u_jets, i):
+        space, seeds = _stack_list(u_jets)
+        key = (seeds.shape[2:], seeds[0].tobytes())
+        hit = memo.get(key)
+        if hit is None or len(hit[0]) < space.n or not np.array_equal(hit[0][: space.n], seeds):
+            hit = (seeds, evaluate(u_jets))
+            if key not in memo or len(memo[key][0]) <= space.n:
+                memo[key] = hit
+        return [Jet(space, c[: space.n]) for c in hit[1][i]]
+
+    return [functools.partial(member, i=i) for i in range(len(scales))]
+
+
+def _deformed_family(base: Immersion, f: Callable, mode: str, scales):
+    """The deformed immersions μ_s, one per s in `scales`, as one
+    ``_exp_family``: the base frame and the amplitude are evaluated once per
+    node set for all of them."""
     if mode not in ("chart_linear", "ambient_exponential"):
         raise BadParameters(f"unknown deformation mode {mode!r}")
     # Pin the base's realized orientation: re-running the auto rule on the
@@ -250,36 +297,31 @@ def _deformed_family(base: Immersion, f: Callable, mode: str):
     # the continuity of the family.
     orientation = resolved_orientation(base)
     dim = base.ambient.dim
-    cache: dict = {}
 
-    def make(s: float) -> Immersion:
-        def map_fn(u_jets):
-            order = u_jets[0].space.order
-            u0 = np.stack([np.asarray(j.value, float) for j in u_jets], axis=-1)
-            entry = cache.get(order)
-            if entry is None or entry[0].shape != u0.shape or not np.array_equal(entry[0], u0):
-                jets = seed_jets(u0, base.param_dim, order + 1)
-                b = frame_jets(base, jets, check_two_routes=False)
-                entry = (u0, b, f(jets))
-                cache[order] = entry
-            _, b, amp = entry
+    def rays(u_jets):
+        # x at order k+1, w = (f·s)·U at order k (the normal costs one)
+        u0 = np.stack([np.asarray(j.value, float) for j in u_jets], axis=-1)
+        jets = seed_jets(u0, base.param_dim, u_jets[0].space.order + 1)
+        b = frame_jets(base, jets, check_two_routes=False)
+        amp = f(jets)
+        x = [Jet(b.space(b.x), b.x[:, a]) for a in range(dim)]
+        normal = [Jet(b.space(b.U), b.U[:, a]) for a in range(dim)]
+
+        def velocity(s):
             scaled = amp * s
-            x = [Jet(b.space(b.x), b.x[:, a]) for a in range(dim)]
-            w = [scaled * Jet(b.space(b.U), b.U[:, a]) for a in range(dim)]
-            if mode == "chart_linear":
-                out = [x[a] + w[a] for a in range(dim)]
-            else:
-                # x at order k+1, w = s·f·U at order k (the normal costs one)
-                out, _ = exp_map(base.ambient, x, w, n_steps=64)
-            return [o.truncate(order) for o in out]
+            return [scaled * u for u in normal]
 
-        return Immersion(
+        return x, velocity
+
+    maps = _exp_family(base.ambient, rays, scales, 64, mode == "chart_linear")
+    return [
+        Immersion(
             ambient=base.ambient, param_dim=base.param_dim, map_fn=map_fn,
             param_lo=base.param_lo, param_hi=base.param_hi,
             orientation=orientation, grid_hint=base.grid_hint,
         )
-
-    return make
+        for map_fn in maps
+    ]
 
 
 def _class_checked_point(imm: Immersion, grid: QuadratureGrid):
@@ -314,6 +356,9 @@ def first_variation_check(
     """Compare finite-difference dArea/ds and dArea_II/ds with the H/H_II
     integrals for the deformation with normal amplitude f.
 
+    The ±s ladder is one ``_exp_family``: one base frame on the grid and,
+    in ambient_exponential mode, one path per sign of s (step s_max/64).
+
     `geo`, when given, must be ``ii_geometry(imm, grid.nodes)`` with every
     point valid, already computed by the caller.
     """
@@ -328,11 +373,11 @@ def first_variation_check(
     rhs_area = float(-m * alpha * np.sum(fvals * data.mean * d_omega))
     rhs_area_ii = float(-alpha * np.sum(fvals * geo.h_ii["variational"] * d_omega_ii))
 
-    family = _deformed_family(imm, f, mode)
+    family = _deformed_family(imm, f, mode, [t for s in s_ladder for t in (s, -s)])
     diffs_a, diffs_aii = [], []
-    for s in s_ladder:
-        a_p, aii_p = _areas_with_class_check(family(+s), grid)
-        a_m, aii_m = _areas_with_class_check(family(-s), grid)
+    for s, plus, minus in zip(s_ladder, family[::2], family[1::2]):
+        a_p, aii_p = _areas_with_class_check(plus, grid)
+        a_m, aii_m = _areas_with_class_check(minus, grid)
         diffs_a.append((a_p - a_m) / (2 * s))
         diffs_aii.append((aii_p - aii_m) / (2 * s))
     lhs_area = _richardson(diffs_a)
@@ -385,10 +430,11 @@ def second_form_variation_check(
     fval = np.asarray(fj.value)
     formula = data.alpha * fval * (curv_term - data.third[..., i, j]) + hess
 
+    family = _deformed_family(imm, f, "chart_linear", [t for s in s_ladder for t in (s, -s)])
     diffs = []
-    for s in s_ladder:
-        plus = surface_point(normal_deform(Deformation(imm, f, +s)), u, order=2)
-        minus = surface_point(normal_deform(Deformation(imm, f, -s)), u, order=2)
+    for s, imm_p, imm_m in zip(s_ladder, family[::2], family[1::2]):
+        plus = surface_point(imm_p, u, order=2)
+        minus = surface_point(imm_m, u, order=2)
         diffs.append((plus.second[..., i, j] - minus.second[..., i, j]) / (2 * s))
     numeric = _richardson(diffs)
     gap = abs(numeric - formula) / (1 + abs(formula))

@@ -176,19 +176,18 @@ def test_column_formatting_matches_fmt():
     assert _fmt_col(None, 3) == ["", "", ""]
 
 
-def test_first_variation_scenario_integrates_its_grid_once(tmp_path, monkeypatch):
+def test_first_variation_scenario_integrates_its_grid_once(tmp_path, exp_map_batches):
     # every amplitude's check reuses the sphere's one order-4 grid integration
-    from secondform import spheres
-
-    batches = []
-    original = spheres.exp_map
-
-    def counting(chart, x0_jets, *args, **kwargs):
-        batches.append(x0_jets[0].batch_shape)
-        return original(chart, x0_jets, *args, **kwargs)
-
-    monkeypatch.setattr(spheres, "exp_map", counting)
     path = SCENARIO_DIR / "first_variation_geodesic_sphere_s3.json"
     assert len(json.loads(path.read_text())["subject"]["amplitudes"]) >= 2
     assert run_scenario(path, out_dir=tmp_path) == 0
-    assert sorted(batches) == [(), (16 * 32,)]
+    assert sorted(exp_map_batches) == [(), (16 * 32,)]
+
+
+def test_non_numeric_tolerance_exit_2(tmp_path):
+    scen = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
+    for tolerance in ("abc", None):
+        scen["checks"][0]["tolerance"] = tolerance
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(scen))
+        assert run_scenario(p, out_dir=tmp_path) == 2

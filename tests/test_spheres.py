@@ -155,24 +155,14 @@ class TestRecombination:
 
 
 class TestNumericVsSeries:
-    def test_areas_share_one_sphere_integration(self, monkeypatch):
+    def test_areas_share_one_sphere_integration(self, exp_map_batches):
         # one exp_map call for the patch, one for the whole sphere (both areas)
-        from secondform import spheres
         from secondform.variation import area, grid_for_immersion
-
-        calls = [0]
-        original = spheres.exp_map
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
 
         chart, r = space_form(4, 1.0), 0.3
         e0 = np.array([1.0, 0.0, 0.0, 0.0])
-        monkeypatch.setattr(spheres, "exp_map", counting)
         vals = numeric_sphere_quantities(chart, np.zeros(4), e0, r, n_steps=16, grid_shape=(3, 4, 6))
-        assert calls[0] == 2
-        monkeypatch.setattr(spheres, "exp_map", original)
+        assert len(exp_map_batches) == 2
         sphere = geodesic_sphere(chart, np.zeros(4), r, n_steps=16)
         grid = grid_for_immersion(sphere, (3, 4, 6))
         assert vals["Area"] == area(sphere, grid, "first_form")
@@ -294,21 +284,6 @@ def test_all_scalar_series_blocks_on_generic_metric():
 # ---------------------------------------------------------------------------
 
 
-def _count_exp_map(monkeypatch):
-    """Batch shapes of the x0 jets of every exp_map call made through spheres."""
-    from secondform import spheres
-
-    batches = []
-    original = spheres.exp_map
-
-    def counting(chart, x0_jets, *args, **kwargs):
-        batches.append(x0_jets[0].batch_shape)
-        return original(chart, x0_jets, *args, **kwargs)
-
-    monkeypatch.setattr(spheres, "exp_map", counting)
-    return batches
-
-
 def _map_coeffs(imm, u_jets):
     return np.stack([j.coeffs for j in imm.map_fn(u_jets)])
 
@@ -317,30 +292,28 @@ class TestSphereFamilies:
     # (6, 12) is 72 nodes, whose products take the gathered path; (20, 40)
     # is 800 nodes, which take the row loop
     @pytest.mark.parametrize("shape", [(6, 12), (20, 40)])
-    def test_truncated_map_equals_a_fresh_lower_order(self, shape, monkeypatch):
+    def test_truncated_map_equals_a_fresh_lower_order(self, shape, exp_map_batches):
         from secondform.jets import seed_jets
         from secondform.variation import grid_for_immersion
 
         chart = space_form(3, 1.0)
         sphere = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
         nodes = grid_for_immersion(sphere, shape).nodes
-        batches = _count_exp_map(monkeypatch)
         _map_coeffs(sphere, seed_jets(nodes, 2, 4))
         served = {k: _map_coeffs(sphere, seed_jets(nodes, 2, k)) for k in (3, 2)}
-        assert len(batches) == 1
+        assert len(exp_map_batches) == 1
         for k, got in served.items():
             fresh = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
             assert np.array_equal(got, _map_coeffs(fresh, seed_jets(nodes, 2, k)))
-        assert len(batches) == 3
+        assert len(exp_map_batches) == 3
 
-    def test_other_jets_are_integrated_afresh(self, monkeypatch):
+    def test_other_jets_are_integrated_afresh(self, exp_map_batches):
         from secondform.jets import seed_jets
         from secondform.variation import grid_for_immersion
 
         chart = space_form(3, 1.0)
         sphere = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
         nodes = grid_for_immersion(sphere, (4, 8)).nodes
-        batches = _count_exp_map(monkeypatch)
         u = seed_jets(nodes, 2, 4)
         _map_coeffs(sphere, u)
         doubled = [j * 2.0 for j in u]  # other nodes
@@ -349,7 +322,7 @@ class TestSphereFamilies:
             got = _map_coeffs(sphere, jets)
             fresh = geodesic_sphere(chart, np.zeros(3), 0.3, n_steps=16)
             assert np.array_equal(got, _map_coeffs(fresh, jets))
-        assert len(batches) == 1 + 2 * 3
+        assert len(exp_map_batches) == 1 + 2 * 3
 
     def test_cached_arrays_are_read_only(self):
         from secondform.jets import seed_jets
@@ -361,48 +334,44 @@ class TestSphereFamilies:
             with pytest.raises(ValueError):
                 x[0].coeffs[0, 0] = 1.0
 
-    def test_area_derivative_check_integrates_once(self, monkeypatch):
-        batches = _count_exp_map(monkeypatch)
+    def test_area_derivative_check_integrates_once(self, exp_map_batches):
         res = area_derivative_check(space_form(3, 1.0), np.zeros(3), 0.3, n_steps=32,
                                     grid_shape=(6, 12))
-        assert batches == [(72,)]
+        assert exp_map_batches == [(72,)]
         assert res["relative_gap"] < 1e-6
 
-    def test_area_derivative_check_validates_every_radius_first(self, monkeypatch):
+    def test_area_derivative_check_validates_every_radius_first(self, exp_map_batches):
         from secondform.errors import BadDirection
 
-        batches = _count_exp_map(monkeypatch)
         chart = space_form(3, 1.0)
         with pytest.raises(BadDirection):
             area_derivative_check(chart, np.zeros(3), 0.004, dr=0.005, n_steps=8)
         with pytest.raises(ConjugatePoint):
             area_derivative_check(chart, np.zeros(3), math.pi - 0.003, dr=0.005, n_steps=8)
-        assert batches == []
+        assert exp_map_batches == []
 
-    def test_first_variation_integrates_the_grid_once(self, monkeypatch):
+    def test_first_variation_integrates_the_grid_once(self, exp_map_batches):
         from secondform.variation import first_variation_check, grid_for_immersion
 
         sphere = geodesic_sphere(space_form(3, 1.0), np.zeros(3), 0.45, n_steps=32)
         grid = grid_for_immersion(sphere, (6, 12))
-        batches = _count_exp_map(monkeypatch)
         for f in (lambda u: u[0] * 0.0 + 1.0, lambda u: u[0].cos() + 1.3):
             res = first_variation_check(sphere, f, grid)
             assert max(res.gaps.values()) < 1e-3
         # the grid at order 4 (ii_geometry, then the deformed family's order-3
         # base by truncation) and the midpoint for the orientation, once each
-        assert sorted(batches) == [(), (72,)]
+        assert sorted(exp_map_batches) == [(), (72,)]
 
-    def test_remainder_studies_integrate_once_per_family(self, monkeypatch):
+    def test_remainder_studies_integrate_once_per_family(self, exp_map_batches):
         chart, radii = space_form(3, 1.0), (0.1, 0.15, 0.2)
-        batches = _count_exp_map(monkeypatch)
         studies = sphere_remainder_studies(chart, np.zeros(3), E0_3, ["H", "Area_II"], radii,
                                            n_steps=16, grid_shape=(4, 8))
-        assert len(batches) == 2
+        assert len(exp_map_batches) == 2
         # the largest radius is the family's endpoint: the one-radius result, bit for bit
         alone = numeric_sphere_quantities(chart, np.zeros(3), E0_3, 0.2, n_steps=16,
                                           grid_shape=(4, 8))
         assert studies["H"].numeric[-1] == alone["H"]
         assert studies["Area_II"].numeric[-1] == alone["Area_II"]
-        del batches[:]
+        del exp_map_batches[:]
         sphere_remainder_studies(chart, np.zeros(3), E0_3, ["H"], radii, n_steps=16)
-        assert len(batches) == 1
+        assert len(exp_map_batches) == 1

@@ -70,9 +70,10 @@ class TestNormalDeform:
         assert_allclose(np.linalg.norm(data.x, axis=-1), 1.0 - s, atol=1e-12)
         assert_allclose(data.mean, 1.0 / (1.0 - s), atol=1e-10)
 
-    def test_s_zero_identity(self):
+    @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
+    def test_s_zero_identity(self, mode):
         imm = standard_immersion("round_sphere", radius=1.0)
-        deformed = normal_deform(Deformation(imm, lambda u: u[0].sin(), 0.0))
+        deformed = normal_deform(Deformation(imm, lambda u: u[0].sin(), 0.0, mode))
         u = np.array([[1.0, 2.0]])
         assert_allclose(surface_point(deformed, u).x, surface_point(imm, u).x, atol=1e-15)
 
@@ -189,3 +190,71 @@ class TestSecondFormVariation:
             numeric, formula, gap = second_form_variation_check(imm, f, u, i, j)
             assert_allclose(formula, hess[i, j], atol=1e-12)
             assert abs(numeric - hess[i, j]) < 1e-7
+
+
+class TestDeformationFamilies:
+    """A ±s ladder is one exponential family: one base frame per node set and,
+    in ambient_exponential mode, one exp_map path per sign of s."""
+
+    @staticmethod
+    def amplitude(u):
+        return u[0].cos() * 0.5 + 1.0
+
+    def test_exponential_ladder_integrates_once_per_sign(self, exp_map_batches):
+        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
+        grid = grid_for_immersion(imm, (12, 24))
+        res = first_variation_check(imm, self.amplitude, grid, mode="ambient_exponential")
+        assert exp_map_batches == [(288,), (288,)]
+        assert max(res.gaps.values()) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
+    def test_ladder_members_match_one_member_families(self, mode):
+        from secondform.jets import seed_jets
+        from secondform.variation import DEFAULT_S_LADDER, _deformed_family
+
+        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
+        u = seed_jets(np.array([[0.4, 1.0], [1.5, 2.5], [2.7, 5.9]]), 2, 2)
+        scales = [t for s in DEFAULT_S_LADDER for t in (s, -s)]
+        family = _deformed_family(imm, self.amplitude, mode, scales)
+        for member, s in zip(family, scales):
+            alone = normal_deform(Deformation(imm, self.amplitude, s, mode))
+            got = np.stack([j.coeffs for j in member.map_fn(u)])
+            want = np.stack([j.coeffs for j in alone.map_fn(u)])
+            if mode == "chart_linear":
+                assert np.array_equal(got, want)
+            else:  # the ladder's step is s_max/64, a one-member family's s/64
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_chart_linear_members_are_the_chart_line(self):
+        # x + (f·s)·U with s applied to the amplitude, bit for bit
+        from secondform.hypersurface import frame_jets
+        from secondform.jets import Jet, seed_jets
+        from secondform.variation import _deformed_family
+
+        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
+        nodes = np.array([[0.4, 1.0], [1.5, 2.5], [2.7, 5.9]])
+        scales = (0.3, -0.1, 0.0)
+        family = _deformed_family(imm, self.amplitude, "chart_linear", scales)
+        b = frame_jets(imm, seed_jets(nodes, 2, 3))
+        amp = self.amplitude(seed_jets(nodes, 2, 3))
+        for member, s in zip(family, scales):
+            got = member.map_fn(seed_jets(nodes, 2, 2))
+            for a in range(3):
+                line = Jet(b.space(b.x), b.x[:, a]) + (amp * s) * Jet(b.space(b.U), b.U[:, a])
+                assert np.array_equal(got[a].coeffs, line.coeffs)
+
+    def test_second_form_variation_evaluates_the_base_once(self, monkeypatch):
+        from secondform import variation
+
+        calls = []
+        original = variation.frame_jets
+
+        def counting(imm, *args, **kwargs):
+            calls.append(imm)
+            return original(imm, *args, **kwargs)
+
+        monkeypatch.setattr(variation, "frame_jets", counting)
+        imm = standard_immersion("round_sphere", radius=1.0)
+        _, _, gap = second_form_variation_check(imm, self.amplitude, np.array([1.0, 2.0]), 0, 1)
+        assert calls == [imm]
+        assert gap < 1e-6
