@@ -589,6 +589,9 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
                 CheckResult(chk["check"], float(value), tol, bool(passed), params.get("label", ""))
             )
         header, rows = _csv_rows(ctx)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
     except GeometryError as exc:
         if expected_error and type(exc).__name__ == expected_error:
             print(f"[PASS] expected numerical error raised: {type(exc).__name__}")

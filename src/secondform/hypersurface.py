@@ -18,8 +18,10 @@ and det A by ε-contraction.  With the parameter jets at order k, each
 quantity is carried at the order its readers use: t, ḡ and U at k − 1 (a
 normal deformation reads U to first order below x), II, A, g⁻¹, det A, H
 and Γ̄ at k − 2, g at max(k − 2, min(k − 1, 2)) (intrinsic curvature reads
-two derivatives of g), ḡ⁻¹ as values only.  The frame bundle
-(``_SurfaceJets``) carries these coefficient arrays and nothing else; the
+two derivatives of g), ḡ⁻¹ as values only.  One frame type,
+:class:`SurfacePointData`, carries these coefficient arrays; the classical
+values (x, g, II, A, H, det A, …) are read off their constant terms, and III
+and the principal spectrum are computed on first read, once.  The
 connection and curvature of g (and, in ``iigeom``, of II) come from the
 one curvature chain in ``ambient``, and R̄, Ric̄, S̄ along the patch from
 :func:`ambient_curvature_on_jets` on the same arrays.
@@ -37,7 +39,8 @@ the raw cofactor orientation.  An explicit ±1 on the immersion overrides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
 
@@ -104,39 +107,24 @@ class Immersion:
 
 @dataclass
 class SurfacePointData:
-    """Classical per-point data; arrays gain a leading batch axis on grids."""
-
-    u: np.ndarray
-    x: np.ndarray
-    tangent: np.ndarray  # (..., m, dim)
-    normal: np.ndarray  # (..., dim)
-    alpha: np.ndarray
-    first: np.ndarray  # g_ij
-    second: np.ndarray  # II_ij
-    third: np.ndarray  # III_ij
-    shape: np.ndarray  # A^i_j  (row upper index)
-    mean: np.ndarray
-    detA: np.ndarray
-    lam: np.ndarray  # principal curvatures, ascending
-    epsilon: np.ndarray  # signs of a g-orthonormal frame, ascending
-    _bundle: Optional["_SurfaceJets"] = field(default=None, repr=False)
-
-
-@dataclass
-class _SurfaceJets:
-    """The frame's coefficient arrays, shared by the II-geometry layer.
+    """The fundamental-form frame at parameter point(s), one type for the
+    coefficient arrays and the classical values read off them.
 
     Each array has the monomial axis first, then tensor axes, then batch
     axes, at the order its readers use (see the module docstring): with the
     parameter jets at order k, x at k; t, ḡ and U at k − 1; g at
     max(k − 2, min(k − 1, 2)); g⁻¹, II, A, det A and H at k − 2; ḡ⁻¹ at 0.
+    The values (`x`, `tangent`, `normal`, `first`, `second`, `shape`,
+    `mean`, `detA`) are views of the arrays' constant terms, with a leading
+    batch axis on grids; III and the principal spectrum are computed on
+    first read.  `u` is set by :func:`surface_point`.
     """
 
     imm: Immersion
     order: int
     batched: bool
     alpha: np.ndarray
-    x: np.ndarray  # (n_mono, dim, *batch)
+    xc: np.ndarray  # (n_mono, dim, *batch)
     t: np.ndarray  # (n_mono, m, dim, *batch): t[:, i, a] = ∂_i x^a
     gbar: np.ndarray  # (n_mono, dim, dim, *batch)
     gbar_inv: np.ndarray
@@ -145,13 +133,38 @@ class _SurfaceJets:
     U: np.ndarray  # (n_mono, dim, *batch)
     II: np.ndarray
     A: np.ndarray  # A[:, i, j] = A^i_j
-    detA: np.ndarray  # (n_mono, *batch)
+    detAc: np.ndarray  # (n_mono, *batch)
     H: np.ndarray
+    u: Optional[np.ndarray] = None
 
     def space(self, c):
         """The jet space, over the m parameters, of one of these arrays."""
         m = self.imm.param_dim
         return next(jet_space(m, k) for k in range(self.order + 1) if jet_space(m, k).n == c.shape[0])
+
+    x = property(lambda self: _cvals(self.xc, self.batched))
+    tangent = property(lambda self: _cvals(self.t, self.batched))  # (..., m, dim)
+    normal = property(lambda self: _cvals(self.U, self.batched))  # (..., dim)
+    first = property(lambda self: _cvals(self.g, self.batched))  # g_ij
+    second = property(lambda self: _cvals(self.II, self.batched))  # II_ij
+    shape = property(lambda self: _cvals(self.A, self.batched))  # A^i_j (row upper index)
+    mean = property(lambda self: self.H[0])
+    detA = property(lambda self: self.detAc[0])
+
+    @cached_property
+    def third(self):
+        """III_ij = g(A ∂_i, A ∂_j)."""
+        return np.einsum("...si,...tj,...st->...ij", self.shape, self.shape, self.first)
+
+    @cached_property
+    def principal(self):
+        """``principal_curvatures`` of (g, II, α): (lam, E, eps, valid)."""
+        return principal_curvatures(self.first, self.second, self.alpha)
+
+    @property
+    def lam(self):
+        """Principal curvatures, ascending."""
+        return self.principal[0]
 
 
 def _cvals(c, batched):
@@ -159,7 +172,7 @@ def _cvals(c, batched):
     return np.moveaxis(c[0], -1, 0) if batched else c[0]
 
 
-def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _SurfaceJets:
+def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> SurfacePointData:
     """Run the fundamental-form pipeline on caller-supplied parameter jets
     (at order ≥ 2; see the module docstring for the order of each field)."""
     m, d = imm.param_dim, imm.ambient.dim
@@ -218,12 +231,12 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _Surfac
         sp_u = jet_space(m, 1)
         du = amb._grad(U[: sp_u.n], sp_u)[0]
         _check_shape_operator_two_routes(A[0], t[0], U[0], du, gamma_bar[0])
-    return _SurfaceJets(
+    return SurfacePointData(
         imm=imm,
         order=order,
         batched=batched,
         alpha=alpha,
-        x=xc,
+        xc=xc,
         t=t,
         gbar=gb,
         gbar_inv=_inv(jet_space(m, 0), gb),
@@ -232,7 +245,7 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> _Surfac
         U=U,
         II=II,
         A=A,
-        detA=_wedge(sp2, [A[:, :, j] for j in range(m)]),
+        detAc=_wedge(sp2, [A[:, :, j] for j in range(m)]),
         H=tr_a * (alpha / m),
     )
 
@@ -306,40 +319,18 @@ def principal_curvatures(first, second, alpha):
 
 
 def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:
-    """All classical pointwise data at parameter point(s) u.
+    """The frame at parameter point(s) u, with `u` set: all classical
+    pointwise data.
 
-    u may be a single point of shape (m,) or a batch (N, m); batched results
+    u may be a single point of shape (m,) or a batch (N, m); batched values
     carry the batch axis first.
     """
     u = np.asarray(u, dtype=float)
     if not np.all(imm.contains(u)):
         raise OutOfDomain("parameter point outside the immersion domain")
-    u_jets = seed_jets(u, imm.param_dim, order)
-    b = frame_jets(imm, u_jets)
-    batched = b.batched
-    first = _cvals(b.g, batched)
-    second = _cvals(b.II, batched)
-    shape_a = _cvals(b.A, batched)
-    third = np.einsum("...si,...tj,...st->...ij", shape_a, shape_a, first)
-    alpha = np.asarray(b.alpha, dtype=float)
-    lam = principal_curvatures(first, second, alpha)[0]
-    eps = np.sign(np.linalg.eigvalsh(first))
-    return SurfacePointData(
-        u=u,
-        x=_cvals(b.x, batched),
-        tangent=_cvals(b.t, batched),
-        normal=_cvals(b.U, batched),
-        alpha=alpha,
-        first=first,
-        second=second,
-        third=third,
-        shape=shape_a,
-        mean=b.H[0],
-        detA=b.detA[0],
-        lam=lam,
-        epsilon=eps,
-        _bundle=b,
-    )
+    data = frame_jets(imm, seed_jets(u, imm.param_dim, order))
+    data.u = u
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +404,7 @@ def _generic_curvature_along(chart: MetricChart, space, x):
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_curvature_jets(b: _SurfaceJets):
+def intrinsic_curvature_jets(b: SurfacePointData):
     """The curvature chain (g⁻¹, Γ, R, Ric, S) of the induced metric g of a
     frame, as coefficient arrays."""
     return amb._curvature_chain(b.space(b.g), b.g, b.ginv)
@@ -429,9 +420,8 @@ def gauss_codazzi_residual(imm: Immersion, u):
         return _cvals(c, batched)
 
     curv = intrinsic_curvature_jets(b)
-    rb = vals(ambient_curvature_on_jets(imm.ambient, jet_space(imm.param_dim, 0), b.x, b.gbar)[0])
-    tv, iiv = vals(b.t), vals(b.II)
-    alpha = np.asarray(b.alpha, dtype=float)
+    rb = vals(ambient_curvature_on_jets(imm.ambient, jet_space(imm.param_dim, 0), b.xc, b.gbar)[0])
+    tv, iiv, alpha = b.tangent, b.second, b.alpha
     rbar_tangent = np.einsum("...abcd,...ia,...jb,...kc,...ld->...ijkl", rb, tv, tv, tv, tv)
     gauss = vals(curv.riem) - rbar_tangent - (alpha[..., None, None, None, None] if batched else alpha) * (
         np.einsum("...ik,...jl->...ijkl", iiv, iiv) - np.einsum("...il,...jk->...ijkl", iiv, iiv)
@@ -439,7 +429,7 @@ def gauss_codazzi_residual(imm: Immersion, u):
     gauss_res = np.max(np.abs(gauss))
 
     # Codazzi: (∇_i A)_j − (∇_j A)_i = R̄(∂_i, ∂_j)U, compared in parameter components
-    gam_val, a_val = vals(curv.gamma), vals(b.A)
+    gam_val, a_val = vals(curv.gamma), b.shape
     nabla_a = (
         vals(amb._grad(b.A, b.space(b.A)))  # [..., i, k, j] = ∂_i A^k_j
         + np.einsum("...kis,...sj->...ikj", gam_val, a_val)
@@ -447,9 +437,9 @@ def gauss_codazzi_residual(imm: Immersion, u):
     )
     # antisymmetrize in (i, j); nabla_a axes are [..., i, k, j]
     lhs = nabla_a - np.moveaxis(nabla_a, [-3, -1], [-1, -3])
-    rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, vals(b.U), vals(b.gbar_inv))
+    rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, b.normal, vals(b.gbar_inv))
     rhs_cov = np.einsum("...ije,...ef,...kf->...ijk", rhs_amb, vals(b.gbar), tv)
-    rhs_param = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(vals(b.g)), rhs_cov)
+    rhs_param = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(b.first), rhs_cov)
     # lhs[..., i, k, j] has k the component; rhs_param[..., i, j, k]
     codazzi = lhs - np.moveaxis(rhs_param, -1, -2)
     codazzi_res = np.max(np.abs(codazzi))
@@ -741,13 +731,14 @@ def reparametrized(imm: Immersion, mat, shift, new_lo, new_hi) -> Immersion:
 def resolved_orientation(imm: Immersion) -> int:
     """The concrete ±1 (relative to the cofactor normal) that the immersion's
     orientation rule realizes.  Resolved at the domain midpoint; the auto rule
-    cannot change sign across a connected nondegenerate patch."""
+    cannot change sign across a connected nondegenerate patch.  It flips the
+    cofactor normal exactly where tr A < −ORIENTATION_TIE, so one raw frame
+    decides."""
     if imm.orientation != 0:
         return imm.orientation
     u_mid = 0.5 * (imm.param_lo + imm.param_hi)
-    auto = surface_point(imm, u_mid, order=2)
     raw = surface_point(replace(imm, orientation=1), u_mid, order=2)
-    return 1 if float(np.dot(auto.normal, raw.normal)) > 0 else -1
+    return -1 if np.trace(raw.shape) < -ORIENTATION_TIE else 1
 
 
 def flipped(imm: Immersion) -> Immersion:

@@ -40,12 +40,10 @@ from .errors import (
 from .hypersurface import (
     Immersion,
     SurfacePointData,
-    _SurfaceJets,
     _cvals,
     ambient_curvature_on_jets,
     frame_jets,
     intrinsic_curvature_jets,
-    principal_curvatures,
     surface_point,
 )
 from .jets import Jet, _cauchy, _inv, _wedge, jeinsum, jet_space, seed_jets
@@ -158,7 +156,7 @@ def _divergence_form(w, comps):
     return np.einsum("ii...->...", flux) / w[0]
 
 
-def _ii_machine(b: _SurfaceJets):
+def _ii_machine(b: SurfacePointData):
     """(space, II⁻¹, W = √|det II|) as coefficient arrays at jet order ≤ 1:
     the divergence form reads one derivative, Γ_II one order below II."""
     m = b.imm.param_dim
@@ -178,13 +176,13 @@ def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
     raising.
     """
     data = surface_point(imm, u, order=4)
-    b = data._bundle
     with np.errstate(all="ignore"):
-        return _ii_geometry_from(data, b, imm.param_dim, b.batched, on_error)
+        return _ii_geometry_from(data, on_error)
 
 
-def _ii_geometry_from(data, b, m, batched, on_error):
-    lam_mod = np.abs(np.linalg.eigvals(np.asarray(data.shape, dtype=float)))
+def _ii_geometry_from(data: SurfacePointData, on_error):
+    m, batched = data.imm.param_dim, data.batched
+    lam_mod = np.abs(np.linalg.eigvals(data.shape))
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR
     ii_val = data.second
     det_ii_val = np.linalg.det(ii_val)
@@ -200,9 +198,9 @@ def _ii_geometry_from(data, b, m, batched, on_error):
         if np.any(degenerate):
             raise DegenerateII(f"|det II| < {II_DET_FLOOR} at {int(np.sum(degenerate))} point(s)")
 
-    sp1, ii_inv, w = _ii_machine(b)
-    curv_ii = amb._curvature_chain(b.space(b.II), b.II, ii_inv)
-    curv_g = intrinsic_curvature_jets(b)
+    sp1, ii_inv, w = _ii_machine(data)
+    curv_ii = amb._curvature_chain(data.space(data.II), data.II, ii_inv)
+    curv_g = intrinsic_curvature_jets(data)
 
     gamma_ii_val = _cvals(curv_ii.gamma, batched)
     L = gamma_ii_val - _cvals(curv_g.gamma, batched)
@@ -214,7 +212,7 @@ def _ii_geometry_from(data, b, m, batched, on_error):
         raise DegenerateII("II-orthonormal frame construction failed")
 
     # metricity of ∇^II (a plumbing check: holds to roundoff by construction)
-    dii = _cvals(amb._grad(b.II[: sp1.n], sp1), batched)  # [..., k, i, j] = ∂_k II_ij
+    dii = _cvals(amb._grad(data.II[: sp1.n], sp1), batched)  # [..., k, i, j] = ∂_k II_ij
     nab_ii = (
         dii
         - np.einsum("...ski,...sj->...kij", gamma_ii_val, ii_val)
@@ -226,12 +224,12 @@ def _ii_geometry_from(data, b, m, batched, on_error):
     tr_l = np.einsum("...i,...ia,...ib,...kab->...k", kappa, V, V, L)
 
     # ambient curvature along the patch, at the order the Z field reads
-    riem_bar, ric_bar, sbar = ambient_curvature_on_jets(b.imm.ambient, sp1, b.x, b.gbar)
-    z = _z_field(b, riem_bar, ii_inv)
+    riem_bar, ric_bar, sbar = ambient_curvature_on_jets(data.imm.ambient, sp1, data.xc, data.gbar)
+    z = _z_field(data, riem_bar, ii_inv)
     z_val = _cvals(z, batched)
 
     # Δ_II log|det A| and div_II Z via the divergence form
-    f_log = Jet(b.space(b.detA), b.detA).log_abs()
+    f_log = Jet(data.space(data.detAc), data.detAc).log_abs()
     grad_log = jeinsum(sp1, "ij...,j...->i...", ii_inv, amb._grad(f_log.coeffs, f_log.space))
     lap_log_det_a = _divergence_form(w, grad_log)
     div_z = _divergence_form(w, z)
@@ -249,7 +247,7 @@ def _ii_geometry_from(data, b, m, batched, on_error):
     h_var = 0.5 * (m * h - _tr_ii_bilinear(V, kappa, B)) + tail
 
     # principal head: Σ K̄(E_i,U)/λ_i with eigenvalue clusters merged
-    lam, E, eps_dir, prin_ok = principal_curvatures(data.first, ii_val, alpha)
+    lam, E, eps_dir, prin_ok = data.principal
     scale = 1.0 + np.max(np.abs(lam), axis=-1, keepdims=True)
     lam_grouped = _group_eigenvalues(lam, PRINCIPAL_GAP * scale)
     e_amb = np.einsum("...ik,...ka->...ia", E, tv)
@@ -338,7 +336,7 @@ def _group_eigenvalues(lam, tol):
     return out
 
 
-def _z_field(b: _SurfaceJets, riem_bar, ii_inv):
+def _z_field(b: SurfacePointData, riem_bar, ii_inv):
     """Z in parameter components, a coefficient array (n_mono, m, *batch) at
     jet order 1 (div_II Z reads one derivative).
 
@@ -366,9 +364,8 @@ def z_field_surface_alt(imm: Immersion, u) -> np.ndarray:
     if imm.param_dim != 2 or imm.ambient.dim != 3:
         raise GeometryError("alternate Z formula needs a surface in a 3-dim ambient")
     data = surface_point(imm, u, order=2)
-    b = data._bundle
-    _, ric_bar, _ = ambient_curvature_on_jets(imm.ambient, jet_space(2, 0), b.x, b.gbar)
-    ric_val = _cvals(ric_bar, b.batched)
+    _, ric_bar, _ = ambient_curvature_on_jets(imm.ambient, jet_space(2, 0), data.xc, data.gbar)
+    ric_val = _cvals(ric_bar, data.batched)
     rhs = np.einsum("...ab,...a,...ib->...i", ric_val, data.normal, data.tangent)
     z0 = np.linalg.solve(data.second, rhs[..., None])[..., 0]
     az0 = np.einsum("...kj,...j->...k", data.shape, z0)

@@ -304,7 +304,7 @@ def _deformed_family(base: Immersion, f: Callable, mode: str, scales):
         jets = seed_jets(u0, base.param_dim, u_jets[0].space.order + 1)
         b = frame_jets(base, jets, check_two_routes=False)
         amp = f(jets)
-        x = [Jet(b.space(b.x), b.x[:, a]) for a in range(dim)]
+        x = [Jet(b.space(b.xc), b.xc[:, a]) for a in range(dim)]
         normal = [Jet(b.space(b.U), b.U[:, a]) for a in range(dim)]
 
         def velocity(s):
@@ -412,16 +412,15 @@ def second_form_variation_check(
     """d/ds II(μ_s)(∂_i,∂_j) vs α f (ḡ(R̄(U,∂_i)U,∂_j) − III(∂_i,∂_j)) + Hess_f(∂_i,∂_j)."""
     u = np.asarray(u, dtype=float)
     data = surface_point(imm, u, order=3)
-    b = data._bundle
     m = imm.param_dim
 
-    riem_bar, _, _ = ambient_curvature_on_jets(imm.ambient, jet_space(m, 0), b.x, b.gbar)
-    rb = _cvals(riem_bar, b.batched)
+    riem_bar, _, _ = ambient_curvature_on_jets(imm.ambient, jet_space(m, 0), data.xc, data.gbar)
+    rb = _cvals(riem_bar, data.batched)
     curv_term = np.einsum(
         "...abcf,...a,...b,...c,...f->...",
         rb, data.normal, data.tangent[..., i, :], data.normal, data.tangent[..., j, :],
     )
-    gam = _cvals(intrinsic_curvature_jets(b).gamma, b.batched)
+    gam = _cvals(intrinsic_curvature_jets(data).gamma, data.batched)
     u_jets = seed_jets(u, m, 2)
     fj = f(u_jets)
     hess = np.asarray(fj.partial(i).partial(j).value) - sum(

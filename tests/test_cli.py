@@ -1,17 +1,23 @@
 """Scenario runner behavior: exit codes, determinism, listings."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import secondform
 from secondform.cli import SCENARIO_DIR, _fmt, _fmt_col, bundled_scenarios, main, run_scenario
 
 
 def run_cli(args):
+    src = str(Path(secondform.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "secondform.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "secondform.cli", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -191,3 +197,16 @@ def test_non_numeric_tolerance_exit_2(tmp_path):
         p = tmp_path / "x.json"
         p.write_text(json.dumps(scen))
         assert run_scenario(p, out_dir=tmp_path) == 2
+
+
+def test_scenario_error_while_running_exit_2(tmp_path, capsys):
+    # malformed input found after _validate is still a scenario error, not numerics
+    clifford = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
+    clifford["subject"]["type"] = "nonsense"
+    sphere = json.loads((SCENARIO_DIR / "first_variation_sphere_e3.json").read_text())
+    sphere["subject"]["amplitudes"][0] = "nope"
+    for scen in (clifford, sphere):
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(scen))
+        assert run_scenario(p, out_dir=tmp_path) == 2
+        assert "scenario error:" in capsys.readouterr().err

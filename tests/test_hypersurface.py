@@ -304,3 +304,24 @@ def test_timelike_surface_principal_curvatures_nan_exactly_at_complex_pairs():
     # g-orthonormal eigenvectors of A with g(E_i, E_i) = eps_i
     assert_allclose(np.einsum("nia,nab,njb->nij", E, data.first, E), eps[:, :, None] * np.eye(2)[None], atol=1e-12)
     assert_allclose(np.einsum("nab,nib->nia", data.shape, E), lam[:, :, None] * E, atol=1e-12)
+
+
+def test_resolved_orientation_reads_one_raw_frame(monkeypatch):
+    # the auto rule flips the raw normal exactly where tr A < −ORIENTATION_TIE
+    from secondform import hypersurface
+    from secondform.hypersurface import resolved_orientation
+
+    calls = []
+    original = hypersurface.frame_jets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hypersurface, "frame_jets", counting)
+    imm = standard_immersion("round_sphere", radius=1.0)
+    assert resolved_orientation(imm) == -1
+    assert len(calls) == 1
+    swapped = reparametrized(imm, [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0], [0.0, 0.0], [2 * math.pi, math.pi])
+    assert resolved_orientation(swapped) == 1
+    assert len(calls) == 2

@@ -392,3 +392,35 @@ def test_frame_and_difference_tensor_invariants():
     # frame trace of L agrees with the inverse-metric contraction
     tr_via_inverse = np.einsum("...ij,...kij->...k", np.linalg.inv(geo.base.second), geo.L)
     assert_allclose(geo.tr_ii_L, tr_via_inverse, atol=1e-9)
+
+
+def test_principal_spectrum_is_computed_once_on_first_read(monkeypatch):
+    # ii_geometry reads the frame's one cached spectrum; area passes never read it
+    from secondform import hypersurface, iigeom
+    from secondform.hypersurface import principal_curvatures, surface_point
+    from secondform.variation import area, areas, grid_for_immersion
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return principal_curvatures(*args)
+
+    for module in (hypersurface, iigeom):
+        monkeypatch.setattr(module, "principal_curvatures", counting, raising=False)
+    imm = standard_immersion("perturbed_ovaloid", seed=3, amplitude=0.05)
+    grid = grid_for_immersion(imm, (5, 9))
+    geo = ii_geometry(imm, grid.nodes)
+    assert len(calls) == 1
+    for run in (
+        lambda: surface_point(imm, grid.nodes, order=2),
+        lambda: area(imm, grid, "second_form"),
+        lambda: areas(imm, grid),
+    ):
+        calls.clear()
+        run()
+        assert calls == []
+    base = geo.base
+    assert np.array_equal(base.lam, principal_curvatures(base.first, base.second, base.alpha)[0])
+    third = np.einsum("...si,...tj,...st->...ij", base.shape, base.shape, base.first)
+    assert np.array_equal(base.third, third)

@@ -240,7 +240,7 @@ class TestDeformationFamilies:
         for member, s in zip(family, scales):
             got = member.map_fn(seed_jets(nodes, 2, 2))
             for a in range(3):
-                line = Jet(b.space(b.x), b.x[:, a]) + (amp * s) * Jet(b.space(b.U), b.U[:, a])
+                line = Jet(b.space(b.xc), b.xc[:, a]) + (amp * s) * Jet(b.space(b.U), b.U[:, a])
                 assert np.array_equal(got[a].coeffs, line.coeffs)
 
     def test_second_form_variation_evaluates_the_base_once(self, monkeypatch):
