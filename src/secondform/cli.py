@@ -34,6 +34,11 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 # ---------------------------------------------------------------------------
 
 
+# the subject types whose Context reads an immersion on a grid
+GRID_SUBJECTS = ("immersion", "ensemble", "first_variation")
+IMMERSION_KINDS = hypersurface.STANDARD_KINDS + ("geodesic_sphere",)
+
+
 def build_immersion(desc: dict):
     desc = dict(desc)
     if desc.get("kind") == "geodesic_sphere":
@@ -50,6 +55,10 @@ AMPLITUDES = {
 }
 
 
+def _immersion_descs(sub: dict) -> list:
+    return sub["immersions"] if "immersions" in sub else [sub["immersion"]]
+
+
 @dataclass
 class Context:
     scenario: dict
@@ -62,18 +71,11 @@ class Context:
     def get_immersion(self, idx=0):
         key = ("immersion", idx)
         if key not in self.cache:
-            descs = self._immersion_descs()
-            self.cache[key] = build_immersion(descs[idx])
+            self.cache[key] = build_immersion(_immersion_descs(self.subject())[idx])
         return self.cache[key]
 
-    def _immersion_descs(self):
-        sub = self.subject()
-        if "immersions" in sub:
-            return sub["immersions"]
-        return [sub["immersion"]]
-
     def n_immersions(self):
-        return len(self._immersion_descs())
+        return len(_immersion_descs(self.subject()))
 
     def get_grid(self, idx=0):
         key = ("grid", idx)
@@ -424,18 +426,46 @@ def _fmt_col(col, n: int) -> list:
     return ["" if v != v else format(v, ".17g") for v in np.asarray(col, dtype=float).tolist()]
 
 
-def _member_rows(member: int, n: int, cols) -> list:
-    """Rows [member, *cols] of n points, each column formatted at once."""
-    return [[str(member), *vals] for vals in zip(*(_fmt_col(c, n) for c in cols))]
+def _member_rows(member: int, n: int, cols, status=None) -> str:
+    """CSV text of the rows [member, *cols, status] of n points.
+
+    Each row is one ``%`` on a template for this member: ``%.17g`` for a
+    NaN-free column, ``%s`` over its ``_fmt_col`` strings for a column that
+    holds NaN, an empty field for a None column and ``%s`` for the optional
+    status strings.  The bytes are those of ``csv.writer`` on ``_fmt``'d
+    rows: no field of these rows needs quoting.
+    """
+    fields, args = [str(member)], []
+    for col in cols:
+        if col is None:
+            fields.append("")
+            continue
+        vals = np.asarray(col, dtype=float)
+        nan_free = not np.isnan(vals).any()
+        fields.append("%.17g" if nan_free else "%s")
+        args.append(vals.tolist() if nan_free else _fmt_col(vals, n))
+    if status is not None:
+        fields.append("%s")
+        args.append(status)
+    template = ",".join(fields) + "\n"
+    return "".join(template % vals for vals in zip(*args))
+
+
+def _csv_text(rows) -> str:
+    """``csv.writer`` text of rows of strings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _csv_rows(ctx) -> tuple:
+    """(header, CSV text of the rows) of the scenario's subject."""
     sub = ctx.subject()
     kind = sub["type"]
     if kind in ("immersion", "ensemble") and sub.get("csv_style") == "surface":
         # classical per-point rows: u..., x..., H, detA, lambda...
         header = None
-        rows = []
+        parts = []
         for i in range(ctx.n_immersions()):
             imm = ctx.get_immersion(i)
             data = hypersurface.surface_point(imm, ctx.get_grid(i).nodes, order=2)
@@ -446,11 +476,11 @@ def _csv_rows(ctx) -> tuple:
                     + ["H", "detA"] + [f"lambda{k}" for k in range(m)]
                 )
             cols = [*data.u.T, *data.x.T, data.mean, data.detA, *data.lam.T]
-            rows.extend(_member_rows(i, len(data.u), cols))
-        return header, rows
+            parts.append(_member_rows(i, len(data.u), cols))
+        return header, "".join(parts)
     if kind in ("immersion", "ensemble"):
         header = None
-        rows = []
+        parts = []
         for i in range(ctx.n_immersions()):
             rep = ctx.get_report(i)
             geo = rep.geo
@@ -465,9 +495,8 @@ def _csv_rows(ctx) -> tuple:
                 *rep.u.T, geo.base.mean, geo.base.detA, geo.h_ii["variational"], geo.h_ii["gauss"],
                 geo.s_ii, rep.lemma51, rep.thm52, rep.thm61, rep.thm71, rep.cor7,
             ]
-            member_rows = _member_rows(i, rep.u.shape[0], cols)
-            rows.extend(row + [status] for row, status in zip(member_rows, rep.status))
-        return header, rows
+            parts.append(_member_rows(i, rep.u.shape[0], cols, rep.status))
+        return header, "".join(parts)
     if kind == "curve":
         curve = ctx.get_curve()
         s = np.linspace(curve.s_lo, curve.s_hi, int(sub.get("samples", 64)))
@@ -478,7 +507,7 @@ def _csv_rows(ctx) -> tuple:
             [_fmt(s[k]), _fmt(data.kappa[k]), _fmt(h[k]), _fmt(data.frenet_residual[k])]
             for k in range(len(s))
         ]
-        return header, rows
+        return header, _csv_text(rows)
     if kind == "ode":
         sol = ctx.get_ode_solution()
         stride = max(1, len(sol.s) // int(sub.get("csv_samples", 128)))
@@ -487,7 +516,7 @@ def _csv_rows(ctx) -> tuple:
             [_fmt(sol.s[k]), _fmt(sol.kappa[k]), _fmt(sol.kappa_prime[k])]
             for k in range(0, len(sol.s), stride)
         ]
-        return header, rows
+        return header, _csv_text(rows)
     if kind == "sphere_study":
         studies = ctx.get_sphere_study()
         header = ["quantity", "r", "numeric", "series", "remainder"]
@@ -498,7 +527,7 @@ def _csv_rows(ctx) -> tuple:
                     [q, _fmt(study.radii[k]), _fmt(study.numeric[k]),
                      _fmt(study.series[k]), _fmt(study.remainder[k])]
                 )
-        return header, rows
+        return header, _csv_text(rows)
     if kind == "first_variation":
         header = ["amplitude", "s", "diff_area", "diff_area_ii", "rhs_area", "rhs_area_ii"]
         rows = []
@@ -509,11 +538,11 @@ def _csv_rows(ctx) -> tuple:
                     [amp, _fmt(s), _fmt(res.diffs_area[k]), _fmt(res.diffs_area_ii[k]),
                      _fmt(res.rhs_area), _fmt(res.rhs_area_ii)]
                 )
-        return header, rows
+        return header, _csv_text(rows)
     if kind == "recombination":
-        return ["n_jets", "dims", "seed"], [
+        return ["n_jets", "dims", "seed"], _csv_text([
             [str(sub.get("n_jets", 50)), str(sub.get("dims", [3, 4, 5])), str(sub.get("seed", 0))]
-        ]
+        ])
     if kind == "flatness":
         header = ["chart", "Sbar", "riem_norm2", "ricci_norm2", "weyl_norm2", "weyl_identity_gap"]
         rows = [
@@ -521,7 +550,7 @@ def _csv_rows(ctx) -> tuple:
              _fmt(d["weyl_norm2"]), _fmt(d["weyl_identity_gap"])]
             for name, d in _flatness_rows(ctx)
         ]
-        return header, rows
+        return header, _csv_text(rows)
     if kind == "area_derivative":
         header = ["r", "d_area_ii_dr", "h_ii_integral", "relative_gap"]
         rows = [
@@ -529,7 +558,7 @@ def _csv_rows(ctx) -> tuple:
              _fmt(res["relative_gap"])]
             for r, res in _area_derivative_rows(ctx)
         ]
-        return header, rows
+        return header, _csv_text(rows)
     raise ScenarioError(f"unknown subject type {kind!r}")
 
 
@@ -546,8 +575,18 @@ def _validate(scenario: dict):
     for key in ("name", "subject", "checks"):
         if key not in scenario:
             raise ScenarioError(f"scenario missing {key!r}")
-    if "type" not in scenario["subject"]:
+    subject = scenario["subject"]
+    if "type" not in subject:
         raise ScenarioError("subject missing 'type'")
+    if subject["type"] in GRID_SUBJECTS:
+        if "grid" not in subject:
+            raise ScenarioError(f"{subject['type']} subject missing 'grid'")
+        if "immersion" not in subject and "immersions" not in subject:
+            raise ScenarioError(f"{subject['type']} subject missing 'immersion'")
+        for desc in _immersion_descs(subject):
+            kind = desc.get("kind") if isinstance(desc, dict) else None
+            if kind not in IMMERSION_KINDS:
+                raise ScenarioError(f"unknown immersion kind {kind!r}")
     for chk in scenario["checks"]:
         if chk.get("check") not in CHECKS:
             raise ScenarioError(f"unknown check {chk.get('check')!r}")
@@ -588,7 +627,7 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
             results.append(
                 CheckResult(chk["check"], float(value), tol, bool(passed), params.get("label", ""))
             )
-        header, rows = _csv_rows(ctx)
+        header, body = _csv_rows(ctx)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -605,11 +644,7 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
     csv_name = output.get("csv", f"{scenario['name']}.csv")
     json_name = output.get("json", f"{scenario['name']}.json")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(out_dir / csv_name, buf.getvalue())
+    _atomic_write(out_dir / csv_name, _csv_text([header]) + body)
 
     summary = {
         "name": scenario["name"],

@@ -56,7 +56,7 @@ from .errors import (
     NullNormal,
     OutOfDomain,
 )
-from .jets import Jet, _cauchy, _inv, _wedge, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _cofactors, _inv, _wedge, jeinsum, jet_space, seed_jets
 from .jets import jinv  # noqa: F401  (perfbench/tests check that its tracer rebinds this name)
 
 __all__ = [
@@ -189,7 +189,7 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> Surface
 
     gval = _cvals(g, batched)
     g_scale = np.maximum(np.max(np.abs(gval), axis=(-2, -1)), 1e-300)
-    if np.any(np.abs(np.linalg.det(gval)) <= 1e-12 * g_scale**m):
+    if np.any(np.abs(_cofactors(g[0])[1]) <= 1e-12 * g_scale**m):
         raise DegenerateInducedMetric("induced metric degenerate at a sampled point")
     sv = np.linalg.svd(np.swapaxes(_cvals(t, batched), -1, -2), compute_uv=False)
     if np.any(sv[..., -1] <= RANK_FLOOR):
@@ -509,13 +509,16 @@ def _random_quartic(nvars, rng, amplitude):
     return q
 
 
-def standard_immersion(kind: str, **params) -> Immersion:
-    """Catalog of closed-form immersions used throughout the test corpus.
+STANDARD_KINDS = (
+    "round_sphere", "ellipsoid", "perturbed_ovaloid", "graph", "rotational", "clifford",
+    "small_sphere_in_sphere", "perturbed_sphere_in_space_form", "product_sphere_in_sphere",
+    "latitude_circle",
+)
 
-    kinds: round_sphere, ellipsoid, perturbed_ovaloid, graph, rotational,
-    clifford, small_sphere_in_sphere, perturbed_sphere_in_space_form,
-    product_sphere_in_sphere, latitude_circle.
-    """
+
+def standard_immersion(kind: str, **params) -> Immersion:
+    """Catalog of closed-form immersions used throughout the test corpus;
+    `kind` is one of ``STANDARD_KINDS``."""
     desc = {"kind": kind, **params}
     if kind == "round_sphere":
         radius = float(params.get("radius", 1.0))

@@ -46,7 +46,7 @@ from .hypersurface import (
     intrinsic_curvature_jets,
     surface_point,
 )
-from .jets import Jet, _cauchy, _inv, _wedge, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _cofactors, _inv, _wedge, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "IIGeometryPoint",
@@ -185,7 +185,7 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     lam_mod = np.abs(np.linalg.eigvals(data.shape))
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR
     ii_val = data.second
-    det_ii_val = np.linalg.det(ii_val)
+    det_ii_val = _cofactors(data.II[0])[1]
     degenerate = np.abs(det_ii_val) < II_DET_FLOOR
     valid = ~(singular | degenerate)
     reason = np.where(singular, "singular_shape", np.where(degenerate, "degenerate_ii", ""))

@@ -45,6 +45,11 @@ arrays ``_inv`` inverts a matrix by the finite Neumann series on its
 nilpotent part, ``_wedge`` contracts vectors into the Levi-Civita symbol
 (normal covectors, determinants), both branch-free, and :func:`compose`
 evaluates a Taylor expansion with tensor axes on jet-valued displacements.
+Small matrices of values, such as ``_inv``'s M₀ and the fundamental forms
+whose determinants the frame checks and the area densities read, get their
+cofactors and determinant from ``_cofactors``: one gather from a Leibniz
+table per matrix size, with the batch axes last, so a whole grid costs a
+few numpy calls and no per-point LAPACK call.
 :func:`jinv` and :func:`jdet`, on object arrays of jets, are the adjugate
 and Laplace-expansion reference forms the tests hold ``_inv`` and
 ``_wedge`` to.
@@ -238,19 +243,16 @@ def _inv(space: JetSpace, c: np.ndarray, v=None) -> np.ndarray:
     or M⁻¹v for a vector-valued v (n_mono, p, *batch).
 
     With M = M₀ + E (E the nilpotent part), M⁻¹ = Σ_{k ≤ order} (−M₀⁻¹E)^k M₀⁻¹,
-    a finite series.  Points where M₀ is exactly singular come back NaN
-    instead of raising, like the adjugate formula's division by zero.
+    a finite series, and M₀⁻¹ = Cᵀ/det M₀ from ``_cofactors``.  Points where
+    M₀ is exactly singular (det M₀ = 0 or NaN) come back NaN, without a
+    warning, like the adjugate formula's division by zero.
     """
     c = c[: space.n]
-    m0 = np.moveaxis(c[0], (0, 1), (-2, -1))
-    bad = ~(np.linalg.det(m0) != 0.0)  # NaN counts as singular
-    if np.any(bad):
-        m0 = np.where(bad[..., None, None], np.eye(m0.shape[-1]), m0)
-    # contiguous: einsum keeps its operands' memory order, and strided
+    cof, det = _cofactors(c[0])
+    rdet = 1.0 / np.where(det != 0.0, det, np.nan)  # NaN counts as singular
+    # C-ordered: einsum keeps its operands' memory order, and strided
     # operands slow every later product several times over
-    inv0 = np.ascontiguousarray(np.moveaxis(np.linalg.inv(m0), (-2, -1), (0, 1)))
-    if np.any(bad):
-        inv0 = np.where(bad, np.nan, inv0)
+    inv0 = np.multiply(np.swapaxes(cof, 0, 1), rdet, order="C")
     step = -np.einsum("ik...,Zkj...->Zij...", inv0, c)
     step[0] = 0.0
     if v is None:
@@ -274,6 +276,43 @@ def _levi_civita(d: int) -> np.ndarray:
         inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
         eps[perm] = (-1.0) ** inversions
     return eps
+
+
+@lru_cache(maxsize=None)
+def _leibniz(p: int):
+    """Gather table of the Leibniz cofactor sums of a p×p matrix M,
+
+        C_ij = Σ_{σ ∈ S_p, σ(i) = j} sgn σ · Π_{k ≠ i} M_{k σ(k)}:
+
+    flat indices k·p + σ(k) of shape (p − 1, p, p, (p − 1)!), factor axis
+    first, and the signs sgn σ of shape (p, p, (p − 1)!)."""
+    eps = _levi_civita(p)
+    idx = np.empty((p - 1, p, p, math.factorial(p - 1)), dtype=np.intp)
+    sign = np.empty((p, p, math.factorial(p - 1)))
+    fill = np.zeros((p, p), dtype=np.intp)
+    for perm in permutations(range(p)):
+        for i, j in enumerate(perm):
+            n = fill[i, j]
+            fill[i, j] += 1
+            idx[:, i, j, n] = [k * p + perm[k] for k in range(p) if k != i]
+            sign[i, j, n] = eps[perm]
+    idx.flags.writeable = sign.flags.writeable = False  # shared by every caller
+    return idx, sign
+
+
+def _cofactors(m: np.ndarray):
+    """(C, det M) for values M of shape (p, p, *batch), batch axes last:
+    the cofactor matrix C_ij = (−1)^{i+j} det M^{(ij)} and det M = Σ_j M_0j C_0j.
+
+    One gather from the ``_leibniz`` table, one product over its p − 1
+    factors and one signed sum, for every p and batch shape: no per-point
+    library call.  NaN entries propagate, without a warning.
+    """
+    p = m.shape[0]
+    idx, sign = _leibniz(p)
+    terms = m.reshape((p * p,) + m.shape[2:])[idx].prod(axis=0)
+    cof = np.einsum("ijs,ijs...->ij...", sign, terms)
+    return cof, np.einsum("j...,j...->...", m[0], cof[0])
 
 
 def _wedge(space: JetSpace, vecs) -> np.ndarray:

@@ -40,7 +40,7 @@ from .errors import (
 from .hypersurface import Immersion, _sphere_param_box, _unit_sphere_map, surface_point
 from .iigeom import ii_geometry
 from .jets import Jet
-from .variation import _exp_family, area, areas, grid_for_immersion
+from .variation import _area_density, _exp_family, area, areas, grid_for_immersion
 
 __all__ = [
     "FramedJet",
@@ -801,7 +801,7 @@ def area_derivative_check(
     grid = grid_for_immersion(family[2], shape)
     # the order-4 pass first, so that the areas' order-2 maps are its prefix
     geo = ii_geometry(family[2], grid.nodes)
-    dens = np.sqrt(np.abs(np.linalg.det(geo.base.first) * geo.base.detA))
+    dens = _area_density(geo.base) * np.sqrt(np.abs(geo.base.detA))
     integral = float(np.sum(grid.weights * geo.h_ii["variational"] * dens))
 
     a = {k: area(family[k], grid, "second_form") for k in (0, 1, 3, 4)}

@@ -38,7 +38,7 @@ from .hypersurface import (
     surface_point,
 )
 from .iigeom import ii_geometry
-from .jets import Jet, jet_space, seed_jets
+from .jets import Jet, _cofactors, jet_space, seed_jets
 
 __all__ = [
     "QuadratureGrid",
@@ -124,9 +124,14 @@ def _check_shape_nonsingular(data):
         raise SingularShapeOperator("shape operator singular on a quadrature node")
 
 
+def _area_density(data):
+    """√|det g| at the frame's points, the density of dΩ."""
+    return np.sqrt(np.abs(_cofactors(data.g[0])[1]))
+
+
 def _area_pair(data, grid: QuadratureGrid):
     """(Area, Area_II) from one surface pass over the grid nodes."""
-    dens = np.sqrt(np.abs(np.linalg.det(data.first)))
+    dens = _area_density(data)
     return float(grid.weights @ dens), float(grid.weights @ (dens * np.sqrt(np.abs(data.detA))))
 
 
@@ -368,7 +373,7 @@ def first_variation_check(
     data = geo.base
     alpha = float(np.asarray(data.alpha).ravel()[0])
     fvals = _f_values(f, grid.nodes, m)
-    d_omega = np.sqrt(np.abs(np.linalg.det(data.first))) * grid.weights
+    d_omega = _area_density(data) * grid.weights
     d_omega_ii = d_omega * np.sqrt(np.abs(data.detA))
     rhs_area = float(-m * alpha * np.sum(fvals * data.mean * d_omega))
     rhs_area_ii = float(-alpha * np.sum(fvals * geo.h_ii["variational"] * d_omega_ii))

@@ -8,7 +8,7 @@ hand-written index loops.  The tests compare the array code against them.
 import numpy as np
 
 from secondform.ambient import _stack_list
-from secondform.jets import Jet, jet_space, jinv
+from secondform.jets import Jet, jeinsum, jet_space, jinv
 
 
 def views(space, c, ntensor):
@@ -263,3 +263,20 @@ def ambient_curvature_oracle(chart, x_jets):
     for idx in np.ndindex(*ric.shape):
         ric[idx] = comp(ric_amb[idx])
     return riem, ric, comp(scal_amb)
+
+
+def lapack_inv_oracle(space, c):
+    """``jets._inv`` with M₀⁻¹ from ``np.linalg.inv``, the route the
+    cofactor table replaced: the same finite Neumann series on the
+    nilpotent part."""
+    c = c[: space.n]
+    inv0 = np.moveaxis(np.linalg.inv(np.moveaxis(c[0], (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    step = -np.einsum("ik...,Zkj...->Zij...", inv0, c)
+    step[0] = 0.0
+    term = np.zeros(step.shape)
+    term[0] = inv0
+    out = term.copy()
+    for _ in range(space.order):
+        term = jeinsum(space, "ik...,kj...->ij...", step, term)
+        out += term
+    return out

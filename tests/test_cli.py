@@ -1,5 +1,7 @@
 """Scenario runner behavior: exit codes, determinism, listings."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import secondform
-from secondform.cli import SCENARIO_DIR, _fmt, _fmt_col, bundled_scenarios, main, run_scenario
+from secondform import ambient, iigeom
+from secondform.cli import (
+    SCENARIO_DIR, Context, _fmt, _fmt_col, _member_rows, bundled_scenarios, main, run_scenario,
+)
+from secondform.errors import BadParameters
+from secondform.hypersurface import STANDARD_KINDS, Immersion, standard_immersion
 
 
 def run_cli(args):
@@ -210,3 +218,84 @@ def test_scenario_error_while_running_exit_2(tmp_path, capsys):
         p.write_text(json.dumps(scen))
         assert run_scenario(p, out_dir=tmp_path) == 2
         assert "scenario error:" in capsys.readouterr().err
+
+
+def _writer_bytes(member, cols, status):
+    """csv.writer text of the _fmt'd rows [member, *cols, status]."""
+    rows = [
+        [str(member), *(_fmt(None if c is None else c[k]) for c in cols), status[k]]
+        for k in range(len(status))
+    ]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _report_cols(rep):
+    geo = rep.geo
+    return [
+        *rep.u.T, geo.base.mean, geo.base.detA, geo.h_ii["variational"], geo.h_ii["gauss"],
+        geo.s_ii, rep.lemma51, rep.thm52, rep.thm61, rep.thm71, rep.cor7,
+    ]
+
+
+def test_member_rows_are_the_csv_writer_bytes():
+    # masked NaN rows: z = x²/2 + y³/6 has a singular shape operator on y = 0
+    def map_fn(u):
+        x, y = u
+        return [x, y, x * x * 0.5 + y * y * y * (1.0 / 6.0)]
+
+    imm = Immersion(ambient.flat_chart(3), 2, map_fn, -np.ones(2), np.ones(2))
+    u = np.array([[0.2, -0.5], [0.2, 0.0], [-0.3, 0.0], [0.1, 0.4], [0.5, 0.3]])
+    rep = iigeom.sphere_inequality_report(imm, u)
+    cols = _report_cols(rep)
+    assert rep.thm61 is None and rep.status[1:3] == ["degenerate"] * 2
+    assert np.all(np.isnan(rep.geo.s_ii[1:3])) and not np.any(np.isnan(rep.geo.s_ii[[0, 3, 4]]))
+    edge = np.array([np.inf, -0.0, 1e-300, -np.inf, 2.0 / 3.0])  # NaN-free: the %.17g path
+    for member, columns in ((0, cols), (3, cols + [edge, None])):
+        assert _member_rows(member, len(u), columns, rep.status) == _writer_bytes(member, columns, rep.status)
+
+    # the Clifford torus of clifford_area_ii, every column NaN-free
+    scen = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
+    scen["subject"].update(grid=[6, 8], allow_invalid=True)
+    rep = Context(scenario=scen, seed=0, cache={}).get_report()
+    cols = _report_cols(rep)
+    assert rep.thm61 is None and rep.status == ["ok"] * 48
+    assert _member_rows(1, 48, cols, rep.status) == _writer_bytes(1, cols, rep.status)
+
+
+def test_subject_without_grid_or_immersion_exit_2(tmp_path, capsys):
+    for name in ("clifford_area_ii", "three_route_ovaloids", "first_variation_sphere_e3"):
+        scen = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        del scen["subject"]["grid"]
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(scen))
+        assert run_scenario(p, out_dir=tmp_path) == 2
+        assert "missing 'grid'" in capsys.readouterr().err
+    scen = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
+    del scen["subject"]["immersion"]
+    p.write_text(json.dumps(scen))
+    assert run_scenario(p, out_dir=tmp_path) == 2
+    assert "missing 'immersion'" in capsys.readouterr().err
+
+
+def test_unknown_immersion_kind_exit_2(tmp_path, capsys):
+    one = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
+    one["subject"]["immersion"]["kind"] = "no_such_immersion"
+    ensemble = json.loads((SCENARIO_DIR / "three_route_ovaloids.json").read_text())
+    ensemble["subject"]["immersions"][3] = {"kind": "no_such_immersion"}
+    for scen in (one, ensemble):
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(scen))
+        assert run_scenario(p, out_dir=tmp_path) == 2
+        assert "unknown immersion kind 'no_such_immersion'" in capsys.readouterr().err
+
+
+def test_standard_kinds_are_the_catalog():
+    for kind in STANDARD_KINDS:  # each kind has a branch: built, or a parameter missing
+        try:
+            standard_immersion(kind)
+        except KeyError:
+            pass
+    with pytest.raises(BadParameters, match="unknown standard immersion kind"):
+        standard_immersion("no_such_immersion")

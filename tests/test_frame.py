@@ -13,12 +13,13 @@ from numpy.testing import assert_allclose
 
 from secondform import ambient as amb
 from secondform import jets
+from secondform import variation
 from secondform.errors import GeometryError
 from secondform.hypersurface import Immersion, frame_jets, standard_immersion
 from secondform.iigeom import ii_geometry, sphere_inequality_report
 from secondform.jets import Jet, jdet, jinv, seed_jets
 
-from jet_oracles import christoffel_on_jets_oracle, coeffs, jdot, jmatvec, metric_obj
+from jet_oracles import christoffel_on_jets_oracle, coeffs, jdot, jmatvec, lapack_inv_oracle, metric_obj
 
 
 def _generalized_cross(t, d):
@@ -261,3 +262,31 @@ def test_stacked_inverse_masks_exactly_singular_points():
     inv = jets._inv(space, c)
     assert np.all(np.isnan(inv[..., 1]))
     assert np.all(np.isfinite(inv[..., [0, 2]]))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_inverse_matches_lapack_reference_on_frames(case):
+    imm = CASES[case]()
+    for n_points in (0, 153):
+        b = frame_jets(imm, seed_jets(_points(imm, n_points, seed=5), imm.param_dim, 4))
+        for name in ("g", "gbar", "II"):
+            mat = getattr(b, name)
+            space = b.space(mat)
+            want = lapack_inv_oracle(space, mat)
+            got = jets._inv(space, mat)
+            assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)), err_msg=name)
+
+
+def test_frame_path_makes_no_lapack_inverse_or_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point LAPACK inverse or determinant on the frame path")
+
+    imm = CASES["ovaloid_e3"]()
+    grid = variation.grid_for_immersion(imm, (9, 17))
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    b = frame_jets(imm, seed_jets(grid.nodes, 2, 4))
+    geo = ii_geometry(imm, grid.nodes)
+    assert geo.valid.shape == (9 * 17,) and np.all(geo.valid)
+    assert variation.area(imm, grid) > 0 and variation.area(imm, grid, "second_form") > 0
+    assert np.all(np.isfinite(b.ginv))

@@ -223,3 +223,44 @@ def test_jeinsum_paths_match(monkeypatch, cutoff):
     monkeypatch.setattr(jets, "_gathers", lambda points: seen.append(points) or True)
     jeinsum(space, "ab...,b...->a...", a, b)
     assert seen == [7]  # the batch axes count as points, the 3x3 tensor axes do not
+
+
+def _shifted_normal(rng, p, batch):
+    eye = np.eye(p).reshape((p, p) + (1,) * len(batch))
+    return rng.normal(size=(p, p) + batch) + 3.0 * eye
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (1,), (300,), (3, 4)])
+def test_cofactors_match_lapack(p, batch):
+    m = _shifted_normal(np.random.default_rng(p + len(batch)), p, batch)
+    cof, det = jets._cofactors(m)
+    lap = np.moveaxis(m, (0, 1), (-2, -1))
+    assert cof.shape == m.shape and det.shape == batch
+    assert_allclose(det, np.linalg.det(lap), rtol=1e-13, atol=0)
+    want = np.moveaxis(np.linalg.inv(lap), (-2, -1), (0, 1))
+    scale = np.max(np.abs(want))
+    assert_allclose(np.swapaxes(cof, 0, 1) / det, want, rtol=0, atol=1e-13 * scale)
+    # at jet order 0, _inv is M₀⁻¹ alone
+    assert_allclose(jets._inv(jet_space(2, 0), m[None])[0], want, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_inverse_is_nan_at_exactly_the_singular_and_nan_points(p):
+    import warnings
+
+    space = jet_space(2, 2)
+    rng = np.random.default_rng(11 + p)
+    c = rng.normal(size=(space.n, p, p, 6))
+    c[0] = _shifted_normal(rng, p, (6,))
+    c[0, :, :, 1] = np.ones((p, p)) if p > 1 else 0.0  # det exactly 0
+    c[0, 0, 0, 4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, det = jets._cofactors(c[0])
+        inv = jets._inv(space, c)
+        inv_v = jets._inv(space, c, c[:, :, 0])
+    assert det[1] == 0.0 and np.isnan(det[4])
+    for out in (inv, inv_v):
+        assert np.all(np.isnan(out[..., [1, 4]]))
+        assert np.all(np.isfinite(out[..., [0, 2, 3, 5]]))
