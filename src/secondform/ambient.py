@@ -47,6 +47,7 @@ from .errors import (
     OutOfDomain,
     StepFailure,
     UnsupportedSignature,
+    _lookup,
 )
 from .jets import Jet, _cauchy, _inv, _lead, compose, jeinsum, jet_space, seed_jets
 
@@ -506,28 +507,26 @@ CHART_REGISTRY = {
 
 
 def registry_chart(name: str) -> MetricChart:
-    try:
-        return CHART_REGISTRY[name]()
-    except KeyError:
-        raise OutOfDomain(f"no registered custom chart named {name!r}") from None
+    return _lookup(CHART_REGISTRY, "custom chart", {"kind": name})
+
+
+def _space_form_chart(dim, Cbar, index=0):
+    dim, cbar = int(dim), float(Cbar)
+    if dim == 1 and cbar == 0.0:
+        return flat_chart(1)
+    return space_form(dim, cbar, int(index))
+
+
+def _product_chart(factors):
+    return functools.reduce(product_chart, [chart_from_descriptor(d) for d in factors])
+
+
+# kind -> builder, whose keyword parameters are the descriptor's keys
+CHARTS = {"space_form": _space_form_chart, "product": _product_chart, "custom": registry_chart}
 
 
 def chart_from_descriptor(desc: dict) -> MetricChart:
-    kind = desc.get("kind")
-    if kind == "space_form":
-        dim, cbar = int(desc["dim"]), float(desc["Cbar"])
-        if dim == 1 and cbar == 0.0:
-            return flat_chart(1)
-        return space_form(dim, cbar, int(desc.get("index", 0)))
-    if kind == "product":
-        charts = [chart_from_descriptor(d) for d in desc["factors"]]
-        out = charts[0]
-        for c in charts[1:]:
-            out = product_chart(out, c)
-        return out
-    if kind == "custom":
-        return registry_chart(desc["name"])
-    raise OutOfDomain(f"unknown chart kind {kind!r}")
+    return _lookup(CHARTS, "chart", desc)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +618,9 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, stops=None)
     return ends[0] if stops is None else ends
 
 
-def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024, check: bool = True):
-    """Point γ(r) of the unit-speed geodesic with γ(0)=n, γ'(0)=v."""
+def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024):
+    """Point γ(r) of the unit-speed geodesic with γ(0)=n, γ'(0)=v, checked
+    against a run at half the step and for unit speed at the end."""
     n = np.asarray(n, dtype=float)
     v = np.asarray(v, dtype=float)
     _check_domain(chart, n)
@@ -640,17 +640,15 @@ def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024, check: boo
     w = [Jet.constant(jet_space(1, 0), r * v[i]) for i in range(chart.dim)]
     x, vel = exp_map(chart, x0, w, n_steps=n_steps)
     end = np.array([float(j.value) for j in x])
-    if check:
-        x2, _ = exp_map(chart, x0, w, n_steps=2 * n_steps)
-        end2 = np.array([float(j.value) for j in x2])
-        if np.max(np.abs(end - end2)) > 1e-9:
-            raise StepFailure("halving estimate above 1e-9; step too coarse")
-        end = end2
-        gv = metric_value(chart, end)
-        vel_arr = np.array([float(j.value) for j in vel]) / r
-        if abs(abs(vel_arr @ gv @ vel_arr) - 1.0) > 1e-9:
-            raise StepFailure("unit speed not preserved along geodesic")
-    return end
+    x2, _ = exp_map(chart, x0, w, n_steps=2 * n_steps)
+    end2 = np.array([float(j.value) for j in x2])
+    if np.max(np.abs(end - end2)) > 1e-9:
+        raise StepFailure("halving estimate above 1e-9; step too coarse")
+    gv = metric_value(chart, end2)
+    vel_arr = np.array([float(j.value) for j in vel]) / r
+    if abs(abs(vel_arr @ gv @ vel_arr) - 1.0) > 1e-9:
+        raise StepFailure("unit speed not preserved along geodesic")
+    return end2
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 A scenario bundles a subject (an immersion with a grid, a curve, a
 geodesic-sphere study, an ODE integration, …) with named checks and their
 tolerances.  Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario
-file is malformed, 3 a numerical error surfaced that the scenario did not
-declare as expected.  CSV output is deterministic for a fixed scenario and
-seed.
+file is malformed (an unknown or missing key of a descriptor or check
+included: the keys are the builders' and checks' keyword parameters), 3 a
+numerical error surfaced that the scenario did not declare as expected.
+CSV output is deterministic for a fixed scenario and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -23,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ambient, curves, hypersurface, iigeom, spheres, variation
-from .errors import DegenerateII, GeometryError, ScenarioError, SingularShapeOperator
+from .errors import (
+    BadParameters, DegenerateII, GeometryError, ScenarioError, SingularShapeOperator, _lookup,
+)
 
 SCHEMA_VERSION = 1
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
@@ -36,16 +40,14 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 # the subject types whose Context reads an immersion on a grid
 GRID_SUBJECTS = ("immersion", "ensemble", "first_variation")
-IMMERSION_KINDS = hypersurface.STANDARD_KINDS + ("geodesic_sphere",)
 
 
-def build_immersion(desc: dict):
-    desc = dict(desc)
-    if desc.get("kind") == "geodesic_sphere":
-        chart = ambient.chart_from_descriptor(desc["chart"])
-        return spheres.geodesic_sphere(chart, np.asarray(desc["center"], float), float(desc["r"]))
-    return hypersurface.immersion_from_descriptor(desc)
+def _geodesic_sphere(chart, center, r):
+    chart = ambient.chart_from_descriptor(chart)
+    return spheres.geodesic_sphere(chart, np.asarray(center, float), float(r))
 
+
+IMMERSIONS = {**hypersurface.IMMERSIONS, "geodesic_sphere": _geodesic_sphere}
 
 AMPLITUDES = {
     "one": lambda u: u[0] * 0.0 + 1.0,
@@ -55,41 +57,51 @@ AMPLITUDES = {
 }
 
 
-def _immersion_descs(sub: dict) -> list:
-    return sub["immersions"] if "immersions" in sub else [sub["immersion"]]
+class _Subject(dict):
+    """A subject, or the objects built from it: a missing key exits 2."""
+
+    def __missing__(self, key):
+        raise ScenarioError(f"subject missing {key!r}")
+
+
+def _list(sub, key):
+    if not isinstance(sub[key], list) or not sub[key]:
+        raise ScenarioError(f"subject {key!r} must be a non-empty list")
+    return sub[key]
 
 
 @dataclass
 class Context:
+    """A scenario's subject, the objects its construction builds from the
+    subject's descriptors (`built`: immersions with their grids, a curve,
+    charts), and the results its checks share."""
+
     scenario: dict
     seed: int
     cache: dict
 
+    def __post_init__(self):
+        sub, self.built = self.subject(), _Subject()
+        if sub["type"] in GRID_SUBJECTS:
+            descs = _list(sub, "immersions") if "immersions" in sub else [sub["immersion"]]
+            imms = self.built["immersions"] = [_lookup(IMMERSIONS, "immersion", d) for d in descs]
+            self.built["grids"] = [variation.grid_for_immersion(imm, sub["grid"]) for imm in imms]
+        if "curve" in sub:
+            self.built["curve"] = curves.curve_from_descriptor(sub["curve"])
+        if "chart" in sub:
+            self.built["chart"] = ambient.chart_from_descriptor(sub["chart"])
+        if "charts" in sub:
+            self.built["charts"] = [ambient.chart_from_descriptor(d) for d in _list(sub, "charts")]
+
     def subject(self):
-        return self.scenario["subject"]
-
-    def get_immersion(self, idx=0):
-        key = ("immersion", idx)
-        if key not in self.cache:
-            self.cache[key] = build_immersion(_immersion_descs(self.subject())[idx])
-        return self.cache[key]
-
-    def n_immersions(self):
-        return len(_immersion_descs(self.subject()))
-
-    def get_grid(self, idx=0):
-        key = ("grid", idx)
-        if key not in self.cache:
-            shape = tuple(self.subject()["grid"])
-            self.cache[key] = variation.grid_for_immersion(self.get_immersion(idx), shape)
-        return self.cache[key]
+        return _Subject(self.scenario["subject"])
 
     def _masked_geo(self, idx=0):
         """II-geometry on the grid with invalid points masked, computed once."""
         key = ("geo", idx)
         if key not in self.cache:
             self.cache[key] = iigeom.ii_geometry(
-                self.get_immersion(idx), self.get_grid(idx).nodes, on_error="mask"
+                self.built["immersions"][idx], self.built["grids"][idx].nodes, on_error="mask"
             )
         return self.cache[key]
 
@@ -109,24 +121,15 @@ class Context:
         key = ("report", idx)
         if key not in self.cache:
             self.cache[key] = iigeom.sphere_inequality_report(
-                self.get_immersion(idx), self.get_grid(idx).nodes, geo=self._masked_geo(idx)
+                self.built["immersions"][idx], self.built["grids"][idx].nodes,
+                geo=self._masked_geo(idx),
             )
         return self.cache[key]
-
-    def get_curve(self):
-        if "curve" not in self.cache:
-            self.cache["curve"] = curves.curve_from_descriptor(self.subject()["curve"])
-        return self.cache["curve"]
-
-    def get_chart(self):
-        if "chart" not in self.cache:
-            self.cache["chart"] = ambient.chart_from_descriptor(self.subject()["chart"])
-        return self.cache["chart"]
 
     def get_sphere_study(self):
         if "study" not in self.cache:
             sub = self.subject()
-            chart = self.get_chart()
+            chart = self.built["chart"]
             center = np.asarray(sub.get("center", [0.0] * chart.dim), float)
             e0 = sub.get("e0")
             if e0 is None:
@@ -157,7 +160,7 @@ class Context:
             # masked geometry is passed on only when every point is valid
             geo = self._masked_geo()
             self.cache[key] = variation.first_variation_check(
-                self.get_immersion(), AMPLITUDES[amplitude], self.get_grid(),
+                self.built["immersions"][0], AMPLITUDES[amplitude], self.built["grids"][0],
                 geo=geo if np.all(geo.valid) else None,
             )
         return self.cache[key]
@@ -181,111 +184,95 @@ class CheckResult:
         return f"[{status}] {self.name}: value={self.value:.6g} tolerance={self.tolerance:.3g} {self.detail}"
 
 
-def _agg_over_immersions(ctx, fn):
-    return max(fn(i) for i in range(ctx.n_immersions()))
+def _max_over_geos(ctx, fn):
+    return max(fn(ctx.get_geo(i)) for i in range(len(ctx.built["immersions"])))
 
 
-def check_max_abs_h_ii(ctx, params, tol):
-    def one(i):
-        geo = ctx.get_geo(i)
-        return float(np.nanmax(np.abs(geo.h_ii["variational"])))
-
-    return _agg_over_immersions(ctx, one)
+# Each check takes the context and its parameters as keywords: the keys of a
+# check entry, besides RUNNER_KEYS, bind to them.
 
 
-def check_h_ii_route_spread(ctx, params, tol):
-    def one(i):
-        geo = ctx.get_geo(i)
-        spread = geo.h_ii_spread
-        return float(np.nanmax(spread[geo.valid])) if np.any(geo.valid) else math.nan
-
-    return _agg_over_immersions(ctx, one)
+def check_max_abs_h_ii(ctx):
+    return _max_over_geos(ctx, lambda geo: float(np.nanmax(np.abs(geo.h_ii["variational"]))))
 
 
-def check_all_points_valid(ctx, params, tol):
-    def one(i):
-        geo = ctx.get_geo(i)
-        return float(np.sum(~geo.valid))
+def check_h_ii_route_spread(ctx):
+    def one(geo):
+        return float(np.nanmax(geo.h_ii_spread[geo.valid])) if np.any(geo.valid) else math.nan
 
-    return _agg_over_immersions(ctx, one)
-
-
-def check_area_matches(ctx, params, tol):
-    which = params.get("functional", "second_form")
-    val = variation.area(ctx.get_immersion(), ctx.get_grid(), which)
-    return abs(val - float(params["expected"]))
+    return _max_over_geos(ctx, one)
 
 
-def check_gauss_codazzi(ctx, params, tol):
-    def one(i):
-        imm = ctx.get_immersion(i)
-        nodes = ctx.get_grid(i).nodes
-        take = nodes[:: max(1, len(nodes) // int(params.get("max_points", 40)))]
-        g, c = hypersurface.gauss_codazzi_residual(imm, take)
-        return max(g, c)
-
-    return _agg_over_immersions(ctx, one)
+def check_all_points_valid(ctx):
+    return _max_over_geos(ctx, lambda geo: float(np.sum(~geo.valid)))
 
 
-def check_metricity(ctx, params, tol):
-    def one(i):
-        return float(np.max(ctx.get_geo(i).metricity_residual))
-
-    return _agg_over_immersions(ctx, one)
+def check_area_matches(ctx, expected, functional="second_form"):
+    val = variation.area(ctx.built["immersions"][0], ctx.built["grids"][0], functional)
+    return abs(val - float(expected))
 
 
-def check_transport_probe_vs_L(ctx, params, tol):
-    imm = ctx.get_immersion()
-    u0 = np.asarray(params["base_point"], float)
-    w = np.asarray(params["curve_velocity"], float)
-    v = np.asarray(params["vector"], float)
+def check_gauss_codazzi(ctx, max_points=40):
+    def one(imm, grid):
+        take = grid.nodes[:: max(1, len(grid.nodes) // int(max_points))]
+        return max(hypersurface.gauss_codazzi_residual(imm, take))
+
+    return max(one(imm, grid) for imm, grid in zip(ctx.built["immersions"], ctx.built["grids"]))
+
+
+def check_metricity(ctx):
+    return _max_over_geos(ctx, lambda geo: float(np.max(geo.metricity_residual)))
+
+
+def check_transport_probe_vs_L(ctx, base_point, curve_velocity, vector, eps=2e-2):
+    imm = ctx.built["immersions"][0]
+    u0 = np.asarray(base_point, float)
+    w = np.asarray(curve_velocity, float)
+    v = np.asarray(vector, float)
 
     def curve(t):
         return [t * w[k] + u0[k] for k in range(len(u0))]
 
     geo = iigeom.ii_geometry(imm, u0)
     expect = np.einsum("kij,i,j->k", geo.L, v, w)
-    eps = params.get("eps", 2e-2)
     probes = [iigeom.transport_holonomy_probe(imm, curve, v, e) for e in (eps, eps / 2, eps / 4)]
     rich = 2 * probes[2] - probes[1]
     best = 2 * rich - (2 * probes[1] - probes[0])
     return float(np.max(np.abs(best - expect)) / (1 + np.max(np.abs(expect))))
 
 
-def check_first_variation_gap(ctx, params, tol):
-    res = ctx.get_first_variation(params["amplitude"])
-    return res.gaps[params.get("which", "area_ii")]
+def check_first_variation_gap(ctx, amplitude, which="area_ii"):
+    return ctx.get_first_variation(amplitude).gaps[which]
 
 
-def check_first_variation_slope(ctx, params, tol):
-    res = ctx.get_first_variation(params["amplitude"])
-    slope = res.slope_area if params.get("which", "area_ii") == "area" else res.slope_area_ii
-    return slope
+def check_first_variation_slope(ctx, amplitude, which="area_ii"):
+    res = ctx.get_first_variation(amplitude)
+    return res.slope_area if which == "area" else res.slope_area_ii
 
 
-def check_curve_h_ii_max(ctx, params, tol):
-    curve = ctx.get_curve()
-    s = np.linspace(curve.s_lo, curve.s_hi, int(params.get("samples", 64)))
+def check_curve_h_ii_max(ctx, samples=64):
+    curve = ctx.built["curve"]
+    s = np.linspace(curve.s_lo, curve.s_hi, int(samples))
     return float(np.max(np.abs(curves.h_ii_curve(curve, s))))
 
 
-def check_curve_kappa_matches(ctx, params, tol):
-    curve = ctx.get_curve()
-    s = np.linspace(curve.s_lo, curve.s_hi, int(params.get("samples", 32)))
+def check_curve_kappa_matches(ctx, expected, samples=32):
+    curve = ctx.built["curve"]
+    s = np.linspace(curve.s_lo, curve.s_hi, int(samples))
     data = curves.frenet(curve, s)
-    return float(np.max(np.abs(data.kappa - float(params["expected"]))))
+    return float(np.max(np.abs(data.kappa - float(expected))))
 
 
-def check_length_ii_matches(ctx, params, tol):
-    curve = ctx.get_curve()
+def check_length_ii_matches(ctx, expected):
+    curve = ctx.built["curve"]
     val = curves.length_ii(curve, curve.s_lo, curve.s_hi)
-    return abs(val - float(params["expected"]))
+    return abs(val - float(expected))
 
 
-def check_catenary_family_residual(ctx, params, tol):
+def check_catenary_family_residual(ctx, family=((1.0, 0.0), (2.0, -0.4)), s_values=(0.0, 0.5, 2.0)):
     worst = 0.0
-    for a_par, q_par in params.get("family", [[1.0, 0.0], [2.0, -0.4]]):
-        for s in params.get("s_values", [0.0, 0.5, 2.0]):
+    for a_par, q_par in family:
+        for s in s_values:
             w = a_par**2 * (s + q_par) ** 2 + 1.0
             k = a_par / w
             kp = -2 * a_par**3 * (s + q_par) / w**2
@@ -294,37 +281,36 @@ def check_catenary_family_residual(ctx, params, tol):
     return worst
 
 
-def check_ode_matches_family(ctx, params, tol):
+def check_ode_matches_family(ctx, A, Q):
     sol = ctx.get_ode_solution()
-    expect = curves.catenary_family_kappa(params["A"], params["Q"], sol.s)
+    expect = curves.catenary_family_kappa(A, Q, sol.s)
     return float(np.max(np.abs(sol.kappa - expect)))
 
 
-def check_ode_constant_preserved(ctx, params, tol):
+def check_ode_constant_preserved(ctx):
     sol = ctx.get_ode_solution()
     return float(np.max(np.abs(sol.kappa - ctx.subject()["kappa0"])))
 
 
-def check_phi_third_derivative(ctx, params, tol):
+def check_phi_third_derivative(ctx):
     return float(ctx.get_ode_solution().phi_third_deriv_max)
 
 
-def check_series_slope_min(ctx, params, tol):
-    return ctx.get_sphere_study()[params["quantity"]].slope
+def check_series_slope_min(ctx, quantity):
+    return ctx.get_sphere_study()[quantity].slope
 
 
-def check_series_remainder_max(ctx, params, tol):
-    study = ctx.get_sphere_study()[params["quantity"]]
+def check_series_remainder_max(ctx, quantity):
+    study = ctx.get_sphere_study()[quantity]
     return float(np.max(np.abs(study.remainder)))
 
 
-def check_numeric_matches_expected(ctx, params, tol):
-    study = ctx.get_sphere_study()[params["quantity"]]
-    expected = np.asarray(params["expected"], float)
-    return float(np.max(np.abs(study.numeric - expected)))
+def check_numeric_matches_expected(ctx, quantity, expected):
+    study = ctx.get_sphere_study()[quantity]
+    return float(np.max(np.abs(study.numeric - np.asarray(expected, float))))
 
 
-def check_recombination(ctx, params, tol):
+def check_recombination(ctx):
     sub = ctx.subject()
     rng = np.random.default_rng(int(sub.get("seed", ctx.seed)))
     worst = 0.0
@@ -338,8 +324,7 @@ def check_recombination(ctx, params, tol):
 def _flatness_rows(ctx):
     if "flatness" not in ctx.cache:
         rows = []
-        for desc in ctx.subject()["charts"]:
-            chart = ambient.chart_from_descriptor(desc)
+        for chart in ctx.built["charts"]:
             jet = ambient.curvature_jet(chart, np.zeros(chart.dim), order=0)
             diag = spheres.flatness_diagnostic(jet)
             rows.append((chart.name, diag))
@@ -347,22 +332,21 @@ def _flatness_rows(ctx):
     return ctx.cache["flatness"]
 
 
-def check_flatness_condition(ctx, params, tol):
+def check_flatness_condition(ctx, chart):
     # registered twice: "zero" passes below the tolerance, "nonzero" at or above it
-    name = params["chart"]
     for cname, diag in _flatness_rows(ctx):
-        if cname == name:
+        if cname == chart:
             return max(diag["condition_residuals"])
-    raise ScenarioError(f"chart {name!r} not in scenario")
+    raise ScenarioError(f"chart {chart!r} not in scenario")
 
 
-def check_weyl_identity(ctx, params, tol):
+def check_weyl_identity(ctx):
     return max(diag["weyl_identity_gap"] for _, diag in _flatness_rows(ctx))
 
 
 def _area_derivative_rows(ctx):
     if "area_derivative" not in ctx.cache:
-        chart = ctx.get_chart()
+        chart = ctx.built["chart"]
         rows = []
         for r in ctx.subject()["radii"]:
             res = spheres.area_derivative_check(chart, np.zeros(chart.dim), float(r))
@@ -371,7 +355,7 @@ def _area_derivative_rows(ctx):
     return ctx.cache["area_derivative"]
 
 
-def check_area_derivative_gap(ctx, params, tol):
+def check_area_derivative_gap(ctx):
     return max(res["relative_gap"] for _, res in _area_derivative_rows(ctx))
 
 
@@ -466,9 +450,8 @@ def _csv_rows(ctx) -> tuple:
         # classical per-point rows: u..., x..., H, detA, lambda...
         header = None
         parts = []
-        for i in range(ctx.n_immersions()):
-            imm = ctx.get_immersion(i)
-            data = hypersurface.surface_point(imm, ctx.get_grid(i).nodes, order=2)
+        for i, (imm, grid) in enumerate(zip(ctx.built["immersions"], ctx.built["grids"])):
+            data = hypersurface.surface_point(imm, grid.nodes, order=2)
             m, d = imm.param_dim, imm.ambient.dim
             if header is None:
                 header = (
@@ -481,10 +464,10 @@ def _csv_rows(ctx) -> tuple:
     if kind in ("immersion", "ensemble"):
         header = None
         parts = []
-        for i in range(ctx.n_immersions()):
+        for i, imm in enumerate(ctx.built["immersions"]):
             rep = ctx.get_report(i)
             geo = rep.geo
-            m = ctx.get_immersion(i).param_dim
+            m = imm.param_dim
             if header is None:
                 header = (
                     ["member"] + [f"u{k}" for k in range(m)]
@@ -498,7 +481,7 @@ def _csv_rows(ctx) -> tuple:
             parts.append(_member_rows(i, rep.u.shape[0], cols, rep.status))
         return header, "".join(parts)
     if kind == "curve":
-        curve = ctx.get_curve()
+        curve = ctx.built["curve"]
         s = np.linspace(curve.s_lo, curve.s_hi, int(sub.get("samples", 64)))
         data = curves.frenet(curve, s)
         h = curves.h_ii_curve(curve, s)
@@ -567,7 +550,19 @@ def _csv_rows(ctx) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _validate(scenario: dict):
+# keys of a check entry read by the runner, not bound to the check function
+RUNNER_KEYS = ("check", "tolerance", "label")
+
+
+def _check_params(chk: dict) -> dict:
+    return {k: v for k, v in chk.items() if k not in RUNNER_KEYS}
+
+
+def _validate(scenario: dict, seed=None) -> Context:
+    """The scenario's Context, once the scenario is well formed: every
+    descriptor built and every check's parameters bound, before any check
+    runs.  Raises ScenarioError or BadParameters.  `seed` (the command-line
+    flag) takes precedence over the scenario's."""
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
     if scenario.get("schema") != SCHEMA_VERSION:
@@ -576,26 +571,30 @@ def _validate(scenario: dict):
         if key not in scenario:
             raise ScenarioError(f"scenario missing {key!r}")
     subject = scenario["subject"]
-    if "type" not in subject:
-        raise ScenarioError("subject missing 'type'")
-    if subject["type"] in GRID_SUBJECTS:
-        if "grid" not in subject:
-            raise ScenarioError(f"{subject['type']} subject missing 'grid'")
-        if "immersion" not in subject and "immersions" not in subject:
-            raise ScenarioError(f"{subject['type']} subject missing 'immersion'")
-        for desc in _immersion_descs(subject):
-            kind = desc.get("kind") if isinstance(desc, dict) else None
-            if kind not in IMMERSION_KINDS:
-                raise ScenarioError(f"unknown immersion kind {kind!r}")
-    for chk in scenario["checks"]:
-        if chk.get("check") not in CHECKS:
-            raise ScenarioError(f"unknown check {chk.get('check')!r}")
+    if not isinstance(subject, dict) or "type" not in subject:
+        raise ScenarioError("subject must be an object with a 'type'")
+    checks = scenario["checks"]
+    if not isinstance(checks, list) or not all(isinstance(chk, dict) for chk in checks):
+        raise ScenarioError("'checks' must be a list of objects")
+    for chk in checks:
+        name = chk.get("check")
+        if not isinstance(name, str) or name not in CHECKS:
+            raise ScenarioError(f"unknown check {name!r}")
         try:
             tol = float(chk.get("tolerance"))
         except (TypeError, ValueError):
             tol = math.nan
-        if not tol > 0:
-            raise ScenarioError(f"check {chk.get('check')!r} needs a positive tolerance")
+        if not 0 < tol < math.inf:
+            raise ScenarioError(f"check {name!r} needs a finite positive tolerance")
+        try:
+            inspect.signature(CHECKS[name][0]).bind(None, **_check_params(chk))
+        except TypeError as exc:
+            raise ScenarioError(f"check {name!r}: {exc}") from None
+    try:
+        seed = int(scenario.get("seed", 0)) if seed is None else seed
+    except (TypeError, ValueError):
+        raise ScenarioError(f"seed must be an integer, got {scenario['seed']!r}") from None
+    return Context(scenario=scenario, seed=seed, cache={})
 
 
 def _atomic_write(path: Path, text: str):
@@ -607,31 +606,26 @@ def _atomic_write(path: Path, text: str):
 def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) -> int:
     try:
         scenario = json.loads(Path(path).read_text())
-        _validate(scenario)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-
-    # precedence: command-line flag > scenario file > default
-    effective_seed = seed if seed is not None else int(scenario.get("seed", 0))
-    ctx = Context(scenario=scenario, seed=effective_seed, cache={})
     results = []
-    expected_error = scenario.get("expect_error")
     try:
+        ctx = _validate(scenario, seed)
         for chk in scenario["checks"]:
             fn, direction = CHECKS[chk["check"]]
             tol = float(chk["tolerance"]) * tolerance_scale
-            params = {k: v for k, v in chk.items() if k not in ("check", "tolerance")}
-            value = fn(ctx, params, tol)
+            value = fn(ctx, **_check_params(chk))
             passed = (value <= tol) if direction == "max" else (value >= tol)
             results.append(
-                CheckResult(chk["check"], float(value), tol, bool(passed), params.get("label", ""))
+                CheckResult(chk["check"], float(value), tol, bool(passed), chk.get("label", ""))
             )
         header, body = _csv_rows(ctx)
-    except ScenarioError as exc:
+    except (ScenarioError, BadParameters) as exc:  # found while building or running
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
+        expected_error = scenario.get("expect_error")
         if expected_error and type(exc).__name__ == expected_error:
             print(f"[PASS] expected numerical error raised: {type(exc).__name__}")
             return 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ambient as amb
 from .ambient import MetricChart
-from .errors import BadParameters, BlowUp, NotFrenet, NotUnitSpeed
+from .errors import BadParameters, BlowUp, NotFrenet, NotUnitSpeed, _lookup
 from .jets import Jet, _cauchy, jeinsum, jet_space, seed_jets
 
 __all__ = [
@@ -51,7 +51,6 @@ class FrenetCurve:
     curve_fn: Callable  # 1-variable jet -> [x0, x1] jets
     s_lo: float
     s_hi: float
-    descriptor: Optional[dict] = None
 
 
 @dataclass
@@ -245,54 +244,56 @@ def integrate_ii_minimal(
 # ---------------------------------------------------------------------------
 
 
+def _circle_e2(radius=1.0):
+    radius = float(radius)
+    if radius <= 0:
+        raise BadParameters("radius must be positive")
+
+    def curve_fn(sj):
+        ang = sj * (1.0 / radius)
+        return [ang.cos() * radius, ang.sin() * radius]
+
+    return FrenetCurve(amb.flat_chart(2), curve_fn, 0.0, 2 * math.pi * radius)
+
+
+def _latitude_circle_s2(colatitude=math.pi / 4):
+    theta = float(colatitude)
+    if not 0 < theta < math.pi:
+        raise BadParameters("colatitude must lie in (0, π)")
+    rc = 2 * math.tan(theta / 2)
+    circumference = 2 * math.pi * math.sin(theta)
+
+    def curve_fn(sj):
+        ang = sj * (2 * math.pi / circumference)
+        return [ang.cos() * rc, ang.sin() * rc]
+
+    return FrenetCurve(amb.space_form(2, 1.0), curve_fn, 0.0, circumference)
+
+
+def _catenary_e2(half_span=3.0):
+    # arclength parametrization of y = cosh x: (asinh s, √(1+s²)),
+    # whose curvature is κ(s) = 1/(1+s²)
+    half = float(half_span)
+
+    def curve_fn(sj):
+        root = (sj * sj + 1.0).sqrt()
+        return [(sj + root).log_abs(), root]
+
+    return FrenetCurve(amb.flat_chart(2), curve_fn, -half, half)
+
+
+def _line_e2():
+    return FrenetCurve(amb.flat_chart(2), lambda sj: [sj, sj * 0.0], -1.0, 1.0)
+
+
+# kind -> builder _<kind>, whose keyword parameters are the descriptor's keys
+CURVES = {fn.__name__[1:]: fn for fn in (_circle_e2, _latitude_circle_s2, _catenary_e2, _line_e2)}
+
+
 def standard_curve(kind: str, **params) -> FrenetCurve:
-    """Closed-form test curves: circle_e2, latitude_circle_s2, catenary_e2."""
-    desc = {"kind": kind, **params}
-    if kind == "circle_e2":
-        radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise BadParameters("radius must be positive")
-        chart = amb.flat_chart(2)
-
-        def curve_fn(sj):
-            ang = sj * (1.0 / radius)
-            return [ang.cos() * radius, ang.sin() * radius]
-
-        return FrenetCurve(chart, curve_fn, 0.0, 2 * math.pi * radius, desc)
-
-    if kind == "latitude_circle_s2":
-        theta = float(params.get("colatitude", math.pi / 4))
-        if not 0 < theta < math.pi:
-            raise BadParameters("colatitude must lie in (0, π)")
-        chart = amb.space_form(2, 1.0)
-        rc = 2 * math.tan(theta / 2)
-        circumference = 2 * math.pi * math.sin(theta)
-
-        def curve_fn(sj):
-            ang = sj * (2 * math.pi / circumference)
-            return [ang.cos() * rc, ang.sin() * rc]
-
-        return FrenetCurve(chart, curve_fn, 0.0, circumference, desc)
-
-    if kind == "catenary_e2":
-        # arclength parametrization of y = cosh x: (asinh s, √(1+s²)),
-        # whose curvature is κ(s) = 1/(1+s²)
-        chart = amb.flat_chart(2)
-        half = float(params.get("half_span", 3.0))
-
-        def curve_fn(sj):
-            root = (sj * sj + 1.0).sqrt()
-            return [(sj + root).log_abs(), root]
-
-        return FrenetCurve(chart, curve_fn, -half, half, desc)
-
-    if kind == "line_e2":
-        chart = amb.flat_chart(2)
-        return FrenetCurve(chart, lambda sj: [sj, sj * 0.0], -1.0, 1.0, desc)
-
-    raise BadParameters(f"unknown standard curve kind {kind!r}")
+    """Closed-form test curves, one per ``CURVES`` kind."""
+    return curve_from_descriptor({"kind": kind, **params})
 
 
 def curve_from_descriptor(desc: dict) -> FrenetCurve:
-    desc = dict(desc)
-    return standard_curve(desc.pop("kind"), **desc)
+    return _lookup(CURVES, "curve", desc)

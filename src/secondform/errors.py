@@ -3,6 +3,8 @@
 Every failure mode raised by the numerical pipelines derives from
 :class:`GeometryError`, so callers (and the scenario runner) can distinguish
 "the input is outside the class this operation handles" from genuine bugs.
+`_lookup`, the one descriptor-to-object lookup of the immersion, curve and
+chart catalogs, turns a bad descriptor into :class:`BadParameters`.
 """
 
 
@@ -92,3 +94,24 @@ class BlowUp(GeometryError):
 
 class ScenarioError(GeometryError):
     """Scenario file is malformed or references unknown checks."""
+
+
+def _lookup(table: dict, what: str, desc):
+    """``table[kind](**params)`` for the descriptor ``{"kind": kind, **params}``.
+
+    A builder's keyword parameters are the keys its descriptor may carry.
+    An unknown kind, and a TypeError or ValueError from the builder (an
+    unknown or missing key, a value of the wrong type), raise BadParameters
+    naming the kind.  Builders only construct objects (their maps are lazy),
+    so no numerical fault is turned into BadParameters here.
+    """
+    if not isinstance(desc, dict):
+        raise BadParameters(f"{what} descriptor must be an object, got {desc!r}")
+    params = dict(desc)
+    kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in table:
+        raise BadParameters(f"unknown {what} kind {kind!r}")
+    try:
+        return table[kind](**params)
+    except (TypeError, ValueError) as exc:
+        raise BadParameters(f"{what} {kind!r}: {exc}") from None

@@ -55,6 +55,7 @@ from .errors import (
     GeometryError,
     NullNormal,
     OutOfDomain,
+    _lookup,
 )
 from .jets import Jet, _cauchy, _cofactors, _inv, _wedge, jeinsum, jet_space, seed_jets
 from .jets import jinv  # noqa: F401  (perfbench/tests check that its tracer rebinds this name)
@@ -82,9 +83,11 @@ class Immersion:
     `map_fn` maps a list of m parameter jets to a list of dim ambient-chart
     jets; it must be evaluable to total derivative order 4.
 
-    On patches where tr A changes sign (possible only with indefinite II),
-    the auto orientation rule is evaluated per point; pass an explicit ±1
-    orientation there to keep one continuous normal field.
+    On patches where tr A changes sign, the auto orientation rule is
+    evaluated per point and flips the normal between points.  That happens
+    with indefinite II, and also with definite II when g is Lorentzian (a
+    timelike graph in de Sitter space); pass an explicit ±1 orientation
+    there to keep one continuous normal field.
     """
 
     ambient: MetricChart
@@ -92,17 +95,19 @@ class Immersion:
     map_fn: Callable
     param_lo: np.ndarray
     param_hi: np.ndarray
-    orientation: int = 0  # 0: auto (tr A > 0 when decidable), else ±1
-    descriptor: Optional[dict] = None
     grid_hint: tuple = ()  # per-axis "gl" or "per", used by quadrature builders
+    orientation: int = 0  # 0: auto (tr A > 0 when decidable), else ±1
+
+    def __post_init__(self):
+        if self.orientation not in (-1, 0, 1):
+            raise ValueError(f"orientation must be -1, 0 or 1, got {self.orientation!r}")
 
     def contains(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return np.all((u >= self.param_lo - 1e-12) & (u <= self.param_hi + 1e-12), axis=-1)
 
     def __repr__(self):
-        name = (self.descriptor or {}).get("kind", "immersion")
-        return f"Immersion({name}, m={self.param_dim}, ambient={self.ambient.name})"
+        return f"Immersion(m={self.param_dim}, ambient={self.ambient.name})"
 
 
 @dataclass
@@ -509,203 +514,175 @@ def _random_quartic(nvars, rng, amplitude):
     return q
 
 
-STANDARD_KINDS = (
-    "round_sphere", "ellipsoid", "perturbed_ovaloid", "graph", "rotational", "clifford",
-    "small_sphere_in_sphere", "perturbed_sphere_in_space_form", "product_sphere_in_sphere",
-    "latitude_circle",
-)
+def _round_sphere(radius=1.0, m=2, orientation=0):
+    radius, m = float(radius), int(m)
+    if radius <= 0:
+        raise BadParameters("radius must be positive")
+
+    def map_fn(u):
+        return [w * radius for w in _unit_sphere_map(m, u)]
+
+    return Immersion(amb.flat_chart(m + 1), m, map_fn, *_sphere_param_box(m), orientation)
+
+
+def _ellipsoid(axes, orientation=0):
+    axes = [float(a) for a in axes]
+    if min(axes) <= 0:
+        raise BadParameters("all semi-axes must be positive")
+    m = len(axes) - 1
+
+    def map_fn(u):
+        return [w * a for w, a in zip(_unit_sphere_map(m, u), axes)]
+
+    return Immersion(amb.flat_chart(m + 1), m, map_fn, *_sphere_param_box(m), orientation)
+
+
+def _perturbed_ovaloid(m=2, amplitude=0.02, seed=0, orientation=0):
+    m, amplitude = int(m), float(amplitude)
+    if not 0 <= amplitude < 0.2:
+        raise BadParameters("amplitude outside the ovaloid-safe range")
+    q = _random_quartic(m + 1, np.random.default_rng(int(seed)), amplitude)
+
+    def map_fn(u):
+        omega = _unit_sphere_map(m, u)
+        rho = q(omega) + 1.0
+        return [w * rho for w in omega]
+
+    return Immersion(amb.flat_chart(m + 1), m, map_fn, *_sphere_param_box(m), orientation)
+
+
+def _graph(quadratic=((1.0, 0.0), (0.0, 1.0)), half_width=1.0, orientation=0):
+    quad, half = np.asarray(quadratic, dtype=float), float(half_width)
+    if quad.ndim != 2 or quad.shape[0] != quad.shape[1]:
+        raise BadParameters("quadratic must be a square matrix")
+    m = quad.shape[0]
+
+    def map_fn(u):
+        z = None
+        for i in range(m):
+            for j in range(m):
+                if quad[i, j] == 0.0:
+                    continue
+                term = u[i] * u[j] * (0.5 * quad[i, j])
+                z = term if z is None else z + term
+        if z is None:
+            z = u[0] * 0.0
+        return list(u) + [z]
+
+    box = half * np.ones(m)
+    return Immersion(amb.flat_chart(m + 1), m, map_fn, -box, box, ("gl",) * m, orientation)
+
+
+def _rotational(profile="catenoid", waist=1.0, half_height=1.0, orientation=0):
+    if profile != "catenoid":
+        raise BadParameters(f"unknown rotational profile {profile!r}")
+    a, half = float(waist), float(half_height)
+
+    def map_fn(u):
+        s, phi = u
+        r = (s / a).cosh() * a
+        return [r * phi.cos(), r * phi.sin(), s]
+
+    lo, hi = np.array([-half, 0.0]), np.array([half, 2 * math.pi])
+    return Immersion(amb.flat_chart(3), 2, map_fn, lo, hi, ("gl", "per"), orientation)
+
+
+def _clifford(orientation=0):
+    c = 1.0 / math.sqrt(2.0)
+
+    def map_fn(u):
+        s, t = u
+        y0 = s.cos() * c
+        rest = [s.sin() * c, t.cos() * c, t.sin() * c]
+        denom = (y0 + 1.0).reciprocal() * 2.0
+        return [yi * denom for yi in rest]
+
+    box = np.array([2 * math.pi, 2 * math.pi])
+    return Immersion(amb.space_form(3, 1.0), 2, map_fn, np.zeros(2), box, ("per", "per"), orientation)
+
+
+def _small_sphere_in_sphere(geodesic_radius, Cbar=1.0, m=2, orientation=0):
+    rho, cbar, m = float(geodesic_radius), float(Cbar), int(m)
+    if rho <= 0:
+        raise BadParameters("geodesic radius must be positive")
+    if cbar > 0 and rho >= math.pi / math.sqrt(cbar):
+        raise BadParameters("geodesic sphere beyond the conjugate radius")
+    c = _chart_radius_fn(cbar)(rho)
+
+    def map_fn(u):
+        return [w * c for w in _unit_sphere_map(m, u)]
+
+    return Immersion(amb.space_form(m + 1, cbar), m, map_fn, *_sphere_param_box(m), orientation)
+
+
+def _perturbed_sphere_in_space_form(
+    Cbar=1.0, m=3, base_radius=0.7, amplitude=0.02, seed=0, orientation=0
+):
+    cbar, m, rho0 = float(Cbar), int(m), float(base_radius)
+    q = _random_quartic(m + 1, np.random.default_rng(int(seed)), float(amplitude))
+    radius_fn = _chart_radius_fn(cbar)
+
+    def map_fn(u):
+        omega = _unit_sphere_map(m, u)
+        rho = (q(omega) + 1.0) * rho0
+        c = radius_fn(rho)
+        return [w * c for w in omega]
+
+    return Immersion(amb.space_form(m + 1, cbar), m, map_fn, *_sphere_param_box(m), orientation)
+
+
+def _product_sphere_in_sphere(m=2, k=1, orientation=0):
+    m, k = int(m), int(k)
+    if not 1 <= k <= m - 1:
+        raise BadParameters("need 1 <= k <= m-1")
+    c = 1.0 / math.sqrt(2.0)
+    (lo_a, hi_a, hint_a), (lo_b, hi_b, hint_b) = _sphere_param_box(k), _sphere_param_box(m - k)
+
+    def map_fn(u):
+        a_part = [w * c for w in _unit_sphere_map(k, u[:k])]
+        b_part = [w * c for w in _unit_sphere_map(m - k, u[k:])]
+        y = a_part + b_part
+        denom = (y[0] + 1.0).reciprocal() * 2.0
+        return [yi * denom for yi in y[1:]]
+
+    lo, hi = np.concatenate([lo_a, lo_b]), np.concatenate([hi_a, hi_b])
+    return Immersion(amb.space_form(m + 1, 1.0), m, map_fn, lo, hi, hint_a + hint_b, orientation)
+
+
+def _latitude_circle(colatitude=math.pi / 4, Cbar=1.0, orientation=0):
+    theta, cbar = float(colatitude), float(Cbar)
+    if not 0 < theta < math.pi / 2 + 1e-9:
+        raise BadParameters("colatitude must lie in (0, π/2]")
+    rc = _chart_radius_fn(cbar)(theta)
+    circumference = 2 * math.pi * math.sin(theta)  # unit sphere
+
+    def map_fn(u):
+        (s,) = u
+        ang = s * (2 * math.pi / circumference)
+        return [ang.cos() * rc, ang.sin() * rc]
+
+    lo, hi = np.array([0.0]), np.array([circumference])
+    return Immersion(amb.space_form(2, cbar), 1, map_fn, lo, hi, ("per",), orientation)
+
+
+# the catalog: kind -> builder _<kind>, whose keyword parameters are the descriptor's keys
+IMMERSIONS = {fn.__name__[1:]: fn for fn in (
+    _round_sphere, _ellipsoid, _perturbed_ovaloid, _graph, _rotational, _clifford,
+    _small_sphere_in_sphere, _perturbed_sphere_in_space_form, _product_sphere_in_sphere,
+    _latitude_circle,
+)}
+STANDARD_KINDS = tuple(IMMERSIONS)
 
 
 def standard_immersion(kind: str, **params) -> Immersion:
     """Catalog of closed-form immersions used throughout the test corpus;
-    `kind` is one of ``STANDARD_KINDS``."""
-    desc = {"kind": kind, **params}
-    if kind == "round_sphere":
-        radius = float(params.get("radius", 1.0))
-        m = int(params.get("m", 2))
-        if radius <= 0:
-            raise BadParameters("radius must be positive")
-        chart = amb.flat_chart(m + 1)
-        lo, hi, hint = _sphere_param_box(m)
-
-        def map_fn(u):
-            return [w * radius for w in _unit_sphere_map(m, u)]
-
-        return Immersion(chart, m, map_fn, lo, hi, descriptor=desc, grid_hint=hint)
-
-    if kind == "ellipsoid":
-        axes = [float(a) for a in params["axes"]]
-        if min(axes) <= 0:
-            raise BadParameters("all semi-axes must be positive")
-        m = len(axes) - 1
-        chart = amb.flat_chart(m + 1)
-        lo, hi, hint = _sphere_param_box(m)
-
-        def map_fn(u):
-            return [w * a for w, a in zip(_unit_sphere_map(m, u), axes)]
-
-        return Immersion(chart, m, map_fn, lo, hi, descriptor=desc, grid_hint=hint)
-
-    if kind == "perturbed_ovaloid":
-        m = int(params.get("m", 2))
-        amplitude = float(params.get("amplitude", 0.02))
-        seed = int(params.get("seed", 0))
-        if not 0 <= amplitude < 0.2:
-            raise BadParameters("amplitude outside the ovaloid-safe range")
-        chart = amb.flat_chart(m + 1)
-        lo, hi, hint = _sphere_param_box(m)
-        q = _random_quartic(m + 1, np.random.default_rng(seed), amplitude)
-
-        def map_fn(u):
-            omega = _unit_sphere_map(m, u)
-            rho = q(omega) + 1.0
-            return [w * rho for w in omega]
-
-        return Immersion(chart, m, map_fn, lo, hi, descriptor=desc, grid_hint=hint)
-
-    if kind == "graph":
-        quad = np.asarray(params.get("quadratic", np.eye(2)), dtype=float)
-        m = quad.shape[0]
-        half = float(params.get("half_width", 1.0))
-        chart = amb.flat_chart(m + 1)
-
-        def map_fn(u):
-            z = None
-            for i in range(m):
-                for j in range(m):
-                    if quad[i, j] == 0.0:
-                        continue
-                    term = u[i] * u[j] * (0.5 * quad[i, j])
-                    z = term if z is None else z + term
-            if z is None:
-                z = u[0] * 0.0
-            return list(u) + [z]
-
-        return Immersion(
-            chart, m, map_fn, -half * np.ones(m), half * np.ones(m), descriptor=desc,
-            grid_hint=("gl",) * m,
-        )
-
-    if kind == "rotational":
-        profile = params.get("profile", "catenoid")
-        if profile != "catenoid":
-            raise BadParameters(f"unknown rotational profile {profile!r}")
-        a = float(params.get("waist", 1.0))
-        half = float(params.get("half_height", 1.0))
-        chart = amb.flat_chart(3)
-
-        def map_fn(u):
-            s, phi = u
-            r = (s / a).cosh() * a
-            return [r * phi.cos(), r * phi.sin(), s]
-
-        return Immersion(
-            chart, 2, map_fn, np.array([-half, 0.0]), np.array([half, 2 * math.pi]),
-            descriptor=desc, grid_hint=("gl", "per"),
-        )
-
-    if kind == "clifford":
-        chart = amb.space_form(3, 1.0)
-        c = 1.0 / math.sqrt(2.0)
-
-        def map_fn(u):
-            s, t = u
-            y0 = s.cos() * c
-            rest = [s.sin() * c, t.cos() * c, t.sin() * c]
-            denom = (y0 + 1.0).reciprocal() * 2.0
-            return [yi * denom for yi in rest]
-
-        box = np.array([2 * math.pi, 2 * math.pi])
-        return Immersion(
-            chart, 2, map_fn, np.zeros(2), box, descriptor=desc, grid_hint=("per", "per")
-        )
-
-    if kind == "small_sphere_in_sphere":
-        cbar = float(params.get("Cbar", 1.0))
-        m = int(params.get("m", 2))
-        rho = float(params["geodesic_radius"])
-        if rho <= 0:
-            raise BadParameters("geodesic radius must be positive")
-        if cbar > 0 and rho >= math.pi / math.sqrt(cbar):
-            raise BadParameters("geodesic sphere beyond the conjugate radius")
-        chart = amb.space_form(m + 1, cbar)
-        c = _chart_radius_fn(cbar)(rho)
-        lo, hi, hint = _sphere_param_box(m)
-
-        def map_fn(u):
-            return [w * c for w in _unit_sphere_map(m, u)]
-
-        return Immersion(chart, m, map_fn, lo, hi, descriptor=desc, grid_hint=hint)
-
-    if kind == "perturbed_sphere_in_space_form":
-        cbar = float(params.get("Cbar", 1.0))
-        m = int(params.get("m", 3))
-        rho0 = float(params.get("base_radius", 0.7))
-        amplitude = float(params.get("amplitude", 0.02))
-        seed = int(params.get("seed", 0))
-        chart = amb.space_form(m + 1, cbar)
-        lo, hi, hint = _sphere_param_box(m)
-        q = _random_quartic(m + 1, np.random.default_rng(seed), amplitude)
-        radius_fn = _chart_radius_fn(cbar)
-
-        def map_fn(u):
-            omega = _unit_sphere_map(m, u)
-            rho = (q(omega) + 1.0) * rho0
-            c = radius_fn(rho)
-            return [w * c for w in omega]
-
-        return Immersion(chart, m, map_fn, lo, hi, descriptor=desc, grid_hint=hint)
-
-    if kind == "product_sphere_in_sphere":
-        m = int(params.get("m", 2))
-        k = int(params.get("k", 1))
-        if not 1 <= k <= m - 1:
-            raise BadParameters("need 1 <= k <= m-1")
-        chart = amb.space_form(m + 1, 1.0)
-        c = 1.0 / math.sqrt(2.0)
-        lo_a, hi_a, hint_a = _sphere_param_box(k)
-        lo_b, hi_b, hint_b = _sphere_param_box(m - k)
-
-        def map_fn(u):
-            a_part = [w * c for w in _unit_sphere_map(k, u[:k])]
-            b_part = [w * c for w in _unit_sphere_map(m - k, u[k:])]
-            y = a_part + b_part
-            denom = (y[0] + 1.0).reciprocal() * 2.0
-            return [yi * denom for yi in y[1:]]
-
-        return Immersion(
-            chart, m, map_fn, np.concatenate([lo_a, lo_b]), np.concatenate([hi_a, hi_b]),
-            descriptor=desc, grid_hint=hint_a + hint_b,
-        )
-
-    if kind == "latitude_circle":
-        theta = float(params.get("colatitude", math.pi / 4))
-        cbar = float(params.get("Cbar", 1.0))
-        if not 0 < theta < math.pi / 2 + 1e-9:
-            raise BadParameters("colatitude must lie in (0, π/2]")
-        chart = amb.space_form(2, cbar)
-        rc = _chart_radius_fn(cbar)(theta)
-        circumference = 2 * math.pi * math.sin(theta)  # unit sphere
-
-        def map_fn(u):
-            (s,) = u
-            ang = s * (2 * math.pi / circumference)
-            return [ang.cos() * rc, ang.sin() * rc]
-
-        return Immersion(
-            chart, 1, map_fn, np.array([0.0]), np.array([circumference]),
-            descriptor=desc, grid_hint=("per",),
-        )
-
-    raise BadParameters(f"unknown standard immersion kind {kind!r}")
+    `kind` is one of ``STANDARD_KINDS`` and `params` are its builder's
+    keywords (``orientation`` among them)."""
+    return immersion_from_descriptor({"kind": kind, **params})
 
 
 def immersion_from_descriptor(desc: dict) -> Immersion:
-    desc = dict(desc)
-    kind = desc.pop("kind")
-    orientation = desc.pop("orientation", 0)
-    imm = standard_immersion(kind, **desc)
-    return replace(imm, orientation=orientation) if orientation else imm
+    return _lookup(IMMERSIONS, "immersion", desc)
 
 
 def reparametrized(imm: Immersion, mat, shift, new_lo, new_hi) -> Immersion:
@@ -727,7 +704,7 @@ def reparametrized(imm: Immersion, mat, shift, new_lo, new_hi) -> Immersion:
 
     return Immersion(
         imm.ambient, imm.param_dim, map_fn, np.asarray(new_lo, float), np.asarray(new_hi, float),
-        orientation=imm.orientation, descriptor=None, grid_hint=imm.grid_hint,
+        grid_hint=imm.grid_hint, orientation=imm.orientation,
     )
 
 
@@ -768,9 +745,6 @@ def validate_immersion(imm: Immersion, n_per_axis: int = 5, margin: float = 1e-3
     ii_sym = np.max(np.abs(data.second - np.swapaxes(data.second, -1, -2)))
     if ii_sym > 1e-10:
         raise GeometryError("second fundamental form not symmetric")
-    third = np.einsum("...si,...tj,...st->...ij", data.shape, data.shape, data.first)
-    if np.max(np.abs(third - data.third)) > 1e-9:
-        raise GeometryError("III != II ∘ A relation violated")
     aga = np.einsum("...ik,...kj->...ij", data.first, data.shape) * data.alpha[..., None, None]
     if np.max(np.abs(aga - data.second)) > 1e-9:
         raise GeometryError("α·g·A != II")

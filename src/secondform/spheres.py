@@ -498,7 +498,7 @@ def _radial_frame(chart: MetricChart, n, e0=None):
     return orthonormal_frame(g, e0)
 
 
-def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps, kind):
+def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps):
     """One immersion u ↦ exp_n(r·ξ(u)) per radius r in `radii`, for the
     direction field given as ``direction_fn(u_jets, r)`` = r·ξ(u): one
     ``variation._exp_family``, so the radii share one integration with step
@@ -512,14 +512,7 @@ def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps, kin
         return x, functools.partial(direction_fn, u_jets)
 
     maps = _exp_family(chart, rays, radii, n_steps, chart.is_flat)
-    return [
-        Immersion(
-            ambient=chart, param_dim=m, map_fn=map_fn,
-            param_lo=lo, param_hi=hi, grid_hint=hint,
-            descriptor={"kind": kind, "center": list(n), "r": r},
-        )
-        for map_fn, r in zip(maps, radii)
-    ]
+    return [Immersion(chart, m, map_fn, lo, hi, hint) for map_fn in maps]
 
 
 def _check_radii(chart: MetricChart, radii):
@@ -548,9 +541,7 @@ def _geodesic_spheres(chart: MetricChart, n, radii, n_steps: int):
             for i in range(chart.dim)
         ]
 
-    return _exp_immersions(
-        chart, n, direction_fn, radii, m, lo, hi, hint, n_steps, "geodesic_sphere"
-    )
+    return _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps)
 
 
 def _geodesic_sphere_patches(
@@ -576,11 +567,8 @@ def _geodesic_sphere_patches(
             out.append(acc * inv)
         return out
 
-    lo = -half_width * np.ones(m)
-    hi = half_width * np.ones(m)
-    return _exp_immersions(
-        chart, n, direction_fn, radii, m, lo, hi, ("gl",) * m, n_steps, "geodesic_sphere_patch"
-    )
+    box = half_width * np.ones(m)
+    return _exp_immersions(chart, n, direction_fn, radii, m, -box, box, ("gl",) * m, n_steps)
 
 
 def geodesic_sphere(

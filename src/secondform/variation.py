@@ -107,8 +107,13 @@ def lat_long_sphere(n_lat: int, n_long: int) -> QuadratureGrid:
 
 
 def grid_for_immersion(imm: Immersion, shape) -> QuadratureGrid:
-    """Tensor grid matching the immersion's per-axis open/periodic structure."""
+    """Tensor grid matching the immersion's per-axis open/periodic structure;
+    `shape` holds one positive integer size per parameter axis."""
     hint = imm.grid_hint or ("gl",) * imm.param_dim
+    if not isinstance(shape, (list, tuple)) or not all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in shape
+    ):
+        raise BadParameters(f"grid sizes must be positive integers, got {shape!r}")
     if len(shape) != imm.param_dim:
         raise BadParameters("grid shape rank must equal the parameter dimension")
     scheme = "lat_long_sphere" if hint == ("gl",) * (imm.param_dim - 1) + ("per",) else "tensor_gauss_legendre"

@@ -1,23 +1,29 @@
 """Scenario runner behavior: exit codes, determinism, listings."""
 
+import contextlib
 import csv
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import secondform
-from secondform import ambient, iigeom
+from secondform import ambient, cli, curves, hypersurface, iigeom, variation
 from secondform.cli import (
-    SCENARIO_DIR, Context, _fmt, _fmt_col, _member_rows, bundled_scenarios, main, run_scenario,
+    CHECKS, SCENARIO_DIR, Context, _fmt, _fmt_col, _member_rows, bundled_scenarios, main,
+    run_scenario,
 )
 from secondform.errors import BadParameters
-from secondform.hypersurface import STANDARD_KINDS, Immersion, standard_immersion
+from secondform.hypersurface import IMMERSIONS, STANDARD_KINDS, Immersion, standard_immersion
 
 
 def run_cli(args):
@@ -292,10 +298,119 @@ def test_unknown_immersion_kind_exit_2(tmp_path, capsys):
 
 
 def test_standard_kinds_are_the_catalog():
-    for kind in STANDARD_KINDS:  # each kind has a branch: built, or a parameter missing
+    assert STANDARD_KINDS == tuple(IMMERSIONS)
+    for kind in STANDARD_KINDS:  # built, or a required parameter reported missing
         try:
-            standard_immersion(kind)
-        except KeyError:
-            pass
-    with pytest.raises(BadParameters, match="unknown standard immersion kind"):
+            assert isinstance(standard_immersion(kind), Immersion)
+        except BadParameters as exc:
+            assert f"immersion {kind!r}" in str(exc) and "missing" in str(exc)
+    with pytest.raises(BadParameters, match="unknown immersion kind"):
         standard_immersion("no_such_immersion")
+
+
+def _bundled(name):
+    return json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+
+
+# probe: (bundled scenario, edit, rejected before any numerics)
+PROBES = {
+    "unknown_immersion_parameter": (
+        "clifford_area_ii", lambda s: s["subject"]["immersion"].update(bogus=3), True),
+    "seed_on_clifford": (
+        "clifford_area_ii", lambda s: s["subject"]["immersion"].update(seed="x"), True),
+    "ellipsoid_without_axes": (
+        "clifford_area_ii", lambda s: s["subject"].update(immersion={"kind": "ellipsoid"}), True),
+    "grid_not_a_list": ("clifford_area_ii", lambda s: s["subject"].update(grid="abc"), True),
+    "grid_negative": ("clifford_area_ii", lambda s: s["subject"].update(grid=[-3, 4]), True),
+    "grid_zero": ("clifford_area_ii", lambda s: s["subject"].update(grid=[0, 4]), True),
+    "checks_not_a_list": ("clifford_area_ii", lambda s: s.update(checks={"a": 1}), True),
+    "tolerance_infinite": (
+        "clifford_area_ii", lambda s: s["checks"][0].update(tolerance=math.inf), True),
+    "orientation_out_of_range": (
+        "clifford_area_ii", lambda s: s["subject"]["immersion"].update(orientation=2), True),
+    "small_sphere_without_radius": (
+        "ii_minimal_s2_in_s3", lambda s: s["subject"]["immersion"].pop("geodesic_radius"), True),
+    "ode_without_kappa0": ("catenary_ode", lambda s: s["subject"].pop("kappa0"), False),
+    "ode_matches_family_without_A": ("catenary_ode", lambda s: s["checks"][1].pop("A"), True),
+    "check_unknown_parameter": (
+        "clifford_ii_minimal", lambda s: s["checks"][0].update(bogus=1), True),
+    "curve_unknown_key": ("s1_sqrt2_curve", lambda s: s["subject"]["curve"].update(bogus=1), True),
+    "chart_unknown_key": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(bogus=1), True),
+    "geodesic_sphere_chart_unknown_key": (
+        "first_variation_geodesic_sphere_s3",
+        lambda s: s["subject"]["immersion"]["chart"].update(bogus=1), True),
+    "product_factor_unknown_key": (
+        "flatness_diagnostics", lambda s: s["subject"]["charts"][2]["factors"][0].update(bogus=1),
+        True),
+}
+
+
+def _no_frame(*args, **kwargs):
+    raise AssertionError("frame_jets ran on a malformed scenario")
+
+
+def _patch_frame_jets():
+    """Make every module binding ``frame_jets`` fail when it is called."""
+    stack = contextlib.ExitStack()
+    for mod in (hypersurface, iigeom, variation):
+        stack.enter_context(mock.patch.object(mod, "frame_jets", _no_frame))
+    return stack
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_malformed_probe_exit_2(probe, tmp_path, capsys):
+    name, edit, before_numerics = PROBES[probe]
+    scen = _bundled(name)
+    edit(scen)
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(scen))
+    if before_numerics:
+        with _patch_frame_jets():
+            code = run_scenario(p, out_dir=tmp_path)
+    else:
+        code = run_scenario(p, out_dir=tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _descriptors(scen):
+    """Every descriptor object of a scenario: immersions, curves, charts
+    (nested ones too) and checks."""
+    sub, out = scen["subject"], list(scen["checks"])
+    for desc in sub.get("immersions", [sub["immersion"]] if "immersion" in sub else []):
+        out += [desc] + ([desc["chart"]] if "chart" in desc else [])
+    charts = ([sub["chart"]] if "chart" in sub else []) + sub.get("charts", [])
+    for chart in charts:
+        out += [chart] + chart.get("factors", [])
+    return out + ([sub["curve"]] if "curve" in sub else [])
+
+
+@given(
+    st.sampled_from([p.stem for p in bundled_scenarios()]),
+    st.integers(min_value=0, max_value=10**6),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8),
+    st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4), st.none()),
+)
+@settings(max_examples=25, deadline=None)
+def test_unknown_key_in_any_descriptor_exit_2(tmp_path_factory, name, pick, key, value):
+    scen = _bundled(name)
+    descs = _descriptors(scen)
+    descs[pick % len(descs)]["unknown_" + key] = value
+    out = tmp_path_factory.mktemp("probe")
+    (out / "x.json").write_text(json.dumps(scen))
+    with _patch_frame_jets(), mock.patch("sys.stderr", new_callable=io.StringIO) as err:
+        assert run_scenario(out / "x.json", out_dir=out) == 2
+    assert err.getvalue().count("\n") == 1 and "unknown_" + key in err.getvalue()
+
+
+def test_no_builder_or_check_swallows_unknown_keys():
+    tables = [cli.IMMERSIONS, curves.CURVES, ambient.CHARTS, ambient.CHART_REGISTRY,
+              {name: fn for name, (fn, _) in CHECKS.items()}]
+    assert set(hypersurface.IMMERSIONS) < set(cli.IMMERSIONS)
+    for table in tables:
+        for kind, fn in table.items():
+            kinds = [p.kind for p in inspect.signature(fn).parameters.values()]
+            assert inspect.Parameter.VAR_KEYWORD not in kinds, kind
