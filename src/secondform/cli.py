@@ -3,24 +3,25 @@
 A scenario bundles a subject (an immersion with a grid, a curve, a
 geodesic-sphere study, an ODE integration, …) with named checks and their
 tolerances.  Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario
-file is malformed (an unknown or missing key of a descriptor or check
-included: the keys are the builders' and checks' keyword parameters), 3 a
-numerical error surfaced that the scenario did not declare as expected.
+file is malformed (an unknown or missing key of the subject, a descriptor or
+a check included: the keys are the `SUBJECTS` builders', the catalog
+builders' and the checks' keyword parameters), 3 a numerical error surfaced
+that the scenario did not declare as expected.
 CSV output is deterministic for a fixed scenario and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
-import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -38,10 +39,6 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 # ---------------------------------------------------------------------------
 
 
-# the subject types whose Context reads an immersion on a grid
-GRID_SUBJECTS = ("immersion", "ensemble", "first_variation")
-
-
 def _geodesic_sphere(chart, center, r):
     chart = ambient.chart_from_descriptor(chart)
     return spheres.geodesic_sphere(chart, np.asarray(center, float), float(r))
@@ -56,45 +53,120 @@ AMPLITUDES = {
     "harmonic22": lambda u: (u[0].sin() * u[0].sin()) * (u[1] * 2.0).cos(),
 }
 
+# closed sets of check parameters (a sphere study has the scalar series and Area_II)
+Amplitude = Literal[tuple(AMPLITUDES)]
+Area = Literal["area", "area_ii"]
+Quantity = Literal[(*spheres.SCALAR_SERIES_QUANTITIES, "Area_II")]
+
+
+def _choice(what: str, value, allowed):
+    """`value`, once it is one of `allowed`; else BadParameters."""
+    allowed = tuple(allowed)
+    if value not in allowed:
+        raise BadParameters(f"{what} must be one of {list(allowed)}, got {value!r}")
+    return value
+
+
+def _count(what: str, value):
+    """`value`, once it is an integer of at least 1; else BadParameters."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise BadParameters(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _nonempty(key: str, value):
+    """The subject's `key` value, once it is a non-empty list; else BadParameters."""
+    if not isinstance(value, list) or not value:
+        raise BadParameters(f"subject {key!r} must be a non-empty list, got {value!r}")
+    return value
+
 
 class _Subject(dict):
-    """A subject, or the objects built from it: a missing key exits 2."""
+    """The objects a subject builds: reading one its type lacks exits 2."""
 
     def __missing__(self, key):
         raise ScenarioError(f"subject missing {key!r}")
 
 
-def _list(sub, key):
-    if not isinstance(sub[key], list) or not sub[key]:
-        raise ScenarioError(f"subject {key!r} must be a non-empty list")
-    return sub[key]
+# Each subject type is a keyword builder: the keys of a subject, besides
+# "type", are its builder's parameters, and the defaults are theirs.
+
+
+def _ensemble(immersions, grid, allow_invalid=False, csv_style="report"):
+    imms = [_lookup(IMMERSIONS, "immersion", d) for d in _nonempty("immersions", immersions)]
+    return _Subject(
+        immersions=imms,
+        grids=[variation.grid_for_immersion(imm, grid) for imm in imms],
+        allow_invalid=_choice("subject 'allow_invalid'", allow_invalid, (False, True)),
+        csv_style=_choice("subject 'csv_style'", csv_style, ("report", "surface")),
+    )
+
+
+def _immersion(immersion, grid, allow_invalid=False, csv_style="report"):
+    return _ensemble([immersion], grid, allow_invalid, csv_style)
+
+
+def _first_variation(immersion, grid, amplitudes=("one",), allow_invalid=False):
+    amps = [_choice("subject 'amplitudes'", a, AMPLITUDES) for a in amplitudes]
+    return _Subject(_ensemble([immersion], grid, allow_invalid), amplitudes=amps)
+
+
+def _curve(curve, samples=64):
+    samples = _count("subject 'samples'", samples)
+    return _Subject(curve=curves.curve_from_descriptor(curve), samples=samples)
+
+
+def _ode(ambient, kappa0, s_max, kappa_prime0=0.0):
+    return _Subject(ambient=ambient, kappa0=float(kappa0), kappa_prime0=float(kappa_prime0),
+                    s_max=float(s_max))
+
+
+def _sphere_study(chart, quantities, radii, center=None, e0=None):
+    """`e0` defaults to the unit first coordinate vector at `center` (the origin)."""
+    chart = ambient.chart_from_descriptor(chart)
+    return _Subject(
+        chart=chart,
+        center=np.zeros(chart.dim) if center is None else np.asarray(center, float),
+        e0=None if e0 is None else np.asarray(e0, float),
+        quantities=[_choice("subject 'quantities'", q, get_args(Quantity)) for q in quantities],
+        radii=[float(r) for r in _nonempty("radii", radii)],
+    )
+
+
+def _flatness(charts):
+    return _Subject(charts=[ambient.chart_from_descriptor(d) for d in _nonempty("charts", charts)])
+
+
+def _area_derivative(chart, radii):
+    radii = [float(r) for r in _nonempty("radii", radii)]
+    return _Subject(chart=ambient.chart_from_descriptor(chart), radii=radii)
+
+
+def _recombination(n_jets=50, dims=(3, 4, 5), seed=None):
+    """`seed` defaults to the scenario's."""
+    dims = _nonempty("dims", [int(d) for d in dims])
+    n_jets = _count("subject 'n_jets'", n_jets)
+    return _Subject(n_jets=n_jets, dims=dims, seed=None if seed is None else int(seed))
+
+
+SUBJECTS = {fn.__name__[1:]: fn for fn in (
+    _immersion, _ensemble, _first_variation, _curve, _ode, _sphere_study, _flatness,
+    _area_derivative, _recombination)}
 
 
 @dataclass
 class Context:
-    """A scenario's subject, the objects its construction builds from the
-    subject's descriptors (`built`: immersions with their grids, a curve,
-    charts), and the results its checks share."""
+    """A scenario, the objects its subject's `SUBJECTS` builder returns
+    (`built`), and the results its checks share."""
 
     scenario: dict
     seed: int
     cache: dict
 
     def __post_init__(self):
-        sub, self.built = self.subject(), _Subject()
-        if sub["type"] in GRID_SUBJECTS:
-            descs = _list(sub, "immersions") if "immersions" in sub else [sub["immersion"]]
-            imms = self.built["immersions"] = [_lookup(IMMERSIONS, "immersion", d) for d in descs]
-            self.built["grids"] = [variation.grid_for_immersion(imm, sub["grid"]) for imm in imms]
-        if "curve" in sub:
-            self.built["curve"] = curves.curve_from_descriptor(sub["curve"])
-        if "chart" in sub:
-            self.built["chart"] = ambient.chart_from_descriptor(sub["chart"])
-        if "charts" in sub:
-            self.built["charts"] = [ambient.chart_from_descriptor(d) for d in _list(sub, "charts")]
-
-    def subject(self):
-        return _Subject(self.scenario["subject"])
+        self.built = _lookup(SUBJECTS, "subject", self.scenario["subject"], key="type")
+        if "seed" in self.built and self.built["seed"] is None:  # the scenario's seed
+            self.built["seed"] = self.seed
 
     def _masked_geo(self, idx=0):
         """II-geometry on the grid with invalid points masked, computed once."""
@@ -107,7 +179,7 @@ class Context:
 
     def get_geo(self, idx=0):
         geo = self._masked_geo(idx)
-        if not np.all(geo.valid) and not self.subject().get("allow_invalid", False):
+        if not np.all(geo.valid) and not self.built["allow_invalid"]:
             reason = str(np.asarray(geo.invalid_reason)[~geo.valid][0])
             exc = {
                 "singular_shape": SingularShapeOperator,
@@ -128,34 +200,26 @@ class Context:
 
     def get_sphere_study(self):
         if "study" not in self.cache:
-            sub = self.subject()
-            chart = self.built["chart"]
-            center = np.asarray(sub.get("center", [0.0] * chart.dim), float)
-            e0 = sub.get("e0")
+            b = self.built
+            chart, center, e0 = b["chart"], b["center"], b["e0"]
             if e0 is None:
-                g = ambient.metric_value(chart, center)
-                e0 = np.zeros(chart.dim)
-                e0[0] = 1.0 / math.sqrt(g[0, 0])
-            else:
-                e0 = np.asarray(e0, float)
-            self.cache["study"] = spheres.sphere_remainder_studies(
-                chart, center, e0, sub["quantities"], sub["radii"],
-            )
+                e0 = np.eye(chart.dim)[0] / math.sqrt(ambient.metric_value(chart, center)[0, 0])
+            self.cache["study"] = _Subject(spheres.sphere_remainder_studies(
+                chart, center, e0, b["quantities"], b["radii"],
+            ))
         return self.cache["study"]
 
     def get_ode_solution(self):
         if "ode" not in self.cache:
-            sub = self.subject()
+            b = self.built
             self.cache["ode"] = curves.integrate_ii_minimal(
-                sub["ambient"], sub["kappa0"], sub.get("kappa_prime0", 0.0), sub["s_max"]
+                b["ambient"], b["kappa0"], b["kappa_prime0"], b["s_max"]
             )
         return self.cache["ode"]
 
     def get_first_variation(self, amplitude: str):
         key = ("fv", amplitude)
         if key not in self.cache:
-            if amplitude not in AMPLITUDES:
-                raise ScenarioError(f"unknown amplitude {amplitude!r}")
             # an invalid point must raise as ii_geometry's default does, so a
             # masked geometry is passed on only when every point is valid
             geo = self._masked_geo()
@@ -171,25 +235,12 @@ class Context:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-    detail: str = ""
-
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: value={self.value:.6g} tolerance={self.tolerance:.3g} {self.detail}"
-
-
 def _max_over_geos(ctx, fn):
     return max(fn(ctx.get_geo(i)) for i in range(len(ctx.built["immersions"])))
 
 
 # Each check takes the context and its parameters as keywords: the keys of a
-# check entry, besides RUNNER_KEYS, bind to them.
+# check entry, besides "check" and "tolerance", bind to them (`_bind_check`).
 
 
 def check_max_abs_h_ii(ctx):
@@ -207,14 +258,14 @@ def check_all_points_valid(ctx):
     return _max_over_geos(ctx, lambda geo: float(np.sum(~geo.valid)))
 
 
-def check_area_matches(ctx, expected, functional="second_form"):
+def check_area_matches(ctx, expected: float, functional="second_form"):
     val = variation.area(ctx.built["immersions"][0], ctx.built["grids"][0], functional)
-    return abs(val - float(expected))
+    return abs(val - expected)
 
 
-def check_gauss_codazzi(ctx, max_points=40):
+def check_gauss_codazzi(ctx, max_points: int = 40):
     def one(imm, grid):
-        take = grid.nodes[:: max(1, len(grid.nodes) // int(max_points))]
+        take = grid.nodes[:: max(1, len(grid.nodes) // max_points)]
         return max(hypersurface.gauss_codazzi_residual(imm, take))
 
     return max(one(imm, grid) for imm, grid in zip(ctx.built["immersions"], ctx.built["grids"]))
@@ -224,7 +275,7 @@ def check_metricity(ctx):
     return _max_over_geos(ctx, lambda geo: float(np.max(geo.metricity_residual)))
 
 
-def check_transport_probe_vs_L(ctx, base_point, curve_velocity, vector, eps=2e-2):
+def check_transport_probe_vs_L(ctx, base_point, curve_velocity, vector, eps: float = 2e-2):
     imm = ctx.built["immersions"][0]
     u0 = np.asarray(base_point, float)
     w = np.asarray(curve_velocity, float)
@@ -241,32 +292,32 @@ def check_transport_probe_vs_L(ctx, base_point, curve_velocity, vector, eps=2e-2
     return float(np.max(np.abs(best - expect)) / (1 + np.max(np.abs(expect))))
 
 
-def check_first_variation_gap(ctx, amplitude, which="area_ii"):
+def check_first_variation_gap(ctx, amplitude: Amplitude, which: Area = "area_ii"):
     return ctx.get_first_variation(amplitude).gaps[which]
 
 
-def check_first_variation_slope(ctx, amplitude, which="area_ii"):
+def check_first_variation_slope(ctx, amplitude: Amplitude, which: Area = "area_ii"):
     res = ctx.get_first_variation(amplitude)
     return res.slope_area if which == "area" else res.slope_area_ii
 
 
-def check_curve_h_ii_max(ctx, samples=64):
+def check_curve_h_ii_max(ctx, samples: int = 64):
     curve = ctx.built["curve"]
-    s = np.linspace(curve.s_lo, curve.s_hi, int(samples))
+    s = np.linspace(curve.s_lo, curve.s_hi, samples)
     return float(np.max(np.abs(curves.h_ii_curve(curve, s))))
 
 
-def check_curve_kappa_matches(ctx, expected, samples=32):
+def check_curve_kappa_matches(ctx, expected: float, samples: int = 32):
     curve = ctx.built["curve"]
-    s = np.linspace(curve.s_lo, curve.s_hi, int(samples))
+    s = np.linspace(curve.s_lo, curve.s_hi, samples)
     data = curves.frenet(curve, s)
-    return float(np.max(np.abs(data.kappa - float(expected))))
+    return float(np.max(np.abs(data.kappa - expected)))
 
 
-def check_length_ii_matches(ctx, expected):
+def check_length_ii_matches(ctx, expected: float):
     curve = ctx.built["curve"]
     val = curves.length_ii(curve, curve.s_lo, curve.s_hi)
-    return abs(val - float(expected))
+    return abs(val - expected)
 
 
 def check_catenary_family_residual(ctx, family=((1.0, 0.0), (2.0, -0.4)), s_values=(0.0, 0.5, 2.0)):
@@ -281,7 +332,7 @@ def check_catenary_family_residual(ctx, family=((1.0, 0.0), (2.0, -0.4)), s_valu
     return worst
 
 
-def check_ode_matches_family(ctx, A, Q):
+def check_ode_matches_family(ctx, A: float, Q: float):
     sol = ctx.get_ode_solution()
     expect = curves.catenary_family_kappa(A, Q, sol.s)
     return float(np.max(np.abs(sol.kappa - expect)))
@@ -289,33 +340,32 @@ def check_ode_matches_family(ctx, A, Q):
 
 def check_ode_constant_preserved(ctx):
     sol = ctx.get_ode_solution()
-    return float(np.max(np.abs(sol.kappa - ctx.subject()["kappa0"])))
+    return float(np.max(np.abs(sol.kappa - ctx.built["kappa0"])))
 
 
 def check_phi_third_derivative(ctx):
     return float(ctx.get_ode_solution().phi_third_deriv_max)
 
 
-def check_series_slope_min(ctx, quantity):
+def check_series_slope_min(ctx, quantity: Quantity):
     return ctx.get_sphere_study()[quantity].slope
 
 
-def check_series_remainder_max(ctx, quantity):
+def check_series_remainder_max(ctx, quantity: Quantity):
     study = ctx.get_sphere_study()[quantity]
     return float(np.max(np.abs(study.remainder)))
 
 
-def check_numeric_matches_expected(ctx, quantity, expected):
+def check_numeric_matches_expected(ctx, quantity: Quantity, expected):
     study = ctx.get_sphere_study()[quantity]
     return float(np.max(np.abs(study.numeric - np.asarray(expected, float))))
 
 
 def check_recombination(ctx):
-    sub = ctx.subject()
-    rng = np.random.default_rng(int(sub.get("seed", ctx.seed)))
+    rng = np.random.default_rng(ctx.built["seed"])
     worst = 0.0
-    dims = sub.get("dims", [3, 4, 5])
-    for i in range(int(sub.get("n_jets", 50))):
+    dims = ctx.built["dims"]
+    for i in range(ctx.built["n_jets"]):
         f = spheres.synthetic_framed_jet(dims[i % len(dims)], rng)
         worst = max(worst, spheres.h_ii_recombination_error(f))
     return worst
@@ -347,11 +397,10 @@ def check_weyl_identity(ctx):
 def _area_derivative_rows(ctx):
     if "area_derivative" not in ctx.cache:
         chart = ctx.built["chart"]
-        rows = []
-        for r in ctx.subject()["radii"]:
-            res = spheres.area_derivative_check(chart, np.zeros(chart.dim), float(r))
-            rows.append((float(r), res))
-        ctx.cache["area_derivative"] = rows
+        ctx.cache["area_derivative"] = [
+            (r, spheres.area_derivative_check(chart, np.zeros(chart.dim), r))
+            for r in ctx.built["radii"]
+        ]
     return ctx.cache["area_derivative"]
 
 
@@ -392,157 +441,104 @@ CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    if x is None:
-        return ""
+_SPECIAL = re.compile('[,"\r\n]')  # characters whose field csv.writer quotes
+
+
+def _field(x) -> str:
+    """One CSV field as ``csv.writer`` writes it in a row of several fields:
+    empty for None and NaN, ``str`` of an int, ``%.17g`` of a float, a
+    string quoted when it holds a `_SPECIAL` character."""
     if isinstance(x, str):
-        return x
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    return format(x, ".17g")
+        return '"' + x.replace('"', '""') + '"' if _SPECIAL.search(x) else x
+    if isinstance(x, int):
+        return str(x)
+    return "" if x is None or x != x else format(float(x), ".17g")
 
 
-def _fmt_col(col, n: int) -> list:
-    """`_fmt` over a numeric column of n entries; None is an empty column."""
-    if col is None:
-        return [""] * n
-    return ["" if v != v else format(v, ".17g") for v in np.asarray(col, dtype=float).tolist()]
+def _csv_columns(n: int, cols) -> str:
+    """CSV text of n rows whose k-th fields come from ``cols[k]``.
 
-
-def _member_rows(member: int, n: int, cols, status=None) -> str:
-    """CSV text of the rows [member, *cols, status] of n points.
-
-    Each row is one ``%`` on a template for this member: ``%.17g`` for a
-    NaN-free column, ``%s`` over its ``_fmt_col`` strings for a column that
-    holds NaN, an empty field for a None column and ``%s`` for the optional
-    status strings.  The bytes are those of ``csv.writer`` on ``_fmt``'d
-    rows: no field of these rows needs quoting.
+    A column is None, a str or a number (``_field``'d once: the same field
+    on every row), a list of n strings, or n numbers.  Each row is one ``%``
+    on a template: ``%.17g`` for a NaN-free numeric column, ``%s`` over the
+    per-row fields otherwise.  The bytes are those of ``csv.writer`` on the
+    rows' fields.
     """
-    fields, args = [str(member)], []
+    fields, args = [], []
     for col in cols:
-        if col is None:
-            fields.append("")
-            continue
-        vals = np.asarray(col, dtype=float)
-        nan_free = not np.isnan(vals).any()
-        fields.append("%.17g" if nan_free else "%s")
-        args.append(vals.tolist() if nan_free else _fmt_col(vals, n))
-    if status is not None:
-        fields.append("%s")
-        args.append(status)
+        if col is None or isinstance(col, (str, int, float)):
+            fields.append(_field(col).replace("%", "%%"))
+        elif isinstance(col, list) and col and isinstance(col[0], str):
+            fields.append("%s")
+            args.append([_field(v) for v in col] if _SPECIAL.search("".join(col)) else col)
+        else:
+            vals = np.asarray(col, dtype=float)
+            nan_free = not np.isnan(vals).any()
+            fields.append("%.17g" if nan_free else "%s")
+            args.append(vals.tolist() if nan_free else [_field(v) for v in vals.tolist()])
     template = ",".join(fields) + "\n"
-    return "".join(template % vals for vals in zip(*args))
-
-
-def _csv_text(rows) -> str:
-    """``csv.writer`` text of rows of strings."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    return "".join(template % row for row in (zip(*args) if args else [()] * n))
 
 
 def _csv_rows(ctx) -> tuple:
     """(header, CSV text of the rows) of the scenario's subject."""
-    sub = ctx.subject()
-    kind = sub["type"]
-    if kind in ("immersion", "ensemble") and sub.get("csv_style") == "surface":
-        # classical per-point rows: u..., x..., H, detA, lambda...
-        header = None
-        parts = []
-        for i, (imm, grid) in enumerate(zip(ctx.built["immersions"], ctx.built["grids"])):
-            data = hypersurface.surface_point(imm, grid.nodes, order=2)
-            m, d = imm.param_dim, imm.ambient.dim
-            if header is None:
-                header = (
-                    ["member"] + [f"u{k}" for k in range(m)] + [f"x{k}" for k in range(d)]
-                    + ["H", "detA"] + [f"lambda{k}" for k in range(m)]
-                )
-            cols = [*data.u.T, *data.x.T, data.mean, data.detA, *data.lam.T]
-            parts.append(_member_rows(i, len(data.u), cols))
-        return header, "".join(parts)
+    kind, b = ctx.scenario["subject"]["type"], ctx.built
     if kind in ("immersion", "ensemble"):
-        header = None
-        parts = []
-        for i, imm in enumerate(ctx.built["immersions"]):
-            rep = ctx.get_report(i)
-            geo = rep.geo
-            m = imm.param_dim
-            if header is None:
-                header = (
-                    ["member"] + [f"u{k}" for k in range(m)]
-                    + ["H", "detA", "H_II_var", "H_II_gauss", "S_II",
+        m = b["immersions"][0].param_dim
+        header = ["member", *(f"u{k}" for k in range(m))]
+        if b["csv_style"] == "surface":  # classical per-point rows: u..., x..., H, detA, lambda...
+            header += [f"x{k}" for k in range(b["immersions"][0].ambient.dim)]
+            header += ["H", "detA", *(f"lambda{k}" for k in range(m))]
+            pts = (hypersurface.surface_point(imm, grid.nodes, order=2)
+                   for imm, grid in zip(b["immersions"], b["grids"]))
+            blocks = ([*p.u.T, *p.x.T, p.mean, p.detA, *p.lam.T] for p in pts)
+        else:
+            header += ["H", "detA", "H_II_var", "H_II_gauss", "S_II",
                        "lemma51", "thm52", "thm61", "thm71", "cor7", "status"]
-                )
-            cols = [
-                *rep.u.T, geo.base.mean, geo.base.detA, geo.h_ii["variational"], geo.h_ii["gauss"],
-                geo.s_ii, rep.lemma51, rep.thm52, rep.thm61, rep.thm71, rep.cor7,
+            reps = [ctx.get_report(i) for i in range(len(b["immersions"]))]
+            blocks = [
+                [*r.u.T, r.geo.base.mean, r.geo.base.detA, r.geo.h_ii["variational"],
+                 r.geo.h_ii["gauss"], r.geo.s_ii, r.lemma51, r.thm52, r.thm61, r.thm71, r.cor7,
+                 r.status]
+                for r in reps
             ]
-            parts.append(_member_rows(i, rep.u.shape[0], cols, rep.status))
-        return header, "".join(parts)
+        return header, "".join(_csv_columns(len(c[0]), [i, *c]) for i, c in enumerate(blocks))
     if kind == "curve":
-        curve = ctx.built["curve"]
-        s = np.linspace(curve.s_lo, curve.s_hi, int(sub.get("samples", 64)))
+        curve = b["curve"]
+        s = np.linspace(curve.s_lo, curve.s_hi, b["samples"])
         data = curves.frenet(curve, s)
-        h = curves.h_ii_curve(curve, s)
-        header = ["s", "kappa", "H_II", "frenet_residual"]
-        rows = [
-            [_fmt(s[k]), _fmt(data.kappa[k]), _fmt(h[k]), _fmt(data.frenet_residual[k])]
-            for k in range(len(s))
-        ]
-        return header, _csv_text(rows)
+        cols = [s, data.kappa, curves.h_ii_curve(curve, s), data.frenet_residual]
+        return ["s", "kappa", "H_II", "frenet_residual"], _csv_columns(len(s), cols)
     if kind == "ode":
         sol = ctx.get_ode_solution()
-        stride = max(1, len(sol.s) // int(sub.get("csv_samples", 128)))
-        header = ["s", "kappa", "kappa_prime"]
-        rows = [
-            [_fmt(sol.s[k]), _fmt(sol.kappa[k]), _fmt(sol.kappa_prime[k])]
-            for k in range(0, len(sol.s), stride)
-        ]
-        return header, _csv_text(rows)
+        take = slice(None, None, max(1, len(sol.s) // 128))
+        cols = [sol.s[take], sol.kappa[take], sol.kappa_prime[take]]
+        return ["s", "kappa", "kappa_prime"], _csv_columns(len(cols[0]), cols)
     if kind == "sphere_study":
-        studies = ctx.get_sphere_study()
-        header = ["quantity", "r", "numeric", "series", "remainder"]
-        rows = []
-        for q, study in studies.items():
-            for k in range(len(study.radii)):
-                rows.append(
-                    [q, _fmt(study.radii[k]), _fmt(study.numeric[k]),
-                     _fmt(study.series[k]), _fmt(study.remainder[k])]
-                )
-        return header, _csv_text(rows)
+        return ["quantity", "r", "numeric", "series", "remainder"], "".join(
+            _csv_columns(len(st.radii), [q, st.radii, st.numeric, st.series, st.remainder])
+            for q, st in ctx.get_sphere_study().items()
+        )
     if kind == "first_variation":
         header = ["amplitude", "s", "diff_area", "diff_area_ii", "rhs_area", "rhs_area_ii"]
-        rows = []
-        for amp in sub.get("amplitudes", ["one"]):
-            res = ctx.get_first_variation(amp)
-            for k, s in enumerate(res.s_ladder):
-                rows.append(
-                    [amp, _fmt(s), _fmt(res.diffs_area[k]), _fmt(res.diffs_area_ii[k]),
-                     _fmt(res.rhs_area), _fmt(res.rhs_area_ii)]
-                )
-        return header, _csv_text(rows)
+        fvs = [(amp, ctx.get_first_variation(amp)) for amp in b["amplitudes"]]
+        return header, "".join(
+            _csv_columns(len(r.s_ladder), [amp, r.s_ladder, r.diffs_area, r.diffs_area_ii,
+                                           r.rhs_area, r.rhs_area_ii])
+            for amp, r in fvs
+        )
     if kind == "recombination":
-        return ["n_jets", "dims", "seed"], _csv_text([
-            [str(sub.get("n_jets", 50)), str(sub.get("dims", [3, 4, 5])), str(sub.get("seed", 0))]
-        ])
+        cols = [b["n_jets"], str(b["dims"]), b["seed"]]
+        return ["n_jets", "dims", "seed"], _csv_columns(1, cols)
+    # flatness and area_derivative: one row of a result dict per chart or radius
     if kind == "flatness":
-        header = ["chart", "Sbar", "riem_norm2", "ricci_norm2", "weyl_norm2", "weyl_identity_gap"]
-        rows = [
-            [name, _fmt(d["Sbar"]), _fmt(d["riem_norm2"]), _fmt(d["ricci_norm2"]),
-             _fmt(d["weyl_norm2"]), _fmt(d["weyl_identity_gap"])]
-            for name, d in _flatness_rows(ctx)
-        ]
-        return header, _csv_text(rows)
-    if kind == "area_derivative":
-        header = ["r", "d_area_ii_dr", "h_ii_integral", "relative_gap"]
-        rows = [
-            [_fmt(r), _fmt(res["d_area_ii_dr"]), _fmt(res["h_ii_integral"]),
-             _fmt(res["relative_gap"])]
-            for r, res in _area_derivative_rows(ctx)
-        ]
-        return header, _csv_text(rows)
-    raise ScenarioError(f"unknown subject type {kind!r}")
+        rows, keys = _flatness_rows(ctx), ["chart", "Sbar", "riem_norm2", "ricci_norm2",
+                                           "weyl_norm2", "weyl_identity_gap"]
+    else:
+        rows, keys = _area_derivative_rows(ctx), ["r", "d_area_ii_dr", "h_ii_integral",
+                                                  "relative_gap"]
+    cols = [[x for x, _ in rows], *([res[k] for _, res in rows] for k in keys[1:])]
+    return keys, _csv_columns(len(rows), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +546,47 @@ def _csv_rows(ctx) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# keys of a check entry read by the runner, not bound to the check function
-RUNNER_KEYS = ("check", "tolerance", "label")
+SCENARIO_KEYS = ("schema", "name", "description", "seed", "subject", "checks", "expect_error")
 
 
-def _check_params(chk: dict) -> dict:
-    return {k: v for k, v in chk.items() if k not in RUNNER_KEYS}
+def _bind_check(chk: dict) -> tuple:
+    """(name, function, direction, tolerance, parameters) of a check entry
+    whose `check` names a check and whose `tolerance` is finite and positive.
+    Its other keys bind to the function's parameters; a value must be one of
+    its Literal annotation's values, a count (≥ 1) for int, a number for
+    float (bool is neither)."""
+    name = chk.get("check")
+    if not isinstance(name, str) or name not in CHECKS:
+        raise ScenarioError(f"unknown check {name!r}")
+    try:
+        tol = float(chk.get("tolerance"))
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ScenarioError(f"check {name!r} needs a finite positive tolerance")
+    fn, direction = CHECKS[name]
+    params = {k: v for k, v in chk.items() if k not in ("check", "tolerance")}
+    sig = inspect.signature(fn, eval_str=True)
+    try:
+        bound = sig.bind(None, **params)
+    except TypeError as exc:
+        raise ScenarioError(f"check {name!r}: {exc}") from None
+    for key, value in bound.arguments.items():
+        hint = sig.parameters[key].annotation
+        where = f"check {name!r}: {key!r}"
+        if get_origin(hint) is Literal:
+            _choice(where, value, get_args(hint))
+        elif hint is int:
+            _count(where, value)
+        elif hint is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise BadParameters(f"{where} must be a number, got {value!r}")
+    return name, fn, direction, tol, params
 
 
-def _validate(scenario: dict, seed=None) -> Context:
-    """The scenario's Context, once the scenario is well formed: every
-    descriptor built and every check's parameters bound, before any check
-    runs.  Raises ScenarioError or BadParameters.  `seed` (the command-line
+def _validate(scenario: dict, seed=None) -> tuple:
+    """(Context, bound checks) of a well-formed scenario: no unknown key, the
+    subject and its descriptors built and every check bound before any check
+    runs; else ScenarioError or BadParameters.  `seed` (the command-line
     flag) takes precedence over the scenario's."""
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -570,31 +595,18 @@ def _validate(scenario: dict, seed=None) -> Context:
     for key in ("name", "subject", "checks"):
         if key not in scenario:
             raise ScenarioError(f"scenario missing {key!r}")
-    subject = scenario["subject"]
-    if not isinstance(subject, dict) or "type" not in subject:
-        raise ScenarioError("subject must be an object with a 'type'")
+    unknown = sorted(set(scenario) - set(SCENARIO_KEYS))
+    if unknown:
+        raise ScenarioError(f"unknown scenario key(s) {unknown}")
     checks = scenario["checks"]
     if not isinstance(checks, list) or not all(isinstance(chk, dict) for chk in checks):
         raise ScenarioError("'checks' must be a list of objects")
-    for chk in checks:
-        name = chk.get("check")
-        if not isinstance(name, str) or name not in CHECKS:
-            raise ScenarioError(f"unknown check {name!r}")
-        try:
-            tol = float(chk.get("tolerance"))
-        except (TypeError, ValueError):
-            tol = math.nan
-        if not 0 < tol < math.inf:
-            raise ScenarioError(f"check {name!r} needs a finite positive tolerance")
-        try:
-            inspect.signature(CHECKS[name][0]).bind(None, **_check_params(chk))
-        except TypeError as exc:
-            raise ScenarioError(f"check {name!r}: {exc}") from None
+    checks = [_bind_check(chk) for chk in checks]
     try:
         seed = int(scenario.get("seed", 0)) if seed is None else seed
     except (TypeError, ValueError):
         raise ScenarioError(f"seed must be an integer, got {scenario['seed']!r}") from None
-    return Context(scenario=scenario, seed=seed, cache={})
+    return Context(scenario=scenario, seed=seed, cache={}), checks
 
 
 def _atomic_write(path: Path, text: str):
@@ -609,17 +621,15 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
     except (OSError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    results = []
+    results = []  # the JSON report's "checks" entries
     try:
-        ctx = _validate(scenario, seed)
-        for chk in scenario["checks"]:
-            fn, direction = CHECKS[chk["check"]]
-            tol = float(chk["tolerance"]) * tolerance_scale
-            value = fn(ctx, **_check_params(chk))
+        ctx, checks = _validate(scenario, seed)
+        for name, fn, direction, tol, params in checks:
+            tol *= tolerance_scale
+            value = fn(ctx, **params)
             passed = (value <= tol) if direction == "max" else (value >= tol)
-            results.append(
-                CheckResult(chk["check"], float(value), tol, bool(passed), chk.get("label", ""))
-            )
+            results.append({"check": name, "value": float(value), "tolerance": tol,
+                            "passed": bool(passed)})
         header, body = _csv_rows(ctx)
     except (ScenarioError, BadParameters) as exc:  # found while building or running
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -634,34 +644,23 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
 
     out_dir = Path(out_dir) if out_dir else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    output = scenario.get("output", {})
-    csv_name = output.get("csv", f"{scenario['name']}.csv")
-    json_name = output.get("json", f"{scenario['name']}.json")
-
-    _atomic_write(out_dir / csv_name, _csv_text([header]) + body)
+    _atomic_write(out_dir / f"{scenario['name']}.csv", _csv_columns(1, header) + body)
 
     summary = {
         "name": scenario["name"],
         "schema": SCHEMA_VERSION,
         "seed": ctx.seed,
         "tolerance_scale": tolerance_scale,
-        "checks": [
-            {
-                "check": r.name,
-                "value": r.value,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
-        "passed": all(r.passed for r in results),
+        "checks": results,
+        "passed": all(r["passed"] for r in results),
     }
-    _atomic_write(out_dir / json_name, json.dumps(summary, indent=2) + "\n")
+    _atomic_write(out_dir / f"{scenario['name']}.json", json.dumps(summary, indent=2) + "\n")
 
     for r in results:
-        print(r.line())
-        if not r.passed:
-            print(f"check failed: {r.name}", file=sys.stderr)
+        status = "PASS" if r["passed"] else "FAIL"
+        print(f"[{status}] {r['check']}: value={r['value']:.6g} tolerance={r['tolerance']:.3g}")
+        if not r["passed"]:
+            print(f"check failed: {r['check']}", file=sys.stderr)
     return 0 if summary["passed"] else 1
 
 

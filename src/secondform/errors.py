@@ -3,8 +3,9 @@
 Every failure mode raised by the numerical pipelines derives from
 :class:`GeometryError`, so callers (and the scenario runner) can distinguish
 "the input is outside the class this operation handles" from genuine bugs.
-`_lookup`, the one descriptor-to-object lookup of the immersion, curve and
-chart catalogs, turns a bad descriptor into :class:`BadParameters`.
+`_lookup`, the one descriptor-to-object lookup of the immersion, curve,
+chart and scenario-subject catalogs, turns a bad descriptor into
+:class:`BadParameters`.
 """
 
 
@@ -96,8 +97,8 @@ class ScenarioError(GeometryError):
     """Scenario file is malformed or references unknown checks."""
 
 
-def _lookup(table: dict, what: str, desc):
-    """``table[kind](**params)`` for the descriptor ``{"kind": kind, **params}``.
+def _lookup(table: dict, what: str, desc, key: str = "kind"):
+    """``table[kind](**params)`` for the descriptor ``{key: kind, **params}``.
 
     A builder's keyword parameters are the keys its descriptor may carry.
     An unknown kind, and a TypeError or ValueError from the builder (an
@@ -108,9 +109,9 @@ def _lookup(table: dict, what: str, desc):
     if not isinstance(desc, dict):
         raise BadParameters(f"{what} descriptor must be an object, got {desc!r}")
     params = dict(desc)
-    kind = params.pop("kind", None)
+    kind = params.pop(key, None)
     if not isinstance(kind, str) or kind not in table:
-        raise BadParameters(f"unknown {what} kind {kind!r}")
+        raise BadParameters(f"unknown {what} {key} {kind!r}")
     try:
         return table[kind](**params)
     except (TypeError, ValueError) as exc:

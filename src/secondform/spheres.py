@@ -37,10 +37,10 @@ from .errors import (
     JetTooShallow,
     UnsupportedSignature,
 )
-from .hypersurface import Immersion, _sphere_param_box, _unit_sphere_map, surface_point
+from .hypersurface import Immersion, _sphere_param_box, _unit_sphere_map
 from .iigeom import ii_geometry
 from .jets import Jet
-from .variation import _area_density, _exp_family, area, areas, grid_for_immersion
+from .variation import _area_density, _exp_family, _fit_slope, area, areas, grid_for_immersion
 
 __all__ = [
     "FramedJet",
@@ -571,9 +571,7 @@ def _geodesic_sphere_patches(
     return _exp_immersions(chart, n, direction_fn, radii, m, -box, box, ("gl",) * m, n_steps)
 
 
-def geodesic_sphere(
-    chart: MetricChart, n, r: float, grid=None, n_steps: int = 128
-) -> Immersion:
+def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Immersion:
     """The geodesic hypersphere 𝒢_n(r) as an immersion over the unit-sphere
     parameter box, with the inward normal selected by the orientation rule.
 
@@ -583,18 +581,9 @@ def geodesic_sphere(
     build them); for r ≲ 1 and the default step count, the endpoint error
     sits around 1e−12, far below every tolerance used downstream.  It is a
     one-member ``variation._exp_family``, as the normal deformations are:
-    evaluations on one node set share one integration.  With a quadrature
-    grid, rank loss of the Jacobian on its nodes reports ConjugatePoint.
+    evaluations on one node set share one integration.
     """
-    imm = _geodesic_spheres(chart, n, [r], n_steps)[0]
-    if grid is not None:
-        from .errors import DegenerateImmersion
-
-        try:
-            surface_point(imm, grid.nodes, order=2)
-        except DegenerateImmersion as exc:
-            raise ConjugatePoint(f"exponential map rank loss at radius {r}") from exc
-    return imm
+    return _geodesic_spheres(chart, n, [r], n_steps)[0]
 
 
 def geodesic_sphere_patch(
@@ -663,14 +652,6 @@ class RemainderStudy:
     slope: float
 
 
-def _slope(radii, errors, floor=1e-12):
-    radii, errors = np.asarray(radii, float), np.abs(np.asarray(errors, float))
-    good = errors > floor
-    if np.sum(good) < 2:
-        return math.inf
-    return float(np.polyfit(np.log(radii[good]), np.log(errors[good]), 1)[0])
-
-
 def sphere_remainder_studies(
     chart: MetricChart, n, e0, quantities, radii, n_steps: int = 128, grid_shape=None
 ) -> dict:
@@ -701,7 +682,7 @@ def sphere_remainder_studies(
             numeric=numeric,
             series=series,
             remainder=remainder,
-            slope=_slope(radii, remainder),
+            slope=_fit_slope(radii, remainder, floor=1e-12),
         )
     return out
 

@@ -241,7 +241,7 @@ def _fit_slope(s_values, errors, floor=1e-11):
     if fewer than two ladder points sit above the floor the gap has fully
     converged and the slope is reported as +inf.
     """
-    s_values, errors = np.asarray(s_values, float), np.asarray(errors, float)
+    s_values, errors = np.asarray(s_values, float), np.abs(np.asarray(errors, float))
     good = errors > floor
     if np.sum(good) < 2:
         return math.inf

@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 import secondform
 from secondform import ambient, cli, curves, hypersurface, iigeom, variation
 from secondform.cli import (
-    CHECKS, SCENARIO_DIR, Context, _fmt, _fmt_col, _member_rows, bundled_scenarios, main,
-    run_scenario,
+    CHECKS, SCENARIO_DIR, Context, _csv_columns, bundled_scenarios, main, run_scenario,
 )
 from secondform.errors import BadParameters
 from secondform.hypersurface import IMMERSIONS, STANDARD_KINDS, Immersion, standard_immersion
@@ -190,12 +189,6 @@ def test_masked_rows_nan_free_with_status(tmp_path):
     assert "degenerate" in text  # status codes mark the masked rows
 
 
-def test_column_formatting_matches_fmt():
-    col = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-300, 2.0 / 3.0, -12.566370614358569])
-    assert _fmt_col(col, len(col)) == [_fmt(v) for v in col]
-    assert _fmt_col(None, 3) == ["", "", ""]
-
-
 def test_first_variation_scenario_integrates_its_grid_once(tmp_path, exp_map_batches):
     # every amplitude's check reuses the sphere's one order-4 grid integration
     path = SCENARIO_DIR / "first_variation_geodesic_sphere_s3.json"
@@ -226,14 +219,26 @@ def test_scenario_error_while_running_exit_2(tmp_path, capsys):
         assert "scenario error:" in capsys.readouterr().err
 
 
-def _writer_bytes(member, cols, status):
-    """csv.writer text of the _fmt'd rows [member, *cols, status]."""
-    rows = [
-        [str(member), *(_fmt(None if c is None else c[k]) for c in cols), status[k]]
-        for k in range(len(status))
-    ]
+def _fmt(x):
+    """The reference field: empty for None and NaN, str of an int, %.17g of
+    a float, a string as it is (csv.writer quotes it)."""
+    if x is None or isinstance(x, str):
+        return x or ""
+    if isinstance(x, int):
+        return str(x)
+    return "" if math.isnan(x) else format(float(x), ".17g")
+
+
+def _writer_bytes(n, cols):
+    """csv.writer text of n rows of _fmt'd fields, a column being a scalar
+    (the same on every row) or n values."""
+    def at(col, k):
+        return col if col is None or isinstance(col, (str, int, float)) else col[k]
+
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(
+        [[_fmt(at(col, k)) for col in cols] for k in range(n)]
+    )
     return buf.getvalue()
 
 
@@ -245,7 +250,7 @@ def _report_cols(rep):
     ]
 
 
-def test_member_rows_are_the_csv_writer_bytes():
+def test_csv_columns_are_the_csv_writer_bytes():
     # masked NaN rows: z = x²/2 + y³/6 has a singular shape operator on y = 0
     def map_fn(u):
         x, y = u
@@ -258,16 +263,40 @@ def test_member_rows_are_the_csv_writer_bytes():
     assert rep.thm61 is None and rep.status[1:3] == ["degenerate"] * 2
     assert np.all(np.isnan(rep.geo.s_ii[1:3])) and not np.any(np.isnan(rep.geo.s_ii[[0, 3, 4]]))
     edge = np.array([np.inf, -0.0, 1e-300, -np.inf, 2.0 / 3.0])  # NaN-free: the %.17g path
-    for member, columns in ((0, cols), (3, cols + [edge, None])):
-        assert _member_rows(member, len(u), columns, rep.status) == _writer_bytes(member, columns, rep.status)
+    nan_edge = [np.nan, -0.0, np.inf, 1e-300, -np.inf]  # with NaN: the per-row path
+    nan_plain = [0.1, np.nan, -12.566370614358569, 2.0 / 3.0, np.nan]
+    text = ["ok", "a,b", 'say "hi"', "line\nbreak", "100%"]  # fields csv.writer quotes, a %
+    for columns in (
+        [0, *cols, rep.status],
+        [3, *cols, edge, nan_edge, nan_plain, None, text, rep.status],
+        ["x,y", 12345678901234567890, np.nan, -0.0, 2.5, "50%", *cols, text],
+    ):
+        assert _csv_columns(len(u), columns) == _writer_bytes(len(u), columns)
 
     # the Clifford torus of clifford_area_ii, every column NaN-free
     scen = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
     scen["subject"].update(grid=[6, 8], allow_invalid=True)
     rep = Context(scenario=scen, seed=0, cache={}).get_report()
-    cols = _report_cols(rep)
+    cols = [1, *_report_cols(rep), rep.status]
     assert rep.thm61 is None and rep.status == ["ok"] * 48
-    assert _member_rows(1, 48, cols, rep.status) == _writer_bytes(1, cols, rep.status)
+    assert _csv_columns(48, cols) == _writer_bytes(48, cols)
+
+
+def test_csv_rows_are_the_csv_writer_bytes():
+    # a multi-member ensemble under its header, and the recombination row,
+    # whose dims field needs quoting
+    scen = _bundled("gauss_codazzi_residuals")
+    scen["subject"]["grid"] = [3, 5]
+    ctx = Context(scenario=scen, seed=0, cache={})
+    header, body = cli._csv_rows(ctx)
+    reps = [ctx.get_report(i) for i in range(5)]
+    want = "".join(_writer_bytes(15, [i, *_report_cols(r), r.status]) for i, r in enumerate(reps))
+    assert (header[0], body) == ("member", want)
+    assert _csv_columns(1, header) == _writer_bytes(1, header)
+    ctx = Context(scenario=_bundled("series_recombination"), seed=0, cache={})
+    header, body = cli._csv_rows(ctx)
+    assert _csv_columns(1, header) == _writer_bytes(1, header)
+    assert body == _writer_bytes(1, [50, "[3, 4, 5]", 42]) == '50,"[3, 4, 5]",42\n'
 
 
 def test_subject_without_grid_or_immersion_exit_2(tmp_path, capsys):
@@ -277,12 +306,12 @@ def test_subject_without_grid_or_immersion_exit_2(tmp_path, capsys):
         p = tmp_path / "x.json"
         p.write_text(json.dumps(scen))
         assert run_scenario(p, out_dir=tmp_path) == 2
-        assert "missing 'grid'" in capsys.readouterr().err
+        assert "missing 1 required positional argument: 'grid'" in capsys.readouterr().err
     scen = json.loads((SCENARIO_DIR / "clifford_area_ii.json").read_text())
     del scen["subject"]["immersion"]
     p.write_text(json.dumps(scen))
     assert run_scenario(p, out_dir=tmp_path) == 2
-    assert "missing 'immersion'" in capsys.readouterr().err
+    assert "missing 1 required positional argument: 'immersion'" in capsys.readouterr().err
 
 
 def test_unknown_immersion_kind_exit_2(tmp_path, capsys):
@@ -330,7 +359,7 @@ PROBES = {
         "clifford_area_ii", lambda s: s["subject"]["immersion"].update(orientation=2), True),
     "small_sphere_without_radius": (
         "ii_minimal_s2_in_s3", lambda s: s["subject"]["immersion"].pop("geodesic_radius"), True),
-    "ode_without_kappa0": ("catenary_ode", lambda s: s["subject"].pop("kappa0"), False),
+    "ode_without_kappa0": ("catenary_ode", lambda s: s["subject"].pop("kappa0"), True),
     "ode_matches_family_without_A": ("catenary_ode", lambda s: s["checks"][1].pop("A"), True),
     "check_unknown_parameter": (
         "clifford_ii_minimal", lambda s: s["checks"][0].update(bogus=1), True),
@@ -343,6 +372,38 @@ PROBES = {
     "product_factor_unknown_key": (
         "flatness_diagnostics", lambda s: s["subject"]["charts"][2]["factors"][0].update(bogus=1),
         True),
+    "first_variation_gap_unknown_which": (
+        "first_variation_sphere_e3", lambda s: s["checks"][0].update(which="nope"), True),
+    "first_variation_slope_unknown_which": (
+        "first_variation_sphere_e3", lambda s: s["checks"][6].update(which="nope"), True),
+    "check_unknown_amplitude": (
+        "first_variation_sphere_e3", lambda s: s["checks"][0].update(amplitude="nope"), True),
+    "check_unknown_quantity": (
+        "series_exact_flat_e3", lambda s: s["checks"][0].update(quantity="nope"), True),
+    "check_samples_not_a_number": (
+        "s1_sqrt2_curve", lambda s: s["checks"][0].update(samples="abc"), True),
+    "check_samples_zero": ("s1_sqrt2_curve", lambda s: s["checks"][0].update(samples=0), True),
+    "check_max_points_zero": (
+        "gauss_codazzi_residuals", lambda s: s["checks"][0].update(max_points=0), True),
+    "subject_samples_negative": ("s1_sqrt2_curve", lambda s: s["subject"].update(samples=-1), True),
+    "subject_n_jets_zero": ("series_recombination", lambda s: s["subject"].update(n_jets=0), True),
+    "check_expected_is_bool": (
+        "clifford_area_ii", lambda s: s["checks"][0].update(expected=True), True),
+    "subject_unknown_key": ("clifford_area_ii", lambda s: s["subject"].update(grdi=[4, 4]), True),
+    "subject_unknown_csv_style": (
+        "clifford_area_ii", lambda s: s["subject"].update(csv_style="surfaces"), True),
+    "subject_allow_invalid_not_a_bool": (
+        "clifford_area_ii", lambda s: s["subject"].update(allow_invalid="no"), True),
+    "subject_unknown_amplitude": (
+        "first_variation_sphere_e3", lambda s: s["subject"]["amplitudes"].append("nope"), True),
+    "subject_unknown_quantity": (
+        "series_exact_flat_e3", lambda s: s["subject"]["quantities"].append("nope"), True),
+    "subject_radii_not_a_list": (
+        "area_derivative_s3", lambda s: s["subject"].update(radii="abc"), True),
+    "scenario_output_key": (
+        "clifford_area_ii", lambda s: s.update(output={"csv": "elsewhere.csv"}), True),
+    "subject_unknown_type": (
+        "clifford_area_ii", lambda s: s["subject"].update(type="nonsense"), True),
 }
 
 
@@ -377,9 +438,11 @@ def test_malformed_probe_exit_2(probe, tmp_path, capsys):
 
 
 def _descriptors(scen):
-    """Every descriptor object of a scenario: immersions, curves, charts
-    (nested ones too) and checks."""
-    sub, out = scen["subject"], list(scen["checks"])
+    """Every object of a scenario whose keys are checked: the scenario, its
+    subject, the subject's immersions, curves and charts (nested ones too),
+    and its checks."""
+    sub = scen["subject"]
+    out = [scen, sub, *scen["checks"]]
     for desc in sub.get("immersions", [sub["immersion"]] if "immersion" in sub else []):
         out += [desc] + ([desc["chart"]] if "chart" in desc else [])
     charts = ([sub["chart"]] if "chart" in sub else []) + sub.get("charts", [])
@@ -407,10 +470,26 @@ def test_unknown_key_in_any_descriptor_exit_2(tmp_path_factory, name, pick, key,
 
 
 def test_no_builder_or_check_swallows_unknown_keys():
-    tables = [cli.IMMERSIONS, curves.CURVES, ambient.CHARTS, ambient.CHART_REGISTRY,
+    tables = [cli.SUBJECTS, cli.IMMERSIONS, curves.CURVES, ambient.CHARTS, ambient.CHART_REGISTRY,
               {name: fn for name, (fn, _) in CHECKS.items()}]
     assert set(hypersurface.IMMERSIONS) < set(cli.IMMERSIONS)
     for table in tables:
         for kind, fn in table.items():
             kinds = [p.kind for p in inspect.signature(fn).parameters.values()]
             assert inspect.Parameter.VAR_KEYWORD not in kinds, kind
+
+
+def test_recombination_csv_writes_the_seed_its_check_used(tmp_path):
+    scen = _bundled("series_recombination")
+    scen["subject"].update(n_jets=6)
+    del scen["subject"]["seed"]
+    explicit = json.loads(json.dumps(scen))
+    explicit["subject"]["seed"] = 7
+    values = []
+    for name, s, flag in (("flag", scen, 7), ("explicit", explicit, None)):
+        s["name"] = name
+        (tmp_path / f"{name}.in").write_text(json.dumps(s))
+        assert run_scenario(tmp_path / f"{name}.in", out_dir=tmp_path, seed=flag) == 0
+        assert (tmp_path / f"{name}.csv").read_text().splitlines()[1] == '6,"[3, 4, 5]",7'
+        values.append(json.loads((tmp_path / f"{name}.json").read_text())["checks"][0]["value"])
+    assert values[0] == values[1]
