@@ -29,7 +29,6 @@ from .ambient import (
     space_form,
 )
 from .curves import (
-    FrenetCurve,
     catenary_family_kappa,
     curve_from_descriptor,
     frenet,

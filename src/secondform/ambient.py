@@ -42,7 +42,6 @@ import numpy as np
 from .errors import (
     BadDirection,
     DegenerateMetric,
-    InsufficientSmoothness,
     LeftDomain,
     OutOfDomain,
     StepFailure,
@@ -102,7 +101,6 @@ class MetricChart:
     product_factors: Optional[tuple] = None  # ((chart, slice), ...)
     is_flat: bool = False
     conjugate_radius: float = math.inf
-    max_taylor_order: Optional[int] = None
     name: str = "chart"
 
     def contains(self, x) -> np.ndarray:
@@ -272,10 +270,6 @@ def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
     """Curvature data at x to the requested derivative order (0, 1 or 2)."""
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    if chart.max_taylor_order is not None and 2 + order > chart.max_taylor_order:
-        raise InsufficientSmoothness(
-            f"chart {chart.name} only supports Taylor order {chart.max_taylor_order}"
-        )
     x = np.asarray(x, dtype=float)
     _check_domain(chart, x)
     d = chart.dim

@@ -258,7 +258,9 @@ def check_all_points_valid(ctx):
     return _max_over_geos(ctx, lambda geo: float(np.sum(~geo.valid)))
 
 
-def check_area_matches(ctx, expected: float, functional="second_form"):
+def check_area_matches(
+    ctx, expected: float, functional: Literal["first_form", "second_form"] = "second_form"
+):
     val = variation.area(ctx.built["immersions"][0], ctx.built["grids"][0], functional)
     return abs(val - expected)
 
@@ -303,20 +305,20 @@ def check_first_variation_slope(ctx, amplitude: Amplitude, which: Area = "area_i
 
 def check_curve_h_ii_max(ctx, samples: int = 64):
     curve = ctx.built["curve"]
-    s = np.linspace(curve.s_lo, curve.s_hi, samples)
+    s = np.linspace(curve.param_lo[0], curve.param_hi[0], samples)
     return float(np.max(np.abs(curves.h_ii_curve(curve, s))))
 
 
 def check_curve_kappa_matches(ctx, expected: float, samples: int = 32):
     curve = ctx.built["curve"]
-    s = np.linspace(curve.s_lo, curve.s_hi, samples)
+    s = np.linspace(curve.param_lo[0], curve.param_hi[0], samples)
     data = curves.frenet(curve, s)
     return float(np.max(np.abs(data.kappa - expected)))
 
 
 def check_length_ii_matches(ctx, expected: float):
     curve = ctx.built["curve"]
-    val = curves.length_ii(curve, curve.s_lo, curve.s_hi)
+    val = curves.length_ii(curve, curve.param_lo[0], curve.param_hi[0])
     return abs(val - expected)
 
 
@@ -505,7 +507,7 @@ def _csv_rows(ctx) -> tuple:
         return header, "".join(_csv_columns(len(c[0]), [i, *c]) for i, c in enumerate(blocks))
     if kind == "curve":
         curve = b["curve"]
-        s = np.linspace(curve.s_lo, curve.s_hi, b["samples"])
+        s = np.linspace(curve.param_lo[0], curve.param_hi[0], b["samples"])
         data = curves.frenet(curve, s)
         cols = [s, data.kappa, curves.h_ii_curve(curve, s), data.frenet_residual]
         return ["s", "kappa", "H_II", "frenet_residual"], _csv_columns(len(s), cols)
@@ -547,6 +549,7 @@ def _csv_rows(ctx) -> tuple:
 
 
 SCENARIO_KEYS = ("schema", "name", "description", "seed", "subject", "checks", "expect_error")
+NAME = re.compile("[A-Za-z0-9][A-Za-z0-9_.-]*")  # the stem of the report files
 
 
 def _bind_check(chk: dict) -> tuple:
@@ -584,10 +587,11 @@ def _bind_check(chk: dict) -> tuple:
 
 
 def _validate(scenario: dict, seed=None) -> tuple:
-    """(Context, bound checks) of a well-formed scenario: no unknown key, the
-    subject and its descriptors built and every check bound before any check
-    runs; else ScenarioError or BadParameters.  `seed` (the command-line
-    flag) takes precedence over the scenario's."""
+    """(Context, bound checks) of a well-formed scenario: no unknown key, a
+    `NAME` for the report files, the subject and its descriptors built and
+    every check bound before any check runs; else ScenarioError or
+    BadParameters.  `seed` (the command-line flag) takes precedence over the
+    scenario's."""
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
     if scenario.get("schema") != SCHEMA_VERSION:
@@ -598,6 +602,9 @@ def _validate(scenario: dict, seed=None) -> tuple:
     unknown = sorted(set(scenario) - set(SCENARIO_KEYS))
     if unknown:
         raise ScenarioError(f"unknown scenario key(s) {unknown}")
+    name = scenario["name"]
+    if not isinstance(name, str) or not NAME.fullmatch(name):
+        raise ScenarioError(f"scenario name must match {NAME.pattern}, got {name!r}")
     checks = scenario["checks"]
     if not isinstance(checks, list) or not all(isinstance(chk, dict) for chk in checks):
         raise ScenarioError("'checks' must be a list of objects")

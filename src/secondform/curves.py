@@ -1,8 +1,14 @@
 """Curves in semi-Riemannian surfaces: Frenet data, H_II, Length_II, ODEs.
 
-For an arclength-parametrized Frenet curve with frame {T, U} and geodesic
-curvature κ (signs β = ḡ(T,T), α = ḡ(U,U)), the mean curvature of the second
-fundamental form reduces to the closed formula
+A curve is an immersion with m = 1 (an ``Immersion`` with ``param_dim`` 1,
+parametrized by arclength s), so its Frenet data are read off the one
+fundamental-form frame of ``hypersurface.surface_point``: with
+β = ḡ(T,T) = g the shape operator is the 1×1 matrix A = ±κ, so the geodesic
+curvature is κ = β|A| (κ′ and κ″ from A's jet), and the Frenet normal U is
+the frame normal turned along ∇̄_T T.  Its Length_II = ∫ √|κ| ds is its
+Area_II.  For an arclength-parametrized Frenet curve with frame {T, U} and
+geodesic curvature κ (signs β = ḡ(T,T), α = ḡ(U,U)), H_II at m = 1 is the
+closed formula
 
     H_II = ½( −α K̄/κ + κ + (αβ/4)(2κ″/κ² − 3(κ′)²/κ³) ),
 
@@ -17,17 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import ambient as amb
-from .ambient import MetricChart
 from .errors import BadParameters, BlowUp, NotFrenet, NotUnitSpeed, _lookup
-from .jets import Jet, _cauchy, jeinsum, jet_space, seed_jets
+from .hypersurface import Immersion, _latitude_circle, surface_point
+from .jets import Jet, jet_space
+from .variation import area, tensor_gauss_legendre
 
 __all__ = [
-    "FrenetCurve",
     "FrenetData",
     "frenet",
     "h_ii_curve",
@@ -43,16 +49,6 @@ __all__ = [
 FRENET_FLOOR = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class FrenetCurve:
-    """Arclength-parametrized curve in a 2-dim chart, order-4 differentiable."""
-
-    surface: MetricChart
-    curve_fn: Callable  # 1-variable jet -> [x0, x1] jets
-    s_lo: float
-    s_hi: float
-
-
 @dataclass
 class FrenetData:
     s: np.ndarray
@@ -65,53 +61,39 @@ class FrenetData:
     frenet_residual: np.ndarray  # max norm of the two Frenet-Serret defects
 
 
-def _curve_jets(curve: FrenetCurve, s, order=4):
+def _frame(curve: Immersion, s):
+    """(s, the frame at s, κ = β|A| as a jet over s, α, β)."""
     s = np.asarray(s, dtype=float)
-    (sj,) = seed_jets(s[..., None] if s.ndim else s[None], 1, order)
-    x = curve.curve_fn(sj)
-    return s, x
-
-
-def _frenet_core(curve: FrenetCurve, s):
-    """Shared jets as coefficient arrays over s: returns (s, x, T, Γ̄, accel,
-    q = ḡ(accel, accel), κ-jet, α, β), with x at order 4, T at 3 and the
-    rest at 2."""
-    s, x = _curve_jets(curve, s)
-    space, xc = amb._stack_list(x)
-    sp3, sp2 = jet_space(1, 3), jet_space(1, 2)
-    T = amb._grad(xc, space)[:, 0]
-    gbar = curve.surface.metric_fn(sp3, xc[: sp3.n])
-    tt = jeinsum(sp3, "a...,a...->...", T, jeinsum(sp3, "ab...,b...->a...", gbar, T))
-    if np.max(np.abs(np.abs(tt[0]) - 1.0)) > 1e-9:
+    b = surface_point(curve, s[..., None] if s.ndim else s[None])
+    g = b.g[0, 0, 0]
+    if np.max(np.abs(np.abs(g) - 1.0)) > 1e-9:
         raise NotUnitSpeed("curve is not parametrized by arclength")
-    beta = float(np.sign(tt[0]).ravel()[0])
-    gamma = amb.christoffel_on_jets(curve.surface, sp2, xc)
-    accel = amb._grad(T, sp3)[:, 0] + jeinsum(
-        sp2, "kab...,ab...->k...", gamma, jeinsum(sp2, "a...,b...->ab...", T, T)
-    )
-    q = jeinsum(sp2, "a...,a...->...", accel, jeinsum(sp2, "ab...,b...->a...", gbar, accel))
-    if np.min(np.abs(q[0])) < FRENET_FLOOR:
-        raise NotFrenet("curve acceleration is null or zero")
-    alpha = float(np.sign(q[0]).ravel()[0])
-    kappa_jet = Jet(sp2, q).sqrt_abs() * beta
-    return s, xc, T, gamma, accel, q, kappa_jet, alpha, beta
+    a = b.A[:, 0, 0]
+    if np.min(a[0] ** 2) < FRENET_FLOOR:
+        raise NotFrenet("curve acceleration is zero")
+    beta = float(np.sign(g).ravel()[0])
+    kappa = Jet(b.space(b.A), a * (np.sign(a[0]) * beta))
+    return s, b, kappa, float(np.ravel(b.alpha)[0]), beta
 
 
-def frenet(curve: FrenetCurve, s) -> FrenetData:
+def frenet(curve: Immersion, s) -> FrenetData:
     """Frenet frame, geodesic curvature and Frenet-Serret residuals at s."""
-    s, x, T, gamma, accel, q, kappa_jet, alpha, beta = _frenet_core(curve, s)
-    sp2 = kappa_jet.space
-    U = _cauchy(sp2, accel, Jet(sp2, q).sqrt_abs().reciprocal().coeffs[:, None])
+    s, b, kappa_jet, alpha, beta = _frame(curve, s)
     kappa = kappa_jet.value
+    # U along ∇̄_T T: II = α ḡ(∇̄_T T, U) is positive for that normal
+    sign = np.sign(b.II[0, 0, 0])
+    t, u = b.t[0, 0], b.U[0] * sign
+    gamma = amb.christoffel_on_jets(curve.ambient, jet_space(1, 0), b.xc)[0]
     # residuals: ∇̄_T T − βκU and ∇̄_T U + ακT
-    res1 = np.max(np.abs(accel[0] - kappa * U[0] * beta), axis=0)
-    du = amb._grad(U, sp2)[0, 0] + np.einsum("kab...,a...,b...->k...", gamma[0], T[0], U[0])
-    res2 = np.max(np.abs(du + kappa * T[0] * alpha), axis=0)
+    accel = amb._grad(b.t, b.space(b.t))[0, 0, 0] + np.einsum("kab...,a...,b...->k...", gamma, t, t)
+    du = amb._grad(b.U, b.space(b.U))[0, 0] * sign + np.einsum("kab...,a...,b...->k...", gamma, t, u)
+    res1 = np.max(np.abs(accel - kappa * u * beta), axis=0)
+    res2 = np.max(np.abs(du + kappa * t * alpha), axis=0)
     return FrenetData(
         s=s,
-        x=np.moveaxis(x[0], 0, -1),
-        T=np.moveaxis(T[0], 0, -1),
-        U=np.moveaxis(U[0], 0, -1),
+        x=b.x,
+        T=np.moveaxis(t, 0, -1),
+        U=np.moveaxis(u, 0, -1),
         kappa=kappa,
         alpha=alpha,
         beta=beta,
@@ -119,14 +101,13 @@ def frenet(curve: FrenetCurve, s) -> FrenetData:
     )
 
 
-def h_ii_curve(curve: FrenetCurve, s) -> np.ndarray:
+def h_ii_curve(curve: Immersion, s) -> np.ndarray:
     """The closed formula for H_II along the curve."""
-    s, x, T, gamma, accel, q, kappa_jet, alpha, beta = _frenet_core(curve, s)
+    s, b, kappa_jet, alpha, beta = _frame(curve, s)
     kappa = kappa_jet.value
     kp = kappa_jet.deriv((1,))
     kpp = kappa_jet.deriv((2,))
-    x_val = np.moveaxis(x[0], 0, -1)
-    jet = amb.curvature_jet(curve.surface, x_val, order=0)
+    jet = amb.curvature_jet(curve.ambient, b.x, order=0)
     gv = jet.metric
     kbar = jet.riem[0, 1, 0, 1] / (gv[0, 0] * gv[1, 1] - gv[0, 1] ** 2)
     return 0.5 * (
@@ -136,16 +117,13 @@ def h_ii_curve(curve: FrenetCurve, s) -> np.ndarray:
     )
 
 
-def length_ii(curve: FrenetCurve, a: float, b: float, n_nodes: int = 64) -> float:
-    """∫_a^b √|κ| ds by Gauss–Legendre quadrature."""
+def length_ii(curve: Immersion, a: float, b: float) -> float:
+    """∫_a^b √|κ| ds, the Area_II of the arc, on 64 Gauss–Legendre nodes."""
     if b < a:
         raise BadParameters("need a <= b")
     if b == a:
         return 0.0
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
-    s = 0.5 * (b - a) * (xg + 1.0) + a
-    data = frenet(curve, s)
-    return float(0.5 * (b - a) * np.sum(wg * np.sqrt(np.abs(data.kappa))))
+    return area(curve, tensor_gauss_legendre([a], [b], (64,)), "second_form")
 
 
 def ode_residual(kappa, kappa_p, kappa_pp, ambient: str = "planar"):
@@ -204,9 +182,10 @@ def _integrate(ambient, k0, kp0, s_max, n_steps):
 
 
 def integrate_ii_minimal(
-    ambient: str, kappa0: float, kappa_prime0: float, s_max: float, n_steps: int = 4096
+    ambient: str, kappa0: float, kappa_prime0: float, s_max: float
 ) -> IIMinimalSolution:
-    """Integrate the II-minimality ODE from (κ₀, κ′₀); RK4 with one halving check.
+    """Integrate the II-minimality ODE from (κ₀, κ′₀); RK4 on 4096 steps with
+    one halving check.
 
     Planar solutions are cross-checked against the closed two-parameter
     family by a quadratic fit of φ = 1/κ; φ‴ ≈ 0 is reported from finite
@@ -216,6 +195,7 @@ def integrate_ii_minimal(
         raise BadParameters(f"unknown ambient {ambient!r}")
     if kappa0 <= 0:
         raise BadParameters("need κ₀ > 0")
+    n_steps = 4096
     k, kp = _integrate(ambient, kappa0, kappa_prime0, s_max, n_steps)
     k2, _ = _integrate(ambient, kappa0, kappa_prime0, s_max, 2 * n_steps)
     halving = float(np.max(np.abs(k - k2[::2])))
@@ -249,25 +229,16 @@ def _circle_e2(radius=1.0):
     if radius <= 0:
         raise BadParameters("radius must be positive")
 
-    def curve_fn(sj):
-        ang = sj * (1.0 / radius)
+    def map_fn(u):
+        ang = u[0] * (1.0 / radius)
         return [ang.cos() * radius, ang.sin() * radius]
 
-    return FrenetCurve(amb.flat_chart(2), curve_fn, 0.0, 2 * math.pi * radius)
+    hi = np.array([2 * math.pi * radius])
+    return Immersion(amb.flat_chart(2), 1, map_fn, np.zeros(1), hi, ("per",))
 
 
 def _latitude_circle_s2(colatitude=math.pi / 4):
-    theta = float(colatitude)
-    if not 0 < theta < math.pi:
-        raise BadParameters("colatitude must lie in (0, π)")
-    rc = 2 * math.tan(theta / 2)
-    circumference = 2 * math.pi * math.sin(theta)
-
-    def curve_fn(sj):
-        ang = sj * (2 * math.pi / circumference)
-        return [ang.cos() * rc, ang.sin() * rc]
-
-    return FrenetCurve(amb.space_form(2, 1.0), curve_fn, 0.0, circumference)
+    return _latitude_circle(colatitude)
 
 
 def _catenary_e2(half_span=3.0):
@@ -275,25 +246,25 @@ def _catenary_e2(half_span=3.0):
     # whose curvature is κ(s) = 1/(1+s²)
     half = float(half_span)
 
-    def curve_fn(sj):
-        root = (sj * sj + 1.0).sqrt()
-        return [(sj + root).log_abs(), root]
+    def map_fn(u):
+        root = (u[0] * u[0] + 1.0).sqrt()
+        return [(u[0] + root).log_abs(), root]
 
-    return FrenetCurve(amb.flat_chart(2), curve_fn, -half, half)
+    return Immersion(amb.flat_chart(2), 1, map_fn, np.array([-half]), np.array([half]))
 
 
 def _line_e2():
-    return FrenetCurve(amb.flat_chart(2), lambda sj: [sj, sj * 0.0], -1.0, 1.0)
+    return Immersion(amb.flat_chart(2), 1, lambda u: [u[0], u[0] * 0.0], -np.ones(1), np.ones(1))
 
 
 # kind -> builder _<kind>, whose keyword parameters are the descriptor's keys
 CURVES = {fn.__name__[1:]: fn for fn in (_circle_e2, _latitude_circle_s2, _catenary_e2, _line_e2)}
 
 
-def standard_curve(kind: str, **params) -> FrenetCurve:
+def standard_curve(kind: str, **params) -> Immersion:
     """Closed-form test curves, one per ``CURVES`` kind."""
     return curve_from_descriptor({"kind": kind, **params})
 
 
-def curve_from_descriptor(desc: dict) -> FrenetCurve:
+def curve_from_descriptor(desc: dict) -> Immersion:
     return _lookup(CURVES, "curve", desc)

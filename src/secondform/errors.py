@@ -21,10 +21,6 @@ class OutOfDomain(GeometryError):
     """Requested point lies outside the chart's domain box."""
 
 
-class InsufficientSmoothness(GeometryError):
-    """A Taylor order was requested that the input cannot supply."""
-
-
 class UnsupportedSignature(GeometryError):
     """Metric signature outside the supported index set."""
 

@@ -78,7 +78,8 @@ ORIENTATION_TIE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Immersion:
-    """A parametrized hypersurface patch u ↦ x in an ambient chart.
+    """A parametrized hypersurface patch u ↦ x in an ambient chart (with
+    m = 1, a curve in a surface; see ``curves``).
 
     `map_fn` maps a list of m parameter jets to a list of dim ambient-chart
     jets; it must be evaluable to total derivative order 4.
@@ -177,7 +178,7 @@ def _cvals(c, batched):
     return np.moveaxis(c[0], -1, 0) if batched else c[0]
 
 
-def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> SurfacePointData:
+def frame_jets(imm: Immersion, u_jets) -> SurfacePointData:
     """Run the fundamental-form pipeline on caller-supplied parameter jets
     (at order ≥ 2; see the module docstring for the order of each field)."""
     m, d = imm.param_dim, imm.ambient.dim
@@ -232,10 +233,9 @@ def frame_jets(imm: Immersion, u_jets, check_two_routes: bool = True) -> Surface
         sgn = np.where(flip, -1.0, 1.0)
         U, II, A, tr_a = U * sgn, II * sgn, A * sgn, tr_a * sgn
 
-    if check_two_routes:
-        sp_u = jet_space(m, 1)
-        du = amb._grad(U[: sp_u.n], sp_u)[0]
-        _check_shape_operator_two_routes(A[0], t[0], U[0], du, gamma_bar[0])
+    sp_u = jet_space(m, 1)
+    du = amb._grad(U[: sp_u.n], sp_u)[0]
+    _check_shape_operator_two_routes(A[0], t[0], U[0], du, gamma_bar[0])
     return SurfacePointData(
         imm=imm,
         order=order,
@@ -651,8 +651,8 @@ def _product_sphere_in_sphere(m=2, k=1, orientation=0):
 
 def _latitude_circle(colatitude=math.pi / 4, Cbar=1.0, orientation=0):
     theta, cbar = float(colatitude), float(Cbar)
-    if not 0 < theta < math.pi / 2 + 1e-9:
-        raise BadParameters("colatitude must lie in (0, π/2]")
+    if not 0 < theta < math.pi:
+        raise BadParameters("colatitude must lie in (0, π)")
     rc = _chart_radius_fn(cbar)(theta)
     circumference = 2 * math.pi * math.sin(theta)  # unit sphere
 
@@ -726,11 +726,12 @@ def flipped(imm: Immersion) -> Immersion:
     return replace(imm, orientation=-resolved_orientation(imm))
 
 
-def validate_immersion(imm: Immersion, n_per_axis: int = 5, margin: float = 1e-3) -> None:
-    """Run the SurfacePointData invariants on a coarse grid; raises on failure."""
+def validate_immersion(imm: Immersion) -> None:
+    """Run the SurfacePointData invariants on a grid of 5 points per axis,
+    inset by 1e−3 of each axis' length; raises on failure."""
     m = imm.param_dim
     axes = [
-        np.linspace(lo + margin * (hi - lo), hi - margin * (hi - lo), n_per_axis)
+        np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 5)
         for lo, hi in zip(imm.param_lo, imm.param_hi)
     ]
     mesh = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)

@@ -380,7 +380,7 @@ def laplacian_ii(imm: Immersion, f: Callable, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     u_jets = seed_jets(u, imm.param_dim, 4)
-    b = frame_jets(imm, u_jets, check_two_routes=False)
+    b = frame_jets(imm, u_jets)
     space, ii_inv, w = _ii_machine(b)
     fj = f(u_jets)
     grad = jeinsum(space, "ij...,j...->i...", ii_inv, amb._grad(fj.coeffs, fj.space))
@@ -391,7 +391,7 @@ def div_ii(imm: Immersion, X: Callable, u) -> np.ndarray:
     """div_II X = (1/√|det II|) ∂_i(√|det II| X^i) for X in param components."""
     u = np.asarray(u, dtype=float)
     u_jets = seed_jets(u, imm.param_dim, 3)
-    b = frame_jets(imm, u_jets, check_two_routes=False)
+    b = frame_jets(imm, u_jets)
     _, _, w = _ii_machine(b)
     _, comps = amb._stack_list(list(X(u_jets)))
     return _divergence_form(w, comps)
@@ -404,14 +404,15 @@ def div_ii(imm: Immersion, X: Callable, u) -> np.ndarray:
 
 def _connections_on_path(imm: Immersion, pts):
     """(Γ_g, Γ_II) values at a batch of parameter points."""
-    b = frame_jets(imm, seed_jets(pts, imm.param_dim, 3), check_two_routes=False)
+    b = frame_jets(imm, seed_jets(pts, imm.param_dim, 3))
     gamma_g = amb._curvature_chain(b.space(b.g), b.g, b.ginv).gamma
     gamma_ii = amb._curvature_chain(b.space(b.II), b.II).gamma
     return _cvals(gamma_g, True), _cvals(gamma_ii, True)
 
 
-def transport_holonomy_probe(imm: Immersion, curve: Callable, v, eps: float, n_steps: int = 32):
-    """(v★_ε − v)/ε for ∇-transport out and ∇^II-transport back along `curve`.
+def transport_holonomy_probe(imm: Immersion, curve: Callable, v, eps: float):
+    """(v★_ε − v)/ε for ∇-transport out and ∇^II-transport back along `curve`,
+    RK4 on 32 steps each way.
 
     As ε → 0 this converges (first order) to L(v, c′(0)); `curve` maps a
     1-variable jet to a list of parameter jets.
@@ -420,6 +421,7 @@ def transport_holonomy_probe(imm: Immersion, curve: Callable, v, eps: float, n_s
         raise StepFailure("transport probe needs a nonzero step")
     m = imm.param_dim
     v = np.asarray(v, dtype=float)
+    n_steps = 32
     # sample the curve and its velocity at the RK4 stage times, both legs
     n_nodes = 2 * n_steps + 1
     ts = np.linspace(0.0, eps, n_nodes)
@@ -553,7 +555,7 @@ def brioschi_gauss_curvature(imm: Immersion, u, which: str = "second") -> np.nda
         raise GeometryError("Brioschi formula is for surfaces")
     u = np.asarray(u, dtype=float)
     u_jets = seed_jets(u, 2, 4)
-    b = frame_jets(imm, u_jets, check_two_routes=False)
+    b = frame_jets(imm, u_jets)
     form = b.II if which == "second" else b.g
     E, F, G = (Jet(b.space(form), form[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
 

@@ -186,7 +186,6 @@ class SeriesCoefficients:
 
     quantity: str
     coeffs: dict
-    truncation_order: int
     m: int
     bracket_prefactor: bool = False
     log_coeff: float = 0.0
@@ -256,7 +255,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 2: -inv["n_ric"] / (4 * m),
                 3: (-inv["n2_ric"] / 10.0 - inv["p4"] / 45.0) / m,
             },
-            truncation_order=3,
             m=m,
         )
 
@@ -269,7 +267,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 3: -inv["n_ric"] / 4.0,
                 4: -7.0 / 90.0 * inv["p4"] - inv["n2_ric"] / 10.0,
             },
-            truncation_order=4,
             m=m,
             log_coeff=-float(m),
         )
@@ -293,7 +290,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 2: -inv["grad_scal0"] + 0.75 * (m + 2) * inv["n_ric"],
                 3: r3,
             },
-            truncation_order=3,
             m=m,
         )
 
@@ -314,7 +310,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 2: (m + 2) * inv["n_ric"] - 1.5 * inv["grad_scal0"],
                 3: r3,
             },
-            truncation_order=3,
             m=m,
         )
 
@@ -327,7 +322,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 2: inv["grad_scal0"] - inv["n_ric"],
                 3: inv["p1"] / 3.0 - inv["n2_ric"] / 2.0 + inv["hess00"] / 2.0,
             },
-            truncation_order=3,
             m=m,
         )
 
@@ -347,7 +341,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 2: inv["grad_scal0"] - (m + 7) / 4.0 * inv["n_ric"],
                 3: r3,
             },
-            truncation_order=3,
             m=m,
         )
 
@@ -371,7 +364,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
                 2: inv["grad_scal0"] / 2.0 - (20.0 + 5 * m) / 16.0 * inv["n_ric"],
                 3: r3,
             },
-            truncation_order=3,
             m=m,
         )
 
@@ -386,7 +378,6 @@ def _series_coefficients(f: FramedJet, quantity: str, inv: dict) -> SeriesCoeffi
         return SeriesCoefficients(
             quantity,
             {0: 1.0, 2: -s / (3.0 * (m + 1)), 4: c4},
-            truncation_order=4,
             m=m,
             bracket_prefactor=True,
         )
@@ -544,11 +535,9 @@ def _geodesic_spheres(chart: MetricChart, n, radii, n_steps: int):
     return _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps)
 
 
-def _geodesic_sphere_patches(
-    chart: MetricChart, n, radii, e0, n_steps: int, half_width: float = 0.4
-):
-    """Patches of 𝒢_n(r) around γ(r) = exp_n(r e₀) for each r in `radii`,
-    one integration."""
+def _geodesic_sphere_patches(chart: MetricChart, n, radii, e0, n_steps: int):
+    """Patches of 𝒢_n(r) over |u_i| ≤ 0.4 around γ(r) = exp_n(r e₀) for each
+    r in `radii`, one integration."""
     _check_radii(chart, radii)
     m = chart.dim - 1
     frame = _radial_frame(chart, n, np.asarray(e0, dtype=float))
@@ -567,7 +556,7 @@ def _geodesic_sphere_patches(
             out.append(acc * inv)
         return out
 
-    box = half_width * np.ones(m)
+    box = np.full(m, 0.4)
     return _exp_immersions(chart, n, direction_fn, radii, m, -box, box, ("gl",) * m, n_steps)
 
 
@@ -586,16 +575,15 @@ def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Imme
     return _geodesic_spheres(chart, n, [r], n_steps)[0]
 
 
-def geodesic_sphere_patch(
-    chart: MetricChart, n, r: float, e0, n_steps: int = 128, half_width: float = 0.4
-) -> Immersion:
-    """A local patch of 𝒢_n(r) with u = 0 mapping to γ(r) = exp_n(r e₀).
+def geodesic_sphere_patch(chart: MetricChart, n, r: float, e0, n_steps: int = 128) -> Immersion:
+    """A local patch of 𝒢_n(r) over |u_i| ≤ 0.4, with u = 0 mapping to
+    γ(r) = exp_n(r e₀).
 
     Directions are ξ(u) = (e₀ + Σ u_i E_i)/√(1+|u|²) for a ḡ(n)-orthonormal
     frame {e₀, E_1, …, E_m}; ideal for point evaluations of sphere quantities
     at γ(r) itself.
     """
-    return _geodesic_sphere_patches(chart, n, [r], e0, n_steps, half_width)[0]
+    return _geodesic_sphere_patches(chart, n, [r], e0, n_steps)[0]
 
 
 def sum_jets(jets):

@@ -312,7 +312,7 @@ def _deformed_family(base: Immersion, f: Callable, mode: str, scales):
         # x at order k+1, w = (f·s)·U at order k (the normal costs one)
         u0 = np.stack([np.asarray(j.value, float) for j in u_jets], axis=-1)
         jets = seed_jets(u0, base.param_dim, u_jets[0].space.order + 1)
-        b = frame_jets(base, jets, check_two_routes=False)
+        b = frame_jets(base, jets)
         amp = f(jets)
         x = [Jet(b.space(b.xc), b.xc[:, a]) for a in range(dim)]
         normal = [Jet(b.space(b.U), b.U[:, a]) for a in range(dim)]

@@ -130,7 +130,7 @@ def test_criterion_04_curve_odes():
     report("criterion 4 (spherical constant solution)", dev < 1e-9, f"{dev:.2e}")
 
     curve = standard_curve("latitude_circle_s2", colatitude=math.pi / 4)
-    h = h_ii_curve(curve, np.linspace(curve.s_lo, curve.s_hi, 33))
+    h = h_ii_curve(curve, np.linspace(curve.param_lo[0], curve.param_hi[0], 33))
     worst = float(np.max(np.abs(h)))
     report("criterion 4 (S1(1/sqrt2) curve H_II)", worst < 1e-10, f"{worst:.2e}")
 

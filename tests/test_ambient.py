@@ -372,19 +372,6 @@ def test_orthonormal_frame_with_prescribed_direction():
     assert_allclose(frame[0], e0)
 
 
-def test_insufficient_smoothness_guard():
-    import dataclasses
-
-    import pytest as _pytest
-
-    from secondform.errors import InsufficientSmoothness
-
-    chart = dataclasses.replace(space_form(3, 1.0), max_taylor_order=3)
-    with _pytest.raises(InsufficientSmoothness):
-        curvature_jet(chart, np.zeros(3), order=2)
-    curvature_jet(chart, np.zeros(3), order=1)  # within the declared order
-
-
 def test_taylor_derivatives_match_fd_on_all_model_charts():
     # first and second metric derivatives vs central differences, 5 random
     # points per model chart

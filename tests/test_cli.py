@@ -404,6 +404,11 @@ PROBES = {
         "clifford_area_ii", lambda s: s.update(output={"csv": "elsewhere.csv"}), True),
     "subject_unknown_type": (
         "clifford_area_ii", lambda s: s["subject"].update(type="nonsense"), True),
+    "name_escapes_out_dir": ("clifford_area_ii", lambda s: s.update(name="../escaped"), True),
+    "name_not_a_string": ("clifford_area_ii", lambda s: s.update(name=["a"]), True),
+    "name_empty": ("clifford_area_ii", lambda s: s.update(name=""), True),
+    "area_matches_unknown_functional": (
+        "clifford_area_ii", lambda s: s["checks"][0].update(functional="nope"), True),
 }
 
 

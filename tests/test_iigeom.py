@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from secondform.ambient import flat_chart, product_chart, space_form
+from secondform.curves import h_ii_curve, standard_curve
 from secondform.errors import SingularShapeOperator, StepFailure
 from secondform.hypersurface import Immersion, standard_immersion
 from secondform.iigeom import (
@@ -102,6 +103,17 @@ class TestRouteAgreement:
         expect = 0.5 * (-1.0 / kappa + kappa)
         for route in ("variational", "principal", "gauss"):
             assert_allclose(geo.h_ii[route], expect, atol=1e-8)
+        # the closed curve formula is H_II at m = 1, also where κ varies (the
+        # catenary: Δ_II log|det A| ≠ 0 cancels the head, H_II ≡ 0)
+        cases = [("circle_e2", {"radius": 2.0}), ("catenary_e2", {})] + [
+            ("latitude_circle_s2", {"colatitude": th}) for th in (math.pi / 4, 1.1, 2.0)
+        ]
+        for kind, params in cases:
+            curve = standard_curve(kind, **params)
+            s = np.linspace(curve.param_lo[0], curve.param_hi[0], 7)[1:-1]
+            geo = ii_geometry(curve, s[:, None])
+            for route in ("variational", "principal", "gauss"):
+                assert_allclose(geo.h_ii[route], h_ii_curve(curve, s), rtol=0, atol=1e-12)
 
 
 class TestZField:
@@ -169,7 +181,7 @@ class TestIIOperators:
         from secondform.jets import jinv
 
         def grad_f(uj):
-            b = frame_jets(imm, uj, check_two_routes=False)
+            b = frame_jets(imm, uj)
             ii_inv = jinv(views(b.space(b.II), b.II, 2))
             fj = f(uj)
             return [
