@@ -41,7 +41,8 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 def _geodesic_sphere(chart, center, r):
     chart = ambient.chart_from_descriptor(chart)
-    return spheres.geodesic_sphere(chart, np.asarray(center, float), float(r))
+    center = _numbers("immersion 'center'", center, (chart.dim,))
+    return spheres.geodesic_sphere(chart, center, float(r))
 
 
 IMMERSIONS = {**hypersurface.IMMERSIONS, "geodesic_sphere": _geodesic_sphere}
@@ -67,16 +68,32 @@ def _choice(what: str, value, allowed):
     return value
 
 
-def _count(what: str, value):
-    """`value`, once it is an integer of at least 1; else BadParameters."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise BadParameters(f"{what} must be a positive integer, got {value!r}")
+def _count(what: str, value, least: int = 1):
+    """`value`, once it is an integer of at least `least`; else BadParameters."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise BadParameters(f"{what} must be an integer of at least {least}, got {value!r}")
     return value
 
 
+def _numbers(what: str, value, shape):
+    """`value` as a non-empty float array of `shape` (−1: any length) whose
+    entries are finite numbers (bool is none); else BadParameters."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if (arr.dtype.kind not in "iuf" or arr.size == 0 or arr.ndim != len(shape)
+            or any(k not in (-1, n) for k, n in zip(shape, arr.shape))
+            or not np.all(np.isfinite(arr))):
+        dims = "×".join("n" if k < 0 else str(k) for k in shape)
+        raise BadParameters(f"{what} must be finite numbers of shape {dims}, got {value!r}")
+    return arr.astype(float)
+
+
 def _nonempty(key: str, value):
-    """The subject's `key` value, once it is a non-empty list; else BadParameters."""
-    if not isinstance(value, list) or not value:
+    """The subject's `key` value, once it is a non-empty list (or a default
+    tuple); else BadParameters."""
+    if not isinstance(value, (list, tuple)) or not value:
         raise BadParameters(f"subject {key!r} must be a non-empty list, got {value!r}")
     return value
 
@@ -124,10 +141,11 @@ def _ode(ambient, kappa0, s_max, kappa_prime0=0.0):
 def _sphere_study(chart, quantities, radii, center=None, e0=None):
     """`e0` defaults to the unit first coordinate vector at `center` (the origin)."""
     chart = ambient.chart_from_descriptor(chart)
+    center = np.zeros(chart.dim) if center is None else center
     return _Subject(
         chart=chart,
-        center=np.zeros(chart.dim) if center is None else np.asarray(center, float),
-        e0=None if e0 is None else np.asarray(e0, float),
+        center=_numbers("subject 'center'", center, (chart.dim,)),
+        e0=None if e0 is None else _numbers("subject 'e0'", e0, (chart.dim,)),
         quantities=[_choice("subject 'quantities'", q, get_args(Quantity)) for q in quantities],
         radii=[float(r) for r in _nonempty("radii", radii)],
     )
@@ -144,7 +162,7 @@ def _area_derivative(chart, radii):
 
 def _recombination(n_jets=50, dims=(3, 4, 5), seed=None):
     """`seed` defaults to the scenario's."""
-    dims = _nonempty("dims", [int(d) for d in dims])
+    dims = [_count("subject 'dims'", d, least=2) for d in _nonempty("dims", dims)]
     n_jets = _count("subject 'n_jets'", n_jets)
     return _Subject(n_jets=n_jets, dims=dims, seed=None if seed is None else int(seed))
 
@@ -184,7 +202,6 @@ class Context:
             exc = {
                 "singular_shape": SingularShapeOperator,
                 "degenerate_ii": DegenerateII,
-                "degenerate_frame": DegenerateII,
             }.get(reason, GeometryError)
             raise exc(f"{int(np.sum(~geo.valid))} grid point(s) invalid: {reason}")
         return geo
@@ -279,9 +296,13 @@ def check_metricity(ctx):
 
 def check_transport_probe_vs_L(ctx, base_point, curve_velocity, vector, eps: float = 2e-2):
     imm = ctx.built["immersions"][0]
-    u0 = np.asarray(base_point, float)
-    w = np.asarray(curve_velocity, float)
-    v = np.asarray(vector, float)
+
+    def vec(key, value):
+        return _numbers(f"check 'transport_probe_vs_L': {key!r}", value, (imm.param_dim,))
+
+    u0 = vec("base_point", base_point)
+    w = vec("curve_velocity", curve_velocity)
+    v = vec("vector", vector)
 
     def curve(t):
         return [t * w[k] + u0[k] for k in range(len(u0))]
@@ -323,6 +344,8 @@ def check_length_ii_matches(ctx, expected: float):
 
 
 def check_catenary_family_residual(ctx, family=((1.0, 0.0), (2.0, -0.4)), s_values=(0.0, 0.5, 2.0)):
+    family = _numbers("check 'catenary_family_residual': 'family'", family, (-1, 2))
+    s_values = _numbers("check 'catenary_family_residual': 's_values'", s_values, (-1,))
     worst = 0.0
     for a_par, q_par in family:
         for s in s_values:
@@ -360,7 +383,9 @@ def check_series_remainder_max(ctx, quantity: Quantity):
 
 def check_numeric_matches_expected(ctx, quantity: Quantity, expected):
     study = ctx.get_sphere_study()[quantity]
-    return float(np.max(np.abs(study.numeric - np.asarray(expected, float))))
+    where = "check 'numeric_matches_expected': 'expected'"
+    expected = _numbers(where, expected, study.numeric.shape)
+    return float(np.max(np.abs(study.numeric - expected)))
 
 
 def check_recombination(ctx):

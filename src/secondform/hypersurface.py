@@ -444,7 +444,7 @@ def gauss_codazzi_residual(imm: Immersion, u):
     lhs = nabla_a - np.moveaxis(nabla_a, [-3, -1], [-1, -3])
     rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, b.normal, vals(b.gbar_inv))
     rhs_cov = np.einsum("...ije,...ef,...kf->...ijk", rhs_amb, vals(b.gbar), tv)
-    rhs_param = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(b.first), rhs_cov)
+    rhs_param = np.einsum("...kl,...ijl->...ijk", vals(b.ginv), rhs_cov)
     # lhs[..., i, k, j] has k the component; rhs_param[..., i, j, k]
     codazzi = lhs - np.moveaxis(rhs_param, -1, -2)
     codazzi_res = np.max(np.abs(codazzi))

@@ -1,8 +1,8 @@
 """Geometry measured in the second fundamental form.
 
 Everything here lives on hypersurfaces whose second fundamental form II is a
-semi-Riemannian metric: the II-orthonormal frame (V_i, κ_i), the Levi-Civita
-connection of II and the difference tensor L = ∇^II − ∇, the curvature field
+semi-Riemannian metric, of any signature: the Levi-Civita connection of II
+and the difference tensor L = ∇^II − ∇, the curvature field
 
     Z = Σ_i κ_i A^{←}([R̄(V_i, U)V_i]^T),
 
@@ -14,12 +14,15 @@ genuinely different routes:
   principal:    H_II = ½(mH − Σ_i K̄(E_i,U)/λ_i) + tail,
   contracted:   H_II = −(α/2)(tr_II R̄ic − tr_II Ric + α(m²−2m)H) + tail,
 
-with the shared tail (α/4)Δ_II log|det A| − (α/2) div_II Z.  The first uses
-the ambient curvature along the II-frame, the second the principal
-directions, the third the intrinsic Ricci curvature of the induced metric;
-their mutual agreement is the strongest single correctness check in the
-package.  For m = 2 the contracted route loses its α(m²−2m)H term and leans
-entirely on the trace terms; it is still computed and must still agree.
+with the shared tail (α/4)Δ_II log|det A| − (α/2) div_II Z.  Here (V_i, κ_i)
+is any II-orthonormal frame, II(V_i, V_j) = κ_i δ_ij, and every such sum is
+a trace tr_II B = Σ_i κ_i B(V_i, V_i) = II^{ij}B_ij: the code contracts with
+the inverse of II and builds no frame.  The first route uses the ambient
+curvature along the hypersurface, the second the principal directions, the
+third the intrinsic Ricci curvature of the induced metric; their mutual
+agreement is the strongest single correctness check in the package.  For
+m = 2 the contracted route loses its α(m²−2m)H term and leans entirely on
+the trace terms; it is still computed and must still agree.
 """
 
 from __future__ import annotations
@@ -74,11 +77,12 @@ class IIGeometryPoint:
     "gauss"; `principal_valid` marks points where the eigenbasis route was
     computable.  `valid` marks points passing the nondegeneracy guards; with
     on_error="mask" the invalid entries are NaN instead of raising.
+    `ii_inv` holds the values of II^{ij}, the inverse every tr_II contracts
+    with, and `ii_LL` the invariant II(L, L) = II^{ia}II^{jb}II_{kl}L^k_{ij}L^l_{ab}.
     """
 
     base: SurfacePointData
-    ii_frame: np.ndarray  # (..., m, m): row i = V_i in parameter components
-    kappa: np.ndarray  # (..., m)
+    ii_inv: np.ndarray  # (..., m, m): II^{ij}
     gamma_ii: np.ndarray  # (..., m, m, m): Γ_II^k_{ij}, k first
     L: np.ndarray  # (..., m, m, m): L^k_{ij}
     tr_ii_L: np.ndarray  # (..., m)
@@ -107,45 +111,6 @@ class IIGeometryPoint:
         return (np.max(stack, axis=0) - np.min(stack, axis=0)) / (
             1.0 + np.abs(self.h_ii["variational"])
         )
-
-
-def _ii_orthonormal_frame(ii_val, tol_scale):
-    """Gram–Schmidt on II, pivoting by largest |II(w,w)|, lowest index ties.
-
-    Returns (V, kappa, ok) with V[..., i, :] the i-th frame vector.
-    """
-    single = ii_val.ndim == 2
-    ii = ii_val[None] if single else ii_val
-    n, m, _ = ii.shape
-    V = np.zeros((n, m, m))
-    kappa = np.zeros((n, m))
-    ok = np.ones(n, dtype=bool)
-    used = np.zeros((n, m), dtype=bool)
-    cand = np.broadcast_to(np.eye(m), (n, m, m)).copy()
-    floor = 1e-10 * np.maximum(tol_scale, 1e-30)
-    for step in range(m):
-        q = np.einsum("nja,nab,njb->nj", cand, ii, cand)
-        qm = np.where(used, -np.inf, np.abs(q))
-        j = np.argmax(qm, axis=1)
-        qj = np.take_along_axis(q, j[:, None], 1)[:, 0]
-        ok &= np.abs(qj) > floor
-        safe = np.where(np.abs(qj) > floor, qj, 1.0)
-        w = np.take_along_axis(cand, j[:, None, None], 1)[:, 0, :]
-        k = np.sign(safe)
-        v = w / np.sqrt(np.abs(safe))[:, None]
-        V[:, step, :] = v
-        kappa[:, step] = k
-        used[np.arange(n), j] = True
-        proj = np.einsum("nja,nab,nb->nj", cand, ii, v) * k[:, None]
-        cand = cand - proj[:, :, None] * v[:, None, :]
-    if single:
-        return V[0], kappa[0], ok[0]
-    return V, kappa, ok
-
-
-def _tr_ii_bilinear(V, kappa, B):
-    """Σ_i κ_i B(V_i, V_i) for a symmetric bilinear form in param components."""
-    return np.einsum("...i,...ia,...ib,...ab->...", kappa, V, V, B)
 
 
 def _divergence_form(w, comps):
@@ -204,12 +169,7 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
 
     gamma_ii_val = _cvals(curv_ii.gamma, batched)
     L = gamma_ii_val - _cvals(curv_g.gamma, batched)
-
-    V, kappa, frame_ok = _ii_orthonormal_frame(ii_val, np.max(np.abs(ii_val), axis=(-1, -2)))
-    valid &= frame_ok
-    reason = np.where(~frame_ok & (reason == ""), "degenerate_frame", reason)
-    if on_error == "raise" and not np.all(frame_ok):
-        raise DegenerateII("II-orthonormal frame construction failed")
+    ii_inv_val = _cvals(ii_inv, batched)
 
     # metricity of ∇^II (a plumbing check: holds to roundoff by construction)
     dii = _cvals(amb._grad(data.II[: sp1.n], sp1), batched)  # [..., k, i, j] = ∂_k II_ij
@@ -221,11 +181,15 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     metricity = np.max(np.abs(nab_ii), axis=(-1, -2, -3))
 
     # tr_II L as a vector
-    tr_l = np.einsum("...i,...ia,...ib,...kab->...k", kappa, V, V, L)
+    tr_l = np.einsum("...ab,...kab->...k", ii_inv_val, L)
 
     # ambient curvature along the patch, at the order the Z field reads
     riem_bar, ric_bar, sbar = ambient_curvature_on_jets(data.imm.ambient, sp1, data.xc, data.gbar)
-    z = _z_field(data, riem_bar, ii_inv)
+    # P^{ac} = II^{ij} t_i^a t_j^c: the tr_II of a form B̄ on the ambient is P^{ac}B̄_ac
+    t = data.t
+    p = jeinsum(sp1, "ja...,jc...->ac...", jeinsum(sp1, "ij...,ia...->ja...", ii_inv, t), t)
+    p_val = _cvals(p, batched)
+    z = _z_field(data, riem_bar, ii_inv, p)
     z_val = _cvals(z, batched)
 
     # Δ_II log|det A| and div_II Z via the divergence form
@@ -243,8 +207,7 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     tv, uv = data.tangent, data.normal
     # R̄(·,U,·,U) first; pairwise contractions, no path search per call
     r_uu = np.einsum("...abc,...b->...ac", np.einsum("...abcf,...f->...abc", rb, uv), uv)
-    B = np.einsum("...ic,...jc->...ij", np.einsum("...ac,...ia->...ic", r_uu, tv), tv)
-    h_var = 0.5 * (m * h - _tr_ii_bilinear(V, kappa, B)) + tail
+    h_var = 0.5 * (m * h - np.einsum("...ac,...ac->...", p_val, r_uu)) + tail
 
     # principal head: Σ K̄(E_i,U)/λ_i with eigenvalue clusters merged
     lam, E, eps_dir, prin_ok = data.principal
@@ -257,26 +220,23 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
         h_prin = 0.5 * (m * h - np.sum(kbar / lam_grouped, axis=-1)) + tail
 
     # contracted-Gauss head: needs tr_II of ambient and intrinsic Ricci
-    ric_bar_val = _cvals(ric_bar, batched)
-    t_ric_b = np.einsum("...ab,...ia,...jb->...ij", ric_bar_val, tv, tv)
-    tr_ii_ricbar = _tr_ii_bilinear(V, kappa, t_ric_b)
-    tr_ii_ric = _tr_ii_bilinear(V, kappa, _cvals(curv_g.ric, batched))
+    tr_ii_ricbar = np.einsum("...ac,...ac->...", p_val, _cvals(ric_bar, batched))
+    tr_ii_ric = np.einsum("...ij,...ij->...", ii_inv_val, _cvals(curv_g.ric, batched))
     scal_g = _cvals(curv_g.scal, batched)
     h_gauss = -0.5 * alpha * (tr_ii_ricbar - tr_ii_ric + alpha * (m * m - 2 * m) * h) + tail
 
     # intrinsic scalar curvature of (M, II)
-    s_ii = _tr_ii_bilinear(V, kappa, _cvals(curv_ii.ric, batched))
+    s_ii = _cvals(curv_ii.scal, batched)
 
-    # II(L,L) = Σ (II(L(V_i,V_j),V_k))²
-    lvv = np.einsum("...kab,...ia,...jb->...ijk", L, V, V)
-    ii_l = np.einsum("...ijk,...kl,...ml->...ijm", lvv, ii_val, V)
-    ii_ll = np.sum(ii_l**2, axis=(-1, -2, -3))
+    # II(L,L) = II^{ia}II^{jb}II_{kl}L^k_{ij}L^l_{ab}
+    l_flat = np.einsum("...kl,...kij->...lij", ii_val, L)
+    l_up = np.einsum("...ia,...jb,...kab->...kij", ii_inv_val, ii_inv_val, L)
+    ii_ll = np.einsum("...lij,...lij->...", l_flat, l_up)
 
     nanify = None if on_error == "raise" else ~valid
     out = IIGeometryPoint(
         base=data,
-        ii_frame=V,
-        kappa=kappa,
+        ii_inv=ii_inv_val,
         gamma_ii=gamma_ii_val,
         L=L,
         tr_ii_L=tr_l,
@@ -308,14 +268,6 @@ def _mask(arr, bad):
     return np.where(bad, np.nan, arr)
 
 
-def _guarded_inv(mat, bad):
-    """Matrix inverse with singular (already invalid) entries replaced by id."""
-    if bad is not None and np.any(bad):
-        eye = np.eye(mat.shape[-1])
-        mat = np.where(np.asarray(bad)[..., None, None], eye, mat)
-    return np.linalg.inv(mat)
-
-
 def _group_eigenvalues(lam, tol):
     """Merge eigenvalue clusters closer than tol (sorted input)."""
     out = lam.copy()
@@ -336,18 +288,17 @@ def _group_eigenvalues(lam, tol):
     return out
 
 
-def _z_field(b: SurfacePointData, riem_bar, ii_inv):
+def _z_field(b: SurfacePointData, riem_bar, ii_inv, p):
     """Z in parameter components, a coefficient array (n_mono, m, *batch) at
     jet order 1 (div_II Z reads one derivative).
 
     With W the II-trace of (X,Y) ↦ R̄(X,U)Y, Z = A⁻¹g⁻¹ḡ(W, ∂_·) =
     α II⁻¹ḡ(W, ∂_·), because gA = α II; and ḡ(W, ∂_l) = R̄_{abcf} P^{ac} U^b
     t_l^f with P^{ac} = II^{ij} t_i^a t_j^c, so the normal part of W and ḡ⁻¹
-    drop out.  `riem_bar` and `ii_inv` are coefficient arrays.
+    drop out.  `riem_bar`, `ii_inv` and `p` (P) are coefficient arrays.
     """
     space = jet_space(b.imm.param_dim, 1)
     t, u = b.t, b.U
-    p = jeinsum(space, "ja...,jc...->ac...", jeinsum(space, "ij...,ia...->ja...", ii_inv, t), t)
     r_u = jeinsum(space, "abcf...,b...->acf...", riem_bar, u)
     w_t = jeinsum(space, "f...,lf...->l...", jeinsum(space, "acf...,ac...->f...", r_u, p), t)
     return jeinsum(space, "kl...,l...->k...", ii_inv, w_t) * b.alpha
@@ -499,7 +450,7 @@ def sphere_inequality_report(imm: Immersion, grid_u, geo=None) -> SphereInequali
     status = np.where(geo.valid, "ok", "degenerate").astype(object)
 
     with np.errstate(all="ignore"):
-        tr_a_inv = np.einsum("...ii->...", _guarded_inv(data.shape, ~geo.valid))
+        tr_a_inv = alpha * np.einsum("...ij,...ij->...", geo.ii_inv, data.first)  # A⁻¹ = α II⁻¹g
         lemma51 = thm52 = None
         if cbar is not None:
             lemma51 = geo.s_ii - 2.0 * alpha * (m - 1) * (h_ii + cbar * tr_a_inv)

@@ -160,6 +160,11 @@ def test_bundled_scenarios_parse():
         assert data["checks"]
 
 
+@pytest.mark.parametrize("path", bundled_scenarios(), ids=lambda p: p.stem)
+def test_bundled_scenario_passes(path, tmp_path, capsys):
+    assert run_scenario(path, out_dir=tmp_path) == 0, capsys.readouterr().err
+
+
 def test_run_by_name_from_subprocess(tmp_path):
     r = run_cli(["run", "catenary_ode", "--out-dir", str(tmp_path)])
     assert r.returncode == 0
@@ -409,6 +414,17 @@ PROBES = {
     "name_empty": ("clifford_area_ii", lambda s: s.update(name=""), True),
     "area_matches_unknown_functional": (
         "clifford_area_ii", lambda s: s["checks"][0].update(functional="nope"), True),
+    "catenary_family_not_pairs": (
+        "catenary_ode", lambda s: s["checks"][0].update(family="abc"), False),
+    "transport_base_point_not_numbers": (
+        "transport_probe_ellipsoid", lambda s: s["checks"][0].update(base_point="abc"), False),
+    "geodesic_sphere_center_not_a_point": (
+        "first_variation_geodesic_sphere_s3",
+        lambda s: s["subject"]["immersion"].update(center=True), True),
+    "sphere_study_center_wrong_length": (
+        "geodesic_sphere_s3_exact", lambda s: s["subject"].update(center=[0.0, 0.0]), True),
+    "recombination_dims_zero": (
+        "series_recombination", lambda s: s["subject"].update(dims=[0]), True),
 }
 
 

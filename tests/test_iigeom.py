@@ -20,6 +20,7 @@ from secondform.iigeom import (
     z_field,
     z_field_surface_alt,
 )
+from secondform.variation import first_variation_check, grid_for_immersion
 
 
 def sphere_grid(n_theta=5, n_phi=9):
@@ -43,8 +44,9 @@ class TestIIMinimalExamples:
         geo = ii_geometry(imm, pts)
         assert np.max(np.abs(geo.h_ii["variational"])) < 1e-8
         assert np.max(np.abs(geo.h_ii["gauss"])) < 1e-8
-        # II is Lorentzian here: κ = (+1, −1) and the II metric is flat
-        assert_allclose(np.sort(geo.kappa, axis=-1), np.tile([-1.0, 1.0], (len(pts), 1)))
+        # II is Lorentzian here: one negative and one positive eigenvalue, and the II metric is flat
+        eig = np.linalg.eigvalsh(geo.base.second)
+        assert np.all(eig[:, 0] < 0) and np.all(eig[:, 1] > 0)
         assert np.max(np.abs(geo.s_ii)) < 1e-7
 
     def test_round_sphere_h_ii_m_over_2r(self):
@@ -391,19 +393,40 @@ def test_spacelike_slice_in_de_sitter():
     assert np.max(np.abs(geo.Z)) < 1e-9  # constant-curvature ambient
 
 
+def test_saddle_with_indefinite_ii_is_valid_everywhere():
+    # z = u₀u₁: II is indefinite and both coordinate directions are II-null at every point
+    imm = standard_immersion("graph", quadratic=[[0, 1], [1, 0]], half_width=0.4, orientation=1)
+    grid = grid_for_immersion(imm, [16, 16])
+    geo = ii_geometry(imm, grid.nodes, on_error="mask")
+    assert np.all(np.linalg.det(geo.base.second) < 0)
+    assert np.all(geo.valid)
+    assert np.max(geo.h_ii_spread) <= 1e-12
+
+    def f(u):  # compactly supported; the u₀u₁ term keeps both sides from vanishing by symmetry
+        bump = ((u[0] * u[0] * -1.0 + 0.16) * (u[1] * u[1] * -1.0 + 0.16) * 40.0) ** 3
+        return bump * (u[0] * u[1] * 2.0 + 1.0)
+
+    res = first_variation_check(imm, f, grid, s_ladder=(4e-5, 2e-5, 1e-5), geo=geo)
+    assert abs(res.rhs_area_ii) > 1e-4
+    assert res.gaps["area"] <= 1e-9 and res.gaps["area_ii"] <= 1e-9
+
+
 def test_frame_and_difference_tensor_invariants():
     imm = standard_immersion("perturbed_ovaloid", seed=13, amplitude=0.03)
     pts = sphere_grid(3, 5)
     geo = ii_geometry(imm, pts)
-    # II(V_i, V_j) = kappa_i delta_ij
-    gram = np.einsum("...ia,...ab,...jb->...ij", geo.ii_frame, geo.base.second, geo.ii_frame)
-    expect = geo.kappa[..., :, None] * np.eye(2)
-    assert np.max(np.abs(gram - expect)) < 1e-9
     # L symmetric in its lower indices
     assert np.max(np.abs(geo.L - np.swapaxes(geo.L, -1, -2))) < 1e-10
-    # frame trace of L agrees with the inverse-metric contraction
+    # tr_II L agrees with the contraction by np.linalg.inv of II
     tr_via_inverse = np.einsum("...ij,...kij->...k", np.linalg.inv(geo.base.second), geo.L)
     assert_allclose(geo.tr_ii_L, tr_via_inverse, atol=1e-9)
+    # II(L, L) is Σ (II(L(V_i, V_j), V_k))² over the II-orthonormal frame V = C⁻ᵀ, II = CCᵀ
+    second = geo.base.second
+    assert np.all(np.linalg.eigvalsh(second) > 0)
+    V = np.linalg.inv(np.swapaxes(np.linalg.cholesky(second), -1, -2))  # columns V_i
+    l_vv = np.einsum("...kab,...ai,...bj->...ijk", geo.L, V, V)
+    frame_sum = np.sum(np.einsum("...ijk,...kl,...ln->...ijn", l_vv, second, V) ** 2, axis=(-1, -2, -3))
+    assert_allclose(geo.ii_LL, frame_sum, rtol=1e-12, atol=1e-15)
 
 
 def test_principal_spectrum_is_computed_once_on_first_read(monkeypatch):
