@@ -8,7 +8,12 @@ factors) are conformally flat in the chart used here,
 
     ḡ_ab = ε_a δ_ab / (1 + C̄⟨x,x⟩_ε/4)²,
 
-so one construction covers them all.
+so one construction covers them all.  Their geodesics have a closed form
+too: the chart is the stereographic image of the quadric
+C̄⟨y,y⟩_ε + z² = 1, on which a geodesic is Y(t) = C(q t²)·Y₀ + t·S(q t²)·Y₀′
+(`_quadric_flow`).  `exp_map` reads γ(t) off that formula on these charts
+and their products, in about 25 jet products per stop, and integrates by
+RK4 only on charts without it (`bumpy_e3`, registry metrics).
 
 Every tensor of jets is one coefficient array (n_mono, *tensor, *batch),
 contracted with ``jets.jeinsum``.  One chain, ``_curvature_chain``, takes
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -48,7 +54,7 @@ from .errors import (
     UnsupportedSignature,
     _lookup,
 )
-from .jets import Jet, _cauchy, _inv, _lead, compose, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -83,9 +89,14 @@ class MetricChart:
       Γ^k_ab, k first, shape (space.n, dim, dim, dim, *batch).
     * `geodesic_rhs(space, x, v)` (optional) returns the acceleration
       −Γ^k_ab(x) v^a v^b for a velocity `v` shaped like `x`.
+    * `geodesic_flow(space, x, w, ts)` (optional) returns the geodesic from
+      x with velocity w in closed form: (x_t, v_t), each of shape
+      (len(ts), space.n, dim, *batch), at the times ts, or None where its
+      formula loses accuracy (see `_quadric_flow`).
 
     The optional closed-form fields accelerate geodesic integration and the
-    frame; when absent, the generic metric-derived path is used.
+    frame; when absent, the generic metric-derived path (and RK4 for
+    geodesics) is used.
     """
 
     dim: int
@@ -96,6 +107,7 @@ class MetricChart:
     descriptor: dict
     christoffel_jets_fn: Optional[Callable] = None
     geodesic_rhs: Optional[Callable] = None
+    geodesic_flow: Optional[Callable] = None
     predicate_fn: Optional[Callable] = None
     curvature_const: Optional[float] = None
     product_factors: Optional[tuple] = None  # ((chart, slice), ...)
@@ -313,11 +325,106 @@ def _signs(dim: int, index: int) -> np.ndarray:
     return np.array([-1.0] * index + [1.0] * (dim - index))
 
 
+# Largest |s| = |q|·t² at which `_quadric_flow` sums the series of C and S:
+# there the alternating series of cos √s loses about e^√s·2⁻⁵³ ≈ 2.4e-12 to
+# rounding.  Beyond it the flow returns None and `exp_map` integrates by RK4.
+FLOW_MAX_S = 100.0
+_CS_TERMS = 32  # at |s| ≤ FLOW_MAX_S the summands left out are below 1e-17
+
+
+@functools.lru_cache(maxsize=None)
+def _cs_series(order: int) -> np.ndarray:
+    """(2, order + 1, _CS_TERMS): the power series in s of C^(j)(s)/j! and
+    S^(j)(s)/j!, j ≤ order, for the entire functions
+    C(s) = Σ(−s)^k/(2k)! = cos √s and S(s) = Σ(−s)^k/(2k+1)! = sin √s/√s."""
+    tab = np.empty((2, order + 1, _CS_TERMS))
+    for j in range(order + 1):
+        for m in range(_CS_TERMS):
+            k = m + j
+            coef = (-1) ** k * math.comb(k, j)
+            tab[:, j, m] = coef / math.factorial(2 * k), coef / math.factorial(2 * k + 1)
+    tab.flags.writeable = False  # shared by every caller
+    return tab
+
+
+def _reciprocal(space, c):
+    """1/c for a scalar coefficient array c (n_mono, *batch); NaN, without a
+    warning, where c₀ ≤ 0."""
+    a0 = np.where(c[0] > 0.0, c[0], np.nan)
+    return _lift(space, c, [(-1.0) ** k / a0 ** (k + 1) for k in range(space.order + 1)])
+
+
+def _quadric_flow(space, x, w, ts, eps, cbar):
+    """Geodesics of ḡ = ε δ F², F = 1/(1 + C̄⟨x,x⟩_ε/4), in closed form.
+
+    The chart is the stereographic image of the quadric C̄⟨y,y⟩_ε + z² = 1
+    through Y = (y, z) = (F·x, 2F − 1), whose geodesics are
+    Y(t) = C(q t²)·Y₀ + t·S(q t²)·Y₀′ with Y₀′ = (F·w + F′·x, 2F′),
+    F′ = −(C̄/2)·F²·⟨x,w⟩_ε and q = C̄·F²·⟨w,w⟩_ε (O'Neill, Semi-Riemannian
+    Geometry, ch. 4); back in the chart, x = 2y/(1 + z) and
+    v = (2y′ − x·z′)/(1 + z).  C and S are lifted as entire functions of
+    s = q t², so neither √C̄ nor the sign of C̄ or ⟨w,w⟩_ε enters, and
+    q = 0 (a flat chart, or a vanishing velocity) is no special case.
+
+    `x`, `w` are coefficient arrays (space.n, dim, *batch).  Returns
+    (x_t, v_t), each (len(ts), space.n, dim, *batch), or None when
+    |q₀|·max(ts)² exceeds FLOW_MAX_S.  A point whose 1 + z₀ is ≤ 0 went
+    through the chart's point at infinity and comes back NaN, without a
+    warning (so does a start point with F₀ ≤ 0, outside the chart).
+    """
+    d, nb = x.shape[1], x.ndim - 2
+    gram = _cauchy(space, np.stack((x, x, w), 1), np.stack((x, w, w), 1))
+    xx, xw, ww = np.einsum("Zpa...,a->pZ...", gram, eps)
+    den = xx * (cbar / 4.0)
+    den[0] += 1.0
+    f = _reciprocal(space, den)
+    f2 = _cauchy(space, f, f)[:, None]
+    fp, q = np.moveaxis(_cauchy(space, f2, np.stack((xw * (-0.5 * cbar), ww * cbar), 1)), 1, 0)
+    if np.max(np.abs(q[0]), initial=0.0) * max(ts) ** 2 > FLOW_MAX_S:
+        return None
+    scaled = _cauchy(space, np.stack((x, w, x), 1), np.stack((f, f, fp), 1)[:, :, None])
+    fx, fw, fpx = np.moveaxis(scaled, 1, 0)
+    z0 = f * 2.0
+    z0[0] -= 1.0
+    y0 = np.concatenate((fx, z0[:, None]), 1)
+    y1 = np.concatenate((fw + fpx, fp[:, None] * 2.0), 1)
+    # C(q t²) and S(q t²): their Taylor coefficients at s₀ = q₀t², summed
+    # from `_cs_series`, on the powers of the nilpotent part (q − q₀)t²,
+    # which every t shares up to the factor t^2j
+    e = q.copy()
+    e[0] = 0.0
+    powers = np.zeros((space.order + 1,) + q.shape)
+    powers[0, 0] = 1.0
+    for k in range(1, space.order + 1):
+        powers[k] = e if k == 1 else _cauchy(space, powers[k - 1], e)
+    series = _cs_series(space.order)
+    exps = np.arange(_CS_TERMS).reshape((-1,) + (1,) * nb)
+    # the factors of C (row 0) and S (row 1): [Y₀, Y₀′] and [Y₀′, q·Y₀]
+    pairs = np.stack((np.stack((y0, y1), 1), np.stack((y1, _cauchy(space, q[:, None], y0)), 1)), 1)
+
+    def at(t):  # one t at a time, so that γ(t) does not depend on the other ts
+        coef = np.einsum("cjm,m...->cj...", series, (q[0] * (t * t)) ** exps)
+        coef *= (t ** (2 * np.arange(space.order + 1))).reshape((-1,) + (1,) * nb)
+        cs = np.einsum("cj...,jZ...->Zc...", coef, powers)
+        prod = _cauchy(space, cs[:, :, None, None], pairs)
+        big_y = prod[:, 0, 0] + prod[:, 1, 0] * t
+        big_yp = prod[:, 0, 1] - prod[:, 1, 1] * t
+        one_z = big_y[:, d]  # 1 + z = 2F along the path
+        one_z[0] += 1.0
+        r = _reciprocal(space, one_z)[:, None]
+        xt = _cauchy(space, big_y[:, :d], r) * 2.0
+        return xt, _cauchy(space, big_yp[:, :d] * 2.0 - _cauchy(space, xt, big_yp[:, d:]), r)
+
+    xs, vs = zip(*(at(t) for t in ts))
+    return np.stack(xs), np.stack(vs)
+
+
 def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
     """Chart with ḡ = ε δ / (1 + C̄⟨x,x⟩_ε/4 )², optionally with a conformal bump.
 
     With σ = log of the conformal factor, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
     ε_a δ_ab ε_k σ_k, which the geodesic integrator consumes directly.
+    Without a bump the geodesics have the closed form of `_quadric_flow`.
     """
     eps = _signs(dim, index)
 
@@ -383,6 +490,7 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         descriptor=descriptor,
         christoffel_jets_fn=christoffel_fn,
         geodesic_rhs=rhs,
+        geodesic_flow=None if bump else functools.partial(_quadric_flow, eps=eps, cbar=cbar),
         predicate_fn=predicate,
         curvature_const=cbar if bump is None else None,
         is_flat=flat,
@@ -453,8 +561,15 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
             [chart.geodesic_rhs(space, x[:, sl], v[:, sl]) for chart, sl in factors], axis=1
         )
 
+    def flow(space, x, w, ts):
+        parts = [chart.geodesic_flow(space, x[:, sl], w[:, sl], ts) for chart, sl in factors]
+        if any(p is None for p in parts):
+            return None
+        return tuple(np.concatenate([p[i] for p in parts], axis=2) for i in (0, 1))
+
     ok_gamma = all(c.christoffel_jets_fn is not None for c, _ in factors)
     ok_rhs = all(c.geodesic_rhs is not None for c, _ in factors)
+    ok_flow = all(c.geodesic_flow is not None for c, _ in factors)
     preds = [(c.predicate_fn, sl) for c, sl in factors if c.predicate_fn is not None]
 
     def predicate(x):
@@ -472,6 +587,7 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         descriptor={"kind": "product", "factors": [a.descriptor, b.descriptor]},
         christoffel_jets_fn=christoffel_fn if ok_gamma else None,
         geodesic_rhs=rhs if ok_rhs else None,
+        geodesic_flow=flow if ok_flow else None,
         predicate_fn=predicate if preds else None,
         curvature_const=None,
         product_factors=factors,
@@ -505,6 +621,11 @@ def registry_chart(name: str) -> MetricChart:
 
 
 def _space_form_chart(dim, Cbar, index=0):
+    """`dim` and `index` must be integers, `Cbar` a finite number (a bool is neither)."""
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (dim, index)):
+        raise ValueError(f"'dim' and 'index' must be integers, got {dim!r} and {index!r}")
+    if isinstance(Cbar, bool) or not isinstance(Cbar, numbers.Real) or not math.isfinite(Cbar):
+        raise ValueError(f"'Cbar' must be a finite number, got {Cbar!r}")
     dim, cbar = int(dim), float(Cbar)
     if dim == 1 and cbar == 0.0:
         return flat_chart(1)
@@ -563,17 +684,23 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, stops=None)
     """Endpoint of the geodesic with initial position x0 and velocity w at t=1.
 
     Works on jets (so parameter derivatives of sphere charts flow through the
-    integrator) or on order-0 jets for plain points.  Classical RK4 on one
-    coefficient array of shape (n_mono, dim, *batch) each for position and
-    velocity, at the lowest order of the inputs (as jet arithmetic combines
-    them) and their broadcast batch; returns two lists of jets.
+    geodesic) or on order-0 jets for plain points, on one coefficient array
+    of shape (n_mono, dim, *batch) each for position and velocity, at the
+    lowest order of the inputs (as jet arithmetic combines them) and their
+    broadcast batch; returns two lists of jets.
 
     With `stops`, sorted fractions in (0, 1], the same path yields γ(t) at
-    every t in `stops`: it returns one (x, v) pair of lists per stop.  The
-    path keeps its fixed step 1/n_steps whatever the stops; a stop inside a
-    step is reached by one shorter RK4 step taken off the path, so
-    ``stops=(1.0,)`` gives ``[exp_map(...)]`` bit for bit.  The domain check
-    runs at every stop too.
+    every t in `stops`: it returns one (x, v) pair of lists per stop, and
+    ``stops=(1.0,)`` gives ``[exp_map(...)]`` bit for bit.
+
+    A chart with a `geodesic_flow` (space forms, flat charts and their
+    products) gets γ(t) at every stop from that closed form.  Elsewhere, or
+    where the flow declines (returns None), classical RK4 runs with the
+    fixed step 1/n_steps whatever the stops; a stop inside a step is reached
+    by one shorter RK4 step taken off the path.  Either way the domain is
+    checked at every 32nd node of n_steps before the last stop (the flow
+    there on values only) and at every stop, so on a chart with a flow
+    n_steps sets only those check nodes.
     """
     ts = (1.0,) if stops is None else tuple(float(t) for t in stops)
     if not ts or ts[0] <= 0.0 or ts[-1] > 1.0 or any(a > b for a, b in zip(ts, ts[1:])):
@@ -597,24 +724,45 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, stops=None)
         if not np.all(chart.contains(np.moveaxis(x[0], 0, -1))):
             raise LeftDomain(f"geodesic left the domain of {chart.name}")
 
-    h = 1.0 / n_steps
-    done, ends = 0, []
-    for t in ts:
-        nodes = math.floor(t * n_steps)  # main-path steps before t
-        while done < nodes:
-            x, v = rk4(x, v, h)
-            done += 1
-            if done % 32 == 0:
-                check(x)
-        xt, vt = (x, v) if nodes == t * n_steps else rk4(x, v, t - nodes * h)
-        check(xt)
-        ends.append(tuple([Jet(space, c[:, a]) for a in range(d)] for c in (xt, vt)))
+    def flow_ends():
+        nodes = np.arange(32, math.floor(ts[-1] * n_steps) + 1, 32) / n_steps
+        if nodes.size:
+            path = chart.geodesic_flow(jet_space(space.nvars, 0), x[:1], v[:1], nodes)
+            if path is None:
+                return None
+            for xt in path[0]:
+                check(xt)
+        ends = chart.geodesic_flow(space, x, v, ts)
+        if ends is not None:
+            for xt in ends[0]:
+                check(xt)
+            ends = zip(*ends)
+        return ends
+
+    def rk4_ends():
+        h = 1.0 / n_steps
+        xt, vt, done = x, v, 0
+        for t in ts:
+            nodes = math.floor(t * n_steps)  # main-path steps before t
+            while done < nodes:
+                xt, vt = rk4(xt, vt, h)
+                done += 1
+                if done % 32 == 0:
+                    check(xt)
+            end = (xt, vt) if nodes == t * n_steps else rk4(xt, vt, t - nodes * h)
+            check(end[0])
+            yield end
+
+    path = None if chart.geodesic_flow is None else flow_ends()
+    ends = [tuple([Jet(space, c[:, a]) for a in range(d)] for c in end)
+            for end in (rk4_ends() if path is None else path)]
     return ends[0] if stops is None else ends
 
 
 def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024):
     """Point γ(r) of the unit-speed geodesic with γ(0)=n, γ'(0)=v, checked
-    against a run at half the step and for unit speed at the end."""
+    against a run at half the step (which agrees exactly where `exp_map`
+    uses the chart's closed-form flow) and for unit speed at the end."""
     n = np.asarray(n, dtype=float)
     v = np.asarray(v, dtype=float)
     _check_domain(chart, n)

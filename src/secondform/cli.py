@@ -42,7 +42,7 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 def _geodesic_sphere(chart, center, r):
     chart = ambient.chart_from_descriptor(chart)
     center = _numbers("immersion 'center'", center, (chart.dim,))
-    return spheres.geodesic_sphere(chart, center, float(r))
+    return spheres.geodesic_sphere(chart, center, float(_positive("immersion 'r'", r, ())))
 
 
 IMMERSIONS = {**hypersurface.IMMERSIONS, "geodesic_sphere": _geodesic_sphere}
@@ -88,6 +88,14 @@ def _numbers(what: str, value, shape):
         dims = "×".join("n" if k < 0 else str(k) for k in shape)
         raise BadParameters(f"{what} must be finite numbers of shape {dims}, got {value!r}")
     return arr.astype(float)
+
+
+def _positive(what: str, value, shape):
+    """`_numbers` whose entries are all > 0; else BadParameters."""
+    arr = _numbers(what, value, shape)
+    if np.any(arr <= 0):
+        raise BadParameters(f"{what} must be > 0, got {value!r}")
+    return arr
 
 
 def _nonempty(key: str, value):
@@ -147,7 +155,7 @@ def _sphere_study(chart, quantities, radii, center=None, e0=None):
         center=_numbers("subject 'center'", center, (chart.dim,)),
         e0=None if e0 is None else _numbers("subject 'e0'", e0, (chart.dim,)),
         quantities=[_choice("subject 'quantities'", q, get_args(Quantity)) for q in quantities],
-        radii=[float(r) for r in _nonempty("radii", radii)],
+        radii=_positive("subject 'radii'", radii, (-1,)).tolist(),
     )
 
 
@@ -156,7 +164,7 @@ def _flatness(charts):
 
 
 def _area_derivative(chart, radii):
-    radii = [float(r) for r in _nonempty("radii", radii)]
+    radii = _positive("subject 'radii'", radii, (-1,)).tolist()
     return _Subject(chart=ambient.chart_from_descriptor(chart), radii=radii)
 
 
@@ -164,7 +172,8 @@ def _recombination(n_jets=50, dims=(3, 4, 5), seed=None):
     """`seed` defaults to the scenario's."""
     dims = [_count("subject 'dims'", d, least=2) for d in _nonempty("dims", dims)]
     n_jets = _count("subject 'n_jets'", n_jets)
-    return _Subject(n_jets=n_jets, dims=dims, seed=None if seed is None else int(seed))
+    seed = None if seed is None else _count("subject 'seed'", seed, least=0)
+    return _Subject(n_jets=n_jets, dims=dims, seed=seed)
 
 
 SUBJECTS = {fn.__name__[1:]: fn for fn in (
@@ -184,7 +193,7 @@ class Context:
     def __post_init__(self):
         self.built = _lookup(SUBJECTS, "subject", self.scenario["subject"], key="type")
         if "seed" in self.built and self.built["seed"] is None:  # the scenario's seed
-            self.built["seed"] = self.seed
+            self.built["seed"] = _count("scenario 'seed'", self.seed, least=0)
 
     def _masked_geo(self, idx=0):
         """II-geometry on the grid with invalid points masked, computed once."""

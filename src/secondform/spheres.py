@@ -1,12 +1,14 @@
 """Geodesic hyperspheres and their curvature power series.
 
 Small geodesic spheres 𝒢_n(r) are built numerically by pushing a unit-sphere
-parametrization through the exponential map (RK4 in jet arithmetic, so the
-immersion is differentiable to order 4).  Alongside, every power series for
-the sphere quantities (H, log det A, Δ_II log det A, div_II Z, the II-traces
-of both Ricci tensors, H_II and Area_II) is an evaluatable truncation in the
-curvature data at the centre, expressed in a ḡ(n)-orthonormal frame with the
-radial direction e₀ as 0-axis.
+parametrization through the exponential map in jet arithmetic, so the
+immersion is differentiable to order 4: in closed form on space forms and
+their products, by RK4 on other charts (see `ambient.exp_map`).
+Alongside, every power series for the sphere quantities (H, log det A,
+Δ_II log det A, div_II Z, the II-traces of both Ricci tensors, H_II and
+Area_II) is an evaluatable truncation in the curvature data at the centre,
+expressed in a ḡ(n)-orthonormal frame with the radial direction e₀ as
+0-axis.
 
 Two kinds of checks hang off this module: remainder studies (numeric value at
 γ(r) minus truncated series, with fitted log-log slopes), and an algebraic
@@ -564,13 +566,16 @@ def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Imme
     """The geodesic hypersphere 𝒢_n(r) as an immersion over the unit-sphere
     parameter box, with the inward normal selected by the orientation rule.
 
-    The map integrates the geodesic equation in jet arithmetic (RK4, fixed
-    step r/n_steps; r_max/n_steps within a family of radii up to r_max on
-    one path, as `area_derivative_check` and `sphere_remainder_studies`
-    build them); for r ≲ 1 and the default step count, the endpoint error
-    sits around 1e−12, far below every tolerance used downstream.  It is a
-    one-member ``variation._exp_family``, as the normal deformations are:
-    evaluations on one node set share one integration.
+    The map is ``ambient.exp_map`` in jet arithmetic.  On a space form or a
+    product of them it is the closed-form geodesic flow, exact to rounding
+    (n_steps then only spaces the domain checks).  On other charts it
+    integrates the geodesic equation by RK4 with the fixed step r/n_steps
+    (r_max/n_steps within a family of radii up to r_max on one path, as
+    `area_derivative_check` and `sphere_remainder_studies` build them); for
+    r ≲ 1 and the default step count, the endpoint error sits around
+    1e−12, far below every tolerance used downstream.  It is a one-member
+    ``variation._exp_family``, as the normal deformations are: evaluations
+    on one node set share one geodesic computation.
     """
     return _geodesic_spheres(chart, n, [r], n_steps)[0]
 

@@ -175,7 +175,8 @@ class Deformation:
     """Normal deformation of amplitude f at parameter s.
 
     chart_linear moves chart coordinates along (f·s)·U; ambient_exponential
-    is μ_s(u) = exp_{x(u)}((f·s)·U), RK4 in jets with step |s|/64.  Both have
+    is μ_s(u) = exp_{x(u)}((f·s)·U) by ``ambient.exp_map`` in jets (RK4 with
+    step |s|/64 on charts without a closed-form geodesic flow).  Both have
     variational vector field f·U at s = 0.
     """
 

@@ -496,12 +496,19 @@ def _exp_inputs(dim, order, batch, x0_batched=True, w_order=None):
     return x0, w
 
 
+def _rk4(chart):
+    """The chart without its closed-form geodesic flow: exp_map runs RK4 on it."""
+    import dataclasses
+
+    return dataclasses.replace(chart, geodesic_flow=None)
+
+
 def _no_rhs(chart, closed_gamma=True):
     import dataclasses
 
     if closed_gamma:
-        return dataclasses.replace(chart, geodesic_rhs=None)
-    return dataclasses.replace(chart, geodesic_rhs=None, christoffel_jets_fn=None)
+        return dataclasses.replace(chart, geodesic_rhs=None, geodesic_flow=None)
+    return dataclasses.replace(chart, geodesic_rhs=None, christoffel_jets_fn=None, geodesic_flow=None)
 
 
 EXP_CHARTS = {
@@ -532,13 +539,13 @@ class TestExpMapArrays:
     @pytest.mark.parametrize("order", [0, 2, 4])
     @pytest.mark.parametrize("batch", [(), (72,)])
     def test_matches_list_oracle(self, name, order, batch):
-        chart = EXP_CHARTS[name]()
+        chart = _rk4(EXP_CHARTS[name]())
         x0, w = _exp_inputs(chart.dim, order, batch)
         _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
 
     @pytest.mark.parametrize("name", ["s3", "bumpy_e3", "s2xs2"])
     def test_unbatched_start_against_batched_velocity(self, name):
-        chart = EXP_CHARTS[name]()
+        chart = _rk4(EXP_CHARTS[name]())
         x0, w = _exp_inputs(chart.dim, 4, (72,), x0_batched=False)
         assert x0[0].batch_shape == () and w[0].batch_shape == (72,)
         _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
@@ -630,7 +637,7 @@ class TestExpMapStops:
     def test_endpoint_stop_is_the_fixed_step_endpoint(self, name, batch):
         from secondform.ambient import exp_map
 
-        chart = EXP_CHARTS[name]()
+        chart = _rk4(EXP_CHARTS[name]())
         x0, w = _exp_inputs(chart.dim, 4, batch)
         ox, ov = fixed_step_rk4_oracle(chart, x0, w, 40)
         [(sx, sv)] = exp_map(chart, x0, w, n_steps=40, stops=(1.0,))
@@ -691,3 +698,85 @@ class TestExpMapStops:
         x0, w = _exp_inputs(3, 0, ())
         with pytest.raises(ValueError):
             exp_map(space_form(3, 1.0), x0, w, n_steps=4, stops=stops)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form geodesic flow of space forms and their products against RK4
+# ---------------------------------------------------------------------------
+
+
+FLOW_CHARTS = {
+    "s3": lambda: space_form(3, 1.0),
+    "e3": lambda: space_form(3, 0.0),
+    "h3": lambda: space_form(3, -1.0),
+    "de_sitter": lambda: space_form(3, 0.5, index=1),
+    "minkowski": lambda: space_form(3, 0.0, index=1),
+    "anti_de_sitter": lambda: space_form(3, -0.5, index=1),
+    "s2xs2": lambda: product_chart(space_form(2, 1.0), space_form(2, 1.0)),
+}
+
+
+def _jets(values):
+    from secondform.jets import Jet, jet_space
+
+    return [Jet.constant(jet_space(1, 0), c) for c in values]
+
+
+class TestGeodesicFlow:
+    @pytest.mark.parametrize("name", sorted(FLOW_CHARTS))
+    @pytest.mark.parametrize("batch", [(), (72,)])
+    def test_matches_rk4_at_512_steps(self, name, batch):
+        # one RK4 path at order 4 is the reference for orders 0, 2 and 4: a
+        # lower order's coefficients are a prefix of a higher order's
+        from secondform.ambient import exp_map
+        from secondform.jets import Jet
+
+        chart = FLOW_CHARTS[name]()
+        assert chart.geodesic_flow is not None
+        x0, w = _exp_inputs(chart.dim, 4, batch)
+        if batch:  # a vanishing velocity at every 9th point
+            still = np.arange(batch[0]) % 9 == 0
+            w = [Jet(j.space, np.where(still, 0.0, j.coeffs)) for j in w]
+        stops = (0.3, 0.55, 1.0)
+        ref = exp_map(_rk4(chart), x0, w, n_steps=512, stops=stops)
+        for order in (0, 2, 4):
+            got = exp_map(chart, [j.truncate(order) for j in x0], [j.truncate(order) for j in w],
+                          n_steps=512, stops=stops)
+            for pair, ref_pair in zip(got, ref):
+                for jets, ref_jets in zip(pair, ref_pair):
+                    g = _coeffs(jets)
+                    r = _coeffs(ref_jets)[:, : g.shape[1]]
+                    assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    def test_only_charts_with_a_closed_form_have_a_flow(self):
+        assert flat_chart(1).geodesic_flow is not None
+        assert product_chart(flat_chart(1), space_form(2, -1.0)).geodesic_flow is not None
+        assert registry_chart("bumpy_e3").geodesic_flow is None
+        assert product_chart(space_form(2, 1.0), registry_chart("bumpy_e3")).geodesic_flow is None
+
+    def test_long_geodesic_falls_back_to_rk4(self):
+        # the great circle |x| = 2 of S³ stays in the chart; 11 rad along it
+        # is q = 121 > FLOW_MAX_S, so exp_map integrates by RK4
+        from secondform.ambient import FLOW_MAX_S, exp_map
+
+        chart = space_form(3, 1.0)
+        x0, w = _jets([2.0, 0.0, 0.0]), _jets([0.0, 22.0, 0.0])  # F = 1/2, |w|_ḡ = 11
+        assert 11.0**2 > FLOW_MAX_S
+        got, want = exp_map(chart, x0, w, n_steps=1024), exp_map(_rk4(chart), x0, w, n_steps=1024)
+        for a, b in zip(got, want):
+            assert np.array_equal(_coeffs(a), _coeffs(b))
+        assert_allclose(_coeffs(got[0])[:, 0], [2 * math.cos(11.0), 2 * math.sin(11.0), 0.0], atol=1e-7)
+
+    def test_through_the_point_at_infinity_leaves_the_domain(self):
+        # from the origin of S³ along e0 the chart coordinate is 2 tan(θ/2):
+        # 12.6 > 9.46 (the box) at the check node t = 0.75 of 1.2π rad, and
+        # the antipode itself (1 + z = 0) at a stop of π rad
+        from secondform.ambient import exp_map
+
+        chart = space_form(3, 1.0)
+        x0 = _jets([0.0, 0.0, 0.0])
+        for c in (chart, _rk4(chart)):
+            with pytest.raises(LeftDomain):
+                exp_map(c, x0, _jets([1.2 * math.pi, 0.0, 0.0]), n_steps=256)
+        with pytest.raises(LeftDomain):
+            exp_map(chart, x0, _jets([math.pi, 0.0, 0.0]), n_steps=4)

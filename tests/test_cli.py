@@ -425,6 +425,28 @@ PROBES = {
         "geodesic_sphere_s3_exact", lambda s: s["subject"].update(center=[0.0, 0.0]), True),
     "recombination_dims_zero": (
         "series_recombination", lambda s: s["subject"].update(dims=[0]), True),
+    "sphere_study_radius_zero": (
+        "geodesic_sphere_s3_exact", lambda s: s["subject"].update(radii=[0]), True),
+    "area_derivative_radius_zero": (
+        "area_derivative_s3", lambda s: s["subject"].update(radii=[0.3, 0]), True),
+    "geodesic_sphere_radius_negative": (
+        "first_variation_geodesic_sphere_s3", lambda s: s["subject"]["immersion"].update(r=-1), True),
+    "chart_index_is_bool": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(index=True), True),
+    "chart_dim_is_bool": ("area_derivative_e3", lambda s: s["subject"]["chart"].update(dim=True), True),
+    "chart_dim_not_an_integer": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(dim=3.5), True),
+    "chart_cbar_is_bool": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(Cbar=True), True),
+    "product_factor_index_is_bool": (
+        "flatness_diagnostics", lambda s: s["subject"]["charts"][2]["factors"][0].update(index=True),
+        True),
+    "recombination_seed_negative": (
+        "series_recombination", lambda s: s["subject"].update(seed=-1), True),
+    "recombination_seed_is_bool": (
+        "series_recombination", lambda s: s["subject"].update(seed=True), True),
+    "recombination_scenario_seed_negative": (
+        "series_recombination", lambda s: (s["subject"].pop("seed"), s.update(seed=-1)), True),
 }
 
 
