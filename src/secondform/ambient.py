@@ -111,7 +111,6 @@ class MetricChart:
     predicate_fn: Optional[Callable] = None
     curvature_const: Optional[float] = None
     product_factors: Optional[tuple] = None  # ((chart, slice), ...)
-    is_flat: bool = False
     conjugate_radius: float = math.inf
     name: str = "chart"
 
@@ -465,8 +464,6 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         vv = _tsum(_cauchy(space, v, v) * e)
         return _cauchy(space, v, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e
 
-    flat = cbar == 0.0 and bump is None
-
     def predicate(x):
         q = np.sum(eps * x * x, axis=-1)
         return 1.0 + cbar * q / 4.0 > 0.05
@@ -493,7 +490,6 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         geodesic_flow=None if bump else functools.partial(_quadric_flow, eps=eps, cbar=cbar),
         predicate_fn=predicate,
         curvature_const=cbar if bump is None else None,
-        is_flat=flat,
         conjugate_radius=conj,
         name=name,
     )
@@ -591,7 +587,6 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         predicate_fn=predicate if preds else None,
         curvature_const=None,
         product_factors=factors,
-        is_flat=a.is_flat and b.is_flat,
         conjugate_radius=min(a.conjugate_radius, b.conjugate_radius),
         name=f"{a.name}*{b.name}",
     )
@@ -621,9 +616,12 @@ def registry_chart(name: str) -> MetricChart:
 
 
 def _space_form_chart(dim, Cbar, index=0):
-    """`dim` and `index` must be integers, `Cbar` a finite number (a bool is neither)."""
+    """`dim` and `index` must be integers, `index` 0 or 1, and `Cbar` a finite
+    number (a bool is neither)."""
     if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (dim, index)):
         raise ValueError(f"'dim' and 'index' must be integers, got {dim!r} and {index!r}")
+    if index not in (0, 1):
+        raise ValueError(f"'index' must be 0 (Riemannian) or 1 (Lorentzian), got {index!r}")
     if isinstance(Cbar, bool) or not isinstance(Cbar, numbers.Real) or not math.isfinite(Cbar):
         raise ValueError(f"'Cbar' must be a finite number, got {Cbar!r}")
     dim, cbar = int(dim), float(Cbar)
@@ -680,17 +678,17 @@ def _christoffel_rhs(chart: MetricChart, space, x, v):
     return -jeinsum(space, "kab...,ab...->k...", christoffel_on_jets(chart, space, x), vv)
 
 
-def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, stops=None):
+def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stops=None):
     """Endpoint of the geodesic with initial position x0 and velocity w at t=1.
 
-    Works on jets (so parameter derivatives of sphere charts flow through the
-    geodesic) or on order-0 jets for plain points, on one coefficient array
-    of shape (n_mono, dim, *batch) each for position and velocity, at the
-    lowest order of the inputs (as jet arithmetic combines them) and their
-    broadcast batch; returns two lists of jets.
+    `x0_jets` and `w_jets` are coefficient arrays (n_mono, dim, *batch) of
+    one shape at the jet space `space` or above: jets in the parameters, so
+    that parameter derivatives of sphere charts flow through the geodesic,
+    or order 0 for plain points.  Returns (x, v), two arrays
+    (space.n, dim, *batch).
 
     With `stops`, sorted fractions in (0, 1], the same path yields γ(t) at
-    every t in `stops`: it returns one (x, v) pair of lists per stop, and
+    every t in `stops`: it returns one (x, v) pair per stop, and
     ``stops=(1.0,)`` gives ``[exp_map(...)]`` bit for bit.
 
     A chart with a `geodesic_flow` (space forms, flat charts and their
@@ -705,9 +703,7 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, stops=None)
     ts = (1.0,) if stops is None else tuple(float(t) for t in stops)
     if not ts or ts[0] <= 0.0 or ts[-1] > 1.0 or any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError(f"stops must be sorted fractions in (0, 1], got {stops!r}")
-    d = chart.dim
-    space, xv = _stack_list(list(x0_jets) + list(w_jets))
-    x, v = xv[:, :d], xv[:, d:]
+    x, v = x0_jets[: space.n], w_jets[: space.n]
     rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
 
     def rk4(x, v, h):
@@ -754,15 +750,15 @@ def exp_map(chart: MetricChart, x0_jets, w_jets, n_steps: int = 256, stops=None)
             yield end
 
     path = None if chart.geodesic_flow is None else flow_ends()
-    ends = [tuple([Jet(space, c[:, a]) for a in range(d)] for c in end)
-            for end in (rk4_ends() if path is None else path)]
+    ends = list(rk4_ends() if path is None else path)
     return ends[0] if stops is None else ends
 
 
 def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024):
-    """Point γ(r) of the unit-speed geodesic with γ(0)=n, γ'(0)=v, checked
-    against a run at half the step (which agrees exactly where `exp_map`
-    uses the chart's closed-form flow) and for unit speed at the end."""
+    """Point γ(r) of the unit-speed geodesic with γ(0)=n, γ'(0)=v, checked for
+    unit speed at the end and, where `exp_map` integrates by RK4 (the chart
+    has no closed-form flow, or it declines at this n and r·v), against a
+    run at half the step."""
     n = np.asarray(n, dtype=float)
     v = np.asarray(v, dtype=float)
     _check_domain(chart, n)
@@ -774,23 +770,19 @@ def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024):
         raise ValueError("arclength must be nonnegative")
     if r == 0.0:
         return n.copy()
-    if chart.is_flat:
-        end = n + r * v
-        _check_domain(chart, end)
-        return end
-    x0 = [Jet.constant(jet_space(1, 0), n[i]) for i in range(chart.dim)]
-    w = [Jet.constant(jet_space(1, 0), r * v[i]) for i in range(chart.dim)]
-    x, vel = exp_map(chart, x0, w, n_steps=n_steps)
-    end = np.array([float(j.value) for j in x])
-    x2, _ = exp_map(chart, x0, w, n_steps=2 * n_steps)
-    end2 = np.array([float(j.value) for j in x2])
-    if np.max(np.abs(end - end2)) > 1e-9:
-        raise StepFailure("halving estimate above 1e-9; step too coarse")
-    gv = metric_value(chart, end2)
-    vel_arr = np.array([float(j.value) for j in vel]) / r
+    space, x0, w = jet_space(1, 0), n[None], (r * v)[None]
+    x, vel = exp_map(chart, space, x0, w, n_steps=n_steps)
+    end = x[0]
+    if chart.geodesic_flow is None or chart.geodesic_flow(space, x0, w, (1.0,)) is None:
+        end2 = exp_map(chart, space, x0, w, n_steps=2 * n_steps)[0][0]
+        if np.max(np.abs(end - end2)) > 1e-9:
+            raise StepFailure("halving estimate above 1e-9; step too coarse")
+        end = end2
+    gv = metric_value(chart, end)
+    vel_arr = vel[0] / r
     if abs(abs(vel_arr @ gv @ vel_arr) - 1.0) > 1e-9:
         raise StepFailure("unit speed not preserved along geodesic")
-    return end2
+    return end
 
 
 # ---------------------------------------------------------------------------

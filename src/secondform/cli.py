@@ -90,11 +90,11 @@ def _numbers(what: str, value, shape):
     return arr.astype(float)
 
 
-def _positive(what: str, value, shape):
-    """`_numbers` whose entries are all > 0; else BadParameters."""
+def _positive(what: str, value, shape, floor: float = 0.0):
+    """`_numbers` whose entries are all > `floor`; else BadParameters."""
     arr = _numbers(what, value, shape)
-    if np.any(arr <= 0):
-        raise BadParameters(f"{what} must be > 0, got {value!r}")
+    if np.any(arr <= floor):
+        raise BadParameters(f"{what} must be > {floor:g}, got {value!r}")
     return arr
 
 
@@ -164,7 +164,9 @@ def _flatness(charts):
 
 
 def _area_derivative(chart, radii):
-    radii = _positive("subject 'radii'", radii, (-1,)).tolist()
+    """Each radius r must exceed the step dr of the difference quotient of
+    `spheres.area_derivative_check`, which also builds the sphere at r − dr."""
+    radii = _positive("subject 'radii'", radii, (-1,), floor=spheres.AREA_DERIVATIVE_DR).tolist()
     return _Subject(chart=ambient.chart_from_descriptor(chart), radii=radii)
 
 

@@ -195,6 +195,8 @@ def integrate_ii_minimal(
         raise BadParameters(f"unknown ambient {ambient!r}")
     if kappa0 <= 0:
         raise BadParameters("need κ₀ > 0")
+    if not 0 < s_max < math.inf:
+        raise BadParameters(f"need a finite s_max > 0, got {s_max!r}")
     n_steps = 4096
     k, kp = _integrate(ambient, kappa0, kappa_prime0, s_max, n_steps)
     k2, _ = _integrate(ambient, kappa0, kappa_prime0, s_max, 2 * n_steps)

@@ -555,6 +555,8 @@ def _graph(quadratic=((1.0, 0.0), (0.0, 1.0)), half_width=1.0, orientation=0):
     quad, half = np.asarray(quadratic, dtype=float), float(half_width)
     if quad.ndim != 2 or quad.shape[0] != quad.shape[1]:
         raise BadParameters("quadratic must be a square matrix")
+    if not 0 < half < math.inf:
+        raise BadParameters(f"half_width must be a finite number > 0, got {half_width!r}")
     m = quad.shape[0]
 
     def map_fn(u):

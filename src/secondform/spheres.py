@@ -21,7 +21,6 @@ honest metrics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -72,6 +71,7 @@ SCALAR_SERIES_QUANTITIES = (
     "tr_ii_ric",
     "H_II",
 )
+AREA_DERIVATIVE_DR = 5e-3  # the radial step of `area_derivative_check`
 
 
 def unit_sphere_area(m: int) -> float:
@@ -493,18 +493,18 @@ def _radial_frame(chart: MetricChart, n, e0=None):
 
 def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps):
     """One immersion u ↦ exp_n(r·ξ(u)) per radius r in `radii`, for the
-    direction field given as ``direction_fn(u_jets, r)`` = r·ξ(u): one
-    ``variation._exp_family``, so the radii share one integration with step
-    r_max/n_steps, memoised per node set."""
+    direction field given as jets ``direction_fn(u_jets, r)`` = r·ξ(u): one
+    ``variation._exp_family`` on coefficient arrays, so the radii share one
+    integration with step r_max/n_steps, memoised per node set."""
     n = np.asarray(n, dtype=float)
 
-    def rays(u_jets):
+    def rays(space, u_jets):
         batch = u_jets[0].batch_shape
-        x = [Jet.constant(u_jets[0].space, np.broadcast_to(n[a], batch).copy())
-             for a in range(chart.dim)]
-        return x, functools.partial(direction_fn, u_jets)
+        x = np.zeros((space.n, chart.dim) + batch)
+        x[0] = n.reshape((-1,) + (1,) * len(batch))
+        return x, lambda r: amb._stack_list(direction_fn(u_jets, r))[1]
 
-    maps = _exp_family(chart, rays, radii, n_steps, chart.is_flat)
+    maps = _exp_family(chart, rays, radii, n_steps, False)
     return [Immersion(chart, m, map_fn, lo, hi, hint) for map_fn in maps]
 
 
@@ -566,9 +566,10 @@ def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Imme
     """The geodesic hypersphere 𝒢_n(r) as an immersion over the unit-sphere
     parameter box, with the inward normal selected by the orientation rule.
 
-    The map is ``ambient.exp_map`` in jet arithmetic.  On a space form or a
-    product of them it is the closed-form geodesic flow, exact to rounding
-    (n_steps then only spaces the domain checks).  On other charts it
+    The map is ``ambient.exp_map`` on the coefficient arrays of the
+    parameter jets.  On a space form, a flat chart or a product of them it
+    is the closed-form geodesic flow, exact to rounding (n_steps then only
+    spaces the domain checks).  On other charts it
     integrates the geodesic equation by RK4 with the fixed step r/n_steps
     (r_max/n_steps within a family of radii up to r_max on one path, as
     `area_derivative_check` and `sphere_remainder_studies` build them); for
@@ -746,7 +747,8 @@ def _first_unit_direction(jet: CurvatureJet):
 
 
 def area_derivative_check(
-    chart: MetricChart, n, r: float, dr: float = 5e-3, n_steps: int = 128, grid_shape=None
+    chart: MetricChart, n, r: float, dr: float = AREA_DERIVATIVE_DR, n_steps: int = 128,
+    grid_shape=None,
 ) -> dict:
     """∂_r Area_II(𝒢_n(r)) against ∫ H_II dΩ_II over the sphere.
 

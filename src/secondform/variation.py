@@ -38,7 +38,7 @@ from .hypersurface import (
     surface_point,
 )
 from .iigeom import ii_geometry
-from .jets import Jet, _cofactors, jet_space, seed_jets
+from .jets import Jet, _cauchy, _cofactors, jet_space, seed_jets
 
 __all__ = [
     "QuadratureGrid",
@@ -256,7 +256,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _exp_family(chart, rays, scales, n_steps: int, linear: bool):
     """Map functions u ↦ exp_{x(u)}(w_s(u)), one per s in `scales`, for
-    ``rays(u_jets)`` = (x, s ↦ w_s) on the parameter jets.
+    ``rays(space, u_jets)`` = (x, s ↦ w_s): coefficient arrays
+    (n_mono, dim, *batch) at the jet space of the parameter jets (x may
+    come from a higher order).
 
     With `linear` every member is the chart line x + w_s.  Otherwise the
     scales of one sign ride one path: w = w_e for the scale e of largest |s|
@@ -269,30 +271,31 @@ def _exp_family(chart, rays, scales, n_steps: int, linear: bool):
     """
     memo: dict = {}
 
-    def evaluate(u_jets):
-        x, velocity = rays(u_jets)
+    def evaluate(space, u_jets):
+        x, velocity = rays(space, u_jets)
         out = {}
         for sign in () if linear else (1.0, -1.0):
             same = [s for s in scales if s * sign > 0]
             if same:
                 end = sign * max(s * sign for s in same)
                 stops = sorted({s / end for s in same})
-                ends = exp_map(chart, x, velocity(end), n_steps=n_steps, stops=stops)
+                ends = exp_map(chart, space, x, velocity(end), n_steps=n_steps, stops=stops)
                 out.update((s, ends[stops.index(s / end)][0]) for s in same)
         for s in scales:
             if s not in out:
-                out[s] = [xa + wa for xa, wa in zip(x, velocity(s))]
-        return [[_read_only(j.coeffs) for j in out[s]] for s in scales]
+                out[s] = x[: space.n] + velocity(s)
+        return [_read_only(out[s]) for s in scales]
 
     def member(u_jets, i):
         space, seeds = _stack_list(u_jets)
         key = (seeds.shape[2:], seeds[0].tobytes())
         hit = memo.get(key)
         if hit is None or len(hit[0]) < space.n or not np.array_equal(hit[0][: space.n], seeds):
-            hit = (seeds, evaluate(u_jets))
+            hit = (seeds, evaluate(space, u_jets))
             if key not in memo or len(memo[key][0]) <= space.n:
                 memo[key] = hit
-        return [Jet(space, c[: space.n]) for c in hit[1][i]]
+        c = hit[1][i]
+        return [Jet(space, c[: space.n, a]) for a in range(chart.dim)]
 
     return [functools.partial(member, i=i) for i in range(len(scales))]
 
@@ -307,22 +310,14 @@ def _deformed_family(base: Immersion, f: Callable, mode: str, scales):
     # deformed surface could flip the normal between +s and −s and destroy
     # the continuity of the family.
     orientation = resolved_orientation(base)
-    dim = base.ambient.dim
 
-    def rays(u_jets):
+    def rays(space, u_jets):
         # x at order k+1, w = (f·s)·U at order k (the normal costs one)
         u0 = np.stack([np.asarray(j.value, float) for j in u_jets], axis=-1)
-        jets = seed_jets(u0, base.param_dim, u_jets[0].space.order + 1)
+        jets = seed_jets(u0, base.param_dim, space.order + 1)
         b = frame_jets(base, jets)
-        amp = f(jets)
-        x = [Jet(b.space(b.xc), b.xc[:, a]) for a in range(dim)]
-        normal = [Jet(b.space(b.U), b.U[:, a]) for a in range(dim)]
-
-        def velocity(s):
-            scaled = amp * s
-            return [scaled * u for u in normal]
-
-        return x, velocity
+        amp = f(jets).coeffs[:, None]
+        return b.xc, lambda s: _cauchy(space, amp * s, b.U)
 
     maps = _exp_family(base.ambient, rays, scales, 64, mode == "chart_linear")
     return [

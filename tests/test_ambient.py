@@ -29,6 +29,9 @@ from secondform.errors import (
     OutOfDomain,
     UnsupportedSignature,
 )
+from secondform.jets import jet_space
+
+SP0 = jet_space(1, 0)  # the jet space of plain points and vectors
 
 
 def christoffel_fd_oracle(chart, x, h=1e-4):
@@ -305,15 +308,31 @@ class TestGeodesic:
         mid = geodesic(chart, n, v, r1, n_steps=512)
         # restart: velocity at the midpoint via the integrator
         from secondform.ambient import exp_map
-        from secondform.jets import Jet, jet_space
 
-        sp = jet_space(1, 0)
-        x0 = [Jet.constant(sp, n[i]) for i in range(3)]
-        w = [Jet.constant(sp, r1 * v[i]) for i in range(3)]
-        xs, vs = exp_map(chart, x0, w, n_steps=512)
-        v_mid = np.array([float(j.value) for j in vs]) / r1
+        xs, vs = exp_map(chart, SP0, _point(n), _point(r1 * v), n_steps=512)
+        v_mid = vs[0] / r1
         restarted = geodesic(chart, mid, v_mid, r2, n_steps=512)
         assert_allclose(direct, restarted, atol=1e-7)
+
+    @pytest.mark.parametrize("name, calls", [("s3", 1), ("bumpy_e3", 2)])
+    def test_halving_estimate_only_where_rk4_runs(self, monkeypatch, name, calls):
+        # the closed-form flow of S³ returns the same point at any step
+        # count, so only bumpy_e3 is run again at half the step
+        from secondform import ambient
+
+        chart = EXP_CHARTS[name]()
+        steps = []
+        original = ambient.exp_map
+
+        def counting(chart, space, x0_jets, w_jets, n_steps=256, stops=None):
+            steps.append(n_steps)
+            return original(chart, space, x0_jets, w_jets, n_steps, stops)
+
+        monkeypatch.setattr(ambient, "exp_map", counting)
+        n = np.array([0.1, -0.2, 0.05])
+        end = geodesic(chart, n, _unit(chart, n, [0.3, 1.0, -0.2]), 0.4, n_steps=64)
+        assert steps == [64, 128][:calls]
+        assert np.all(np.isfinite(end))
 
     def test_non_unit_vector_rejected(self):
         chart = flat_chart(3)
@@ -496,6 +515,15 @@ def _exp_inputs(dim, order, batch, x0_batched=True, w_order=None):
     return x0, w
 
 
+def _arrays(x0_jets, w_jets):
+    """(space, x0, w) as exp_map takes them, from lists of jets: stacked at
+    their lower order and broadcast batch, as jet arithmetic combines them."""
+    from secondform.ambient import _stack_list
+
+    space, xv = _stack_list(list(x0_jets) + list(w_jets))
+    return space, xv[:, : len(x0_jets)], xv[:, len(x0_jets) :]
+
+
 def _rk4(chart):
     """The chart without its closed-form geodesic flow: exp_map runs RK4 on it."""
     import dataclasses
@@ -524,14 +552,15 @@ EXP_CHARTS = {
 def _assert_exp_matches_oracle(chart, x0, w, n_steps, rel=1e-13):
     from secondform.ambient import exp_map
 
-    xs, vs = exp_map(chart, x0, w, n_steps=n_steps)
+    space, x0_arr, w_arr = _arrays(x0, w)
+    xs, vs = exp_map(chart, space, x0_arr, w_arr, n_steps=n_steps)
     ox, ov = list_rk4_oracle(chart, x0, w, n_steps)
     for got, want in ((xs, ox), (vs, ov)):
-        for g_jet, o_jet in zip(got, want):
-            assert g_jet.space is o_jet.space
-            o = np.broadcast_to(o_jet.coeffs, g_jet.coeffs.shape)
+        for a, o_jet in enumerate(want):
+            assert o_jet.space is space
+            o = np.broadcast_to(o_jet.coeffs, got[:, a].shape)
             scale = np.max(np.abs(o))
-            assert np.max(np.abs(g_jet.coeffs - o)) <= rel * scale
+            assert np.max(np.abs(got[:, a] - o)) <= rel * scale
 
 
 class TestExpMapArrays:
@@ -552,12 +581,15 @@ class TestExpMapArrays:
 
     def test_mixed_input_orders_combine_at_the_lower(self):
         # as in normal_deform: x at order k+1, w at order k
+        from secondform.ambient import _stack_list, exp_map
+
         chart = registry_chart("bumpy_e3")
         x0, w = _exp_inputs(3, 4, (5,), w_order=3)
-        from secondform.ambient import exp_map
-
-        xs, vs = exp_map(chart, x0, w, n_steps=8)
-        assert all(j.space.order == 3 for j in xs + vs)
+        (x_space, x), (space, w_arr) = _stack_list(x0), _stack_list(w)
+        assert x_space.order == 4 and space.order == 3
+        xs, vs = exp_map(chart, space, x, w_arr, n_steps=8)
+        assert xs.shape == vs.shape == (space.n, 3, 5)
+        assert np.array_equal(xs, exp_map(chart, *_arrays(x0, w), n_steps=8)[0])
         _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
 
     def test_metric_derived_christoffel_path(self):
@@ -569,9 +601,9 @@ class TestExpMapArrays:
         from secondform.ambient import exp_map
 
         chart = space_form(3, -1.0)
-        x0, w = _exp_inputs(3, 2, (6,))
+        space, x0, w = _arrays(*_exp_inputs(3, 2, (6,)))
         with pytest.raises(LeftDomain):
-            exp_map(chart, x0, [j * 10.0 for j in w], n_steps=32)
+            exp_map(chart, space, x0, w * 10.0, n_steps=32)
 
     def test_batch_72_makes_few_jet_multiplies(self, monkeypatch):
         # the list-of-jets RK4 made about 40 jet products per stage, 4 stages per step
@@ -579,7 +611,7 @@ class TestExpMapArrays:
         from secondform.jets import Jet
 
         chart = space_form(4, 1.0)
-        x0, w = _exp_inputs(4, 4, (72,), x0_batched=False)
+        args = _arrays(*_exp_inputs(4, 4, (72,), x0_batched=False))
         calls = [0]
         original = Jet.__mul__
 
@@ -589,7 +621,7 @@ class TestExpMapArrays:
 
         monkeypatch.setattr(Jet, "__mul__", counting)
         monkeypatch.setattr(Jet, "__rmul__", counting)
-        exp_map(chart, x0, w, n_steps=32)
+        exp_map(chart, *args, n_steps=32)
         assert calls[0] < 100
 
 
@@ -598,17 +630,13 @@ class TestExpMapArrays:
 # ---------------------------------------------------------------------------
 
 
-def fixed_step_rk4_oracle(chart, x0_jets, w_jets, n_steps):
+def fixed_step_rk4_oracle(chart, space, x, v, n_steps):
     """exp_map as it was before it took stops: the fixed-step RK4 loop on
-    stacked coefficient arrays, endpoint only."""
+    coefficient arrays, endpoint only."""
     import functools
 
-    from secondform.ambient import _christoffel_rhs, _stack_list
-    from secondform.jets import Jet
+    from secondform.ambient import _christoffel_rhs
 
-    d = chart.dim
-    space, xv = _stack_list(list(x0_jets) + list(w_jets))
-    x, v = xv[:, :d], xv[:, d:]
     rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
     h = 1.0 / n_steps
     for _ in range(n_steps):
@@ -621,14 +649,10 @@ def fixed_step_rk4_oracle(chart, x0_jets, w_jets, n_steps):
         k4 = rhs(space, x4, v4)
         x = x + (v + (v2 + v3) * 2.0 + v4) * (h / 6)
         v = v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
-    return [Jet(space, x[:, a]) for a in range(d)], [Jet(space, v[:, a]) for a in range(d)]
+    return x, v
 
 
 STOP_CHARTS = ("s3", "bumpy_e3", "no_rhs")
-
-
-def _coeffs(jets):
-    return np.stack([j.coeffs for j in jets])
 
 
 class TestExpMapStops:
@@ -638,13 +662,13 @@ class TestExpMapStops:
         from secondform.ambient import exp_map
 
         chart = _rk4(EXP_CHARTS[name]())
-        x0, w = _exp_inputs(chart.dim, 4, batch)
-        ox, ov = fixed_step_rk4_oracle(chart, x0, w, 40)
-        [(sx, sv)] = exp_map(chart, x0, w, n_steps=40, stops=(1.0,))
-        dx, dv = exp_map(chart, x0, w, n_steps=40)
+        args = _arrays(*_exp_inputs(chart.dim, 4, batch))
+        ox, ov = fixed_step_rk4_oracle(chart, *args, 40)
+        [(sx, sv)] = exp_map(chart, *args, n_steps=40, stops=(1.0,))
+        dx, dv = exp_map(chart, *args, n_steps=40)
         for got in ((sx, sv), (dx, dv)):
-            assert np.array_equal(_coeffs(got[0]), _coeffs(ox))
-            assert np.array_equal(_coeffs(got[1]), _coeffs(ov))
+            assert np.array_equal(got[0], ox)
+            assert np.array_equal(got[1], ov)
 
     @pytest.mark.parametrize("name", STOP_CHARTS)
     def test_stops_agree_with_separate_integrations(self, name):
@@ -655,20 +679,20 @@ class TestExpMapStops:
         from secondform.ambient import exp_map
 
         chart = EXP_CHARTS[name]()
-        x0, w = _exp_inputs(chart.dim, 2, (5,))
+        space, x0, w = _arrays(*_exp_inputs(chart.dim, 2, (5,)))
         stops = (0.3, 0.55, 0.75, 1.0)
-        coarse = exp_map(chart, x0, w, n_steps=8, stops=stops)
-        fine = exp_map(chart, x0, w, n_steps=16, stops=stops)
+        coarse = exp_map(chart, space, x0, w, n_steps=8, stops=stops)
+        fine = exp_map(chart, space, x0, w, n_steps=16, stops=stops)
         # the path does not depend on the stops
-        for (x, v), (x3, v3) in zip(coarse, exp_map(chart, x0, w, n_steps=8, stops=stops[:3])):
-            assert np.array_equal(_coeffs(x), _coeffs(x3))
-            assert np.array_equal(_coeffs(v), _coeffs(v3))
+        for (x, v), (x3, v3) in zip(coarse, exp_map(chart, space, x0, w, n_steps=8, stops=stops[:3])):
+            assert np.array_equal(x, x3)
+            assert np.array_equal(v, v3)
         for t, stop, stop2 in zip(stops, coarse, fine):
             # exp(t·w) ends with velocity t·γ'(t), so its velocity is divided by t
-            alone = [(_coeffs(x), _coeffs(v) / t) for x, v in
-                     (exp_map(chart, x0, [j * t for j in w], n_steps=k) for k in (8, 16))]
+            alone = [(x, v / t) for x, v in
+                     (exp_map(chart, space, x0, w * t, n_steps=k) for k in (8, 16))]
             for i in (0, 1):
-                got, got2 = _coeffs(stop[i]), _coeffs(stop2[i])
+                got, got2 = stop[i], stop2[i]
                 est = np.abs(got - got2) + np.abs(alone[0][i] - alone[1][i])
                 gap = np.abs(got - alone[0][i])
                 assert np.all(gap <= 2.0 * est + 1e-14 * np.max(np.abs(got)))
@@ -681,23 +705,20 @@ class TestExpMapStops:
         import dataclasses
 
         from secondform.ambient import exp_map
-        from secondform.jets import Jet, jet_space
 
         chart = dataclasses.replace(space_form(3, 1.0), domain_hi=np.array([0.33, 5.0, 5.0]))
-        sp = jet_space(1, 0)
-        x0 = [Jet.constant(sp, 0.0) for _ in range(3)]
-        w = [Jet.constant(sp, c) for c in (0.4, 0.0, 0.0)]
-        exp_map(chart, x0, w, n_steps=4, stops=(0.5, 0.75))
+        x0, w = _point([0.0, 0.0, 0.0]), _point([0.4, 0.0, 0.0])
+        exp_map(chart, SP0, x0, w, n_steps=4, stops=(0.5, 0.75))
         with pytest.raises(LeftDomain):
-            exp_map(chart, x0, w, n_steps=4, stops=(0.5, 0.9))
+            exp_map(chart, SP0, x0, w, n_steps=4, stops=(0.5, 0.9))
 
     @pytest.mark.parametrize("stops", [(), (0.0, 1.0), (0.5, 1.2), (0.8, 0.4)])
     def test_stops_must_be_sorted_fractions(self, stops):
         from secondform.ambient import exp_map
 
-        x0, w = _exp_inputs(3, 0, ())
+        args = _arrays(*_exp_inputs(3, 0, ()))
         with pytest.raises(ValueError):
-            exp_map(space_form(3, 1.0), x0, w, n_steps=4, stops=stops)
+            exp_map(space_form(3, 1.0), *args, n_steps=4, stops=stops)
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +737,9 @@ FLOW_CHARTS = {
 }
 
 
-def _jets(values):
-    from secondform.jets import Jet, jet_space
-
-    return [Jet.constant(jet_space(1, 0), c) for c in values]
+def _point(values):
+    """One point or vector as an order-0 coefficient array (1, dim) at SP0."""
+    return np.asarray(values, dtype=float)[None]
 
 
 class TestGeodesicFlow:
@@ -738,14 +758,13 @@ class TestGeodesicFlow:
             still = np.arange(batch[0]) % 9 == 0
             w = [Jet(j.space, np.where(still, 0.0, j.coeffs)) for j in w]
         stops = (0.3, 0.55, 1.0)
-        ref = exp_map(_rk4(chart), x0, w, n_steps=512, stops=stops)
+        space, x0, w = _arrays(x0, w)
+        ref = exp_map(_rk4(chart), space, x0, w, n_steps=512, stops=stops)
         for order in (0, 2, 4):
-            got = exp_map(chart, [j.truncate(order) for j in x0], [j.truncate(order) for j in w],
-                          n_steps=512, stops=stops)
+            got = exp_map(chart, jet_space(2, order), x0, w, n_steps=512, stops=stops)
             for pair, ref_pair in zip(got, ref):
-                for jets, ref_jets in zip(pair, ref_pair):
-                    g = _coeffs(jets)
-                    r = _coeffs(ref_jets)[:, : g.shape[1]]
+                for g, r in zip(pair, ref_pair):
+                    r = r[: g.shape[0]]
                     assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
     def test_only_charts_with_a_closed_form_have_a_flow(self):
@@ -760,12 +779,13 @@ class TestGeodesicFlow:
         from secondform.ambient import FLOW_MAX_S, exp_map
 
         chart = space_form(3, 1.0)
-        x0, w = _jets([2.0, 0.0, 0.0]), _jets([0.0, 22.0, 0.0])  # F = 1/2, |w|_ḡ = 11
+        x0, w = _point([2.0, 0.0, 0.0]), _point([0.0, 22.0, 0.0])  # F = 1/2, |w|_ḡ = 11
         assert 11.0**2 > FLOW_MAX_S
-        got, want = exp_map(chart, x0, w, n_steps=1024), exp_map(_rk4(chart), x0, w, n_steps=1024)
+        got = exp_map(chart, SP0, x0, w, n_steps=1024)
+        want = exp_map(_rk4(chart), SP0, x0, w, n_steps=1024)
         for a, b in zip(got, want):
-            assert np.array_equal(_coeffs(a), _coeffs(b))
-        assert_allclose(_coeffs(got[0])[:, 0], [2 * math.cos(11.0), 2 * math.sin(11.0), 0.0], atol=1e-7)
+            assert np.array_equal(a, b)
+        assert_allclose(got[0][0], [2 * math.cos(11.0), 2 * math.sin(11.0), 0.0], atol=1e-7)
 
     def test_through_the_point_at_infinity_leaves_the_domain(self):
         # from the origin of S³ along e0 the chart coordinate is 2 tan(θ/2):
@@ -774,9 +794,9 @@ class TestGeodesicFlow:
         from secondform.ambient import exp_map
 
         chart = space_form(3, 1.0)
-        x0 = _jets([0.0, 0.0, 0.0])
+        x0 = _point([0.0, 0.0, 0.0])
         for c in (chart, _rk4(chart)):
             with pytest.raises(LeftDomain):
-                exp_map(c, x0, _jets([1.2 * math.pi, 0.0, 0.0]), n_steps=256)
+                exp_map(c, SP0, x0, _point([1.2 * math.pi, 0.0, 0.0]), n_steps=256)
         with pytest.raises(LeftDomain):
-            exp_map(chart, x0, _jets([math.pi, 0.0, 0.0]), n_steps=4)
+            exp_map(chart, SP0, x0, _point([math.pi, 0.0, 0.0]), n_steps=4)

@@ -431,6 +431,16 @@ PROBES = {
         "area_derivative_s3", lambda s: s["subject"].update(radii=[0.3, 0]), True),
     "geodesic_sphere_radius_negative": (
         "first_variation_geodesic_sphere_s3", lambda s: s["subject"]["immersion"].update(r=-1), True),
+    "area_derivative_radius_within_step": (
+        "area_derivative_e3", lambda s: s["subject"].update(radii=[0.001]), True),
+    "chart_index_negative": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(index=-1), True),
+    "chart_index_two": (
+        "first_variation_geodesic_sphere_s3",
+        lambda s: s["subject"]["immersion"]["chart"].update(index=2), True),
+    "ode_s_max_zero": ("catenary_ode", lambda s: s["subject"].update(s_max=0), True),
+    "graph_half_width_negative": (
+        "ii_saddle_e3", lambda s: s["subject"]["immersion"].update(half_width=-1), True),
     "chart_index_is_bool": (
         "area_derivative_s3", lambda s: s["subject"]["chart"].update(index=True), True),
     "chart_dim_is_bool": ("area_derivative_e3", lambda s: s["subject"]["chart"].update(dim=True), True),

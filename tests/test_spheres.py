@@ -324,6 +324,15 @@ class TestSphereFamilies:
             assert np.array_equal(got, _map_coeffs(fresh, jets))
         assert len(exp_map_batches) == 1 + 2 * 3
 
+    def test_flat_sphere_is_one_flow_evaluation(self, exp_map_batches):
+        # E³ has no path of its own: its spheres ride the same exp_map
+        from secondform.variation import grid_for_immersion
+
+        sphere = geodesic_sphere(space_form(3, 0.0), np.zeros(3), 0.5, n_steps=16)
+        data = surface_point(sphere, grid_for_immersion(sphere, (4, 8)).nodes)
+        assert exp_map_batches == [(32,)]
+        assert_allclose(np.linalg.norm(data.x, axis=-1), 0.5, atol=1e-15)
+
     def test_cached_arrays_are_read_only(self):
         from secondform.jets import seed_jets
 
