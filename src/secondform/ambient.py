@@ -626,6 +626,8 @@ def _space_form_chart(dim, Cbar, index=0):
         raise ValueError(f"'Cbar' must be a finite number, got {Cbar!r}")
     dim, cbar = int(dim), float(Cbar)
     if dim == 1 and cbar == 0.0:
+        if index != 0:
+            raise ValueError("a 1-dimensional chart must be Riemannian ('index' 0)")
         return flat_chart(1)
     return space_form(dim, cbar, int(index))
 

@@ -39,8 +39,20 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 # ---------------------------------------------------------------------------
 
 
+def _sphere_chart(desc, whole: bool = False):
+    """A Riemannian chart, where geodesic spheres are built, with a default
+    sphere grid in its dimension if `whole` spheres are integrated; else BadParameters."""
+    chart = ambient.chart_from_descriptor(desc)
+    if chart.index != 0:
+        raise BadParameters(f"geodesic spheres need a Riemannian chart ('index' 0), got {desc!r}")
+    if whole and chart.dim - 1 not in spheres.SPHERE_GRID_SHAPES:
+        dims = [m + 1 for m in spheres.SPHERE_GRID_SHAPES]
+        raise BadParameters(f"whole geodesic spheres need a chart of dim in {dims}, got {desc!r}")
+    return chart
+
+
 def _geodesic_sphere(chart, center, r):
-    chart = ambient.chart_from_descriptor(chart)
+    chart = _sphere_chart(chart)
     center = _numbers("immersion 'center'", center, (chart.dim,))
     return spheres.geodesic_sphere(chart, center, float(_positive("immersion 'r'", r, ())))
 
@@ -90,11 +102,11 @@ def _numbers(what: str, value, shape):
     return arr.astype(float)
 
 
-def _positive(what: str, value, shape, floor: float = 0.0):
-    """`_numbers` whose entries are all > `floor`; else BadParameters."""
+def _positive(what: str, value, shape):
+    """`_numbers` whose entries are all > 0; else BadParameters."""
     arr = _numbers(what, value, shape)
-    if np.any(arr <= floor):
-        raise BadParameters(f"{what} must be > {floor:g}, got {value!r}")
+    if np.any(arr <= 0):
+        raise BadParameters(f"{what} must be > 0, got {value!r}")
     return arr
 
 
@@ -148,7 +160,7 @@ def _ode(ambient, kappa0, s_max, kappa_prime0=0.0):
 
 def _sphere_study(chart, quantities, radii, center=None, e0=None):
     """`e0` defaults to the unit first coordinate vector at `center` (the origin)."""
-    chart = ambient.chart_from_descriptor(chart)
+    chart = _sphere_chart(chart, whole="Area_II" in quantities)
     center = np.zeros(chart.dim) if center is None else center
     return _Subject(
         chart=chart,
@@ -160,14 +172,16 @@ def _sphere_study(chart, quantities, radii, center=None, e0=None):
 
 
 def _flatness(charts):
-    return _Subject(charts=[ambient.chart_from_descriptor(d) for d in _nonempty("charts", charts)])
+    """Each chart has dim ≥ 3, which the Weyl-norm identity needs."""
+    built = [ambient.chart_from_descriptor(d) for d in _nonempty("charts", charts)]
+    if any(chart.dim < 3 for chart in built):
+        raise BadParameters(f"flatness diagnostics need charts of dim >= 3, got {charts!r}")
+    return _Subject(charts=built)
 
 
 def _area_derivative(chart, radii):
-    """Each radius r must exceed the step dr of the difference quotient of
-    `spheres.area_derivative_check`, which also builds the sphere at r − dr."""
-    radii = _positive("subject 'radii'", radii, (-1,), floor=spheres.AREA_DERIVATIVE_DR).tolist()
-    return _Subject(chart=ambient.chart_from_descriptor(chart), radii=radii)
+    radii = _positive("subject 'radii'", radii, (-1,)).tolist()
+    return _Subject(chart=_sphere_chart(chart, whole=True), radii=radii)
 
 
 def _recombination(n_jets=50, dims=(3, 4, 5), seed=None):
@@ -330,11 +344,6 @@ def check_first_variation_gap(ctx, amplitude: Amplitude, which: Area = "area_ii"
     return ctx.get_first_variation(amplitude).gaps[which]
 
 
-def check_first_variation_slope(ctx, amplitude: Amplitude, which: Area = "area_ii"):
-    res = ctx.get_first_variation(amplitude)
-    return res.slope_area if which == "area" else res.slope_area_ii
-
-
 def check_curve_h_ii_max(ctx, samples: int = 64):
     curve = ctx.built["curve"]
     s = np.linspace(curve.param_lo[0], curve.param_hi[0], samples)
@@ -455,7 +464,6 @@ CHECKS = {
     "metricity": (check_metricity, "max"),
     "transport_probe_vs_L": (check_transport_probe_vs_L, "max"),
     "first_variation_gap": (check_first_variation_gap, "max"),
-    "first_variation_slope": (check_first_variation_slope, "min"),
     "curve_h_ii_max": (check_curve_h_ii_max, "max"),
     "curve_kappa_matches": (check_curve_kappa_matches, "max"),
     "length_ii_matches": (check_length_ii_matches, "max"),
@@ -557,14 +565,12 @@ def _csv_rows(ctx) -> tuple:
             _csv_columns(len(st.radii), [q, st.radii, st.numeric, st.series, st.remainder])
             for q, st in ctx.get_sphere_study().items()
         )
-    if kind == "first_variation":
-        header = ["amplitude", "s", "diff_area", "diff_area_ii", "rhs_area", "rhs_area_ii"]
-        fvs = [(amp, ctx.get_first_variation(amp)) for amp in b["amplitudes"]]
-        return header, "".join(
-            _csv_columns(len(r.s_ladder), [amp, r.s_ladder, r.diffs_area, r.diffs_area_ii,
-                                           r.rhs_area, r.rhs_area_ii])
-            for amp, r in fvs
-        )
+    if kind == "first_variation":  # one row per amplitude: d/ds (exact) and the rhs
+        fvs = [ctx.get_first_variation(amp) for amp in b["amplitudes"]]
+        cols = [list(b["amplitudes"]), *([getattr(r, k) for r in fvs]
+                for k in ("lhs_area", "lhs_area_ii", "rhs_area", "rhs_area_ii"))]
+        return ["amplitude", "diff_area", "diff_area_ii", "rhs_area", "rhs_area_ii"], _csv_columns(
+            len(fvs), cols)
     if kind == "recombination":
         cols = [b["n_jets"], str(b["dims"]), b["seed"]]
         return ["n_jets", "dims", "seed"], _csv_columns(1, cols)

@@ -128,6 +128,7 @@ class SurfacePointData:
 
     imm: Immersion
     order: int
+    nvars: int  # the m parameters, then any passive variables (see `frame_jets`)
     batched: bool
     alpha: np.ndarray
     xc: np.ndarray  # (n_mono, dim, *batch)
@@ -144,9 +145,9 @@ class SurfacePointData:
     u: Optional[np.ndarray] = None
 
     def space(self, c):
-        """The jet space, over the m parameters, of one of these arrays."""
-        m = self.imm.param_dim
-        return next(jet_space(m, k) for k in range(self.order + 1) if jet_space(m, k).n == c.shape[0])
+        """The jet space, over the frame's jet variables, of one of these arrays."""
+        n = self.nvars
+        return next(jet_space(n, k) for k in range(self.order + 1) if jet_space(n, k).n == c.shape[0])
 
     x = property(lambda self: _cvals(self.xc, self.batched))
     tangent = property(lambda self: _cvals(self.t, self.batched))  # (..., m, dim)
@@ -181,15 +182,22 @@ def _cvals(c, batched):
 def frame_jets(imm: Immersion, u_jets) -> SurfacePointData:
     """Run the fundamental-form pipeline on caller-supplied parameter jets
     (at order ≥ 2; see the module docstring for the order of each field)."""
-    m, d = imm.param_dim, imm.ambient.dim
     x = [xi if isinstance(xi, Jet) else Jet.constant(u_jets[0].space, xi) for xi in imm.map_fn(u_jets)]
-    space, xc = amb._stack_list(x)
-    order = space.order
-    batched = xc.ndim > 2
-    sp1, sp2 = jet_space(m, order - 1), jet_space(m, order - 2)
-    sp_g = jet_space(m, max(order - 2, min(order - 1, 2)))
+    return _frame(imm, *amb._stack_list(x))
 
-    t = amb._grad(xc, space)  # t[:, i, a] = ∂_i x^a
+
+def _frame(imm: Immersion, space, xc) -> SurfacePointData:
+    """The frame of the map given as a coefficient array xc (space.n, dim,
+    *batch).  t, ∂t and ∂U are taken along the first m = ``imm.param_dim``
+    jet variables; a further one (a variation parameter ε) is carried along
+    passively.  The orientation rule and the checks read constant terms."""
+    m, d = imm.param_dim, imm.ambient.dim
+    order, n = space.order, space.nvars
+    batched = xc.ndim > 2
+    sp1, sp2 = jet_space(n, order - 1), jet_space(n, order - 2)
+    sp_g = jet_space(n, max(order - 2, min(order - 1, 2)))
+
+    t = amb._grad(xc, space)[:, :m]  # t[:, i, a] = ∂_i x^a
     gb = imm.ambient.metric_fn(sp1, xc[: sp1.n])
     g = jeinsum(sp_g, "ib...,jb...->ij...", jeinsum(sp_g, "ia...,ab...->ib...", t, gb), t)
 
@@ -220,7 +228,7 @@ def frame_jets(imm: Immersion, u_jets) -> SurfacePointData:
     gamma_bar = amb.christoffel_on_jets(imm.ambient, sp2, xc)
     gam_u = jeinsum(sp2, "kab...,k...->ab...", gamma_bar, u_flat)
     II = jeinsum(sp2, "ib...,jb...->ij...", jeinsum(sp2, "ab...,ia...->ib...", gam_u, t), t)
-    II = (II + jeinsum(sp2, "ijk...,k...->ij...", amb._grad(t, sp1), u_flat)) * alpha
+    II = (II + jeinsum(sp2, "ijk...,k...->ij...", amb._grad(t, sp1)[:, :m], u_flat)) * alpha
     A = jeinsum(sp2, "ik...,kj...->ij...", ginv, II) * alpha
 
     # orientation: flip U (and II, A) if tr A would be negative where decidable
@@ -233,18 +241,19 @@ def frame_jets(imm: Immersion, u_jets) -> SurfacePointData:
         sgn = np.where(flip, -1.0, 1.0)
         U, II, A, tr_a = U * sgn, II * sgn, A * sgn, tr_a * sgn
 
-    sp_u = jet_space(m, 1)
-    du = amb._grad(U[: sp_u.n], sp_u)[0]
+    sp_u = jet_space(n, 1)
+    du = amb._grad(U[: sp_u.n], sp_u)[0, :m]
     _check_shape_operator_two_routes(A[0], t[0], U[0], du, gamma_bar[0])
     return SurfacePointData(
         imm=imm,
         order=order,
+        nvars=n,
         batched=batched,
         alpha=alpha,
         xc=xc,
         t=t,
         gbar=gb,
-        gbar_inv=_inv(jet_space(m, 0), gb),
+        gbar_inv=_inv(jet_space(n, 0), gb),
         g=g,
         ginv=ginv,
         U=U,
@@ -539,6 +548,8 @@ def _ellipsoid(axes, orientation=0):
 
 def _perturbed_ovaloid(m=2, amplitude=0.02, seed=0, orientation=0):
     m, amplitude = int(m), float(amplitude)
+    if m < 1:
+        raise BadParameters(f"m must be at least 1, got {m}")
     if not 0 <= amplitude < 0.2:
         raise BadParameters("amplitude outside the ovaloid-safe range")
     q = _random_quartic(m + 1, np.random.default_rng(int(seed)), amplitude)
@@ -621,6 +632,10 @@ def _perturbed_sphere_in_space_form(
     Cbar=1.0, m=3, base_radius=0.7, amplitude=0.02, seed=0, orientation=0
 ):
     cbar, m, rho0 = float(Cbar), int(m), float(base_radius)
+    if m < 1:
+        raise BadParameters(f"m must be at least 1, got {m}")
+    if not 0 < rho0 < (math.pi / math.sqrt(cbar) if cbar > 0 else math.inf):
+        raise BadParameters(f"base radius must lie in (0, conjugate radius), got {base_radius!r}")
     q = _random_quartic(m + 1, np.random.default_rng(int(seed)), float(amplitude))
     radius_fn = _chart_radius_fn(cbar)
 

@@ -140,12 +140,12 @@ def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
     the nondegeneracy guards come back NaN with `valid`=False rather than
     raising.
     """
-    data = surface_point(imm, u, order=4)
-    with np.errstate(all="ignore"):
-        return _ii_geometry_from(data, on_error)
+    return _ii_geometry_from(surface_point(imm, u, order=4), on_error)
 
 
+@np.errstate(all="ignore")
 def _ii_geometry_from(data: SurfacePointData, on_error):
+    """``ii_geometry`` on a frame at order 4 over the m parameters."""
     m, batched = data.imm.param_dim, data.batched
     lam_mod = np.abs(np.linalg.eigvals(data.shape))
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR

@@ -489,13 +489,15 @@ class Jet:
     def _lift(self, scaled_derivs) -> "Jet":
         return Jet(self.space, _lift(self.space, self.coeffs, scaled_derivs))
 
+    # Where a lift's derivatives blow up (a₀ = 0, and a₀ < 0 for sqrt) it is
+    # NaN, without a warning, as ``_inv`` is at a singular M₀.
     def reciprocal(self) -> "Jet":
-        a0 = self.coeffs[0]
+        a0 = np.where(self.coeffs[0] != 0.0, self.coeffs[0], np.nan)
         derivs = [(-1.0) ** k / a0 ** (k + 1) for k in range(self.space.order + 1)]
         return self._lift(derivs)
 
     def sqrt(self) -> "Jet":
-        a0 = self.coeffs[0]
+        a0 = np.where(self.coeffs[0] > 0.0, self.coeffs[0], np.nan)
         derivs, c = [], 1.0
         for k in range(self.space.order + 1):
             derivs.append(c * a0 ** (0.5 - k))
@@ -507,7 +509,7 @@ class Jet:
         return (self * np.sign(self.coeffs[0])).sqrt()
 
     def log_abs(self) -> "Jet":
-        a0 = self.coeffs[0]
+        a0 = np.where(self.coeffs[0] != 0.0, self.coeffs[0], np.nan)
         derivs = [np.log(np.abs(a0))]
         for k in range(1, self.space.order + 1):
             derivs.append((-1.0) ** (k - 1) / (k * a0**k))

@@ -38,10 +38,12 @@ from .errors import (
     JetTooShallow,
     UnsupportedSignature,
 )
-from .hypersurface import Immersion, _sphere_param_box, _unit_sphere_map
-from .iigeom import ii_geometry
-from .jets import Jet
-from .variation import _area_density, _exp_family, _fit_slope, area, areas, grid_for_immersion
+from .hypersurface import Immersion, _frame, _sphere_param_box, _unit_sphere_map
+from .iigeom import _ii_geometry_from, ii_geometry
+from .jets import Jet, jet_space, seed_jets
+from .variation import (
+    _area_rates, _eps_monomials, _exp_family, _gap, _variation_rhs, areas, grid_for_immersion,
+)
 
 __all__ = [
     "FramedJet",
@@ -71,7 +73,6 @@ SCALAR_SERIES_QUANTITIES = (
     "tr_ii_ric",
     "H_II",
 )
-AREA_DERIVATIVE_DR = 5e-3  # the radial step of `area_derivative_check`
 
 
 def unit_sphere_area(m: int) -> float:
@@ -528,6 +529,8 @@ def _geodesic_spheres(chart: MetricChart, n, radii, n_steps: int):
     lo, hi, hint = _sphere_param_box(m)
 
     def direction_fn(u_jets, r):
+        if len(u_jets) > m:  # the radius as a jet, r + ε (`area_derivative_check`)
+            r = u_jets[m] + r
         omega = _unit_sphere_map(m, u_jets)
         return [
             sum_jets([omega[a] * (r * frame[a, i]) for a in range(m + 1)])
@@ -564,7 +567,10 @@ def _geodesic_sphere_patches(chart: MetricChart, n, radii, e0, n_steps: int):
 
 def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Immersion:
     """The geodesic hypersphere 𝒢_n(r) as an immersion over the unit-sphere
-    parameter box, with the inward normal selected by the orientation rule.
+    parameter box, with the normal of the orientation rule: inward where
+    that makes tr A > 0 (on the unit S³, for r < π/2), else outward.
+    Its map evaluated at m + 1 jets reads the last as ε and gives the
+    sphere of radius r + ε.
 
     The map is ``ambient.exp_map`` on the coefficient arrays of the
     parameter jets.  On a space form, a flat chart or a product of them it
@@ -572,7 +578,7 @@ def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Imme
     spaces the domain checks).  On other charts it
     integrates the geodesic equation by RK4 with the fixed step r/n_steps
     (r_max/n_steps within a family of radii up to r_max on one path, as
-    `area_derivative_check` and `sphere_remainder_studies` build them); for
+    `sphere_remainder_studies` builds them); for
     r ≲ 1 and the default step count, the endpoint error sits around
     1e−12, far below every tolerance used downstream.  It is a one-member
     ``variation._exp_family``, as the normal deformations are: evaluations
@@ -599,8 +605,7 @@ def sum_jets(jets):
     return acc
 
 
-def default_sphere_grid_shape(m: int):
-    return {1: (64,), 2: (20, 40), 3: (10, 10, 20)}[m]
+SPHERE_GRID_SHAPES = {1: (64,), 2: (20, 40), 3: (10, 10, 20)}  # m -> default whole-sphere grid
 
 
 def numeric_sphere_quantities(
@@ -631,9 +636,19 @@ def _sphere_quantities(patch: Immersion, sphere: Optional[Immersion], grid_shape
         "H_II_routes": {k: float(v[0]) for k, v in geo.h_ii.items()},
     }
     if sphere is not None:
-        grid = grid_for_immersion(sphere, grid_shape or default_sphere_grid_shape(sphere.param_dim))
+        grid = grid_for_immersion(sphere, grid_shape or SPHERE_GRID_SHAPES[sphere.param_dim])
         out["Area"], out["Area_II"] = areas(sphere, grid)
     return out
+
+
+def _fit_slope(radii, errors, floor):
+    """Least-squares slope of log|error| against log r over the errors above
+    `floor`; +inf when fewer than two are (rounding carries no rate)."""
+    radii, errors = np.asarray(radii, float), np.abs(np.asarray(errors, float))
+    good = errors > floor
+    if np.sum(good) < 2:
+        return math.inf
+    return float(np.polyfit(np.log(radii[good]), np.log(errors[good]), 1)[0])
 
 
 @dataclass
@@ -747,30 +762,30 @@ def _first_unit_direction(jet: CurvatureJet):
 
 
 def area_derivative_check(
-    chart: MetricChart, n, r: float, dr: float = AREA_DERIVATIVE_DR, n_steps: int = 128,
-    grid_shape=None,
+    chart: MetricChart, n, r: float, n_steps: int = 128, grid_shape=None
 ) -> dict:
-    """∂_r Area_II(𝒢_n(r)) against ∫ H_II dΩ_II over the sphere.
+    """∂_r Area_II(𝒢_n(r)) against the first-variation right-hand side
+    −α ∫ f H_II dΩ_II over the sphere, with f = α ḡ(∂_r x, U).
 
-    The radial derivative uses a central difference with one halving
-    Richardson step; the integral runs the full II-geometry pipeline over the
-    quadrature grid.  The five spheres at r, r ± dr/2 and r ± dr are one
-    family on one integration (step (r + dr)/n_steps), and every radius is
-    validated before it runs.
+    The radius is a jet: the sphere's map at m + 1 jets reads the last as ε
+    and takes the radius r + ε, so one ``exp_map`` gives both the sphere at
+    order 4 (its ε⁰ terms, which the II-geometry reads) and ∂_r Area_II
+    (the ε-coefficient of the density, ``variation._area_rates``), with no
+    step size.  By the Gauss lemma ∂_r x is the unit normal up to sign:
+    |f| = 1 is asserted to 1e−9.
     """
     m = chart.dim - 1
-    shape = grid_shape or default_sphere_grid_shape(m)
-    radii = (r - dr, r - dr / 2, r, r + dr / 2, r + dr)
-    family = _geodesic_spheres(chart, n, radii, n_steps)
-    grid = grid_for_immersion(family[2], shape)
-    # the order-4 pass first, so that the areas' order-2 maps are its prefix
-    geo = ii_geometry(family[2], grid.nodes)
-    dens = _area_density(geo.base) * np.sqrt(np.abs(geo.base.detA))
-    integral = float(np.sum(grid.weights * geo.h_ii["variational"] * dens))
-
-    a = {k: area(family[k], grid, "second_form") for k in (0, 1, 3, 4)}
-    coarse = (a[4] - a[0]) / (2 * dr)
-    fine = (a[3] - a[1]) / dr
-    d_area = (4 * fine - coarse) / 3.0
-    gap = abs(d_area - integral) / (1.0 + abs(integral))
-    return {"d_area_ii_dr": d_area, "h_ii_integral": integral, "relative_gap": gap}
+    sphere = _geodesic_spheres(chart, n, [r], n_steps)[0]
+    grid = grid_for_immersion(sphere, grid_shape or SPHERE_GRID_SHAPES[m])
+    nodes = np.concatenate([grid.nodes, np.zeros((len(grid.nodes), 1))], axis=1)
+    xc = amb._stack_list(sphere.map_fn(seed_jets(nodes, m + 1, 4)))[1]
+    _, plain, along = _eps_monomials(m, 4)
+    geo = _ii_geometry_from(_frame(sphere, jet_space(m, 4), xc[plain]), "raise")
+    eps3 = jet_space(m + 1, 3)
+    d_area = _area_rates(_frame(sphere, eps3, xc[: eps3.n]), grid.weights)[1]
+    b = geo.base
+    f = b.alpha * np.einsum("a...,ab...,b...->...", xc[along[0]], b.gbar[0], b.U[0])
+    if np.max(np.abs(np.abs(f) - 1.0)) > 1e-9:
+        raise GeometryError("radial variation field is not the unit normal")
+    integral = _variation_rhs(geo, f, grid.weights)[1]
+    return {"d_area_ii_dr": d_area, "h_ii_integral": integral, "relative_gap": _gap(d_area, integral)}

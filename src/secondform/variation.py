@@ -5,11 +5,18 @@ The first-variation identities under a deformation with normal amplitude f,
     d/ds Area    = −m α ∫ f H dΩ,
     d/ds Area_II = −α ∫ f H_II dΩ_II,
 
-are verified by central finite differences in the deformation parameter with
-an s-halving Richardson ladder.  The quadrature grids put Gauss–Legendre
-nodes on open axes (latitude, graph coordinates) and uniform nodes on
-periodic ones, so closed surfaces integrate spectrally and the s-truncation
-error dominates the measured gaps.
+are checked exactly.  d/ds at s = 0 depends only on the variation field
+f·U, so the map x + ε·f·U, with ε one more jet variable next to the m
+parameters, carries d/ds Area and d/ds Area_II as the ε-coefficients of the
+densities √|det g| and √|det g|·√|det A|: one frame pass, with no step size
+and no extrapolation (forward-mode Taylor arithmetic; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 3 and 13).  The quadrature grids put
+Gauss–Legendre nodes on open axes (latitude, graph coordinates) and uniform
+nodes on periodic ones, so closed surfaces integrate spectrally; both sides
+of each identity share one grid.
+
+The deformed immersions μ_s themselves (``normal_deform``) come in two
+modes, chart-linear and ambient-exponential, with the same variation field.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .errors import (
 from .hypersurface import (
     Immersion,
     _cvals,
+    _frame,
     ambient_curvature_on_jets,
     frame_jets,
     intrinsic_curvature_jets,
@@ -38,7 +46,7 @@ from .hypersurface import (
     surface_point,
 )
 from .iigeom import ii_geometry
-from .jets import Jet, _cauchy, _cofactors, jet_space, seed_jets
+from .jets import Jet, _cauchy, _cofactors, _wedge, jet_space, seed_jets
 
 __all__ = [
     "QuadratureGrid",
@@ -55,7 +63,6 @@ __all__ = [
     "FirstVariationResult",
 ]
 
-DEFAULT_S_LADDER = (1e-2, 5e-3, 2.5e-3)
 EPSILON_CLASS_FLOOR = 1e-6
 
 
@@ -208,45 +215,59 @@ def normal_deform(d: Deformation, check_grid: Optional[QuadratureGrid] = None) -
 
 @dataclass
 class FirstVariationResult:
-    lhs_area: float
+    lhs_area: float  # d/ds Area at s = 0, read off the ε-coefficients
     rhs_area: float
     lhs_area_ii: float
     rhs_area_ii: float
     gaps: dict
-    s_ladder: tuple
-    diffs_area: np.ndarray  # central differences at each s
-    diffs_area_ii: np.ndarray
-    slope_area: float
-    slope_area_ii: float
 
 
-def _f_values(f, nodes, m):
-    jets = seed_jets(nodes, m, 0)
-    out = f(jets)
-    return np.broadcast_to(np.asarray(out.value), nodes.shape[:-1])
+def _eps_monomials(m: int, order: int):
+    """``jet_space(m + 1, order)``, whose last variable is ε, and the indices
+    there of the monomials u^a (a over ``jet_space(m, order)``) and u^a·ε
+    (a over ``jet_space(m, order − 1)``)."""
+    big = jet_space(m + 1, order)
+    plain = [big.index[a + (0,)] for a in jet_space(m, order).monomials]
+    along = [big.index[a + (1,)] for a in jet_space(m, order - 1).monomials]
+    return big, plain, along
 
 
-def _richardson(values):
-    """One limit value from a ladder of s-halved central differences."""
-    vals = list(values)
-    while len(vals) > 1:
-        vals = [(4 * vals[i + 1] - vals[i]) / 3.0 for i in range(len(vals) - 1)]
-    return vals[0]
+def _normal_variation(data, amp):
+    """The frame of x + ε·f·U over the m parameters and ε (order 3), from a
+    base frame at order ≥ 3 and the coefficient array of f at order ≥ 2."""
+    m = data.imm.param_dim
+    big, plain, along = _eps_monomials(m, 3)
+    xc = np.zeros((big.n,) + data.xc.shape[1:])
+    xc[plain] = data.xc[: len(plain)]
+    xc[along] = _cauchy(jet_space(m, 2), amp[:, None], data.U)
+    return _frame(data.imm, big, xc)
 
 
-def _fit_slope(s_values, errors, floor=1e-11):
-    """Least-squares slope of log|error| vs log s.
+def _area_rates(eps_frame, weights):
+    """(d/dε Area, d/dε Area_II) at ε = 0: the weighted ε-coefficients of
+    √|det g| and √|det g|·√|det A|, the square roots lifted on jets."""
+    m = eps_frame.imm.param_dim
+    sp = jet_space(m + 1, 1)
+    g = eps_frame.g[: sp.n]
+    dens = Jet(sp, _wedge(sp, [g[:, :, j] for j in range(m)])).sqrt_abs()
+    dens_ii = dens * Jet(sp, eps_frame.detAc[: sp.n]).sqrt_abs()
+    k = sp.index[(0,) * m + (1,)]
+    return float(weights @ dens.coeffs[k]), float(weights @ dens_ii.coeffs[k])
 
-    Errors already at roundoff level carry no rate information (this happens
-    when the functional is exactly polynomial in s, e.g. concentric spheres);
-    if fewer than two ladder points sit above the floor the gap has fully
-    converged and the slope is reported as +inf.
-    """
-    s_values, errors = np.asarray(s_values, float), np.abs(np.asarray(errors, float))
-    good = errors > floor
-    if np.sum(good) < 2:
-        return math.inf
-    return float(np.polyfit(np.log(s_values[good]), np.log(errors[good]), 1)[0])
+
+def _variation_rhs(geo, f, weights):
+    """(−m ∫ α f H dΩ, −∫ α f H_II dΩ_II) for amplitude values f on the grid
+    of `geo`."""
+    data = geo.base
+    d_omega = _area_density(data) * weights * data.alpha * f
+    return (
+        float(-data.imm.param_dim * np.sum(data.mean * d_omega)),
+        float(-np.sum(geo.h_ii["variational"] * d_omega * np.sqrt(np.abs(data.detA)))),
+    )
+
+
+def _gap(lhs, rhs):
+    return abs(lhs - rhs) / (1 + abs(rhs))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -345,25 +366,16 @@ def _class_checked_point(imm: Immersion, grid: QuadratureGrid):
     return data
 
 
-def _areas_with_class_check(imm_s: Immersion, grid: QuadratureGrid):
-    """(Area, Area_II) in one surface pass, raising LeftEpsilonClass on exit
-    from the nondegenerate-II class."""
-    return _area_pair(_class_checked_point(imm_s, grid), grid)
-
-
 def first_variation_check(
-    imm: Immersion,
-    f: Callable,
-    grid: QuadratureGrid,
-    s_ladder=DEFAULT_S_LADDER,
-    mode: str = "chart_linear",
-    geo=None,
+    imm: Immersion, f: Callable, grid: QuadratureGrid, geo=None
 ) -> FirstVariationResult:
-    """Compare finite-difference dArea/ds and dArea_II/ds with the H/H_II
+    """Compare d/ds Area and d/ds Area_II at s = 0 with the H and H_II
     integrals for the deformation with normal amplitude f.
 
-    The ±s ladder is one ``_exp_family``: one base frame on the grid and,
-    in ambient_exponential mode, one path per sign of s (step s_max/64).
+    The left-hand sides are exact up to rounding: the ε-coefficients of the
+    densities of x + ε·f·U (`_area_rates`), built on the base frame's x and
+    U.  The orientation rule reads only the ε⁰ terms, so every point keeps
+    the base's normal.
 
     `geo`, when given, must be ``ii_geometry(imm, grid.nodes)`` with every
     point valid, already computed by the caller.
@@ -371,51 +383,22 @@ def first_variation_check(
     m = imm.param_dim
     if geo is None:
         geo = ii_geometry(imm, grid.nodes)
-    data = geo.base
-    alpha = float(np.asarray(data.alpha).ravel()[0])
-    fvals = _f_values(f, grid.nodes, m)
-    d_omega = _area_density(data) * grid.weights
-    d_omega_ii = d_omega * np.sqrt(np.abs(data.detA))
-    rhs_area = float(-m * alpha * np.sum(fvals * data.mean * d_omega))
-    rhs_area_ii = float(-alpha * np.sum(fvals * geo.h_ii["variational"] * d_omega_ii))
-
-    family = _deformed_family(imm, f, mode, [t for s in s_ladder for t in (s, -s)])
-    diffs_a, diffs_aii = [], []
-    for s, plus, minus in zip(s_ladder, family[::2], family[1::2]):
-        a_p, aii_p = _areas_with_class_check(plus, grid)
-        a_m, aii_m = _areas_with_class_check(minus, grid)
-        diffs_a.append((a_p - a_m) / (2 * s))
-        diffs_aii.append((aii_p - aii_m) / (2 * s))
-    lhs_area = _richardson(diffs_a)
-    lhs_area_ii = _richardson(diffs_aii)
-    gaps = {
-        "area": abs(lhs_area - rhs_area) / (1 + abs(rhs_area)),
-        "area_ii": abs(lhs_area_ii - rhs_area_ii) / (1 + abs(rhs_area_ii)),
-    }
+    amp = f(seed_jets(grid.nodes, m, 2)).coeffs
+    lhs_area, lhs_area_ii = _area_rates(_normal_variation(geo.base, amp), grid.weights)
+    rhs_area, rhs_area_ii = _variation_rhs(geo, amp[0], grid.weights)
     return FirstVariationResult(
         lhs_area=lhs_area,
         rhs_area=rhs_area,
         lhs_area_ii=lhs_area_ii,
         rhs_area_ii=rhs_area_ii,
-        gaps=gaps,
-        s_ladder=tuple(s_ladder),
-        diffs_area=np.asarray(diffs_a),
-        diffs_area_ii=np.asarray(diffs_aii),
-        slope_area=_fit_slope(
-            s_ladder, [abs(v - rhs_area) for v in diffs_a], floor=1e-11 * (1 + abs(rhs_area))
-        ),
-        slope_area_ii=_fit_slope(
-            s_ladder,
-            [abs(v - rhs_area_ii) for v in diffs_aii],
-            floor=1e-11 * (1 + abs(rhs_area_ii)),
-        ),
+        gaps={"area": _gap(lhs_area, rhs_area), "area_ii": _gap(lhs_area_ii, rhs_area_ii)},
     )
 
 
-def second_form_variation_check(
-    imm: Immersion, f: Callable, u, i: int, j: int, s_ladder=(1e-3, 5e-4)
-):
-    """d/ds II(μ_s)(∂_i,∂_j) vs α f (ḡ(R̄(U,∂_i)U,∂_j) − III(∂_i,∂_j)) + Hess_f(∂_i,∂_j)."""
+def second_form_variation_check(imm: Immersion, f: Callable, u, i: int, j: int):
+    """d/ds II(μ_s)(∂_i,∂_j) at s = 0, the ε-coefficient of II for
+    x + ε·f·U, against α f (ḡ(R̄(U,∂_i)U,∂_j) − III(∂_i,∂_j)) + Hess_f(∂_i,∂_j).
+    Both sides come from the arrays of one frame at u."""
     u = np.asarray(u, dtype=float)
     data = surface_point(imm, u, order=3)
     m = imm.param_dim
@@ -427,20 +410,13 @@ def second_form_variation_check(
         rb, data.normal, data.tangent[..., i, :], data.normal, data.tangent[..., j, :],
     )
     gam = _cvals(intrinsic_curvature_jets(data).gamma, data.batched)
-    u_jets = seed_jets(u, m, 2)
-    fj = f(u_jets)
+    fj = f(seed_jets(u, m, 2))
     hess = np.asarray(fj.partial(i).partial(j).value) - sum(
         gam[..., k, i, j] * np.asarray(fj.partial(k).value) for k in range(m)
     )
     fval = np.asarray(fj.value)
     formula = data.alpha * fval * (curv_term - data.third[..., i, j]) + hess
 
-    family = _deformed_family(imm, f, "chart_linear", [t for s in s_ladder for t in (s, -s)])
-    diffs = []
-    for s, imm_p, imm_m in zip(s_ladder, family[::2], family[1::2]):
-        plus = surface_point(imm_p, u, order=2)
-        minus = surface_point(imm_m, u, order=2)
-        diffs.append((plus.second[..., i, j] - minus.second[..., i, j]) / (2 * s))
-    numeric = _richardson(diffs)
-    gap = abs(numeric - formula) / (1 + abs(formula))
-    return float(numeric), float(formula), float(gap)
+    ii = _normal_variation(data, fj.coeffs).II
+    numeric = ii[jet_space(m + 1, 1).index[(0,) * m + (1,)], i, j]
+    return float(numeric), float(formula), float(_gap(numeric, formula))

@@ -15,9 +15,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
 
 import secondform
-from secondform import ambient, cli, curves, hypersurface, iigeom, variation
+from secondform import ambient, cli, curves, hypersurface, iigeom, spheres, variation
 from secondform.cli import (
     CHECKS, SCENARIO_DIR, Context, _csv_columns, bundled_scenarios, main, run_scenario,
 )
@@ -199,7 +200,7 @@ def test_first_variation_scenario_integrates_its_grid_once(tmp_path, exp_map_bat
     path = SCENARIO_DIR / "first_variation_geodesic_sphere_s3.json"
     assert len(json.loads(path.read_text())["subject"]["amplitudes"]) >= 2
     assert run_scenario(path, out_dir=tmp_path) == 0
-    assert sorted(exp_map_batches) == [(), (16 * 32,)]
+    assert exp_map_batches == [(16 * 32,)]
 
 
 def test_non_numeric_tolerance_exit_2(tmp_path):
@@ -379,8 +380,8 @@ PROBES = {
         True),
     "first_variation_gap_unknown_which": (
         "first_variation_sphere_e3", lambda s: s["checks"][0].update(which="nope"), True),
-    "first_variation_slope_unknown_which": (
-        "first_variation_sphere_e3", lambda s: s["checks"][6].update(which="nope"), True),
+    "first_variation_gap_unknown_which_s3": (
+        "first_variation_geodesic_sphere_s3", lambda s: s["checks"][1].update(which="nope"), True),
     "check_unknown_amplitude": (
         "first_variation_sphere_e3", lambda s: s["checks"][0].update(amplitude="nope"), True),
     "check_unknown_quantity": (
@@ -431,8 +432,6 @@ PROBES = {
         "area_derivative_s3", lambda s: s["subject"].update(radii=[0.3, 0]), True),
     "geodesic_sphere_radius_negative": (
         "first_variation_geodesic_sphere_s3", lambda s: s["subject"]["immersion"].update(r=-1), True),
-    "area_derivative_radius_within_step": (
-        "area_derivative_e3", lambda s: s["subject"].update(radii=[0.001]), True),
     "chart_index_negative": (
         "area_derivative_s3", lambda s: s["subject"]["chart"].update(index=-1), True),
     "chart_index_two": (
@@ -457,7 +456,51 @@ PROBES = {
         "series_recombination", lambda s: s["subject"].update(seed=True), True),
     "recombination_scenario_seed_negative": (
         "series_recombination", lambda s: (s["subject"].pop("seed"), s.update(seed=-1)), True),
+    "area_derivative_chart_dim_1": (
+        "area_derivative_e3", lambda s: s["subject"]["chart"].update(dim=1), True),
+    "area_derivative_chart_dim_5": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(dim=5), True),
+    "sphere_study_area_ii_chart_dim_5": (
+        "series_remainders_s3",
+        lambda s: (s["subject"]["chart"].update(dim=5), s["subject"].update(center=[0.0] * 5)), True),
+    "area_derivative_chart_lorentzian": (
+        "area_derivative_s3", lambda s: s["subject"]["chart"].update(index=1), True),
+    "sphere_study_chart_lorentzian": (
+        "series_remainders_s3", lambda s: s["subject"]["chart"].update(index=1), True),
+    "geodesic_sphere_chart_lorentzian": (
+        "first_variation_geodesic_sphere_s3",
+        lambda s: s["subject"]["immersion"]["chart"].update(index=1), True),
+    "chart_dim_1_lorentzian": (
+        "area_derivative_e3", lambda s: s["subject"]["chart"].update(dim=1, index=1), True),
+    "flatness_chart_dim_2": (
+        "flatness_diagnostics", lambda s: s["subject"]["charts"][0].update(dim=2), True),
+    "perturbed_sphere_base_radius_zero": (
+        "three_route_s4_h4", lambda s: s["subject"]["immersions"][0].update(base_radius=0), True),
+    "perturbed_sphere_m_negative": (
+        "three_route_s4_h4", lambda s: s["subject"]["immersions"][0].update(m=-1), True),
 }
+
+
+def test_first_variation_csv_has_one_row_per_amplitude(tmp_path):
+    path = SCENARIO_DIR / "first_variation_sphere_e3.json"
+    assert run_scenario(path, out_dir=tmp_path) == 0
+    with open(tmp_path / "first_variation_sphere_e3.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    amplitudes = json.loads(path.read_text())["subject"]["amplitudes"]
+    assert [r["amplitude"] for r in rows] == amplitudes
+    assert list(rows[0]) == ["amplitude", "diff_area", "diff_area_ii", "rhs_area", "rhs_area_ii"]
+    # amplitude one on the unit sphere: d/ds (Area, Area_II) = (−8π, −4π)
+    assert_allclose([float(rows[0]["diff_area"]), float(rows[0]["diff_area_ii"])],
+                    [-8 * math.pi, -4 * math.pi], rtol=1e-14)
+
+
+def test_area_derivative_at_a_tiny_radius_exits_0(tmp_path):
+    # the radius is a jet, so no radius below a difference step is malformed
+    scen = _bundled("area_derivative_e3")
+    scen["subject"]["radii"] = [0.001]
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(scen))
+    assert run_scenario(p, out_dir=tmp_path) == 0
 
 
 def _no_frame(*args, **kwargs):
@@ -465,10 +508,13 @@ def _no_frame(*args, **kwargs):
 
 
 def _patch_frame_jets():
-    """Make every module binding ``frame_jets`` fail when it is called."""
+    """Make every module binding ``frame_jets`` or the array-level frame
+    ``_frame`` (which ``frame_jets`` calls) fail when it is called."""
     stack = contextlib.ExitStack()
     for mod in (hypersurface, iigeom, variation):
         stack.enter_context(mock.patch.object(mod, "frame_jets", _no_frame))
+    for mod in (hypersurface, variation, spheres):
+        stack.enter_context(mock.patch.object(mod, "_frame", _no_frame))
     return stack
 
 

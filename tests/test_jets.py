@@ -264,3 +264,13 @@ def test_inverse_is_nan_at_exactly_the_singular_and_nan_points(p):
     for out in (inv, inv_v):
         assert np.all(np.isnan(out[..., [1, 4]]))
         assert np.all(np.isfinite(out[..., [0, 2, 3, 5]]))
+
+
+@pytest.mark.parametrize("lift", ["reciprocal", "log_abs", "sqrt_abs"])
+def test_lifts_are_nan_without_a_warning_where_the_base_value_is_zero(lift):
+    # the suite turns RuntimeWarning into an error, so a warning fails here
+    x = seed_jets(np.array([[0.0, 1.0], [2.0, 1.0], [-3.0, 0.5]]), 2, 3)[0]
+    out = getattr(x, lift)().coeffs
+    assert np.all(np.isnan(out[:, 0]))
+    rest = getattr(Jet(x.space, x.coeffs[:, 1:]), lift)().coeffs
+    assert np.array_equal(out[:, 1:], rest) and np.all(np.isfinite(rest))

@@ -251,10 +251,40 @@ class TestAreaDerivative:
 
 def test_area_derivative_tiny_radius():
     # leading-behavior regime: both sides ~ (m/2) alpha_m r^{m/2-1}
-    res = area_derivative_check(flat_chart(3), np.zeros(3), 0.02, dr=0.004)
+    res = area_derivative_check(flat_chart(3), np.zeros(3), 0.02)
     assert res["relative_gap"] < 1e-3
-    res_s3 = area_derivative_check(space_form(3, 1.0), np.zeros(3), 0.02, dr=0.004)
+    res_s3 = area_derivative_check(space_form(3, 1.0), np.zeros(3), 0.02)
     assert res_s3["relative_gap"] < 1e-3
+
+
+@pytest.mark.parametrize("r", [1.7, 2.0])
+def test_area_derivative_beyond_the_equator(r):
+    # past r = π/2 the orientation rule picks the outward normal; Area_II =
+    # 2π|sin 2r| = −2π sin 2r there, so ∂_r Area_II = −4π cos 2r, and the
+    # variation field ∂_r x = +U enters the right-hand side with f = +1
+    res = area_derivative_check(space_form(3, 1.0), np.zeros(3), r)
+    assert_allclose(res["d_area_ii_dr"], -4 * math.pi * math.cos(2 * r), rtol=1e-12)
+    assert_allclose(res["h_ii_integral"], -4 * math.pi * math.cos(2 * r), rtol=1e-12)
+    assert res["relative_gap"] <= 1e-12
+
+
+def test_area_derivative_matches_a_difference_of_sphere_areas():
+    # the bumpy chart has no closed form: hold ∂_r Area_II to the central
+    # differences of Area_II at r ± dr/2 and r ± dr with one Richardson step
+    from secondform.ambient import registry_chart
+    from secondform.variation import area, grid_for_immersion
+
+    chart, r, dr = registry_chart("bumpy_e3"), 0.3, 5e-3
+    res = area_derivative_check(chart, np.zeros(3), r)
+    assert res["relative_gap"] <= 1e-12
+    shape = (20, 40)
+    a = {}
+    for k in (-2, -1, 1, 2):
+        sphere = geodesic_sphere(chart, np.zeros(3), r + k * dr / 2)
+        a[k] = area(sphere, grid_for_immersion(sphere, shape), "second_form")
+    coarse, fine = (a[2] - a[-2]) / (2 * dr), (a[1] - a[-1]) / dr
+    value = (4 * fine - coarse) / 3
+    assert abs(res["d_area_ii_dr"] - value) <= abs(value - fine) + 1e-9
 
 
 def test_all_scalar_series_blocks_on_generic_metric():
@@ -354,9 +384,9 @@ class TestSphereFamilies:
 
         chart = space_form(3, 1.0)
         with pytest.raises(BadDirection):
-            area_derivative_check(chart, np.zeros(3), 0.004, dr=0.005, n_steps=8)
+            area_derivative_check(chart, np.zeros(3), 0.0, n_steps=8)
         with pytest.raises(ConjugatePoint):
-            area_derivative_check(chart, np.zeros(3), math.pi - 0.003, dr=0.005, n_steps=8)
+            area_derivative_check(chart, np.zeros(3), math.pi, n_steps=8)
         assert exp_map_batches == []
 
     def test_first_variation_integrates_the_grid_once(self, exp_map_batches):
@@ -367,9 +397,9 @@ class TestSphereFamilies:
         for f in (lambda u: u[0] * 0.0 + 1.0, lambda u: u[0].cos() + 1.3):
             res = first_variation_check(sphere, f, grid)
             assert max(res.gaps.values()) < 1e-3
-        # the grid at order 4 (ii_geometry, then the deformed family's order-3
-        # base by truncation) and the midpoint for the orientation, once each
-        assert sorted(exp_map_batches) == [(), (72,)]
+        # the grid at order 4 once (ii_geometry); the exact route reuses its
+        # x and U, and reads the orientation off each point's frame
+        assert exp_map_batches == [(72,)]
 
     def test_remainder_studies_integrate_once_per_family(self, exp_map_batches):
         chart, radii = space_form(3, 1.0), (0.1, 0.15, 0.2)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from ladder_oracle import LADDER, ladder
 from numpy.testing import assert_allclose
 
+from secondform.ambient import space_form
 from secondform.errors import LeftEpsilonClass
-from secondform.hypersurface import standard_immersion, surface_point
+from secondform.hypersurface import Immersion, standard_immersion, surface_point
 from secondform.variation import (
     Deformation,
     area,
@@ -110,17 +112,29 @@ class TestNormalDeform:
         assert gaps[0] < 1e-3
 
 
+def _exact_and_ladder(imm, f, grid, s_ladder=LADDER, mode="chart_linear"):
+    res = first_variation_check(imm, f, grid)
+    return res, ladder(imm, f, grid, s_ladder, mode)
+
+
+def _within_ladder_error(res, lad):
+    exact = np.array([res.lhs_area, res.lhs_area_ii])
+    return np.all(np.abs(exact - lad.value) <= lad.error)
+
+
 class TestFirstVariation:
     def test_unit_sphere_constant_amplitude(self):
         imm = standard_immersion("round_sphere", radius=1.0)
         grid = lat_long_sphere(20, 40)
-        res = first_variation_check(imm, lambda u: u[0] * 0.0 + 1.0, grid)
+        res, lad = _exact_and_ladder(imm, lambda u: u[0] * 0.0 + 1.0, grid)
         assert_allclose(res.rhs_area, -8 * math.pi, atol=1e-8)
         assert_allclose(res.rhs_area_ii, -4 * math.pi, atol=1e-8)
         assert res.gaps["area"] < 1e-6
         assert res.gaps["area_ii"] < 1e-6
-        # concentric spheres are exactly polynomial in s: slope degenerates to inf
-        assert res.slope_area > 1.8 and res.slope_area_ii > 1.8
+        # concentric spheres are exactly polynomial in s: the ladder's slope degenerates to inf
+        slope_area, slope_area_ii = lad.slopes((res.rhs_area, res.rhs_area_ii))
+        assert slope_area > 1.8 and slope_area_ii > 1.8
+        assert _within_ladder_error(res, lad)
 
     def test_slope_measurable_for_nonconstant_f(self):
         imm = standard_immersion("round_sphere", radius=1.0)
@@ -129,10 +143,12 @@ class TestFirstVariation:
         def f(u):
             return u[0].cos() + 1.2
 
-        res = first_variation_check(imm, f, grid)
+        res, lad = _exact_and_ladder(imm, f, grid)
         assert res.gaps["area"] < 1e-4 and res.gaps["area_ii"] < 1e-4
-        assert 1.8 <= res.slope_area < 10
-        assert 1.8 <= res.slope_area_ii < 10
+        slope_area, slope_area_ii = lad.slopes((res.rhs_area, res.rhs_area_ii))
+        assert 1.8 <= slope_area < 10
+        assert 1.8 <= slope_area_ii < 10
+        assert _within_ladder_error(res, lad)
 
     def test_ii_minimal_sphere_in_s3(self):
         imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=math.pi / 4, m=2)
@@ -146,16 +162,91 @@ class TestFirstVariation:
         assert abs(res.lhs_area_ii) < 2e-4
 
     def test_modes_give_same_first_variation(self):
+        # the two deformation modes share the variation field f·U, so both
+        # ladders tend to the one exact d/ds
         imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
         grid = grid_for_immersion(imm, (12, 24))
 
         def f(u):
             return u[0].cos() * 0.5 + 1.0
 
-        lin = first_variation_check(imm, f, grid, mode="chart_linear")
-        expo = first_variation_check(imm, f, grid, mode="ambient_exponential")
-        assert abs(lin.lhs_area_ii - expo.lhs_area_ii) < 1e-5 * (1 + abs(lin.lhs_area_ii))
-        assert abs(lin.lhs_area - expo.lhs_area) < 1e-5 * (1 + abs(lin.lhs_area))
+        res = first_variation_check(imm, f, grid)
+        lin = ladder(imm, f, grid, mode="chart_linear")
+        expo = ladder(imm, f, grid, mode="ambient_exponential")
+        assert np.all(np.abs(lin.value - expo.value) < 1e-5 * (1 + np.abs(lin.value)))
+        assert _within_ladder_error(res, lin) and _within_ladder_error(res, expo)
+
+
+def _bump(u):
+    """(40(0.16 − u₀²)(0.16 − u₁²))³: compactly supported on |u_i| ≤ 0.4."""
+    return ((u[0] * u[0] * -1.0 + 0.16) * (u[1] * u[1] * -1.0 + 0.16) * 40.0) ** 3
+
+
+def _lorentzian_graph(cbar, character):
+    """h = 0.5u₀² + 0.4u₁² + 0.3 over |u_i| ≤ 0.4 in the Lorentzian space form
+    of curvature C̄, as x⁰ = h (spacelike, α = −1) or x¹ = h (timelike,
+    α = +1), with the normal pinned by orientation +1."""
+    def map_fn(u):
+        h = u[0] * u[0] * 0.5 + u[1] * u[1] * 0.4 + 0.3
+        return [h, u[0], u[1]] if character == "spacelike" else [u[0], h, u[1]]
+
+    box = np.full(2, 0.4)
+    return Immersion(space_form(3, cbar, index=1), 2, map_fn, -box, box, ("gl", "gl"), 1)
+
+
+FINE = (4e-5, 2e-5, 1e-5)
+GRAPH = {"kind": "graph", "quadratic": [[0.6, 0.05], [0.05, 0.2]], "half_width": 0.4}
+SADDLE = {"kind": "graph", "quadratic": [[0, 1], [1, 0]], "half_width": 0.4, "orientation": 1}
+# name: (immersion, grid shape, amplitude, ladder, bound on the exact gaps)
+EXACT_CASES = {
+    "sphere_r1.1_one": (lambda: standard_immersion("round_sphere", radius=1.1), (20, 40),
+                        lambda u: u[0] * 0.0 + 1.0, LADDER, 1e-14),
+    "sphere_r1.1_cos": (lambda: standard_immersion("round_sphere", radius=1.1), (20, 40),
+                        lambda u: u[0].cos(), LADDER, 1e-13),
+    "sphere_r1.1_harmonic22": (lambda: standard_immersion("round_sphere", radius=1.1), (20, 40),
+                               lambda u: (u[0].sin() * u[0].sin()) * (u[1] * 2.0).cos(), LADDER,
+                               1e-13),
+    # the graph whose coarse ladder looks converged at a gap of 9e-2
+    "graph_coarse_ladder": (lambda: standard_immersion(**GRAPH), (16, 16), _bump, LADDER, 1e-13),
+    "graph": (lambda: standard_immersion(**GRAPH), (16, 16), _bump, FINE, 1e-13),
+    "saddle": (lambda: standard_immersion(**SADDLE), (16, 16),
+               lambda u: _bump(u) * (u[0] * u[1] * 2.0 + 1.0), LADDER, 1e-13),
+    "minkowski_spacelike": (lambda: _lorentzian_graph(0.0, "spacelike"), (12, 12), _bump, FINE,
+                            1e-12),
+    "de_sitter_spacelike": (lambda: _lorentzian_graph(1.0, "spacelike"), (12, 12), _bump, FINE,
+                            1e-12),
+    "de_sitter_timelike": (lambda: _lorentzian_graph(1.0, "timelike"), (16, 16), _bump, FINE,
+                           1e-12),
+}
+
+
+class TestExactFirstVariation:
+    """The exact route against the ±s ladder, in both deformation modes."""
+
+    @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_agrees_with_the_ladder_within_its_error(self, case, mode):
+        build, shape, f, s_ladder, bound = EXACT_CASES[case]
+        imm = build()
+        res, lad = _exact_and_ladder(imm, f, grid_for_immersion(imm, shape), s_ladder, mode)
+        assert max(res.gaps.values()) <= bound
+        assert _within_ladder_error(res, lad)
+
+    def test_coarse_ladder_looks_converged_where_the_exact_gap_is_rounding(self):
+        build, shape, f, s_ladder, _ = EXACT_CASES["graph_coarse_ladder"]
+        imm = build()
+        res, lad = _exact_and_ladder(imm, f, grid_for_immersion(imm, shape), s_ladder)
+        ladder_gap = abs(lad.value[1] - res.rhs_area_ii) / (1 + abs(res.rhs_area_ii))
+        assert ladder_gap > 1e-2 and lad.slopes((res.rhs_area, res.rhs_area_ii))[1] > 1.8
+        assert res.gaps["area_ii"] <= 1e-10
+
+    def test_lhs_is_the_derivative_of_the_areas(self):
+        # d/ds of (Area, Area_II)(μ_s) for the concentric spheres μ_s of
+        # radius R − s: (−8πR, −4π), with no step to take
+        imm = standard_immersion("round_sphere", radius=1.1)
+        res = first_variation_check(imm, lambda u: u[0] * 0.0 + 1.0, lat_long_sphere(20, 40))
+        assert_allclose([res.lhs_area, res.lhs_area_ii], [-8.8 * math.pi, -4 * math.pi],
+                        rtol=1e-14)
 
 
 class TestSecondFormVariation:
@@ -192,6 +283,30 @@ class TestSecondFormVariation:
             assert abs(numeric - hess[i, j]) < 1e-7
 
 
+    @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
+    def test_agrees_with_a_difference_of_the_deformed_forms(self, mode):
+        from ladder_oracle import richardson
+
+        from secondform.variation import _deformed_family
+
+        imm = standard_immersion("perturbed_ovaloid", seed=7, amplitude=0.02)
+
+        def f(w):
+            return w[0].cos() * 0.5 + 1.0
+
+        u = np.array([1.1, 0.7])
+        steps = (1e-3, 5e-4)
+        family = _deformed_family(imm, f, mode, [t for s in steps for t in (s, -s)])
+        ii = [surface_point(member, u, order=2).second for member in family]
+        diffs = [(ii[2 * k] - ii[2 * k + 1]) / (2 * s) for k, s in enumerate(steps)]
+        value = richardson(diffs)
+        error = np.abs(value - diffs[-1]) + 1e-9
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            numeric, formula, gap = second_form_variation_check(imm, f, u, i, j)
+            assert abs(numeric - value[i, j]) <= error[i, j]
+            assert gap < 1e-12
+
+
 class TestDeformationFamilies:
     """A ±s ladder is one exponential family: one base frame per node set and,
     in ambient_exponential mode, one exp_map path per sign of s."""
@@ -203,18 +318,20 @@ class TestDeformationFamilies:
     def test_exponential_ladder_integrates_once_per_sign(self, exp_map_batches):
         imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
         grid = grid_for_immersion(imm, (12, 24))
-        res = first_variation_check(imm, self.amplitude, grid, mode="ambient_exponential")
+        lad = ladder(imm, self.amplitude, grid, mode="ambient_exponential")
         assert exp_map_batches == [(288,), (288,)]
+        res = first_variation_check(imm, self.amplitude, grid)
         assert max(res.gaps.values()) < 1e-6
+        assert _within_ladder_error(res, lad)
 
     @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
     def test_ladder_members_match_one_member_families(self, mode):
         from secondform.jets import seed_jets
-        from secondform.variation import DEFAULT_S_LADDER, _deformed_family
+        from secondform.variation import _deformed_family
 
         imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
         u = seed_jets(np.array([[0.4, 1.0], [1.5, 2.5], [2.7, 5.9]]), 2, 2)
-        scales = [t for s in DEFAULT_S_LADDER for t in (s, -s)]
+        scales = [t for s in LADDER for t in (s, -s)]
         family = _deformed_family(imm, self.amplitude, mode, scales)
         for member, s in zip(family, scales):
             alone = normal_deform(Deformation(imm, self.amplitude, s, mode))
@@ -244,17 +361,19 @@ class TestDeformationFamilies:
                 assert np.array_equal(got[a].coeffs, line.coeffs)
 
     def test_second_form_variation_evaluates_the_base_once(self, monkeypatch):
-        from secondform import variation
+        # one frame at u over the parameters, then one over them and ε
+        from secondform import hypersurface, variation
 
         calls = []
-        original = variation.frame_jets
+        original = hypersurface._frame
 
-        def counting(imm, *args, **kwargs):
-            calls.append(imm)
-            return original(imm, *args, **kwargs)
+        def counting(imm, space, xc):
+            calls.append((imm, space.nvars, space.order))
+            return original(imm, space, xc)
 
-        monkeypatch.setattr(variation, "frame_jets", counting)
+        for module in (hypersurface, variation):
+            monkeypatch.setattr(module, "_frame", counting)
         imm = standard_immersion("round_sphere", radius=1.0)
         _, _, gap = second_form_variation_check(imm, self.amplitude, np.array([1.0, 2.0]), 0, 1)
-        assert calls == [imm]
+        assert calls == [(imm, 2, 3), (imm, 3, 3)]
         assert gap < 1e-6
