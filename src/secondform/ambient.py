@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedSignature,
     _lookup,
 )
-from .jets import Jet, _cauchy, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _gathers, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -175,6 +175,18 @@ def _tsum(c):
     for a in range(1, c.shape[1]):
         acc = acc + c[:, a]
     return acc
+
+
+def _cauchy_pair(space, a, b):
+    """The products a[0]·b[0] and a[1]·b[1] (b[i] broadcasting against a[i],
+    a[0] and a[1] of one shape, b[0] and b[1] too), stacked on a new axis 1.
+    One `_cauchy` call takes both wherever the stack takes the path of each
+    product alone (see ``jets._gathers``), so every element gets the same
+    multiply-adds in the same order and the bits do not change."""
+    points = a[0][0].size
+    if _gathers(2 * points) == _gathers(points):
+        return _cauchy(space, np.stack(a, 1), np.stack(b, 1))
+    return np.stack([_cauchy(space, p, q) for p, q in zip(a, b)], 1)
 
 
 def _col(vec, c):
@@ -422,33 +434,51 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
     """Chart with ḡ = ε δ / (1 + C̄⟨x,x⟩_ε/4 )², optionally with a conformal bump.
 
     With σ = log of the conformal factor, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
-    ε_a δ_ab ε_k σ_k, which the geodesic integrator consumes directly.
-    Without a bump the geodesics have the closed form of `_quadric_flow`.
+    ε_a δ_ab ε_k σ_k, and the geodesic right-hand side is
+    −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 7 jet products, 5 for σ′ (F and its
+    gradient, or the bump and its) and 2 stacked pairs for the dot products
+    and the scalings.  Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not
+    built, so a flat chart gives εδ, Γ = 0 and a zero right-hand side with
+    no product.  Without a bump the geodesics have the closed form of
+    `_quadric_flow`.  `bump` is a pair of functions (space, x) ↦ σ_bump and
+    (space, x, σ_bump) ↦ its gradient on axis 1.
     """
     eps = _signs(dim, index)
 
-    def sigma_and_grad(space, x):
-        # x: coordinates (space.n, dim, *batch).  Returns the coefficient
-        # arrays (F, σ_bump or None, [σ_1..σ_d] on axis 1), where
-        # F = 1/(1 + C̄⟨x,x⟩_ε/4) is kept for the metric fast path.
-        e = _col(eps, x)
-        denom = _tsum(_cauchy(space, x, x) * e) * (cbar / 4.0)
+    def factor(space, x):
+        # the jet of F, or None where C̄ = 0 (F ≡ 1)
+        if cbar == 0.0:
+            return None
+        denom = _tsum(_cauchy(space, x, x) * _col(eps, x)) * (cbar / 4.0)
         denom[0] += 1.0
-        f = Jet(space, denom).reciprocal().coeffs
-        grads = _cauchy(space, x * (e * (-0.5 * cbar)), f[:, None])
+        return Jet(space, denom).reciprocal()
+
+    def sigma_grad(space, x):
+        # [σ_1..σ_d] on axis 1, or None where σ ≡ 0
+        f = factor(space, x)
+        grads = None
+        if f is not None:  # ∂ log F = −(C̄/2)·F·ε x
+            grads = _cauchy(space, x * (_col(eps, x) * (-0.5 * cbar)), f.coeffs[:, None])
         if bump is None:
-            return f, None, grads
-        s_extra, grads_extra = bump(space, x)
-        return f, s_extra, grads + grads_extra
+            return grads
+        grads_bump = bump[1](space, x, bump[0](space, x))
+        return grads_bump if grads is None else grads + grads_bump
 
     def metric_fn(space, x):
-        f, s_extra, _ = sigma_and_grad(space, x)
-        f = Jet(space, f)
-        conf = f * f if s_extra is None else (f * Jet(space, s_extra).exp()) ** 2
-        return np.einsum("ab,Z...->Zab...", np.diag(eps), conf.coeffs)
+        root = factor(space, x)  # e^σ, or None where it is 1
+        if bump is not None:
+            e = Jet(space, bump[0](space, x)).exp()
+            root = e if root is None else root * e
+        if root is None:
+            out = np.zeros((space.n, dim, dim) + x.shape[2:])
+            out[0] = np.diag(eps).reshape((dim, dim) + (1,) * (x.ndim - 2))
+            return out
+        return np.einsum("ab,Z...->Zab...", np.diag(eps), (root * root).coeffs)
 
     def christoffel_fn(space, x):
-        sg = sigma_and_grad(space, x)[2]
+        sg = sigma_grad(space, x)
+        if sg is None:
+            return np.zeros((space.n, dim, dim, dim) + x.shape[2:])
         delta = np.eye(dim)
         return (
             np.einsum("ka,Zb...->Zkab...", delta, sg)
@@ -457,12 +487,16 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         )
 
     def rhs(space, x, v):
-        # −2 v^k (σ·v) + ε_k σ_k ⟨v,v⟩_ε
-        sg = sigma_and_grad(space, x)[2]
+        # −2 v^k (σ′·v) + ε_k σ_k ⟨v,v⟩_ε; x and v have one shape
+        sg = sigma_grad(space, x)
+        v = v[: space.n]
+        if sg is None:
+            return np.zeros(v.shape)
         e = _col(eps, v)
-        sv = _tsum(_cauchy(space, sg, v))
-        vv = _tsum(_cauchy(space, v, v) * e)
-        return _cauchy(space, v, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e
+        # σ′·v and ⟨v,v⟩_ε (ε_k·(v^k)² is (ε_k v^k)·v^k bit for bit), then the scalings
+        dots = _tsum(np.swapaxes(_cauchy_pair(space, (sg, v * e), (v, v)), 1, 2))
+        scaled = _cauchy_pair(space, (v, sg), (dots[:, :1], dots[:, 1:]))
+        return scaled[:, 0] * (-2.0) + scaled[:, 1] * e
 
     def predicate(x):
         q = np.sum(eps * x * x, axis=-1)
@@ -597,13 +631,16 @@ def _bumpy_e3() -> MetricChart:
     non-symmetric test metric: curvature and its derivatives all nonzero)."""
     amp = 0.05
 
-    def bump(space, x):
-        # σ_bump = amp·exp(−|x|²) and its gradient, on coefficient arrays
-        s = Jet(space, _tsum(_cauchy(space, x, x)) * -1.0).exp().coeffs * amp
-        return s, _cauchy(space, x * -2.0, s[:, None])
+    def sigma(space, x):
+        # σ_bump = amp·exp(−|x|²), on coefficient arrays
+        return Jet(space, _tsum(_cauchy(space, x, x)) * -1.0).exp().coeffs * amp
 
-    chart = _conformal_chart(3, 0, 0.0, "bumpy_e3", {"kind": "custom", "name": "bumpy_e3"}, bump=bump)
-    return chart
+    def grad(space, x, s):
+        return _cauchy(space, x * -2.0, s[:, None])
+
+    return _conformal_chart(
+        3, 0, 0.0, "bumpy_e3", {"kind": "custom", "name": "bumpy_e3"}, bump=(sigma, grad)
+    )
 
 
 CHART_REGISTRY = {

@@ -88,7 +88,8 @@ class Immersion:
     evaluated per point and flips the normal between points.  That happens
     with indefinite II, and also with definite II when g is Lorentzian (a
     timelike graph in de Sitter space); pass an explicit ±1 orientation
-    there to keep one continuous normal field.
+    there to keep one continuous normal field (``first_variation_check``
+    raises on such a grid under the auto rule).
     """
 
     ambient: MetricChart
@@ -142,6 +143,7 @@ class SurfacePointData:
     A: np.ndarray  # A[:, i, j] = A^i_j
     detAc: np.ndarray  # (n_mono, *batch)
     H: np.ndarray
+    flips: np.ndarray  # (*batch): where the orientation rule flipped the cofactor normal
     u: Optional[np.ndarray] = None
 
     def space(self, c):
@@ -261,6 +263,7 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
         A=A,
         detAc=_wedge(sp2, [A[:, :, j] for j in range(m)]),
         H=tr_a * (alpha / m),
+        flips=flip,
     )
 
 

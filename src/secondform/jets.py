@@ -472,17 +472,20 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, n):
+        # square-and-multiply from the lowest set bit, so j**2 is one product
+        # and j**3 two; no product with a constant one
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Jet.constant(self.space, np.ones(self.batch_shape))
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if n == 0:
+            return Jet.constant(self.space, np.ones(self.batch_shape))
+        result, base = None, self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return Jet(self.space, self.coeffs.copy()) if result is self else result
+            base = base * base
 
     # -- analytic functions --------------------------------------------------
 

@@ -36,6 +36,7 @@ from .errors import (
     SingularShapeOperator,
 )
 from .hypersurface import (
+    ORIENTATION_TIE,
     Immersion,
     _cvals,
     _frame,
@@ -366,6 +367,21 @@ def _class_checked_point(imm: Immersion, grid: QuadratureGrid):
     return data
 
 
+def _check_one_normal(data):
+    """Raise where the auto orientation rule flipped the normal at some
+    decidable points (|tr A| > ORIENTATION_TIE) and kept it at others: the
+    first-variation identities integrate by parts over one continuous normal
+    field."""
+    if data.imm.orientation == 0:
+        kept = ~data.flips & (np.einsum("ii...->...", data.A[0]) > ORIENTATION_TIE)
+        if np.any(data.flips) and np.any(kept):
+            raise GeometryError(
+                f"the auto orientation rule flipped the normal at {int(np.sum(data.flips))} "
+                f"of the grid's points and kept it at {int(np.sum(kept))}; pass orientation "
+                "+1 or -1 for one continuous normal field"
+            )
+
+
 def first_variation_check(
     imm: Immersion, f: Callable, grid: QuadratureGrid, geo=None
 ) -> FirstVariationResult:
@@ -375,7 +391,9 @@ def first_variation_check(
     The left-hand sides are exact up to rounding: the ε-coefficients of the
     densities of x + ε·f·U (`_area_rates`), built on the base frame's x and
     U.  The orientation rule reads only the ε⁰ terms, so every point keeps
-    the base's normal.
+    the base's normal.  Raises GeometryError where the auto rule
+    (orientation 0) flipped that normal at some decidable points of the grid
+    and not at others.
 
     `geo`, when given, must be ``ii_geometry(imm, grid.nodes)`` with every
     point valid, already computed by the caller.
@@ -383,6 +401,7 @@ def first_variation_check(
     m = imm.param_dim
     if geo is None:
         geo = ii_geometry(imm, grid.nodes)
+    _check_one_normal(geo.base)
     amp = f(seed_jets(grid.nodes, m, 2)).coeffs
     lhs_area, lhs_area_ii = _area_rates(_normal_variation(geo.base, amp), grid.weights)
     rhs_area, rhs_area_ii = _variation_rhs(geo, amp[0], grid.weights)

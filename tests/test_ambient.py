@@ -546,7 +546,25 @@ EXP_CHARTS = {
     "bumpy_e3": lambda: registry_chart("bumpy_e3"),
     "s2xs2": lambda: product_chart(space_form(2, 1.0), space_form(2, 1.0)),
     "no_rhs": lambda: _no_rhs(space_form(4, 1.0)),
+    "e3": lambda: flat_chart(3),
+    "minkowski": lambda: flat_chart(3, index=1),
 }
+
+
+def _count_products(monkeypatch):
+    """Live counts of the `_cauchy` calls (jet products) made through `jets`
+    (the Jet operators and lifts) and through `ambient`."""
+    from secondform import ambient, jets
+
+    calls = {"jets": 0, "ambient": 0}
+    original = jets._cauchy
+    for name, module in (("jets", jets), ("ambient", ambient)):
+        def counting(*args, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, "_cauchy", counting)
+    return calls
 
 
 def _assert_exp_matches_oracle(chart, x0, w, n_steps, rel=1e-13):
@@ -606,23 +624,66 @@ class TestExpMapArrays:
             exp_map(chart, space, x0, w * 10.0, n_steps=32)
 
     def test_batch_72_makes_few_jet_multiplies(self, monkeypatch):
-        # the list-of-jets RK4 made about 40 jet products per stage, 4 stages per step
+        # RK4 on S⁴ at order 4: 32 steps of 4 right-hand sides, each of 7 jet
+        # products, 5 for F and its gradient (3 of them in the reciprocal's
+        # lift) and 2 stacked pairs for σ′·v, ⟨v,v⟩_ε and the two scalings
         from secondform.ambient import exp_map
-        from secondform.jets import Jet
 
-        chart = space_form(4, 1.0)
+        chart = _rk4(space_form(4, 1.0))
         args = _arrays(*_exp_inputs(4, 4, (72,), x0_batched=False))
-        calls = [0]
-        original = Jet.__mul__
-
-        def counting(a, b):
-            calls[0] += 1
-            return original(a, b)
-
-        monkeypatch.setattr(Jet, "__mul__", counting)
-        monkeypatch.setattr(Jet, "__rmul__", counting)
+        calls = _count_products(monkeypatch)
         exp_map(chart, *args, n_steps=32)
-        assert calls[0] < 100
+        assert calls == {"jets": 3 * 128, "ambient": 4 * 128}
+
+
+class TestConformalChartProducts:
+    """Jet products of the conformal charts' closed forms at 2 parameters and
+    order 4: none where C̄ = 0 makes the conformal factor 1, and each pair of
+    products of the geodesic right-hand side in one stacked call."""
+
+    @pytest.mark.parametrize("name, most", [("bumpy_e3", 7), ("s3", 7), ("e3", 0), ("minkowski", 0)])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_right_hand_side(self, monkeypatch, name, most, batch):
+        chart = EXP_CHARTS[name]()
+        space, x, v = _arrays(*_exp_inputs(3, 4, batch))
+        calls = _count_products(monkeypatch)
+        acc = chart.geodesic_rhs(space, x, v)
+        assert sum(calls.values()) <= most
+        assert acc.shape == (space.n, 3) + batch
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_flat_metric_and_christoffel_take_no_product(self, monkeypatch, index):
+        chart = flat_chart(3, index=index)
+        space, x, _ = _arrays(*_exp_inputs(3, 4, (5,)))
+        calls = _count_products(monkeypatch)
+        g, gamma = chart.metric_fn(space, x), chart.christoffel_jets_fn(space, x)
+        assert calls == {"jets": 0, "ambient": 0}
+        eps = np.diag([-1.0] * index + [1.0] * (3 - index))
+        assert g.shape == (space.n, 3, 3, 5) and np.array_equal(g[0], np.repeat(eps[..., None], 5, -1))
+        assert not np.any(g[1:])
+        assert gamma.shape == (space.n, 3, 3, 3, 5) and not np.any(gamma)
+
+    def test_bumpy_metric_squares_the_factor_once(self, monkeypatch):
+        # e^σ_bump: |x|², its exp lift (3), the lift of e^σ_bump (3) and one
+        # product E·E; no F, whose C̄ is 0, and no gradient
+        chart = registry_chart("bumpy_e3")
+        space, x, _ = _arrays(*_exp_inputs(3, 4, (5,)))
+        calls = _count_products(monkeypatch)
+        chart.metric_fn(space, x)
+        assert sum(calls.values()) <= 8
+
+    @pytest.mark.parametrize(
+        "name", ["s3", "e3", "h3", "de_sitter", "minkowski", "anti_de_sitter", "bumpy_e3"]
+    )
+    def test_right_hand_side_matches_metric_derived_christoffel(self, name):
+        from secondform.ambient import _christoffel_rhs
+
+        chart = {**FLOW_CHARTS, **EXP_CHARTS}[name]()
+        space, x, v = _arrays(*_exp_inputs(3, 4, (72,)))
+        got = chart.geodesic_rhs(space, x, v)
+        want = _christoffel_rhs(_no_rhs(chart, closed_gamma=False), space, x, v)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,25 @@ def test_numerical_error_exit_3_and_expected(tmp_path):
     assert run_scenario(p, out_dir=tmp_path) == 0
 
 
+@pytest.mark.parametrize("orientation, code", [(0, 3), (1, 0)])
+def test_first_variation_with_flipping_auto_orientation_exits_3(tmp_path, capsys, orientation, code):
+    # on the saddle the auto rule flips the normal at half the grid points
+    scen = {
+        "schema": 1,
+        "name": "saddle_first_variation",
+        "subject": {"type": "first_variation",
+                    "immersion": {"kind": "graph", "quadratic": [[0, 1], [1, 0]], "half_width": 0.4,
+                                  "orientation": orientation},
+                    "grid": [8, 8], "amplitudes": ["one"]},
+        "checks": [{"check": "first_variation_gap", "amplitude": "one", "which": "area_ii",
+                    "tolerance": 1e9}],
+    }
+    p = tmp_path / "saddle.json"
+    p.write_text(json.dumps(scen))
+    assert run_scenario(p, out_dir=tmp_path) == code
+    assert ("pass orientation +1 or -1" in capsys.readouterr().err) == (code == 3)
+
+
 def test_deterministic_csv(tmp_path):
     scenario = SCENARIO_DIR / "s1_sqrt2_curve.json"
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -274,3 +274,30 @@ def test_lifts_are_nan_without_a_warning_where_the_base_value_is_zero(lift):
     assert np.all(np.isnan(out[:, 0]))
     rest = getattr(Jet(x.space, x.coeffs[:, 1:]), lift)().coeffs
     assert np.array_equal(out[:, 1:], rest) and np.all(np.isfinite(rest))
+
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4)])
+def test_power_starts_from_the_lowest_set_bit(monkeypatch, n, products):
+    # square-and-multiply with no product by a constant one: j**2 costs one
+    # product and j**3 two, and the values are those of repeated products
+    x, y = seed_jets(np.array([[0.3, -0.7], [1.1, 0.2]]), 2, 4)
+    j = x * y + x + 0.5
+    naive = Jet.constant(j.space, np.ones(2))
+    for _ in range(n):
+        naive = naive * j
+    chain = {2: lambda: j * j, 3: lambda: j * (j * j)}.get(n, lambda: None)()
+    calls = [0]
+    original = jets._cauchy
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(jets, "_cauchy", counting)
+    got = j**n
+    assert calls[0] == products
+    assert got.space is j.space and got.coeffs is not j.coeffs
+    assert_allclose(got.coeffs, naive.coeffs, rtol=1e-14, atol=0)
+    if chain is not None:
+        assert np.array_equal(got.coeffs, chain.coeffs)

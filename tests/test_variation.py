@@ -1,5 +1,6 @@
 """Quadrature, deformations, and the first-variation identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from ladder_oracle import LADDER, ladder
 from numpy.testing import assert_allclose
 
 from secondform.ambient import space_form
-from secondform.errors import LeftEpsilonClass
+from secondform.errors import GeometryError, LeftEpsilonClass
 from secondform.hypersurface import Immersion, standard_immersion, surface_point
 from secondform.variation import (
     Deformation,
@@ -239,6 +240,28 @@ class TestExactFirstVariation:
         ladder_gap = abs(lad.value[1] - res.rhs_area_ii) / (1 + abs(res.rhs_area_ii))
         assert ladder_gap > 1e-2 and lad.slopes((res.rhs_area, res.rhs_area_ii))[1] > 1.8
         assert res.gaps["area_ii"] <= 1e-10
+
+    @pytest.mark.parametrize("case, flips", [("saddle", 128), ("de_sitter_timelike", 48)])
+    def test_auto_orientation_that_flips_between_points_raises(self, case, flips):
+        # orientation 0 flips the normal where tr A < 0: on the saddle at 128
+        # of 256 points, on the timelike de Sitter graph at 48, and the
+        # first-variation identities do not hold for a field that jumps
+        # between f·U and −f·U (Area_II gaps of 4.5); one sign is exact
+        build, shape, _, _, bound = EXACT_CASES[case]
+        imm = build()
+        grid = grid_for_immersion(imm, shape)
+        with pytest.raises(GeometryError, match=f"flipped the normal at {flips} .*pass orientation"):
+            first_variation_check(dataclasses.replace(imm, orientation=0), _bump, grid)
+        for sign in (1, -1):
+            res = first_variation_check(dataclasses.replace(imm, orientation=sign), _bump, grid)
+            assert max(res.gaps.values()) <= bound
+
+    @pytest.mark.parametrize("case", ["graph", "minkowski_spacelike", "de_sitter_spacelike"])
+    def test_auto_orientation_of_one_sign_is_accepted(self, case):
+        build, shape, f, _, bound = EXACT_CASES[case]
+        imm = dataclasses.replace(build(), orientation=0)
+        res = first_variation_check(imm, f, grid_for_immersion(imm, shape))
+        assert max(res.gaps.values()) <= bound
 
     def test_lhs_is_the_derivative_of_the_areas(self):
         # d/ds of (Area, Area_II)(μ_s) for the concentric spheres μ_s of
