@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedSignature,
     _lookup,
 )
-from .jets import Jet, _cauchy, _gathers, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -175,18 +175,6 @@ def _tsum(c):
     for a in range(1, c.shape[1]):
         acc = acc + c[:, a]
     return acc
-
-
-def _cauchy_pair(space, a, b):
-    """The products a[0]·b[0] and a[1]·b[1] (b[i] broadcasting against a[i],
-    a[0] and a[1] of one shape, b[0] and b[1] too), stacked on a new axis 1.
-    One `_cauchy` call takes both wherever the stack takes the path of each
-    product alone (see ``jets._gathers``), so every element gets the same
-    multiply-adds in the same order and the bits do not change."""
-    points = a[0][0].size
-    if _gathers(2 * points) == _gathers(points):
-        return _cauchy(space, np.stack(a, 1), np.stack(b, 1))
-    return np.stack([_cauchy(space, p, q) for p, q in zip(a, b)], 1)
 
 
 def _col(vec, c):
@@ -435,9 +423,9 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
 
     With σ = log of the conformal factor, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
     ε_a δ_ab ε_k σ_k, and the geodesic right-hand side is
-    −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 7 jet products, 5 for σ′ (F and its
-    gradient, or the bump and its) and 2 stacked pairs for the dot products
-    and the scalings.  Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not
+    −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 9 jet products, 5 for σ′ (F and its
+    gradient, or the bump and its), 2 for the dot products and 2 for the
+    scalings.  Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not
     built, so a flat chart gives εδ, Γ = 0 and a zero right-hand side with
     no product.  Without a bump the geodesics have the closed form of
     `_quadric_flow`.  `bump` is a pair of functions (space, x) ↦ σ_bump and
@@ -493,10 +481,9 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         if sg is None:
             return np.zeros(v.shape)
         e = _col(eps, v)
-        # σ′·v and ⟨v,v⟩_ε (ε_k·(v^k)² is (ε_k v^k)·v^k bit for bit), then the scalings
-        dots = _tsum(np.swapaxes(_cauchy_pair(space, (sg, v * e), (v, v)), 1, 2))
-        scaled = _cauchy_pair(space, (v, sg), (dots[:, :1], dots[:, 1:]))
-        return scaled[:, 0] * (-2.0) + scaled[:, 1] * e
+        sv = _tsum(_cauchy(space, sg, v))
+        vv = _tsum(_cauchy(space, v, v) * e)
+        return _cauchy(space, v, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e
 
     def predicate(x):
         q = np.sum(eps * x * x, axis=-1)

@@ -624,24 +624,23 @@ class TestExpMapArrays:
             exp_map(chart, space, x0, w * 10.0, n_steps=32)
 
     def test_batch_72_makes_few_jet_multiplies(self, monkeypatch):
-        # RK4 on S⁴ at order 4: 32 steps of 4 right-hand sides, each of 7 jet
+        # RK4 on S⁴ at order 4: 32 steps of 4 right-hand sides, each of 9 jet
         # products, 5 for F and its gradient (3 of them in the reciprocal's
-        # lift) and 2 stacked pairs for σ′·v, ⟨v,v⟩_ε and the two scalings
+        # lift), 2 for σ′·v and ⟨v,v⟩_ε and 2 for the scalings
         from secondform.ambient import exp_map
 
         chart = _rk4(space_form(4, 1.0))
         args = _arrays(*_exp_inputs(4, 4, (72,), x0_batched=False))
         calls = _count_products(monkeypatch)
         exp_map(chart, *args, n_steps=32)
-        assert calls == {"jets": 3 * 128, "ambient": 4 * 128}
+        assert calls == {"jets": 3 * 128, "ambient": 6 * 128}
 
 
 class TestConformalChartProducts:
     """Jet products of the conformal charts' closed forms at 2 parameters and
-    order 4: none where C̄ = 0 makes the conformal factor 1, and each pair of
-    products of the geodesic right-hand side in one stacked call."""
+    order 4: none where C̄ = 0 makes the conformal factor 1."""
 
-    @pytest.mark.parametrize("name, most", [("bumpy_e3", 7), ("s3", 7), ("e3", 0), ("minkowski", 0)])
+    @pytest.mark.parametrize("name, most", [("bumpy_e3", 9), ("s3", 9), ("e3", 0), ("minkowski", 0)])
     @pytest.mark.parametrize("batch", [(), (5,)])
     def test_right_hand_side(self, monkeypatch, name, most, batch):
         chart = EXP_CHARTS[name]()
