@@ -77,14 +77,12 @@ from .spheres import (
     unit_sphere_area,
 )
 from .variation import (
-    Deformation,
     QuadratureGrid,
     area,
     area_with_refinement,
     first_variation_check,
     grid_for_immersion,
     lat_long_sphere,
-    normal_deform,
     second_form_variation_check,
     tensor_gauss_legendre,
 )

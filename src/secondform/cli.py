@@ -6,7 +6,9 @@ tolerances.  Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario
 file is malformed (an unknown or missing key of the subject, a descriptor or
 a check included: the keys are the `SUBJECTS` builders', the catalog
 builders' and the checks' keyword parameters), 3 a numerical error surfaced
-that the scenario did not declare as expected.
+that the scenario did not declare as expected (a GeometryError, or any other
+exception, such as numpy's LinAlgError on an extreme value), reported in one
+line without a traceback.
 CSV output is deterministic for a fixed scenario and seed.
 """
 
@@ -683,12 +685,13 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
     except (ScenarioError, BadParameters) as exc:  # found while building or running
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
+    except Exception as exc:  # a GeometryError, or a fault numpy raised (LinAlgError, …)
         expected_error = scenario.get("expect_error")
         if expected_error and type(exc).__name__ == expected_error:
             print(f"[PASS] expected numerical error raised: {type(exc).__name__}")
             return 0
-        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = str(exc).replace("\n", " ")
+        print(f"numerical error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
     out_dir = Path(out_dir) if out_dir else Path.cwd()

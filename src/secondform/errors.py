@@ -73,10 +73,6 @@ class DimensionTooSmall(GeometryError):
     """Operation undefined below a minimal dimension."""
 
 
-class LeftEpsilonClass(GeometryError):
-    """A deformation left the class of nondegenerate-II hypersurfaces."""
-
-
 class NotFrenet(GeometryError):
     """Curve acceleration is null or zero, so no Frenet frame exists."""
 

@@ -567,8 +567,8 @@ def _perturbed_ovaloid(m=2, amplitude=0.02, seed=0, orientation=0):
 
 def _graph(quadratic=((1.0, 0.0), (0.0, 1.0)), half_width=1.0, orientation=0):
     quad, half = np.asarray(quadratic, dtype=float), float(half_width)
-    if quad.ndim != 2 or quad.shape[0] != quad.shape[1]:
-        raise BadParameters("quadratic must be a square matrix")
+    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or not np.all(np.isfinite(quad)):
+        raise BadParameters("quadratic must be a square matrix of finite numbers")
     if not 0 < half < math.inf:
         raise BadParameters(f"half_width must be a finite number > 0, got {half_width!r}")
     m = quad.shape[0]
@@ -730,10 +730,11 @@ def reparametrized(imm: Immersion, mat, shift, new_lo, new_hi) -> Immersion:
 
 def resolved_orientation(imm: Immersion) -> int:
     """The concrete ±1 (relative to the cofactor normal) that the immersion's
-    orientation rule realizes.  Resolved at the domain midpoint; the auto rule
-    cannot change sign across a connected nondegenerate patch.  It flips the
-    cofactor normal exactly where tr A < −ORIENTATION_TIE, so one raw frame
-    decides."""
+    orientation rule realizes at the domain midpoint.  The auto rule flips
+    the cofactor normal exactly where tr A < −ORIENTATION_TIE, so one raw
+    frame there decides.  Where tr A changes sign over the patch (the saddle
+    z = u₀u₁ on |u_i| ≤ 0.4 flips at half of a 16×16 grid), the auto rule
+    realizes the other sign at some points."""
     if imm.orientation != 0:
         return imm.orientation
     u_mid = 0.5 * (imm.param_lo + imm.param_hi)
@@ -742,7 +743,9 @@ def resolved_orientation(imm: Immersion) -> int:
 
 
 def flipped(imm: Immersion) -> Immersion:
-    """Same patch with the opposite normal orientation."""
+    """The patch with the orientation opposite to the one the rule realizes
+    at the domain midpoint (``resolved_orientation``).  Under the auto rule
+    it keeps the auto normal wherever that rule flipped it."""
     return replace(imm, orientation=-resolved_orientation(imm))
 
 

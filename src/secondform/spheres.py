@@ -21,6 +21,7 @@ honest metrics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import ambient as amb
-from .ambient import CurvatureJet, MetricChart, curvature_jet, orthonormal_frame
-from .ambient import exp_map  # noqa: F401  (perfbench/tests check that its tracer rebinds this name)
+from .ambient import CurvatureJet, MetricChart, curvature_jet, exp_map, orthonormal_frame
 from .errors import (
     BadDirection,
     ConjugatePoint,
@@ -42,7 +42,7 @@ from .hypersurface import Immersion, _frame, _sphere_param_box, _unit_sphere_map
 from .iigeom import _ii_geometry_from, ii_geometry
 from .jets import Jet, jet_space, seed_jets
 from .variation import (
-    _area_rates, _eps_monomials, _exp_family, _gap, _variation_rhs, areas, grid_for_immersion,
+    _area_rates, _eps_monomials, _gap, _variation_rhs, areas, grid_for_immersion,
 )
 
 __all__ = [
@@ -493,20 +493,47 @@ def _radial_frame(chart: MetricChart, n, e0=None):
 
 
 def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps):
-    """One immersion u ↦ exp_n(r·ξ(u)) per radius r in `radii`, for the
-    direction field given as jets ``direction_fn(u_jets, r)`` = r·ξ(u): one
-    ``variation._exp_family`` on coefficient arrays, so the radii share one
-    integration with step r_max/n_steps, memoised per node set."""
-    n = np.asarray(n, dtype=float)
+    """One immersion u ↦ exp_n(r·ξ(u)) per radius r > 0 in `radii`, for the
+    direction field given as jets ``direction_fn(u_jets, r)`` = r·ξ(u).
 
-    def rays(space, u_jets):
+    The radii ride one ``exp_map`` path: w = r_max·ξ with stops r/r_max, so
+    the RK4 step (where the chart has no closed-form flow) is
+    r_max/n_steps.  All members are evaluated together, once per node set
+    (batch shape and seed values), at the highest jet order asked for so
+    far; a lower order is their prefix slice on the monomial axis, served
+    only when the incoming u-jets equal the cached seeds' prefix.  Cached
+    arrays are read-only.
+    """
+    n = np.asarray(n, dtype=float)
+    r_max = max(radii)
+    stops = sorted({r / r_max for r in radii})
+    memo: dict = {}
+
+    def evaluate(space, u_jets):
         batch = u_jets[0].batch_shape
         x = np.zeros((space.n, chart.dim) + batch)
         x[0] = n.reshape((-1,) + (1,) * len(batch))
-        return x, lambda r: amb._stack_list(direction_fn(u_jets, r))[1]
+        w = amb._stack_list(direction_fn(u_jets, r_max))[1]
+        ends = exp_map(chart, space, x, w, n_steps=n_steps, stops=stops)
+        for end, _ in ends:
+            end.flags.writeable = False
+        return [ends[stops.index(r / r_max)][0] for r in radii]
 
-    maps = _exp_family(chart, rays, radii, n_steps, False)
-    return [Immersion(chart, m, map_fn, lo, hi, hint) for map_fn in maps]
+    def member(u_jets, i):
+        space, seeds = amb._stack_list(u_jets)
+        key = (seeds.shape[2:], seeds[0].tobytes())
+        hit = memo.get(key)
+        if hit is None or len(hit[0]) < space.n or not np.array_equal(hit[0][: space.n], seeds):
+            hit = (seeds, evaluate(space, u_jets))
+            if key not in memo or len(memo[key][0]) <= space.n:
+                memo[key] = hit
+        c = hit[1][i]
+        return [Jet(space, c[: space.n, a]) for a in range(chart.dim)]
+
+    return [
+        Immersion(chart, m, functools.partial(member, i=i), lo, hi, hint)
+        for i in range(len(radii))
+    ]
 
 
 def _check_radii(chart: MetricChart, radii):
@@ -581,8 +608,8 @@ def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Imme
     `sphere_remainder_studies` builds them); for
     r ≲ 1 and the default step count, the endpoint error sits around
     1e−12, far below every tolerance used downstream.  It is a one-member
-    ``variation._exp_family``, as the normal deformations are: evaluations
-    on one node set share one geodesic computation.
+    family of `_exp_immersions`: evaluations on one node set share one
+    geodesic computation.
     """
     return _geodesic_spheres(chart, n, [r], n_steps)[0]
 

@@ -1,4 +1,4 @@
-"""Quadrature for Area and Area_II, normal deformations, first variation.
+"""Quadrature for Area and Area_II and the first-variation identities.
 
 The first-variation identities under a deformation with normal amplitude f,
 
@@ -10,40 +10,28 @@ f·U, so the map x + ε·f·U, with ε one more jet variable next to the m
 parameters, carries d/ds Area and d/ds Area_II as the ε-coefficients of the
 densities √|det g| and √|det g|·√|det A|: one frame pass, with no step size
 and no extrapolation (forward-mode Taylor arithmetic; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 3 and 13).  The quadrature grids put
-Gauss–Legendre nodes on open axes (latitude, graph coordinates) and uniform
-nodes on periodic ones, so closed surfaces integrate spectrally; both sides
-of each identity share one grid.
-
-The deformed immersions μ_s themselves (``normal_deform``) come in two
-modes, chart-linear and ambient-exponential, with the same variation field.
+*Evaluating Derivatives*, 2nd ed., ch. 3 and 13).  No deformed immersion
+μ_s is built.  The quadrature grids put Gauss–Legendre nodes on open axes
+(latitude, graph coordinates) and uniform nodes on periodic ones, so closed
+surfaces integrate spectrally; both sides of each identity share one grid.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .ambient import _stack_list, exp_map
-from .errors import (
-    BadParameters,
-    GeometryError,
-    LeftEpsilonClass,
-    SingularShapeOperator,
-)
+from .errors import BadParameters, GeometryError, SingularShapeOperator
 from .hypersurface import (
     ORIENTATION_TIE,
     Immersion,
     _cvals,
     _frame,
     ambient_curvature_on_jets,
-    frame_jets,
     intrinsic_curvature_jets,
-    resolved_orientation,
     surface_point,
 )
 from .iigeom import ii_geometry
@@ -51,20 +39,16 @@ from .jets import Jet, _cauchy, _cofactors, _wedge, jet_space, seed_jets
 
 __all__ = [
     "QuadratureGrid",
-    "Deformation",
     "grid_for_immersion",
     "tensor_gauss_legendre",
     "lat_long_sphere",
     "area",
     "areas",
     "area_with_refinement",
-    "normal_deform",
     "first_variation_check",
     "second_form_variation_check",
     "FirstVariationResult",
 ]
-
-EPSILON_CLASS_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -174,42 +158,6 @@ def area_with_refinement(imm: Immersion, grid: QuadratureGrid, which: str = "fir
 
 
 # ---------------------------------------------------------------------------
-# deformations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Deformation:
-    """Normal deformation of amplitude f at parameter s.
-
-    chart_linear moves chart coordinates along (f·s)·U; ambient_exponential
-    is μ_s(u) = exp_{x(u)}((f·s)·U) by ``ambient.exp_map`` in jets (RK4 with
-    step |s|/64 on charts without a closed-form geodesic flow).  Both have
-    variational vector field f·U at s = 0.
-    """
-
-    base: Immersion
-    f: Callable  # list of parameter jets -> jet
-    s: float
-    mode: str = "chart_linear"
-
-
-def normal_deform(d: Deformation, check_grid: Optional[QuadratureGrid] = None) -> Immersion:
-    """The deformed immersion μ_s, a one-member ``_exp_family``.
-
-    The returned map re-seeds its input one Taylor order higher (the unit
-    normal costs one derivative), so it must be evaluated at plain coordinate
-    seeds, which is what every pipeline in this package does.  When
-    `check_grid` is given, membership in the nondegenerate-II class is
-    checked on its nodes (raises LeftEpsilonClass).
-    """
-    imm = _deformed_family(d.base, d.f, d.mode, [d.s])[0]
-    if check_grid is not None:
-        _class_checked_point(imm, check_grid)
-    return imm
-
-
-# ---------------------------------------------------------------------------
 # first variation
 # ---------------------------------------------------------------------------
 
@@ -269,102 +217,6 @@ def _variation_rhs(geo, f, weights):
 
 def _gap(lhs, rhs):
     return abs(lhs - rhs) / (1 + abs(rhs))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _exp_family(chart, rays, scales, n_steps: int, linear: bool):
-    """Map functions u ↦ exp_{x(u)}(w_s(u)), one per s in `scales`, for
-    ``rays(space, u_jets)`` = (x, s ↦ w_s): coefficient arrays
-    (n_mono, dim, *batch) at the jet space of the parameter jets (x may
-    come from a higher order).
-
-    With `linear` every member is the chart line x + w_s.  Otherwise the
-    scales of one sign ride one path: w = w_e for the scale e of largest |s|
-    among them, with stops s/e, so the step is |e|/n_steps (s = 0 is the
-    chart line, exact there).  All members are evaluated together, once per
-    node set (batch shape and seed values), at the highest jet order asked
-    for so far; a lower order is their prefix slice on the monomial axis,
-    served only when the incoming u-jets equal the cached seeds' prefix.
-    Cached arrays are read-only.
-    """
-    memo: dict = {}
-
-    def evaluate(space, u_jets):
-        x, velocity = rays(space, u_jets)
-        out = {}
-        for sign in () if linear else (1.0, -1.0):
-            same = [s for s in scales if s * sign > 0]
-            if same:
-                end = sign * max(s * sign for s in same)
-                stops = sorted({s / end for s in same})
-                ends = exp_map(chart, space, x, velocity(end), n_steps=n_steps, stops=stops)
-                out.update((s, ends[stops.index(s / end)][0]) for s in same)
-        for s in scales:
-            if s not in out:
-                out[s] = x[: space.n] + velocity(s)
-        return [_read_only(out[s]) for s in scales]
-
-    def member(u_jets, i):
-        space, seeds = _stack_list(u_jets)
-        key = (seeds.shape[2:], seeds[0].tobytes())
-        hit = memo.get(key)
-        if hit is None or len(hit[0]) < space.n or not np.array_equal(hit[0][: space.n], seeds):
-            hit = (seeds, evaluate(space, u_jets))
-            if key not in memo or len(memo[key][0]) <= space.n:
-                memo[key] = hit
-        c = hit[1][i]
-        return [Jet(space, c[: space.n, a]) for a in range(chart.dim)]
-
-    return [functools.partial(member, i=i) for i in range(len(scales))]
-
-
-def _deformed_family(base: Immersion, f: Callable, mode: str, scales):
-    """The deformed immersions μ_s, one per s in `scales`, as one
-    ``_exp_family``: the base frame and the amplitude are evaluated once per
-    node set for all of them."""
-    if mode not in ("chart_linear", "ambient_exponential"):
-        raise BadParameters(f"unknown deformation mode {mode!r}")
-    # Pin the base's realized orientation: re-running the auto rule on the
-    # deformed surface could flip the normal between +s and −s and destroy
-    # the continuity of the family.
-    orientation = resolved_orientation(base)
-
-    def rays(space, u_jets):
-        # x at order k+1, w = (f·s)·U at order k (the normal costs one)
-        u0 = np.stack([np.asarray(j.value, float) for j in u_jets], axis=-1)
-        jets = seed_jets(u0, base.param_dim, space.order + 1)
-        b = frame_jets(base, jets)
-        amp = f(jets).coeffs[:, None]
-        return b.xc, lambda s: _cauchy(space, amp * s, b.U)
-
-    maps = _exp_family(base.ambient, rays, scales, 64, mode == "chart_linear")
-    return [
-        Immersion(
-            ambient=base.ambient, param_dim=base.param_dim, map_fn=map_fn,
-            param_lo=base.param_lo, param_hi=base.param_hi,
-            orientation=orientation, grid_hint=base.grid_hint,
-        )
-        for map_fn in maps
-    ]
-
-
-def _class_checked_point(imm: Immersion, grid: QuadratureGrid):
-    """``surface_point`` on the grid nodes, raising LeftEpsilonClass on exit
-    from the nondegenerate-II class."""
-    try:
-        data = surface_point(imm, grid.nodes, order=2)
-    except GeometryError as exc:
-        raise LeftEpsilonClass(f"deformed immersion degenerate: {exc}") from exc
-    lam_mod = np.abs(np.linalg.eigvals(data.shape))
-    if np.min(lam_mod) <= EPSILON_CLASS_FLOOR:
-        raise LeftEpsilonClass(
-            f"deformation left the nondegenerate-II class (min |λ| = {np.min(lam_mod):.2e})"
-        )
-    return data
 
 
 def _check_one_normal(data):

@@ -598,7 +598,7 @@ class TestExpMapArrays:
         _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
 
     def test_mixed_input_orders_combine_at_the_lower(self):
-        # as in normal_deform: x at order k+1, w at order k
+        # as in ladder_oracle.deformed_family: x at order k+1, w at order k
         from secondform.ambient import _stack_list, exp_map
 
         chart = registry_chart("bumpy_e3")

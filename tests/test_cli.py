@@ -497,6 +497,12 @@ PROBES = {
         "three_route_s4_h4", lambda s: s["subject"]["immersions"][0].update(base_radius=0), True),
     "perturbed_sphere_m_negative": (
         "three_route_s4_h4", lambda s: s["subject"]["immersions"][0].update(m=-1), True),
+    "graph_quadratic_null": (
+        "ii_saddle_e3",
+        lambda s: s["subject"]["immersion"].update(quadratic=[[None, 1.0], [1.0, 0.0]]), True),
+    "graph_quadratic_infinite": (
+        "ii_saddle_e3",
+        lambda s: s["subject"]["immersion"].update(quadratic=[[0.0, 1.0], [math.inf, 0.0]]), True),
 }
 
 
@@ -530,7 +536,7 @@ def _patch_frame_jets():
     """Make every module binding ``frame_jets`` or the array-level frame
     ``_frame`` (which ``frame_jets`` calls) fail when it is called."""
     stack = contextlib.ExitStack()
-    for mod in (hypersurface, iigeom, variation):
+    for mod in (hypersurface, iigeom):
         stack.enter_context(mock.patch.object(mod, "frame_jets", _no_frame))
     for mod in (hypersurface, variation, spheres):
         stack.enter_context(mock.patch.object(mod, "_frame", _no_frame))
@@ -585,6 +591,66 @@ def test_unknown_key_in_any_descriptor_exit_2(tmp_path_factory, name, pick, key,
     with _patch_frame_jets(), mock.patch("sys.stderr", new_callable=io.StringIO) as err:
         assert run_scenario(out / "x.json", out_dir=out) == 2
     assert err.getvalue().count("\n") == 1 and "unknown_" + key in err.getvalue()
+
+
+def _leaves(value, path=()):
+    """The paths to every leaf of a JSON value, list items included."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path
+
+
+def _set_leaf(scen, path, value):
+    for key in path[:-1]:
+        scen = scen[key]
+    scen[path[-1]] = value
+
+
+# valid but extreme values whose runs meet a fault numpy raises (LinAlgError,
+# or here a RuntimeWarning turned into an error) rather than a GeometryError
+EXTREME_VALUES = [
+    ("catenary_ode", ("subject", "s_max"), 1e-300),
+    ("three_route_s4_h4", ("subject", "immersions", 1, "Cbar"), -1e9),
+    ("three_route_s4_h4", ("subject", "immersions", 4, "amplitude"), -1e9),
+]
+
+
+@pytest.mark.parametrize("name, path, value", EXTREME_VALUES)
+def test_extreme_value_exits_3_in_one_line(name, path, value, tmp_path, capsys):
+    scen = _bundled(name)
+    _set_leaf(scen, path, value)
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(scen))
+    assert run_scenario(p, out_dir=tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+
+
+LEAF_VALUES = [True, -1, 0, "abc", [], {}, None, 0.5, 2, [1e-3], 1e-300, -1e9]
+
+
+@given(
+    st.sampled_from([p.stem for p in bundled_scenarios()]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(LEAF_VALUES),
+)
+@settings(max_examples=60, deadline=None)
+def test_any_leaf_mutation_exits_with_a_contract_code(tmp_path_factory, name, pick, value):
+    scen = _bundled(name)
+    paths = list(_leaves(scen))
+    _set_leaf(scen, paths[pick % len(paths)], value)
+    out = tmp_path_factory.mktemp("leaf")
+    (out / "x.json").write_text(json.dumps(scen))
+    with mock.patch("sys.stdout", new_callable=io.StringIO), \
+            mock.patch("sys.stderr", new_callable=io.StringIO) as err:
+        code = run_scenario(out / "x.json", out_dir=out)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_no_builder_or_check_swallows_unknown_keys():

@@ -1,0 +1,17 @@
+"""Every name a module exports resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import secondform
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(secondform.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"secondform.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

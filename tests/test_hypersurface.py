@@ -325,3 +325,21 @@ def test_resolved_orientation_reads_one_raw_frame(monkeypatch):
     swapped = reparametrized(imm, [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0], [0.0, 0.0], [2 * math.pi, math.pi])
     assert resolved_orientation(swapped) == 1
     assert len(calls) == 2
+
+
+def test_auto_rule_on_a_saddle_flips_half_the_grid_and_flipped_keeps_those():
+    # tr A changes sign across the saddle z = u₀u₁: the rule, read at the
+    # midpoint (tr A = 0 there, so +1), is not the sign at every point, and
+    # flipped(imm) (orientation −1) keeps the auto normal where it flipped
+    from secondform.hypersurface import flipped, resolved_orientation
+    from secondform.variation import grid_for_immersion
+
+    imm = standard_immersion("graph", quadratic=[[0, 1], [1, 0]], half_width=0.4)
+    nodes = grid_for_immersion(imm, (16, 16)).nodes
+    auto = surface_point(imm, nodes, order=2)
+    assert resolved_orientation(imm) == 1 and flipped(imm).orientation == -1
+    assert int(np.sum(auto.flips)) == 128
+    other = surface_point(flipped(imm), nodes, order=2)
+    assert np.all(other.flips)  # orientation −1 flips the cofactor normal everywhere
+    assert np.array_equal(other.normal[auto.flips], auto.normal[auto.flips])
+    assert np.array_equal(other.normal[~auto.flips], -auto.normal[~auto.flips])

@@ -9,16 +9,14 @@ from ladder_oracle import LADDER, ladder
 from numpy.testing import assert_allclose
 
 from secondform.ambient import space_form
-from secondform.errors import GeometryError, LeftEpsilonClass
+from secondform.errors import GeometryError
 from secondform.hypersurface import Immersion, standard_immersion, surface_point
 from secondform.variation import (
-    Deformation,
     area,
     area_with_refinement,
     first_variation_check,
     grid_for_immersion,
     lat_long_sphere,
-    normal_deform,
     refine,
     second_form_variation_check,
     tensor_gauss_legendre,
@@ -61,56 +59,6 @@ class TestQuadrature:
         err_fine = abs(area(imm, fine, "second_form") - finest)
         assert err_fine < err_coarse / 4 or err_fine < 1e-12
         assert est >= 0
-
-
-class TestNormalDeform:
-    def test_concentric_spheres_exact(self):
-        imm = standard_immersion("round_sphere", radius=1.0)
-        s = 0.125
-        deformed = normal_deform(Deformation(imm, lambda u: u[0] * 0.0 + 1.0, s))
-        data = surface_point(deformed, np.array([[0.9, 1.0], [1.8, 4.0]]))
-        # inward normal: radius shrinks to 1 − s
-        assert_allclose(np.linalg.norm(data.x, axis=-1), 1.0 - s, atol=1e-12)
-        assert_allclose(data.mean, 1.0 / (1.0 - s), atol=1e-10)
-
-    @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
-    def test_s_zero_identity(self, mode):
-        imm = standard_immersion("round_sphere", radius=1.0)
-        deformed = normal_deform(Deformation(imm, lambda u: u[0].sin(), 0.0, mode))
-        u = np.array([[1.0, 2.0]])
-        assert_allclose(surface_point(deformed, u).x, surface_point(imm, u).x, atol=1e-15)
-
-    def test_harmonic_bump_stays_in_class(self):
-        imm = standard_immersion("round_sphere", radius=1.0)
-        grid = lat_long_sphere(10, 20)
-
-        def f(u):
-            return u[0].sin() * u[1].cos() * u[0].cos()
-
-        normal_deform(Deformation(imm, f, 1e-3), check_grid=grid)
-
-    def test_large_deformation_leaves_class(self):
-        imm = standard_immersion("round_sphere", radius=1.0)
-        grid = lat_long_sphere(10, 20)
-        with pytest.raises(LeftEpsilonClass):
-            normal_deform(Deformation(imm, lambda u: u[0] * 0.0 + 1.0, 1.0), check_grid=grid)
-
-    def test_modes_agree_to_second_order(self):
-        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.8, m=2)
-
-        def f(u):
-            return u[0].cos()
-
-        u = np.array([[1.1, 0.7]])
-        gaps = []
-        for s in (2e-2, 1e-2):
-            lin = surface_point(normal_deform(Deformation(imm, f, s, "chart_linear")), u).x
-            expo = surface_point(
-                normal_deform(Deformation(imm, f, s, "ambient_exponential")), u
-            ).x
-            gaps.append(np.max(np.abs(lin - expo)))
-        assert gaps[1] < gaps[0] / 3.2  # O(s²) agreement
-        assert gaps[0] < 1e-3
 
 
 def _exact_and_ladder(imm, f, grid, s_ladder=LADDER, mode="chart_linear"):
@@ -308,9 +256,7 @@ class TestSecondFormVariation:
 
     @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
     def test_agrees_with_a_difference_of_the_deformed_forms(self, mode):
-        from ladder_oracle import richardson
-
-        from secondform.variation import _deformed_family
+        from ladder_oracle import deformed_family, richardson
 
         imm = standard_immersion("perturbed_ovaloid", seed=7, amplitude=0.02)
 
@@ -319,7 +265,7 @@ class TestSecondFormVariation:
 
         u = np.array([1.1, 0.7])
         steps = (1e-3, 5e-4)
-        family = _deformed_family(imm, f, mode, [t for s in steps for t in (s, -s)])
+        family = deformed_family(imm, f, mode, [t for s in steps for t in (s, -s)])
         ii = [surface_point(member, u, order=2).second for member in family]
         diffs = [(ii[2 * k] - ii[2 * k + 1]) / (2 * s) for k, s in enumerate(steps)]
         value = richardson(diffs)
@@ -328,60 +274,6 @@ class TestSecondFormVariation:
             numeric, formula, gap = second_form_variation_check(imm, f, u, i, j)
             assert abs(numeric - value[i, j]) <= error[i, j]
             assert gap < 1e-12
-
-
-class TestDeformationFamilies:
-    """A ±s ladder is one exponential family: one base frame per node set and,
-    in ambient_exponential mode, one exp_map path per sign of s."""
-
-    @staticmethod
-    def amplitude(u):
-        return u[0].cos() * 0.5 + 1.0
-
-    def test_exponential_ladder_integrates_once_per_sign(self, exp_map_batches):
-        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
-        grid = grid_for_immersion(imm, (12, 24))
-        lad = ladder(imm, self.amplitude, grid, mode="ambient_exponential")
-        assert exp_map_batches == [(288,), (288,)]
-        res = first_variation_check(imm, self.amplitude, grid)
-        assert max(res.gaps.values()) < 1e-6
-        assert _within_ladder_error(res, lad)
-
-    @pytest.mark.parametrize("mode", ["chart_linear", "ambient_exponential"])
-    def test_ladder_members_match_one_member_families(self, mode):
-        from secondform.jets import seed_jets
-        from secondform.variation import _deformed_family
-
-        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
-        u = seed_jets(np.array([[0.4, 1.0], [1.5, 2.5], [2.7, 5.9]]), 2, 2)
-        scales = [t for s in LADDER for t in (s, -s)]
-        family = _deformed_family(imm, self.amplitude, mode, scales)
-        for member, s in zip(family, scales):
-            alone = normal_deform(Deformation(imm, self.amplitude, s, mode))
-            got = np.stack([j.coeffs for j in member.map_fn(u)])
-            want = np.stack([j.coeffs for j in alone.map_fn(u)])
-            if mode == "chart_linear":
-                assert np.array_equal(got, want)
-            else:  # the ladder's step is s_max/64, a one-member family's s/64
-                assert np.max(np.abs(got - want)) <= 1e-13
-
-    def test_chart_linear_members_are_the_chart_line(self):
-        # x + (f·s)·U with s applied to the amplitude, bit for bit
-        from secondform.hypersurface import frame_jets
-        from secondform.jets import Jet, seed_jets
-        from secondform.variation import _deformed_family
-
-        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=0.6, m=2)
-        nodes = np.array([[0.4, 1.0], [1.5, 2.5], [2.7, 5.9]])
-        scales = (0.3, -0.1, 0.0)
-        family = _deformed_family(imm, self.amplitude, "chart_linear", scales)
-        b = frame_jets(imm, seed_jets(nodes, 2, 3))
-        amp = self.amplitude(seed_jets(nodes, 2, 3))
-        for member, s in zip(family, scales):
-            got = member.map_fn(seed_jets(nodes, 2, 2))
-            for a in range(3):
-                line = Jet(b.space(b.xc), b.xc[:, a]) + (amp * s) * Jet(b.space(b.U), b.U[:, a])
-                assert np.array_equal(got[a].coeffs, line.coeffs)
 
     def test_second_form_variation_evaluates_the_base_once(self, monkeypatch):
         # one frame at u over the parameters, then one over them and ε
@@ -397,6 +289,8 @@ class TestDeformationFamilies:
         for module in (hypersurface, variation):
             monkeypatch.setattr(module, "_frame", counting)
         imm = standard_immersion("round_sphere", radius=1.0)
-        _, _, gap = second_form_variation_check(imm, self.amplitude, np.array([1.0, 2.0]), 0, 1)
+        _, _, gap = second_form_variation_check(
+            imm, lambda w: w[0].cos() * 0.5 + 1.0, np.array([1.0, 2.0]), 0, 1
+        )
         assert calls == [(imm, 2, 3), (imm, 3, 3)]
         assert gap < 1e-6
