@@ -350,7 +350,7 @@ def _reciprocal(space, c):
     """1/c for a scalar coefficient array c (n_mono, *batch); NaN, without a
     warning, where c₀ ≤ 0."""
     a0 = np.where(c[0] > 0.0, c[0], np.nan)
-    return _lift(space, c, [(-1.0) ** k / a0 ** (k + 1) for k in range(space.order + 1)])
+    return _lift(space, c, [(-1.0) ** k / a0 ** (k + 1) for k in range(space.order + 1)])[0]
 
 
 def _quadric_flow(space, x, w, ts, eps, cbar):
@@ -464,15 +464,17 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         return np.einsum("ab,Z...->Zab...", np.diag(eps), (root * root).coeffs)
 
     def christoffel_fn(space, x):
+        out = np.zeros((space.n, dim, dim, dim) + x.shape[2:])
         sg = sigma_grad(space, x)
         if sg is None:
-            return np.zeros((space.n, dim, dim, dim) + x.shape[2:])
-        delta = np.eye(dim)
-        return (
-            np.einsum("ka,Zb...->Zkab...", delta, sg)
-            + np.einsum("kb,Za...->Zkab...", delta, sg)
-            - np.einsum("ab,k,Zk...->Zkab...", np.diag(eps), eps, sg)
-        )
+            return out
+        # Γ filled term by term on diagonal views of it: no Γ-sized temporaries
+        np.einsum("Zkkb...->Zkb...", out)[...] = sg[:, None]  # δ^k_a σ_b
+        half = np.einsum("Zkak...->Zka...", out)
+        half += sg[:, None]  # δ^k_b σ_a
+        diag = np.einsum("Zkaa...->Zka...", out)
+        diag -= np.outer(eps, eps).reshape((dim, dim) + (1,) * (sg.ndim - 2)) * sg[:, :, None]
+        return out
 
     def rhs(space, x, v):
         # −2 v^k (σ′·v) + ε_k σ_k ⟨v,v⟩_ε; x and v have one shape

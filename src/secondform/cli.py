@@ -7,8 +7,10 @@ file is malformed (an unknown or missing key of the subject, a descriptor or
 a check included: the keys are the `SUBJECTS` builders', the catalog
 builders' and the checks' keyword parameters), 3 a numerical error surfaced
 that the scenario did not declare as expected (a GeometryError, or any other
-exception, such as numpy's LinAlgError on an extreme value), reported in one
-line without a traceback.
+exception, such as numpy's LinAlgError on an extreme value; a RuntimeWarning
+while the checks or the CSV rows run, which the runner turns into an error;
+a check whose value is not finite), reported in one line without a
+traceback.
 CSV output is deterministic for a fixed scenario and seed.
 """
 
@@ -21,6 +23,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin
@@ -305,8 +308,13 @@ def check_all_points_valid(ctx):
 def check_area_matches(
     ctx, expected: float, functional: Literal["first_form", "second_form"] = "second_form"
 ):
-    val = variation.area(ctx.built["immersions"][0], ctx.built["grids"][0], functional)
-    return abs(val - expected)
+    """``variation.area``'s |Area − expected| or |Area_II − expected| (and its
+    SingularShapeOperator), off the frame of the cached masked II-geometry."""
+    geo = ctx._masked_geo()
+    second = functional == "second_form"
+    if second and np.any(geo.invalid_reason == "singular_shape"):
+        raise SingularShapeOperator("shape operator singular on a quadrature node")
+    return abs(variation._area_pair(geo.base, ctx.built["grids"][0])[second] - expected)
 
 
 def check_gauss_codazzi(ctx, max_points: int = 40):
@@ -675,13 +683,18 @@ def run_scenario(path, out_dir=None, seed=None, tolerance_scale: float = 1.0) ->
     results = []  # the JSON report's "checks" entries
     try:
         ctx, checks = _validate(scenario, seed)
-        for name, fn, direction, tol, params in checks:
-            tol *= tolerance_scale
-            value = fn(ctx, **params)
-            passed = (value <= tol) if direction == "max" else (value >= tol)
-            results.append({"check": name, "value": float(value), "tolerance": tol,
-                            "passed": bool(passed)})
-        header, body = _csv_rows(ctx)
+        with warnings.catch_warnings():  # numpy's overflow, division by zero, …
+            warnings.simplefilter("error", RuntimeWarning)
+            for name, fn, direction, tol, params in checks:
+                tol *= tolerance_scale
+                value = float(fn(ctx, **params))
+                if not math.isfinite(value):
+                    print(f"numerical error: check {name} gave {value}", file=sys.stderr)
+                    return 3
+                passed = (value <= tol) if direction == "max" else (value >= tol)
+                results.append({"check": name, "value": value, "tolerance": tol,
+                                "passed": bool(passed)})
+            header, body = _csv_rows(ctx)
     except (ScenarioError, BadParameters) as exc:  # found while building or running
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

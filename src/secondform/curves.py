@@ -232,8 +232,8 @@ def _circle_e2(radius=1.0):
         raise BadParameters("radius must be positive")
 
     def map_fn(u):
-        ang = u[0] * (1.0 / radius)
-        return [ang.cos() * radius, ang.sin() * radius]
+        cos, sin = (u[0] * (1.0 / radius)).cos_sin()
+        return [cos * radius, sin * radius]
 
     hi = np.array([2 * math.pi * radius])
     return Immersion(amb.flat_chart(2), 1, map_fn, np.zeros(1), hi, ("per",))

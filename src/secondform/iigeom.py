@@ -183,13 +183,13 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     # tr_II L as a vector
     tr_l = np.einsum("...ab,...kab->...k", ii_inv_val, L)
 
-    # ambient curvature along the patch, at the order the Z field reads
-    riem_bar, ric_bar, sbar = ambient_curvature_on_jets(data.imm.ambient, sp1, data.xc, data.gbar)
+    # ambient curvature along the patch, at the order the Z field reads, R̄ as R̄(·,U,·,·)
+    r_u, ric_bar, sbar = ambient_curvature_on_jets(data.imm.ambient, sp1, data.xc, data.gbar, data.U)
     # P^{ac} = II^{ij} t_i^a t_j^c: the tr_II of a form B̄ on the ambient is P^{ac}B̄_ac
     t = data.t
     p = jeinsum(sp1, "ja...,jc...->ac...", jeinsum(sp1, "ij...,ia...->ja...", ii_inv, t), t)
     p_val = _cvals(p, batched)
-    z = _z_field(data, riem_bar, ii_inv, p)
+    z = _z_field(data, r_u, ii_inv, p)
     z_val = _cvals(z, batched)
 
     # Δ_II log|det A| and div_II Z via the divergence form
@@ -203,10 +203,8 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     tail = 0.25 * alpha * lap_log_det_a - 0.5 * alpha * div_z
 
     # variational head: tr_II of B(X,Y) = ḡ(R̄(X,U)Y,U)
-    rb = _cvals(riem_bar, batched)
     tv, uv = data.tangent, data.normal
-    # R̄(·,U,·,U) first; pairwise contractions, no path search per call
-    r_uu = np.einsum("...abc,...b->...ac", np.einsum("...abcf,...f->...abc", rb, uv), uv)
+    r_uu = np.einsum("...acf,...f->...ac", _cvals(r_u, batched), uv)  # R̄(·,U,·,U)
     h_var = 0.5 * (m * h - np.einsum("...ac,...ac->...", p_val, r_uu)) + tail
 
     # principal head: Σ K̄(E_i,U)/λ_i with eigenvalue clusters merged
@@ -288,19 +286,18 @@ def _group_eigenvalues(lam, tol):
     return out
 
 
-def _z_field(b: SurfacePointData, riem_bar, ii_inv, p):
+def _z_field(b: SurfacePointData, r_u, ii_inv, p):
     """Z in parameter components, a coefficient array (n_mono, m, *batch) at
     jet order 1 (div_II Z reads one derivative).
 
     With W the II-trace of (X,Y) ↦ R̄(X,U)Y, Z = A⁻¹g⁻¹ḡ(W, ∂_·) =
     α II⁻¹ḡ(W, ∂_·), because gA = α II; and ḡ(W, ∂_l) = R̄_{abcf} P^{ac} U^b
     t_l^f with P^{ac} = II^{ij} t_i^a t_j^c, so the normal part of W and ḡ⁻¹
-    drop out.  `riem_bar`, `ii_inv` and `p` (P) are coefficient arrays.
+    drop out.  `r_u` (R̄(·,U,·,·)_{acf} = R̄_{abcf}U^b), `ii_inv` and `p` (P)
+    are coefficient arrays.
     """
     space = jet_space(b.imm.param_dim, 1)
-    t, u = b.t, b.U
-    r_u = jeinsum(space, "abcf...,b...->acf...", riem_bar, u)
-    w_t = jeinsum(space, "f...,lf...->l...", jeinsum(space, "acf...,ac...->f...", r_u, p), t)
+    w_t = jeinsum(space, "f...,lf...->l...", jeinsum(space, "acf...,ac...->f...", r_u, p), b.t)
     return jeinsum(space, "kl...,l...->k...", ii_inv, w_t) * b.alpha
 
 

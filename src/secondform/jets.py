@@ -30,11 +30,13 @@ by ``_cauchy`` and :func:`jeinsum`):
 The product lives in one module function, ``_cauchy(space, a, b)``, on
 coefficient arrays; ``Jet.__mul__`` wraps it.  Likewise the analytic
 functions (reciprocal, sqrt, exp, ...) share one lift,
-``_lift(space, c, scaled_derivs)`` = Σ_k d_k·e^k over the nilpotent part e
-of ``c`` (at order 0, d_0 alone).  Code that keeps a stack of jets as one
-array, such as the geodesic integrator with its ``(n_mono, dim, *batch)``
-state, calls these two directly: the tensor axes after the monomial axis
-broadcast like batch axes and count as points for the path choice.
+``_lift(space, c, scaled_derivs, ...)`` = Σ_k d_k·e^k over the nilpotent
+part e of ``c`` (at order 0, d_0 alone), one sum per derivative sequence on
+one set of powers of e, so ``Jet.cos_sin`` costs the products of one lift.
+Code that keeps a stack of jets as one array, such as the geodesic
+integrator with its ``(n_mono, dim, *batch)`` state, calls these two
+directly: the tensor axes after the monomial axis broadcast like batch axes
+and count as points for the path choice.
 
 :func:`jeinsum` is the Cauchy product for coefficient arrays with tensor
 axes, contracted by ``np.einsum``; every tensor-valued jet in the package
@@ -332,19 +334,25 @@ def _wedge(space: JetSpace, vecs) -> np.ndarray:
     return out
 
 
-def _lift(space: JetSpace, c: np.ndarray, scaled_derivs) -> np.ndarray:
-    """Σ_k d_k · e^k for the coefficient array `c` at `space`, with e its
-    nilpotent part and d_k = f^(k)(c[0])/k! broadcastable to c[0]; at order 0
-    this is d_0 alone."""
+def _lift(space: JetSpace, c: np.ndarray, *derivs_per_fn) -> list:
+    """[Σ_k d_k · e^k for each sequence d of scaled derivatives] for the
+    coefficient array `c` at `space`, with e its nilpotent part and
+    d_k = f^(k)(c[0])/k! broadcastable to c[0]; at order 0, d_0 alone.  The
+    functions share the powers of e, and each sum is bit for bit the one
+    lifted alone."""
     e = c.copy()
     e[0] = 0.0
-    out = np.zeros(e.shape)
-    out[0] = scaled_derivs[0]
-    power = None
-    for k in range(1, space.order + 1):
-        power = e if power is None else _cauchy(space, power, e)
-        out = out + power * scaled_derivs[k]
-    return out
+    powers = [e]
+    for _ in range(1, space.order):
+        powers.append(_cauchy(space, powers[-1], e))
+    outs = []
+    for derivs in derivs_per_fn:
+        out = np.zeros(e.shape)
+        out[0] = derivs[0]
+        for power, d in zip(powers, derivs[1:]):
+            out = out + power * d
+        outs.append(out)
+    return outs
 
 
 class Jet:
@@ -490,7 +498,7 @@ class Jet:
     # -- analytic functions --------------------------------------------------
 
     def _lift(self, scaled_derivs) -> "Jet":
-        return Jet(self.space, _lift(self.space, self.coeffs, scaled_derivs))
+        return Jet(self.space, _lift(self.space, self.coeffs, scaled_derivs)[0])
 
     # Where a lift's derivatives blow up (a₀ = 0, and a₀ < 0 for sqrt) it is
     # NaN, without a warning, as ``_inv`` is at a singular M₀.
@@ -523,17 +531,20 @@ class Jet:
         derivs = [e0 / math.factorial(k) for k in range(self.space.order + 1)]
         return self._lift(derivs)
 
-    def sin(self) -> "Jet":
+    def cos_sin(self):
+        """(cos, sin) of the jet, both lifted on one set of powers."""
         s0, c0 = np.sin(self.coeffs[0]), np.cos(self.coeffs[0])
-        cycle = [s0, c0, -s0, -c0]
-        derivs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._lift(derivs)
+        cycle = [c0, -s0, -c0, s0]  # cos^(k); sin^(k) is cycle[k − 1]
+        ks = range(self.space.order + 1)
+        cos = [cycle[k % 4] / math.factorial(k) for k in ks]
+        sin = [cycle[(k - 1) % 4] / math.factorial(k) for k in ks]
+        return tuple(Jet(self.space, c) for c in _lift(self.space, self.coeffs, cos, sin))
+
+    def sin(self) -> "Jet":
+        return self.cos_sin()[1]
 
     def cos(self) -> "Jet":
-        s0, c0 = np.sin(self.coeffs[0]), np.cos(self.coeffs[0])
-        cycle = [c0, -s0, -c0, s0]
-        derivs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._lift(derivs)
+        return self.cos_sin()[0]
 
     def sinh(self) -> "Jet":
         s0, c0 = np.sinh(self.coeffs[0]), np.cosh(self.coeffs[0])

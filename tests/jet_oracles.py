@@ -5,6 +5,8 @@ tensor of jets became one coefficient array: one `Jet` per tensor entry and
 hand-written index loops.  The tests compare the array code against them.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from secondform.ambient import _stack_list
@@ -280,3 +282,24 @@ def lapack_inv_oracle(space, c):
         term = jeinsum(space, "ik...,kj...->ij...", step, term)
         out += term
     return out
+
+
+def quartic_terms(nvars, rng, amplitude):
+    """``hypersurface._random_quartic`` term by term, the form it replaced:
+    q(ω) = Σ c·ω_iω_jω_kω_l over the sorted index tuples, three jet
+    products per term, drawing c from `rng` the same way."""
+    terms = list(combinations_with_replacement(range(nvars), 4))
+    cs = rng.normal(size=len(terms))
+    cs *= amplitude / np.sum(np.abs(cs))
+
+    def q(omega):
+        acc = None
+        for c, term in zip(cs, terms):
+            prod = None
+            for i in term:
+                prod = omega[i] if prod is None else prod * omega[i]
+            prod = prod * c
+            acc = prod if acc is None else acc + prod
+        return acc
+
+    return q

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from secondform import ambient, cli, curves, hypersurface, iigeom, spheres, vari
 from secondform.cli import (
     CHECKS, SCENARIO_DIR, Context, _csv_columns, bundled_scenarios, main, run_scenario,
 )
-from secondform.errors import BadParameters
+from secondform.errors import BadParameters, SingularShapeOperator
 from secondform.hypersurface import IMMERSIONS, STANDARD_KINDS, Immersion, standard_immersion
 
 
@@ -610,14 +611,20 @@ def _set_leaf(scen, path, value):
 
 
 # valid but extreme values whose runs meet a fault numpy raises (LinAlgError,
-# or here a RuntimeWarning turned into an error) rather than a GeometryError
+# or a RuntimeWarning, which the runner turns into an error) rather than a
+# GeometryError, or end in a check value that is not finite
 EXTREME_VALUES = [
     ("catenary_ode", ("subject", "s_max"), 1e-300),
     ("three_route_s4_h4", ("subject", "immersions", 1, "Cbar"), -1e9),
     ("three_route_s4_h4", ("subject", "immersions", 4, "amplitude"), -1e9),
+    ("transport_probe_ellipsoid", ("checks", 0, "curve_velocity", 0), -1e9),
+    ("s1_sqrt2_curve", ("subject", "curve", "colatitude"), 1e-300),
 ]
 
 
+# the suite's own filter would turn the warnings into errors: here the
+# runner must do it itself, as it does when run from the command line
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @pytest.mark.parametrize("name, path, value", EXTREME_VALUES)
 def test_extreme_value_exits_3_in_one_line(name, path, value, tmp_path, capsys):
     scen = _bundled(name)
@@ -677,3 +684,50 @@ def test_recombination_csv_writes_the_seed_its_check_used(tmp_path):
         assert (tmp_path / f"{name}.csv").read_text().splitlines()[1] == '6,"[3, 4, 5]",7'
         values.append(json.loads((tmp_path / f"{name}.json").read_text())["checks"][0]["value"])
     assert values[0] == values[1]
+
+
+def test_non_finite_check_value_exits_3_in_one_line(tmp_path, capsys):
+    scen = _bundled("s1_sqrt2_curve")
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(scen))
+    for value in (math.nan, math.inf):
+        with mock.patch.dict(CHECKS, {"curve_h_ii_max": (lambda ctx: value, "max")}):
+            assert run_scenario(p, out_dir=tmp_path) == 3
+        assert capsys.readouterr().err == f"numerical error: check curve_h_ii_max gave {value}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_area_checks_read_the_masked_geometry_frame():
+    # the values of variation.area, off the frame the CSV rows use, with no
+    # frame pass of their own; only Area_II raises on a singular shape operator
+    for immersion in (None, {"kind": "graph", "quadratic": [[1.0, 0.0], [0.0, 0.0]]}):
+        scen = _bundled("clifford_area_ii")
+        if immersion is not None:
+            scen["subject"].update(immersion=immersion, grid=[4, 5])
+        ctx, _ = cli._validate(scen)
+        imm, grid = ctx.built["immersions"][0], ctx.built["grids"][0]
+        with mock.patch.object(variation, "surface_point", _no_frame):
+            first = cli.check_area_matches(ctx, 1.0, "first_form")
+        assert first == abs(variation.area(imm, grid, "first_form") - 1.0)
+        if immersion is None:
+            second = cli.check_area_matches(ctx, 1.0, "second_form")
+            assert second == abs(variation.area(imm, grid, "second_form") - 1.0)
+        else:
+            for fn in (cli.check_area_matches, lambda c, e, w: variation.area(imm, grid, w)):
+                with pytest.raises(SingularShapeOperator, match="quadrature node"):
+                    fn(ctx, 1.0, "second_form")
+
+
+def test_clifford_grid_scenario_peak_memory(tmp_path):
+    # the 64 × 128 Clifford scenario of the benchmark's grid workload: R̄ is
+    # never built along the grid and Γ̄ is kept as values only
+    path = SCENARIO_DIR / "clifford_ii_minimal.json"
+    assert json.loads(path.read_text())["subject"]["grid"] == [64, 128]
+    tracemalloc.start()
+    try:
+        with mock.patch("sys.stdout", new_callable=io.StringIO):
+            assert run_scenario(path, out_dir=tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20, f"{peak / 2**20:.1f} MiB"

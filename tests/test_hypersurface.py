@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from jet_oracles import quartic_terms
 from secondform.errors import BadParameters
 from secondform.hypersurface import (
+    _random_quartic,
+    _unit_sphere_map,
     flipped,
     gauss_codazzi_residual,
     immersion_from_descriptor,
@@ -16,6 +19,7 @@ from secondform.hypersurface import (
     surface_point,
     validate_immersion,
 )
+from secondform.jets import seed_jets
 
 
 def mid(imm, frac=None):
@@ -343,3 +347,15 @@ def test_auto_rule_on_a_saddle_flips_half_the_grid_and_flipped_keeps_those():
     assert np.all(other.flips)  # orientation −1 flips the cofactor normal everywhere
     assert np.array_equal(other.normal[auto.flips], auto.normal[auto.flips])
     assert np.array_equal(other.normal[~auto.flips], -auto.normal[~auto.flips])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_quartic_contraction_matches_term_by_term_sum(m):
+    # W : (C : W) against Σ c·ω_iω_jω_kω_l, both on the unit-sphere map of
+    # order-4 parameter jets over a batch of points
+    u = seed_jets(np.random.default_rng(m).uniform(0.2, 2.9, size=(5, m)), m, 4)
+    omega = _unit_sphere_map(m, u)
+    got = _random_quartic(m + 1, np.random.default_rng(7), 0.03)(omega).coeffs
+    want = quartic_terms(m + 1, np.random.default_rng(7), 0.03)(omega).coeffs
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -1,5 +1,7 @@
 """Checks for the truncated Taylor arithmetic against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,3 +303,21 @@ def test_power_starts_from_the_lowest_set_bit(monkeypatch, n, products):
     assert_allclose(got.coeffs, naive.coeffs, rtol=1e-14, atol=0)
     if chain is not None:
         assert np.array_equal(got.coeffs, chain.coeffs)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("point", [np.array([0.7, -0.2]), np.array([[0.7, -0.2], [2.9, 1.3], [-4.0, 0.1]])])
+def test_cos_sin_is_bit_identical_to_separate_lifts(order, point):
+    # the reference lifts cos and sin each on its own powers of the nilpotent part
+    x, y = seed_jets(point, 2, order)
+    j = x * y + x * 0.3
+    s0, c0 = np.sin(j.value), np.cos(j.value)
+
+    def lifted(cycle):
+        derivs = [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+        return jets._lift(j.space, j.coeffs, derivs)[0]
+
+    cos_ref, sin_ref = lifted([c0, -s0, -c0, s0]), lifted([s0, c0, -s0, -c0])
+    cos, sin = j.cos_sin()
+    assert np.array_equal(cos.coeffs, cos_ref) and np.array_equal(sin.coeffs, sin_ref)
+    assert np.array_equal(j.cos().coeffs, cos_ref) and np.array_equal(j.sin().coeffs, sin_ref)

@@ -123,6 +123,27 @@ def test_ambient_curvature_matches_oracle(name, order):
         assert_close(new, coeffs(old), label)
 
 
+@pytest.mark.parametrize("name", ["s3", "h4", "s2xs2", "bumpy_e3"])
+def test_curvature_contracted_with_a_field_matches_the_full_tensor(name):
+    # R̄(·,U,·,·): the closed form C̄(ḡ_ac(ḡU)_f − ḡ_af(ḡU)_c) per block on
+    # space forms and their products, the contraction after compose on bumpy_e3
+    chart = {
+        "s3": lambda: amb.space_form(3, 1.0),
+        "h4": CHAIN_CHARTS["h4"],
+        "s2xs2": CHAIN_CHARTS["s2xs2"],
+        "bumpy_e3": CHAIN_CHARTS["bumpy_e3"],
+    }[name]()
+    _, x = amb._stack_list(_patch(chart.dim, 2))
+    u = np.random.default_rng(chart.dim).normal(size=x.shape)
+    target = jet_space(2, 1)
+    riem, ric, scal = ambient_curvature_on_jets(chart, target, x)
+    r_u, ric_u, scal_u = ambient_curvature_on_jets(chart, target, x, u=u)
+    want = jets.jeinsum(target, "abcf...,b...->acf...", riem, u)
+    assert r_u.shape == want.shape
+    assert np.max(np.abs(r_u - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(ric_u, ric) and np.array_equal(scal_u, scal)
+
+
 def _conformal_closed_forms(x, eps, cbar, bump):
     """ḡ_ab and Γ^k_ab of ḡ = ε δ e^{2σ}, σ = log F + σ_bump, F = 1/(1 + C̄⟨x,x⟩_ε/4),
     entry by entry in Jet arithmetic."""
