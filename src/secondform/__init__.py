@@ -21,7 +21,6 @@ from .ambient import (
     curvature_jet,
     exp_map,
     flat_chart,
-    geodesic,
     metric_value,
     orthonormal_frame,
     product_chart,
@@ -44,21 +43,15 @@ from .hypersurface import (
     flipped,
     gauss_codazzi_residual,
     immersion_from_descriptor,
-    reparametrized,
     standard_immersion,
     surface_point,
     validate_immersion,
 )
 from .iigeom import (
     IIGeometryPoint,
-    brioschi_gauss_curvature,
-    div_ii,
     ii_geometry,
-    laplacian_ii,
     sphere_inequality_report,
     transport_holonomy_probe,
-    z_field,
-    z_field_surface_alt,
 )
 from .jets import Jet, JetSpace, seed_jets
 from .spheres import (
@@ -71,7 +64,6 @@ from .spheres import (
     h_ii_recombination_error,
     numeric_sphere_quantities,
     series_eval,
-    series_vs_numeric,
     sphere_remainder_studies,
     synthetic_framed_jet,
     unit_sphere_area,
@@ -79,7 +71,6 @@ from .spheres import (
 from .variation import (
     QuadratureGrid,
     area,
-    area_with_refinement,
     first_variation_check,
     grid_for_immersion,
     lat_long_sphere,

@@ -50,7 +50,6 @@ from .errors import (
     DegenerateMetric,
     LeftDomain,
     OutOfDomain,
-    StepFailure,
     UnsupportedSignature,
     _lookup,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "chart_from_descriptor",
     "christoffel",
     "curvature_jet",
-    "geodesic",
     "exp_map",
     "metric_value",
     "orthonormal_frame",
@@ -780,37 +778,6 @@ def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stop
     path = None if chart.geodesic_flow is None else flow_ends()
     ends = list(rk4_ends() if path is None else path)
     return ends[0] if stops is None else ends
-
-
-def geodesic(chart: MetricChart, n, v, r: float, n_steps: int = 1024):
-    """Point γ(r) of the unit-speed geodesic with γ(0)=n, γ'(0)=v, checked for
-    unit speed at the end and, where `exp_map` integrates by RK4 (the chart
-    has no closed-form flow, or it declines at this n and r·v), against a
-    run at half the step."""
-    n = np.asarray(n, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_domain(chart, n)
-    g0 = metric_value(chart, n)
-    speed2 = float(v @ g0 @ v)
-    if abs(abs(speed2) - 1.0) > 1e-9:
-        raise BadDirection(f"|g(v,v)| = {abs(speed2)} is not 1")
-    if r < 0:
-        raise ValueError("arclength must be nonnegative")
-    if r == 0.0:
-        return n.copy()
-    space, x0, w = jet_space(1, 0), n[None], (r * v)[None]
-    x, vel = exp_map(chart, space, x0, w, n_steps=n_steps)
-    end = x[0]
-    if chart.geodesic_flow is None or chart.geodesic_flow(space, x0, w, (1.0,)) is None:
-        end2 = exp_map(chart, space, x0, w, n_steps=2 * n_steps)[0][0]
-        if np.max(np.abs(end - end2)) > 1e-9:
-            raise StepFailure("halving estimate above 1e-9; step too coarse")
-        end = end2
-    gv = metric_value(chart, end)
-    vel_arr = vel[0] / r
-    if abs(abs(vel_arr @ gv @ vel_arr) - 1.0) > 1e-9:
-        raise StepFailure("unit speed not preserved along geodesic")
-    return end
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ AMPLITUDES = {
     "one": lambda u: u[0] * 0.0 + 1.0,
     "cos_theta": lambda u: u[0].cos(),
     "cos_theta_shifted": lambda u: u[0].cos() + 1.3,
-    "harmonic22": lambda u: (u[0].sin() * u[0].sin()) * (u[1] * 2.0).cos(),
+    "harmonic22": lambda u: u[0].sin() ** 2 * (u[1] * 2.0).cos(),
 }
 
 # closed sets of check parameters (a sphere study has the scalar series and Area_II)

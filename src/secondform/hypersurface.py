@@ -68,7 +68,6 @@ __all__ = [
     "gauss_codazzi_residual",
     "standard_immersion",
     "immersion_from_descriptor",
-    "reparametrized",
     "flipped",
     "validate_immersion",
 ]
@@ -722,29 +721,6 @@ def standard_immersion(kind: str, **params) -> Immersion:
 
 def immersion_from_descriptor(desc: dict) -> Immersion:
     return _lookup(IMMERSIONS, "immersion", desc)
-
-
-def reparametrized(imm: Immersion, mat, shift, new_lo, new_hi) -> Immersion:
-    """Compose the parameter chart with the affine map u ↦ mat·u + shift."""
-    mat = np.asarray(mat, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-
-    def map_fn(u):
-        w = [None] * imm.param_dim
-        for i in range(imm.param_dim):
-            acc = None
-            for j in range(imm.param_dim):
-                if mat[i, j] == 0.0:
-                    continue
-                term = u[j] * mat[i, j]
-                acc = term if acc is None else acc + term
-            w[i] = (acc if acc is not None else u[0] * 0.0) + shift[i]
-        return imm.map_fn(w)
-
-    return Immersion(
-        imm.ambient, imm.param_dim, map_fn, np.asarray(new_lo, float), np.asarray(new_hi, float),
-        grid_hint=imm.grid_hint, orientation=imm.orientation,
-    )
 
 
 def resolved_orientation(imm: Immersion) -> int:

@@ -6,7 +6,7 @@ and the difference tensor L = ∇^II − ∇, the curvature field
 
     Z = Σ_i κ_i A^{←}([R̄(V_i, U)V_i]^T),
 
-the II-Laplacian and II-divergence (sign convention Δf = f″ on ℝ), and the
+Δ_II log|det A| and div_II Z (sign convention Δf = f″ on ℝ), and the
 mean curvature of the second fundamental form computed through three
 genuinely different routes:
 
@@ -36,7 +36,6 @@ import numpy as np
 from . import ambient as amb
 from .errors import (
     DegenerateII,
-    GeometryError,
     SingularShapeOperator,
     StepFailure,
 )
@@ -54,13 +53,8 @@ from .jets import Jet, _cauchy, _cofactors, _inv, _wedge, jeinsum, jet_space, se
 __all__ = [
     "IIGeometryPoint",
     "ii_geometry",
-    "z_field",
-    "z_field_surface_alt",
-    "laplacian_ii",
-    "div_ii",
     "transport_holonomy_probe",
     "sphere_inequality_report",
-    "brioschi_gauss_curvature",
     "SphereInequalityReport",
 ]
 
@@ -301,50 +295,6 @@ def _z_field(b: SurfacePointData, r_u, ii_inv, p):
     return jeinsum(space, "kl...,l...->k...", ii_inv, w_t) * b.alpha
 
 
-def z_field(imm: Immersion, u) -> np.ndarray:
-    """The curvature correction field Z in parameter components."""
-    geo = ii_geometry(imm, u)
-    return geo.Z
-
-
-def z_field_surface_alt(imm: Immersion, u) -> np.ndarray:
-    """For surfaces in 3-dim ambients: Z = A(Z₀)/det A with II(Z₀,·) = R̄ic(U,·)."""
-    if imm.param_dim != 2 or imm.ambient.dim != 3:
-        raise GeometryError("alternate Z formula needs a surface in a 3-dim ambient")
-    data = surface_point(imm, u, order=2)
-    _, ric_bar, _ = ambient_curvature_on_jets(imm.ambient, jet_space(2, 0), data.xc, data.gbar)
-    ric_val = _cvals(ric_bar, data.batched)
-    rhs = np.einsum("...ab,...a,...ib->...i", ric_val, data.normal, data.tangent)
-    z0 = np.linalg.solve(data.second, rhs[..., None])[..., 0]
-    az0 = np.einsum("...kj,...j->...k", data.shape, z0)
-    return az0 / data.detA[..., None]
-
-
-def laplacian_ii(imm: Immersion, f: Callable, u) -> np.ndarray:
-    """Δ_II f = (1/√|det II|) ∂_i(√|det II| II^{ij} ∂_j f) at u.
-
-    `f` maps a list of parameter jets to a jet; the sign convention makes
-    Δf = f″ on the real line.
-    """
-    u = np.asarray(u, dtype=float)
-    u_jets = seed_jets(u, imm.param_dim, 4)
-    b = frame_jets(imm, u_jets)
-    space, ii_inv, w = _ii_machine(b)
-    fj = f(u_jets)
-    grad = jeinsum(space, "ij...,j...->i...", ii_inv, amb._grad(fj.coeffs, fj.space))
-    return _divergence_form(w, grad)
-
-
-def div_ii(imm: Immersion, X: Callable, u) -> np.ndarray:
-    """div_II X = (1/√|det II|) ∂_i(√|det II| X^i) for X in param components."""
-    u = np.asarray(u, dtype=float)
-    u_jets = seed_jets(u, imm.param_dim, 3)
-    b = frame_jets(imm, u_jets)
-    _, _, w = _ii_machine(b)
-    _, comps = amb._stack_list(list(X(u_jets)))
-    return _divergence_form(w, comps)
-
-
 # ---------------------------------------------------------------------------
 # parallel-transport probe of the difference tensor
 # ---------------------------------------------------------------------------
@@ -494,42 +444,3 @@ def sphere_inequality_report(imm: Immersion, grid_u, geo=None) -> SphereInequali
         u=u, geo=geo, lemma51=lemma51, thm52=thm52, thm61=thm61, thm71=thm71, cor7=cor7,
         status=list(status), summary=summary,
     )
-
-
-def brioschi_gauss_curvature(imm: Immersion, u, which: str = "second") -> np.ndarray:
-    """Gauss curvature of the first or second fundamental form (m = 2) by the
-    Brioschi determinant formula; an independent route used as an oracle."""
-    if imm.param_dim != 2:
-        raise GeometryError("Brioschi formula is for surfaces")
-    u = np.asarray(u, dtype=float)
-    u_jets = seed_jets(u, 2, 4)
-    b = frame_jets(imm, u_jets)
-    form = b.II if which == "second" else b.g
-    E, F, G = (Jet(b.space(form), form[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
-
-    def d(jet, *vs):
-        for v_ in vs:
-            jet = jet.partial(v_)
-        return np.asarray(jet.value)
-
-    e, f_, g_ = np.asarray(E.value), np.asarray(F.value), np.asarray(G.value)
-    m1 = np.array(
-        [
-            [-0.5 * d(E, 1, 1) + d(F, 0, 1) - 0.5 * d(G, 0, 0), 0.5 * d(E, 0), d(F, 0) - 0.5 * d(E, 1)],
-            [d(F, 1) - 0.5 * d(G, 0), e, f_],
-            [0.5 * d(G, 1), f_, g_],
-        ]
-    )
-    m2 = np.array(
-        [
-            [np.zeros_like(e), 0.5 * d(E, 1), 0.5 * d(G, 0)],
-            [0.5 * d(E, 1), e, f_],
-            [0.5 * d(G, 0), f_, g_],
-        ]
-    )
-    if m1.ndim == 3:
-        det1 = np.linalg.det(np.moveaxis(m1, -1, 0))
-        det2 = np.linalg.det(np.moveaxis(m2, -1, 0))
-    else:
-        det1, det2 = np.linalg.det(m1), np.linalg.det(m2)
-    return (det1 - det2) / (e * g_ - f_**2) ** 2

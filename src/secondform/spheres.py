@@ -52,7 +52,6 @@ __all__ = [
     "geodesic_sphere_patch",
     "series_eval",
     "series_coefficients",
-    "series_vs_numeric",
     "sphere_remainder_studies",
     "numeric_sphere_quantities",
     "RemainderStudy",
@@ -721,17 +720,6 @@ def sphere_remainder_studies(
             slope=_fit_slope(radii, remainder, floor=1e-12),
         )
     return out
-
-
-def series_vs_numeric(
-    chart: MetricChart, n, e0, quantity: str, radii, n_steps: int = 128, grid_shape=None
-) -> RemainderStudy:
-    """Numeric-minus-series remainders over a ladder of radii, with the
-    fitted log-log slope.  Area_II remainders are measured relative to the
-    flat-sphere prefactor r^{m/2}·α_m (the bracket scale)."""
-    return sphere_remainder_studies(
-        chart, n, e0, [quantity], radii, n_steps=n_steps, grid_shape=grid_shape
-    )[quantity]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "lat_long_sphere",
     "area",
     "areas",
-    "area_with_refinement",
     "first_variation_check",
     "second_form_variation_check",
     "FirstVariationResult",
@@ -77,11 +76,7 @@ def _tensor_grid(lo, hi, shape, kinds, scheme):
     weights = np.ones(nodes.shape[0])
     for w in wmesh:
         weights = weights * w.ravel()
-    grid = QuadratureGrid(nodes=nodes, weights=weights, scheme=scheme, shape=tuple(shape))
-    object.__setattr__(
-        grid, "_refine", lambda: _tensor_grid(lo, hi, [2 * s for s in shape], kinds, scheme)
-    )
-    return grid
+    return QuadratureGrid(nodes=nodes, weights=weights, scheme=scheme, shape=tuple(shape))
 
 
 def tensor_gauss_legendre(lo, hi, shape, periodic=None) -> QuadratureGrid:
@@ -110,10 +105,6 @@ def grid_for_immersion(imm: Immersion, shape) -> QuadratureGrid:
         raise BadParameters("grid shape rank must equal the parameter dimension")
     scheme = "lat_long_sphere" if hint == ("gl",) * (imm.param_dim - 1) + ("per",) else "tensor_gauss_legendre"
     return _tensor_grid(imm.param_lo, imm.param_hi, list(shape), list(hint), scheme)
-
-
-def refine(grid: QuadratureGrid) -> QuadratureGrid:
-    return grid._refine()
 
 
 def _check_shape_nonsingular(data):
@@ -148,13 +139,6 @@ def areas(imm: Immersion, grid: QuadratureGrid):
     data = surface_point(imm, grid.nodes, order=2)
     _check_shape_nonsingular(data)
     return _area_pair(data, grid)
-
-
-def area_with_refinement(imm: Immersion, grid: QuadratureGrid, which: str = "first_form"):
-    """(value on the refined grid, Richardson-style error estimate)."""
-    coarse = area(imm, grid, which)
-    fine = area(imm, refine(grid), which)
-    return fine, abs(fine - coarse)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from secondform.ambient import (
     chart_from_descriptor,
     christoffel,
     curvature_jet,
+    exp_map,
     flat_chart,
-    geodesic,
     metric_value,
     orthonormal_frame,
     product_chart,
@@ -24,7 +24,6 @@ from secondform.ambient import (
     space_form,
 )
 from secondform.errors import (
-    BadDirection,
     LeftDomain,
     OutOfDomain,
     UnsupportedSignature,
@@ -279,16 +278,22 @@ class TestCurvatureJet:
             assert_allclose(g[0, 0].deriv(alpha), fd2, rtol=1e-6, atol=1e-9)
 
 
+def _exp_point(chart, n, v, r, n_steps=256):
+    """exp_n(r·v): the endpoint of ``exp_map`` from the point n with the
+    velocity r·v, on plain points."""
+    return exp_map(chart, SP0, _point(n), _point(r * np.asarray(v)), n_steps=n_steps)[0][0]
+
+
 class TestGeodesic:
     def test_euclidean_straight_line(self):
         chart = flat_chart(4)
-        end = geodesic(chart, np.zeros(4), np.array([1.0, 0, 0, 0]), 0.7)
+        end = _exp_point(chart, np.zeros(4), np.array([1.0, 0, 0, 0]), 0.7)
         assert_allclose(end, [0.7, 0, 0, 0], atol=1e-15)
 
     def test_zero_arclength_returns_start(self):
         chart = space_form(3, 1.0)
         n = np.array([0.1, 0.2, 0.0])
-        assert_allclose(geodesic(chart, n, _unit(chart, n, [1.0, 0, 0]), 0.0), n)
+        assert_allclose(_exp_point(chart, n, _unit(chart, n, [1.0, 0, 0]), 0.0), n)
 
     def test_great_circle_oracle_unit_s3(self):
         chart = space_form(3, 1.0)
@@ -296,7 +301,7 @@ class TestGeodesic:
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)  # metric at origin is identity
         r = 0.5
-        end = geodesic(chart, np.zeros(3), v, r, n_steps=256)
+        end = _exp_point(chart, np.zeros(3), v, r)
         assert_allclose(end, 2 * math.tan(r / 2) * v, atol=1e-10)
 
     def test_flow_property(self):
@@ -304,45 +309,16 @@ class TestGeodesic:
         n = np.array([0.2, -0.1, 0.05])
         v = _unit(chart, n, [0.3, 1.0, -0.2])
         r1, r2 = 0.3, 0.45
-        direct = geodesic(chart, n, v, r1 + r2, n_steps=512)
-        mid = geodesic(chart, n, v, r1, n_steps=512)
+        direct = _exp_point(chart, n, v, r1 + r2, n_steps=512)
         # restart: velocity at the midpoint via the integrator
-        from secondform.ambient import exp_map
-
         xs, vs = exp_map(chart, SP0, _point(n), _point(r1 * v), n_steps=512)
-        v_mid = vs[0] / r1
-        restarted = geodesic(chart, mid, v_mid, r2, n_steps=512)
+        restarted = _exp_point(chart, xs[0], vs[0] / r1, r2, n_steps=512)
         assert_allclose(direct, restarted, atol=1e-7)
-
-    @pytest.mark.parametrize("name, calls", [("s3", 1), ("bumpy_e3", 2)])
-    def test_halving_estimate_only_where_rk4_runs(self, monkeypatch, name, calls):
-        # the closed-form flow of S³ returns the same point at any step
-        # count, so only bumpy_e3 is run again at half the step
-        from secondform import ambient
-
-        chart = EXP_CHARTS[name]()
-        steps = []
-        original = ambient.exp_map
-
-        def counting(chart, space, x0_jets, w_jets, n_steps=256, stops=None):
-            steps.append(n_steps)
-            return original(chart, space, x0_jets, w_jets, n_steps, stops)
-
-        monkeypatch.setattr(ambient, "exp_map", counting)
-        n = np.array([0.1, -0.2, 0.05])
-        end = geodesic(chart, n, _unit(chart, n, [0.3, 1.0, -0.2]), 0.4, n_steps=64)
-        assert steps == [64, 128][:calls]
-        assert np.all(np.isfinite(end))
-
-    def test_non_unit_vector_rejected(self):
-        chart = flat_chart(3)
-        with pytest.raises(BadDirection):
-            geodesic(chart, np.zeros(3), np.array([2.0, 0, 0]), 1.0)
 
     def test_leaves_domain(self):
         chart = space_form(2, 1.0)
         with pytest.raises(LeftDomain):
-            geodesic(chart, np.zeros(2), np.array([1.0, 0.0]), 3.13)
+            _exp_point(chart, np.zeros(2), np.array([1.0, 0.0]), 3.13, n_steps=1024)
 
 
 class TestConstructorsAndDescriptors:
@@ -440,14 +416,14 @@ def test_hyperbolic_geodesic_closed_form():
     chart = space_form(3, -1.0)
     v = np.array([0.0, 1.0, 0.0])
     r = 0.8
-    end = geodesic(chart, np.zeros(3), v, r, n_steps=256)
+    end = _exp_point(chart, np.zeros(3), v, r)
     assert_allclose(end, 2 * np.tanh(r / 2) * v, atol=1e-10)
 
 
-def test_geodesic_default_arguments_with_halving_check():
+def test_exp_map_default_arguments():
     chart = space_form(3, 1.0)
     v = np.array([0.6, -0.8, 0.0])  # unit at the origin
-    end = geodesic(chart, np.zeros(3), v, 0.5)  # default 1024 steps + halving
+    end = exp_map(chart, SP0, _point(np.zeros(3)), _point(0.5 * v))[0][0]
     assert_allclose(end, 2 * math.tan(0.25) * v, atol=1e-10)
 
 
@@ -568,7 +544,6 @@ def _count_products(monkeypatch):
 
 
 def _assert_exp_matches_oracle(chart, x0, w, n_steps, rel=1e-13):
-    from secondform.ambient import exp_map
 
     space, x0_arr, w_arr = _arrays(x0, w)
     xs, vs = exp_map(chart, space, x0_arr, w_arr, n_steps=n_steps)
@@ -599,7 +574,7 @@ class TestExpMapArrays:
 
     def test_mixed_input_orders_combine_at_the_lower(self):
         # as in ladder_oracle.deformed_family: x at order k+1, w at order k
-        from secondform.ambient import _stack_list, exp_map
+        from secondform.ambient import _stack_list
 
         chart = registry_chart("bumpy_e3")
         x0, w = _exp_inputs(3, 4, (5,), w_order=3)
@@ -616,8 +591,6 @@ class TestExpMapArrays:
         _assert_exp_matches_oracle(chart, x0, w, n_steps=4)
 
     def test_left_domain_on_batched_jets(self):
-        from secondform.ambient import exp_map
-
         chart = space_form(3, -1.0)
         space, x0, w = _arrays(*_exp_inputs(3, 2, (6,)))
         with pytest.raises(LeftDomain):
@@ -627,8 +600,6 @@ class TestExpMapArrays:
         # RK4 on S⁴ at order 4: 32 steps of 4 right-hand sides, each of 9 jet
         # products, 5 for F and its gradient (3 of them in the reciprocal's
         # lift), 2 for σ′·v and ⟨v,v⟩_ε and 2 for the scalings
-        from secondform.ambient import exp_map
-
         chart = _rk4(space_form(4, 1.0))
         args = _arrays(*_exp_inputs(4, 4, (72,), x0_batched=False))
         calls = _count_products(monkeypatch)
@@ -719,8 +690,6 @@ class TestExpMapStops:
     @pytest.mark.parametrize("name", STOP_CHARTS)
     @pytest.mark.parametrize("batch", [(), (72,)])
     def test_endpoint_stop_is_the_fixed_step_endpoint(self, name, batch):
-        from secondform.ambient import exp_map
-
         chart = _rk4(EXP_CHARTS[name]())
         args = _arrays(*_exp_inputs(chart.dim, 4, batch))
         ox, ov = fixed_step_rk4_oracle(chart, *args, 40)
@@ -736,8 +705,6 @@ class TestExpMapStops:
         # agrees with exp_map(x0, t·w) to within the two halving estimates,
         # and those estimates are at RK4's level (a stop reached by a wrong
         # step converges to the wrong point, with a large estimate)
-        from secondform.ambient import exp_map
-
         chart = EXP_CHARTS[name]()
         space, x0, w = _arrays(*_exp_inputs(chart.dim, 2, (5,)))
         stops = (0.3, 0.55, 0.75, 1.0)
@@ -764,7 +731,6 @@ class TestExpMapStops:
         # 0.30 at the last node before t = 0.9 and 0.36 at the stop
         import dataclasses
 
-        from secondform.ambient import exp_map
 
         chart = dataclasses.replace(space_form(3, 1.0), domain_hi=np.array([0.33, 5.0, 5.0]))
         x0, w = _point([0.0, 0.0, 0.0]), _point([0.4, 0.0, 0.0])
@@ -774,8 +740,6 @@ class TestExpMapStops:
 
     @pytest.mark.parametrize("stops", [(), (0.0, 1.0), (0.5, 1.2), (0.8, 0.4)])
     def test_stops_must_be_sorted_fractions(self, stops):
-        from secondform.ambient import exp_map
-
         args = _arrays(*_exp_inputs(3, 0, ()))
         with pytest.raises(ValueError):
             exp_map(space_form(3, 1.0), *args, n_steps=4, stops=stops)
@@ -808,7 +772,6 @@ class TestGeodesicFlow:
     def test_matches_rk4_at_512_steps(self, name, batch):
         # one RK4 path at order 4 is the reference for orders 0, 2 and 4: a
         # lower order's coefficients are a prefix of a higher order's
-        from secondform.ambient import exp_map
         from secondform.jets import Jet
 
         chart = FLOW_CHARTS[name]()
@@ -836,7 +799,7 @@ class TestGeodesicFlow:
     def test_long_geodesic_falls_back_to_rk4(self):
         # the great circle |x| = 2 of S³ stays in the chart; 11 rad along it
         # is q = 121 > FLOW_MAX_S, so exp_map integrates by RK4
-        from secondform.ambient import FLOW_MAX_S, exp_map
+        from secondform.ambient import FLOW_MAX_S
 
         chart = space_form(3, 1.0)
         x0, w = _point([2.0, 0.0, 0.0]), _point([0.0, 22.0, 0.0])  # F = 1/2, |w|_ḡ = 11
@@ -851,8 +814,6 @@ class TestGeodesicFlow:
         # from the origin of S³ along e0 the chart coordinate is 2 tan(θ/2):
         # 12.6 > 9.46 (the box) at the check node t = 0.75 of 1.2π rad, and
         # the antipode itself (1 + z = 0) at a stop of π rad
-        from secondform.ambient import exp_map
-
         chart = space_form(3, 1.0)
         x0 = _point([0.0, 0.0, 0.0])
         for c in (chart, _rk4(chart)):

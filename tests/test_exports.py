@@ -1,6 +1,9 @@
-"""Every name a module exports resolves."""
+"""Every name a module exports resolves; no module imports a name it never
+reads; every name the package re-exports is in its module's ``__all__``."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import secondform
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(secondform.__path__))
+SOURCE = pathlib.Path(secondform.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -15,3 +19,45 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"secondform.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _unread_imports(path):
+    """Names bound by a module-level import of `path` that the module never
+    reads and does not list in ``__all__``; an import line marked ``# noqa``
+    is exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set(getattr(importlib.import_module(f"secondform.{path.stem}"), "__all__", ()))
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if "# noqa" in lines[alias.lineno - 1] or "# noqa" in lines[node.lineno - 1]:
+                continue
+            if name not in read and name not in exported:
+                unread.append(f"{name} (line {alias.lineno})")
+    return unread
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_level_import_goes_unread(name):
+    # MODULES leaves out __init__, which imports only to re-export: the next
+    # test holds those names
+    assert _unread_imports(SOURCE / f"{name}.py") == []
+
+
+def test_every_package_export_is_in_its_modules_all():
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    stray = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"secondform.{node.module}")
+            exported = getattr(module, "__all__", ())
+            stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert stray == []

@@ -1,6 +1,7 @@
 """Fundamental forms and shape operators against closed-form oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,25 @@ from secondform.hypersurface import (
     flipped,
     gauss_codazzi_residual,
     immersion_from_descriptor,
-    reparametrized,
     standard_immersion,
     surface_point,
     validate_immersion,
 )
 from secondform.jets import seed_jets
+
+
+def reparametrized(imm, mat, shift, new_lo, new_hi):
+    """`imm` with its parameter chart composed with u ↦ mat·u + shift, on the
+    box [new_lo, new_hi]."""
+    mat, shift = np.asarray(mat, dtype=float), np.asarray(shift, dtype=float)
+    m = imm.param_dim
+
+    def map_fn(u):
+        return imm.map_fn([sum((u[j] * mat[i, j] for j in range(m)), u[0] * 0.0) + shift[i]
+                           for i in range(m)])
+
+    return replace(imm, map_fn=map_fn, param_lo=np.asarray(new_lo, float),
+                   param_hi=np.asarray(new_hi, float))
 
 
 def mid(imm, frac=None):

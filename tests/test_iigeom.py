@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from secondform.ambient import flat_chart, product_chart, space_form
+from secondform.ambient import _grad, _stack_list, flat_chart, product_chart, space_form
 from secondform.curves import h_ii_curve, standard_curve
 from secondform.errors import SingularShapeOperator, StepFailure
-from secondform.hypersurface import Immersion, standard_immersion
+from secondform.hypersurface import Immersion, frame_jets, standard_immersion
 from secondform.iigeom import (
-    brioschi_gauss_curvature,
-    div_ii,
+    _divergence_form,
+    _ii_machine,
     ii_geometry,
-    laplacian_ii,
     sphere_inequality_report,
     transport_holonomy_probe,
-    z_field,
-    z_field_surface_alt,
 )
+from secondform.jets import jeinsum, seed_jets
 from secondform.variation import first_variation_check, grid_for_immersion
+from surface_oracles import brioschi_gauss_curvature, z_field_surface_alt
 
 
 def sphere_grid(n_theta=5, n_phi=9):
@@ -122,12 +121,12 @@ class TestZField:
     def test_vanishes_in_space_forms(self):
         imm = standard_immersion("perturbed_sphere_in_space_form", m=2, Cbar=1.0,
                                  base_radius=0.7, amplitude=0.03, seed=4)
-        z = z_field(imm, sphere_grid(4, 7))
+        z = ii_geometry(imm, sphere_grid(4, 7)).Z
         assert np.max(np.abs(z)) < 1e-9
 
     def test_vanishes_in_flat_ambient(self):
         imm = standard_immersion("graph", quadratic=np.array([[1.0, 0.2], [0.2, 0.8]]))
-        z = z_field(imm, np.array([[0.1, -0.2], [0.3, 0.4]]))
+        z = ii_geometry(imm, np.array([[0.1, -0.2], [0.3, 0.4]])).Z
         assert np.max(np.abs(z)) < 1e-12
 
     def test_surface_alternate_formula_in_product_ambient(self):
@@ -141,16 +140,33 @@ class TestZField:
 
         imm = Immersion(chart, 2, map_fn, np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
         pts = np.array([[0.1, 0.2], [-0.2, 0.3], [0.25, -0.15]])
-        z_main = z_field(imm, pts)
+        z_main = ii_geometry(imm, pts).Z
         z_alt = z_field_surface_alt(imm, pts)
         assert np.max(np.abs(z_main)) > 1e-4  # non-trivial field
         assert_allclose(z_main, z_alt, atol=1e-7)
 
 
+def ii_laplacian(imm, f, u, grad=None):
+    """Δ_II f = (1/W) ∂_i(W II^{ij} ∂_j f), W = √|det II|, at u, on the II
+    machinery of ``ii_geometry`` (``_ii_machine`` and ``_divergence_form``);
+    the sign convention makes Δf = f″ on the real line.  `f` maps the list
+    of parameter jets to a jet.  With `grad`, a map from the parameter jets
+    to a list of jets, the result is div_II of that field instead of the
+    field II⁻¹df."""
+    u_jets = seed_jets(np.asarray(u, dtype=float), imm.param_dim, 4)
+    space, ii_inv, w = _ii_machine(frame_jets(imm, u_jets))
+    if grad is None:
+        fj = f(u_jets)
+        comps = jeinsum(space, "ij...,j...->i...", ii_inv, _grad(fj.coeffs, fj.space))
+    else:
+        comps = _stack_list(grad(u_jets))[1]
+    return _divergence_form(w, comps)
+
+
 class TestIIOperators:
     def test_constant_field_laplacian_zero(self):
         imm = standard_immersion("round_sphere", radius=1.3)
-        val = laplacian_ii(imm, lambda u: u[0] * 0.0 + 4.2, np.array([0.8, 0.8]))
+        val = ii_laplacian(imm, lambda u: u[0] * 0.0 + 4.2, np.array([0.8, 0.8]))
         assert abs(val) < 1e-12
 
     def test_round_sphere_log_det_a_constant(self):
@@ -166,7 +182,7 @@ class TestIIOperators:
         def f(uj):
             return uj[0].cos()  # z-coordinate in colatitude parametrization
 
-        val = laplacian_ii(imm, f, u)
+        val = ii_laplacian(imm, f, u)
         assert_allclose(val, -2.0 * np.cos(u[:, 0]), atol=1e-8)
 
     def test_div_of_ii_gradient_matches_laplacian(self):
@@ -176,10 +192,9 @@ class TestIIOperators:
         def f(uj):
             return uj[0].sin() * uj[1].cos()
 
-        # hand-build the II-gradient field and push through div_ii
+        # hand-build the II-gradient field and take its II-divergence
         from jet_oracles import views
 
-        from secondform.hypersurface import frame_jets
         from secondform.jets import jinv
 
         def grad_f(uj):
@@ -190,8 +205,8 @@ class TestIIOperators:
                 sum_jets([ii_inv[i, j] * fj.partial(j) for j in range(2)]) for i in range(2)
             ]
 
-        lhs = div_ii(imm, grad_f, u)
-        rhs = laplacian_ii(imm, f, u)
+        lhs = ii_laplacian(imm, f, u, grad=grad_f)
+        rhs = ii_laplacian(imm, f, u)
         assert_allclose(lhs, rhs, atol=1e-9)
 
 
