@@ -514,7 +514,7 @@ def _chart_radius_fn(cbar):
     def fn(rho):
         half = rho * (s / 2)
         if isinstance(half, Jet):
-            sin, cos = half.cos_sin()[::-1] if cbar > 0 else (half.sinh(), half.cosh())
+            cos, sin = half.cos_sin() if cbar > 0 else half.cosh_sinh()
             val = sin / cos
         else:
             val = math.tan(half) if cbar > 0 else math.tanh(half)

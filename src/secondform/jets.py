@@ -32,7 +32,8 @@ coefficient arrays; ``Jet.__mul__`` wraps it.  Likewise the analytic
 functions (reciprocal, sqrt, exp, ...) share one lift,
 ``_lift(space, c, scaled_derivs, ...)`` = Σ_k d_k·e^k over the nilpotent
 part e of ``c`` (at order 0, d_0 alone), one sum per derivative sequence on
-one set of powers of e, so ``Jet.cos_sin`` costs the products of one lift.
+one set of powers of e, so ``Jet.cos_sin`` and ``Jet.cosh_sinh`` cost the
+products of one lift.
 Code that keeps a stack of jets as one array, such as the geodesic
 integrator with its ``(n_mono, dim, *batch)`` state, calls these two
 directly: the tensor axes after the monomial axis broadcast like batch axes
@@ -546,15 +547,19 @@ class Jet:
     def cos(self) -> "Jet":
         return self.cos_sin()[0]
 
-    def sinh(self) -> "Jet":
+    def cosh_sinh(self):
+        """(cosh, sinh) of the jet, both lifted on one set of powers."""
         s0, c0 = np.sinh(self.coeffs[0]), np.cosh(self.coeffs[0])
-        derivs = [(s0 if k % 2 == 0 else c0) / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._lift(derivs)
+        ks = range(self.space.order + 1)
+        cosh = [(c0 if k % 2 == 0 else s0) / math.factorial(k) for k in ks]
+        sinh = [(s0 if k % 2 == 0 else c0) / math.factorial(k) for k in ks]
+        return tuple(Jet(self.space, c) for c in _lift(self.space, self.coeffs, cosh, sinh))
+
+    def sinh(self) -> "Jet":
+        return self.cosh_sinh()[1]
 
     def cosh(self) -> "Jet":
-        s0, c0 = np.sinh(self.coeffs[0]), np.cosh(self.coeffs[0])
-        derivs = [(c0 if k % 2 == 0 else s0) / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._lift(derivs)
+        return self.cosh_sinh()[0]
 
     def __repr__(self):
         return f"Jet(order={self.space.order}, nvars={self.space.nvars}, value={self.value!r})"

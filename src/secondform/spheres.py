@@ -142,34 +142,97 @@ class FramedJet:
         return out
 
 
+def _pair_basis(n: int):
+    """(number, unit) on n×n: the unordered pair {i, j} is coordinate
+    number[i, j] of the symmetric n×n matrices, in the orthonormal basis
+    e_i⊗e_i and (e_i⊗e_j + e_j⊗e_i)/√2, whose (i, j) entry is unit[i, j]."""
+    number = np.zeros((n, n), dtype=np.intp)
+    number[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    number = np.maximum(number, number.T)
+    unit = np.where(np.eye(n, dtype=bool), 1.0, math.sqrt(0.5))
+    return number, unit
+
+
+def _symmetric_basis(d: int, symmetry: str):
+    """(index, scale, n): an orthonormal basis of the d-dimensional tensors
+    with `symmetry` on all their axes ("scalar", "vector", "sym2" or "riem"),
+    as the flattened tensor z[index]·scale of its n coordinates z.
+
+    "riem" is the symmetric matrices over the bivectors
+    E_ab = (e_a⊗e_b − e_b⊗e_a)/√2, a < b: antisymmetric within each pair of
+    axes, symmetric under exchange of the pairs."""
+    if symmetry in ("scalar", "vector"):
+        n = 1 if symmetry == "scalar" else d
+        return np.arange(n), np.ones(n), n
+    if symmetry == "sym2":
+        number, unit = _pair_basis(d)
+        return number.ravel(), unit.ravel(), d * (d + 1) // 2
+    p = d * (d - 1) // 2
+    biv = np.zeros((d, d), dtype=np.intp)
+    biv[np.triu_indices(d, 1)] = np.arange(p)
+    biv = np.maximum(biv, biv.T)
+    sign = math.sqrt(0.5) * np.sign(np.arange(d)[None, :] - np.arange(d)[:, None])
+    number, unit = _pair_basis(p)
+    ab, ce = biv[:, :, None, None], biv[None, None, :, :]
+    scale = sign[:, :, None, None] * sign[None, None, :, :] * unit[ab, ce]
+    return number[ab, ce].ravel(), scale.ravel(), p * (p + 1) // 2
+
+
+# FramedJet field → (symmetry on the trailing axes, number of leading axes)
+_SYNTHETIC_FIELDS = {
+    "riem": ("riem", 0),
+    "ric": ("sym2", 0),
+    "scal": ("scalar", 0),
+    "grad_scal": ("vector", 0),
+    "nabla_ric": ("sym2", 1),
+    "nabla_riem": ("riem", 1),
+    "hess_scal": ("sym2", 0),
+    "nabla2_ric": ("sym2", 2),
+    "nabla2_riem": ("riem", 2),
+    "lap_ric": ("sym2", 0),
+}
+_TRAILING_AXES = {"scalar": 0, "vector": 1, "sym2": 2, "riem": 4}
+
+
+@functools.lru_cache(maxsize=None)
+def _synthetic_table(d: int):
+    """(index, scale, n, shapes): every field of a synthetic d-dimensional
+    jet, concatenated flat, as z[index]·scale of n coordinates z, with the
+    fields' shapes in `_SYNTHETIC_FIELDS` order."""
+    indices, scales, shapes, n = [], [], [], 0
+    for symmetry, lead in _SYNTHETIC_FIELDS.values():
+        index, scale, k = _symmetric_basis(d, symmetry)
+        copies = d**lead
+        indices.append((n + k * np.arange(copies)[:, None] + index).ravel())
+        scales.append(np.tile(scale, copies))
+        shapes.append((d,) * (lead + _TRAILING_AXES[symmetry]))
+        n += k * copies
+    index, scale = np.concatenate(indices), np.concatenate(scales)
+    index.flags.writeable = scale.flags.writeable = False  # shared by every call
+    return index, scale, n, shapes
+
+
 def synthetic_framed_jet(dim: int, rng: np.random.Generator) -> FramedJet:
     """Random curvature data with the tensor symmetries imposed but the
     Bianchi identities deliberately NOT imposed, and Ricci drawn independently
-    of Riemann: identities that survive this data test pure transcription."""
+    of Riemann: identities that survive this data test pure transcription.
 
-    def riem_sym(t):
-        t = 0.5 * (t - np.swapaxes(t, -4, -3))
-        t = 0.5 * (t - np.swapaxes(t, -2, -1))
-        perm = list(range(t.ndim - 4)) + [t.ndim - 2, t.ndim - 1, t.ndim - 4, t.ndim - 3]
-        return 0.5 * (t + np.transpose(t, perm))
-
-    def sym2(t):
-        return 0.5 * (t + np.swapaxes(t, -2, -1))
-
-    d = dim
-    return FramedJet(
-        dim=d,
-        riem=riem_sym(rng.normal(size=(d,) * 4)),
-        ric=sym2(rng.normal(size=(d, d))),
-        scal=float(rng.normal()),
-        grad_scal=rng.normal(size=d),
-        nabla_ric=sym2(rng.normal(size=(d, d, d))),
-        nabla_riem=riem_sym(rng.normal(size=(d,) * 5)),
-        hess_scal=sym2(rng.normal(size=(d, d))),
-        nabla2_ric=sym2(rng.normal(size=(d,) * 4)),
-        nabla2_riem=riem_sym(rng.normal(size=(d,) * 6)),
-        lap_ric=sym2(rng.normal(size=(d, d))),
-    )
+    Each tensor is an isotropic Gaussian on its symmetry subspace (Riemann
+    symmetries on the last four axes of R̄, ∇R̄, ∇²R̄; symmetric last two
+    axes of the Ricci tensors and Hess S̄): independent N(0, 1) coordinates
+    in a Frobenius-orthonormal basis of the subspace.  That is the law of
+    i.i.d. normals over the whole tensor projected onto the subspace, which
+    is how earlier versions drew it; the values drawn for a given seed
+    differ from theirs."""
+    index, scale, n, shapes = _synthetic_table(dim)
+    flat = rng.normal(size=n)[index] * scale
+    fields, start = {}, 0
+    for name, shape in zip(_SYNTHETIC_FIELDS, shapes):
+        size = math.prod(shape)
+        fields[name] = flat[start:start + size].reshape(shape)
+        start += size
+    fields["scal"] = float(fields["scal"])
+    return FramedJet(dim=dim, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +269,17 @@ class SeriesCoefficients:
 
 def _invariants(f: FramedJet):
     """The scalar contractions entering the §-series brackets."""
-    d = f.dim
-    ric00 = f.ric[0, 0]
-    p1 = float(np.einsum("vw,vw->", f.riem[0, :, 0, :], f.ric))
-    p3_all = float(np.sum(f.ric[0, :] ** 2))
-    p3_pos = float(np.sum(f.ric[0, 1:] ** 2))
-    p4 = float(np.sum(f.riem[0, :, 0, :] ** 2))
-    p6 = float(np.sum(f.riem[:, :, 0, :] ** 2))  # Σ (R̄_{iv0w})²
-    p7 = float(np.sum(f.riem[:, :, :, 0] ** 2))  # Σ (R̄_{ace0})²
+    r0, row = f.riem[0, :, 0, :], f.ric[0]
+    r6, r7 = f.riem[:, :, 0, :], f.riem[:, :, :, 0]
     return {
-        "ric00": float(ric00),
+        "ric00": float(row[0]),
         "scal": float(f.scal),
-        "p1": p1,
-        "p3_all": p3_all,
-        "p3_pos": p3_pos,
-        "p4": p4,
-        "p6": p6,
-        "p7": p7,
+        "p1": float(np.vdot(r0, f.ric)),
+        "p3_all": float(row @ row),
+        "p3_pos": float(row[1:] @ row[1:]),
+        "p4": float(np.vdot(r0, r0)),
+        "p6": float(np.vdot(r6, r6)),  # Σ (R̄_{iv0w})²
+        "p7": float(np.vdot(r7, r7)),  # Σ (R̄_{ace0})²
         "grad_scal0": float(f.grad_scal[0]) if f.grad_scal is not None else None,
         "n_ric": float(f.nabla_ric[0, 0, 0]) if f.nabla_ric is not None else None,
         "n2_ric": float(f.nabla2_ric[0, 0, 0, 0]) if f.nabla2_ric is not None else None,
@@ -464,17 +521,17 @@ def h_ii_recombination_error(f: FramedJet) -> float:
     """
     m = f.dim - 1
     inv = _invariants(f)
-    blocks = {q: _series_coefficients(f, q, inv).coeffs for q in SCALAR_SERIES_QUANTITIES}
+    weights = {
+        "tr_ii_ricbar": -0.5,
+        "tr_ii_ric": +0.5,
+        "H": -0.5 * (m * m - 2 * m),
+        "lap_ii_log_detA": +0.25,
+        "div_ii_Z": -0.5,
+    }
     recombined = _combine(
-        [
-            (-0.5, blocks["tr_ii_ricbar"]),
-            (+0.5, blocks["tr_ii_ric"]),
-            (-0.5 * (m * m - 2 * m), blocks["H"]),
-            (+0.25, blocks["lap_ii_log_detA"]),
-            (-0.5, blocks["div_ii_Z"]),
-        ]
+        (w, _series_coefficients(f, q, inv).coeffs) for q, w in weights.items()
     )
-    printed = blocks["H_II"]
+    printed = _series_coefficients(f, "H_II", inv).coeffs
     err = 0.0
     for p in sorted(set(printed) | set(recombined)):
         err = max(err, abs(printed.get(p, 0.0) - recombined.get(p, 0.0)))

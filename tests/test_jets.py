@@ -305,19 +305,28 @@ def test_power_starts_from_the_lowest_set_bit(monkeypatch, n, products):
         assert np.array_equal(got.coeffs, chain.coeffs)
 
 
+# pair → (its two base functions at a₀, the k-th derivatives of its two
+# members for k mod 4 in terms of those)
+PAIRED_LIFTS = {
+    "cos_sin": (np.sin, np.cos, lambda s, c: ([c, -s, -c, s], [s, c, -s, -c])),
+    "cosh_sinh": (np.sinh, np.cosh, lambda s, c: ([c, s, c, s], [s, c, s, c])),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRED_LIFTS))
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("point", [np.array([0.7, -0.2]), np.array([[0.7, -0.2], [2.9, 1.3], [-4.0, 0.1]])])
-def test_cos_sin_is_bit_identical_to_separate_lifts(order, point):
-    # the reference lifts cos and sin each on its own powers of the nilpotent part
+def test_paired_lift_is_bit_identical_to_separate_lifts(order, point, pair):
+    # the reference lifts each member on its own powers of the nilpotent part
     x, y = seed_jets(point, 2, order)
     j = x * y + x * 0.3
-    s0, c0 = np.sin(j.value), np.cos(j.value)
+    s_fn, c_fn, cycles = PAIRED_LIFTS[pair]
 
     def lifted(cycle):
         derivs = [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
         return jets._lift(j.space, j.coeffs, derivs)[0]
 
-    cos_ref, sin_ref = lifted([c0, -s0, -c0, s0]), lifted([s0, c0, -s0, -c0])
-    cos, sin = j.cos_sin()
-    assert np.array_equal(cos.coeffs, cos_ref) and np.array_equal(sin.coeffs, sin_ref)
-    assert np.array_equal(j.cos().coeffs, cos_ref) and np.array_equal(j.sin().coeffs, sin_ref)
+    refs = [lifted(cycle) for cycle in cycles(s_fn(j.value), c_fn(j.value))]
+    for got, lone, ref in zip(getattr(j, pair)(), pair.split("_"), refs):
+        assert np.array_equal(got.coeffs, ref)
+        assert np.array_equal(getattr(j, lone)().coeffs, ref)

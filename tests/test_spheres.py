@@ -153,6 +153,100 @@ class TestRecombination:
         assert calls[0] == 1
 
 
+# A coefficient of each block the audit reads, mistyped by 10⁻³ of one
+# invariant: (block, power of r, invariant).
+MISTYPED_COEFFICIENTS = [
+    ("H", 1, "ric00"),
+    ("lap_ii_log_detA", 3, "p6"),
+    ("div_ii_Z", 3, "p7"),
+    ("tr_ii_ricbar", 2, "grad_scal0"),
+    ("tr_ii_ric", 3, "hess00"),
+    ("H_II", 3, "lap_ric00"),
+]
+
+
+@pytest.mark.parametrize("block, power, key", MISTYPED_COEFFICIENTS)
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_audit_catches_a_mistyped_coefficient(monkeypatch, d, block, power, key):
+    from secondform import spheres
+
+    original = spheres._series_coefficients
+
+    def mistyped(f, quantity, inv):
+        out = original(f, quantity, inv)
+        if quantity == block:
+            out.coeffs[power] += 1e-3 * inv[key]
+        return out
+
+    monkeypatch.setattr(spheres, "_series_coefficients", mistyped)
+    rng = np.random.default_rng(7)
+    worst = max(h_ii_recombination_error(synthetic_framed_jet(d, rng)) for _ in range(10))
+    if block == "H" and d == 3:
+        # H enters with weight −½(m² − 2m), which vanishes at m = 2: the
+        # audit cannot see the H block there, and reads rounding only
+        assert worst < 1e-12
+    else:
+        assert worst >= 1e-6
+
+
+RIEMANN_TYPE = ("riem", "nabla_riem", "nabla2_riem")
+SYMMETRIC_TYPE = ("ric", "nabla_ric", "hess_scal", "nabla2_ric", "lap_ric")
+
+
+class TestSyntheticLaw:
+    """`synthetic_framed_jet` draws each tensor as an isotropic Gaussian on
+    its symmetry subspace: the law of i.i.d. normals projected onto it."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_symmetries_hold_exactly(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            f = synthetic_framed_jet(d, rng)
+            for name in RIEMANN_TYPE:
+                t = getattr(f, name)
+                assert t.shape == (d,) * t.ndim
+                assert np.array_equal(np.swapaxes(t, -4, -3), -t)
+                assert np.array_equal(np.swapaxes(t, -2, -1), -t)
+                assert np.array_equal(np.moveaxis(t, (-4, -3), (-2, -1)), t)
+            for name in SYMMETRIC_TYPE:
+                t = getattr(f, name)
+                assert np.array_equal(np.swapaxes(t, -2, -1), t)
+            assert isinstance(f.scal, float) and f.grad_scal.shape == (d,)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_orbit_variances_are_those_of_the_projection(self, d):
+        # Each orbit is read on one entry per coordinate (a ≤ b, and a < b,
+        # c < d, (a, b) ≤ (c, d) lexicographically), so its n samples are
+        # independent N(0, v) and the mean square is within 4 standard
+        # errors, v·4·√(2/n), of v.
+        rng = np.random.default_rng(100 + d)
+        jets = [synthetic_framed_jet(d, rng) for _ in range(400)]
+        diag, upper = np.diag_indices(d), np.triu_indices(d, 1)
+        pairs = list(zip(*upper))
+        same = tuple(np.array(ix) for ix in zip(*[p + p for p in pairs]))
+        other = tuple(np.array(ix) for ix in zip(*[p + q for p in pairs for q in pairs if p < q]))
+        orbits = {
+            1.0: [getattr(f, n)[(...,) + diag] for f in jets for n in SYMMETRIC_TYPE],
+            0.5: [getattr(f, n)[(...,) + upper] for f in jets for n in SYMMETRIC_TYPE],
+            0.25: [getattr(f, n)[(...,) + same] for f in jets for n in RIEMANN_TYPE],
+            0.125: [getattr(f, n)[(...,) + other] for f in jets for n in RIEMANN_TYPE],
+        }
+        if len(pairs) < 2:  # d = 2 has one bivector, so no P ≠ Q entry
+            del orbits[0.125]
+        for v, samples in orbits.items():
+            x = np.concatenate([s.ravel() for s in samples])
+            assert abs(np.mean(x**2) / v - 1) <= 4 * math.sqrt(2 / x.size), (v, x.size)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_every_invariant_the_audit_reads_varies(self, d):
+        from secondform.spheres import _invariants
+
+        rng = np.random.default_rng(200 + d)
+        rows = [_invariants(synthetic_framed_jet(d, rng)) for _ in range(50)]
+        for key in rows[0]:
+            assert np.std([row[key] for row in rows]) > 0.1, key
+
+
 class TestNumericVsSeries:
     def test_areas_share_one_sphere_integration(self, exp_map_batches):
         # one exp_map call for the patch, one for the whole sphere (both areas)
