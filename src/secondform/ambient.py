@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedSignature,
     _lookup,
 )
-from .jets import Jet, _cauchy, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _col, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -85,6 +85,9 @@ class MetricChart:
     * `metric_fn(space, x)` returns ḡ_ab, shape (space.n, dim, dim, *batch).
     * `christoffel_jets_fn(space, x)` (optional) returns the closed-form
       Γ^k_ab, k first, shape (space.n, dim, dim, dim, *batch).
+    * `christoffel_u_fn(space, x, u)` (optional) returns Γ^k_ab u_k in
+      closed form for a covector `u` shaped like `x`: (space.n, dim, dim,
+      *batch), without the d³ Γ.
     * `geodesic_rhs(space, x, v)` (optional) returns the acceleration
       −Γ^k_ab(x) v^a v^b for a velocity `v` shaped like `x`.
     * `geodesic_flow(space, x, w, ts)` (optional) returns the geodesic from
@@ -104,6 +107,7 @@ class MetricChart:
     domain_hi: np.ndarray
     descriptor: dict
     christoffel_jets_fn: Optional[Callable] = None
+    christoffel_u_fn: Optional[Callable] = None
     geodesic_rhs: Optional[Callable] = None
     geodesic_flow: Optional[Callable] = None
     predicate_fn: Optional[Callable] = None
@@ -173,11 +177,6 @@ def _tsum(c):
     for a in range(1, c.shape[1]):
         acc = acc + c[:, a]
     return acc
-
-
-def _col(vec, c):
-    """A per-component factor shaped to broadcast along the tensor axis 1 of `c`."""
-    return vec.reshape((-1,) + (1,) * (c.ndim - 2))
 
 
 def _grad(c, space):
@@ -420,7 +419,8 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
     """Chart with ḡ = ε δ / (1 + C̄⟨x,x⟩_ε/4 )², optionally with a conformal bump.
 
     With σ = log of the conformal factor, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
-    ε_a δ_ab ε_k σ_k, and the geodesic right-hand side is
+    ε_a δ_ab ε_k σ_k, so Γ^k_ab u_k = u_a σ_b + u_b σ_a − ε_a δ_ab (εσ·u)
+    for a covector u, and the geodesic right-hand side is
     −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 9 jet products, 5 for σ′ (F and its
     gradient, or the bump and its), 2 for the dot products and 2 for the
     scalings.  Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not
@@ -474,6 +474,18 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         diag -= np.outer(eps, eps).reshape((dim, dim) + (1,) * (sg.ndim - 2)) * sg[:, :, None]
         return out
 
+    def christoffel_u_fn(space, x, u):
+        sg = sigma_grad(space, x)
+        u = u[: space.n]
+        if sg is None:
+            return np.zeros((space.n, dim) + u.shape[1:])
+        us = _cauchy(space, u[:, :, None], sg[:, None])  # u_a σ_b
+        su = np.einsum("Zaa...,a->Z...", us, eps)  # εσ·u, off the diagonal of us
+        out = us + np.swapaxes(us, 1, 2)
+        diag = np.einsum("Zaa...->Za...", out)
+        diag -= _col(eps, sg) * su[:, None]
+        return out
+
     def rhs(space, x, v):
         # −2 v^k (σ′·v) + ε_k σ_k ⟨v,v⟩_ε; x and v have one shape
         sg = sigma_grad(space, x)
@@ -507,6 +519,7 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         domain_hi=half * np.ones(dim),
         descriptor=descriptor,
         christoffel_jets_fn=christoffel_fn,
+        christoffel_u_fn=christoffel_u_fn,
         geodesic_rhs=rhs,
         geodesic_flow=None if bump else functools.partial(_quadric_flow, eps=eps, cbar=cbar),
         predicate_fn=predicate,
@@ -573,6 +586,12 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
             out[:, sl, sl, sl] = chart.christoffel_jets_fn(space, x[:, sl])
         return out
 
+    def christoffel_u_fn(space, x, u):
+        out = np.zeros((space.n, dim, dim) + x.shape[2:])
+        for chart, sl in factors:
+            out[:, sl, sl] = chart.christoffel_u_fn(space, x[:, sl], u[:, sl])
+        return out
+
     def rhs(space, x, v):
         return np.concatenate(
             [chart.geodesic_rhs(space, x[:, sl], v[:, sl]) for chart, sl in factors], axis=1
@@ -585,6 +604,7 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         return tuple(np.concatenate([p[i] for p in parts], axis=2) for i in (0, 1))
 
     ok_gamma = all(c.christoffel_jets_fn is not None for c, _ in factors)
+    ok_gamma_u = all(c.christoffel_u_fn is not None for c, _ in factors)
     ok_rhs = all(c.geodesic_rhs is not None for c, _ in factors)
     ok_flow = all(c.geodesic_flow is not None for c, _ in factors)
     preds = [(c.predicate_fn, sl) for c, sl in factors if c.predicate_fn is not None]
@@ -603,6 +623,7 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         domain_hi=np.concatenate([a.domain_hi, b.domain_hi]),
         descriptor={"kind": "product", "factors": [a.descriptor, b.descriptor]},
         christoffel_jets_fn=christoffel_fn if ok_gamma else None,
+        christoffel_u_fn=christoffel_u_fn if ok_gamma_u else None,
         geodesic_rhs=rhs if ok_rhs else None,
         geodesic_flow=flow if ok_flow else None,
         predicate_fn=predicate if preds else None,
@@ -683,6 +704,16 @@ def christoffel_on_jets(chart: MetricChart, space, x):
     if chart.christoffel_jets_fn is not None:
         return chart.christoffel_jets_fn(space, x[: space.n])
     return _compose_along(chart, space, x, 1, lambda amb_space, g: _levi_civita(amb_space, g)[1])
+
+
+def christoffel_u_on_jets(chart: MetricChart, space, x, u):
+    """Γ^k_{ab}u_k (n_mono, dim, dim, *batch) for a covector field u along
+    the coordinates x, both coefficient arrays at `space` or above: the
+    chart's closed form, or else the contraction of
+    :func:`christoffel_on_jets`."""
+    if chart.christoffel_u_fn is not None:
+        return chart.christoffel_u_fn(space, x[: space.n], u)
+    return jeinsum(space, "kab...,k...->ab...", christoffel_on_jets(chart, space, x), u)
 
 
 def _compose_along(chart: MetricChart, space, x, extra: int, field):

@@ -217,13 +217,28 @@ class Context:
             self.built["seed"] = _count("scenario 'seed'", self.seed, least=0)
 
     def _masked_geo(self, idx=0):
-        """II-geometry on the grid with invalid points masked, computed once."""
-        key = ("geo", idx)
-        if key not in self.cache:
-            self.cache[key] = iigeom.ii_geometry(
-                self.built["immersions"][idx], self.built["grids"][idx].nodes, on_error="mask"
-            )
-        return self.cache[key]
+        """II-geometry of member `idx` on its grid, invalid points masked.
+
+        Computed once for all members: those that share an ambient chart
+        descriptor, a parameter dimension and an orientation run as one
+        batch through one ``ii_geometry`` call (``stacked_immersion``), and
+        each member reads its slice of it."""
+        if "geos" not in self.cache:
+            imms, grids = self.built["immersions"], self.built["grids"]
+            groups = {}
+            for i, imm in enumerate(imms):
+                key = (json.dumps(imm.ambient.descriptor, sort_keys=True), imm.param_dim, imm.orientation)
+                groups.setdefault(key, []).append(i)
+            geos = [None] * len(imms)
+            for members in groups.values():
+                batch, slices = hypersurface.stacked_immersion(
+                    [imms[i] for i in members], [len(grids[i].nodes) for i in members])
+                nodes = np.concatenate([grids[i].nodes for i in members])
+                geo = iigeom.ii_geometry(batch, nodes, on_error="mask")
+                for i, sl in zip(members, slices):
+                    geos[i] = geo.take(imms[i], sl)
+            self.cache["geos"] = geos
+        return self.cache["geos"][idx]
 
     def get_geo(self, idx=0):
         geo = self._masked_geo(idx)

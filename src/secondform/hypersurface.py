@@ -13,13 +13,15 @@ The frame (:func:`frame_jets`) runs on coefficient arrays of shape
 (n_mono, *tensor, *batch), one array per tensor, contracted with
 ``jets.jeinsum``: the tangents t = ∂x, the metric g = tᵀḡt, the normal
 covector n_a = ε_{a b₁…b_m} t₁^{b₁}⋯t_m^{b_m}, U = ḡ⁻¹n/√|n·ḡ⁻¹n|,
-II = α(∂t + Γ̄tt)·U♭ and A = α g⁻¹II, with inverses by the Neumann series
-and det A by ε-contraction.  With the parameter jets at order k, each
+II = α(∂t·U♭ + (Γ̄·U♭)tt) and A = α g⁻¹II, with g⁻¹ by the Neumann series,
+ḡ⁻¹n off the diagonal ḡ of the package's charts, Γ̄^k_ab U_k (d² entries)
+from the chart's closed form and n and det A by the exterior product.
+With the parameter jets at order k, each
 quantity is carried at the order its readers use: t, ḡ and U at k − 1 (a
 normal deformation reads U to first order below x), II, A, g⁻¹, det A and
 H at k − 2, g at max(k − 2, min(k − 1, 2)) (intrinsic curvature reads two
-derivatives of g), ḡ⁻¹ as values only.  Γ̄ is built at k − 2 and kept as
-values only once II is built (the shape-operator check reads no more).
+derivatives of g), ḡ⁻¹ as values only.  The d³ Γ̄ is built as values
+only, for the shape-operator check.
 One frame type, :class:`SurfacePointData`, carries these coefficient arrays; the classical
 values (x, g, II, A, H, det A, …) are read off their constant terms, and III
 and the principal spectrum are computed on first read, once.  The
@@ -40,7 +42,7 @@ the raw cofactor orientation.  An explicit ±1 on the immersion overrides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Optional
@@ -160,20 +162,61 @@ class SurfacePointData:
     mean = property(lambda self: self.H[0])
     detA = property(lambda self: self.detAc[0])
 
+    def take(self, imm: Immersion, sl: slice) -> "SurfacePointData":
+        """The frame of `imm` over the batch slice `sl` of this one: views of
+        every array (batch axes last, `u` batch first), a spectrum already
+        solved included."""
+        arrays = {f.name: getattr(self, f.name)[..., sl] for f in fields(self)
+                  if f.name != "u" and isinstance(getattr(self, f.name), np.ndarray)}
+        view = replace(self, imm=imm, u=None if self.u is None else self.u[sl], **arrays)
+        if "spectrum" in self.__dict__:
+            view.spectrum = tuple(a[sl] for a in self.spectrum)
+        return view
+
     @cached_property
     def third(self):
         """III_ij = g(A ∂_i, A ∂_j)."""
         return np.einsum("...si,...tj,...st->...ij", self.shape, self.shape, self.first)
 
     @cached_property
+    def spectrum(self):
+        """``principal_curvatures`` of (g, II, α) with the moduli:
+        (lam, E, eps, valid, |eigenvalues of A|)."""
+        return principal_curvatures(self.first, self.second, self.alpha, True)
+
+    @property
     def principal(self):
         """``principal_curvatures`` of (g, II, α): (lam, E, eps, valid)."""
-        return principal_curvatures(self.first, self.second, self.alpha)
+        return self.spectrum[:4]
 
     @property
     def lam(self):
         """Principal curvatures, ascending."""
         return self.principal[0]
+
+
+def stacked_immersion(members, sizes) -> Immersion:
+    """One immersion for a batch of `members` that share an ambient chart
+    descriptor, a parameter dimension and an orientation: its map runs each
+    member's map on its slice of the parameter batch (`sizes` points each,
+    in order) and joins the results.  Returns it and the members' slices."""
+    first = members[0]
+    stops = np.cumsum([0, *sizes])
+    slices = [slice(int(a), int(b)) for a, b in zip(stops[:-1], stops[1:])]
+
+    def map_fn(u):
+        parts = []
+        for imm, sl in zip(members, slices):
+            x = imm.map_fn([Jet(uj.space, uj.coeffs[..., sl]) for uj in u])
+            space, xc = amb._stack_list([xi if isinstance(xi, Jet) else Jet.constant(u[0].space, xi) for xi in x])
+            parts.append(np.broadcast_to(xc, xc.shape[:2] + (sl.stop - sl.start,)))
+        xc = np.concatenate(parts, axis=-1)
+        return [Jet(space, xc[:, a]) for a in range(xc.shape[1])]
+
+    lo = np.min([imm.param_lo for imm in members], axis=0)
+    hi = np.max([imm.param_hi for imm in members], axis=0)
+    imm = Immersion(first.ambient, first.param_dim, map_fn, lo, hi, first.grid_hint, first.orientation)
+    return imm, slices
 
 
 def _cvals(c, batched):
@@ -216,7 +259,7 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
 
     # covariant normal n(v) = det[v; t_1; …; t_m], raised, and its length
     n_cov = _wedge(sp1, [t[:, i] for i in range(m)])
-    N = _inv(sp1, gb, n_cov)
+    N = _raised(sp1, gb, n_cov)
     nn = jeinsum(sp1, "a...,a...->...", n_cov, N)
     scale = np.sum(N[0] ** 2, axis=0)
     if np.any(np.abs(nn[0]) <= 1e-12 * np.maximum(scale, 1e-300)):
@@ -226,10 +269,8 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
     U = _cauchy(sp1, N, inv_len)
     u_flat = _cauchy(sp2, n_cov, inv_len)  # ḡ(U, ·)
 
-    # II_ij = α ḡ(∂_i t_j + Γ̄(t_i, t_j), U); Γ̄ is kept as values only
-    gamma_bar = amb.christoffel_on_jets(imm.ambient, sp2, xc)
-    gam_u = jeinsum(sp2, "kab...,k...->ab...", gamma_bar, u_flat)
-    gamma_bar = gamma_bar[0].copy()
+    # II_ij = α ḡ(∂_i t_j + Γ̄(t_i, t_j), U), with Γ̄^k_ab U_k (d² entries)
+    gam_u = amb.christoffel_u_on_jets(imm.ambient, sp2, xc, u_flat)
     II = jeinsum(sp2, "ib...,jb...->ij...", jeinsum(sp2, "ab...,ia...->ib...", gam_u, t), t)
     II = (II + jeinsum(sp2, "ijk...,k...->ij...", amb._grad(t, sp1)[:, :m], u_flat)) * alpha
     A = jeinsum(sp2, "ik...,kj...->ij...", ginv, II) * alpha
@@ -244,8 +285,10 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
         sgn = np.where(flip, -1.0, 1.0)
         U, II, A, tr_a = U * sgn, II * sgn, A * sgn, tr_a * sgn
 
+    # the check reads the d³ Γ̄ at the base points, a route independent of Γ̄·U
     sp_u = jet_space(n, 1)
     du = amb._grad(U[: sp_u.n], sp_u)[0, :m]
+    gamma_bar = amb.christoffel_on_jets(imm.ambient, jet_space(n, 0), xc)[0]
     _check_shape_operator_two_routes(A[0], t[0], U[0], du, gamma_bar)
     return SurfacePointData(
         imm=imm,
@@ -268,6 +311,17 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
     )
 
 
+def _raised(space, gb, v):
+    """ḡ⁻¹v for a vector v (n_mono, d, *batch) at `space`.  Every chart the
+    package builds (conformal charts and their products) has a diagonal ḡ:
+    there v_a/ḡ_aa, one reciprocal lift of the d diagonal entries; any
+    other ḡ by ``_inv``'s Neumann series."""
+    gb = gb[: space.n]
+    if np.any(gb[:, ~np.eye(gb.shape[1], dtype=bool)]):
+        return _inv(space, gb, v)
+    return _cauchy(space, v, Jet(space, np.einsum("Zaa...->Za...", gb)).reciprocal().coeffs)
+
+
 def _check_shape_operator_two_routes(a, t, u, du, gamma_bar):
     """II via ∇̄∂∂ against A = −∇̄U at the base points, asserted to 1e−9.
 
@@ -281,7 +335,7 @@ def _check_shape_operator_two_routes(a, t, u, du, gamma_bar):
         raise GeometryError(f"shape-operator routes disagree by {resid:.3e}")
 
 
-def principal_curvatures(first, second, alpha):
+def principal_curvatures(first, second, alpha, moduli=False):
     """Principal curvatures and g-orthonormal principal directions of A,
     from II v = μ g v with λ = α μ.
 
@@ -290,7 +344,9 @@ def principal_curvatures(first, second, alpha):
     definite g uses the symmetric reduction; indefinite g falls back to the
     non-symmetric spectrum of A with a 1e−10 pairing tolerance on imaginary
     parts.  Complex pairs come back as NaN (sorted last), and points with
-    complex or null-direction spectra are marked not valid.
+    complex or null-direction spectra are marked not valid.  With `moduli`,
+    a fifth array holds the moduli |λ| of the eigenvalues of A from the
+    same solve, complex pairs included, in no particular order.
     """
     g = np.asarray(first, dtype=float)
     ii = np.asarray(second, dtype=float)
@@ -302,6 +358,7 @@ def principal_curvatures(first, second, alpha):
     E = np.full((n, m, m), np.nan)
     eps = np.ones((n, m))
     valid = np.zeros(n, dtype=bool)
+    modulus = np.full((n, m), np.nan)
     evg = np.linalg.eigvalsh(g)
     pos = evg[:, 0] > 0
     neg = evg[:, -1] < 0
@@ -313,6 +370,7 @@ def principal_curvatures(first, second, alpha):
         mu, y = np.linalg.eigh(Mred)
         E[mask] = np.swapaxes(np.linalg.solve(np.swapaxes(L, -1, -2), y), -1, -2)
         lam[mask] = alpha[mask, None] * mu * sign
+        modulus[mask] = np.abs(mu)
         eps[mask] = sign
         valid[mask] = True
     indef = ~(pos | neg)
@@ -324,6 +382,7 @@ def principal_curvatures(first, second, alpha):
         vec = np.real(np.swapaxes(vec, -1, -2))
         gvv = np.einsum("nia,nab,nib->ni", vec, g[indef], vec)
         lam[indef] = np.where(cplx, np.nan, ev.real)
+        modulus[indef] = np.abs(ev)
         E[indef] = vec / np.sqrt(np.abs(np.where(np.abs(gvv) > 1e-300, gvv, 1.0)))[:, :, None]
         eps[indef] = np.sign(gvv)
         valid[indef] = ~np.any(cplx, axis=-1) & (np.min(np.abs(gvv), axis=-1) > 1e-10)
@@ -331,9 +390,8 @@ def principal_curvatures(first, second, alpha):
     lam = np.take_along_axis(lam, order, axis=-1)
     E = np.take_along_axis(E, order[:, :, None], axis=1)
     eps = np.take_along_axis(eps, order, axis=-1)
-    if single:
-        return lam[0], E[0], eps[0], valid[0]
-    return lam, E, eps, valid
+    out = (lam, E, eps, valid, modulus)[: 5 if moduli else 4]
+    return tuple(a[0] for a in out) if single else out
 
 
 def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:

@@ -28,7 +28,7 @@ the trace terms; it is still computed and must still agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,6 +95,14 @@ class IIGeometryPoint:
     valid: np.ndarray
     invalid_reason: np.ndarray = None
 
+    def take(self, imm: Immersion, sl: slice) -> "IIGeometryPoint":
+        """The package of `imm` over the batch slice `sl` of this one (see
+        ``SurfacePointData.take``)."""
+        arrays = {f.name: getattr(self, f.name)[sl] for f in fields(self)
+                  if isinstance(getattr(self, f.name), np.ndarray)}
+        return replace(self, base=self.base.take(imm, sl),
+                       h_ii={k: v[sl] for k, v in self.h_ii.items()}, **arrays)
+
     @property
     def h_ii_spread(self):
         """Max relative disagreement of the available routes."""
@@ -141,7 +149,7 @@ def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
 def _ii_geometry_from(data: SurfacePointData, on_error):
     """``ii_geometry`` on a frame at order 4 over the m parameters."""
     m, batched = data.imm.param_dim, data.batched
-    lam_mod = np.abs(np.linalg.eigvals(data.shape))
+    lam, E, eps_dir, prin_ok, lam_mod = data.spectrum  # one eigen-solve per point
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR
     ii_val = data.second
     det_ii_val = _cofactors(data.II[0])[1]
@@ -202,7 +210,6 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     h_var = 0.5 * (m * h - np.einsum("...ac,...ac->...", p_val, r_uu)) + tail
 
     # principal head: Σ K̄(E_i,U)/λ_i with eigenvalue clusters merged
-    lam, E, eps_dir, prin_ok = data.principal
     scale = 1.0 + np.max(np.abs(lam), axis=-1, keepdims=True)
     lam_grouped = _group_eigenvalues(lam, PRINCIPAL_GAP * scale)
     e_amb = np.einsum("...ik,...ka->...ia", E, tv)

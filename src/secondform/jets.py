@@ -15,16 +15,18 @@ Products
 --------
 A jet product is a Cauchy product over the space's multiplication table
 (all monomial pairs whose sum stays within the order).  It takes one of two
-paths, chosen by the number of points it broadcasts over (one rule, shared
-by ``_cauchy`` and :func:`jeinsum`):
+paths, chosen by the number of output entries it builds, the tensor entries
+times the batch points (one rule, shared by ``_cauchy`` and
+:func:`jeinsum`):
 
-* up to ``ONE_CALL_MAX_POINTS`` (256) points, one gathered multiply over the
-  whole table followed by ``np.add.reduceat`` per output monomial; at one
-  point this is 12 µs against 1.4 ms for the row loop (4 variables, order 4);
+* up to ``ONE_CALL_MAX_POINTS`` (512) entries, one gathered multiply over
+  the whole table followed by ``np.add.reduceat`` per output monomial; at
+  one point this is 9 µs against 0.9 ms for the row loop (4 variables,
+  order 4);
 * above that, a Python loop over the table rows, ``out[k] += a[i] * b[j]``,
-  whose temporaries stay one batch wide.  The gathered path builds a
-  (table rows × batch) temporary, which is slower than the loop from a few
-  hundred points on, whatever the table size (measurements at
+  whose temporaries stay one output wide.  The gathered path builds
+  (table rows × entries) temporaries, which are slower than the loop from a
+  few hundred entries on, whatever the table size (measurements at
   ``ONE_CALL_MAX_POINTS``).
 
 The product lives in one module function, ``_cauchy(space, a, b)``, on
@@ -37,15 +39,16 @@ products of one lift.
 Code that keeps a stack of jets as one array, such as the geodesic
 integrator with its ``(n_mono, dim, *batch)`` state, calls these two
 directly: the tensor axes after the monomial axis broadcast like batch axes
-and count as points for the path choice.
+and count as entries for the path choice.
 
 :func:`jeinsum` is the Cauchy product for coefficient arrays with tensor
 axes, contracted by ``np.einsum``; every tensor-valued jet in the package
 (chart metrics and Christoffel symbols, the curvature chain, the
 fundamental-form frame) is such an array.  Its tensor axes are contracted
-inside each einsum call, so only its batch axes count as points.  On such
-arrays ``_inv`` inverts a matrix by the finite Neumann series on its
-nilpotent part, ``_wedge`` contracts vectors into the Levi-Civita symbol
+inside each einsum call; the output's tensor and batch axes count as
+entries.  On such arrays ``_inv`` inverts a matrix by the finite Neumann
+series on its nilpotent part, ``_wedge`` takes the exterior product of
+vectors over sorted index sets and applies the Levi-Civita symbol to it
 (normal covectors, determinants), both branch-free, and :func:`compose`
 evaluates a Taylor expansion with tensor axes on jet-valued displacements.
 Small matrices of values, such as ``_inv``'s M₀ and the fundamental forms
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -84,22 +87,27 @@ __all__ = [
     "jeinsum",
 ]
 
-# Largest broadcast batch (points) that takes the gathered product, in
-# ``_cauchy`` and ``jeinsum`` alike (see the module docstring).  The
-# crossover sits at a few hundred points for every table size T: the gather
-# costs a few ns per (row, point) element, the loop a few µs per row, so T
-# cancels.  Row-loop / gathered µs per product, best of 5 (2-core Intel
-# Xeon VM, Python 3.11, numpy 2.4):
+# Largest product, in output entries (tensor entries × batch points), that
+# takes the gathered path, in ``_cauchy`` and ``jeinsum`` alike (see the
+# module docstring).  The gather costs a few ns per (table row, entry)
+# element, the loop a few µs per row plus its work, so the crossover sits at
+# a few hundred entries for every table size T: at 256–512 entries for
+# scalar Cauchy products, at 500–1000 for jeinsum.  Row-loop / gathered µs
+# per product, best of 5 (2-core x86_64 VM, Python 3.11, numpy 2.4):
 #
-#   T (vars, order)   B=1     64       256       512       1024      8192
-#   5   (2, 1)        16/8    12/12    14/23     15/33     16/62     51/358
-#   70  (2, 4)        109/5   78/21    84/59     104/113   120/215   445/6491
-#   210 (3, 4)        603/10  430/61   486/217   555/446   681/1098  1975/26481
-#   495 (4, 4)        1426/12 1018/131 1128/499  1285/1653 1492/3589 4666/73392
+#   _cauchy, scalar jets (entries = points)
+#   T (vars, order)   1        64       256      512       1024      8192
+#   5   (2, 1)        10/5     12/13    8/15     10/24     14/42     46/492
+#   70  (2, 4)        128/9    88/23    100/70   126/314   137/635   661/6254
+#   210 (3, 4)        620/13   489/98   473/227  656/517   735/1384  2355/16528
+#   495 (4, 4)        884/9    606/100  659/380  776/1317  989/3275  6388/81760
 #
-# jeinsum, T = 15 (2 vars, order 2), 3-dim ambient: "ia...,ab...->ib..."
-# 64/11 at B=1, 68/51 at 64, 95/105 at 153, 108/245 at 256, 2243/12088 at 8192.
-ONE_CALL_MAX_POINTS = 256
+#   jeinsum "ia...,ab...->ib...", (3, 4) by (4, 4): 12 entries per point
+#   T (vars, order)   12       252      516      1020      2052      8196
+#   7   (3, 1)        30/14    40/30    45/46    53/76     73/137    219/547
+#   28  (3, 2)        101/21   137/70   158/114  184/189   261/390   793/1738
+#   84  (3, 3)        286/34   380/153  444/271  551/534   805/1145  2630/4774
+ONE_CALL_MAX_POINTS = 512
 
 
 def _monomials(nvars: int, order: int):
@@ -191,10 +199,22 @@ def _lead(c: np.ndarray, nbatch: int) -> np.ndarray:
     return c.reshape(c.shape[:1] + (1,) * (nbatch + 1 - c.ndim) + c.shape[1:])
 
 
-def _gathers(points: int) -> bool:
-    """The path rule shared by every product: gather the whole table at
-    most ``ONE_CALL_MAX_POINTS`` points, loop over its rows above that."""
-    return points <= ONE_CALL_MAX_POINTS
+def _gathers(entries: int) -> bool:
+    """The path rule shared by every product: gather the whole table for at
+    most ``ONE_CALL_MAX_POINTS`` output entries, loop over its rows above
+    that."""
+    return entries <= ONE_CALL_MAX_POINTS
+
+
+@lru_cache(maxsize=None)
+def _parse(spec: str):
+    """(tensor ranks of the two operands, (operand, axis) of each tensor axis
+    of the output, the spec with the monomial axis Z) of a ``jeinsum`` spec."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    ta, tb = sa[:-3], sb[:-3]
+    out_axes = tuple((0, 1 + ta.index(c)) if c in ta else (1, 1 + tb.index(c)) for c in out[:-3])
+    return (len(ta), len(tb)), out_axes, f"Z{sa},Z{sb}->Z{out}"
 
 
 def jeinsum(space: JetSpace, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,13 +224,14 @@ def jeinsum(space: JetSpace, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndar
     the remaining axes, tensor axes in lowercase letters and the batch axes
     as a trailing ``...``, e.g. ``"sai...,ijk...->sajk..."``.
     Either array may come from a higher order than `space`: the lower-order
-    monomials are a prefix, so the product is truncated to `space`.
+    monomials are a prefix, so the product is truncated to `space`.  The
+    output's tensor entries times its batch points choose the path.
     """
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
-    batch = np.broadcast_shapes(a.shape[len(sa) - 2 :], b.shape[len(sb) - 2 :])
-    if _gathers(math.prod(batch)):
-        full = f"Z{sa},Z{sb}->Z{out}"  # Z labels the monomial axis
+    ranks, out_axes, full = _parse(spec)
+    ba, bb = a.shape[ranks[0] + 1 :], b.shape[ranks[1] + 1 :]
+    batch = ba if ba == bb else np.broadcast_shapes(ba, bb)
+    shapes = (a.shape, b.shape)
+    if _gathers(math.prod(batch) * math.prod(shapes[o][k] for o, k in out_axes)):
         prods = np.einsum(full, a[space._mul_i], b[space._mul_j])
         return np.add.reduceat(prods, space._mul_starts, axis=0)
     acc = None
@@ -226,7 +247,7 @@ def _cauchy(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cauchy product of two coefficient arrays, truncated to `space`.
 
     Batch (and tensor) axes after the monomial axis broadcast from the
-    right, and all of them count as points for the path rule.  Either array
+    right, and all of them count as entries for the path rule.  Either array
     may come from a higher order than `space`.
     """
     sa, sb = a.shape[1:], b.shape[1:]
@@ -318,21 +339,54 @@ def _cofactors(m: np.ndarray):
     return cof, np.einsum("j...,j...->...", m[0], cof[0])
 
 
+@lru_cache(maxsize=None)
+def _laplace(d: int, j: int):
+    """Gather table of one exterior-product level: the j-forms on d indices,
+    one component per sorted j-subset J (lexicographic order), from a vector
+    and a (j − 1)-form by the Laplace expansion
+
+        (v ∧ w)_J = Σ_p (−1)^p v^{J_p} w_{J ∖ J_p}:
+
+    for each J and position p, J_p, the index of J ∖ J_p among the sorted
+    (j − 1)-subsets, and (−1)^p, each of shape (C(d, j)·j,), J major."""
+    lower = {s: k for k, s in enumerate(combinations(range(d), j - 1))}
+    rows = [(a, lower[sub[:p] + sub[p + 1 :]], (-1.0) ** p)
+            for sub in combinations(range(d), j) for p, a in enumerate(sub)]
+    vi, wi, sign = (np.array(col) for col in zip(*rows))
+    for arr in (vi, wi, sign):
+        arr.flags.writeable = False  # shared by every caller
+    return vi, wi, sign
+
+
 def _wedge(space: JetSpace, vecs) -> np.ndarray:
     """ε_{a… b₁…b_k} v₁^{b₁}⋯v_k^{b_k} for coefficient arrays v_i of shape
     (n_mono, d, *batch) and the d-index Levi-Civita symbol ε; the d − k free
     indices a… come first.  With k = d this is the determinant of the matrix
     whose columns are the v_i; with k = d − 1 it is the normal covector
-    n(w) = det[w, v₁, …, v_k].
+    n(w) = det[w, v₁, …, v_k]; only these two are taken.
+
+    Built by the exterior-algebra recursion over sorted index sets,
+    v_s ∧ (v_{s+1} ∧ ⋯ ∧ v_k) from the last vector on, each level one
+    stacked ``_cauchy`` over a ``_laplace`` table: 70 scalar products for
+    k = 4 at d = 5, against 775 through the dense ε.
     """
     d, k = vecs[0].shape[1], len(vecs)
-    free = d - k
-    idx = "abcdefgh"[:d]
-    out = np.einsum(f"{idx},Z{idx[-1]}...->Z{idx[:-1]}...", _levi_civita(d), vecs[-1][: space.n])
-    for s in range(k - 2, -1, -1):
-        lead = idx[: free + s]
-        out = jeinsum(space, f"{lead}{idx[free + s]}...,{idx[free + s]}...->{lead}...", out, vecs[s])
-    return out
+    if k < d - 1:
+        raise ValueError(f"_wedge takes d − 1 or d vectors, got {k} for d = {d}")
+    w = vecs[-1][: space.n]
+    for j, v in zip(range(2, k + 1), vecs[-2::-1]):
+        vi, wi, sign = _laplace(d, j)
+        terms = _cauchy(space, v[: space.n, vi] * _col(sign, v), w[:, wi])
+        w = terms.reshape((space.n, -1, j) + terms.shape[2:]).sum(axis=2)
+    if k == d:
+        return w[:, 0]
+    # ε_{a J} w_J for J = [d] ∖ {a}: sorted subset d − 1 − a, sign (−1)^a
+    return w[:, ::-1] * _col((-1.0) ** np.arange(d), w)
+
+
+def _col(vec, c):
+    """A factor along axis 1 of `c`, shaped to broadcast over its later axes."""
+    return vec.reshape((-1,) + (1,) * (c.ndim - 2))
 
 
 def _lift(space: JetSpace, c: np.ndarray, *derivs_per_fn) -> list:

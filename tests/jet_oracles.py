@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from secondform.ambient import _stack_list
-from secondform.jets import Jet, jeinsum, jet_space, jinv
+from secondform.jets import Jet, _levi_civita, jeinsum, jet_space, jinv
 
 
 def views(space, c, ntensor):
@@ -184,6 +184,20 @@ def compose_oracle(outer, displacements):
         if np.all(c == 0.0):
             continue
         out = out + c if prod is None else out + prod * c
+    return out
+
+
+def wedge_oracle(space, vecs):
+    """ε_{a… b₁…b_k} v₁^{b₁}⋯v_k^{b_k} through the dense d-index Levi-Civita
+    symbol, one ``jeinsum`` per vector: the form ``jets._wedge`` had before
+    the exterior-algebra recursion."""
+    d, k = vecs[0].shape[1], len(vecs)
+    free = d - k
+    idx = "abcdefgh"[:d]
+    out = np.einsum(f"{idx},Z{idx[-1]}...->Z{idx[:-1]}...", _levi_civita(d), vecs[-1][: space.n])
+    for s in range(k - 2, -1, -1):
+        lead = idx[: free + s]
+        out = jeinsum(space, f"{lead}{idx[free + s]}...,{idx[free + s]}...->{lead}...", out, vecs[s])
     return out
 
 

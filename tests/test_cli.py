@@ -731,3 +731,78 @@ def test_clifford_grid_scenario_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+MIXED_ENSEMBLE = [  # two in E³, two in S³: two frames
+    {"kind": "perturbed_ovaloid", "seed": 1, "amplitude": 0.03},
+    {"kind": "clifford"},
+    {"kind": "ellipsoid", "axes": [1.0, 1.2, 0.9]},
+    {"kind": "perturbed_sphere_in_space_form", "Cbar": 1.0, "m": 2, "seed": 2},
+]
+
+
+def _run_rows(tmp_path, name, subject, checks):
+    """(exit code, CSV rows after the header, check values) of one run."""
+    scen = {"schema": 1, "name": name, "subject": subject, "checks": checks}
+    p = tmp_path / f"{name}.scenario.json"
+    p.write_text(json.dumps(scen))
+    with mock.patch("sys.stdout", new_callable=io.StringIO):
+        code = run_scenario(p, out_dir=tmp_path)
+    if code != 0:
+        return code, None, None
+    rows = list(csv.reader((tmp_path / f"{name}.csv").read_text().splitlines()))[1:]
+    values = [c["value"] for c in json.loads((tmp_path / f"{name}.json").read_text())["checks"]]
+    return code, rows, values
+
+
+def _assert_rows_close(got, want):
+    # numbers to 1e-12 relative (to 1 where a value is at rounding level), the rest exactly
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got, want):
+        for g, w in zip(g_row[1:], w_row[1:]):  # the member column differs
+            try:
+                x, y = float(g), float(w)
+            except ValueError:
+                assert g == w
+                continue
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)), (g, w)
+
+
+def test_stacked_ensemble_matches_one_member_runs(tmp_path):
+    checks = [{"check": "h_ii_route_spread", "tolerance": 1e-6},
+              {"check": "all_points_valid", "tolerance": 0.5}]
+    calls = []
+    real = iigeom.ii_geometry
+
+    def counting(imm, u, on_error="raise"):
+        calls.append(len(u))
+        return real(imm, u, on_error)
+
+    with mock.patch.object(iigeom, "ii_geometry", counting):
+        code, rows, values = _run_rows(
+            tmp_path, "mixed", {"type": "ensemble", "immersions": MIXED_ENSEMBLE, "grid": [5, 8]},
+            checks)
+    assert code == 0
+    assert calls == [80, 80]  # one frame per ambient chart, each over two members' 40 points
+    alone = [_run_rows(tmp_path, f"alone{i}", {"type": "immersion", "immersion": desc, "grid": [5, 8]},
+                       checks) for i, desc in enumerate(MIXED_ENSEMBLE)]
+    for i, (one_code, one_rows, _) in enumerate(alone):
+        assert one_code == 0
+        _assert_rows_close([r for r in rows if r[0] == str(i)], one_rows)
+    assert values[1] == 0.0 and all(v[1] == 0.0 for _, _, v in alone)
+    assert abs(values[0] - max(v[0] for _, _, v in alone)) <= 1e-12
+
+
+def test_stacked_ensemble_member_with_a_degenerate_point(tmp_path):
+    # a cylinder graph, z = x²/2, has det A = 0 at every point: in one frame
+    # with an ovaloid it exits 3 as it did alone, or masks its rows only
+    members = [MIXED_ENSEMBLE[0], {"kind": "graph", "quadratic": [[1.0, 0.0], [0.0, 0.0]]}]
+    checks = [{"check": "h_ii_route_spread", "tolerance": 1e-6}]
+    subject = {"type": "ensemble", "immersions": members, "grid": [5, 8]}
+    assert _run_rows(tmp_path, "degenerate", subject, checks)[0] == 3
+    code, rows, _ = _run_rows(tmp_path, "masked", {**subject, "allow_invalid": True}, checks)
+    assert code == 0
+    assert {r[-1] for r in rows if r[0] == "1"} == {"degenerate"}
+    one = _run_rows(tmp_path, "ovaloid", {"type": "immersion", "immersion": members[0], "grid": [5, 8]},
+                    checks)[1]
+    _assert_rows_close([r for r in rows if r[0] == "0"], one)

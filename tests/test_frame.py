@@ -15,7 +15,7 @@ from secondform import ambient as amb
 from secondform import jets
 from secondform import variation
 from secondform.errors import GeometryError
-from secondform.hypersurface import Immersion, frame_jets, standard_immersion
+from secondform.hypersurface import Immersion, _raised, frame_jets, standard_immersion
 from secondform.iigeom import ii_geometry, sphere_inequality_report
 from secondform.jets import Jet, jdet, jinv, seed_jets
 
@@ -231,6 +231,38 @@ def test_shape_operator_routes_still_guard():
                   ambient=replace(chart, christoffel_jets_fn=gamma))
     with pytest.raises(GeometryError, match="shape-operator routes disagree"):
         frame_jets(imm, seed_jets(np.array([1.0, 2.0]), 2, 2))
+
+
+CHART_KINDS = {
+    "e3": lambda: amb.space_form(3, 0.0),
+    "s4": lambda: amb.space_form(4, 1.0),
+    "h4": lambda: amb.space_form(4, -1.0),
+    "de_sitter": lambda: amb.space_form(3, 1.0, index=1),
+    "anti_de_sitter": lambda: amb.space_form(3, -1.0, index=1),
+    "minkowski": lambda: amb.space_form(3, 0.0, index=1),
+    "s2xs2": lambda: amb.chart_from_descriptor(
+        {"kind": "product", "factors": [{"kind": "space_form", "dim": 2, "Cbar": 1.0}] * 2}),
+    "bumpy_e3": lambda: amb.registry_chart("bumpy_e3"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHART_KINDS))
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_closed_form_gamma_u_and_raised_normal_match_d3_contraction_and_inverse(kind, order):
+    # the frame's Γ̄^k_ab u_k (d² entries) and ḡ⁻¹n off the diagonal, against
+    # the d³ Γ̄ contracted with u and the Neumann-series inverse
+    chart = CHART_KINDS[kind]()
+    space = jets.jet_space(2, order)
+    rng = np.random.default_rng(order)
+    x = rng.uniform(-0.3, 0.3, (space.n, chart.dim, 9))  # inside every chart's domain
+    u, n = rng.normal(size=(2, space.n, chart.dim, 9))
+    gamma_u = chart.christoffel_u_fn(space, x, u)
+    want = jets.jeinsum(space, "kab...,k...->ab...", chart.christoffel_jets_fn(space, x), u)
+    assert gamma_u.shape == want.shape == (space.n, chart.dim, chart.dim, 9)
+    assert_allclose(gamma_u, want, rtol=0, atol=1e-13 * max(np.max(np.abs(want)), 1.0))
+    gbar = chart.metric_fn(space, x)
+    want = jets._inv(space, gbar, n)
+    assert_allclose(_raised(space, gbar, n), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_stacked_inverse_and_determinant_match_object_forms():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from secondform import jets
 from secondform.jets import Jet, compose, jdet, jeinsum, jet_space, jinv, seed_jets
 
-from jet_oracles import jmatmul
+from jet_oracles import jmatmul, wedge_oracle
 
 
 def central_diff(f, x, i, h=1e-5):
@@ -218,13 +218,32 @@ def test_jeinsum_paths_match(monkeypatch, cutoff):
     rng = np.random.default_rng(9)
     a = rng.normal(size=(jet_space(2, 4).n, 3, 3, 7))  # batch broadcast against ()
     b = rng.normal(size=(space.n, 3))
-    expect = jeinsum(space, "ab...,b...->a...", a, b)  # 7 points: one call by default
+    expect = jeinsum(space, "ab...,b...->a...", a, b)  # 21 entries: one call by default
     monkeypatch.setattr(jets, "ONE_CALL_MAX_POINTS", cutoff)
     assert_allclose(jeinsum(space, "ab...,b...->a...", a, b), expect, rtol=1e-14, atol=1e-14)
     seen = []
     monkeypatch.setattr(jets, "_gathers", lambda points: seen.append(points) or True)
     jeinsum(space, "ab...,b...->a...", a, b)
-    assert seen == [7]  # the batch axes count as points, the 3x3 tensor axes do not
+    jeinsum(space, "ab...,cd...->abcd...", a, a)
+    # what the product builds counts, as in `_cauchy`: the output's tensor
+    # entries times its batch points (3 × 7; 3⁴ × 7), not the contracted axis
+    assert seen == [21, 567]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("free", [0, 1])
+@pytest.mark.parametrize("batch", [(), (7,), (300,)])
+@pytest.mark.parametrize("cutoff", [0, 10**9], ids=["row_loop", "one_call"])
+def test_exterior_wedge_matches_dense_levi_civita(monkeypatch, d, free, batch, cutoff):
+    monkeypatch.setattr(jets, "ONE_CALL_MAX_POINTS", cutoff)
+    space = jet_space(2, 3)
+    rng = np.random.default_rng(10 * d + free + len(batch))
+    # one order above `space`: the product truncates, as on the frame's arrays
+    vecs = [rng.normal(size=(jet_space(2, 4).n, d) + batch) for _ in range(d - free)]
+    got = jets._wedge(space, vecs)
+    want = wedge_oracle(space, vecs)
+    assert got.shape == want.shape == (space.n,) + (d,) * free + batch
+    assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def _shifted_normal(rng, p, batch):
