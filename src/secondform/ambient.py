@@ -87,7 +87,9 @@ class MetricChart:
       Γ^k_ab, k first, shape (space.n, dim, dim, dim, *batch).
     * `christoffel_u_fn(space, x, u)` (optional) returns Γ^k_ab u_k in
       closed form for a covector `u` shaped like `x`: (space.n, dim, dim,
-      *batch), without the d³ Γ.
+      *batch), without the d³ Γ.  It must agree with `christoffel_jets_fn`
+      (the frame reads one, its shape-operator check the other), so a chart
+      that replaces or clears one must replace or clear the other.
     * `geodesic_rhs(space, x, v)` (optional) returns the acceleration
       −Γ^k_ab(x) v^a v^b for a velocity `v` shaped like `x`.
     * `geodesic_flow(space, x, w, ts)` (optional) returns the geodesic from

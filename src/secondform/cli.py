@@ -38,6 +38,15 @@ from .errors import (
 SCHEMA_VERSION = 1
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
+# Most points one ``ii_geometry`` batch of stacked ensemble members takes.
+# Each call has a fixed cost of a few ms, and its cost per point flattens
+# near 2,000 points: ``ii_geometry`` on a perturbed ovaloid takes 66 µs a
+# point at 153 points, 28 at 918 and 19–23 from 2,448 to 8,192 (Clifford
+# torus: 55, 23 and 13–18; 2-core x86_64 VM, numpy 2.4).  Larger batches
+# buy no time, and the call's transient memory grows with its points, so a
+# member past the bound runs in a batch of its own.
+STACK_MAX_POINTS = 2048
+
 
 # ---------------------------------------------------------------------------
 # subject construction
@@ -221,19 +230,23 @@ class Context:
 
         Computed once for all members: those that share an ambient chart
         descriptor, a parameter dimension and an orientation run as one
-        batch through one ``ii_geometry`` call (``stacked_immersion``), and
-        each member reads its slice of it."""
+        batch through one ``ii_geometry`` call (``stacked_immersion``), up
+        to ``STACK_MAX_POINTS`` points a batch, and each member reads its
+        slice of it."""
         if "geos" not in self.cache:
             imms, grids = self.built["immersions"], self.built["grids"]
-            groups = {}
+            groups, open_group = [], {}
             for i, imm in enumerate(imms):
                 key = (json.dumps(imm.ambient.descriptor, sort_keys=True), imm.param_dim, imm.orientation)
-                groups.setdefault(key, []).append(i)
+                group = open_group.get(key)
+                if group is None or sum(len(grids[j].nodes) for j in group) + len(grids[i].nodes) > STACK_MAX_POINTS:
+                    group = open_group[key] = []
+                    groups.append(group)
+                group.append(i)
             geos = [None] * len(imms)
-            for members in groups.values():
-                batch, slices = hypersurface.stacked_immersion(
-                    [imms[i] for i in members], [len(grids[i].nodes) for i in members])
-                nodes = np.concatenate([grids[i].nodes for i in members])
+            for members in groups:
+                batch, nodes, slices = hypersurface.stacked_immersion(
+                    [imms[i] for i in members], [grids[i].nodes for i in members])
                 geo = iigeom.ii_geometry(batch, nodes, on_error="mask")
                 for i, sl in zip(members, slices):
                     geos[i] = geo.take(imms[i], sl)

@@ -169,8 +169,8 @@ class SurfacePointData:
         arrays = {f.name: getattr(self, f.name)[..., sl] for f in fields(self)
                   if f.name != "u" and isinstance(getattr(self, f.name), np.ndarray)}
         view = replace(self, imm=imm, u=None if self.u is None else self.u[sl], **arrays)
-        if "spectrum" in self.__dict__:
-            view.spectrum = tuple(a[sl] for a in self.spectrum)
+        if "principal" in self.__dict__:
+            view.principal = tuple(a[sl] for a in self.principal)
         return view
 
     @cached_property
@@ -179,15 +179,9 @@ class SurfacePointData:
         return np.einsum("...si,...tj,...st->...ij", self.shape, self.shape, self.first)
 
     @cached_property
-    def spectrum(self):
-        """``principal_curvatures`` of (g, II, α) with the moduli:
-        (lam, E, eps, valid, |eigenvalues of A|)."""
-        return principal_curvatures(self.first, self.second, self.alpha, True)
-
-    @property
     def principal(self):
-        """``principal_curvatures`` of (g, II, α): (lam, E, eps, valid)."""
-        return self.spectrum[:4]
+        """``principal_curvatures`` of (g, II, α): (lam, E, eps, valid, |λ|)."""
+        return principal_curvatures(self.first, self.second, self.alpha)
 
     @property
     def lam(self):
@@ -195,13 +189,19 @@ class SurfacePointData:
         return self.principal[0]
 
 
-def stacked_immersion(members, sizes) -> Immersion:
+def stacked_immersion(members, nodes):
     """One immersion for a batch of `members` that share an ambient chart
-    descriptor, a parameter dimension and an orientation: its map runs each
-    member's map on its slice of the parameter batch (`sizes` points each,
-    in order) and joins the results.  Returns it and the members' slices."""
+    descriptor, a parameter dimension and an orientation, at their parameter
+    points `nodes` (one (n_i, m) array each): its map runs each member's map
+    on its slice of the joined batch and joins the results.  Each member's
+    points are checked against its own domain, as :func:`surface_point`
+    checks them.  Returns the immersion, the joined points and the members'
+    slices."""
+    for imm, u in zip(members, nodes):
+        if not np.all(imm.contains(u)):
+            raise OutOfDomain("parameter point outside the immersion domain")
     first = members[0]
-    stops = np.cumsum([0, *sizes])
+    stops = np.cumsum([0, *map(len, nodes)])
     slices = [slice(int(a), int(b)) for a, b in zip(stops[:-1], stops[1:])]
 
     def map_fn(u):
@@ -216,7 +216,7 @@ def stacked_immersion(members, sizes) -> Immersion:
     lo = np.min([imm.param_lo for imm in members], axis=0)
     hi = np.max([imm.param_hi for imm in members], axis=0)
     imm = Immersion(first.ambient, first.param_dim, map_fn, lo, hi, first.grid_hint, first.orientation)
-    return imm, slices
+    return imm, np.concatenate(nodes), slices
 
 
 def _cvals(c, batched):
@@ -323,30 +323,32 @@ def _raised(space, gb, v):
 
 
 def _check_shape_operator_two_routes(a, t, u, du, gamma_bar):
-    """II via ∇̄∂∂ against A = −∇̄U at the base points, asserted to 1e−9.
+    """II via ∇̄∂∂ against A = −∇̄U at the base points, asserted to
+    1e−9·(1 + max|A|) at each point, so that no point of a batch is held to
+    another's scale.
 
     Values with the batch axes last: a = A (m, m), t (m, d), u = U (d,),
     du[i] = ∂_i U (m, d) and gamma_bar = Γ̄ (d, d, d).
     """
     direct = -du - np.einsum("kab...,ia...,b...->ik...", gamma_bar, t, u)
     primary = np.einsum("ji...,jk...->ik...", a, t)  # A(∂_i) in ambient components
-    resid = np.max(np.abs(primary - direct))
-    if resid > 1e-9 * (1.0 + np.max(np.abs(a))):
-        raise GeometryError(f"shape-operator routes disagree by {resid:.3e}")
+    resid = np.max(np.abs(primary - direct), axis=(0, 1))
+    bad = resid > 1e-9 * (1.0 + np.max(np.abs(a), axis=(0, 1)))
+    if np.any(bad):
+        raise GeometryError(f"shape-operator routes disagree by {np.max(resid[bad]):.3e}")
 
 
-def principal_curvatures(first, second, alpha, moduli=False):
+def principal_curvatures(first, second, alpha):
     """Principal curvatures and g-orthonormal principal directions of A,
     from II v = μ g v with λ = α μ.
 
-    Returns (lam, E, eps, valid): lam ascending, E[..., i, :] the direction
-    for lam[..., i] and eps the signs g(E_i, E_i).  Positive/negative
-    definite g uses the symmetric reduction; indefinite g falls back to the
-    non-symmetric spectrum of A with a 1e−10 pairing tolerance on imaginary
-    parts.  Complex pairs come back as NaN (sorted last), and points with
-    complex or null-direction spectra are marked not valid.  With `moduli`,
-    a fifth array holds the moduli |λ| of the eigenvalues of A from the
-    same solve, complex pairs included, in no particular order.
+    Returns (lam, E, eps, valid, modulus): lam ascending, E[..., i, :] the
+    direction for lam[..., i], eps the signs g(E_i, E_i) and modulus the
+    moduli |λ| of the eigenvalues of A from the same solve, complex pairs
+    included, in no particular order.  Positive/negative definite g uses
+    the symmetric reduction; indefinite g falls back to the non-symmetric
+    spectrum of A with a 1e−10 pairing tolerance on imaginary parts.  Complex pairs come back as NaN (sorted last), and points with
+    complex or null-direction spectra are marked not valid.
     """
     g = np.asarray(first, dtype=float)
     ii = np.asarray(second, dtype=float)
@@ -390,8 +392,9 @@ def principal_curvatures(first, second, alpha, moduli=False):
     lam = np.take_along_axis(lam, order, axis=-1)
     E = np.take_along_axis(E, order[:, :, None], axis=1)
     eps = np.take_along_axis(eps, order, axis=-1)
-    out = (lam, E, eps, valid, modulus)[: 5 if moduli else 4]
-    return tuple(a[0] for a in out) if single else out
+    if single:
+        return lam[0], E[0], eps[0], valid[0], modulus[0]
+    return lam, E, eps, valid, modulus
 
 
 def surface_point(imm: Immersion, u, order: int = 4) -> SurfacePointData:

@@ -149,7 +149,7 @@ def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
 def _ii_geometry_from(data: SurfacePointData, on_error):
     """``ii_geometry`` on a frame at order 4 over the m parameters."""
     m, batched = data.imm.param_dim, data.batched
-    lam, E, eps_dir, prin_ok, lam_mod = data.spectrum  # one eigen-solve per point
+    lam, E, eps_dir, prin_ok, lam_mod = data.principal  # one eigen-solve per point
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR
     ii_val = data.second
     det_ii_val = _cofactors(data.II[0])[1]

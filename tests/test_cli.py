@@ -23,7 +23,7 @@ from secondform import ambient, cli, curves, hypersurface, iigeom, spheres, vari
 from secondform.cli import (
     CHECKS, SCENARIO_DIR, Context, _csv_columns, bundled_scenarios, main, run_scenario,
 )
-from secondform.errors import BadParameters, SingularShapeOperator
+from secondform.errors import BadParameters, OutOfDomain, SingularShapeOperator
 from secondform.hypersurface import IMMERSIONS, STANDARD_KINDS, Immersion, standard_immersion
 
 
@@ -768,7 +768,11 @@ def _assert_rows_close(got, want):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)), (g, w)
 
 
-def test_stacked_ensemble_matches_one_member_runs(tmp_path):
+@pytest.mark.parametrize("max_points, frames", [
+    (cli.STACK_MAX_POINTS, [80, 80]),  # one frame per ambient chart, each over two members' 40 points
+    (40, [40, 40, 40, 40]),  # a batch holds one member: one frame each
+])
+def test_stacked_ensemble_matches_one_member_runs(tmp_path, max_points, frames):
     checks = [{"check": "h_ii_route_spread", "tolerance": 1e-6},
               {"check": "all_points_valid", "tolerance": 0.5}]
     calls = []
@@ -778,12 +782,13 @@ def test_stacked_ensemble_matches_one_member_runs(tmp_path):
         calls.append(len(u))
         return real(imm, u, on_error)
 
-    with mock.patch.object(iigeom, "ii_geometry", counting):
+    with mock.patch.object(iigeom, "ii_geometry", counting), \
+            mock.patch.object(cli, "STACK_MAX_POINTS", max_points):
         code, rows, values = _run_rows(
             tmp_path, "mixed", {"type": "ensemble", "immersions": MIXED_ENSEMBLE, "grid": [5, 8]},
             checks)
     assert code == 0
-    assert calls == [80, 80]  # one frame per ambient chart, each over two members' 40 points
+    assert calls == frames
     alone = [_run_rows(tmp_path, f"alone{i}", {"type": "immersion", "immersion": desc, "grid": [5, 8]},
                        checks) for i, desc in enumerate(MIXED_ENSEMBLE)]
     for i, (one_code, one_rows, _) in enumerate(alone):
@@ -806,3 +811,15 @@ def test_stacked_ensemble_member_with_a_degenerate_point(tmp_path):
     one = _run_rows(tmp_path, "ovaloid", {"type": "immersion", "immersion": members[0], "grid": [5, 8]},
                     checks)[1]
     _assert_rows_close([r for r in rows if r[0] == "0"], one)
+
+
+def test_stacked_members_keep_their_own_domains():
+    # the stacked immersion's box is the union of its members': each member's
+    # points are still checked against its own
+    imm = standard_immersion("perturbed_ovaloid", seed=1, amplitude=0.03)
+    small = Immersion(imm.ambient, 2, imm.map_fn, imm.param_lo, 0.5 * (imm.param_lo + imm.param_hi))
+    nodes = variation.grid_for_immersion(imm, (5, 8)).nodes
+    _, joined, slices = hypersurface.stacked_immersion([imm, imm], [nodes, nodes])
+    assert joined.shape == (80, 2) and slices == [slice(0, 40), slice(40, 80)]
+    with pytest.raises(OutOfDomain):
+        hypersurface.stacked_immersion([imm, small], [nodes, nodes])

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from secondform import ambient as amb
-from secondform import jets
+from secondform import hypersurface, jets
 from secondform import variation
 from secondform.errors import GeometryError
 from secondform.hypersurface import Immersion, _raised, frame_jets, standard_immersion
@@ -102,7 +102,29 @@ def frame_oracle(imm, u_jets):
 
 def _bumpy_without_gamma():
     # no closed-form Christoffel symbols: Γ̄ along the patch by `compose`
-    return replace(amb.registry_chart("bumpy_e3"), christoffel_jets_fn=None)
+    return replace(amb.registry_chart("bumpy_e3"), christoffel_jets_fn=None, christoffel_u_fn=None)
+
+
+SHEAR = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, -0.2], [0.1, 0.0, 1.0]])
+
+
+def _sheared_s3():
+    # S³'s conformal chart in the coordinates y = L⁻¹x, where ḡ(y) = Lᵀḡ(Ly)L
+    # is not diagonal: ḡ⁻¹n by the Neumann series, Γ̄ by `compose`
+    base = standard_immersion("perturbed_sphere_in_space_form", Cbar=1.0, m=2, seed=2)
+    chart, L_inv = base.ambient, np.linalg.inv(SHEAR)
+
+    def metric_fn(space, y):
+        g = chart.metric_fn(space, np.einsum("ab,Zb...->Za...", SHEAR, y))
+        return np.einsum("ac,Zab...,bd->Zcd...", SHEAR, g, SHEAR)
+
+    def map_fn(u):
+        x = base.map_fn(u)
+        return [x[0] * L_inv[a, 0] + x[1] * L_inv[a, 1] + x[2] * L_inv[a, 2] for a in range(3)]
+
+    sheared = amb.MetricChart(3, chart.index, metric_fn, -5.0 * np.ones(3), 5.0 * np.ones(3),
+                              {"kind": "sheared_s3"}, name="sheared_s3")
+    return replace(base, ambient=sheared, map_fn=map_fn)
 
 
 def _s2xs2_graph():
@@ -125,6 +147,7 @@ CASES = {
     ),
     "bumpy_e3": lambda: replace(standard_immersion("round_sphere", radius=0.6), ambient=_bumpy_without_gamma()),
     "s2xs2": _s2xs2_graph,
+    "sheared_s3": _sheared_s3,
 }
 
 
@@ -231,6 +254,25 @@ def test_shape_operator_routes_still_guard():
                   ambient=replace(chart, christoffel_jets_fn=gamma))
     with pytest.raises(GeometryError, match="shape-operator routes disagree"):
         frame_jets(imm, seed_jets(np.array([1.0, 2.0]), 2, 2))
+
+
+def test_shape_operator_bound_is_taken_per_point():
+    # E³, t = identity, U = e₃: at point 0 |A| = 1e6, at point 1 A = 0 and
+    # ∂U off by 1e-8, inside the bound of point 0's scale but not its own
+    t = np.broadcast_to(np.eye(2, 3)[..., None], (2, 3, 2))
+    u = np.broadcast_to(np.array([0.0, 0.0, 1.0])[:, None], (3, 2))
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 0] = 1e6
+    du = -np.einsum("ji...,jk...->ik...", a, t)
+    gamma = np.zeros((3, 3, 3, 2))
+    hypersurface._check_shape_operator_two_routes(a, t, u, du, gamma)
+    du[0, 0, 1] += 1e-8
+    with pytest.raises(GeometryError, match="shape-operator routes disagree by 1.000e-08"):
+        hypersurface._check_shape_operator_two_routes(a, t, u, du, gamma)
+    a[0, 0, 1] = 1e6  # at its own scale the same residual passes
+    du = -np.einsum("ji...,jk...->ik...", a, t)
+    du[0, 0, 1] += 1e-8
+    hypersurface._check_shape_operator_two_routes(a, t, u, du, gamma)
 
 
 CHART_KINDS = {

@@ -310,13 +310,13 @@ def test_timelike_surface_principal_curvatures_nan_exactly_at_complex_pairs():
     ev = np.linalg.eigvalsh(data.first)
     assert np.all(ev[:, 0] < 0) and np.all(ev[:, 1] > 0)  # indefinite g
     assert np.all(np.isnan(data.lam))
-    lam, _, _, valid = principal_curvatures(data.first, data.second, data.alpha)
+    lam, _, _, valid = principal_curvatures(data.first, data.second, data.alpha)[:4]
     assert not np.any(valid) and np.all(np.isnan(lam))
 
     bowl = Immersion(chart, 2, lambda v: [v[0], v[1], v[0] * v[0] * 0.3 + v[1] * v[1] * 0.2], *box)
     data = surface_point(bowl, u, order=2)
     assert np.all(np.isfinite(data.lam))
-    lam, E, eps, valid = principal_curvatures(data.first, data.second, data.alpha)
+    lam, E, eps, valid = principal_curvatures(data.first, data.second, data.alpha)[:4]
     assert np.all(valid)
     assert_allclose(lam, data.lam, rtol=0, atol=0)
     # g-orthonormal eigenvectors of A with g(E_i, E_i) = eps_i
