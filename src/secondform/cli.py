@@ -34,18 +34,10 @@ from . import ambient, curves, hypersurface, iigeom, spheres, variation
 from .errors import (
     BadParameters, DegenerateII, GeometryError, ScenarioError, SingularShapeOperator, _lookup,
 )
+from .iigeom import STACK_MAX_POINTS
 
 SCHEMA_VERSION = 1
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
-
-# Most points one ``ii_geometry`` batch of stacked ensemble members takes.
-# Each call has a fixed cost of a few ms, and its cost per point flattens
-# near 2,000 points: ``ii_geometry`` on a perturbed ovaloid takes 66 µs a
-# point at 153 points, 28 at 918 and 19–23 from 2,448 to 8,192 (Clifford
-# torus: 55, 23 and 13–18; 2-core x86_64 VM, numpy 2.4).  Larger batches
-# buy no time, and the call's transient memory grows with its points, so a
-# member past the bound runs in a batch of its own.
-STACK_MAX_POINTS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +224,8 @@ class Context:
         descriptor, a parameter dimension and an orientation run as one
         batch through one ``ii_geometry`` call (``stacked_immersion``), up
         to ``STACK_MAX_POINTS`` points a batch, and each member reads its
-        slice of it."""
+        slice of it; a member alone in its batch runs on its own immersion,
+        in ``ii_geometry``'s blocks when it is large."""
         if "geos" not in self.cache:
             imms, grids = self.built["immersions"], self.built["grids"]
             groups, open_group = [], {}
@@ -245,6 +238,10 @@ class Context:
                 group.append(i)
             geos = [None] * len(imms)
             for members in groups:
+                if len(members) == 1:
+                    (i,) = members
+                    geos[i] = iigeom.ii_geometry(imms[i], grids[i].nodes, on_error="mask")
+                    continue
                 batch, nodes, slices = hypersurface.stacked_immersion(
                     [imms[i] for i in members], [grids[i].nodes for i in members])
                 geo = iigeom.ii_geometry(batch, nodes, on_error="mask")

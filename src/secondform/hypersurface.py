@@ -126,7 +126,9 @@ class SurfacePointData:
     The values (`x`, `tangent`, `normal`, `first`, `second`, `shape`,
     `mean`, `detA`) are views of the arrays' constant terms, with a leading
     batch axis on grids; III and the principal spectrum are computed on
-    first read.  `u` is set by :func:`surface_point`.
+    first read.  `u` is set by :func:`surface_point`.  The frame an
+    ``IIGeometryPoint`` holds is cut by :meth:`kept`: `xc` and `U` keep
+    their jets (to order 3 and 2), every other array its values only.
     """
 
     imm: Immersion
@@ -149,7 +151,10 @@ class SurfacePointData:
     u: Optional[np.ndarray] = None
 
     def space(self, c):
-        """The jet space, over the frame's jet variables, of one of these arrays."""
+        """The jet space, over the frame's jet variables, of one of these
+        arrays; a field kept as values only (``kept``) has none."""
+        if isinstance(c, _Values):
+            raise LookupError("the jet space of a frame field kept as values only: its jet was dropped")
         n = self.nvars
         return next(jet_space(n, k) for k in range(self.order + 1) if jet_space(n, k).n == c.shape[0])
 
@@ -162,16 +167,30 @@ class SurfacePointData:
     mean = property(lambda self: self.H[0])
     detA = property(lambda self: self.detAc[0])
 
-    def take(self, imm: Immersion, sl: slice) -> "SurfacePointData":
-        """The frame of `imm` over the batch slice `sl` of this one: views of
-        every array (batch axes last, `u` batch first), a spectrum already
-        solved included."""
-        arrays = {f.name: getattr(self, f.name)[..., sl] for f in fields(self)
-                  if f.name != "u" and isinstance(getattr(self, f.name), np.ndarray)}
-        view = replace(self, imm=imm, u=None if self.u is None else self.u[sl], **arrays)
+    def batch_map(self, fn, *others, **changes) -> "SurfacePointData":
+        """This frame with fn(a, *b, last) for each array a with a batch
+        axis, b the same field of each frame in `others`, `last` whether the
+        batch axis is last (all but `u` and the spectrum), a spectrum
+        already solved included; `changes` as in ``dataclasses.replace``."""
+        frames = (self, *others)
+        arrays = {f.name: fn(*[getattr(x, f.name) for x in frames], f.name != "u")
+                  for f in fields(self) if isinstance(getattr(self, f.name), np.ndarray)}
+        out = replace(self, **arrays, **changes)
         if "principal" in self.__dict__:
-            view.principal = tuple(a[sl] for a in self.principal)
-        return view
+            out.principal = tuple(fn(*parts, False) for parts in zip(*[x.principal for x in frames]))
+        return out
+
+    def kept(self) -> "SurfacePointData":
+        """This frame as II-geometry keeps it: with the parameter jets at
+        order k, x to order k − 1 and U to k − 2 (what the first variation's
+        ε-frame reads), every other coefficient array as a ``_Values``."""
+        xc, U = (np.array(c[: jet_space(self.nvars, self.order - k).n]) for c, k in ((self.xc, 1), (self.U, 2)))
+        values = {n: np.array(getattr(self, n)[:1]).view(_Values)
+                  for n in ("t", "gbar", "gbar_inv", "g", "ginv", "II", "A", "detAc", "H")}
+        out = replace(self, xc=xc, U=U, **values)
+        if "principal" in self.__dict__:
+            out.principal = self.principal
+        return out
 
     @cached_property
     def third(self):
@@ -189,6 +208,22 @@ class SurfacePointData:
         return self.principal[0]
 
 
+class _Values(np.ndarray):
+    """A coefficient array cut to its constant term, shape (1, *tensor,
+    *batch).  Its values (``c[0]``, a plain array) and batch slices
+    (``c[..., sl]``) read as usual; any other coefficient is a jet that was
+    dropped, and reading it raises."""
+
+    def __getitem__(self, key):
+        head = key[0] if isinstance(key, tuple) and key else key
+        if head is Ellipsis:
+            return super().__getitem__(key)
+        if isinstance(head, (int, np.integer)) and head == 0:
+            out = super().__getitem__(key)
+            return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+        raise LookupError(f"coefficients {key!r} of a frame field kept as values only: its jet was dropped")
+
+
 def stacked_immersion(members, nodes):
     """One immersion for a batch of `members` that share an ambient chart
     descriptor, a parameter dimension and an orientation, at their parameter
@@ -196,7 +231,8 @@ def stacked_immersion(members, nodes):
     on its slice of the joined batch and joins the results.  Each member's
     points are checked against its own domain, as :func:`surface_point`
     checks them.  Returns the immersion, the joined points and the members'
-    slices."""
+    slices.  The map takes the joined batch whole, not a block of it, so
+    the joined points stay below ``ii_geometry``'s blocks."""
     for imm, u in zip(members, nodes):
         if not np.all(imm.contains(u)):
             raise OutOfDomain("parameter point outside the immersion domain")

@@ -62,6 +62,16 @@ SHAPE_EIGENVALUE_FLOOR = 1e-8
 II_DET_FLOOR = 1e-12
 PRINCIPAL_GAP = 1e-6
 
+# Points of one frame in ``ii_geometry``: a batch of N ≥ 2·STACK_MAX_POINTS
+# runs as N // STACK_MAX_POINTS blocks of 2,048–4,095 points, and the
+# scenario runner stacks ensemble members up to this many points a batch.
+# Each call has a fixed cost of a few ms, and its cost per point flattens
+# near 2,000 points: ``ii_geometry`` on a perturbed ovaloid takes 66 µs a
+# point at 153 points, 28 at 918 and 19–23 from 2,448 to 8,192 (Clifford
+# torus: 55, 23 and 13–18; 2-core x86_64 VM, numpy 2.4).  Larger frames
+# buy no time, and a frame's transient memory grows with its points.
+STACK_MAX_POINTS = 2048
+
 
 @dataclass
 class IIGeometryPoint:
@@ -73,9 +83,11 @@ class IIGeometryPoint:
     on_error="mask" the invalid entries are NaN instead of raising.
     `ii_inv` holds the values of II^{ij}, the inverse every tr_II contracts
     with, and `ii_LL` the invariant II(L, L) = II^{ia}II^{jb}II_{kl}L^k_{ij}L^l_{ab}.
+    `base` is the frame as ``SurfacePointData.kept`` leaves it: jets for
+    `xc` (order 3) and `U` (order 2), values only for the other arrays.
     """
 
-    base: SurfacePointData
+    base: SurfacePointData  # jets of xc and U only
     ii_inv: np.ndarray  # (..., m, m): II^{ij}
     gamma_ii: np.ndarray  # (..., m, m, m): Γ_II^k_{ij}, k first
     L: np.ndarray  # (..., m, m, m): L^k_{ij}
@@ -96,12 +108,20 @@ class IIGeometryPoint:
     invalid_reason: np.ndarray = None
 
     def take(self, imm: Immersion, sl: slice) -> "IIGeometryPoint":
-        """The package of `imm` over the batch slice `sl` of this one (see
-        ``SurfacePointData.take``)."""
-        arrays = {f.name: getattr(self, f.name)[sl] for f in fields(self)
-                  if isinstance(getattr(self, f.name), np.ndarray)}
-        return replace(self, base=self.base.take(imm, sl),
-                       h_ii={k: v[sl] for k, v in self.h_ii.items()}, **arrays)
+        """The package of `imm` over the batch slice `sl` of this one: views
+        of every array, a spectrum already solved included."""
+        return self.batch_map(lambda a, last: a[..., sl] if last else a[sl], imm=imm)
+
+    def batch_map(self, fn, *others, imm=None) -> "IIGeometryPoint":
+        """This package with fn(a, *b, last) for each array a with a batch
+        axis, its frame's included (see ``SurfacePointData.batch_map``),
+        and its frame's immersion replaced by `imm` when given."""
+        geos = (self, *others)
+        arrays = {f.name: fn(*[getattr(x, f.name) for x in geos], False)
+                  for f in fields(self) if isinstance(getattr(self, f.name), np.ndarray)}
+        h_ii = {k: fn(*[x.h_ii[k] for x in geos], False) for k in self.h_ii}
+        base = self.base.batch_map(fn, *[x.base for x in others], imm=self.base.imm if imm is None else imm)
+        return replace(self, base=base, h_ii=h_ii, **arrays)
 
     @property
     def h_ii_spread(self):
@@ -141,13 +161,45 @@ def ii_geometry(imm: Immersion, u, on_error: str = "raise") -> IIGeometryPoint:
     parameter derivatives of det A).  With on_error="mask", points failing
     the nondegeneracy guards come back NaN with `valid`=False rather than
     raising.
+
+    A batch of N ≥ 2·``STACK_MAX_POINTS`` points runs in
+    N // ``STACK_MAX_POINTS`` blocks written into full-size outputs, each
+    block's order-4 frame freed: bounded memory on any grid, bit for bit
+    the values of one frame.  The result's frame keeps jets for x and U
+    only, which the first variation reads (``SurfacePointData.kept``);
+    reading another field's jet raises.
     """
-    return _ii_geometry_from(surface_point(imm, u, order=4), on_error)
+    u = np.asarray(u, dtype=float)
+    n = len(u) if u.ndim == 2 else 0
+    if n < 2 * STACK_MAX_POINTS:
+        return _ii_geometry_from(surface_point(imm, u, order=4), on_error)
+    out = None
+    for block in np.array_split(np.arange(n), n // STACK_MAX_POINTS):
+        sl = slice(int(block[0]), int(block[-1]) + 1)
+        geo = _ii_geometry_from(surface_point(imm, u[sl], order=4), "mask")
+        if out is None:
+            out = geo.batch_map(lambda a, last: np.empty_like(
+                a, shape=a.shape[:-1] + (n,) if last else (n,) + a.shape[1:]))
+        out.take(imm, sl).batch_map(lambda a, b, last: np.copyto(a, b), geo)
+    if on_error == "raise":
+        _raise_invalid(out.invalid_reason)
+    return out
+
+
+def _raise_invalid(reason):
+    """Raise for the first nondegeneracy guard that fails at some point,
+    counting its points; `reason` is ``IIGeometryPoint.invalid_reason``."""
+    singular, degenerate = int(np.sum(reason == "singular_shape")), int(np.sum(reason == "degenerate_ii"))
+    if singular:
+        raise SingularShapeOperator(f"min |principal curvature| < {SHAPE_EIGENVALUE_FLOOR} at {singular} point(s)")
+    if degenerate:
+        raise DegenerateII(f"|det II| < {II_DET_FLOOR} at {degenerate} point(s)")
 
 
 @np.errstate(all="ignore")
 def _ii_geometry_from(data: SurfacePointData, on_error):
-    """``ii_geometry`` on a frame at order 4 over the m parameters."""
+    """``ii_geometry`` on a frame at order 4 over the m parameters, in one
+    block; the result keeps the frame's jets for x and U only."""
     m, batched = data.imm.param_dim, data.batched
     lam, E, eps_dir, prin_ok, lam_mod = data.principal  # one eigen-solve per point
     singular = np.min(lam_mod, axis=-1) < SHAPE_EIGENVALUE_FLOOR
@@ -157,13 +209,7 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
     valid = ~(singular | degenerate)
     reason = np.where(singular, "singular_shape", np.where(degenerate, "degenerate_ii", ""))
     if on_error == "raise":
-        if np.any(singular):
-            raise SingularShapeOperator(
-                f"min |principal curvature| < {SHAPE_EIGENVALUE_FLOOR} at "
-                f"{int(np.sum(singular))} point(s)"
-            )
-        if np.any(degenerate):
-            raise DegenerateII(f"|det II| < {II_DET_FLOOR} at {int(np.sum(degenerate))} point(s)")
+        _raise_invalid(reason)
 
     sp1, ii_inv, w = _ii_machine(data)
     curv_ii = amb._curvature_chain(data.space(data.II), data.II, ii_inv)
@@ -234,7 +280,7 @@ def _ii_geometry_from(data: SurfacePointData, on_error):
 
     nanify = None if on_error == "raise" else ~valid
     out = IIGeometryPoint(
-        base=data,
+        base=data.kept(),
         ii_inv=ii_inv_val,
         gamma_ii=gamma_ii_val,
         L=L,

@@ -35,7 +35,11 @@ functions (reciprocal, sqrt, exp, ...) share one lift,
 ``_lift(space, c, scaled_derivs, ...)`` = Σ_k d_k·e^k over the nilpotent
 part e of ``c`` (at order 0, d_0 alone), one sum per derivative sequence on
 one set of powers of e, so ``Jet.cos_sin`` and ``Jet.cosh_sinh`` cost the
-products of one lift.
+products of one lift.  On the row loop each power eᵏ⁺¹ = eᵏ·e skips the
+table rows whose left factor is below degree k or whose right factor is
+the constant term, where eᵏ and e are zero by construction
+(``_power_rows``): at 2 variables and order 4 the three powers take 72
+rows instead of 210, bit for bit the same sums on finite input.
 Code that keeps a stack of jets as one array, such as the geodesic
 integrator with its ``(n_mono, dim, *batch)`` state, calls these two
 directly: the tensor axes after the monomial axis broadcast like batch axes
@@ -70,6 +74,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
@@ -389,6 +394,19 @@ def _col(vec, c):
     return vec.reshape((-1,) + (1,) * (c.ndim - 2))
 
 
+@lru_cache(maxsize=None)
+def _power_rows(space: JetSpace, k: int) -> JetSpace:
+    """`space` with the row loop of the product eᵏ·e restricted to the table
+    rows whose factors can be nonzero: left degree ≥ k (eᵏ vanishes below
+    degree k) and right degree ≥ 1 (e has no constant term).  Every other
+    row adds a ±0 to its output, so the product is bit for bit the whole
+    table's on finite input; the gathered path keeps the whole table."""
+    rows = copy.copy(space)
+    deg = space.degrees
+    rows._mult_triples = [(i, j, o) for i, j, o in space._mult_triples if deg[i] >= k and deg[j] >= 1]
+    return rows
+
+
 def _lift(space: JetSpace, c: np.ndarray, *derivs_per_fn) -> list:
     """[Σ_k d_k · e^k for each sequence d of scaled derivatives] for the
     coefficient array `c` at `space`, with e its nilpotent part and
@@ -398,8 +416,8 @@ def _lift(space: JetSpace, c: np.ndarray, *derivs_per_fn) -> list:
     e = c.copy()
     e[0] = 0.0
     powers = [e]
-    for _ in range(1, space.order):
-        powers.append(_cauchy(space, powers[-1], e))
+    for k in range(1, space.order):
+        powers.append(_cauchy(_power_rows(space, k), powers[-1], e))
     outs = []
     for derivs in derivs_per_fn:
         out = np.zeros(e.shape)

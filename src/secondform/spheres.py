@@ -115,14 +115,16 @@ class FramedJet:
     def from_curvature_jet(jet: CurvatureJet, e0) -> "FramedJet":
         if jet.index != 0:
             raise UnsupportedSignature("sphere expansions assume a Riemannian ambient")
-        frame = orthonormal_frame(jet.metric, np.asarray(e0, dtype=float))
-        f = frame
+        f = orthonormal_frame(jet.metric, np.asarray(e0, dtype=float))
 
         def tf(tensor, rank):
+            # along a contraction path: one unoptimized product of rank + 1
+            # operands costs d^(2·rank) multiply-adds, 4¹² for ∇²R̄ at d = 4
             letters = "abcdef"[:rank]
             src = "ijklmn"[:rank]
             pattern = ",".join(f"{a}{i}" for a, i in zip(letters, src))
-            return np.einsum(f"{pattern},{''.join(src)}->{''.join(letters)}", *([f] * rank), tensor)
+            return np.einsum(f"{pattern},{''.join(src)}->{''.join(letters)}", *([f] * rank), tensor,
+                             optimize=True)
 
         out = FramedJet(
             dim=jet.dim,

@@ -3,7 +3,9 @@
     python tests/report_diff.py [--rtol R] OLD_DIR NEW_DIR
 
 Each scenario writes ``<name>.csv`` (one header row) and ``<name>.json``
-(the check values).  For every scenario found in either directory this
+(the check values); scenario files, ``<name>.scenario.json``, that sit
+beside the reports (as in a benchmark's work directory) are not reports
+and are skipped.  For every scenario found in either directory this
 prints one Markdown table row per CSV column and per check value that
 differs: whether its bytes match, and the largest absolute and relative
 difference over the rows where both fields are numbers
@@ -82,7 +84,8 @@ def report_diff(old_dir: Path, new_dir: Path, rtol=None) -> tuple:
     """(Markdown table lines, whether every report is byte-identical, or with
     `rtol` whether they differ only in numbers within `rtol` relative)."""
     names = sorted({p.stem for d in (old_dir, new_dir) for p in d.glob("*.csv")}
-                   | {p.stem for d in (old_dir, new_dir) for p in d.glob("*.json")})
+                   | {p.stem for d in (old_dir, new_dir) for p in d.glob("*.json")
+                      if not p.name.endswith(".scenario.json")})
     lines = ["| scenario | column | bytes | max abs | max rel |", "|---|---|---|---|---|"]
     agree = True
     for name in names:

@@ -718,19 +718,35 @@ def test_area_checks_read_the_masked_geometry_frame():
                     fn(ctx, 1.0, "second_form")
 
 
-def test_clifford_grid_scenario_peak_memory(tmp_path):
-    # the 64 × 128 Clifford scenario of the benchmark's grid workload: R̄ is
-    # never built along the grid and Γ̄ is kept as values only
-    path = SCENARIO_DIR / "clifford_ii_minimal.json"
-    assert json.loads(path.read_text())["subject"]["grid"] == [64, 128]
+def _scenario_peak_mib(path, out_dir):
+    """tracemalloc peak, in MiB, of one run of the scenario at `path`."""
     tracemalloc.start()
     try:
         with mock.patch("sys.stdout", new_callable=io.StringIO):
-            assert run_scenario(path, out_dir=tmp_path) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+            assert run_scenario(path, out_dir=out_dir) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_clifford_grid_scenario_peak_memory(tmp_path):
+    # the 64 × 128 Clifford scenario of the benchmark's grid workload: R̄ is
+    # never built along the grid, Γ̄ is kept as values only, and ii_geometry
+    # runs its 8,192 points in four blocks (peak 24.5 MiB; 47.1 MiB in one
+    # frame)
+    path = SCENARIO_DIR / "clifford_ii_minimal.json"
+    assert json.loads(path.read_text())["subject"]["grid"] == [64, 128]
+    peak = _scenario_peak_mib(path, tmp_path)
+    assert peak <= 30.0, f"{peak:.1f} MiB"
+
+
+def test_s3_in_s4_grid_scenario_peak_memory(tmp_path):
+    # the 16 × 16 × 32 grid of S³(1/√2) ⊂ S⁴ in four blocks of ii_geometry
+    # (peak 64.9–65.7 MiB; 153.6 MiB in one frame)
+    path = SCENARIO_DIR / "ii_minimal_s3_in_s4.json"
+    assert json.loads(path.read_text())["subject"]["grid"] == [16, 16, 32]
+    peak = _scenario_peak_mib(path, tmp_path)
+    assert peak <= 82.0, f"{peak:.1f} MiB"
 
 
 MIXED_ENSEMBLE = [  # two in E³, two in S³: two frames
@@ -796,6 +812,38 @@ def test_stacked_ensemble_matches_one_member_runs(tmp_path, max_points, frames):
         _assert_rows_close([r for r in rows if r[0] == str(i)], one_rows)
     assert values[1] == 0.0 and all(v[1] == 0.0 for _, _, v in alone)
     assert abs(values[0] - max(v[0] for _, _, v in alone)) <= 1e-12
+
+
+def test_large_ensemble_members_run_alone_in_blocks(tmp_path):
+    # 4,096 points a member: each runs on its own immersion, in two blocks,
+    # and its rows are those of its one-member run, byte for byte
+    checks = [{"check": "h_ii_route_spread", "tolerance": 1e-6}]
+    members = MIXED_ENSEMBLE[:2]
+    calls, frames = [], []
+    real_geo, real_point = iigeom.ii_geometry, iigeom.surface_point
+
+    def geo_counting(imm, u, on_error="raise"):
+        calls.append(len(u))
+        return real_geo(imm, u, on_error)
+
+    def point_counting(imm, u, order=4):
+        frames.append(len(u))
+        return real_point(imm, u, order)
+
+    with mock.patch.object(iigeom, "ii_geometry", geo_counting), \
+            mock.patch.object(iigeom, "surface_point", point_counting):
+        code, rows, values = _run_rows(
+            tmp_path, "large", {"type": "ensemble", "immersions": members, "grid": [64, 64]}, checks)
+    assert code == 0
+    assert calls == [4096, 4096] and frames == [2048] * 4
+    spreads = []
+    for i, desc in enumerate(members):
+        code, one_rows, one_values = _run_rows(
+            tmp_path, f"large{i}", {"type": "immersion", "immersion": desc, "grid": [64, 64]}, checks)
+        assert code == 0
+        assert [r[1:] for r in rows if r[0] == str(i)] == [r[1:] for r in one_rows]
+        spreads.append(one_values[0])
+    assert values[0] == max(spreads)
 
 
 def test_stacked_ensemble_member_with_a_degenerate_point(tmp_path):

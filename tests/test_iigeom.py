@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from secondform import iigeom
 from secondform.ambient import _grad, _stack_list, flat_chart, product_chart, space_form
 from secondform.curves import h_ii_curve, standard_curve
 from secondform.errors import SingularShapeOperator, StepFailure
-from secondform.hypersurface import Immersion, frame_jets, standard_immersion
+from secondform.hypersurface import (
+    Immersion, frame_jets, intrinsic_curvature_jets, standard_immersion, surface_point,
+)
 from secondform.iigeom import (
+    STACK_MAX_POINTS,
     _divergence_form,
+    _ii_geometry_from,
     _ii_machine,
     ii_geometry,
     sphere_inequality_report,
@@ -474,3 +479,74 @@ def test_principal_spectrum_is_computed_once_on_first_read(monkeypatch):
     assert np.array_equal(base.lam, principal_curvatures(base.first, base.second, base.alpha)[0])
     third = np.einsum("...si,...tj,...st->...ij", base.shape, base.shape, base.first)
     assert np.array_equal(base.third, third)
+
+
+def _blocked_and_whole(monkeypatch, imm, nodes):
+    """(ii_geometry in blocks, the points of its frames; one unblocked frame)."""
+    calls = []
+
+    def counting(imm, u, order=4):
+        calls.append(len(u))
+        return surface_point(imm, u, order)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(iigeom, "surface_point", counting)
+        geo = ii_geometry(imm, nodes)
+    return geo, calls, _ii_geometry_from(surface_point(imm, nodes, order=4), "raise")
+
+
+@pytest.mark.parametrize("kind, grid, n_points, blocks", [
+    ("clifford", (64, 128), 8192, [2048] * 4),
+    ("perturbed_ovaloid", (64, 65), 4097, [2049, 2048]),  # two blocks of uneven size
+])
+def test_blocks_equal_one_frame_bit_for_bit(monkeypatch, kind, grid, n_points, blocks):
+    imm = standard_immersion(kind, **({"seed": 1, "amplitude": 0.03} if kind == "perturbed_ovaloid" else {}))
+    nodes = grid_for_immersion(imm, list(grid)).nodes[:n_points]
+    geo, calls, whole = _blocked_and_whole(monkeypatch, imm, nodes)
+    assert calls == blocks and n_points >= 2 * STACK_MAX_POINTS
+    assert "principal" in geo.base.__dict__ and "principal" in whole.base.__dict__
+    compared = []
+
+    def same(a, b, last):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        compared.append(a.shape)
+
+    geo.batch_map(same, whole)
+    # every array of IIGeometryPoint, the three routes, the frame's (x and U
+    # as jets, the rest as values, u) and the five of the spectrum
+    assert len(compared) == 17 + 3 + 14 + 5
+    assert geo.base.xc.shape[0] == 10 and geo.base.U.shape[0] == 6  # order 3 and 2 in 2 variables
+    assert (geo.base.order, geo.base.nvars, geo.base.batched) == (whole.base.order, whole.base.nvars, True)
+
+
+def test_blocks_raise_as_one_frame_does():
+    # a cylinder graph has det A = 0 everywhere: the count covers all blocks
+    imm = standard_immersion("graph", quadratic=[[1.0, 0.0], [0.0, 0.0]])
+    nodes = grid_for_immersion(imm, [64, 65]).nodes[:4097]
+    with pytest.raises(SingularShapeOperator, match="at 4097 point"):
+        ii_geometry(imm, nodes)
+    with pytest.raises(SingularShapeOperator, match="at 4097 point"):
+        _ii_geometry_from(surface_point(imm, nodes, order=4), "raise")
+    masked = ii_geometry(imm, nodes, on_error="mask")
+    assert not np.any(masked.valid) and np.all(np.isnan(masked.h_ii["gauss"]))
+
+
+@pytest.mark.parametrize("n_points", [40, 4097])
+def test_reading_a_dropped_jet_raises(n_points):
+    imm = standard_immersion("perturbed_ovaloid", seed=1, amplitude=0.03)
+    geo = ii_geometry(imm, grid_for_immersion(imm, [64, 65]).nodes[:n_points])
+    base = geo.base
+    for name in ("t", "gbar", "gbar_inv", "g", "ginv", "II", "A", "detAc", "H"):
+        arr = getattr(base, name)
+        assert arr.shape[0] == 1 and type(arr[0]) is np.ndarray
+        for key in (1, slice(0, 3), (slice(None), 0), [0, 1]):
+            with pytest.raises(LookupError, match="jet was dropped"):
+                arr[key]
+    with pytest.raises(LookupError):
+        intrinsic_curvature_jets(base)
+    # the values stay readable, and batch slices keep them values-only
+    assert base.first.shape == (n_points, 2, 2) and base.mean.shape == (n_points,)
+    part = geo.take(imm, slice(1, 3)).base
+    assert np.array_equal(part.first, base.first[1:3])
+    with pytest.raises(LookupError):
+        part.II[1]

@@ -349,3 +349,20 @@ def test_paired_lift_is_bit_identical_to_separate_lifts(order, point, pair):
     for got, lone, ref in zip(getattr(j, pair)(), pair.split("_"), refs):
         assert np.array_equal(got.coeffs, ref)
         assert np.array_equal(getattr(j, lone)().coeffs, ref)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_power_rows_equal_the_whole_table_bit_for_bit(nvars):
+    # above the path bound the row loop runs; eᵏ·e on the rows whose factors
+    # can be nonzero is the whole table's product, bit for bit
+    space = jet_space(nvars, 4)
+    e = np.random.default_rng(nvars).normal(size=(space.n, 3, 300))
+    e[0] = 0.0
+    assert not jets._gathers(e[0].size)
+    power = e
+    for k in range(1, space.order):
+        rows = jets._power_rows(space, k)
+        assert len(rows._mult_triples) < len(space._mult_triples)
+        whole, cut = jets._cauchy(space, power, e), jets._cauchy(rows, power, e)
+        assert whole.tobytes() == cut.tobytes()
+        power = whole

@@ -33,3 +33,15 @@ def test_rtol_never_accepts_a_text_change_or_a_missing_report(tmp_path):
     (tmp_path / "new" / "s.json").unlink()
     assert report_diff.main(["--rtol", "1", old, new]) == 1
     assert report_diff.main(["--rtol", "1", old, old]) == 0
+
+
+def test_scenario_files_beside_the_reports_are_skipped(tmp_path, capsys):
+    # a scenario file's checks carry no "value": read as a report it raised KeyError
+    scenario = {"schema": 1, "name": "s", "checks": [{"check": "h_ii_route_spread", "tolerance": 1e-6}]}
+    old = _reports(tmp_path / "old", [(0.5, 1.0)], 1e-15)
+    new = _reports(tmp_path / "new", [(0.5, 1.0)], 1e-15)
+    for side in (old, new):
+        (tmp_path / side / "s.scenario.json").write_text(json.dumps(scenario))
+    assert report_diff.main([old, new]) == 0
+    out = capsys.readouterr().out
+    assert "| s.scenario |" not in out and "| s | 4 columns | match | 0 | 0 |" in out
