@@ -1,8 +1,9 @@
 """Ambient semi-Riemannian charts and their curvature data.
 
 A chart packages a metric-component function evaluated on jet coefficient
-arrays, together with optional closed-form Christoffel data used by the
-geodesic integrator and the frame (see :class:`MetricChart`).  All model
+arrays, together with, on conformal charts, the gradient of the conformal
+exponent, off which the geodesic integrator and the frame read the
+connection (see :class:`MetricChart`).  All model
 spaces (the six constant-curvature spaces and products of Riemannian
 factors) are conformally flat in the chart used here,
 
@@ -83,23 +84,20 @@ class MetricChart:
     coordinates `x` have shape (space.n, dim, *batch).
 
     * `metric_fn(space, x)` returns ḡ_ab, shape (space.n, dim, dim, *batch).
-    * `christoffel_jets_fn(space, x)` (optional) returns the closed-form
-      Γ^k_ab, k first, shape (space.n, dim, dim, dim, *batch).
-    * `christoffel_u_fn(space, x, u)` (optional) returns Γ^k_ab u_k in
-      closed form for a covector `u` shaped like `x`: (space.n, dim, dim,
-      *batch), without the d³ Γ.  It must agree with `christoffel_jets_fn`
-      (the frame reads one, its shape-operator check the other), so a chart
-      that replaces or clears one must replace or clear the other.
-    * `geodesic_rhs(space, x, v)` (optional) returns the acceleration
-      −Γ^k_ab(x) v^a v^b for a velocity `v` shaped like `x`.
+    * `sigma_grad_fn(space, x)` (optional), on a conformal chart
+      ḡ = ε δ e^{2σ} (ε the signs of `index`), returns ∂_a σ on axis 1,
+      shape (space.n, dim, *batch), or None where σ ≡ 0.  The connection
+      is read off it: Γ̄ (:func:`christoffel_on_jets`), Γ̄ contracted with
+      a covector (:func:`christoffel_u_on_jets`) and the geodesic
+      right-hand side (:func:`geodesic_rhs`).  A product chart has none of
+      its own; those functions read each factor's (`product_factors`).
     * `geodesic_flow(space, x, w, ts)` (optional) returns the geodesic from
       x with velocity w in closed form: (x_t, v_t), each of shape
       (len(ts), space.n, dim, *batch), at the times ts, or None where its
       formula loses accuracy (see `_quadric_flow`).
 
-    The optional closed-form fields accelerate geodesic integration and the
-    frame; when absent, the generic metric-derived path (and RK4 for
-    geodesics) is used.
+    Where a chart, or a factor of a product, has no σ-gradient, those
+    three are derived from the metric.
     """
 
     dim: int
@@ -108,9 +106,7 @@ class MetricChart:
     domain_lo: np.ndarray
     domain_hi: np.ndarray
     descriptor: dict
-    christoffel_jets_fn: Optional[Callable] = None
-    christoffel_u_fn: Optional[Callable] = None
-    geodesic_rhs: Optional[Callable] = None
+    sigma_grad_fn: Optional[Callable] = None
     geodesic_flow: Optional[Callable] = None
     predicate_fn: Optional[Callable] = None
     curvature_const: Optional[float] = None
@@ -319,8 +315,11 @@ def curvature_jet(chart: MetricChart, x, order: int = 2) -> CurvatureJet:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _signs(dim: int, index: int) -> np.ndarray:
-    return np.array([-1.0] * index + [1.0] * (dim - index))
+    eps = np.array([-1.0] * index + [1.0] * (dim - index))
+    eps.flags.writeable = False  # shared by every caller
+    return eps
 
 
 # Largest |s| = |q|·t² at which `_quadric_flow` sums the series of C and S:
@@ -420,16 +419,12 @@ def _quadric_flow(space, x, w, ts, eps, cbar):
 def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
     """Chart with ḡ = ε δ / (1 + C̄⟨x,x⟩_ε/4 )², optionally with a conformal bump.
 
-    With σ = log of the conformal factor, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
-    ε_a δ_ab ε_k σ_k, so Γ^k_ab u_k = u_a σ_b + u_b σ_a − ε_a δ_ab (εσ·u)
-    for a covector u, and the geodesic right-hand side is
-    −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 9 jet products, 5 for σ′ (F and its
-    gradient, or the bump and its), 2 for the dot products and 2 for the
-    scalings.  Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not
-    built, so a flat chart gives εδ, Γ = 0 and a zero right-hand side with
-    no product.  Without a bump the geodesics have the closed form of
-    `_quadric_flow`.  `bump` is a pair of functions (space, x) ↦ σ_bump and
-    (space, x, σ_bump) ↦ its gradient on axis 1.
+    Its `sigma_grad_fn` is the gradient of σ = log of the conformal factor:
+    5 jet products at order 4 (F and its gradient, or the bump and its).
+    Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not built, so a flat chart
+    gives εδ and σ ≡ 0 with no product.  Without a bump the geodesics have
+    the closed form of `_quadric_flow`.  `bump` is a pair of functions
+    (space, x) ↦ σ_bump and (space, x, σ_bump) ↦ its gradient on axis 1.
     """
     eps = _signs(dim, index)
 
@@ -463,42 +458,6 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
             return out
         return np.einsum("ab,Z...->Zab...", np.diag(eps), (root * root).coeffs)
 
-    def christoffel_fn(space, x):
-        out = np.zeros((space.n, dim, dim, dim) + x.shape[2:])
-        sg = sigma_grad(space, x)
-        if sg is None:
-            return out
-        # Γ filled term by term on diagonal views of it: no Γ-sized temporaries
-        np.einsum("Zkkb...->Zkb...", out)[...] = sg[:, None]  # δ^k_a σ_b
-        half = np.einsum("Zkak...->Zka...", out)
-        half += sg[:, None]  # δ^k_b σ_a
-        diag = np.einsum("Zkaa...->Zka...", out)
-        diag -= np.outer(eps, eps).reshape((dim, dim) + (1,) * (sg.ndim - 2)) * sg[:, :, None]
-        return out
-
-    def christoffel_u_fn(space, x, u):
-        sg = sigma_grad(space, x)
-        u = u[: space.n]
-        if sg is None:
-            return np.zeros((space.n, dim) + u.shape[1:])
-        us = _cauchy(space, u[:, :, None], sg[:, None])  # u_a σ_b
-        su = np.einsum("Zaa...,a->Z...", us, eps)  # εσ·u, off the diagonal of us
-        out = us + np.swapaxes(us, 1, 2)
-        diag = np.einsum("Zaa...->Za...", out)
-        diag -= _col(eps, sg) * su[:, None]
-        return out
-
-    def rhs(space, x, v):
-        # −2 v^k (σ′·v) + ε_k σ_k ⟨v,v⟩_ε; x and v have one shape
-        sg = sigma_grad(space, x)
-        v = v[: space.n]
-        if sg is None:
-            return np.zeros(v.shape)
-        e = _col(eps, v)
-        sv = _tsum(_cauchy(space, sg, v))
-        vv = _tsum(_cauchy(space, v, v) * e)
-        return _cauchy(space, v, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e
-
     def predicate(x):
         q = np.sum(eps * x * x, axis=-1)
         return 1.0 + cbar * q / 4.0 > 0.05
@@ -520,9 +479,7 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         domain_lo=-half * np.ones(dim),
         domain_hi=half * np.ones(dim),
         descriptor=descriptor,
-        christoffel_jets_fn=christoffel_fn,
-        christoffel_u_fn=christoffel_u_fn,
-        geodesic_rhs=rhs,
+        sigma_grad_fn=sigma_grad,
         geodesic_flow=None if bump else functools.partial(_quadric_flow, eps=eps, cbar=cbar),
         predicate_fn=predicate,
         curvature_const=cbar if bump is None else None,
@@ -582,33 +539,12 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
             out[:, sl, sl] = chart.metric_fn(space, x[:, sl])
         return out
 
-    def christoffel_fn(space, x):
-        out = np.zeros((space.n, dim, dim, dim) + x.shape[2:])
-        for chart, sl in factors:
-            out[:, sl, sl, sl] = chart.christoffel_jets_fn(space, x[:, sl])
-        return out
-
-    def christoffel_u_fn(space, x, u):
-        out = np.zeros((space.n, dim, dim) + x.shape[2:])
-        for chart, sl in factors:
-            out[:, sl, sl] = chart.christoffel_u_fn(space, x[:, sl], u[:, sl])
-        return out
-
-    def rhs(space, x, v):
-        return np.concatenate(
-            [chart.geodesic_rhs(space, x[:, sl], v[:, sl]) for chart, sl in factors], axis=1
-        )
-
     def flow(space, x, w, ts):
         parts = [chart.geodesic_flow(space, x[:, sl], w[:, sl], ts) for chart, sl in factors]
         if any(p is None for p in parts):
             return None
         return tuple(np.concatenate([p[i] for p in parts], axis=2) for i in (0, 1))
 
-    ok_gamma = all(c.christoffel_jets_fn is not None for c, _ in factors)
-    ok_gamma_u = all(c.christoffel_u_fn is not None for c, _ in factors)
-    ok_rhs = all(c.geodesic_rhs is not None for c, _ in factors)
-    ok_flow = all(c.geodesic_flow is not None for c, _ in factors)
     preds = [(c.predicate_fn, sl) for c, sl in factors if c.predicate_fn is not None]
 
     def predicate(x):
@@ -624,10 +560,7 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         domain_lo=np.concatenate([a.domain_lo, b.domain_lo]),
         domain_hi=np.concatenate([a.domain_hi, b.domain_hi]),
         descriptor={"kind": "product", "factors": [a.descriptor, b.descriptor]},
-        christoffel_jets_fn=christoffel_fn if ok_gamma else None,
-        christoffel_u_fn=christoffel_u_fn if ok_gamma_u else None,
-        geodesic_rhs=rhs if ok_rhs else None,
-        geodesic_flow=flow if ok_flow else None,
+        geodesic_flow=flow if all(c.geodesic_flow is not None for c, _ in factors) else None,
         predicate_fn=predicate if preds else None,
         curvature_const=None,
         product_factors=factors,
@@ -696,26 +629,90 @@ def chart_from_descriptor(desc: dict) -> MetricChart:
 # ---------------------------------------------------------------------------
 
 
+def _sigma_grads(chart: MetricChart, space, x):
+    """[(slice, ε, ∂σ or None where σ ≡ 0), ...] of the conformal blocks of a
+    chart, its product factors or the chart itself, at coordinates x (at
+    `space` or above); None where a block has no σ-gradient."""
+    blocks = chart.product_factors or ((chart, slice(None)),)
+    for c, _ in blocks:
+        if c.sigma_grad_fn is None:
+            return None
+    return [(sl, _signs(c.dim, c.index), c.sigma_grad_fn(space, x[: space.n, sl])) for c, sl in blocks]
+
+
 def christoffel_on_jets(chart: MetricChart, space, x):
     """Γ^k_{ab} (n_mono, dim, dim, dim, *batch) at coordinates given as a
-    coefficient array x (n_mono, dim, *batch) at `space`.
+    coefficient array x (n_mono, dim, *batch) at `space` or above.
 
-    Falls back to composing the ambient Taylor expansion of Γ with the
-    displacement when the chart has no closed form.
+    On each conformal block ḡ = ε δ e^{2σ}, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
+    ε_a δ_ab ε_k σ_k, filled term by term on diagonal views: no Γ-sized
+    temporaries.  Without a σ-gradient, the ambient Taylor expansion of the
+    metric-derived Γ is composed with the displacement.
     """
-    if chart.christoffel_jets_fn is not None:
-        return chart.christoffel_jets_fn(space, x[: space.n])
-    return _compose_along(chart, space, x, 1, lambda amb_space, g: _levi_civita(amb_space, g)[1])
+    grads = _sigma_grads(chart, space, x)
+    if grads is None:
+        return _compose_along(chart, space, x, 1, lambda amb_space, g: _levi_civita(amb_space, g)[1])
+    out = np.zeros((space.n,) + (chart.dim,) * 3 + x.shape[2:])
+    for sl, eps, sg in grads:
+        if sg is None:
+            continue
+        block = out[:, sl, sl, sl]
+        np.einsum("Zkkb...->Zkb...", block)[...] = sg[:, None]  # δ^k_a σ_b
+        half = np.einsum("Zkak...->Zka...", block)
+        half += sg[:, None]  # δ^k_b σ_a
+        diag = np.einsum("Zkaa...->Zka...", block)
+        diag -= np.outer(eps, eps).reshape(eps.shape * 2 + (1,) * (sg.ndim - 2)) * sg[:, :, None]
+    return out
 
 
 def christoffel_u_on_jets(chart: MetricChart, space, x, u):
     """Γ^k_{ab}u_k (n_mono, dim, dim, *batch) for a covector field u along
-    the coordinates x, both coefficient arrays at `space` or above: the
-    chart's closed form, or else the contraction of
-    :func:`christoffel_on_jets`."""
-    if chart.christoffel_u_fn is not None:
-        return chart.christoffel_u_fn(space, x[: space.n], u)
-    return jeinsum(space, "kab...,k...->ab...", christoffel_on_jets(chart, space, x), u)
+    the coordinates x, both coefficient arrays at `space` or above.
+
+    On each conformal block, u_a σ_b + u_b σ_a − ε_a δ_ab (εσ·u): one jet
+    product, without the d³ Γ.  Without a σ-gradient, the contraction of
+    :func:`christoffel_on_jets`.
+    """
+    grads = _sigma_grads(chart, space, x)
+    if grads is None:
+        return jeinsum(space, "kab...,k...->ab...", christoffel_on_jets(chart, space, x), u)
+    u = u[: space.n]
+    out = np.zeros((space.n, chart.dim, chart.dim) + np.broadcast_shapes(x.shape[2:], u.shape[2:]))
+    for sl, eps, sg in grads:
+        if sg is None:
+            continue
+        us = _cauchy(space, u[:, sl, None], sg[:, None])  # u_a σ_b
+        su = np.einsum("Zaa...,a->Z...", us, eps)  # εσ·u, off the diagonal of us
+        block = np.add(us, np.swapaxes(us, 1, 2), out=out[:, sl, sl])
+        diag = np.einsum("Zaa...->Za...", block)
+        diag -= _col(eps, sg) * su[:, None]
+    return out
+
+
+def geodesic_rhs(chart: MetricChart, space, x, v):
+    """The geodesic acceleration −Γ^k_ab(x) v^a v^b for a velocity v shaped
+    like the coordinates x, coefficient arrays at `space`.
+
+    On each conformal block −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 9 jet
+    products, 5 for σ′, 2 for the dot products and 2 for the scalings; none
+    where σ ≡ 0.  Without a σ-gradient, the contraction of
+    :func:`christoffel_on_jets`.
+    """
+    grads = _sigma_grads(chart, space, x)
+    if grads is None:
+        vv = jeinsum(space, "a...,b...->ab...", v, v)
+        return -jeinsum(space, "kab...,ab...->k...", christoffel_on_jets(chart, space, x), vv)
+    parts = []
+    for sl, eps, sg in grads:
+        vb = v[: space.n, sl]
+        if sg is None:
+            parts.append(np.zeros(vb.shape))
+            continue
+        e = _col(eps, vb)
+        sv = _tsum(_cauchy(space, sg, vb))
+        vv = _tsum(_cauchy(space, vb, vb) * e)
+        parts.append(_cauchy(space, vb, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _compose_along(chart: MetricChart, space, x, extra: int, field):
@@ -728,13 +725,6 @@ def _compose_along(chart: MetricChart, space, x, extra: int, field):
     disp = x[: space.n].copy()
     disp[0] = 0.0
     return compose(space, field(amb_space, g), disp)
-
-
-def _christoffel_rhs(chart: MetricChart, space, x, v):
-    """−Γ^k_ab v^a v^b on coefficient arrays, for a chart without a
-    closed-form `geodesic_rhs`."""
-    vv = jeinsum(space, "a...,b...->ab...", v, v)
-    return -jeinsum(space, "kab...,ab...->k...", christoffel_on_jets(chart, space, x), vv)
 
 
 def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stops=None):
@@ -763,7 +753,7 @@ def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stop
     if not ts or ts[0] <= 0.0 or ts[-1] > 1.0 or any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError(f"stops must be sorted fractions in (0, 1], got {stops!r}")
     x, v = x0_jets[: space.n], w_jets[: space.n]
-    rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
+    rhs = functools.partial(geodesic_rhs, chart)
 
     def rk4(x, v, h):
         k1 = rhs(space, x, v)

@@ -15,13 +15,14 @@ The frame (:func:`frame_jets`) runs on coefficient arrays of shape
 covector n_a = ε_{a b₁…b_m} t₁^{b₁}⋯t_m^{b_m}, U = ḡ⁻¹n/√|n·ḡ⁻¹n|,
 II = α(∂t·U♭ + (Γ̄·U♭)tt) and A = α g⁻¹II, with g⁻¹ by the Neumann series,
 ḡ⁻¹n off the diagonal ḡ of the package's charts, Γ̄^k_ab U_k (d² entries)
-from the chart's closed form and n and det A by the exterior product.
+off the chart's σ-gradient (``ambient.christoffel_u_on_jets``) and n and
+det A by the exterior product.
 With the parameter jets at order k, each
 quantity is carried at the order its readers use: t, ḡ and U at k − 1 (a
 normal deformation reads U to first order below x), II, A, g⁻¹, det A and
 H at k − 2, g at max(k − 2, min(k − 1, 2)) (intrinsic curvature reads two
-derivatives of g), ḡ⁻¹ as values only.  The d³ Γ̄ is built as values
-only, for the shape-operator check.
+derivatives of g).  The d³ Γ̄ is built as values only, for the
+shape-operator check.
 One frame type, :class:`SurfacePointData`, carries these coefficient arrays; the classical
 values (x, g, II, A, H, det A, …) are read off their constant terms, and III
 and the principal spectrum are computed on first read, once.  The
@@ -139,7 +140,6 @@ class SurfacePointData:
     xc: np.ndarray  # (n_mono, dim, *batch)
     t: np.ndarray  # (n_mono, m, dim, *batch): t[:, i, a] = ∂_i x^a
     gbar: np.ndarray  # (n_mono, dim, dim, *batch)
-    gbar_inv: np.ndarray
     g: np.ndarray  # (n_mono, m, m, *batch)
     ginv: np.ndarray
     U: np.ndarray  # (n_mono, dim, *batch)
@@ -186,7 +186,7 @@ class SurfacePointData:
         ε-frame reads), every other coefficient array as a ``_Values``."""
         xc, U = (np.array(c[: jet_space(self.nvars, self.order - k).n]) for c, k in ((self.xc, 1), (self.U, 2)))
         values = {n: np.array(getattr(self, n)[:1]).view(_Values)
-                  for n in ("t", "gbar", "gbar_inv", "g", "ginv", "II", "A", "detAc", "H")}
+                  for n in ("t", "gbar", "g", "ginv", "II", "A", "detAc", "H")}
         out = replace(self, xc=xc, U=U, **values)
         if "principal" in self.__dict__:
             out.principal = self.principal
@@ -321,7 +321,8 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
         sgn = np.where(flip, -1.0, 1.0)
         U, II, A, tr_a = U * sgn, II * sgn, A * sgn, tr_a * sgn
 
-    # the check reads the d³ Γ̄ at the base points, a route independent of Γ̄·U
+    # the check reads the d³ Γ̄ at the base points, off the σ-gradient that
+    # gave Γ̄·U; through U ⊥ t_i it tests that this connection is ḡ's
     sp_u = jet_space(n, 1)
     du = amb._grad(U[: sp_u.n], sp_u)[0, :m]
     gamma_bar = amb.christoffel_on_jets(imm.ambient, jet_space(n, 0), xc)[0]
@@ -335,7 +336,6 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
         xc=xc,
         t=t,
         gbar=gb,
-        gbar_inv=_inv(jet_space(n, 0), gb),
         g=g,
         ginv=ginv,
         U=U,
@@ -565,7 +565,8 @@ def gauss_codazzi_residual(imm: Immersion, u):
     )
     # antisymmetrize in (i, j); nabla_a axes are [..., i, k, j]
     lhs = nabla_a - np.moveaxis(nabla_a, [-3, -1], [-1, -3])
-    rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, b.normal, vals(b.gbar_inv))
+    gbar_inv = _inv(jet_space(b.nvars, 0), b.gbar[0][None])
+    rhs_amb = np.einsum("...abcf,...ia,...jb,...c,...ef->...ije", rb, tv, tv, b.normal, vals(gbar_inv))
     rhs_cov = np.einsum("...ije,...ef,...kf->...ijk", rhs_amb, vals(b.gbar), tv)
     rhs_param = np.einsum("...kl,...ijl->...ijk", vals(b.ginv), rhs_cov)
     # lhs[..., i, k, j] has k the component; rhs_param[..., i, j, k]

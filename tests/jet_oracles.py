@@ -202,12 +202,10 @@ def wedge_oracle(space, vecs):
 
 
 def christoffel_on_jets_oracle(chart, x_jets):
-    """Γ^k_ab at jet-valued coordinates as an object array: the chart's
-    closed form entry by entry, or the metric-derived Γ of the ambient
-    Taylor expansion composed with the displacement."""
+    """Γ^k_ab at jet-valued coordinates as an object array, on every chart
+    from its metric: the metric-derived Γ of the ambient Taylor expansion,
+    composed with the displacement."""
     space, x = _stack_list(x_jets)
-    if chart.christoffel_jets_fn is not None:
-        return views(space, chart.christoffel_jets_fn(space, x), 3)
     order = space.order
     x0 = np.moveaxis(x[0], 0, -1)
     amb = [Jet.variable(jet_space(chart.dim, order + 1), i, x0[..., i]) for i in range(chart.dim)]

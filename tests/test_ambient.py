@@ -14,9 +14,12 @@ from numpy.testing import assert_allclose
 from secondform.ambient import (
     chart_from_descriptor,
     christoffel,
+    christoffel_on_jets,
+    christoffel_u_on_jets,
     curvature_jet,
     exp_map,
     flat_chart,
+    geodesic_rhs,
     metric_value,
     orthonormal_frame,
     product_chart,
@@ -125,7 +128,7 @@ class TestChristoffel:
         for chart in (space_form(3, 1.0), space_form(3, -1.0), registry_chart("bumpy_e3")):
             x = np.array([0.2, -0.1, 0.3])
             space, xc = _stack_list(seed_jets(x, chart.dim, 0))
-            closed = chart.christoffel_jets_fn(space, xc)[0]
+            closed = christoffel_on_jets(chart, space, xc)[0]
             assert_allclose(closed, christoffel(chart, x), atol=1e-11)
 
     def test_out_of_domain(self):
@@ -435,13 +438,17 @@ def test_exp_map_default_arguments():
 def list_rk4_oracle(chart, x0_jets, w_jets, n_steps):
     """The RK4 exp_map ran before it moved to coefficient arrays: lists of d
     separate jets, with the acceleration −Γ^k_ab v^a v^b summed over a ≤ b
-    entry by entry from the Christoffel symbols at the jet positions."""
-    from jet_oracles import christoffel_on_jets_oracle
+    entry by entry from the Christoffel symbols at the jet positions (the
+    package's d³ Γ, not the contracted form that exp_map integrates)."""
+    from jet_oracles import views
+
+    from secondform.ambient import _stack_list
 
     d = chart.dim
 
     def rhs(x, v):
-        gamma = christoffel_on_jets_oracle(chart, x)
+        space, xc = _stack_list(x)
+        gamma = views(space, christoffel_on_jets(chart, space, xc), 3)
         acc = []
         for k in range(d):
             total = None
@@ -507,12 +514,12 @@ def _rk4(chart):
     return dataclasses.replace(chart, geodesic_flow=None)
 
 
-def _no_rhs(chart, closed_gamma=True):
+def _metric_derived(chart):
+    """The chart without its σ-gradient, product blocks or flow: Γ̄ comes
+    from the metric, and exp_map runs RK4 on its contraction."""
     import dataclasses
 
-    if closed_gamma:
-        return dataclasses.replace(chart, geodesic_rhs=None, geodesic_flow=None)
-    return dataclasses.replace(chart, geodesic_rhs=None, christoffel_jets_fn=None, geodesic_flow=None)
+    return dataclasses.replace(chart, sigma_grad_fn=None, product_factors=None, geodesic_flow=None)
 
 
 EXP_CHARTS = {
@@ -521,7 +528,7 @@ EXP_CHARTS = {
     "de_sitter": lambda: space_form(3, 0.5, index=1),
     "bumpy_e3": lambda: registry_chart("bumpy_e3"),
     "s2xs2": lambda: product_chart(space_form(2, 1.0), space_form(2, 1.0)),
-    "no_rhs": lambda: _no_rhs(space_form(4, 1.0)),
+    "metric_derived": lambda: _metric_derived(space_form(2, 1.0)),
     "e3": lambda: flat_chart(3),
     "minkowski": lambda: flat_chart(3, index=1),
 }
@@ -586,8 +593,16 @@ class TestExpMapArrays:
         _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
 
     def test_metric_derived_christoffel_path(self):
-        chart = _no_rhs(registry_chart("bumpy_e3"), closed_gamma=False)
+        # the composed Γ that the list oracle reads, against the object oracle
+        from jet_oracles import christoffel_on_jets_oracle, coeffs
+
+        from secondform.ambient import _stack_list
+
+        chart = _metric_derived(registry_chart("bumpy_e3"))
         x0, w = _exp_inputs(3, 2, (4,))
+        want = coeffs(christoffel_on_jets_oracle(chart, x0))
+        got = christoffel_on_jets(chart, *_stack_list(x0))
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
         _assert_exp_matches_oracle(chart, x0, w, n_steps=4)
 
     def test_left_domain_on_batched_jets(self):
@@ -617,7 +632,7 @@ class TestConformalChartProducts:
         chart = EXP_CHARTS[name]()
         space, x, v = _arrays(*_exp_inputs(3, 4, batch))
         calls = _count_products(monkeypatch)
-        acc = chart.geodesic_rhs(space, x, v)
+        acc = geodesic_rhs(chart, space, x, v)
         assert sum(calls.values()) <= most
         assert acc.shape == (space.n, 3) + batch
 
@@ -626,7 +641,7 @@ class TestConformalChartProducts:
         chart = flat_chart(3, index=index)
         space, x, _ = _arrays(*_exp_inputs(3, 4, (5,)))
         calls = _count_products(monkeypatch)
-        g, gamma = chart.metric_fn(space, x), chart.christoffel_jets_fn(space, x)
+        g, gamma = chart.metric_fn(space, x), christoffel_on_jets(chart, space, x)
         assert calls == {"jets": 0, "ambient": 0}
         eps = np.diag([-1.0] * index + [1.0] * (3 - index))
         assert g.shape == (space.n, 3, 3, 5) and np.array_equal(g[0], np.repeat(eps[..., None], 5, -1))
@@ -646,14 +661,27 @@ class TestConformalChartProducts:
         "name", ["s3", "e3", "h3", "de_sitter", "minkowski", "anti_de_sitter", "bumpy_e3"]
     )
     def test_right_hand_side_matches_metric_derived_christoffel(self, name):
-        from secondform.ambient import _christoffel_rhs
-
         chart = {**FLOW_CHARTS, **EXP_CHARTS}[name]()
         space, x, v = _arrays(*_exp_inputs(3, 4, (72,)))
-        got = chart.geodesic_rhs(space, x, v)
-        want = _christoffel_rhs(_no_rhs(chart, closed_gamma=False), space, x, v)
+        got = geodesic_rhs(chart, space, x, v)
+        want = geodesic_rhs(_metric_derived(chart), space, x, v)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_derived_forms_on_a_product_with_an_offset_block(order):
+    # a σ ≡ 0 block before a bumped one: each block's Γ̄, Γ̄·u and right-hand
+    # side land at its own slice, as the metric-derived ones do
+    chart = product_chart(flat_chart(1), registry_chart("bumpy_e3"))
+    space = jet_space(2, order)
+    rng = np.random.default_rng(order)
+    x = rng.uniform(-0.3, 0.3, (space.n, 4, 9))
+    u, v = rng.normal(size=(2, space.n, 4, 9))
+    for fn, args in ((christoffel_on_jets, ()), (christoffel_u_on_jets, (u,)), (geodesic_rhs, (v,))):
+        got, want = fn(chart, space, x, *args), fn(_metric_derived(chart), space, x, *args)
+        assert got.shape == want.shape and np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), fn.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -664,26 +692,21 @@ class TestConformalChartProducts:
 def fixed_step_rk4_oracle(chart, space, x, v, n_steps):
     """exp_map as it was before it took stops: the fixed-step RK4 loop on
     coefficient arrays, endpoint only."""
-    import functools
-
-    from secondform.ambient import _christoffel_rhs
-
-    rhs = chart.geodesic_rhs or functools.partial(_christoffel_rhs, chart)
     h = 1.0 / n_steps
     for _ in range(n_steps):
-        k1 = rhs(space, x, v)
+        k1 = geodesic_rhs(chart, space, x, v)
         x2, v2 = x + v * (h / 2), v + k1 * (h / 2)
-        k2 = rhs(space, x2, v2)
+        k2 = geodesic_rhs(chart, space, x2, v2)
         x3, v3 = x + v2 * (h / 2), v + k2 * (h / 2)
-        k3 = rhs(space, x3, v3)
+        k3 = geodesic_rhs(chart, space, x3, v3)
         x4, v4 = x + v3 * h, v + k3 * h
-        k4 = rhs(space, x4, v4)
+        k4 = geodesic_rhs(chart, space, x4, v4)
         x = x + (v + (v2 + v3) * 2.0 + v4) * (h / 6)
         v = v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
     return x, v
 
 
-STOP_CHARTS = ("s3", "bumpy_e3", "no_rhs")
+STOP_CHARTS = ("s3", "bumpy_e3", "metric_derived")
 
 
 class TestExpMapStops:

@@ -95,14 +95,14 @@ def frame_oracle(imm, u_jets):
     A = _shape_from_ii(ginv, ii, alpha, m)
     tr_a = sum((A[i, i] for i in range(1, m)), A[0, 0])
     return {
-        "t": t, "gbar_inv": gbar_inv, "g": g, "ginv": ginv, "U": U, "II": ii, "A": A,
+        "t": t, "g": g, "ginv": ginv, "U": U, "II": ii, "A": A,
         "detA": jdet(A), "H": tr_a * (alpha / m), "alpha": alpha,
     }
 
 
 def _bumpy_without_gamma():
-    # no closed-form Christoffel symbols: Γ̄ along the patch by `compose`
-    return replace(amb.registry_chart("bumpy_e3"), christoffel_jets_fn=None, christoffel_u_fn=None)
+    # no σ-gradient: Γ̄ along the patch by `compose`
+    return replace(amb.registry_chart("bumpy_e3"), sigma_grad_fn=None)
 
 
 SHEAR = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, -0.2], [0.1, 0.0, 1.0]])
@@ -178,7 +178,7 @@ def test_stacked_frame_matches_object_oracle(case, order, n_points):
     new = frame_jets(imm, u_jets)
     old = frame_oracle(imm, u_jets)
     assert_allclose(new.alpha, old["alpha"], rtol=0, atol=0)
-    for name in ("t", "gbar_inv", "g", "ginv", "U", "II", "A", "detA", "H"):
+    for name in ("t", "g", "ginv", "U", "II", "A", "detA", "H"):
         got = getattr(new, "detAc" if name == "detA" else name)
         want = coeffs(old[name])[: got.shape[0]]  # the stacked frame may keep fewer orders
         scale = np.max(np.abs(want))
@@ -191,7 +191,6 @@ def test_frame_orders_follow_their_readers():
     assert b.space(b.t).order == 3 and b.space(b.U).order == 3
     assert b.space(b.g).order == 2 and b.space(b.ginv).order == 2
     assert b.space(b.II).order == 2 and b.space(b.detAc).order == 2
-    assert b.space(b.gbar_inv).order == 0  # read as values only
     # at order 3 (Gauss–Codazzi) g keeps the two derivatives its curvature reads
     b3 = frame_jets(imm, seed_jets(_points(imm, 5, 0), 2, 3))
     assert b3.space(b3.g).order == 2
@@ -242,16 +241,17 @@ def test_masked_singular_shape_operator_point_does_not_raise():
 
 
 def test_shape_operator_routes_still_guard():
-    # a Γ̄ that is not the metric's connection breaks A = −∇̄U against II via ∇̄∂∂
+    # a σ-gradient that is not the metric's gives both routes one connection
+    # that is not ḡ's: through U ⊥ t_i it breaks A = −∇̄U against II via ∇̄∂∂
     chart = amb.space_form(3, 1.0)
 
-    def gamma(space, x):
-        out = chart.christoffel_jets_fn(space, x)
-        out[0, 0, 1, 1] += 0.1
+    def sigma_grad(space, x):
+        out = chart.sigma_grad_fn(space, x)
+        out[0, 0] += 0.1
         return out
 
     imm = replace(standard_immersion("small_sphere_in_sphere", geodesic_radius=0.7),
-                  ambient=replace(chart, christoffel_jets_fn=gamma))
+                  ambient=replace(chart, sigma_grad_fn=sigma_grad))
     with pytest.raises(GeometryError, match="shape-operator routes disagree"):
         frame_jets(imm, seed_jets(np.array([1.0, 2.0]), 2, 2))
 
@@ -298,8 +298,8 @@ def test_closed_form_gamma_u_and_raised_normal_match_d3_contraction_and_inverse(
     rng = np.random.default_rng(order)
     x = rng.uniform(-0.3, 0.3, (space.n, chart.dim, 9))  # inside every chart's domain
     u, n = rng.normal(size=(2, space.n, chart.dim, 9))
-    gamma_u = chart.christoffel_u_fn(space, x, u)
-    want = jets.jeinsum(space, "kab...,k...->ab...", chart.christoffel_jets_fn(space, x), u)
+    gamma_u = amb.christoffel_u_on_jets(chart, space, x, u)
+    want = jets.jeinsum(space, "kab...,k...->ab...", amb.christoffel_on_jets(chart, space, x), u)
     assert gamma_u.shape == want.shape == (space.n, chart.dim, chart.dim, 9)
     assert_allclose(gamma_u, want, rtol=0, atol=1e-13 * max(np.max(np.abs(want)), 1.0))
     gbar = chart.metric_fn(space, x)

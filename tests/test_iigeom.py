@@ -514,7 +514,7 @@ def test_blocks_equal_one_frame_bit_for_bit(monkeypatch, kind, grid, n_points, b
     geo.batch_map(same, whole)
     # every array of IIGeometryPoint, the three routes, the frame's (x and U
     # as jets, the rest as values, u) and the five of the spectrum
-    assert len(compared) == 17 + 3 + 14 + 5
+    assert len(compared) == 17 + 3 + 13 + 5
     assert geo.base.xc.shape[0] == 10 and geo.base.U.shape[0] == 6  # order 3 and 2 in 2 variables
     assert (geo.base.order, geo.base.nvars, geo.base.batched) == (whole.base.order, whole.base.nvars, True)
 
@@ -536,7 +536,7 @@ def test_reading_a_dropped_jet_raises(n_points):
     imm = standard_immersion("perturbed_ovaloid", seed=1, amplitude=0.03)
     geo = ii_geometry(imm, grid_for_immersion(imm, [64, 65]).nodes[:n_points])
     base = geo.base
-    for name in ("t", "gbar", "gbar_inv", "g", "ginv", "II", "A", "detAc", "H"):
+    for name in ("t", "gbar", "g", "ginv", "II", "A", "detAc", "H"):
         arr = getattr(base, name)
         assert arr.shape[0] == 1 and type(arr[0]) is np.ndarray
         for key in (1, slice(0, 3), (slice(None), 0), [0, 1]):
