@@ -13,8 +13,8 @@ so one construction covers them all.  Their geodesics have a closed form
 too: the chart is the stereographic image of the quadric
 C̄⟨y,y⟩_ε + z² = 1, on which a geodesic is Y(t) = C(q t²)·Y₀ + t·S(q t²)·Y₀′
 (`_quadric_flow`).  `exp_map` reads γ(t) off that formula on these charts
-and their products, in about 25 jet products per stop, and integrates by
-RK4 only on charts without it (`bumpy_e3`, registry metrics).
+and their products, in about 25 jet products per stop, and by
+Chebyshev–Picard sweeps on charts without it (`bumpy_e3`, registry metrics).
 
 Every tensor of jets is one coefficient array (n_mono, *tensor, *batch),
 contracted with ``jets.jeinsum``.  One chain, ``_curvature_chain``, takes
@@ -51,6 +51,7 @@ from .errors import (
     DegenerateMetric,
     LeftDomain,
     OutOfDomain,
+    StepFailure,
     UnsupportedSignature,
     _lookup,
 )
@@ -324,7 +325,7 @@ def _signs(dim: int, index: int) -> np.ndarray:
 
 # Largest |s| = |q|·t² at which `_quadric_flow` sums the series of C and S:
 # there the alternating series of cos √s loses about e^√s·2⁻⁵³ ≈ 2.4e-12 to
-# rounding.  Beyond it the flow returns None and `exp_map` integrates by RK4.
+# rounding.  Beyond it the flow returns None and `exp_map` runs its sweeps.
 FLOW_MAX_S = 100.0
 _CS_TERMS = 32  # at |s| ≤ FLOW_MAX_S the summands left out are below 1e-17
 
@@ -727,6 +728,81 @@ def _compose_along(chart: MetricChart, space, x, extra: int, field):
     return compose(space, field(amb_space, g), disp)
 
 
+# Chebyshev–Picard sweeps (Clenshaw & Norton 1963; Bai & Junkins 2011), N + 1 nodes a segment: a
+# sweep that moves x by ≤ PICARD_TOL·max|x| settles if the last two Chebyshev coefficients are
+# ≤ PICARD_TAIL·max|x| (one settled segment was 6.6e-8 off at r = 4 on bumpy_e3, which takes 8).
+PICARD_N, PICARD_TOL, PICARD_TAIL = 12, 4e-16, 8e-16 * 12  # a bumpy_e3 patch: 1 segment, 6-7 sweeps
+PICARD_SWEEPS, PICARD_MAX_SEGMENTS = 32, 1024  # sweeps a segment, segments a path (S³'s 11-rad circle: 16)
+PICARD_MAX_NODES = 1024  # points × (N + 1) a block: the 800-point sphere peaks as with RK4
+
+
+@functools.lru_cache(maxsize=None)
+def _lobatto(n: int):
+    """Read-only (τ, C, Qᵀ) at the Chebyshev–Lobatto nodes τ_j = cos θ_j,
+    θ_j = π(n − j)/n: C maps node values to Chebyshev coefficients, and
+    (Qf)_i = ∫_{−1}^{τ_i} p for the interpolant p of the values f."""
+    k = np.arange(n + 1.0)
+    theta = np.pi * (n - k) / n
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    coef = np.cos(np.outer(k, theta)) * np.outer(ends, ends) * (2.0 / n)  # T_k(τ_j) = cos kθ_j
+    # ∫T_k = T_{k+1}/(2(k + 1)) − T_{|k−1|}/(2(k − 1)), ∫T_1 = T_2/4, at each θ_i and at π
+    th, low = np.append(theta, np.pi)[:, None], np.where(k == 1, np.inf, 2.0 * k - 2.0)
+    prim = np.cos(th * (k + 1.0)) / (2.0 * k + 2.0) - np.cos(th * abs(k - 1.0)) / low
+    tables = (np.cos(theta), coef, ((prim[:-1] - prim[-1]) @ coef).T)
+    for t in tables:
+        t.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _picard_segment(chart, space, xa, va, half):
+    """(x, v) at the nodes (last axis) of one segment of half-length `half`
+    from (xa, va), or None where the sweeps do not settle."""
+    tau, coef, integ = _lobatto(PICARD_N)
+    xa, va = xa[..., None], va[..., None]
+    xs, vs = xa + va * ((tau + 1.0) * half), np.broadcast_to(va, va.shape[:-1] + tau.shape)
+    with np.errstate(all="ignore"):  # a diverging sweep is caught as non-finite
+        for _ in range(PICARD_SWEEPS):
+            vs = va + (geodesic_rhs(chart, space, xs, vs) @ integ) * half
+            new = xa + (vs @ integ) * half
+            moved, scale, xs = np.max(np.abs(new - xs), initial=0.0), np.max(np.abs(new), initial=0.0), new
+            if moved <= PICARD_TOL * scale:  # and the interpolant's tail at rounding level
+                return (xs, vs) if np.max(np.abs(xs @ coef[-2:].T), initial=0.0) <= PICARD_TAIL * scale else None
+            if not math.isfinite(moved):
+                return None
+    return None
+
+
+def _picard_ends(chart, space, x, v, ts, checks, check):
+    """(x, v) at every t in `ts` along the geodesic from (x, v), points on
+    the last axis, with `check` on x[0] at `ts` and `checks`.
+
+    The path on [0, ts[-1]] runs in equal segments, twice as many (and a
+    `check` where it starts) each time one does not settle, up to
+    PICARD_MAX_SEGMENTS.  A time inside a segment is read off its
+    interpolants, one at its end is its last node."""
+    span, reads = ts[-1], sorted(set(ts) | set(checks))
+    for segments in (2**i for i in range(PICARD_MAX_SEGMENTS.bit_length())):
+        edges = [span * k / segments for k in range(segments)] + [span]
+        xa, va, out = x, v, {}
+        for a, b in zip(edges, edges[1:]):
+            path = _picard_segment(chart, space, xa, va, span / segments / 2)
+            if path is None:
+                check(xa[0])  # the path left the chart before it failed
+                break
+            here = np.array([t for t in reads if a < t <= b])
+            # rows T_k(τ)·C at the local τ of each read, a unit row at τ = 1
+            cos_t = np.clip(2.0 * (here - a) / (b - a) - 1.0, -1.0, 1.0)
+            ev = np.cos(np.outer(np.arccos(cos_t), np.arange(PICARD_N + 1))) @ _lobatto(PICARD_N)[1]
+            ev[here == b] = np.arange(PICARD_N + 1) == PICARD_N
+            xt, vt = (p @ ev.T for p in path)
+            check(xt[0])
+            out.update((t, (xt[..., i], vt[..., i])) for i, t in enumerate(here) if t in ts)
+            xa, va = path[0][..., -1], path[1][..., -1]
+        else:
+            return [out[t] for t in ts]
+    raise StepFailure(f"geodesic sweeps did not settle on {PICARD_MAX_SEGMENTS} segments")
+
+
 def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stops=None):
     """Endpoint of the geodesic with initial position x0 and velocity w at t=1.
 
@@ -742,64 +818,43 @@ def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stop
 
     A chart with a `geodesic_flow` (space forms, flat charts and their
     products) gets γ(t) at every stop from that closed form.  Elsewhere, or
-    where the flow declines (returns None), classical RK4 runs with the
-    fixed step 1/n_steps whatever the stops; a stop inside a step is reached
-    by one shorter RK4 step taken off the path.  Either way the domain is
-    checked at every 32nd node of n_steps before the last stop (the flow
-    there on values only) and at every stop, so on a chart with a flow
-    n_steps sets only those check nodes.
+    where the flow declines (returns None), Chebyshev–Picard sweeps solve
+    for the path (`_picard_ends`) in blocks of PICARD_MAX_NODES point-nodes.
+    Either way the domain is checked at every 32nd node of n_steps before
+    the last stop (the flow there on values only) and at every stop.
     """
     ts = (1.0,) if stops is None else tuple(float(t) for t in stops)
     if not ts or ts[0] <= 0.0 or ts[-1] > 1.0 or any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError(f"stops must be sorted fractions in (0, 1], got {stops!r}")
     x, v = x0_jets[: space.n], w_jets[: space.n]
-    rhs = functools.partial(geodesic_rhs, chart)
+    checks = np.arange(32, math.floor(ts[-1] * n_steps) + 1, 32) / n_steps
 
-    def rk4(x, v, h):
-        k1 = rhs(space, x, v)
-        x2, v2 = x + v * (h / 2), v + k1 * (h / 2)
-        k2 = rhs(space, x2, v2)
-        x3, v3 = x + v2 * (h / 2), v + k2 * (h / 2)
-        k3 = rhs(space, x3, v3)
-        x4, v4 = x + v3 * h, v + k3 * h
-        k4 = rhs(space, x4, v4)
-        return x + (v + (v2 + v3) * 2.0 + v4) * (h / 6), v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
-
-    def check(x):
-        if not np.all(chart.contains(np.moveaxis(x[0], 0, -1))):
+    def check(xt):  # values (dim, *batch)
+        if not np.all(chart.contains(np.moveaxis(xt, 0, -1))):
             raise LeftDomain(f"geodesic left the domain of {chart.name}")
 
     def flow_ends():
-        nodes = np.arange(32, math.floor(ts[-1] * n_steps) + 1, 32) / n_steps
-        if nodes.size:
-            path = chart.geodesic_flow(jet_space(space.nvars, 0), x[:1], v[:1], nodes)
+        if checks.size:
+            path = chart.geodesic_flow(jet_space(space.nvars, 0), x[:1], v[:1], checks)
             if path is None:
                 return None
-            for xt in path[0]:
-                check(xt)
+            check(np.moveaxis(path[0][:, 0], 0, -1))
         ends = chart.geodesic_flow(space, x, v, ts)
         if ends is not None:
-            for xt in ends[0]:
-                check(xt)
-            ends = zip(*ends)
+            check(np.moveaxis(ends[0][:, 0], 0, -1))
+            ends = list(zip(*ends))
         return ends
 
-    def rk4_ends():
-        h = 1.0 / n_steps
-        xt, vt, done = x, v, 0
-        for t in ts:
-            nodes = math.floor(t * n_steps)  # main-path steps before t
-            while done < nodes:
-                xt, vt = rk4(xt, vt, h)
-                done += 1
-                if done % 32 == 0:
-                    check(xt)
-            end = (xt, vt) if nodes == t * n_steps else rk4(xt, vt, t - nodes * h)
-            check(end[0])
-            yield end
+    def picard_ends():
+        batch = np.broadcast_shapes(x.shape[2:], v.shape[2:])
+        flat = [np.broadcast_to(a, a.shape[:2] + batch).reshape(space.n, chart.dim, -1) for a in (x, v)]
+        size = PICARD_MAX_NODES // (PICARD_N + 1)
+        blocks = [_picard_ends(chart, space, *(a[..., i : i + size] for a in flat), ts, checks, check)
+                  for i in range(0, max(flat[0].shape[-1], 1), size)]  # one block where there are no points
+        return [tuple(np.concatenate(p, -1).reshape(x.shape[:2] + batch) for p in zip(*e)) for e in zip(*blocks)]
 
-    path = None if chart.geodesic_flow is None else flow_ends()
-    ends = list(rk4_ends() if path is None else path)
+    ends = None if chart.geodesic_flow is None else flow_ends()
+    ends = picard_ends() if ends is None else ends
     return ends[0] if stops is None else ends
 
 

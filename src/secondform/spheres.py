@@ -3,7 +3,8 @@
 Small geodesic spheres 𝒢_n(r) are built numerically by pushing a unit-sphere
 parametrization through the exponential map in jet arithmetic, so the
 immersion is differentiable to order 4: in closed form on space forms and
-their products, by RK4 on other charts (see `ambient.exp_map`).
+their products, by Chebyshev–Picard sweeps on other charts (see
+`ambient.exp_map`).
 Alongside, every power series for the sphere quantities (H, log det A,
 Δ_II log det A, div_II Z, the II-traces of both Ricci tensors, H_II and
 Area_II) is an evaluatable truncation in the curvature data at the centre,
@@ -554,9 +555,8 @@ def _exp_immersions(chart, n, direction_fn, radii, m, lo, hi, hint, n_steps):
     """One immersion u ↦ exp_n(r·ξ(u)) per radius r > 0 in `radii`, for the
     direction field given as jets ``direction_fn(u_jets, r)`` = r·ξ(u).
 
-    The radii ride one ``exp_map`` path: w = r_max·ξ with stops r/r_max, so
-    the RK4 step (where the chart has no closed-form flow) is
-    r_max/n_steps.  All members are evaluated together, once per node set
+    The radii ride one ``exp_map`` path, w = r_max·ξ with stops r/r_max.
+    All members are evaluated together, once per node set
     (batch shape and seed values), at the highest jet order asked for so
     far; a lower order is their prefix slice on the monomial axis, served
     only when the incoming u-jets equal the cached seeds' prefix.  Cached
@@ -658,16 +658,11 @@ def geodesic_sphere(chart: MetricChart, n, r: float, n_steps: int = 128) -> Imme
     sphere of radius r + ε.
 
     The map is ``ambient.exp_map`` on the coefficient arrays of the
-    parameter jets.  On a space form, a flat chart or a product of them it
-    is the closed-form geodesic flow, exact to rounding (n_steps then only
-    spaces the domain checks).  On other charts it
-    integrates the geodesic equation by RK4 with the fixed step r/n_steps
-    (r_max/n_steps within a family of radii up to r_max on one path, as
-    `sphere_remainder_studies` builds them); for
-    r ≲ 1 and the default step count, the endpoint error sits around
-    1e−12, far below every tolerance used downstream.  It is a one-member
-    family of `_exp_immersions`: evaluations on one node set share one
-    geodesic computation.
+    parameter jets: the closed-form geodesic flow on a space form, a flat
+    chart or a product of them, and Chebyshev–Picard sweeps elsewhere, both
+    exact to rounding (n_steps only spaces the domain checks).  It is a
+    one-member family of `_exp_immersions`: evaluations on one node set
+    share one geodesic computation.
     """
     return _geodesic_spheres(chart, n, [r], n_steps)[0]
 
@@ -752,7 +747,7 @@ def sphere_remainder_studies(
     """Remainder studies for several quantities sharing one numeric pass per
     radius (the patch pipeline yields every scalar at once).  The patches of
     all radii ride on one integration, and so do the whole spheres when
-    Area_II is wanted (step max(radii)/n_steps)."""
+    Area_II is wanted."""
     jet = curvature_jet(chart, np.asarray(n, dtype=float), order=2)
     framed = FramedJet.from_curvature_jet(jet, e0)
     m = chart.dim - 1

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from secondform.ambient import _stack_list
+from secondform.ambient import _stack_list, geodesic_rhs
 from secondform.jets import Jet, _levi_civita, jeinsum, jet_space, jinv
 
 
@@ -219,6 +219,35 @@ def christoffel_on_jets_oracle(chart, x_jets):
                 out[k, a, b] = compose_oracle(gamma_amb[k, a, b].truncate(order), disp)
                 out[k, b, a] = out[k, a, b]
     return out
+
+
+def rk4_exp_oracle(chart, space, x, v, n_steps, stops=None):
+    """The fixed-step RK4 that ``exp_map`` ran on charts without a closed-form
+    flow, on coefficient arrays: classical RK4 on the geodesic right-hand
+    side with step 1/n_steps, whatever the stops; a stop inside a step is
+    reached by one shorter step taken off the path.  Returns (x, v) at t = 1,
+    or one pair per stop; no domain checks."""
+    ts = (1.0,) if stops is None else tuple(stops)
+
+    def rk4(x, v, h):
+        k1 = geodesic_rhs(chart, space, x, v)
+        x2, v2 = x + v * (h / 2), v + k1 * (h / 2)
+        k2 = geodesic_rhs(chart, space, x2, v2)
+        x3, v3 = x + v2 * (h / 2), v + k2 * (h / 2)
+        k3 = geodesic_rhs(chart, space, x3, v3)
+        x4, v4 = x + v3 * h, v + k3 * h
+        k4 = geodesic_rhs(chart, space, x4, v4)
+        return x + (v + (v2 + v3) * 2.0 + v4) * (h / 6), v + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6)
+
+    h = 1.0 / n_steps
+    xt, vt, done, ends = x[: space.n], v[: space.n], 0, []
+    for t in ts:
+        nodes = int(t * n_steps)  # main-path steps before t
+        while done < nodes:
+            xt, vt = rk4(xt, vt, h)
+            done += 1
+        ends.append((xt, vt) if nodes == t * n_steps else rk4(xt, vt, t - nodes * h))
+    return ends[0] if stops is None else ends
 
 
 def _space_form_curvature_oracle(g, cbar, d):

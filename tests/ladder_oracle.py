@@ -26,7 +26,7 @@ def deformed_family(base, f, mode, scales):
     variation field f·U: chart_linear is the chart line x + (f·s)·U, and
     ambient_exponential is exp_x((f·s)·U), the scales of one sign on one
     ``exp_map`` path with w = (f·e)·U for the e of largest |s| among them,
-    stops s/e and 64 steps (RK4 with step |e|/64 where the chart has no
+    stops s/e (read off the sweeps' interpolants where the chart has no
     closed-form flow).  The base frame and the amplitude are evaluated once
     per node set and jet order for all members, at one order higher than the
     members' (the normal costs one derivative), so the maps must be

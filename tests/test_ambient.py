@@ -5,6 +5,8 @@ product-metric block structure serve as independent oracles for the whole
 curvature stack; Christoffel symbols get a central-difference oracle.
 """
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -431,7 +433,7 @@ def test_exp_map_default_arguments():
 
 
 # ---------------------------------------------------------------------------
-# exp_map on one coefficient array against the list-of-jets RK4
+# exp_map against the fixed-step RK4 oracle, and that against the list-of-jets RK4
 # ---------------------------------------------------------------------------
 
 
@@ -439,7 +441,7 @@ def list_rk4_oracle(chart, x0_jets, w_jets, n_steps):
     """The RK4 exp_map ran before it moved to coefficient arrays: lists of d
     separate jets, with the acceleration −Γ^k_ab v^a v^b summed over a ≤ b
     entry by entry from the Christoffel symbols at the jet positions (the
-    package's d³ Γ, not the contracted form that exp_map integrates)."""
+    package's d³ Γ, not the contracted form that the RK4 oracle integrates)."""
     from jet_oracles import views
 
     from secondform.ambient import _stack_list
@@ -507,18 +509,15 @@ def _arrays(x0_jets, w_jets):
     return space, xv[:, : len(x0_jets)], xv[:, len(x0_jets) :]
 
 
-def _rk4(chart):
-    """The chart without its closed-form geodesic flow: exp_map runs RK4 on it."""
-    import dataclasses
-
+def _no_flow(chart):
+    """The chart without its closed-form geodesic flow: exp_map runs its
+    Chebyshev–Picard sweeps on it."""
     return dataclasses.replace(chart, geodesic_flow=None)
 
 
 def _metric_derived(chart):
     """The chart without its σ-gradient, product blocks or flow: Γ̄ comes
-    from the metric, and exp_map runs RK4 on its contraction."""
-    import dataclasses
-
+    from the metric, and exp_map sweeps its contraction."""
     return dataclasses.replace(chart, sigma_grad_fn=None, product_factors=None, geodesic_flow=None)
 
 
@@ -550,10 +549,11 @@ def _count_products(monkeypatch):
     return calls
 
 
-def _assert_exp_matches_oracle(chart, x0, w, n_steps, rel=1e-13):
+def _assert_rk4_matches_list_oracle(chart, x0, w, n_steps, rel=1e-13):
+    from jet_oracles import rk4_exp_oracle
 
     space, x0_arr, w_arr = _arrays(x0, w)
-    xs, vs = exp_map(chart, space, x0_arr, w_arr, n_steps=n_steps)
+    xs, vs = rk4_exp_oracle(chart, space, x0_arr, w_arr, n_steps)
     ox, ov = list_rk4_oracle(chart, x0, w, n_steps)
     for got, want in ((xs, ox), (vs, ov)):
         for a, o_jet in enumerate(want):
@@ -563,24 +563,77 @@ def _assert_exp_matches_oracle(chart, x0, w, n_steps, rel=1e-13):
             assert np.max(np.abs(got[:, a] - o)) <= rel * scale
 
 
+def _assert_close(got, want, rel):
+    """Each of (x, v) of `got` within rel·max|want| of `want`'s, on `got`'s
+    monomials (a lower order's coefficients are a prefix of a higher's)."""
+    for g, r in zip(got, want):
+        r = r[: g.shape[0]]
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= rel * np.max(np.abs(r))
+
+
+STOPS = (0.3, 0.55, 1.0)
+
+
+def _stops_inputs(dim, batch, x0_batched=True):
+    """(space, x0, w) of `_exp_inputs` at order 4, with a vanishing velocity
+    at every 9th point of a batch."""
+    from secondform.jets import Jet
+
+    x0, w = _exp_inputs(dim, 4, batch, x0_batched)
+    if batch:
+        still = np.arange(batch[0]) % 9 == 0
+        w = [Jet(j.space, np.where(still, 0.0, j.coeffs)) for j in w]
+    return _arrays(x0, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_512(name, batch, x0_batched=True):
+    """RK4 at 512 steps, at STOPS, on `_stops_inputs`: one path at order 4
+    is the reference for orders 0, 2 and 4, since a lower order's
+    coefficients are a prefix of a higher order's."""
+    from jet_oracles import rk4_exp_oracle
+
+    chart = {**FLOW_CHARTS, **EXP_CHARTS}[name]()
+    return rk4_exp_oracle(chart, *_stops_inputs(chart.dim, batch, x0_batched), 512, STOPS)
+
+
+def _assert_matches_rk4_512(chart, name, batch, x0_batched=True):
+    """exp_map on `chart`, by its flow or its sweeps, at orders 0, 2 and 4,
+    within 1e-12 relative of `_rk4_512` at every stop."""
+    space, x0, w = _stops_inputs(chart.dim, batch, x0_batched)
+    for order in (0, 2, 4):
+        got = exp_map(chart, jet_space(2, order), x0, w, stops=STOPS)
+        for pair, ref in zip(got, _rk4_512(name, batch, x0_batched)):
+            _assert_close(pair, ref, 1e-12)
+
+
 class TestExpMapArrays:
     @pytest.mark.parametrize("name", sorted(EXP_CHARTS))
     @pytest.mark.parametrize("order", [0, 2, 4])
     @pytest.mark.parametrize("batch", [(), (72,)])
     def test_matches_list_oracle(self, name, order, batch):
-        chart = _rk4(EXP_CHARTS[name]())
+        chart = EXP_CHARTS[name]()
         x0, w = _exp_inputs(chart.dim, order, batch)
-        _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
+        _assert_rk4_matches_list_oracle(chart, x0, w, n_steps=8)
+
+    @pytest.mark.parametrize("name", sorted(EXP_CHARTS))
+    @pytest.mark.parametrize("batch", [(), (72,)])
+    def test_sweeps_match_rk4_at_512_steps(self, name, batch):
+        _assert_matches_rk4_512(_no_flow(EXP_CHARTS[name]()), name, batch)
 
     @pytest.mark.parametrize("name", ["s3", "bumpy_e3", "s2xs2"])
     def test_unbatched_start_against_batched_velocity(self, name):
-        chart = _rk4(EXP_CHARTS[name]())
+        chart = EXP_CHARTS[name]()
         x0, w = _exp_inputs(chart.dim, 4, (72,), x0_batched=False)
         assert x0[0].batch_shape == () and w[0].batch_shape == (72,)
-        _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
+        _assert_rk4_matches_list_oracle(chart, x0, w, n_steps=8)
+        _assert_matches_rk4_512(_no_flow(chart), name, (72,), x0_batched=False)
 
     def test_mixed_input_orders_combine_at_the_lower(self):
         # as in ladder_oracle.deformed_family: x at order k+1, w at order k
+        from jet_oracles import rk4_exp_oracle
+
         from secondform.ambient import _stack_list
 
         chart = registry_chart("bumpy_e3")
@@ -590,11 +643,12 @@ class TestExpMapArrays:
         xs, vs = exp_map(chart, space, x, w_arr, n_steps=8)
         assert xs.shape == vs.shape == (space.n, 3, 5)
         assert np.array_equal(xs, exp_map(chart, *_arrays(x0, w), n_steps=8)[0])
-        _assert_exp_matches_oracle(chart, x0, w, n_steps=8)
+        _assert_rk4_matches_list_oracle(chart, x0, w, n_steps=8)
+        _assert_close((xs, vs), rk4_exp_oracle(chart, space, x, w_arr, 512), 1e-12)
 
     def test_metric_derived_christoffel_path(self):
         # the composed Γ that the list oracle reads, against the object oracle
-        from jet_oracles import christoffel_on_jets_oracle, coeffs
+        from jet_oracles import christoffel_on_jets_oracle, coeffs, rk4_exp_oracle
 
         from secondform.ambient import _stack_list
 
@@ -603,23 +657,27 @@ class TestExpMapArrays:
         want = coeffs(christoffel_on_jets_oracle(chart, x0))
         got = christoffel_on_jets(chart, *_stack_list(x0))
         assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-        _assert_exp_matches_oracle(chart, x0, w, n_steps=4)
+        _assert_rk4_matches_list_oracle(chart, x0, w, n_steps=4)
+        args = _arrays(x0, w)
+        _assert_close(exp_map(chart, *args), rk4_exp_oracle(chart, *args, 512), 1e-12)
 
     def test_left_domain_on_batched_jets(self):
         chart = space_form(3, -1.0)
         space, x0, w = _arrays(*_exp_inputs(3, 2, (6,)))
-        with pytest.raises(LeftDomain):
-            exp_map(chart, space, x0, w * 10.0, n_steps=32)
+        for c in (chart, _no_flow(chart)):
+            with pytest.raises(LeftDomain):
+                exp_map(c, space, x0, w * 10.0, n_steps=32)
 
     def test_batch_72_makes_few_jet_multiplies(self, monkeypatch):
-        # RK4 on S⁴ at order 4: 32 steps of 4 right-hand sides, each of 9 jet
-        # products, 5 for F and its gradient (3 of them in the reciprocal's
-        # lift), 2 for σ′·v and ⟨v,v⟩_ε and 2 for the scalings
-        chart = _rk4(space_form(4, 1.0))
+        # the sweeps on S⁴ at order 4: one segment of 9 sweeps, each one
+        # right-hand side at all 13 nodes of 9 jet products, 5 for F and its
+        # gradient (3 of them in the reciprocal's lift), 2 for σ′·v and
+        # ⟨v,v⟩_ε and 2 for the scalings; RK4 at 32 steps took 128
+        chart = _no_flow(space_form(4, 1.0))
         args = _arrays(*_exp_inputs(4, 4, (72,), x0_batched=False))
         calls = _count_products(monkeypatch)
         exp_map(chart, *args, n_steps=32)
-        assert calls == {"jets": 3 * 128, "ambient": 6 * 128}
+        assert calls == {"jets": 3 * 9, "ambient": 6 * 9}
 
 
 class TestConformalChartProducts:
@@ -713,34 +771,43 @@ class TestExpMapStops:
     @pytest.mark.parametrize("name", STOP_CHARTS)
     @pytest.mark.parametrize("batch", [(), (72,)])
     def test_endpoint_stop_is_the_fixed_step_endpoint(self, name, batch):
-        chart = _rk4(EXP_CHARTS[name]())
+        # the RK4 oracle at stops=(1.0,) and without stops is the plain
+        # fixed-step loop; exp_map at stops=(1.0,) is its own endpoint
+        from jet_oracles import rk4_exp_oracle
+
+        chart = _no_flow(EXP_CHARTS[name]())
         args = _arrays(*_exp_inputs(chart.dim, 4, batch))
         ox, ov = fixed_step_rk4_oracle(chart, *args, 40)
-        [(sx, sv)] = exp_map(chart, *args, n_steps=40, stops=(1.0,))
-        dx, dv = exp_map(chart, *args, n_steps=40)
+        [(sx, sv)] = rk4_exp_oracle(chart, *args, 40, stops=(1.0,))
+        dx, dv = rk4_exp_oracle(chart, *args, 40)
         for got in ((sx, sv), (dx, dv)):
             assert np.array_equal(got[0], ox)
             assert np.array_equal(got[1], ov)
+        [(sx, sv)] = exp_map(chart, *args, n_steps=40, stops=(1.0,))
+        dx, dv = exp_map(chart, *args, n_steps=40)
+        assert np.array_equal(sx, dx) and np.array_equal(sv, dv)
 
     @pytest.mark.parametrize("name", STOP_CHARTS)
     def test_stops_agree_with_separate_integrations(self, name):
-        # stops at 0.3 and 0.55 fall inside steps of 1/8, 0.75 on a node; each
-        # agrees with exp_map(x0, t·w) to within the two halving estimates,
-        # and those estimates are at RK4's level (a stop reached by a wrong
-        # step converges to the wrong point, with a large estimate)
+        # RK4: stops at 0.3 and 0.55 fall inside steps of 1/8, 0.75 on a
+        # node; each agrees with exp(x0, t·w) to within the two halving
+        # estimates, and those estimates are at RK4's level (a stop reached by
+        # a wrong step converges to the wrong point, with a large estimate)
+        from jet_oracles import rk4_exp_oracle
+
         chart = EXP_CHARTS[name]()
         space, x0, w = _arrays(*_exp_inputs(chart.dim, 2, (5,)))
         stops = (0.3, 0.55, 0.75, 1.0)
-        coarse = exp_map(chart, space, x0, w, n_steps=8, stops=stops)
-        fine = exp_map(chart, space, x0, w, n_steps=16, stops=stops)
+        coarse = rk4_exp_oracle(chart, space, x0, w, 8, stops)
+        fine = rk4_exp_oracle(chart, space, x0, w, 16, stops)
         # the path does not depend on the stops
-        for (x, v), (x3, v3) in zip(coarse, exp_map(chart, space, x0, w, n_steps=8, stops=stops[:3])):
+        for (x, v), (x3, v3) in zip(coarse, rk4_exp_oracle(chart, space, x0, w, 8, stops[:3])):
             assert np.array_equal(x, x3)
             assert np.array_equal(v, v3)
         for t, stop, stop2 in zip(stops, coarse, fine):
             # exp(t·w) ends with velocity t·γ'(t), so its velocity is divided by t
             alone = [(x, v / t) for x, v in
-                     (exp_map(chart, space, x0, w * t, n_steps=k) for k in (8, 16))]
+                     (rk4_exp_oracle(chart, space, x0, w * t, k) for k in (8, 16))]
             for i in (0, 1):
                 got, got2 = stop[i], stop2[i]
                 est = np.abs(got - got2) + np.abs(alone[0][i] - alone[1][i])
@@ -748,18 +815,26 @@ class TestExpMapStops:
                 assert np.all(gap <= 2.0 * est + 1e-14 * np.max(np.abs(got)))
                 assert np.max(est) <= 1e-6 * np.max(np.abs(got))
                 assert np.max(gap) > 0.0 or t == 1.0  # the paths differ before the end
+        # exp_map, by its flow where the chart has one and by its sweeps:
+        # each stop is exp_map(x0, t·w) to rounding, whatever the last stop,
+        # and the stop at 1 is the plain call's endpoint
+        for c in (chart,) if chart.geodesic_flow is None else (chart, _no_flow(chart)):
+            for ends in (exp_map(c, space, x0, w, stops=stops), exp_map(c, space, x0, w, stops=stops[:3])):
+                for t, (x, v) in zip(stops, ends):
+                    xt, vt = exp_map(c, space, x0, w * t)
+                    _assert_close((x, v), (xt, vt / t), 1e-13)
+                    if t == 1.0:
+                        assert np.array_equal(x, xt) and np.array_equal(v, vt)
 
     def test_stop_outside_the_domain_raises(self):
         # along e0 from the origin of S³ the chart coordinate is 2 tan(t·0.2):
         # 0.30 at the last node before t = 0.9 and 0.36 at the stop
-        import dataclasses
-
-
         chart = dataclasses.replace(space_form(3, 1.0), domain_hi=np.array([0.33, 5.0, 5.0]))
         x0, w = _point([0.0, 0.0, 0.0]), _point([0.4, 0.0, 0.0])
-        exp_map(chart, SP0, x0, w, n_steps=4, stops=(0.5, 0.75))
-        with pytest.raises(LeftDomain):
-            exp_map(chart, SP0, x0, w, n_steps=4, stops=(0.5, 0.9))
+        for c in (chart, _no_flow(chart)):
+            exp_map(c, SP0, x0, w, n_steps=4, stops=(0.5, 0.75))
+            with pytest.raises(LeftDomain):
+                exp_map(c, SP0, x0, w, n_steps=4, stops=(0.5, 0.9))
 
     @pytest.mark.parametrize("stops", [(), (0.0, 1.0), (0.5, 1.2), (0.8, 0.4)])
     def test_stops_must_be_sorted_fractions(self, stops):
@@ -793,25 +868,9 @@ class TestGeodesicFlow:
     @pytest.mark.parametrize("name", sorted(FLOW_CHARTS))
     @pytest.mark.parametrize("batch", [(), (72,)])
     def test_matches_rk4_at_512_steps(self, name, batch):
-        # one RK4 path at order 4 is the reference for orders 0, 2 and 4: a
-        # lower order's coefficients are a prefix of a higher order's
-        from secondform.jets import Jet
-
         chart = FLOW_CHARTS[name]()
         assert chart.geodesic_flow is not None
-        x0, w = _exp_inputs(chart.dim, 4, batch)
-        if batch:  # a vanishing velocity at every 9th point
-            still = np.arange(batch[0]) % 9 == 0
-            w = [Jet(j.space, np.where(still, 0.0, j.coeffs)) for j in w]
-        stops = (0.3, 0.55, 1.0)
-        space, x0, w = _arrays(x0, w)
-        ref = exp_map(_rk4(chart), space, x0, w, n_steps=512, stops=stops)
-        for order in (0, 2, 4):
-            got = exp_map(chart, jet_space(2, order), x0, w, n_steps=512, stops=stops)
-            for pair, ref_pair in zip(got, ref):
-                for g, r in zip(pair, ref_pair):
-                    r = r[: g.shape[0]]
-                    assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+        _assert_matches_rk4_512(chart, name, batch)
 
     def test_only_charts_with_a_closed_form_have_a_flow(self):
         assert flat_chart(1).geodesic_flow is not None
@@ -819,19 +878,19 @@ class TestGeodesicFlow:
         assert registry_chart("bumpy_e3").geodesic_flow is None
         assert product_chart(space_form(2, 1.0), registry_chart("bumpy_e3")).geodesic_flow is None
 
-    def test_long_geodesic_falls_back_to_rk4(self):
+    def test_long_geodesic_falls_back_to_the_sweeps(self):
         # the great circle |x| = 2 of S³ stays in the chart; 11 rad along it
-        # is q = 121 > FLOW_MAX_S, so exp_map integrates by RK4
+        # is q = 121 > FLOW_MAX_S, so exp_map runs its sweeps
         from secondform.ambient import FLOW_MAX_S
 
         chart = space_form(3, 1.0)
         x0, w = _point([2.0, 0.0, 0.0]), _point([0.0, 22.0, 0.0])  # F = 1/2, |w|_ḡ = 11
         assert 11.0**2 > FLOW_MAX_S
         got = exp_map(chart, SP0, x0, w, n_steps=1024)
-        want = exp_map(_rk4(chart), SP0, x0, w, n_steps=1024)
+        want = exp_map(_no_flow(chart), SP0, x0, w, n_steps=1024)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        assert_allclose(got[0][0], [2 * math.cos(11.0), 2 * math.sin(11.0), 0.0], atol=1e-7)
+        assert_allclose(got[0][0], [2 * math.cos(11.0), 2 * math.sin(11.0), 0.0], atol=1e-12)
 
     def test_through_the_point_at_infinity_leaves_the_domain(self):
         # from the origin of S³ along e0 the chart coordinate is 2 tan(θ/2):
@@ -839,8 +898,77 @@ class TestGeodesicFlow:
         # the antipode itself (1 + z = 0) at a stop of π rad
         chart = space_form(3, 1.0)
         x0 = _point([0.0, 0.0, 0.0])
-        for c in (chart, _rk4(chart)):
+        for c in (chart, _no_flow(chart)):
             with pytest.raises(LeftDomain):
                 exp_map(c, SP0, x0, _point([1.2 * math.pi, 0.0, 0.0]), n_steps=256)
         with pytest.raises(LeftDomain):
             exp_map(chart, SP0, x0, _point([math.pi, 0.0, 0.0]), n_steps=4)
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev–Picard sweeps of charts without a flow: tables and contract
+# ---------------------------------------------------------------------------
+
+
+class TestPicardSweeps:
+    def test_tables_integrate_and_expand_polynomials(self):
+        # ∫_{−1}^τ s^k ds at the nodes, and T_k's coefficients the unit vector e_k
+        from secondform.ambient import PICARD_N, _lobatto
+
+        tau, coef, integ = _lobatto(PICARD_N)
+        assert tau[0] == -1.0 and tau[-1] == 1.0 and np.all(np.diff(tau) > 0)
+        for k in range(PICARD_N + 1):
+            want = (tau ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(tau**k @ integ - want)) <= 1e-14
+            unit = np.zeros(PICARD_N + 1)
+            unit[k] = 1.0
+            assert np.max(np.abs(coef @ np.cos(k * np.arccos(tau)) - unit)) <= 1e-14
+
+    def test_segment_cap_raises_step_failure(self, monkeypatch):
+        # the 11-rad great circle of S³ inside the chart needs more than 4 segments
+        from secondform import ambient
+        from secondform.errors import StepFailure
+
+        chart = _no_flow(space_form(3, 1.0))
+        x0, w = _point([2.0, 0.0, 0.0]), _point([0.0, 22.0, 0.0])
+        monkeypatch.setattr(ambient, "PICARD_MAX_SEGMENTS", 4)
+        with pytest.raises(StepFailure):
+            exp_map(chart, SP0, x0, w)
+
+    def test_a_non_finite_sweep_does_not_settle_and_warns_nothing(self, monkeypatch):
+        # from the origin of H³ at speed 4 the straight first guess crosses
+        # |x| = 2, where the conformal factor blows up: that sweep is not
+        # finite, the path is rerun on more segments and ends at 2 tanh 2
+        import warnings
+
+        from secondform import ambient
+
+        chart = dataclasses.replace(_no_flow(space_form(3, -1.0)), domain_lo=np.full(3, -1.99),
+                                    domain_hi=np.full(3, 1.99))
+        finite = []
+
+        def recording(*args):
+            acc = geodesic_rhs(*args)
+            finite.append(bool(np.all(np.isfinite(acc))))
+            return acc
+
+        monkeypatch.setattr(ambient, "geodesic_rhs", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _ = exp_map(chart, SP0, _point([0.0, 0.0, 0.0]), _point([4.0, 0.0, 0.0]))
+        assert not all(finite)
+        assert_allclose(x[0], [2.0 * math.tanh(2.0), 0.0, 0.0], rtol=0, atol=1e-15)
+
+    def test_a_point_in_a_batch_is_the_point_alone(self):
+        # the sweeps settle on the whole batch; each point's end is its own to rounding
+        chart = registry_chart("bumpy_e3")
+        space, x0, w = _arrays(*_exp_inputs(3, 4, (72,)))
+        together = exp_map(chart, space, x0, w)
+        for i in (0, 17, 71):
+            alone = exp_map(chart, space, x0[..., i], w[..., i])
+            _assert_close(alone, [end[..., i] for end in together], 1e-14)
+
+    def test_an_empty_batch_comes_back_empty(self):
+        space = jet_space(2, 2)
+        x, v = exp_map(registry_chart("bumpy_e3"), space, np.zeros((space.n, 3, 0)), np.zeros((space.n, 3, 0)))
+        assert x.shape == v.shape == (space.n, 3, 0)

@@ -636,6 +636,20 @@ def test_extreme_value_exits_3_in_one_line(name, path, value, tmp_path, capsys):
     assert err.startswith("numerical error: ") and err.count("\n") == 1, err
 
 
+def test_geodesic_sweeps_that_do_not_settle_exit_3_in_one_line(monkeypatch, tmp_path, capsys):
+    # a sphere study on bumpy_e3 reaches exp_map's sweeps; with one sweep a
+    # segment none settles, and StepFailure is a numerical error
+    scen = _bundled("series_remainders_s3")
+    scen["subject"].update(chart={"kind": "custom", "name": "bumpy_e3"}, quantities=["H"])
+    scen["checks"] = scen["checks"][:1]
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(scen))
+    monkeypatch.setattr(ambient, "PICARD_SWEEPS", 1)
+    assert run_scenario(p, out_dir=tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: StepFailure: ") and err.count("\n") == 1, err
+
+
 LEAF_VALUES = [True, -1, 0, "abc", [], {}, None, 0.5, 2, [1e-3], 1e-300, -1e9]
 
 

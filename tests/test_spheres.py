@@ -380,6 +380,26 @@ def test_area_derivative_matches_a_difference_of_sphere_areas():
     assert abs(res["d_area_ii_dr"] - value) <= abs(value - fine) + 1e-9
 
 
+def test_bumpy_area_derivative_peak_memory():
+    # the sweeps carry 13 nodes per point, so exp_map runs the 800-point
+    # sphere in blocks of at most PICARD_MAX_NODES point-nodes: tracemalloc
+    # peak 15.28 MiB, as with the fixed-step RK4 (15.28 MiB); 77.4 MiB in
+    # one block.  A small grid first fills the lazily built tables.
+    import tracemalloc
+
+    from secondform.ambient import registry_chart
+
+    chart = registry_chart("bumpy_e3")
+    area_derivative_check(chart, np.zeros(3), 0.3, grid_shape=(2, 4))
+    tracemalloc.start()
+    try:
+        area_derivative_check(chart, np.zeros(3), 0.3)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.3, f"{peak:.2f} MiB"
+
+
 def test_all_scalar_series_blocks_on_generic_metric():
     # every printed series block individually vs the numeric pipeline on a
     # metric with no symmetry (nonzero Z field, nonzero curvature gradients):
