@@ -195,24 +195,44 @@ _SYNTHETIC_FIELDS = {
     "lap_ric": ("sym2", 0),
 }
 _TRAILING_AXES = {"scalar": 0, "vector": 1, "sym2": 2, "riem": 4}
+_LAZY_FIELDS = ("nabla_riem", "nabla2_riem")  # never read by the recombination audit
 
 
 @functools.lru_cache(maxsize=None)
 def _synthetic_table(d: int):
-    """(index, scale, n, shapes): every field of a synthetic d-dimensional
-    jet, concatenated flat, as z[index]·scale of n coordinates z, with the
-    fields' shapes in `_SYNTHETIC_FIELDS` order."""
-    indices, scales, shapes, n = [], [], [], 0
-    for symmetry, lead in _SYNTHETIC_FIELDS.values():
+    """(n, index, scale, shapes, lazy): a synthetic d-dimensional jet as n
+    coordinates z.  The fields but `_LAZY_FIELDS` are z[index]·scale,
+    concatenated flat, with their (name, shape) in `shapes`; `lazy` maps
+    each of the other two to its own (index, scale, shape)."""
+    table, n = {}, 0
+    for name, (symmetry, lead) in _SYNTHETIC_FIELDS.items():
         index, scale, k = _symmetric_basis(d, symmetry)
         copies = d**lead
-        indices.append((n + k * np.arange(copies)[:, None] + index).ravel())
-        scales.append(np.tile(scale, copies))
-        shapes.append((d,) * (lead + _TRAILING_AXES[symmetry]))
+        table[name] = ((n + k * np.arange(copies)[:, None] + index).ravel(),
+                       np.tile(scale, copies), (d,) * (lead + _TRAILING_AXES[symmetry]))
         n += k * copies
-    index, scale = np.concatenate(indices), np.concatenate(scales)
-    index.flags.writeable = scale.flags.writeable = False  # shared by every call
-    return index, scale, n, shapes
+    lazy = {name: table.pop(name) for name in _LAZY_FIELDS}
+    index, scale = (np.concatenate([entry[i] for entry in table.values()]) for i in (0, 1))
+    for a in (index, scale, *(entry[i] for entry in lazy.values() for i in (0, 1))):
+        a.flags.writeable = False  # shared by every call
+    return n, index, scale, [(name, entry[2]) for name, entry in table.items()], lazy
+
+
+class _SyntheticJet(FramedJet):
+    """A synthetic draw whose `_LAZY_FIELDS` are scattered from its coordinates
+    z on first read.  It skips the dataclass ``__init__``, whose stores of
+    the two fields would shadow the properties."""
+
+    def __init__(self, z=None, lazy=None, **fields):
+        vars(self).update(fields)
+        self._z, self._lazy = z, lazy
+
+    def _scatter(self, name):
+        index, scale, shape = self._lazy[name]
+        return (self._z[index] * scale).reshape(shape)
+
+    nabla_riem = functools.cached_property(lambda self: self._scatter("nabla_riem"))
+    nabla2_riem = functools.cached_property(lambda self: self._scatter("nabla2_riem"))
 
 
 def synthetic_framed_jet(dim: int, rng: np.random.Generator) -> FramedJet:
@@ -226,16 +246,21 @@ def synthetic_framed_jet(dim: int, rng: np.random.Generator) -> FramedJet:
     in a Frobenius-orthonormal basis of the subspace.  That is the law of
     i.i.d. normals over the whole tensor projected onto the subspace, which
     is how earlier versions drew it; the values drawn for a given seed
-    differ from theirs."""
-    index, scale, n, shapes = _synthetic_table(dim)
-    flat = rng.normal(size=n)[index] * scale
-    fields, start = {}, 0
-    for name, shape in zip(_SYNTHETIC_FIELDS, shapes):
+    differ from theirs.
+
+    Every coordinate is drawn here, but ∇R̄ and ∇²R̄, which
+    `h_ii_recombination_error` never reads, are built from them on first
+    read and cached: bit for bit the values of an eager scatter."""
+    n, index, scale, shapes, lazy = _synthetic_table(dim)
+    z = rng.normal(size=n)
+    flat = z[index] * scale
+    fields, start = {"dim": dim}, 0
+    for name, shape in shapes:
         size = math.prod(shape)
         fields[name] = flat[start:start + size].reshape(shape)
         start += size
     fields["scal"] = float(fields["scal"])
-    return FramedJet(dim=dim, **fields)
+    return _SyntheticJet(z, lazy, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ tensor of jets became one coefficient array: one `Jet` per tensor entry and
 hand-written index loops.  The tests compare the array code against them.
 """
 
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from secondform.ambient import _stack_list, geodesic_rhs
 from secondform.jets import Jet, _levi_civita, jeinsum, jet_space, jinv
+from secondform.spheres import _SYNTHETIC_FIELDS, _TRAILING_AXES, FramedJet, _symmetric_basis
 
 
 def views(space, c, ntensor):
@@ -344,3 +346,25 @@ def quartic_terms(nvars, rng, amplitude):
         return acc
 
     return q
+
+
+def synthetic_jet_oracle(dim, rng):
+    """``spheres.synthetic_framed_jet`` as one eager scatter, the form that
+    builds ∇R̄ and ∇²R̄ on first read replaced: every field of the jet,
+    concatenated flat, as z[index]·scale of the n coordinates z drawn."""
+    indices, scales, shapes, n = [], [], [], 0
+    for symmetry, lead in _SYNTHETIC_FIELDS.values():
+        index, scale, k = _symmetric_basis(dim, symmetry)
+        copies = dim**lead
+        indices.append((n + k * np.arange(copies)[:, None] + index).ravel())
+        scales.append(np.tile(scale, copies))
+        shapes.append((dim,) * (lead + _TRAILING_AXES[symmetry]))
+        n += k * copies
+    flat = rng.normal(size=n)[np.concatenate(indices)] * np.concatenate(scales)
+    fields, start = {}, 0
+    for name, shape in zip(_SYNTHETIC_FIELDS, shapes):
+        size = math.prod(shape)
+        fields[name] = flat[start:start + size].reshape(shape)
+        start += size
+    fields["scal"] = float(fields["scal"])
+    return FramedJet(dim=dim, **fields)

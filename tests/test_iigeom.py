@@ -321,6 +321,19 @@ class TestInequalityReport:
         assert np.max(np.abs(rep.lemma51)) < 1e-7
         assert np.max(np.abs(rep.thm71)) < 1e-7
 
+    @pytest.mark.parametrize("cbar", [1.0, -1.0])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("rho", [math.pi / 6, 0.4])
+    def test_umbilic_spheres_in_curved_space_forms_are_lemma51_equalities(self, cbar, m, rho):
+        # with C̄ ≠ 0 the term C̄·tr A⁻¹ must cancel, which the E³ case above
+        # cannot see: its sign flipped reads 4(m − 1)·C̄·tr A⁻¹ ≠ 0 here
+        imm = standard_immersion("small_sphere_in_sphere", geodesic_radius=rho, m=m, Cbar=cbar)
+        rng = np.random.default_rng(m)
+        u = imm.param_lo + (imm.param_hi - imm.param_lo) * (0.15 + 0.7 * rng.random((6, m)))
+        rep = sphere_inequality_report(imm, u)
+        assert np.all(rep.geo.valid)
+        assert np.max(np.abs(rep.lemma51)) <= 1e-9
+
     def test_ellipsoid_violates_lemma51_somewhere(self):
         imm = standard_immersion("ellipsoid", axes=[1.0, 1.0, 1.3])
         rep = sphere_inequality_report(imm, sphere_grid(6, 11))

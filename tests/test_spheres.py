@@ -247,6 +247,58 @@ class TestSyntheticLaw:
             assert np.std([row[key] for row in rows]) > 0.1, key
 
 
+LAZY_FIELDS = ("nabla_riem", "nabla2_riem")
+
+
+class TestSyntheticDraw:
+    """`synthetic_framed_jet` builds ∇R̄ and ∇²R̄ on first read, bit for bit
+    the eager scatter of every field (`jet_oracles.synthetic_jet_oracle`)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_field_is_the_eager_scatter_bit_for_bit(self, d, seed):
+        from jet_oracles import synthetic_jet_oracle
+
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # consecutive draws: the stream position matches too
+            f, want = synthetic_framed_jet(d, rng), synthetic_jet_oracle(d, oracle_rng)
+            assert f.dim == want.dim and f.order == want.order == 2
+            assert isinstance(f.scal, float) and f.scal == want.scal
+            for name in SYMMETRIC_TYPE + RIEMANN_TYPE + ("grad_scal",):
+                got, ref = getattr(f, name), getattr(want, name)
+                assert got.shape == ref.shape and np.array_equal(got, ref), name
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", LAZY_FIELDS)
+    def test_a_lazy_field_is_built_once(self, name):
+        f = synthetic_framed_jet(4, np.random.default_rng(5))
+        assert name not in vars(f)
+        assert getattr(f, name) is getattr(f, name)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_the_audit_leaves_the_lazy_fields_unbuilt(self, d):
+        f = synthetic_framed_jet(d, np.random.default_rng(d))
+        h_ii_recombination_error(f)
+        assert not set(LAZY_FIELDS) & set(vars(f))
+        assert f.order == 2
+
+    def test_a_draw_and_its_audit_stay_below_the_mmap_threshold(self):
+        # at d = 5 an eager scatter allocated two 161,648-byte arrays, past
+        # glibc's 128 KiB mmap threshold (tracemalloc peak 316 KiB); the
+        # lazy draw peaks at about 40 KiB.  A first draw fills the tables.
+        import tracemalloc
+
+        rng = np.random.default_rng(11)
+        h_ii_recombination_error(synthetic_framed_jet(5, rng))
+        tracemalloc.start()
+        try:
+            h_ii_recombination_error(synthetic_framed_jet(5, rng))
+            peak = tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64, f"{peak:.1f} KiB"
+
+
 class TestNumericVsSeries:
     def test_areas_share_one_sphere_integration(self, exp_map_batches):
         # one exp_map call for the patch, one for the whole sphere (both areas)
