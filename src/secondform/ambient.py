@@ -1,11 +1,12 @@
 """Ambient semi-Riemannian charts and their curvature data.
 
 A chart packages a metric-component function evaluated on jet coefficient
-arrays, together with, on conformal charts, the gradient of the conformal
-exponent, off which the geodesic integrator and the frame read the
-connection (see :class:`MetricChart`).  All model
-spaces (the six constant-curvature spaces and products of Riemannian
-factors) are conformally flat in the chart used here,
+arrays, together with the gradient of the conformal exponent, off which the
+geodesic integrator and the frame read the connection, and the Schouten
+tensor, off which the curvature along a patch is read (see
+:class:`MetricChart`); a product chart is built from such conformal blocks.
+All model spaces (the six constant-curvature spaces and products of
+Riemannian factors) are conformally flat in the chart used here,
 
     ḡ_ab = ε_a δ_ab / (1 + C̄⟨x,x⟩_ε/4)²,
 
@@ -14,12 +15,13 @@ too: the chart is the stereographic image of the quadric
 C̄⟨y,y⟩_ε + z² = 1, on which a geodesic is Y(t) = C(q t²)·Y₀ + t·S(q t²)·Y₀′
 (`_quadric_flow`).  `exp_map` reads γ(t) off that formula on these charts
 and their products, in about 25 jet products per stop, and by
-Chebyshev–Picard sweeps on charts without it (`bumpy_e3`, registry metrics).
+Chebyshev–Picard sweeps on charts without it (`bumpy_e3` and its products).
 
 Every tensor of jets is one coefficient array (n_mono, *tensor, *batch),
 contracted with ``jets.jeinsum``.  One chain, ``_curvature_chain``, takes
-any metric given that way (the ambient ḡ, and in ``hypersurface`` and
-``iigeom`` the induced metric g and II itself) through
+any metric given that way (the ambient ḡ at points, for `curvature_jet` and
+`christoffel`, the independent oracle of the closed forms, and in
+``hypersurface`` and ``iigeom`` the induced metric g and II itself) through
 
     Γ^k_ij = ½g^{kl}(∂_i g_lj + ∂_j g_li − ∂_l g_ij),
     R^l_ijk = ∂_j Γ^l_ik − ∂_i Γ^l_jk + Γ^l_js Γ^s_ik − Γ^l_is Γ^s_jk,
@@ -55,7 +57,7 @@ from .errors import (
     UnsupportedSignature,
     _lookup,
 )
-from .jets import Jet, _cauchy, _col, _inv, _lead, _lift, compose, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _col, _inv, _lead, _lift, jeinsum, jet_space, seed_jets
 
 __all__ = [
     "MetricChart",
@@ -85,20 +87,22 @@ class MetricChart:
     coordinates `x` have shape (space.n, dim, *batch).
 
     * `metric_fn(space, x)` returns ḡ_ab, shape (space.n, dim, dim, *batch).
-    * `sigma_grad_fn(space, x)` (optional), on a conformal chart
-      ḡ = ε δ e^{2σ} (ε the signs of `index`), returns ∂_a σ on axis 1,
-      shape (space.n, dim, *batch), or None where σ ≡ 0.  The connection
-      is read off it: Γ̄ (:func:`christoffel_on_jets`), Γ̄ contracted with
-      a covector (:func:`christoffel_u_on_jets`) and the geodesic
-      right-hand side (:func:`geodesic_rhs`).  A product chart has none of
-      its own; those functions read each factor's (`product_factors`).
+    * `sigma_grad_fn(space, x)`, on a conformal chart ḡ = ε δ e^{2σ} (ε
+      the signs of `index`), returns ∂_a σ on axis 1, shape
+      (space.n, dim, *batch), or None where σ ≡ 0.  The connection is read
+      off it: Γ̄ (:func:`christoffel_on_jets`), Γ̄ contracted with a
+      covector (:func:`christoffel_u_on_jets`) and the geodesic right-hand
+      side (:func:`geodesic_rhs`).
+    * The curvature (``hypersurface.ambient_curvature_on_jets``) is read
+      off the Schouten tensor P̄: (C̄/2)ḡ where `curvature_const` is C̄,
+      else `schouten_fn(space, x)`, shape (space.n, dim, dim, *batch).
     * `geodesic_flow(space, x, w, ts)` (optional) returns the geodesic from
       x with velocity w in closed form: (x_t, v_t), each of shape
       (len(ts), space.n, dim, *batch), at the times ts, or None where its
       formula loses accuracy (see `_quadric_flow`).
 
-    Where a chart, or a factor of a product, has no σ-gradient, those
-    three are derived from the metric.
+    A product chart has none of the first three of its own: it is built
+    from its conformal blocks, `product_factors`.
     """
 
     dim: int
@@ -108,12 +112,18 @@ class MetricChart:
     domain_hi: np.ndarray
     descriptor: dict
     sigma_grad_fn: Optional[Callable] = None
+    schouten_fn: Optional[Callable] = None
     geodesic_flow: Optional[Callable] = None
     predicate_fn: Optional[Callable] = None
     curvature_const: Optional[float] = None
     product_factors: Optional[tuple] = None  # ((chart, slice), ...)
     conjugate_radius: float = math.inf
     name: str = "chart"
+
+    def __post_init__(self):
+        conformal = self.sigma_grad_fn is not None and (self.curvature_const, self.schouten_fn) != (None, None)
+        if self.product_factors is None and not conformal:
+            raise ValueError(f"{self.name}: a chart needs a σ-gradient and C̄ or P̄, or product factors")
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -424,8 +434,9 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
     5 jet products at order 4 (F and its gradient, or the bump and its).
     Where C̄ = 0, F = 1/(1 + C̄⟨x,x⟩_ε/4) ≡ 1 is not built, so a flat chart
     gives εδ and σ ≡ 0 with no product.  Without a bump the geodesics have
-    the closed form of `_quadric_flow`.  `bump` is a pair of functions
-    (space, x) ↦ σ_bump and (space, x, σ_bump) ↦ its gradient on axis 1.
+    the closed form of `_quadric_flow`.  `bump` is a triple of functions
+    (space, x) ↦ σ_bump, (space, x, σ_bump) ↦ its gradient on axis 1 and
+    (space, x) ↦ the chart's Schouten tensor P̄, which it must give whole.
     """
     eps = _signs(dim, index)
 
@@ -481,6 +492,7 @@ def _conformal_chart(dim, index, cbar, name, descriptor, bump=None):
         domain_hi=half * np.ones(dim),
         descriptor=descriptor,
         sigma_grad_fn=sigma_grad,
+        schouten_fn=bump[2] if bump else None,
         geodesic_flow=None if bump else functools.partial(_quadric_flow, eps=eps, cbar=cbar),
         predicate_fn=predicate,
         curvature_const=cbar if bump is None else None,
@@ -563,7 +575,6 @@ def product_chart(a: MetricChart, b: MetricChart) -> MetricChart:
         descriptor={"kind": "product", "factors": [a.descriptor, b.descriptor]},
         geodesic_flow=flow if all(c.geodesic_flow is not None for c, _ in factors) else None,
         predicate_fn=predicate if preds else None,
-        curvature_const=None,
         product_factors=factors,
         conjugate_radius=min(a.conjugate_radius, b.conjugate_radius),
         name=f"{a.name}*{b.name}",
@@ -582,8 +593,16 @@ def _bumpy_e3() -> MetricChart:
     def grad(space, x, s):
         return _cauchy(space, x * -2.0, s[:, None])
 
+    def schouten(space, x):
+        # P̄ = −∂²σ + dσ⊗dσ − ½|dσ|²δ, with ∂²σ = −2δσ − 2x⊗∂σ
+        s = sigma(space, x)
+        ds = grad(space, x, s)
+        out = _cauchy(space, (x * 2.0 + ds)[:, :, None], ds[:, None])
+        np.einsum("Zaa...->Za...", out)[...] += (s * 2.0 - _tsum(_cauchy(space, ds, ds)) * 0.5)[:, None]
+        return out
+
     return _conformal_chart(
-        3, 0, 0.0, "bumpy_e3", {"kind": "custom", "name": "bumpy_e3"}, bump=(sigma, grad)
+        3, 0, 0.0, "bumpy_e3", {"kind": "custom", "name": "bumpy_e3"}, bump=(sigma, grad, schouten)
     )
 
 
@@ -632,12 +651,8 @@ def chart_from_descriptor(desc: dict) -> MetricChart:
 
 def _sigma_grads(chart: MetricChart, space, x):
     """[(slice, ε, ∂σ or None where σ ≡ 0), ...] of the conformal blocks of a
-    chart, its product factors or the chart itself, at coordinates x (at
-    `space` or above); None where a block has no σ-gradient."""
+    chart at coordinates x (at `space` or above)."""
     blocks = chart.product_factors or ((chart, slice(None)),)
-    for c, _ in blocks:
-        if c.sigma_grad_fn is None:
-            return None
     return [(sl, _signs(c.dim, c.index), c.sigma_grad_fn(space, x[: space.n, sl])) for c, sl in blocks]
 
 
@@ -647,14 +662,10 @@ def christoffel_on_jets(chart: MetricChart, space, x):
 
     On each conformal block ḡ = ε δ e^{2σ}, Γ^k_ab = δ^k_a σ_b + δ^k_b σ_a −
     ε_a δ_ab ε_k σ_k, filled term by term on diagonal views: no Γ-sized
-    temporaries.  Without a σ-gradient, the ambient Taylor expansion of the
-    metric-derived Γ is composed with the displacement.
+    temporaries.
     """
-    grads = _sigma_grads(chart, space, x)
-    if grads is None:
-        return _compose_along(chart, space, x, 1, lambda amb_space, g: _levi_civita(amb_space, g)[1])
     out = np.zeros((space.n,) + (chart.dim,) * 3 + x.shape[2:])
-    for sl, eps, sg in grads:
+    for sl, eps, sg in _sigma_grads(chart, space, x):
         if sg is None:
             continue
         block = out[:, sl, sl, sl]
@@ -671,15 +682,11 @@ def christoffel_u_on_jets(chart: MetricChart, space, x, u):
     the coordinates x, both coefficient arrays at `space` or above.
 
     On each conformal block, u_a σ_b + u_b σ_a − ε_a δ_ab (εσ·u): one jet
-    product, without the d³ Γ.  Without a σ-gradient, the contraction of
-    :func:`christoffel_on_jets`.
+    product, without the d³ Γ.
     """
-    grads = _sigma_grads(chart, space, x)
-    if grads is None:
-        return jeinsum(space, "kab...,k...->ab...", christoffel_on_jets(chart, space, x), u)
     u = u[: space.n]
     out = np.zeros((space.n, chart.dim, chart.dim) + np.broadcast_shapes(x.shape[2:], u.shape[2:]))
-    for sl, eps, sg in grads:
+    for sl, eps, sg in _sigma_grads(chart, space, x):
         if sg is None:
             continue
         us = _cauchy(space, u[:, sl, None], sg[:, None])  # u_a σ_b
@@ -696,15 +703,10 @@ def geodesic_rhs(chart: MetricChart, space, x, v):
 
     On each conformal block −2v(σ′·v) + εσ′⟨v,v⟩_ε: at order 4, 9 jet
     products, 5 for σ′, 2 for the dot products and 2 for the scalings; none
-    where σ ≡ 0.  Without a σ-gradient, the contraction of
-    :func:`christoffel_on_jets`.
+    where σ ≡ 0.
     """
-    grads = _sigma_grads(chart, space, x)
-    if grads is None:
-        vv = jeinsum(space, "a...,b...->ab...", v, v)
-        return -jeinsum(space, "kab...,ab...->k...", christoffel_on_jets(chart, space, x), vv)
     parts = []
-    for sl, eps, sg in grads:
+    for sl, eps, sg in _sigma_grads(chart, space, x):
         vb = v[: space.n, sl]
         if sg is None:
             parts.append(np.zeros(vb.shape))
@@ -714,18 +716,6 @@ def geodesic_rhs(chart: MetricChart, space, x, v):
         vv = _tsum(_cauchy(space, vb, vb) * e)
         parts.append(_cauchy(space, vb, sv[:, None]) * (-2.0) + _cauchy(space, sg, vv[:, None]) * e)
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _compose_along(chart: MetricChart, space, x, extra: int, field):
-    """A field of the ambient metric along coordinates x (n_mono, dim, *batch)
-    at `space` (or above).  `field(amb_space, ḡ)` maps the metric's Taylor
-    expansion at the base points x[0], `extra` orders above `space`, to a
-    coefficient array (n_mono, *tensor, *batch) at `space`'s order or above;
-    that expansion is composed with the displacement x − x[0]."""
-    amb_space, g = _seeded(chart, np.moveaxis(x[0], 0, -1), space.order + extra)
-    disp = x[: space.n].copy()
-    disp[0] = 0.0
-    return compose(space, field(amb_space, g), disp)
 
 
 # Chebyshev–Picard sweeps (Clenshaw & Norton 1963; Bai & Junkins 2011), N + 1 nodes a segment: a

@@ -28,7 +28,8 @@ values (x, g, II, A, H, det A, …) are read off their constant terms, and III
 and the principal spectrum are computed on first read, once.  The
 connection and curvature of g (and, in ``iigeom``, of II) come from the
 one curvature chain in ``ambient``, and R̄, Ric̄, S̄ along the patch from
-:func:`ambient_curvature_on_jets` on the same arrays.
+:func:`ambient_curvature_on_jets` on the same arrays, as R̄ = P̄⊙ḡ from
+the Schouten tensor P̄ of each conformal block of the chart.
 
 The second fundamental form is computed both ways (through ∇̄U and through
 ∇̄∂∂); their values agree to 1e−9 on every call, which catches sign and
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
@@ -348,14 +349,9 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
 
 
 def _raised(space, gb, v):
-    """ḡ⁻¹v for a vector v (n_mono, d, *batch) at `space`.  Every chart the
-    package builds (conformal charts and their products) has a diagonal ḡ:
-    there v_a/ḡ_aa, one reciprocal lift of the d diagonal entries; any
-    other ḡ by ``_inv``'s Neumann series."""
-    gb = gb[: space.n]
-    if np.any(gb[:, ~np.eye(gb.shape[1], dtype=bool)]):
-        return _inv(space, gb, v)
-    return _cauchy(space, v, Jet(space, np.einsum("Zaa...->Za...", gb)).reciprocal().coeffs)
+    """ḡ⁻¹v for a vector v (n_mono, d, *batch) at `space`: v_a/ḡ_aa, since
+    every chart is built from conformal blocks and so has a diagonal ḡ."""
+    return _cauchy(space, v, Jet(space, np.einsum("Zaa...->Za...", gb[: space.n])).reciprocal().coeffs)
 
 
 def _check_shape_operator_two_routes(a, t, u, du, gamma_bar):
@@ -463,68 +459,46 @@ def ambient_curvature_on_jets(chart: MetricChart, space, x, gbar=None, u=None):
     With `u`, a vector field U along x (n_mono, dim, *batch), the first
     array is R̄(·,U,·,·)_{acf} = R̄_{abcf}U^b instead: d³ entries, not d⁴.
 
-    Constant-curvature charts and products of them use the closed forms
-    R̄ = C̄(ḡ ∧ ḡ) and R̄(·,U,·,·)_{acf} = C̄(ḡ_ac(ḡU)_f − ḡ_af(ḡU)_c) block
-    by block; anything else composes the ambient Taylor expansion of the
-    curvature with the displacement (and contracts it with U).
+    Each conformal block ḡ = ε δ e^{2σ} of the chart, of dimension k, is
+    conformally flat, so there R̄ = P̄⊙ḡ (⊙ the Kulkarni–Nomizu product),
+    Ric̄ = (k − 2)P̄ + (tr_ḡ P̄)ḡ and S̄ = 2(k − 1) tr_ḡ P̄, with the Schouten
+    tensor P̄ = −∂²σ + dσ⊗dσ − ½⟨dσ,dσ⟩_ε εδ (Besse, Einstein Manifolds,
+    1987, ch. 1): (C̄/2)ḡ on space forms (`curvature_const`), which gives
+    R̄(·,U,·,·)_{acf} = C̄(ḡ_ac(ḡU)_f − ḡ_af(ḡU)_c), else the block's
+    `schouten_fn` along x at `space`.
     """
     d = chart.dim
     x = x[: space.n]
-    if chart.curvature_const is not None:
-        blocks = ((chart, slice(0, d)),)
-    elif chart.product_factors is not None and all(
-        c.curvature_const is not None for c, _ in chart.product_factors
-    ):
-        blocks = chart.product_factors
-    else:
-        riem, ric, scal = _generic_curvature_along(chart, space, x)
-        if u is not None:
-            riem = jeinsum(space, "abcf...,b...->acf...", riem, u)
-        return riem, ric, scal
     gbar = chart.metric_fn(space, x) if gbar is None else gbar[: space.n]
     batch = gbar.shape[3:]
     riem = np.zeros((space.n,) + (d,) * (4 if u is None else 3) + batch)
     ric = np.zeros((space.n, d, d) + batch)
     scal = np.zeros((space.n,) + batch)
-    for sub, sl in blocks:
+    for sub, sl in chart.product_factors or ((chart, slice(0, d)),):
         cbar, k = sub.curvature_const, sub.dim
         g = gbar[:, sl, sl]
-        if u is None:
-            block = riem[:, sl, sl, sl, sl]
-            # R_ijab = C̄(g_ia g_jb − g_ib g_ja) for a < b: no d⁴-sized temporaries
-            for a, b in combinations(range(k), 2):
-                prod = jeinsum(space, "i...,j...->ij...", g[:, :, a], g[:, :, b])
-                block[:, :, :, a, b] = (prod - np.swapaxes(prod, 1, 2)) * cbar
-                block[:, :, :, b, a] = -block[:, :, :, a, b]
-        else:
-            g_u = jeinsum(space, "fb...,b...->f...", g, u[: space.n, sl])
-            prod = jeinsum(space, "ac...,f...->acf...", g, g_u)
+        if cbar is None:
+            p = sub.schouten_fn(space, x[:, sl])
+            tr_p = amb._tsum(_raised(space, g, np.einsum("Zaa...->Za...", p)))
+            ric[:, sl, sl] = p * (k - 2) + _cauchy(space, g, tr_p[:, None, None])
+            scal += tr_p * (2 * (k - 1))
+        else:  # P̄ = (C̄/2)ḡ, with its factor taken last
+            p = g
+            ric[:, sl, sl] = g * (cbar * (k - 1))
+            scal[0] += cbar * k * (k - 1)
+        if u is None:  # P̄_ac ḡ_bf + P̄_bf ḡ_ac − (c ↔ f)
+            prod = jeinsum(space, "ac...,bf...->abcf...", p, g)
+            prod = prod + np.einsum("Zabcf...->Zbafc...", prod)
+            block = np.subtract(prod, np.swapaxes(prod, 3, 4), out=riem[:, sl, sl, sl, sl])
+        else:  # P̄_ac(ḡU)_f + ḡ_ac(P̄U)_f − (c ↔ f), its two terms one where P̄ ∝ ḡ
+            ub = u[: space.n, sl]
+            prod = jeinsum(space, "ac...,f...->acf...", p, jeinsum(space, "fb...,b...->f...", g, ub))
+            if cbar is None:
+                prod += jeinsum(space, "ac...,f...->acf...", g, jeinsum(space, "fb...,b...->f...", p, ub))
             block = np.subtract(prod, np.swapaxes(prod, 2, 3), out=riem[:, sl, sl, sl])
-            block *= cbar
-        ric[:, sl, sl] = g * (cbar * (k - 1))
-        scal[0] += cbar * k * (k - 1)
+        if cbar is not None:  # the factor of P̄ = (C̄/2)ḡ, doubled where the terms were one
+            block *= cbar if u is not None else cbar / 2
     return riem, ric, scal
-
-
-def _generic_curvature_along(chart: MetricChart, space, x):
-    d = chart.dim
-    batch = x.shape[2:]
-
-    def stacked(amb_space, g):
-        # R̄, Ric̄ and S̄ side by side on one tensor axis, for one compose
-        curv = amb._curvature_chain(amb_space, g)
-        n = curv.riem.shape[0]
-        return np.concatenate(
-            [curv.riem.reshape((n, d**4) + batch), curv.ric.reshape((n, d * d) + batch), curv.scal[:, None]],
-            axis=1,
-        )
-
-    out = amb._compose_along(chart, space, x, 2, stacked)
-    return (
-        out[:, : d**4].reshape((space.n,) + (d,) * 4 + batch),
-        out[:, d**4 : -1].reshape((space.n, d, d) + batch),
-        out[:, -1],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ class _SyntheticJet(FramedJet):
 
     nabla_riem = functools.cached_property(lambda self: self._scatter("nabla_riem"))
     nabla2_riem = functools.cached_property(lambda self: self._scatter("nabla2_riem"))
+    order = property(lambda self: 2)  # every field is drawn: no scatter to tell
 
 
 def synthetic_framed_jet(dim: int, rng: np.random.Generator) -> FramedJet:

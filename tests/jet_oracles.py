@@ -10,8 +10,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from secondform import ambient as amb
 from secondform.ambient import _stack_list, geodesic_rhs
-from secondform.jets import Jet, _levi_civita, jeinsum, jet_space, jinv
+from secondform.jets import Jet, _levi_civita, compose, jeinsum, jet_space, jinv
 from secondform.spheres import _SYNTHETIC_FIELDS, _TRAILING_AXES, FramedJet, _symmetric_basis
 
 
@@ -252,50 +253,15 @@ def rk4_exp_oracle(chart, space, x, v, n_steps, stops=None):
     return ends[0] if stops is None else ends
 
 
-def _space_form_curvature_oracle(g, cbar, d):
-    zero = g[0, 0] * 0.0
-    riem = np.empty((d, d, d, d), dtype=object)
-    riem[...] = zero
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                for l in range(d):
-                    val = (g[i, k] * g[j, l] - g[i, l] * g[j, k]) * cbar
-                    riem[i, j, k, l] = val
-                    riem[j, i, k, l] = -val
-    ric = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            ric[i, j] = g[i, j] * (cbar * (d - 1))
-            ric[j, i] = ric[i, j]
-    return riem, ric, zero + cbar * d * (d - 1)
-
-
 def ambient_curvature_oracle(chart, x_jets):
-    """R̄, Ric̄, S̄ along jet-valued coordinates as object arrays: closed
-    forms for space forms and their products, else the ambient Taylor
-    expansion of the curvature composed entry by entry."""
+    """R̄, Ric̄, S̄ along jet-valued coordinates as object arrays, on every
+    chart from its metric: the ambient Taylor expansion of the curvature,
+    entry by entry, composed with the displacement."""
     d = chart.dim
-    if chart.curvature_const is not None:
-        return _space_form_curvature_oracle(metric_obj(chart, x_jets), chart.curvature_const, d)
-    if chart.product_factors is not None and all(c.curvature_const is not None for c, _ in chart.product_factors):
-        gbar = metric_obj(chart, x_jets)
-        zero = x_jets[0] * 0.0
-        riem = np.empty((d, d, d, d), dtype=object)
-        riem[...] = zero
-        ric = np.empty((d, d), dtype=object)
-        ric[...] = zero
-        scal = zero
-        for sub, sl in chart.product_factors:
-            br, bric, bs = _space_form_curvature_oracle(gbar[sl, sl], sub.curvature_const, sub.dim)
-            riem[sl, sl, sl, sl] = br
-            ric[sl, sl] = bric
-            scal = scal + bs
-        return riem, ric, scal
     order = x_jets[0].space.order
     x0 = np.stack([np.asarray(j.value, dtype=float) for j in x_jets], axis=-1)
-    amb = [Jet.variable(jet_space(d, order + 2), i, x0[..., i]) for i in range(d)]
-    _, _, riem_amb, ric_amb, scal_amb = chain_oracle(metric_obj(chart, amb))
+    amb_x = [Jet.variable(jet_space(d, order + 2), i, x0[..., i]) for i in range(d)]
+    _, _, riem_amb, ric_amb, scal_amb = chain_oracle(metric_obj(chart, amb_x))
     disp = [x_jets[k] - x0[..., k] for k in range(d)]
 
     def comp(jet):
@@ -308,6 +274,63 @@ def ambient_curvature_oracle(chart, x_jets):
     for idx in np.ndindex(*ric.shape):
         ric[idx] = comp(ric_amb[idx])
     return riem, ric, comp(scal_amb)
+
+
+# ---------------------------------------------------------------------------
+# the metric-derived connection and curvature along coordinate jets, on
+# coefficient arrays: the routes ``ambient`` and ``hypersurface`` took on
+# charts without a σ-gradient or a closed-form curvature
+# ---------------------------------------------------------------------------
+
+
+def compose_along(chart, space, x, extra, field):
+    """A field of the ambient metric along coordinates x (n_mono, dim, *batch)
+    at `space` (or above).  `field(amb_space, ḡ)` maps the metric's Taylor
+    expansion at the base points x[0], `extra` orders above `space`, to a
+    coefficient array (n_mono, *tensor, *batch) at `space`'s order or above;
+    that expansion is composed with the displacement x − x[0]."""
+    amb_space, g = amb._seeded(chart, np.moveaxis(x[0], 0, -1), space.order + extra)
+    disp = x[: space.n].copy()
+    disp[0] = 0.0
+    return compose(space, field(amb_space, g), disp)
+
+
+def christoffel_along(chart, space, x):
+    """Γ^k_ab along x from the metric, as ``ambient.christoffel_on_jets``
+    lays it out."""
+    return compose_along(chart, space, x, 1, lambda amb_space, g: amb._levi_civita(amb_space, g)[1])
+
+
+def christoffel_u_along(chart, space, x, u):
+    """Γ^k_ab u_k along x from the metric."""
+    return jeinsum(space, "kab...,k...->ab...", christoffel_along(chart, space, x), u)
+
+
+def geodesic_rhs_along(chart, space, x, v):
+    """−Γ^k_ab v^a v^b along x from the metric."""
+    vv = jeinsum(space, "a...,b...->ab...", v, v)
+    return -jeinsum(space, "kab...,ab...->k...", christoffel_along(chart, space, x), vv)
+
+
+def curvature_along(chart, space, x):
+    """(R̄, Ric̄, S̄) along x from the metric: one expansion two orders above
+    `space`, with the three side by side on one tensor axis, composed once."""
+    d, batch = chart.dim, x.shape[2:]
+
+    def stacked(amb_space, g):
+        curv = amb._curvature_chain(amb_space, g)
+        n = curv.riem.shape[0]
+        return np.concatenate(
+            [curv.riem.reshape((n, d**4) + batch), curv.ric.reshape((n, d * d) + batch), curv.scal[:, None]],
+            axis=1,
+        )
+
+    out = compose_along(chart, space, x, 2, stacked)
+    return (
+        out[:, : d**4].reshape((space.n,) + (d,) * 4 + batch),
+        out[:, d**4 : -1].reshape((space.n, d, d) + batch),
+        out[:, -1],
+    )
 
 
 def lapack_inv_oracle(space, c):

@@ -515,19 +515,12 @@ def _no_flow(chart):
     return dataclasses.replace(chart, geodesic_flow=None)
 
 
-def _metric_derived(chart):
-    """The chart without its σ-gradient, product blocks or flow: Γ̄ comes
-    from the metric, and exp_map sweeps its contraction."""
-    return dataclasses.replace(chart, sigma_grad_fn=None, product_factors=None, geodesic_flow=None)
-
-
 EXP_CHARTS = {
     "s3": lambda: space_form(3, 1.0),
     "h3": lambda: space_form(3, -1.0),
     "de_sitter": lambda: space_form(3, 0.5, index=1),
     "bumpy_e3": lambda: registry_chart("bumpy_e3"),
     "s2xs2": lambda: product_chart(space_form(2, 1.0), space_form(2, 1.0)),
-    "metric_derived": lambda: _metric_derived(space_form(2, 1.0)),
     "e3": lambda: flat_chart(3),
     "minkowski": lambda: flat_chart(3, index=1),
 }
@@ -598,14 +591,26 @@ def _rk4_512(name, batch, x0_batched=True):
     return rk4_exp_oracle(chart, *_stops_inputs(chart.dim, batch, x0_batched), 512, STOPS)
 
 
-def _assert_matches_rk4_512(chart, name, batch, x0_batched=True):
+def _reference_path(name, batch, x0_batched=True):
+    """The path the sweeps are held to, at STOPS on `_stops_inputs` and
+    order 4: the chart's closed-form flow where it has one (itself held to
+    `_rk4_512` by ``TestGeodesicFlow``), else `_rk4_512`."""
+    chart = {**FLOW_CHARTS, **EXP_CHARTS}[name]()
+    if chart.geodesic_flow is None:
+        return _rk4_512(name, batch, x0_batched)
+    ends = chart.geodesic_flow(*_stops_inputs(chart.dim, batch, x0_batched), STOPS)
+    assert ends is not None  # the flow did not decline
+    return list(zip(*ends))
+
+
+def _assert_matches(chart, ref, batch, x0_batched=True):
     """exp_map on `chart`, by its flow or its sweeps, at orders 0, 2 and 4,
-    within 1e-12 relative of `_rk4_512` at every stop."""
+    within 1e-12 relative of the path `ref` at every stop."""
     space, x0, w = _stops_inputs(chart.dim, batch, x0_batched)
     for order in (0, 2, 4):
         got = exp_map(chart, jet_space(2, order), x0, w, stops=STOPS)
-        for pair, ref in zip(got, _rk4_512(name, batch, x0_batched)):
-            _assert_close(pair, ref, 1e-12)
+        for pair, r in zip(got, ref):
+            _assert_close(pair, r, 1e-12)
 
 
 class TestExpMapArrays:
@@ -619,8 +624,8 @@ class TestExpMapArrays:
 
     @pytest.mark.parametrize("name", sorted(EXP_CHARTS))
     @pytest.mark.parametrize("batch", [(), (72,)])
-    def test_sweeps_match_rk4_at_512_steps(self, name, batch):
-        _assert_matches_rk4_512(_no_flow(EXP_CHARTS[name]()), name, batch)
+    def test_sweeps_match_the_flow_or_rk4_at_512_steps(self, name, batch):
+        _assert_matches(_no_flow(EXP_CHARTS[name]()), _reference_path(name, batch), batch)
 
     @pytest.mark.parametrize("name", ["s3", "bumpy_e3", "s2xs2"])
     def test_unbatched_start_against_batched_velocity(self, name):
@@ -628,7 +633,7 @@ class TestExpMapArrays:
         x0, w = _exp_inputs(chart.dim, 4, (72,), x0_batched=False)
         assert x0[0].batch_shape == () and w[0].batch_shape == (72,)
         _assert_rk4_matches_list_oracle(chart, x0, w, n_steps=8)
-        _assert_matches_rk4_512(_no_flow(chart), name, (72,), x0_batched=False)
+        _assert_matches(_no_flow(chart), _reference_path(name, (72,), False), (72,), x0_batched=False)
 
     def test_mixed_input_orders_combine_at_the_lower(self):
         # as in ladder_oracle.deformed_family: x at order k+1, w at order k
@@ -647,19 +652,17 @@ class TestExpMapArrays:
         _assert_close((xs, vs), rk4_exp_oracle(chart, space, x, w_arr, 512), 1e-12)
 
     def test_metric_derived_christoffel_path(self):
-        # the composed Γ that the list oracle reads, against the object oracle
-        from jet_oracles import christoffel_on_jets_oracle, coeffs, rk4_exp_oracle
+        # the σ form of Γ̄ on bumpy_e3 against the metric-derived Γ̄ composed
+        # along the patch, on coefficient arrays and entry by entry
+        from jet_oracles import christoffel_along, christoffel_on_jets_oracle, coeffs
 
         from secondform.ambient import _stack_list
 
-        chart = _metric_derived(registry_chart("bumpy_e3"))
-        x0, w = _exp_inputs(3, 2, (4,))
+        chart = registry_chart("bumpy_e3")
+        x0, _ = _exp_inputs(3, 2, (4,))
         want = coeffs(christoffel_on_jets_oracle(chart, x0))
-        got = christoffel_on_jets(chart, *_stack_list(x0))
-        assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-        _assert_rk4_matches_list_oracle(chart, x0, w, n_steps=4)
-        args = _arrays(x0, w)
-        _assert_close(exp_map(chart, *args), rk4_exp_oracle(chart, *args, 512), 1e-12)
+        for got in (christoffel_on_jets(chart, *_stack_list(x0)), christoffel_along(chart, *_stack_list(x0))):
+            assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_left_domain_on_batched_jets(self):
         chart = space_form(3, -1.0)
@@ -719,10 +722,12 @@ class TestConformalChartProducts:
         "name", ["s3", "e3", "h3", "de_sitter", "minkowski", "anti_de_sitter", "bumpy_e3"]
     )
     def test_right_hand_side_matches_metric_derived_christoffel(self, name):
+        from jet_oracles import geodesic_rhs_along
+
         chart = {**FLOW_CHARTS, **EXP_CHARTS}[name]()
         space, x, v = _arrays(*_exp_inputs(3, 4, (72,)))
         got = geodesic_rhs(chart, space, x, v)
-        want = geodesic_rhs(_metric_derived(chart), space, x, v)
+        want = geodesic_rhs_along(chart, space, x, v)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -731,13 +736,17 @@ class TestConformalChartProducts:
 def test_derived_forms_on_a_product_with_an_offset_block(order):
     # a σ ≡ 0 block before a bumped one: each block's Γ̄, Γ̄·u and right-hand
     # side land at its own slice, as the metric-derived ones do
+    from jet_oracles import christoffel_along, christoffel_u_along, geodesic_rhs_along
+
     chart = product_chart(flat_chart(1), registry_chart("bumpy_e3"))
     space = jet_space(2, order)
     rng = np.random.default_rng(order)
     x = rng.uniform(-0.3, 0.3, (space.n, 4, 9))
     u, v = rng.normal(size=(2, space.n, 4, 9))
-    for fn, args in ((christoffel_on_jets, ()), (christoffel_u_on_jets, (u,)), (geodesic_rhs, (v,))):
-        got, want = fn(chart, space, x, *args), fn(_metric_derived(chart), space, x, *args)
+    for fn, oracle, args in ((christoffel_on_jets, christoffel_along, ()),
+                             (christoffel_u_on_jets, christoffel_u_along, (u,)),
+                             (geodesic_rhs, geodesic_rhs_along, (v,))):
+        got, want = fn(chart, space, x, *args), oracle(chart, space, x, *args)
         assert got.shape == want.shape and np.max(np.abs(want)) > 0.0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), fn.__name__
 
@@ -764,7 +773,7 @@ def fixed_step_rk4_oracle(chart, space, x, v, n_steps):
     return x, v
 
 
-STOP_CHARTS = ("s3", "bumpy_e3", "metric_derived")
+STOP_CHARTS = ("s3", "bumpy_e3")
 
 
 class TestExpMapStops:
@@ -870,7 +879,7 @@ class TestGeodesicFlow:
     def test_matches_rk4_at_512_steps(self, name, batch):
         chart = FLOW_CHARTS[name]()
         assert chart.geodesic_flow is not None
-        _assert_matches_rk4_512(chart, name, batch)
+        _assert_matches(chart, _rk4_512(name, batch), batch)
 
     def test_only_charts_with_a_closed_form_have_a_flow(self):
         assert flat_chart(1).geodesic_flow is not None

@@ -1,8 +1,10 @@
 """Every name a module exports resolves; no module imports a name it never
-reads; every name the package re-exports is in its module's ``__all__``."""
+reads; every name the package re-exports is in its module's ``__all__``;
+every name the benchmark's tracer wraps is there to wrap."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 
@@ -61,3 +63,16 @@ def test_every_package_export_is_in_its_modules_all():
             exported = getattr(module, "__all__", ())
             stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert stray == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracing.py wraps each (module, attribute) of TARGETS by
+    # name: one the package no longer defines makes `run.py --trace`
+    # raise AttributeError when it installs the tracer
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{m}.{a}" for m, a, _ in tracing.TARGETS
+               if not hasattr(importlib.import_module(f"secondform.{m}"), a)]
+    assert tracing.TARGETS and missing == []

@@ -100,33 +100,6 @@ def frame_oracle(imm, u_jets):
     }
 
 
-def _bumpy_without_gamma():
-    # no σ-gradient: Γ̄ along the patch by `compose`
-    return replace(amb.registry_chart("bumpy_e3"), sigma_grad_fn=None)
-
-
-SHEAR = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, -0.2], [0.1, 0.0, 1.0]])
-
-
-def _sheared_s3():
-    # S³'s conformal chart in the coordinates y = L⁻¹x, where ḡ(y) = Lᵀḡ(Ly)L
-    # is not diagonal: ḡ⁻¹n by the Neumann series, Γ̄ by `compose`
-    base = standard_immersion("perturbed_sphere_in_space_form", Cbar=1.0, m=2, seed=2)
-    chart, L_inv = base.ambient, np.linalg.inv(SHEAR)
-
-    def metric_fn(space, y):
-        g = chart.metric_fn(space, np.einsum("ab,Zb...->Za...", SHEAR, y))
-        return np.einsum("ac,Zab...,bd->Zcd...", SHEAR, g, SHEAR)
-
-    def map_fn(u):
-        x = base.map_fn(u)
-        return [x[0] * L_inv[a, 0] + x[1] * L_inv[a, 1] + x[2] * L_inv[a, 2] for a in range(3)]
-
-    sheared = amb.MetricChart(3, chart.index, metric_fn, -5.0 * np.ones(3), 5.0 * np.ones(3),
-                              {"kind": "sheared_s3"}, name="sheared_s3")
-    return replace(base, ambient=sheared, map_fn=map_fn)
-
-
 def _s2xs2_graph():
     chart = amb.chart_from_descriptor(
         {"kind": "product", "factors": [{"kind": "space_form", "dim": 2, "Cbar": 1.0}] * 2}
@@ -145,9 +118,9 @@ CASES = {
     "perturbed_h4": lambda: standard_immersion(
         "perturbed_sphere_in_space_form", Cbar=-1.0, m=3, base_radius=0.5, seed=2
     ),
-    "bumpy_e3": lambda: replace(standard_immersion("round_sphere", radius=0.6), ambient=_bumpy_without_gamma()),
+    # the σ form of Γ̄·U against the oracle's metric-derived Γ̄
+    "bumpy_e3": lambda: replace(standard_immersion("round_sphere", radius=0.6), ambient=amb.registry_chart("bumpy_e3")),
     "s2xs2": _s2xs2_graph,
-    "sheared_s3": _sheared_s3,
 }
 
 

@@ -282,6 +282,13 @@ class TestSyntheticDraw:
         assert not set(LAZY_FIELDS) & set(vars(f))
         assert f.order == 2
 
+    def test_its_order_builds_no_lazy_field(self):
+        # a draw carries every field to order 2: it answers without ∇²R̄
+        # (125,000 bytes at d = 5)
+        f = synthetic_framed_jet(5, np.random.default_rng(3))
+        assert f.order == 2
+        assert not set(LAZY_FIELDS) & set(vars(f))
+
     def test_a_draw_and_its_audit_stay_below_the_mmap_threshold(self):
         # at d = 5 an eager scatter allocated two 161,648-byte arrays, past
         # glibc's 128 KiB mmap threshold (tracemalloc peak 316 KiB); the

@@ -3,9 +3,11 @@
 Every tensor of jets in the package is one coefficient array (n_mono,
 *tensor, *batch).  `jet_oracles` keeps the object-array routes it replaced;
 here the curvature chain, `compose`, the ambient curvature along a patch and
-the chart functions must reproduce them to 1e-12 of each quantity's scale.
+the chart functions must reproduce them to 1e-12 of each quantity's scale
+(the ambient curvature to 1e-13).
 """
 
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from jet_oracles import (
     chain_oracle,
     coeffs,
     compose_oracle,
+    curvature_along,
     views,
 )
 from secondform import ambient as amb
@@ -103,36 +106,42 @@ def _patch(dim, order, batch=(7,)):
     return [u[a % 2] * (0.3 + 0.1 * a) + u[0] * u[1] * (0.05 * a) + base[a] for a in range(dim)]
 
 
+# the curvature's charts: space forms of both signatures take the C̄ form,
+# the rest the Schouten tensor of their blocks
+CURVATURE_CHARTS = {
+    "s3": lambda: amb.space_form(3, 1.0),
+    "h4": CHAIN_CHARTS["h4"],
+    "de_sitter": lambda: amb.space_form(4, 1.0, index=1),
+    "anti_de_sitter": lambda: amb.space_form(3, -1.0, index=1),
+    "minkowski": lambda: amb.flat_chart(3, index=1),
+    "s2xs2": CHAIN_CHARTS["s2xs2"],
+    "bumpy_e3": CHAIN_CHARTS["bumpy_e3"],
+    "e1xbumpy_e3": lambda: amb.product_chart(amb.flat_chart(1), amb.registry_chart("bumpy_e3")),
+}
+
+
 @pytest.mark.parametrize("order", [0, 1])
-@pytest.mark.parametrize(
-    "name",
-    ["s3", "s2xs2", "bumpy_e3"],
-)
+@pytest.mark.parametrize("name", sorted(CURVATURE_CHARTS))
 def test_ambient_curvature_matches_oracle(name, order):
-    chart = {
-        "s3": lambda: amb.space_form(3, 1.0),
-        "s2xs2": CHAIN_CHARTS["s2xs2"],
-        "bumpy_e3": CHAIN_CHARTS["bumpy_e3"],  # no closed form: the compose path
-    }[name]()
+    # against R̄, Ric̄, S̄ derived from the metric entry by entry, composed
+    # along the patch; zero on Minkowski space, where the oracle is zero too
+    chart = CURVATURE_CHARTS[name]()
     x_jets = _patch(chart.dim, order + 1)
     space, x = amb._stack_list(x_jets)
     target = jet_space(2, order)
     got = ambient_curvature_on_jets(chart, target, x)
     want = ambient_curvature_oracle(chart, [j.truncate(order) for j in x_jets])
     for label, new, old in zip(("riem", "ric", "scal"), got, want):
-        assert_close(new, coeffs(old), label)
+        old = coeffs(old)
+        old = old.reshape(old.shape + (1,) * (new.ndim - old.ndim))  # a constant metric's has no batch axis
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old)), label
 
 
-@pytest.mark.parametrize("name", ["s3", "h4", "s2xs2", "bumpy_e3"])
+@pytest.mark.parametrize("name", sorted(CURVATURE_CHARTS))
 def test_curvature_contracted_with_a_field_matches_the_full_tensor(name):
-    # R̄(·,U,·,·): the closed form C̄(ḡ_ac(ḡU)_f − ḡ_af(ḡU)_c) per block on
-    # space forms and their products, the contraction after compose on bumpy_e3
-    chart = {
-        "s3": lambda: amb.space_form(3, 1.0),
-        "h4": CHAIN_CHARTS["h4"],
-        "s2xs2": CHAIN_CHARTS["s2xs2"],
-        "bumpy_e3": CHAIN_CHARTS["bumpy_e3"],
-    }[name]()
+    # R̄(·,U,·,·) block by block: C̄(ḡ_ac(ḡU)_f − ḡ_af(ḡU)_c) on space
+    # forms, P̄_ac(ḡU)_f + ḡ_ac(P̄U)_f − (c ↔ f) elsewhere
+    chart = CURVATURE_CHARTS[name]()
     _, x = amb._stack_list(_patch(chart.dim, 2))
     u = np.random.default_rng(chart.dim).normal(size=x.shape)
     target = jet_space(2, 1)
@@ -142,6 +151,50 @@ def test_curvature_contracted_with_a_field_matches_the_full_tensor(name):
     assert r_u.shape == want.shape
     assert np.max(np.abs(r_u - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(ric_u, ric) and np.array_equal(scal_u, scal)
+
+
+@pytest.mark.parametrize("name", ["s3", "h4", "de_sitter"])
+@pytest.mark.parametrize("contracted", [False, True])
+def test_schouten_form_matches_the_space_form_contraction(name, contracted):
+    # P̄ = (C̄/2)ḡ given as an array takes the route of `schouten_fn`
+    chart = CURVATURE_CHARTS[name]()
+    half = chart.curvature_const / 2
+
+    def schouten(space, x):
+        return chart.metric_fn(space, x) * half
+
+    as_array = dataclasses.replace(chart, curvature_const=None, schouten_fn=schouten)
+    _, x = amb._stack_list(_patch(chart.dim, 2))
+    u = np.random.default_rng(chart.dim).normal(size=x.shape) if contracted else None
+    for order in (0, 1):
+        target = jet_space(2, order)
+        want = ambient_curvature_on_jets(chart, target, x, u=u)
+        got = ambient_curvature_on_jets(as_array, target, x, u=u)
+        for label, new, old in zip(("riem", "ric", "scal"), got, want):
+            assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old)), label
+
+
+@pytest.mark.parametrize("name", ["bumpy_e3", "e1xbumpy_e3"])
+@pytest.mark.parametrize("batch", [(1,), (600,)])
+def test_schouten_form_matches_the_composed_route(name, batch):
+    # the composed Taylor expansion of the metric-derived curvature, the
+    # route these charts took before, on coefficient arrays; 600 points
+    # take the row loop of every product
+    chart = CURVATURE_CHARTS[name]()
+    _, x = amb._stack_list(_patch(chart.dim, 2, batch))
+    for order in (0, 1):
+        target = jet_space(2, order)
+        for label, new, old in zip(("riem", "ric", "scal"), ambient_curvature_on_jets(chart, target, x),
+                                   curvature_along(chart, target, x)):
+            assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old)), label
+
+
+def test_a_chart_needs_its_connection_and_curvature_forms():
+    chart = amb.registry_chart("bumpy_e3")
+    for missing in ({"sigma_grad_fn": None}, {"schouten_fn": None}):
+        with pytest.raises(ValueError, match="σ-gradient"):
+            dataclasses.replace(chart, **missing)
+    assert dataclasses.replace(amb.space_form(3, 1.0), schouten_fn=None).curvature_const == 1.0
 
 
 def _conformal_closed_forms(x, eps, cbar, bump):
