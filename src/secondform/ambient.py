@@ -718,12 +718,14 @@ def geodesic_rhs(chart: MetricChart, space, x, v):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-# Chebyshev–Picard sweeps (Clenshaw & Norton 1963; Bai & Junkins 2011), N + 1 nodes a segment: a
-# sweep that moves x by ≤ PICARD_TOL·max|x| settles if the last two Chebyshev coefficients are
-# ≤ PICARD_TAIL·max|x| (one settled segment was 6.6e-8 off at r = 4 on bumpy_e3, which takes 8).
+# Chebyshev–Picard sweeps (Clenshaw & Norton 1963; Bai & Junkins 2011) for x″ = rhs(t, x, v), N + 1
+# nodes a segment: a sweep that moves x by ≤ PICARD_TOL·max|x| settles if the last two Chebyshev
+# coefficients are ≤ PICARD_TAIL·max|x| (one settled segment was 6.6e-8 off at r = 4 on bumpy_e3,
+# which takes 8).  They solve for geodesics here, for the II-minimal curvature ODE in ``curves``
+# and for parallel transport in ``iigeom``.
 PICARD_N, PICARD_TOL, PICARD_TAIL = 12, 4e-16, 8e-16 * 12  # a bumpy_e3 patch: 1 segment, 6-7 sweeps
 PICARD_SWEEPS, PICARD_MAX_SEGMENTS = 32, 1024  # sweeps a segment, segments a path (S³'s 11-rad circle: 16)
-PICARD_MAX_NODES = 1024  # points × (N + 1) a block: the 800-point sphere peaks as with RK4
+PICARD_MAX_NODES = 1024  # points × (N + 1) a block of geodesics: bounds the 800-point sphere's peak memory
 
 
 @functools.lru_cache(maxsize=None)
@@ -744,15 +746,17 @@ def _lobatto(n: int):
     return tables
 
 
-def _picard_segment(chart, space, xa, va, half):
-    """(x, v) at the nodes (last axis) of one segment of half-length `half`
-    from (xa, va), or None where the sweeps do not settle."""
+def _picard_segment(rhs, a, xa, va, half):
+    """(x, v) at the nodes (last axis) of one segment [a, a + 2·half] of
+    x″ = rhs(t, x, v) from (xa, va), or None where the sweeps do not settle.
+    Every sweep of the segment passes `rhs` the one array t of node times."""
     tau, coef, integ = _lobatto(PICARD_N)
+    t = a + (tau + 1.0) * half
     xa, va = xa[..., None], va[..., None]
     xs, vs = xa + va * ((tau + 1.0) * half), np.broadcast_to(va, va.shape[:-1] + tau.shape)
     with np.errstate(all="ignore"):  # a diverging sweep is caught as non-finite
         for _ in range(PICARD_SWEEPS):
-            vs = va + (geodesic_rhs(chart, space, xs, vs) @ integ) * half
+            vs = va + (rhs(t, xs, vs) @ integ) * half
             new = xa + (vs @ integ) * half
             moved, scale, xs = np.max(np.abs(new - xs), initial=0.0), np.max(np.abs(new), initial=0.0), new
             if moved <= PICARD_TOL * scale:  # and the interpolant's tail at rounding level
@@ -762,35 +766,40 @@ def _picard_segment(chart, space, xa, va, half):
     return None
 
 
-def _picard_ends(chart, space, x, v, ts, checks, check):
-    """(x, v) at every t in `ts` along the geodesic from (x, v), points on
-    the last axis, with `check` on x[0] at `ts` and `checks`.
+def _picard_ends(rhs, x, v, ts, checks=(), check=lambda x0: None):
+    """(x, v) of x″ = rhs(t, x, v) from (x, v) at t = 0, each at the sorted
+    times `ts` in (0, ts[-1]] on a new last axis, with `check` on x[0] at
+    `ts` and `checks`.
 
     The path on [0, ts[-1]] runs in equal segments, twice as many (and a
     `check` where it starts) each time one does not settle, up to
-    PICARD_MAX_SEGMENTS.  A time inside a segment is read off its
-    interpolants, one at its end is its last node."""
-    span, reads = ts[-1], sorted(set(ts) | set(checks))
+    PICARD_MAX_SEGMENTS, then StepFailure.  A time inside a segment is read
+    off its interpolants, one at its end is its last node."""
+    span, wanted = ts[-1], set(ts)  # no np.unique: it imports numpy.ma, 0.7 MB of peak memory
+    reads = np.array(sorted(wanted | set(checks)))
+    keep = np.array([t in wanted for t in reads])
     for segments in (2**i for i in range(PICARD_MAX_SEGMENTS.bit_length())):
         edges = [span * k / segments for k in range(segments)] + [span]
-        xa, va, out = x, v, {}
+        xa, va, out = x, v, []
         for a, b in zip(edges, edges[1:]):
-            path = _picard_segment(chart, space, xa, va, span / segments / 2)
+            path = _picard_segment(rhs, a, xa, va, span / segments / 2)
             if path is None:
-                check(xa[0])  # the path left the chart before it failed
+                check(xa[0])  # the path left the domain before it failed
                 break
-            here = np.array([t for t in reads if a < t <= b])
+            lo, hi = np.searchsorted(reads, (a, b), side="right")
+            here = reads[lo:hi]
             # rows T_k(τ)·C at the local τ of each read, a unit row at τ = 1
             cos_t = np.clip(2.0 * (here - a) / (b - a) - 1.0, -1.0, 1.0)
             ev = np.cos(np.outer(np.arccos(cos_t), np.arange(PICARD_N + 1))) @ _lobatto(PICARD_N)[1]
             ev[here == b] = np.arange(PICARD_N + 1) == PICARD_N
             xt, vt = (p @ ev.T for p in path)
             check(xt[0])
-            out.update((t, (xt[..., i], vt[..., i])) for i, t in enumerate(here) if t in ts)
+            out.append((xt[..., keep[lo:hi]], vt[..., keep[lo:hi]]))
             xa, va = path[0][..., -1], path[1][..., -1]
         else:
-            return [out[t] for t in ts]
-    raise StepFailure(f"geodesic sweeps did not settle on {PICARD_MAX_SEGMENTS} segments")
+            pick = np.searchsorted(reads[keep], ts)
+            return tuple(np.concatenate(p, -1)[..., pick] for p in zip(*out))
+    raise StepFailure(f"Chebyshev–Picard sweeps did not settle on {PICARD_MAX_SEGMENTS} segments")
 
 
 def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stops=None):
@@ -836,12 +845,16 @@ def exp_map(chart: MetricChart, space, x0_jets, w_jets, n_steps: int = 256, stop
         return ends
 
     def picard_ends():
+        def rhs(t, xs, vs):  # a geodesic's acceleration does not read t
+            return geodesic_rhs(chart, space, xs, vs)
+
         batch = np.broadcast_shapes(x.shape[2:], v.shape[2:])
         flat = [np.broadcast_to(a, a.shape[:2] + batch).reshape(space.n, chart.dim, -1) for a in (x, v)]
         size = PICARD_MAX_NODES // (PICARD_N + 1)
-        blocks = [_picard_ends(chart, space, *(a[..., i : i + size] for a in flat), ts, checks, check)
+        blocks = [_picard_ends(rhs, *(a[..., i : i + size] for a in flat), ts, checks, check)
                   for i in range(0, max(flat[0].shape[-1], 1), size)]  # one block where there are no points
-        return [tuple(np.concatenate(p, -1).reshape(x.shape[:2] + batch) for p in zip(*e)) for e in zip(*blocks)]
+        return [tuple(np.concatenate([p[..., k] for p in ps], -1).reshape(x.shape[:2] + batch)
+                      for ps in zip(*blocks)) for k in range(len(ts))]
 
     ends = None if chart.geodesic_flow is None else flow_ends()
     ends = picard_ends() if ends is None else ends

@@ -104,7 +104,8 @@ def _numbers(what: str, value, shape):
             or any(k not in (-1, n) for k, n in zip(shape, arr.shape))
             or not np.all(np.isfinite(arr))):
         dims = "×".join("n" if k < 0 else str(k) for k in shape)
-        raise BadParameters(f"{what} must be finite numbers of shape {dims}, got {value!r}")
+        kind = f"finite numbers of shape {dims}" if shape else "a finite number"
+        raise BadParameters(f"{what} must be {kind}, got {value!r}")
     return arr.astype(float)
 
 
@@ -160,8 +161,9 @@ def _curve(curve, samples=64):
 
 
 def _ode(ambient, kappa0, s_max, kappa_prime0=0.0):
-    return _Subject(ambient=ambient, kappa0=float(kappa0), kappa_prime0=float(kappa_prime0),
-                    s_max=float(s_max))
+    return _Subject(ambient=ambient, kappa0=float(_positive("subject 'kappa0'", kappa0, ())),
+                    kappa_prime0=float(_numbers("subject 'kappa_prime0'", kappa_prime0, ())),
+                    s_max=float(_positive("subject 's_max'", s_max, ())))
 
 
 def _sphere_study(chart, quantities, radii, center=None, e0=None):
@@ -633,8 +635,8 @@ def _bind_check(chk: dict) -> tuple:
     """(name, function, direction, tolerance, parameters) of a check entry
     whose `check` names a check and whose `tolerance` is finite and positive.
     Its other keys bind to the function's parameters; a value must be one of
-    its Literal annotation's values, a count (≥ 1) for int, a number for
-    float (bool is neither)."""
+    its Literal annotation's values, a count (≥ 1) for int, a finite number
+    for float (bool is neither)."""
     name = chk.get("check")
     if not isinstance(name, str) or name not in CHECKS:
         raise ScenarioError(f"unknown check {name!r}")
@@ -658,8 +660,8 @@ def _bind_check(chk: dict) -> tuple:
             _choice(where, value, get_args(hint))
         elif hint is int:
             _count(where, value)
-        elif hint is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise BadParameters(f"{where} must be a number, got {value!r}")
+        elif hint is float:
+            _numbers(where, value, ())
     return name, fn, direction, tol, params
 
 

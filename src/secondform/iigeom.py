@@ -353,55 +353,37 @@ def _z_field(b: SurfacePointData, r_u, ii_inv, p):
 # ---------------------------------------------------------------------------
 
 
-def _connections_on_path(imm: Immersion, pts):
-    """(Γ_g, Γ_II) values at a batch of parameter points."""
-    b = frame_jets(imm, seed_jets(pts, imm.param_dim, 3))
-    gamma_g = amb._curvature_chain(b.space(b.g), b.g, b.ginv).gamma
-    gamma_ii = amb._curvature_chain(b.space(b.II), b.II).gamma
-    return _cvals(gamma_g, True), _cvals(gamma_ii, True)
-
-
 def transport_holonomy_probe(imm: Immersion, curve: Callable, v, eps: float):
-    """(v★_ε − v)/ε for ∇-transport out and ∇^II-transport back along `curve`,
-    RK4 on 32 steps each way.
+    """(v★_ε − v)/ε for ∇-transport out along `curve` from t = 0 to ε and
+    ∇^II-transport back: v★ = Φ(ε)⁻¹w(ε), where w is the ∇-transport of v
+    and Φ the ∇^II-transport map from t = 0, both solved together over |ε|
+    by the Chebyshev–Picard sweeps of ``ambient``, with both connections
+    built once at a segment's nodes.
 
     As ε → 0 this converges (first order) to L(v, c′(0)); `curve` maps a
     1-variable jet to a list of parameter jets.
     """
     if eps == 0.0:
         raise StepFailure("transport probe needs a nonzero step")
-    m = imm.param_dim
     v = np.asarray(v, dtype=float)
-    n_steps = 32
-    # sample the curve and its velocity at the RK4 stage times, both legs
-    n_nodes = 2 * n_steps + 1
-    ts = np.linspace(0.0, eps, n_nodes)
-    t_jets = seed_jets(ts[:, None], 1, 1)
-    c_jets = curve(t_jets[0])
-    pts = np.stack([np.asarray(cj.value) for cj in c_jets], axis=-1)
-    vel = np.stack([np.asarray(cj.partial(0).value) for cj in c_jets], axis=-1)
-    gam_g, gam_ii = _connections_on_path(imm, pts)
+    m, sign = imm.param_dim, math.copysign(1.0, eps)
+    memo = [None, None]
 
-    def rk4_leg(v0, gamma, order, sign):
-        h = eps / n_steps * sign
-        w = v0.copy()
-        for k in range(n_steps):
-            idx = order[2 * k], order[2 * k + 1], order[2 * k + 2]
-            m0 = -np.einsum("kij,i->kj", gamma[idx[0]], vel[idx[0]])
-            m1 = -np.einsum("kij,i->kj", gamma[idx[1]], vel[idx[1]])
-            m2 = -np.einsum("kij,i->kj", gamma[idx[2]], vel[idx[2]])
-            k1 = m0 @ w
-            k2 = m1 @ (w + 0.5 * h * k1)
-            k3 = m1 @ (w + 0.5 * h * k2)
-            k4 = m2 @ (w + h * k3)
-            w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return w
+    def rhs(s, x, w):
+        # the columns [w | Φ] (m, 1 + m) obey w′ = −Γ(c′, w); the sweeps carry
+        # them as the velocity of a path x = ∫[w | Φ] that nothing reads
+        if memo[0] is not s:  # a new segment: Γ_g for w, Γ_II for Φ at its nodes
+            c_jets = curve(seed_jets(s[:, None] * sign, 1, 1)[0])
+            pts = np.stack([np.asarray(cj.value) for cj in c_jets], axis=-1)
+            vel = np.stack([np.asarray(cj.partial(0).value) for cj in c_jets]) * sign
+            b = frame_jets(imm, seed_jets(pts, m, 3))
+            gammas = [amb._levi_civita(b.space(g), g, ginv)[1][0] for g, ginv in ((b.g, b.ginv), (b.II, None))]
+            memo[:] = s, -np.einsum("ckijn,in->kjcn", np.stack(gammas)[[0] + [1] * m], vel)
+        return np.einsum("kjcn,jcn->kcn", memo[1], w)
 
-    fwd_order = list(range(n_nodes))
-    v_out = rk4_leg(v, gam_g, fwd_order, +1.0)
-    back_order = list(range(n_nodes - 1, -1, -1))
-    v_back = rk4_leg(v_out, gam_ii, back_order, -1.0)
-    return (v_back - v) / eps
+    w0 = np.column_stack((v, np.eye(m)))
+    end = amb._picard_ends(rhs, np.zeros_like(w0), w0, (abs(eps),))[1][..., 0]
+    return (np.linalg.solve(end[:, 1:], end[:, 0]) - v) / eps
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import numpy as np
 
 from secondform import ambient as amb
 from secondform.ambient import _stack_list, geodesic_rhs
-from secondform.jets import Jet, _levi_civita, compose, jeinsum, jet_space, jinv
+from secondform.curves import ode_residual
+from secondform.iigeom import ii_geometry
+from secondform.jets import Jet, _levi_civita, compose, jeinsum, jet_space, jinv, seed_jets
 from secondform.spheres import _SYNTHETIC_FIELDS, _TRAILING_AXES, FramedJet, _symmetric_basis
 
 
@@ -251,6 +253,58 @@ def rk4_exp_oracle(chart, space, x, v, n_steps, stops=None):
             done += 1
         ends.append((xt, vt) if nodes == t * n_steps else rk4(xt, vt, t - nodes * h))
     return ends[0] if stops is None else ends
+
+
+def rk4_ii_minimal_oracle(ambient, kappa0, kappa_prime0, s_max, n_steps):
+    """The fixed-step RK4 that ``curves.integrate_ii_minimal`` ran before the
+    sweeps: (κ, κ′) at n_steps + 1 equally spaced s in [0, s_max], with κ″
+    solved from ``curves.ode_residual``, which is linear in κ″."""
+
+    def rhs(k, kp):
+        r0 = ode_residual(k, kp, 0.0, ambient)
+        return -r0 / (ode_residual(k, kp, 1.0, ambient) - r0)
+
+    h = s_max / n_steps
+    out = np.empty((2, n_steps + 1))
+    k, kp = out[:, 0] = kappa0, kappa_prime0
+    for i in range(n_steps):
+        a1, b1 = kp, rhs(k, kp)
+        a2, b2 = kp + 0.5 * h * b1, rhs(k + 0.5 * h * a1, kp + 0.5 * h * b1)
+        a3, b3 = kp + 0.5 * h * b2, rhs(k + 0.5 * h * a2, kp + 0.5 * h * b2)
+        a4, b4 = kp + h * b3, rhs(k + h * a3, kp + h * b3)
+        k += (h / 6) * (a1 + 2 * a2 + 2 * a3 + a4)
+        kp += (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+        out[:, i + 1] = k, kp
+    return out
+
+
+def rk4_transport_probe_oracle(imm, curve, v, eps, n_steps):
+    """The transport probe as ``iigeom`` ran it before the sweeps: classical
+    RK4 on n_steps each way, ∇-transport of v out to ε and ∇^II-transport
+    back, returning (v★ − v)/ε.  Γ_II and Γ_g = Γ_II − L are read off
+    ``ii_geometry`` at the 2·n_steps + 1 stage points of the curve."""
+    n_nodes = 2 * n_steps + 1
+    c_jets = curve(seed_jets(np.linspace(0.0, eps, n_nodes)[:, None], 1, 1)[0])
+    pts = np.stack([np.asarray(cj.value) for cj in c_jets], axis=-1)
+    vel = np.stack([np.asarray(cj.partial(0).value) for cj in c_jets], axis=-1)
+    geo = ii_geometry(imm, pts)
+    # −Γ^k_ij c′^i at each node, of g and of II
+    mats = [-np.einsum("nkij,ni->nkj", gamma, vel) for gamma in (geo.gamma_ii - geo.L, geo.gamma_ii)]
+
+    def leg(w, mat, nodes, h):
+        for k in range(n_steps):
+            m0, m1, m2 = mat[nodes[2 * k]], mat[nodes[2 * k + 1]], mat[nodes[2 * k + 2]]
+            k1 = m0 @ w
+            k2 = m1 @ (w + 0.5 * h * k1)
+            k3 = m1 @ (w + 0.5 * h * k2)
+            k4 = m2 @ (w + h * k3)
+            w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return w
+
+    v = np.asarray(v, dtype=float)
+    nodes = np.arange(n_nodes)
+    v_out = leg(v, mats[0], nodes, eps / n_steps)
+    return (leg(v_out, mats[1], nodes[::-1], -eps / n_steps) - v) / eps
 
 
 def ambient_curvature_oracle(chart, x_jets):

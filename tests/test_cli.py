@@ -458,6 +458,11 @@ PROBES = {
         "first_variation_geodesic_sphere_s3",
         lambda s: s["subject"]["immersion"]["chart"].update(index=2), True),
     "ode_s_max_zero": ("catenary_ode", lambda s: s["subject"].update(s_max=0), True),
+    "ode_kappa0_is_bool": ("catenary_ode", lambda s: s["subject"].update(kappa0=True), True),
+    "ode_kappa0_infinite": ("catenary_ode", lambda s: s["subject"].update(kappa0=math.inf), True),
+    "ode_kappa_prime0_nan": ("catenary_ode", lambda s: s["subject"].update(kappa_prime0=math.nan), True),
+    "check_number_nan": (
+        "transport_probe_ellipsoid", lambda s: s["checks"][0].update(eps=math.nan), True),
     "graph_half_width_negative": (
         "ii_saddle_e3", lambda s: s["subject"]["immersion"].update(half_width=-1), True),
     "chart_index_is_bool": (

@@ -114,27 +114,49 @@ class TestODEResidual:
 class TestIntegrate:
     def test_planar_matches_closed_form(self):
         sol = integrate_ii_minimal("planar", 1.0, 0.0, 3.0)
-        assert np.max(np.abs(sol.kappa - 1.0 / (1.0 + sol.s**2))) < 1e-8
-        assert sol.family_max_dev < 1e-8
-        assert_allclose([sol.family_A, sol.family_Q], [1.0, 0.0], atol=1e-7)
+        assert np.max(np.abs(sol.kappa - 1.0 / (1.0 + sol.s**2))) < 1e-12
+        assert sol.family_max_dev < 1e-12
+        assert_allclose([sol.family_A, sol.family_Q], [1.0, 0.0], atol=1e-12)
 
     def test_planar_kappa0_two(self):
         sol = integrate_ii_minimal("planar", 2.0, 0.0, 2.0)
-        assert np.max(np.abs(sol.kappa - 2.0 / (4.0 * sol.s**2 + 1.0))) < 1e-8
+        assert np.max(np.abs(sol.kappa - 2.0 / (4.0 * sol.s**2 + 1.0))) < 1e-12
 
     def test_spherical_constant_solution(self):
         sol = integrate_ii_minimal("unit_sphere", 1.0, 0.0, 2 * math.pi)
-        assert np.max(np.abs(sol.kappa - 1.0)) < 1e-9
+        assert np.max(np.abs(sol.kappa - 1.0)) < 1e-12
 
     def test_phi_third_derivative_vanishes(self):
         sol = integrate_ii_minimal("planar", 1.3, -0.2, 2.0)
-        assert sol.phi_third_deriv_max < 1e-6
+        assert sol.phi_third_deriv_max < 1e-10
 
     def test_family_shift_property(self):
         s = np.linspace(0, 2, 40)
         shifted = catenary_family_kappa(1.7, 0.0, s + 0.6)
         direct = catenary_family_kappa(1.7, 0.6, s)
         assert_allclose(shifted, direct, rtol=1e-15)
+
+    @pytest.mark.parametrize("kappa0, kappa_prime0, s_max", [(1.2, 0.3, 3.0), (0.7, -0.2, 2 * math.pi)])
+    def test_sweeps_match_rk4_at_16384_steps(self, kappa0, kappa_prime0, s_max):
+        # non-constant unit-sphere solutions, which have no closed form here
+        from jet_oracles import rk4_ii_minimal_oracle
+
+        sol = integrate_ii_minimal("unit_sphere", kappa0, kappa_prime0, s_max)
+        ref = rk4_ii_minimal_oracle("unit_sphere", kappa0, kappa_prime0, s_max, 16384)[:, ::4]
+        assert np.array_equal(sol.s, np.linspace(0.0, s_max, 4097))
+        assert np.ptp(sol.kappa) > 0.1
+        assert np.max(np.abs(sol.kappa - ref[0])) <= 1e-12
+        assert np.max(np.abs(sol.kappa_prime - ref[1])) <= 1e-12
+
+    def test_a_long_interval_settles(self):
+        # one path to s = 180 would need more than PICARD_MAX_SEGMENTS; the
+        # first 256 intervals are the whole grid of a run to 180/16
+        long = integrate_ii_minimal("unit_sphere", 0.7, -0.2, 180.0)
+        short = integrate_ii_minimal("unit_sphere", 0.7, -0.2, 180.0 / 16)
+        assert long.s[256] == short.s[-1]
+        assert abs(long.kappa[256] - short.kappa[-1]) <= 1e-14
+        assert abs(long.kappa_prime[256] - short.kappa_prime[-1]) <= 1e-14
+        assert 0.6 < np.min(long.kappa) and np.max(long.kappa) < 1.5
 
     def test_blow_up_guard(self):
         with pytest.raises(BlowUp):

@@ -1,10 +1,12 @@
 """Every name a module exports resolves; no module imports a name it never
 reads; every name the package re-exports is in its module's ``__all__``;
-every name the benchmark's tracer wraps is there to wrap."""
+every name the benchmark's tracer wraps is there to wrap, with every
+argument its hooks read by name."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import pkgutil
 
@@ -65,10 +67,21 @@ def test_every_package_export_is_in_its_modules_all():
     assert stray == []
 
 
+def _hook_argument_names(tree):
+    """{hook name: the string keys it subscripts} of each function defined
+    in the tracer's ``_after_hooks``: the arguments a hook reads by name
+    (``bound.arguments["n_steps"]``, ``kwargs["u"]``)."""
+    outer = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_after_hooks")
+    return {fn.name: {n.slice.value for n in ast.walk(fn) if isinstance(n, ast.Subscript)
+                      and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
+            for fn in outer.body if isinstance(fn, ast.FunctionDef)}
+
+
 def test_every_traced_name_resolves():
     # perfbench/tracing.py wraps each (module, attribute) of TARGETS by
-    # name: one the package no longer defines makes `run.py --trace`
-    # raise AttributeError when it installs the tracer
+    # name, and its after-hooks read some of their arguments by name: a name
+    # the package no longer defines makes `run.py --trace` raise when it
+    # installs the tracer or runs a hook
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -76,3 +89,14 @@ def test_every_traced_name_resolves():
     missing = [f"{m}.{a}" for m, a, _ in tracing.TARGETS
                if not hasattr(importlib.import_module(f"secondform.{m}"), a)]
     assert tracing.TARGETS and missing == []
+    modules = {m: importlib.import_module(f"secondform.{m}") for m, _, _ in tracing.TARGETS}
+    read = _hook_argument_names(ast.parse(path.read_text()))
+    bound = {}
+    for (module, attr), hook in tracing._after_hooks(None, modules).items():
+        params = inspect.signature(getattr(modules[module], attr)).parameters
+        bound[f"{module}.{attr}"] = read[hook.__name__]
+        missing += [f"{module}.{attr}({name})" for name in read[hook.__name__] if name not in params]
+    assert missing == []
+    known = {"ambient.exp_map": {"n_steps", "x0_jets"}, "hypersurface.frame_jets": {"u_jets"},
+             "iigeom.ii_geometry": {"imm", "u"}}
+    assert all(names <= bound.get(f, set()) for f, names in known.items())  # the scan finds them

@@ -222,6 +222,17 @@ def sum_jets(jets):
     return acc
 
 
+def _ellipsoid_probe():
+    """(immersion, curve, vector v, curve velocity w) of the ellipsoid probe:
+    the straight parameter line through (1, 0.8) with velocity w."""
+    u0, w = np.array([1.0, 0.8]), np.array([0.7, -0.4])
+
+    def curve(t):
+        return [t * w[0] + u0[0], t * w[1] + u0[1]]
+
+    return standard_immersion("ellipsoid", axes=[1.0, 1.1, 1.3]), curve, np.array([0.3, 1.0]), w
+
+
 class TestTransportProbe:
     def test_round_sphere_probe_vanishes(self):
         imm = standard_immersion("round_sphere", radius=1.0)
@@ -233,22 +244,26 @@ class TestTransportProbe:
         probe = transport_holonomy_probe(imm, curve, np.array([1.0, 0.5]), 1e-3)
         assert np.max(np.abs(probe)) < 1e-6
 
-    def test_matches_difference_tensor_on_ellipsoid(self):
-        imm = standard_immersion("ellipsoid", axes=[1.0, 1.1, 1.3])
-        u0 = np.array([1.0, 0.8])
-        w = np.array([0.7, -0.4])
-        v = np.array([0.3, 1.0])
-
-        def curve(t):
-            return [t * w[0] + u0[0], t * w[1] + u0[1]]
-
-        geo = ii_geometry(imm, u0)
-        expect = np.einsum("kij,i,j->k", geo.L, v, w)
-        probes = [transport_holonomy_probe(imm, curve, v, e) for e in (2e-2, 1e-2, 5e-3)]
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_difference_tensor_on_ellipsoid(self, sign):
+        # a negative step transports back along the curve first, and
+        # converges to the same L(v, c′(0))
+        imm, curve, v, w = _ellipsoid_probe()
+        expect = np.einsum("kij,i,j->k", ii_geometry(imm, curve(0.0)).L, v, w)
+        probes = [transport_holonomy_probe(imm, curve, v, sign * e) for e in (2e-2, 1e-2, 5e-3)]
         rich = 2 * probes[1] - probes[0]
         rich2 = 2 * probes[2] - probes[1]
         best = 2 * rich2 - rich
         assert np.max(np.abs(best - expect)) < 1e-4 * (1 + np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("eps", [2e-2, -1e-2, 5e-3])
+    def test_sweeps_match_rk4_at_256_steps_a_leg(self, eps):
+        from jet_oracles import rk4_transport_probe_oracle
+
+        imm, curve, v, _ = _ellipsoid_probe()
+        ref = rk4_transport_probe_oracle(imm, curve, v, eps, 256)
+        got = transport_holonomy_probe(imm, curve, v, eps)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_zero_step_rejected(self):
         imm = standard_immersion("round_sphere", radius=1.0)
