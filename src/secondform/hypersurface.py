@@ -62,7 +62,7 @@ from .errors import (
     OutOfDomain,
     _lookup,
 )
-from .jets import Jet, _cauchy, _cofactors, _inv, _wedge, jeinsum, jet_space, seed_jets
+from .jets import Jet, _cauchy, _cofactors, _inv, _pencil_eigh, _wedge, jeinsum, jet_space, seed_jets
 from .jets import jinv  # noqa: F401  (perfbench/tests check that its tracer rebinds this name)
 
 __all__ = [
@@ -287,15 +287,13 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
     g_scale = np.maximum(np.max(np.abs(gval), axis=(-2, -1)), 1e-300)
     if np.any(np.abs(_cofactors(g[0])[1]) <= 1e-12 * g_scale**m):
         raise DegenerateInducedMetric("induced metric degenerate at a sampled point")
-    sv = np.linalg.svd(np.swapaxes(_cvals(t, batched), -1, -2), compute_uv=False)
-    if np.any(sv[..., -1] <= RANK_FLOOR):
-        raise DegenerateImmersion("immersion Jacobian lost rank")
     if m != d - 1:
         raise DegenerateImmersion("hypersurface requires param_dim = ambient dim − 1")
-    ginv = _inv(sp2, g)
 
     # covariant normal n(v) = det[v; t_1; …; t_m], raised, and its length
     n_cov = _wedge(sp1, [t[:, i] for i in range(m)])
+    _check_rank(t[0], n_cov[0])
+    ginv = _inv(sp2, g)
     N = _raised(sp1, gb, n_cov)
     nn = jeinsum(sp1, "a...,a...->...", n_cov, N)
     scale = np.sum(N[0] ** 2, axis=0)
@@ -348,6 +346,28 @@ def _frame(imm: Immersion, space, xc) -> SurfacePointData:
     )
 
 
+def _check_rank(t, n):
+    """Raise DegenerateImmersion where the smallest singular value of the
+    Jacobian is ≤ ``RANK_FLOOR``, for values t (m, d, *batch) and the normal
+    covector n (d, *batch) of t's m×m minors.
+
+    By Cauchy–Binet |n|² = det(t tᵀ) = Π σ_i², so σ_min ≥ |n|/‖t‖_F^(m−1).
+    Points where that bound, less a rounding term (m! + d)·8ε‖t‖_F^m that
+    covers the minors' and the SVD's rounding, exceeds the floor pass; the
+    SVD runs only on the points the bound cannot certify, so the rule
+    raises on exactly the points an SVD of every point raises on.
+    """
+    m, d = t.shape[:2]
+    t, n = t.reshape(m, d, -1), n.reshape(d, -1)
+    fro = np.sqrt(np.einsum("ia...,ia...->...", t, t))
+    slack = (math.factorial(m) + d) * 8 * np.finfo(float).eps * fro**m
+    unsure = np.sqrt(np.einsum("a...,a...->...", n, n)) - slack <= RANK_FLOOR * fro ** (m - 1)
+    if np.any(unsure):
+        sv = np.linalg.svd(np.moveaxis(t[..., unsure], -1, 0).swapaxes(-1, -2), compute_uv=False)
+        if np.any(sv[..., -1] <= RANK_FLOOR):
+            raise DegenerateImmersion("immersion Jacobian lost rank")
+
+
 def _raised(space, gb, v):
     """ḡ⁻¹v for a vector v (n_mono, d, *batch) at `space`: v_a/ḡ_aa, since
     every chart is built from conformal blocks and so has a diagonal ḡ."""
@@ -377,37 +397,26 @@ def principal_curvatures(first, second, alpha):
     Returns (lam, E, eps, valid, modulus): lam ascending, E[..., i, :] the
     direction for lam[..., i], eps the signs g(E_i, E_i) and modulus the
     moduli |λ| of the eigenvalues of A from the same solve, complex pairs
-    included, in no particular order.  Positive/negative definite g uses
-    the symmetric reduction; indefinite g falls back to the non-symmetric
-    spectrum of A with a 1e−10 pairing tolerance on imaginary parts.  Complex pairs come back as NaN (sorted last), and points with
-    complex or null-direction spectra are marked not valid.
+    included, in no particular order.  Where g is definite (the pivots of
+    its Cholesky recursion decide), the pencil II v = μ g v is solved by
+    ``jets._pencil_eigh``: Cholesky, forward substitution and batched Jacobi
+    rotations, a few numpy calls per grid and no per-point LAPACK call.
+    Indefinite g falls back to the non-symmetric spectrum of A
+    (``np.linalg.eig``) with a 1e−10 pairing tolerance on imaginary parts;
+    complex pairs come back as NaN (sorted last), and points with complex or
+    null-direction spectra are marked not valid.
     """
     g = np.asarray(first, dtype=float)
     ii = np.asarray(second, dtype=float)
     single = g.ndim == 2
     if single:
         g, ii, alpha = g[None], ii[None], np.atleast_1d(alpha)
-    n, m, _ = g.shape
-    lam = np.full((n, m), np.nan)
-    E = np.full((n, m, m), np.nan)
-    eps = np.ones((n, m))
-    valid = np.zeros(n, dtype=bool)
-    modulus = np.full((n, m), np.nan)
-    evg = np.linalg.eigvalsh(g)
-    pos = evg[:, 0] > 0
-    neg = evg[:, -1] < 0
-    for mask, sign in ((pos, 1.0), (neg, -1.0)):
-        if not np.any(mask):
-            continue
-        L = np.linalg.cholesky(sign * g[mask])
-        Mred = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, ii[mask]), -1, -2))
-        mu, y = np.linalg.eigh(Mred)
-        E[mask] = np.swapaxes(np.linalg.solve(np.swapaxes(L, -1, -2), y), -1, -2)
-        lam[mask] = alpha[mask, None] * mu * sign
-        modulus[mask] = np.abs(mu)
-        eps[mask] = sign
-        valid[mask] = True
-    indef = ~(pos | neg)
+    sign, mu, vecs, valid = _pencil_eigh(*(np.moveaxis(c, 0, -1) for c in (g, ii)))
+    mu, eps = mu.T, sign[:, None] * np.ones(mu.shape[::-1])
+    lam = alpha[:, None] * mu * eps
+    E = np.transpose(vecs, (2, 1, 0))
+    modulus = np.abs(mu)
+    indef = ~valid
     if np.any(indef):
         a_mat = alpha[indef, None, None] * np.linalg.solve(g[indef], ii[indef])
         ev, vec = np.linalg.eig(a_mat)

@@ -50,16 +50,23 @@ axes, contracted by ``np.einsum``; every tensor-valued jet in the package
 (chart metrics and Christoffel symbols, the curvature chain, the
 fundamental-form frame) is such an array.  Its tensor axes are contracted
 inside each einsum call; the output's tensor and batch axes count as
-entries.  On such arrays ``_inv`` inverts a matrix by the finite Neumann
-series on its nilpotent part, ``_wedge`` takes the exterior product of
-vectors over sorted index sets and applies the Levi-Civita symbol to it
+entries; a contraction to few entries whose gathered operands would exceed
+``GATHER_MAX_ELEMENTS`` (table rows × the larger operand's entries) takes
+the row loop too.  On such arrays ``_inv`` inverts a matrix by the finite
+Neumann series on its nilpotent part, ``_wedge`` takes the exterior product
+of vectors over sorted index sets and applies the Levi-Civita symbol to it
 (normal covectors, determinants), both branch-free, and :func:`compose`
 evaluates a Taylor expansion with tensor axes on jet-valued displacements.
 Small matrices of values, such as ``_inv``'s M₀ and the fundamental forms
 whose determinants the frame checks and the area densities read, get their
 cofactors and determinant from ``_cofactors``: one gather from a Leibniz
 table per matrix size, with the batch axes last, so a whole grid costs a
-few numpy calls and no per-point LAPACK call.
+few numpy calls and no per-point LAPACK call.  The same holds for the
+principal curvatures on definite g, from ``_pencil_eigh`` (Cholesky by
+columns, forward substitution, Jacobi rotations over whole batch rows),
+and for the frame's rank check, which bounds the Jacobian's smallest
+singular value by its normal covector's length (Cauchy–Binet) and runs an
+SVD only where that bound cannot decide.
 :func:`jinv` and :func:`jdet`, on object arrays of jets, are the adjugate
 and Laplace-expansion reference forms the tests hold ``_inv`` and
 ``_wedge`` to.
@@ -113,6 +120,19 @@ __all__ = [
 #   28  (3, 2)        101/21   137/70   158/114  184/189   261/390   793/1738
 #   84  (3, 3)        286/34   380/153  444/271  551/534   805/1145  2630/4774
 ONE_CALL_MAX_POINTS = 512
+
+# Largest gathered operand, in elements (table rows × the larger operand's
+# entries), of a ``jeinsum`` that takes the gathered path: a contraction to
+# few output entries can still gather large operands, 6 MB each in the last
+# row below.  Every shape of the tables above keeps its path.  Row-loop /
+# gathered µs, best of 40, same machine:
+#
+#   jeinsum contracting to one entry per point   elements   loop/gathered
+#   "ij...,ij...->...", (2, 4), 3×3, 91 points     57,330    177/56
+#   "ij...,ij...->...", (2, 4), 3×3, 153 points    96,390    191/106
+#   "a...,a...->...",   (3, 3), 4, 450 points     151,200    226/247
+#   "ij...,ij...->...", (3, 4), 4×4, 225 points   756,000    728/2269
+GATHER_MAX_ELEMENTS = 1 << 17
 
 
 def _monomials(nvars: int, order: int):
@@ -236,7 +256,8 @@ def jeinsum(space: JetSpace, spec: str, a: np.ndarray, b: np.ndarray) -> np.ndar
     ba, bb = a.shape[ranks[0] + 1 :], b.shape[ranks[1] + 1 :]
     batch = ba if ba == bb else np.broadcast_shapes(ba, bb)
     shapes = (a.shape, b.shape)
-    if _gathers(math.prod(batch) * math.prod(shapes[o][k] for o, k in out_axes)):
+    if (_gathers(math.prod(batch) * math.prod(shapes[o][k] for o, k in out_axes))
+            and len(space._mul_i) * max(a[0].size, b[0].size) <= GATHER_MAX_ELEMENTS):
         prods = np.einsum(full, a[space._mul_i], b[space._mul_j])
         return np.add.reduceat(prods, space._mul_starts, axis=0)
     acc = None
@@ -342,6 +363,73 @@ def _cofactors(m: np.ndarray):
     terms = m.reshape((p * p,) + m.shape[2:])[idx].prod(axis=0)
     cof = np.einsum("ijs,ijs...->ij...", sign, terms)
     return cof, np.einsum("j...,j...->...", m[0], cof[0])
+
+
+# Cap on the cyclic Jacobi sweeps of ``_pencil_eigh``, a safeguard: on
+# batches of 2,000 random 3×3 and 4×4 pencils, with or without repeated and
+# clustered eigenvalues, the sweeps reach rounding level in 2–5.
+JACOBI_MAX_SWEEPS = 12
+
+
+def _pencil_eigh(g: np.ndarray, b: np.ndarray):
+    """(σ, μ, V, definite) of the symmetric pencil b v = μ σg v, for values g
+    and b of shape (m, m, *batch), batch axes last: σ = ±1 the sign of g₀₀,
+    μ (m, *batch) unsorted, V (m, m, *batch) whose column i solves the pencil
+    for μ_i with σg(v, v) = 1, and `definite` the points where σg is
+    positive definite (elsewhere μ and V mean nothing).
+
+    σ·g = L Lᵀ by Cholesky's column recursion, whose pivots are all positive
+    exactly where σ·g is positive definite; L⁻¹ by forward substitution;
+    then cyclic Jacobi rotations (Golub & Van Loan §8.5) on M = L⁻¹ b L⁻ᵀ,
+    each also applied to the columns of L⁻ᵀ.  At m = 2 the one rotation is
+    exact; at m ≥ 3 the sweeps run until the squares of the off-diagonal
+    entries sum below (ε‖M‖_F)² at every point.  Every step is a few numpy calls on whole batch
+    rows: no per-point library call.  A rotation on an off-diagonal entry
+    that is exactly zero (an umbilic point) is the identity, without a
+    warning.
+    """
+    m, batch = g.shape[0], g.shape[2:]
+    sign = np.where(g[0, 0] < 0, -1.0, 1.0)
+    sg = g * sign
+    low = [[None] * m for _ in range(m)]  # L, by columns
+    definite = True
+    for j in range(m):
+        piv = sg[j, j] - sum(low[j][k] * low[j][k] for k in range(j))
+        definite = definite & (piv > 0)
+        low[j][j] = np.sqrt(np.where(piv > 0, piv, 1.0))
+        for i in range(j + 1, m):
+            low[i][j] = (sg[i, j] - sum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+    x = np.zeros(g.shape)  # L⁻¹
+    for j in range(m):
+        x[j, j] = 1.0 / low[j][j]
+        for i in range(j + 1, m):
+            x[i, j] = -sum(low[i][k] * x[k, j] for k in range(j, i)) / low[i][i]
+    mat = np.einsum("ai...,ij...,cj...->ac...", x, b, x)
+    a = [[mat[p, q] for q in range(m)] for p in range(m)]
+    vecs = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # L⁻ᵀ
+    pairs = list(combinations(range(m), 2))
+    tol = np.finfo(float).eps ** 2 * np.einsum("ac...,ac...->...", mat, mat)
+    zero = np.zeros(batch)
+    for _ in range(1 if m < 3 else JACOBI_MAX_SWEEPS):
+        if m > 2 and not np.any(sum(a[p][q] * a[p][q] for p, q in pairs) > tol):
+            break
+        for p, q in pairs:
+            apq = a[p][q]
+            delta, twice = a[q][q] - a[p][p], apq + apq
+            den = delta + np.copysign(np.hypot(delta, twice), delta)
+            t = np.divide(twice, den, out=np.zeros(batch), where=den != 0)  # tan θ
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            a[p][p], a[q][q] = a[p][p] - t * apq, a[q][q] + t * apq
+            a[p][q] = a[q][p] = zero
+            for r in range(m):
+                if r != p and r != q:
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * arp - s * arq
+                    a[r][q] = a[q][r] = s * arp + c * arq
+            vp, vq = vecs[:, p], vecs[:, q]
+            vecs[:, p], vecs[:, q] = c * vp - s * vq, s * vp + c * vq
+    return sign, np.stack([a[i][i] for i in range(m)]), vecs, definite
 
 
 @lru_cache(maxsize=None)

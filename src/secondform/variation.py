@@ -34,7 +34,7 @@ from .hypersurface import (
     intrinsic_curvature_jets,
     surface_point,
 )
-from .iigeom import ii_geometry
+from .iigeom import SHAPE_EIGENVALUE_FLOOR, ii_geometry
 from .jets import Jet, _cauchy, _cofactors, _wedge, jet_space, seed_jets
 
 __all__ = [
@@ -108,7 +108,9 @@ def grid_for_immersion(imm: Immersion, shape) -> QuadratureGrid:
 
 
 def _check_shape_nonsingular(data):
-    if np.min(np.abs(np.linalg.eigvals(data.shape))) < 1e-8:
+    """The singular-shape rule of ``ii_geometry``: the moduli of the frame's
+    principal solve against ``SHAPE_EIGENVALUE_FLOOR``."""
+    if np.min(data.principal[4]) < SHAPE_EIGENVALUE_FLOOR:
         raise SingularShapeOperator("shape operator singular on a quadrature node")
 
 

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from secondform import ambient as amb
 from secondform import hypersurface, jets
 from secondform import variation
-from secondform.errors import GeometryError
+from secondform.errors import DegenerateImmersion, GeometryError
 from secondform.hypersurface import Immersion, _raised, frame_jets, standard_immersion
 from secondform.iigeom import ii_geometry, sphere_inequality_report
 from secondform.jets import Jet, jdet, jinv, seed_jets
@@ -324,16 +324,83 @@ def test_inverse_matches_lapack_reference_on_frames(case):
             assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)), err_msg=name)
 
 
-def test_frame_path_makes_no_lapack_inverse_or_determinant(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-point LAPACK inverse or determinant on the frame path")
+NO_LAPACK_CASES = {
+    "ovaloid_e3": (CASES["ovaloid_e3"], (9, 17)),
+    "clifford": (lambda: standard_immersion("clifford"), (8, 16)),
+    "perturbed_s4": (CASES["perturbed_s4"], (3, 4, 6)),
+    "perturbed_h4": (CASES["perturbed_h4"], (3, 4, 6)),
+}
 
-    imm = CASES["ovaloid_e3"]()
-    grid = variation.grid_for_immersion(imm, (9, 17))
-    monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(np.linalg, "det", refuse)
-    b = frame_jets(imm, seed_jets(grid.nodes, 2, 4))
+
+@pytest.mark.parametrize("case", sorted(NO_LAPACK_CASES))
+def test_frame_path_makes_no_lapack_call(case, monkeypatch):
+    """On definite g the frame, II-geometry, both areas and the first
+    variation make no per-point library call: the rank check reads the
+    normal covector, the spectrum comes from ``jets._pencil_eigh``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point LAPACK call on the frame path")
+
+    make, shape = NO_LAPACK_CASES[case]
+    imm = make()
+    grid = variation.grid_for_immersion(imm, shape)
+    for name in ("svd", "eigh", "eigvalsh", "cholesky", "solve", "eig", "eigvals", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    b = frame_jets(imm, seed_jets(grid.nodes, imm.param_dim, 4))
+    assert np.all(np.isfinite(b.ginv)) and np.all(b.principal[3])
     geo = ii_geometry(imm, grid.nodes)
-    assert geo.valid.shape == (9 * 17,) and np.all(geo.valid)
-    assert variation.area(imm, grid) > 0 and variation.area(imm, grid, "second_form") > 0
-    assert np.all(np.isfinite(b.ginv))
+    assert geo.valid.shape == (grid.nodes.shape[0],) and np.all(geo.valid) and np.all(geo.principal_valid)
+    area, area_ii = variation.areas(imm, grid)
+    assert area > 0 and area_ii > 0 and variation.area(imm, grid, "second_form") == area_ii
+    res = variation.first_variation_check(imm, lambda u: u[0] * 0.1 + 1.0, grid, geo=geo)
+    assert np.all(np.isfinite(list(res.gaps.values())))
+
+
+def _jacobian(sv, d, seed):
+    """Values t (m, d) with singular values `sv`, and its normal covector."""
+    rng = np.random.default_rng(seed)
+    m = len(sv)
+    left = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    right = np.linalg.qr(rng.normal(size=(d, d)))[0][:m]
+    t = left @ (np.asarray(sv)[:, None] * right)
+    return t, jets._wedge(jets.jet_space(m, 0), [t[None, i] for i in range(m)])[0]
+
+
+# (singular values, d, whether the Cauchy–Binet bound certifies the point)
+RANK_CASES = [
+    ((1.0, 0.5 * hypersurface.RANK_FLOOR), 3, False),
+    ((1.0, 2.0 * hypersurface.RANK_FLOOR), 3, True),
+    ((1.0, 1.0, 0.5 * hypersurface.RANK_FLOOR), 4, False),
+    # at m = 3, |n|/‖t‖_F² ≤ σ_min/2: at 2× the floor the SVD decides
+    ((1.0, 1.0, 2.0 * hypersurface.RANK_FLOOR), 4, False),
+    ((1.0, 1.0, 3.0 * hypersurface.RANK_FLOOR), 4, True),
+]
+
+
+@pytest.mark.parametrize("sv, d, certified", RANK_CASES)
+def test_rank_check_raises_where_the_svd_rule_does(sv, d, certified, monkeypatch):
+    t, n = _jacobian(sv, d, seed=len(sv) + d)
+    svd_rule = np.linalg.svd(t.T, compute_uv=False)[-1] <= hypersurface.RANK_FLOOR
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    # alone, and as one point of a batch of well-conditioned ones
+    good, n_good = _jacobian([1.0] * len(sv), d, seed=7)
+    for tt, nn in ((t, n), (np.stack([good, t, good], -1), np.stack([n_good, n, n_good], -1))):
+        if svd_rule:
+            with pytest.raises(DegenerateImmersion):
+                hypersurface._check_rank(tt, nn)
+        else:
+            hypersurface._check_rank(tt, nn)
+    assert bool(calls) == (not certified)
+
+
+def test_uniformly_small_jacobian_trips_the_rank_check_in_the_frame():
+    def plane(scale):
+        return Immersion(amb.flat_chart(3), 2, lambda u: [u[0] * scale, u[1] * scale, u[0] * 0.0],
+                         -np.ones(2), np.ones(2))
+
+    u = np.zeros((3, 2))
+    with pytest.raises(DegenerateImmersion):
+        hypersurface.surface_point(plane(0.5 * hypersurface.RANK_FLOOR), u, order=2)
+    data = hypersurface.surface_point(plane(2.0 * hypersurface.RANK_FLOOR), u, order=2)
+    assert_allclose(data.normal, np.broadcast_to([0.0, 0.0, 1.0], (3, 3)), atol=1e-15)

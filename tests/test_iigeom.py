@@ -23,7 +23,8 @@ from secondform.iigeom import (
     transport_holonomy_probe,
 )
 from secondform.jets import jeinsum, seed_jets
-from secondform.variation import first_variation_check, grid_for_immersion
+from secondform import variation
+from secondform.variation import QuadratureGrid, first_variation_check, grid_for_immersion
 from surface_oracles import brioschi_gauss_curvature, z_field_surface_alt
 
 
@@ -322,6 +323,20 @@ class TestSingularGuards:
         with pytest.raises(SingularShapeOperator):
             ii_geometry(imm, np.array([0.1, 0.1]))
 
+    def test_area_ii_and_ii_geometry_call_the_same_points_singular(self):
+        # the smallest principal curvature falls through the floor along u
+        imm = standard_immersion("graph", quadratic=[[1.0, 0.0], [0.0, 1.2e-8]])
+        u = np.stack([np.linspace(0.0, 0.95, 9), np.zeros(9)], axis=-1)
+        singular = ii_geometry(imm, u, on_error="mask").invalid_reason == "singular_shape"
+        assert 0 < np.sum(singular) < len(u)
+        for point, want in zip(u, singular):
+            grid = QuadratureGrid(point[None], np.ones(1), "single", (1,))
+            if want:
+                with pytest.raises(SingularShapeOperator):
+                    variation.areas(imm, grid)
+            else:
+                assert variation.areas(imm, grid)[1] > 0
+
     def test_mask_mode_flags_invalid(self):
         imm = standard_immersion("graph", quadratic=np.zeros((2, 2)))
         geo = ii_geometry(imm, np.array([[0.1, 0.1]]), on_error="mask")
@@ -478,7 +493,8 @@ def test_frame_and_difference_tensor_invariants():
 
 
 def test_principal_spectrum_is_computed_once_on_first_read(monkeypatch):
-    # ii_geometry reads the frame's one cached spectrum; area passes never read it
+    # ii_geometry reads the frame's one cached spectrum; Area_II's singular-shape
+    # rule solves it once on its own frame, Area never
     from secondform import hypersurface, iigeom
     from secondform.hypersurface import principal_curvatures, surface_point
     from secondform.variation import area, areas, grid_for_immersion
@@ -495,14 +511,15 @@ def test_principal_spectrum_is_computed_once_on_first_read(monkeypatch):
     grid = grid_for_immersion(imm, (5, 9))
     geo = ii_geometry(imm, grid.nodes)
     assert len(calls) == 1
-    for run in (
-        lambda: surface_point(imm, grid.nodes, order=2),
-        lambda: area(imm, grid, "second_form"),
-        lambda: areas(imm, grid),
+    for run, solves in (
+        (lambda: surface_point(imm, grid.nodes, order=2), 0),
+        (lambda: area(imm, grid, "first_form"), 0),
+        (lambda: area(imm, grid, "second_form"), 1),
+        (lambda: areas(imm, grid), 1),
     ):
         calls.clear()
         run()
-        assert calls == []
+        assert len(calls) == solves
     base = geo.base
     assert np.array_equal(base.lam, principal_curvatures(base.first, base.second, base.alpha)[0])
     third = np.einsum("...si,...tj,...st->...ij", base.shape, base.shape, base.first)

@@ -366,3 +366,58 @@ def test_power_rows_equal_the_whole_table_bit_for_bit(nvars):
         whole, cut = jets._cauchy(space, power, e), jets._cauchy(rows, power, e)
         assert whole.tobytes() == cut.tobytes()
         power = whole
+
+
+def _pencil(rng, p, spectrum, sign, n):
+    """n pencils (g, b), batch axes last, with σg = L Lᵀ for a random L of
+    positive diagonal and b = L Y diag(spectrum) Yᵀ Lᵀ for a random
+    orthogonal Y: the pencil b v = μ σg v has exactly the eigenvalues
+    `spectrum` (one row per point).  L's off-diagonal entries are drawn
+    small enough to keep cond(g) below about 10², as on the package's
+    frames; at cond(g) ≈ 10⁴ LAPACK's own route misses 1e−13 in σg(E, E)."""
+    low = np.tril(rng.normal(size=(n, p, p)), -1) * 0.3 + np.eye(p) * rng.uniform(0.5, 2.0, (n, 1, p))
+    y = np.linalg.qr(rng.normal(size=(n, p, p)))[0]
+    b = low @ y @ (spectrum[:, :, None] * np.swapaxes(y, -1, -2)) @ np.swapaxes(low, -1, -2)
+    g = sign * low @ np.swapaxes(low, -1, -2)
+    return np.moveaxis(g, 0, -1), np.moveaxis((b + np.swapaxes(b, -1, -2)) / 2, 0, -1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("spectrum", ["random", "repeated", "cluster"])
+def test_pencil_eigh_matches_lapack(p, sign, spectrum):
+    from secondform.iigeom import PRINCIPAL_GAP
+
+    rng = np.random.default_rng([p, int(sign > 0), len(spectrum)])
+    n = 200
+    mu = rng.normal(size=(n, p)) * 3.0
+    if spectrum == "repeated":  # exact multiples of σg, and one exactly repeated pair
+        mu[: n // 2] = mu[: n // 2, :1]
+        mu[n // 2 :, -1] = mu[n // 2 :, 0]
+    elif spectrum == "cluster":
+        mu[:, -1] = mu[:, 0] + PRINCIPAL_GAP * rng.uniform(-0.5, 0.5, n)
+    g, b = _pencil(rng, p, mu, sign, n)
+    sgn, got, vecs, definite = jets._pencil_eigh(g, b)
+    assert np.all(definite) and np.all(sgn == sign)
+
+    gl, bl = (np.moveaxis(c, -1, 0) for c in (g, b))
+    chol = np.linalg.cholesky(sign * gl)
+    reduced = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, bl), -1, -2))
+    want = np.linalg.eigh(reduced)[0]
+    scale = 1.0 + np.max(np.abs(want), axis=-1)
+    assert np.all(np.max(np.abs(np.sort(got.T, axis=-1) - want), axis=-1) <= 1e-13 * scale)
+
+    v = np.moveaxis(vecs, -1, 0)  # v[n, :, i], the direction of μ_i
+    gram = np.einsum("nai,nab,nbj->nij", v, sign * gl, v)
+    assert np.max(np.abs(gram - np.eye(p))) <= 1e-13
+    resid = np.einsum("nab,nbi->nai", bl, v) - got.T[:, None, :] * np.einsum("nab,nbi->nai", sign * gl, v)
+    assert np.all(np.max(np.abs(resid), axis=(1, 2)) <= 1e-12 * scale)
+
+
+def test_pencil_eigh_marks_indefinite_points_without_a_warning():
+    g = np.moveaxis(np.array([np.eye(3), np.diag([1.0, -1.0, 1.0]), -np.eye(3), np.diag([0.0, 1.0, 1.0])]), 0, -1)
+    b = np.moveaxis(np.array([np.diag([1.0, 2.0, 2.0])] * 4), 0, -1)
+    sgn, mu, _, definite = jets._pencil_eigh(g, b)
+    assert definite.tolist() == [True, False, True, False]
+    assert sgn.tolist() == [1.0, 1.0, -1.0, 1.0]
+    assert_allclose(np.sort(mu[:, 0]), [1.0, 2.0, 2.0], rtol=0, atol=0)  # diagonal: no rotation
