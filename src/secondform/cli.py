@@ -31,6 +31,7 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 
 from . import ambient, curves, hypersurface, iigeom, spheres, variation
+from .dtoa import LE64, g17, le64
 from .errors import (
     BadParameters, DegenerateII, GeometryError, ScenarioError, SingularShapeOperator, _lookup,
 )
@@ -525,6 +526,7 @@ CHECKS = {
 
 
 _SPECIAL = re.compile('[,"\r\n]')  # characters whose field csv.writer quotes
+CSV_BLOCK_ROWS = 1024  # rows per pass of `g17`: its temporaries stay near 2 MB
 
 
 def _field(x) -> str:
@@ -538,29 +540,59 @@ def _field(x) -> str:
     return "" if x is None or x != x else format(float(x), ".17g")
 
 
+def _slots(fields, sep: bytes) -> np.ndarray:
+    """(number of fields, w) words: each field's UTF-8 bytes, NUL-padded, and
+    `sep` in the last byte."""
+    raw = [f.encode() for f in fields]
+    w = max(map(len, raw)) // 8 + 1
+    return le64(b"".join(r.ljust(8 * w - 1, b"\0") + sep for r in raw)).reshape(-1, w)
+
+
 def _csv_columns(n: int, cols) -> str:
     """CSV text of n rows whose k-th fields come from ``cols[k]``.
 
     A column is None, a str or a number (``_field``'d once: the same field
-    on every row), a list of n strings, or n numbers.  Each row is one ``%``
-    on a template: ``%.17g`` for a NaN-free numeric column, ``%s`` over the
-    per-row fields otherwise.  The bytes are those of ``csv.writer`` on the
-    rows' fields.
+    on every row), a list of n strings (each distinct one ``_field``'d
+    once), or n numbers.  Each row is laid out in words of 8 bytes, every
+    field NUL-padded with its separator in its last byte.  The numbers go
+    through the `dtoa.g17` kernel, each numeric column object once, in blocks
+    of `CSV_BLOCK_ROWS` rows, and ``bytes.translate`` deletes the padding.
+    The bytes are those of ``csv.writer`` on the rows' fields, which hold no
+    NUL (numbers, and the names and status codes of the package).
     """
-    fields, args = [], []
-    for col in cols:
+    nums, parts = {}, []  # numeric columns by id; (words, row codes) or (index, separator)
+    for col, sep in zip(cols, [b","] * (len(cols) - 1) + [b"\n"]):
         if col is None or isinstance(col, (str, int, float)):
-            fields.append(_field(col).replace("%", "%%"))
+            col, codes = [col], np.zeros(n, np.intp)
         elif isinstance(col, list) and col and isinstance(col[0], str):
-            fields.append("%s")
-            args.append([_field(v) for v in col] if _SPECIAL.search("".join(col)) else col)
+            index = {}
+            codes = np.array([index.setdefault(v, len(index)) for v in col], np.intp)
+            col = list(index)
         else:
-            vals = np.asarray(col, dtype=float)
-            nan_free = not np.isnan(vals).any()
-            fields.append("%.17g" if nan_free else "%s")
-            args.append(vals.tolist() if nan_free else [_field(v) for v in vals.tolist()])
-    template = ",".join(fields) + "\n"
-    return "".join(template % row for row in (zip(*args) if args else [()] * n))
+            nums.setdefault(id(col), (len(nums), np.asarray(col, dtype=float)))
+            parts.append((nums[id(col)][0], np.array([0, 0, 0, sep[0] << 56], np.uint64)))
+            continue
+        parts.append((_slots(map(_field, col), sep), codes))
+    columns, text = [v for _, v in nums.values()], []
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        rows = slice(lo, lo + CSV_BLOCK_ROWS)
+        if columns:
+            words = g17(np.concatenate([v[rows] for v in columns])).reshape(4, len(columns), -1)
+        row = [words[:, k].T | how if isinstance(k, int) else k[how[rows]] for k, how in parts]
+        row = np.concatenate(row, axis=1).astype(LE64, copy=False)
+        text.append(row.tobytes().translate(None, b"\0"))
+    return b"".join(text).decode()
+
+
+def _joined(parts, lens):
+    """One column of an ensemble's rows from its members' parts, of lengths
+    `lens`: None where every part is None, a list where they are lists of
+    strings, else floats (NaN for a member's None)."""
+    if len(parts) == 1 or all(p is None for p in parts):
+        return parts[0]
+    if isinstance(parts[0], list):
+        return [v for p in parts for v in p]
+    return np.concatenate([np.full(k, np.nan) if p is None else p for p, k in zip(parts, lens)])
 
 
 def _csv_rows(ctx) -> tuple:
@@ -574,7 +606,7 @@ def _csv_rows(ctx) -> tuple:
             header += ["H", "detA", *(f"lambda{k}" for k in range(m))]
             pts = (hypersurface.surface_point(imm, grid.nodes, order=2)
                    for imm, grid in zip(b["immersions"], b["grids"]))
-            blocks = ([*p.u.T, *p.x.T, p.mean, p.detA, *p.lam.T] for p in pts)
+            blocks = [[*p.u.T, *p.x.T, p.mean, p.detA, *p.lam.T] for p in pts]
         else:
             header += ["H", "detA", "H_II_var", "H_II_gauss", "S_II",
                        "lemma51", "thm52", "thm61", "thm71", "cor7", "status"]
@@ -585,7 +617,14 @@ def _csv_rows(ctx) -> tuple:
                  r.status]
                 for r in reps
             ]
-        return header, "".join(_csv_columns(len(c[0]), [i, *c]) for i, c in enumerate(blocks))
+        lens, cols, joined = [len(c[0]) for c in blocks], [], {}
+        for parts in zip(*blocks):
+            key = tuple(map(id, parts))  # thm52 is lemma51: one joined column, formatted once
+            if key not in joined:
+                joined[key] = _joined(parts, lens)
+            cols.append(joined[key])
+        member = np.repeat(np.arange(len(blocks)), lens)
+        return header, _csv_columns(len(member), [member, *cols])
     if kind == "curve":
         curve = b["curve"]
         s = np.linspace(curve.param_lo[0], curve.param_hi[0], b["samples"])

@@ -26,6 +26,8 @@ from secondform.cli import (
 from secondform.errors import BadParameters, OutOfDomain, SingularShapeOperator
 from secondform.hypersurface import IMMERSIONS, STANDARD_KINDS, Immersion, standard_immersion
 
+from csv_oracle import template_columns
+
 
 def run_cli(args):
     src = str(Path(secondform.__file__).resolve().parents[1])
@@ -323,6 +325,57 @@ def test_csv_rows_are_the_csv_writer_bytes():
     header, body = cli._csv_rows(ctx)
     assert _csv_columns(1, header) == _writer_bytes(1, header)
     assert body == _writer_bytes(1, [50, "[3, 4, 5]", 42]) == '50,"[3, 4, 5]",42\n'
+
+
+def _reduced(name):
+    """The bundled scenario `name` on a grid of at most 4 nodes an axis."""
+    scen = _bundled(name)
+    if "grid" in scen["subject"]:
+        scen["subject"]["grid"] = [min(k, 4) for k in scen["subject"]["grid"]]
+    return scen
+
+
+@pytest.mark.parametrize("name", [p.stem for p in bundled_scenarios()])
+def test_csv_rows_are_the_template_writer_bytes(name, monkeypatch):
+    # the rows of every bundled subject, formatted by the kernel and by the
+    # one-% template writer it replaced
+    ctx = Context(scenario=_reduced(name), seed=0, cache={})
+    got = cli._csv_rows(ctx)
+    monkeypatch.setattr(cli, "_csv_columns", template_columns)
+    assert got == cli._csv_rows(ctx)
+
+
+def test_ensemble_rows_with_different_nan_masks_are_the_template_writer_bytes(monkeypatch):
+    # one call for the whole ensemble: a sphere with no NaN, a plane whose II
+    # columns are all NaN and a saddle, three rows each, in blocks of 4, 4
+    # and 1 rows, against the template writer one member at a time
+    members = [{"kind": "round_sphere", "radius": 1.0},
+               {"kind": "graph", "quadratic": [[0.0, 0.0], [0.0, 0.0]]},
+               {"kind": "graph", "quadratic": [[0.0, 1.0], [1.0, 0.0]], "half_width": 0.4}]
+    scen = {"schema": 1, "name": "nan_masks", "subject": {
+        "type": "ensemble", "immersions": members, "grid": [1, 3], "allow_invalid": True}}
+    ctx = Context(scenario=scen, seed=0, cache={})
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+    header, body = cli._csv_rows(ctx)
+    reps = [ctx.get_report(i) for i in range(3)]
+    assert [int(np.isnan(r.geo.s_ii).sum()) for r in reps] == [0, 3, 0]
+    want = "".join(template_columns(3, [i, *_report_cols(r), r.status]) for i, r in enumerate(reps))
+    assert (header[0], body) == ("member", want)
+    for n in (1, 2, 3):  # one block of 1-3 rows
+        cols = [np.arange(n), *(c[:n] for c in _report_cols(reps[0])[:-3]), ["ok"] * n]
+        assert _csv_columns(n, cols) == template_columns(n, cols)
+
+
+@pytest.mark.parametrize("name, members", [("clifford_area_ii", 1), ("gauss_codazzi_residuals", 5)])
+def test_csv_columns_format_each_column_object_once(name, members, monkeypatch):
+    # thm52 is lemma51: the member column, 2 u and 8 distinct numeric columns
+    # of the report's 9 go through the kernel, 16 rows a member
+    ctx = Context(scenario=_reduced(name), seed=0, cache={})
+    assert all(ctx.get_report(i).thm52 is ctx.get_report(i).lemma51 for i in range(members))
+    sizes, real = [], cli.g17
+    monkeypatch.setattr(cli, "g17", lambda x: sizes.append(len(x)) or real(x))
+    cli._csv_rows(ctx)
+    assert sizes == [16 * members * 11]
 
 
 def test_subject_without_grid_or_immersion_exit_2(tmp_path, capsys):
